@@ -142,21 +142,19 @@ def run_bench(
 ) -> BenchReport:
     """Run every strategy over all seeds, sequentially, and account costs.
 
-    Fails with InputError if any strategy produces fewer than ``min_tokens``
-    tokens total; pass more seeds or a larger ``max_steps``.
+    Strategies are interleaved seed by seed, so a drift in host load is
+    spread over every strategy instead of landing on one. Fails with
+    InputError if any strategy produces fewer than ``min_tokens`` tokens
+    total; pass more seeds or a larger ``max_steps``.
     """
     wrap = None
     if cost_model.kind == PADDED:
         wrap = lambda provider: PaddedProvider(provider, cost_model.pad_us)
 
-    pad_ms = cost_model.pad_us / 1000.0
-    rows = []
-    for strategy in strategies:
-        label = strategy.label()
-        tokens_total = 0
-        calls_total = 0
-        ms_per_token: list[float] = []
-        for seed in seeds:
+    # (tokens, provider calls, ms per token) of each run, per strategy.
+    runs: list[list[tuple[int, int, float]]] = [[] for _ in strategies]
+    for seed in seeds:
+        for strategy_runs, strategy in zip(runs, strategies):
             start = time.perf_counter()
             record = run_strategy(
                 scene, strategy,
@@ -166,16 +164,21 @@ def run_bench(
             elapsed_ms = (time.perf_counter() - start) * 1000.0
             tokens = len(record.steps)
             calls = sum(s.provider_calls for s in record.steps)
-            tokens_total += tokens
-            calls_total += calls
-            ms_per_token.append(elapsed_ms / tokens)
+            strategy_runs.append((tokens, calls, elapsed_ms / tokens))
+
+    pad_ms = cost_model.pad_us / 1000.0
+    rows = []
+    for strategy, strategy_runs in zip(strategies, runs):
+        label = strategy.label()
+        tokens_total = sum(tokens for tokens, _, _ in strategy_runs)
+        calls_total = sum(calls for _, calls, _ in strategy_runs)
         if tokens_total < min_tokens:
             raise InputError(
                 f"strategy {label!r} produced {tokens_total} tokens; "
                 f"at least {min_tokens} required (add seeds or steps)"
             )
         calls_per_token = calls_total / tokens_total
-        wall = float(np.median(ms_per_token))
+        wall = float(np.median([ms for _, _, ms in strategy_runs]))
         rows.append(
             BenchRow(
                 strategy=label,

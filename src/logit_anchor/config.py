@@ -1,9 +1,10 @@
 """Config file loading and CLI value parsing.
 
 One JSON file drives a run; command-line flags override file values, and the
-LOGIT_ANCHOR_SEED environment variable (a comma-separated integer list)
-overrides the seed list from either source. Scene values may be a preset
-name, a path to a scene JSON file, or an inline scene object.
+LOGIT_ANCHOR_SEED environment variable overrides the seed list from either
+source. It takes the same syntax as ``--seeds``: comma-separated integers and
+``lo:hi`` ranges, e.g. ``0:50,99``. Scene values may be a preset name, a path
+to a scene JSON file, or an inline scene object.
 """
 
 from __future__ import annotations

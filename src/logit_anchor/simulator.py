@@ -55,6 +55,9 @@ class GrammarState:
             raise ContractError(f"unknown grammar state {self.state!r}")
 
 
+START_STATE = GrammarState()
+
+
 @dataclass(frozen=True)
 class NegativeVariantSpec:
     """How the negative (distorted-evidence) provider differs from the scene.
@@ -242,11 +245,30 @@ class SceneSpec:
             return GrammarState(TERMINAL)
         return state
 
+    @cached_property
+    def _state_by_id(self) -> tuple[GrammarState | None, ...]:
+        """The state each non-filler token moves to, whatever the state before it.
+
+        Filler maps to None: it keeps the state it is emitted in.
+        """
+        return tuple(
+            None if cls == "filler" else self.transition(START_STATE, token_id)
+            for token_id, cls in enumerate(self._class_by_id)
+        )
+
     def state_after(self, history: Sequence[TokenId]) -> GrammarState:
-        state = GrammarState()
-        for token_id in history:
-            state = self.transition(state, token_id)
-        return state
+        """The fold of ``transition`` over history, from START.
+
+        Every non-filler token moves to the same state wherever it is
+        emitted, and filler keeps the state, so the last non-filler token
+        alone fixes the result: START if there is none.
+        """
+        table = self._state_by_id
+        for token_id in reversed(history):
+            state = table[token_id]
+            if state is not None:
+                return state
+        return START_STATE
 
 
 def decay_at(scene: SceneSpec, t: int) -> float:
@@ -325,7 +347,11 @@ def negative_logits_for(
 
 
 class SyntheticProvider:
-    """Logit provider backed by a scene; derives grammar state from history.
+    """Logit provider backed by a scene.
+
+    The grammar state of each call comes from the last non-filler token of
+    the history (``SceneSpec.state_after``), so a call does not replay the
+    history.
 
     Each instance counts how many times it was asked for logits, which is
     what the per-step ``provider_calls`` telemetry and the bench call-count

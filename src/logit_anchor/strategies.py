@@ -39,7 +39,6 @@ from .core import (
     Vocabulary,
     argmax,
     entropy,
-    masked_probs,
     sample,
     softmax,
 )
@@ -190,7 +189,8 @@ def mask_l0(
         keep = np.zeros(contrib.shape[0], dtype=bool)
         keep[vocab.id_of("The")] = True
         contrib = np.where(keep, contrib, 0.0)
-    return LogitVector.of(contrib)
+    # contrib is a fresh array, finite everywhere: masked entries were zeroed.
+    return LogitVector._trusted(contrib, np.zeros(contrib.shape[0], dtype=bool))
 
 
 def boost(l_t: LogitVector, l0_contrib: LogitVector, w_t: float) -> LogitVector:
@@ -218,21 +218,49 @@ def _constrain(
 def _constrain_fast(
     scores: np.ndarray,
     base_mask: np.ndarray,
-    original_probs: np.ndarray,
+    raw: LogitVector,
+    temperature: float,
     beta: float,
     eos_id: TokenId | None,
 ) -> LogitVector:
-    """Single-pass equivalent of candidate_set + with_allowed + apply_mask.
+    """Single-pass equivalent of softmax + candidate_set + with_allowed + apply_mask.
 
-    Used by the decode loops to build one vector per step instead of four
-    intermediate containers; uses the identical threshold expression, so it
-    agrees with the composed public operations bit for bit.
+    The keep-set comes from the distribution of ``raw`` (the unadjusted
+    logits) and is applied to ``scores`` under ``base_mask``. Used by the
+    decode loops to build one vector per step without the intermediate
+    containers or the full probability vector. It repeats the arithmetic of
+    masked_probs and of the candidate threshold, so it agrees with the
+    composed public operations bit for bit: the largest probability is
+    exactly ``1 / total``, because the shifted exponentials hold an exact
+    1.0 at the maximum, and masked entries have probability 0.
     """
-    allowed = original_probs >= beta * float(original_probs.max())
+    mask = raw.mask
+    n_masked = np.count_nonzero(mask)
+    size = mask.shape[0]
+    if n_masked == size:
+        raise ExclusionError("softmax over a fully masked vector")
+    if n_masked:
+        live = ~mask
+        scaled = raw.scores[live]
+    else:
+        scaled = raw.scores
+    if temperature != 1.0:
+        scaled = scaled / temperature
+    exps = np.exp(scaled - scaled[scaled.argmax()])
+    total = exps.sum()
+    cut = beta * (1.0 / total)
+    if n_masked:
+        dropped = np.full(size, 0.0 < cut)
+        dropped[live] = exps / total < cut
+    else:
+        dropped = exps / total < cut
     if eos_id is not None:
-        allowed[eos_id] = True
-    combined = base_mask | ~allowed
-    if combined.all():
+        dropped[eos_id] = False
+    combined = dropped if base_mask is mask and not n_masked else base_mask | dropped
+    # The most likely token has probability exactly 1 / total, so with
+    # beta <= 1 it survives the cut; only a wider base mask or beta > 1 can
+    # exclude every token.
+    if (base_mask is not mask or beta > 1.0) and np.count_nonzero(combined) == size:
         raise ExclusionError("candidate mask excluded every unmasked token")
     # scores is either a provider vector's (already immutable) array or a
     # fresh arithmetic result; combined is always fresh. Both satisfy the
@@ -359,8 +387,9 @@ def decode_baseline(
         raw = provider.logits(history, t, rng)
         if beta is None:
             return raw, raw
-        original = masked_probs(raw.scores, raw.mask, temperature)
-        return raw, _constrain_fast(raw.scores, raw.mask, original, beta, provider.eos_id)
+        return raw, _constrain_fast(
+            raw.scores, raw.mask, raw, temperature, beta, provider.eos_id
+        )
 
     return _run_loop(
         provider, step,
@@ -395,9 +424,8 @@ def decode_contrastive(
         raw = provider.logits(history, t, rng)
         neg = negative_provider.logits(history, t, neg_rng)
         combined = (1.0 + cfg.alpha) * raw.scores - cfg.alpha * neg.scores
-        original = masked_probs(raw.scores, raw.mask, temperature)
         return raw, _constrain_fast(
-            combined, raw.mask | neg.mask, original, cfg.beta, provider.eos_id
+            combined, raw.mask | neg.mask, raw, temperature, cfg.beta, provider.eos_id
         )
 
     return _run_loop(
@@ -436,22 +464,24 @@ def decode_flb(
             f"beta={cfg.beta:g},mask={cfg.l0_mask})"
         )
 
-    # Captured inside step 0 so its provider call lands in that step's trace.
-    run_state: dict = {}
-    weights = [weight_at(cfg.schedule, t) for t in range(max_steps)]
+    eos_id = provider.eos_id
+    # The masked step-0 logits; captured inside step 0 so its provider call
+    # lands in that step's trace.
+    contrib = None
 
     def step(t, history, rng):
+        nonlocal contrib
         if t == 0:
             cache = capture_first_logit(provider, rng)
-            contrib = mask_l0(cache, cfg.l0_mask, provider.vocab, noun_ids)
-            run_state["contrib"] = contrib.scores
+            contrib = mask_l0(cache, cfg.l0_mask, provider.vocab, noun_ids).scores
             raw = cache.logits
             boosted = raw.scores
         else:
+            # The weighted contribution does not depend on this step's logits.
+            lift = weight_at(cfg.schedule, t) * contrib
             raw = provider.logits(history, t, rng)
-            boosted = raw.scores + weights[t] * run_state["contrib"]
-        original = masked_probs(raw.scores, raw.mask, temperature)
-        return raw, _constrain_fast(boosted, raw.mask, original, cfg.beta, provider.eos_id)
+            boosted = raw.scores + lift
+        return raw, _constrain_fast(boosted, raw.mask, raw, temperature, cfg.beta, eos_id)
 
     return _run_loop(
         provider, step,
@@ -560,7 +590,8 @@ def parse_strategy(text: str) -> Strategy:
     comma-separated key=value list. Recognized keys depend on the kind:
     ``beta`` for baseline/greedy; ``alpha``, ``beta``, ``strength`` for the
     contrastive kinds; ``gamma``, ``lambda`` (or ``lam``), ``beta``,
-    ``schedule``, ``mask`` for flb.
+    ``schedule``, ``mask`` for flb. A key given twice, or with an empty
+    value, is a ConfigError, never a silent default.
     """
     text = text.strip()
     kind, _, rest = text.partition(":")
@@ -575,7 +606,14 @@ def parse_strategy(text: str) -> Strategy:
             key, eq, value = part.partition("=")
             if not eq:
                 raise ConfigError(f"malformed strategy parameter {part!r} in {text!r}")
-            params[key.strip().lower()] = value.strip()
+            key, value = key.strip().lower(), value.strip()
+            if not value:
+                raise ConfigError(f"{kind}: {key} has an empty value in {text!r}")
+            if kind == FLB and key == "lam":
+                key = "lambda"
+            if key in params:
+                raise ConfigError(f"{kind}: {key} is given more than once in {text!r}")
+            params[key] = value
 
     def take_float(key: str, default: float | None) -> float | None:
         if key not in params:
@@ -598,8 +636,7 @@ def parse_strategy(text: str) -> Strategy:
         )
     else:
         gamma = take_float("gamma", 0.3)
-        lam = params.pop("lambda", None) or params.pop("lam", None)
-        lam = _parse_float(kind, "lambda", lam) if lam is not None else 0.05
+        lam = take_float("lambda", 0.05)
         beta = take_float("beta", 0.1)
         sched_name = params.pop("schedule", "increasing").lower()
         if sched_name not in _SCHEDULE_ALIASES:

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from logit_anchor import bench
 from logit_anchor import (
     ConfigError,
     CostModel,
@@ -76,6 +77,21 @@ class TestRunBench:
             assert row.runs == 4
             assert row.tokens_measured >= 4  # every run emits something
             assert row.wall_ms_per_token > 0.0
+
+    def test_strategies_interleave_seed_by_seed(self, scene, monkeypatch):
+        order = []
+        inner = bench.run_strategy
+
+        def recording_run_strategy(scene, strategy, *, seed, **kwargs):
+            order.append((seed, strategy.label()))
+            return inner(scene, strategy, seed=seed, **kwargs)
+
+        monkeypatch.setattr(bench, "run_strategy", recording_run_strategy)
+        strategies = [Strategy(kind="baseline"), parse_strategy("vcd")]
+        report = run_bench(scene, strategies, seeds=range(3), max_steps=5, min_tokens=1)
+        labels = [s.label() for s in strategies]
+        assert order == [(seed, label) for seed in range(3) for label in labels]
+        assert [row.strategy for row in report.rows] == labels
 
     def test_min_tokens_enforced(self, scene):
         with pytest.raises(InputError, match="at least 1000"):

@@ -109,6 +109,19 @@ class TestSimulate:
         ) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("descriptor, message", [
+        ("flb:lambda=", "lambda has an empty value"),
+        ("baseline:beta=0.1,beta=0.2", "beta is given more than once"),
+    ])
+    def test_silent_default_descriptor_exits_2(self, tmp_path, capsys, descriptor, message):
+        assert run_cli(
+            "simulate", "--strategies", descriptor, "--seeds", "0",
+            "--out", tmp_path / "o",
+        ) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_scene_exits_2(self, tmp_path):
         assert run_cli(
             "simulate", "--scene", "atlantis", "--out", tmp_path / "o"

@@ -11,12 +11,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from logit_anchor import ConfigError, SceneSpec, Vocabulary, default_scene, preset
 from logit_anchor.simulator import (
     AFTER_ARTICLE,
     AFTER_CONNECTIVE,
     AFTER_NOUN,
+    NEGATIVE_KINDS,
     NOISY_VISUAL,
     PERTURBED_INSTRUCTION,
     START,
@@ -38,6 +41,30 @@ MARGIN_AT_50 = -1.6716600055044048  # 4 * exp(-2.5) - 2
 
 def noun_slot(scene, article="A"):
     return GrammarState(AFTER_ARTICLE, last_article=scene.vocabulary.id_of(article))
+
+
+def fold(scene, history):
+    """Reference grammar state: ``transition`` applied token by token from START."""
+    state = GrammarState()
+    for token_id in history:
+        state = scene.transition(state, token_id)
+    return state
+
+
+SCENE = default_scene()
+V = SCENE.vocabulary
+FILLER_IDS = [
+    i for i in range(SCENE.vocabulary.size) if SCENE.class_of(i) == "filler"
+]
+# Histories over the whole vocabulary, spliced with long filler runs, so the
+# last non-filler token can sit far back, or be absent, or follow EOS.
+HISTORIES = st.lists(
+    st.one_of(
+        st.lists(st.integers(0, SCENE.vocabulary.size - 1), min_size=1, max_size=1),
+        st.lists(st.sampled_from(FILLER_IDS), min_size=1, max_size=60),
+    ),
+    max_size=12,
+).map(lambda chunks: [tok for chunk in chunks for tok in chunk])
 
 
 class TestSceneShape:
@@ -111,11 +138,18 @@ class TestGrammar:
         s2 = scene.transition(s, v.id_of("very"))
         assert s2 == s
 
-    def test_state_after_folds_history(self, scene):
-        v = scene.vocabulary
-        history = [v.id_of("The"), v.id_of("dog"), v.id_of("and")]
-        assert scene.state_after(history).state == AFTER_CONNECTIVE
-        assert scene.state_after([]).state == START
+    @settings(max_examples=300, deadline=None)
+    @given(history=HISTORIES)
+    @example(history=[])
+    @example(history=[V.id_of("The"), V.id_of("dog"), V.id_of("and")])
+    @example(history=[V.id_of("very")] * 300)
+    @example(history=[V.id_of("The")] + [V.id_of("big")] * 200)
+    @example(history=[SCENE.eos_id, V.id_of("A"), V.id_of("is")])
+    @example(history=[V.id_of("dog"), SCENE.eos_id, V.id_of("on")])
+    def test_state_after_folds_history(self, history):
+        want = fold(SCENE, history)
+        assert SCENE.state_after(history) == want
+        assert SCENE.state_after(tuple(history)) == want
 
     def test_admissible_sets(self, scene):
         v = scene.vocabulary
@@ -258,6 +292,26 @@ class TestProviders:
         assert np.array_equal(lv.scores, expected.scores)
         assert provider.eos_id == quiet.eos_id
         assert provider.vocab is quiet.vocabulary
+
+    @settings(max_examples=60, deadline=None)
+    @given(history=HISTORIES, t=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+    def test_providers_match_folded_state_bit_for_bit(self, history, t, seed):
+        history = tuple(history)
+        state = fold(SCENE, history)
+        got = SyntheticProvider(SCENE).logits(history, t, np.random.default_rng(seed))
+        want = logits_for(SCENE, state, t, np.random.default_rng(seed))
+        assert np.array_equal(got.scores, want.scores)
+        assert np.array_equal(got.mask, want.mask)
+        for kind in NEGATIVE_KINDS:
+            variant = NegativeVariantSpec(kind, strength=0.6)
+            got = NegativeProvider(SCENE, variant).logits(
+                history, t, np.random.default_rng(seed)
+            )
+            want = negative_logits_for(
+                SCENE, variant, state, t, np.random.default_rng(seed)
+            )
+            assert np.array_equal(got.scores, want.scores)
+            assert np.array_equal(got.mask, want.mask)
 
     def test_negative_provider(self, scene):
         quiet = replace(scene, noise_sigma=0.0)

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logit_anchor import (
     ConfigError,
     ContractError,
     ContrastiveConfig,
+    ExclusionError,
     FirstLogitCache,
     FlbConfig,
     LogitVector,
@@ -32,6 +36,7 @@ from logit_anchor import (
     softmax,
     weight_at,
 )
+from logit_anchor import strategies
 from logit_anchor.simulator import SyntheticProvider
 from logit_anchor.weighting import CONSTANT, DECREASING, INCREASING
 
@@ -140,6 +145,67 @@ class TestPureOps:
             assert np.array_equal(got.probs, want.probs)
 
 
+class TestConstrainFast:
+    """The decode loops' fused keep-set against the public composition."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_matches_public_composition(self, data):
+        n = data.draw(st.integers(1, 9))
+        temperature = data.draw(st.sampled_from([1.0, 0.5, 0.7, 2.0]))
+        beta = data.draw(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.0]))
+        # Next to the threshold the rounding of the public path decides, so
+        # draw scores a few ulps either side of the gap T * log(beta).
+        edge = temperature * math.log(beta) if beta > 0 else -30.0
+        near = st.integers(-4, 4).map(lambda k: edge + k * math.ulp(edge))
+        scores = st.one_of(st.floats(-30.0, 30.0), near, st.just(0.0))
+        raw_scores = np.array([0.0] + data.draw(st.lists(scores, min_size=n - 1, max_size=n - 1)))
+        raw_mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        raw = LogitVector(raw_scores, raw_mask)
+        extra = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        base_mask = raw.mask if data.draw(st.booleans()) else raw.mask | extra
+        adjusted = raw.scores + np.array(
+            data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+        )
+        eos = data.draw(st.one_of(st.none(), st.integers(0, n - 1)))
+
+        def public():
+            cmask = candidate_set(softmax(raw, temperature), beta)
+            if eos is not None:
+                cmask = cmask.with_allowed(eos)
+            return apply_mask(LogitVector(adjusted, base_mask), cmask)
+
+        try:
+            want = public()
+        except ExclusionError:
+            with pytest.raises(ExclusionError):
+                strategies._constrain_fast(adjusted, base_mask, raw, temperature, beta, eos)
+            return
+        got = strategies._constrain_fast(adjusted, base_mask, raw, temperature, beta, eos)
+        assert np.array_equal(got.mask, want.mask)
+        assert np.array_equal(got.scores, want.scores)
+        assert not got.mask.flags.writeable and not got.scores.flags.writeable
+
+    @pytest.mark.parametrize(
+        "beta, scores",
+        [
+            # Each has a token whose keep/drop decision differs between the
+            # exact probability test and the plain exp(gap) >= beta test.
+            (0.7, [0.0, -0.3566749439387324, -0.3566749439387326,
+                   -0.3566749439387322, -0.3566749439387323]),
+            (0.3, [0.0, -1.2039728043259361, -1.203972804325935]),
+            (0.3, [0.0, -1.2039728043259361, -1.2039728043259352, -2.061064920001675]),
+        ],
+    )
+    def test_threshold_rounding_follows_public_path(self, beta, scores):
+        raw = LogitVector.of(scores)
+        want = apply_mask(raw, candidate_set(softmax(raw), beta))
+        naive = np.exp(raw.scores - raw.scores.max()) < beta
+        assert not np.array_equal(want.mask, naive)
+        got = strategies._constrain_fast(raw.scores, raw.mask, raw, 1.0, beta, None)
+        assert np.array_equal(got.mask, want.mask)
+
+
 class TestDecodeFlb:
     def test_step_zero_never_boosts_any_schedule(self, quiet):
         for kind in (INCREASING, DECREASING, CONSTANT):
@@ -183,6 +249,18 @@ class TestDecodeFlb:
     def test_eos_is_never_masked_out(self, scene):
         rec = decode_flb(SyntheticProvider(scene), FlbConfig(beta=0.9), seed=1, max_steps=30)
         assert all(not s.adjusted_logits.mask[scene.eos_id] for s in rec.steps)
+
+    def test_weights_are_computed_per_step_not_up_front(self, scene, monkeypatch):
+        calls = []
+
+        def counting_weight_at(schedule, t):
+            calls.append(t)
+            return weight_at(schedule, t)
+
+        monkeypatch.setattr(strategies, "weight_at", counting_weight_at)
+        rec = decode_flb(SyntheticProvider(scene), FlbConfig(), seed=0, max_steps=10_000)
+        assert rec.steps[-1].chosen == scene.eos_id
+        assert len(calls) <= len(rec.steps)
 
 
 class TestDegeneracy:
@@ -286,6 +364,28 @@ class TestParseStrategy:
         ):
             with pytest.raises(ConfigError):
                 parse_strategy(bad)
+
+    @pytest.mark.parametrize("text, key", [
+        ("flb:lambda=", "lambda"),
+        ("flb:lam= ", "lam"),
+        ("flb:gamma=", "gamma"),
+        ("flb:schedule=", "schedule"),
+        ("baseline:beta=", "beta"),
+        ("vcd:alpha=,beta=0.1", "alpha"),
+    ])
+    def test_empty_value_rejected(self, text, key):
+        with pytest.raises(ConfigError, match=f"{key} has an empty value"):
+            parse_strategy(text)
+
+    @pytest.mark.parametrize("text, key", [
+        ("baseline:beta=0.1,beta=0.2", "beta"),
+        ("flb:gamma=0.3,GAMMA=0.3", "gamma"),
+        ("flb:lambda=0.1,lam=0.2", "lambda"),
+        ("vcd:strength=0.5,alpha=1,strength=0.5", "strength"),
+    ])
+    def test_duplicate_key_rejected(self, text, key):
+        with pytest.raises(ConfigError, match=f"{key} is given more than once"):
+            parse_strategy(text)
 
 
 class TestRunMany:
