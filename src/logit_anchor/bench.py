@@ -9,6 +9,7 @@ latency claims.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,8 +35,8 @@ class CostModel:
     def __post_init__(self):
         if self.kind not in (CHEAP, PADDED):
             raise ConfigError(f"unknown cost model {self.kind!r}")
-        if self.kind == PADDED and self.pad_us <= 0:
-            raise ConfigError("padded cost model needs pad_us > 0")
+        if self.kind == PADDED and not (self.pad_us > 0 and math.isfinite(self.pad_us)):
+            raise ConfigError(f"padded cost model needs a finite pad_us > 0, got {self.pad_us!r}")
         if self.kind == CHEAP and self.pad_us:
             raise ConfigError("cheap cost model takes no padding")
 

@@ -7,7 +7,15 @@ machine-specific is ever written, so repeated invocations produce identical
 bytes regardless of --jobs.
 
 Exit codes: 0 success, 2 configuration error, 3 input-data error,
-4 internal invariant violation.
+4 internal invariant violation, 141 (128 + SIGPIPE, as for a program the
+signal ends) when stdout is closed before the summary is printed, as in
+``logit-anchor simulate ... | head -1``. Every command writes its files
+before it prints, so the files of such a run are complete; nothing more is
+printed and no traceback is shown.
+
+``--jobs`` is accepted for compatibility and must be >= 1; it has no
+effect. Decoding runs in one process: all seeds of a strategy are decoded
+together as rows of one batch.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 from itertools import product
@@ -624,7 +633,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-steps", type=int, dest="max_steps")
     p.add_argument("--temperature", type=float)
     p.add_argument("--bin-width", type=int, dest="bin_width")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility, must be >= 1; has no effect")
     p.add_argument("--full-dist", action="store_true", dest="full_dist",
                    help="store full per-step distributions in traces")
     common_output(p, "out")
@@ -650,7 +660,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds")
     p.add_argument("--max-steps", type=int, dest="max_steps")
     p.add_argument("--temperature", type=float)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility, must be >= 1; has no effect")
     common_output(p, "sweep_out")
     p.set_defaults(func=cmd_sweep)
 
@@ -672,7 +683,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", "--lambda", type=float, default=0.05, dest="lam")
     p.add_argument("--beta", type=float, default=0.1)
     p.add_argument("--max-steps", type=int, default=60, dest="max_steps")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility, must be >= 1; has no effect")
     common_output(p, "ablate_out")
     p.set_defaults(func=cmd_ablate)
 
@@ -683,7 +695,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at /dev/null so that the flush
+        # at interpreter exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,7 @@ to a scene JSON file, or an inline scene object.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,8 +47,10 @@ class RunConfig:
             raise ConfigError("at least one seed is required")
         if self.max_steps < 1:
             raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ConfigError(
+                f"temperature must be finite and positive, got {self.temperature!r}"
+            )
         if self.bin_width < 1:
             raise ConfigError(f"bin_width must be >= 1, got {self.bin_width}")
 

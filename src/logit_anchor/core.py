@@ -72,7 +72,7 @@ def _as_float64(scores) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogitVector:
     """Per-token scores plus a boolean exclusion lane.
 
@@ -108,21 +108,6 @@ class LogitVector:
             mask = np.zeros(scores.shape, dtype=bool)
         return cls(scores, mask)
 
-    @classmethod
-    def _trusted(cls, scores: np.ndarray, mask: np.ndarray) -> "LogitVector":
-        """Wrap arrays without copying or re-validating (decode hot path).
-
-        Caller contract: both are 1-d, same shape, float64/bool, unmasked
-        scores finite, and no writable alias survives outside. The arrays are
-        write-locked in place instead of copied.
-        """
-        scores.setflags(write=False)
-        mask.setflags(write=False)
-        vec = object.__new__(cls)
-        object.__setattr__(vec, "scores", scores)
-        object.__setattr__(vec, "mask", mask)
-        return vec
-
     @property
     def size(self) -> int:
         return self.scores.shape[0]
@@ -137,7 +122,7 @@ class LogitVector:
         return LogitVector(self.scores, np.asarray(mask, dtype=bool))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProbDist:
     """A categorical distribution over token ids.
 
@@ -163,6 +148,19 @@ class ProbDist:
 
     def prob(self, token_id: TokenId) -> float:
         return float(self.probs[token_id])
+
+
+def _unchecked(cls, **fields):
+    """An instance of a frozen record built without running its checks.
+
+    Only for the decode loop (``strategies.decode``), which makes the same
+    checks once per step for all rows together and hands over read-only
+    arrays that no writable alias outlives.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def masked_probs(scores: np.ndarray, mask: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -228,7 +226,7 @@ def argmax(logits: LogitVector) -> TokenId:
     return int(np.argmax(scores))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepTrace:
     """Everything observable about one decoding step.
 

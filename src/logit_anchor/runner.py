@@ -1,28 +1,21 @@
 """Bind strategy descriptors to scene providers and execute runs.
 
-Every run gets fresh provider instances (so call counters and grammar state
-never leak between runs) and its own seed-derived random streams. Fan-out
-over (strategy, seed) pairs is thread-based; results are keyed and sorted,
-so the output is identical for any worker count.
+Each call decodes its runs in one process and one thread: all seeds of one
+strategy go through ``strategies.decode`` together, as the rows of one
+lockstep batch, with fresh provider instances per strategy (so call counters
+never leak between strategies). Each row has its own seed-derived random
+streams, so a run's record is the same whichever seeds share its batch, and
+a single run is the one-row batch.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 from .core import GenerationRecord
 from .errors import ConfigError
 from .simulator import NegativeProvider, NegativeVariantSpec, SceneSpec, SyntheticProvider
-from .strategies import (
-    CONTRASTIVE_KINDS,
-    FLB,
-    GREEDY,
-    Strategy,
-    decode_baseline,
-    decode_contrastive,
-    decode_flb,
-)
+from .strategies import CONTRASTIVE_KINDS, Strategy, decode
 
 ProviderWrap = Callable[[object], object]
 
@@ -48,6 +41,19 @@ def make_providers(
     return positive, negative
 
 
+def _decode(
+    scene: SceneSpec,
+    strategy: Strategy,
+    seeds: Sequence[int],
+    wrap: ProviderWrap | None = None,
+    **kwargs,
+) -> list[GenerationRecord]:
+    provider, negative = make_providers(scene, strategy, wrap)
+    return decode(
+        strategy, provider, seeds, negative=negative, noun_ids=scene.noun_ids, **kwargs
+    )
+
+
 def run_strategy(
     scene: SceneSpec,
     strategy: Strategy,
@@ -58,23 +64,17 @@ def run_strategy(
     prompt_id: str = "scene",
     wrap: ProviderWrap | None = None,
 ) -> GenerationRecord:
-    """Execute one decoding run of ``strategy`` on ``scene``."""
-    provider, negative = make_providers(scene, strategy, wrap)
-    common = dict(
-        prompt_id=prompt_id,
-        max_steps=max_steps,
-        seed=seed,
-        temperature=temperature,
-        label=strategy.label(),
+    """Execute one decoding run of ``strategy`` on ``scene``.
+
+    ``wrap`` maps each fresh provider to the object the loop calls instead;
+    a wrapper without ``logit_rows`` is called through ``logits`` once per
+    provider pass.
+    """
+    (record,) = _decode(
+        scene, strategy, (seed,), wrap,
+        max_steps=max_steps, temperature=temperature, prompt_id=prompt_id,
     )
-    if strategy.kind in CONTRASTIVE_KINDS:
-        return decode_contrastive(provider, negative, strategy.contrastive, **common)
-    if strategy.kind == FLB:
-        return decode_flb(
-            provider, strategy.flb, noun_ids=scene.noun_ids, **common
-        )
-    mode = "greedy" if strategy.kind == GREEDY else "sample"
-    return decode_baseline(provider, mode=mode, beta=strategy.beta, **common)
+    return record
 
 
 def run_many(
@@ -89,32 +89,19 @@ def run_many(
 ) -> list[GenerationRecord]:
     """All (strategy, seed) runs, ordered by strategy position then seed.
 
-    ``jobs > 1`` fans runs out over a thread pool; ordering and content of
-    the result are independent of the worker count.
+    Each strategy decodes all its seeds as one lockstep batch. ``jobs`` is
+    accepted for compatibility and must be >= 1; it has no effect.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     labels = [s.label() for s in strategies]
     if len(set(labels)) != len(labels):
         raise ConfigError("strategy labels must be unique within one run")
-    tasks = [
-        (si, seed, strategy)
-        for si, strategy in enumerate(strategies)
-        for seed in seeds
-    ]
-
-    def one(task):
-        si, seed, strategy = task
-        return (si, seed), run_strategy(
-            scene, strategy,
-            seed=seed, max_steps=max_steps,
-            temperature=temperature, prompt_id=prompt_id,
+    ordered = sorted(seeds)
+    records = []
+    for strategy in strategies:
+        records += _decode(
+            scene, strategy, ordered,
+            max_steps=max_steps, temperature=temperature, prompt_id=prompt_id,
         )
-
-    if jobs == 1:
-        keyed = [one(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            keyed = list(pool.map(one, tasks))
-    keyed.sort(key=lambda kv: kv[0])
-    return [record for _, record in keyed]
+    return records

@@ -20,6 +20,7 @@ plausibility constraint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -126,17 +127,24 @@ class SceneSpec:
             raise ConfigError("scene needs at least one article, gt object, and hal object")
         if not self.connectives:
             raise ConfigError("scene needs at least one connective")
-        if self.decay_kappa <= 0:
-            raise ConfigError(f"decay_kappa must be > 0, got {self.decay_kappa!r}")
-        if self.decay_depth < 0:
-            raise ConfigError(f"decay_depth must be >= 0, got {self.decay_depth!r}")
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
-        if self.grammar_penalty <= 0:
-            raise ConfigError(f"grammar_penalty must be > 0, got {self.grammar_penalty!r}")
-        for tok in self.article_grounding:
+        for name, value, ok, rule in (
+            ("decay_kappa", self.decay_kappa, self.decay_kappa > 0, "> 0"),
+            ("decay_depth", self.decay_depth, self.decay_depth >= 0, ">= 0"),
+            ("noise_sigma", self.noise_sigma, self.noise_sigma >= 0, ">= 0"),
+            ("grammar_penalty", self.grammar_penalty, self.grammar_penalty > 0, "> 0"),
+        ):
+            if not (ok and math.isfinite(value)):
+                raise ConfigError(f"{name} must be finite and {rule}, got {value!r}")
+        for tok, logit in zip(self.vocabulary.tokens, self.base_logits):
+            if not math.isfinite(logit):
+                raise ConfigError(f"base logit of {tok!r} must be finite, got {logit!r}")
+        for tok, grounding in self.article_grounding.items():
             if tok not in self.articles:
                 raise ConfigError(f"article_grounding key {tok!r} is not an article")
+            if not math.isfinite(grounding):
+                raise ConfigError(
+                    f"article_grounding of {tok!r} must be finite, got {grounding!r}"
+                )
         for tok in self.cognition_objects:
             if tok not in self.hal_objects:
                 raise ConfigError(
@@ -219,6 +227,16 @@ class SceneSpec:
         return self._admissible[state.state]
 
     @cached_property
+    def _penalty(self) -> dict[str, np.ndarray]:
+        """Per state: ``grammar_penalty`` on inadmissible tokens, 0.0 elsewhere."""
+        lanes = {}
+        for state, admissible in self._admissible.items():
+            lane = np.where(admissible, 0.0, self.grammar_penalty)
+            lane.setflags(write=False)
+            lanes[state] = lane
+        return lanes
+
+    @cached_property
     def grounding_by_id(self) -> dict[int, float]:
         return {
             self.vocabulary.id_of(tok): float(g)
@@ -289,24 +307,86 @@ def _scene_scores(scene: SceneSpec, state: GrammarState, t: int) -> np.ndarray:
     return scores
 
 
+def _noiseless_row(
+    scene: SceneSpec, variant: NegativeVariantSpec | None, state: GrammarState, t: int
+) -> np.ndarray:
+    """The part of a row that depends only on (state, t): everything but the
+    per-row permutation and jitter."""
+    scores = _scene_scores(scene, state, t)
+    if variant is None or variant.kind in (NOISY_VISUAL, UNCONDITIONED):
+        if variant is not None:
+            shrink = 0.0 if variant.kind == UNCONDITIONED else 1.0 - variant.strength
+            gt_mean = scores[scene.gt_ids].mean()
+            hal_mean = scores[scene.hal_ids].mean()
+            mid = 0.5 * (gt_mean + hal_mean)
+            scores[scene.gt_ids] += (mid + shrink * (gt_mean - mid)) - gt_mean
+            scores[scene.hal_ids] += (mid + shrink * (hal_mean - mid)) - hal_mean
+        # Subtracting 0.0 leaves admissible scores exactly as they are.
+        scores -= scene._penalty[state.state]
+    return scores
+
+
+def scene_logit_rows(
+    scene: SceneSpec,
+    variant: NegativeVariantSpec | None,
+    states: Sequence[GrammarState],
+    t: int,
+    rngs: Sequence[np.random.Generator | None],
+) -> np.ndarray:
+    """Scene logits at step t for a batch of rows, as a fresh [rows, vocab] array.
+
+    Row i is in grammar state ``states[i]`` and draws from ``rngs[i]``.
+    ``variant`` None gives the scene's own logits: base scores, decay,
+    grounding, grammar penalty, jitter. A variant gives the degraded view
+    used as a contrastive negative; the degradation happens before jitter,
+    so positive and negative calls stay comparable draw for draw.
+
+    The noiseless row is built once per distinct state; then each row gets
+    its own draws, in this order: one permutation (``perturbed_instruction``
+    only) and one normal vector. A row whose rng is None draws nothing: no
+    jitter, and ``perturbed_instruction`` reverses the penalty lane instead
+    of permuting it. With ``noise_sigma == 0`` no normal vector is drawn.
+    """
+    if t < 0:
+        raise ContractError(f"step index must be >= 0, got {t}")
+    index: dict[GrammarState, int] = {}
+    pick = [index.setdefault(state, len(index)) for state in states]
+    unique = list(index)
+    scores = np.array([_noiseless_row(scene, variant, s, t) for s in unique])
+    if len(unique) < len(pick):
+        scores = scores[pick]
+    size = scores.shape[1]
+    if variant is not None and variant.kind == PERTURBED_INSTRUCTION:
+        # Scramble where the grammar penalty lands.
+        offsets = np.array(
+            [np.where(scene.admissible(s), 0.0, -scene.grammar_penalty) for s in unique]
+        )
+        if len(unique) < len(pick):
+            offsets = offsets[pick]
+        permuted = np.array([
+            row[rng.permutation(size)] if rng is not None else row[::-1]
+            for row, rng in zip(offsets, rngs)
+        ])
+        scores += (1.0 - variant.strength) * offsets + variant.strength * permuted
+    if scene.noise_sigma > 0:
+        for row, rng in zip(scores, rngs):
+            if rng is not None:
+                row += rng.normal(0.0, scene.noise_sigma, size)
+    return scores
+
+
 def logits_for(
     scene: SceneSpec,
     state: GrammarState,
     t: int,
     rng: np.random.Generator | None = None,
 ) -> LogitVector:
-    """Scene logits at step t: base scores, decay, grounding, grammar penalty, jitter.
+    """Scene logits at step t: the one-row case of :func:`scene_logit_rows`.
 
     With ``noise_sigma == 0`` (or no rng) this is a pure function of
     (scene, state, t).
     """
-    if t < 0:
-        raise ContractError(f"step index must be >= 0, got {t}")
-    scores = _scene_scores(scene, state, t)
-    scores[~scene.admissible(state)] -= scene.grammar_penalty
-    if scene.noise_sigma > 0 and rng is not None:
-        scores += rng.normal(0.0, scene.noise_sigma, scores.shape[0])
-    return LogitVector.of(scores)
+    return LogitVector.of(scene_logit_rows(scene, None, [state], t, [rng])[0])
 
 
 def negative_logits_for(
@@ -316,47 +396,24 @@ def negative_logits_for(
     t: int,
     rng: np.random.Generator | None = None,
 ) -> LogitVector:
-    """Logits from a degraded view of the same scene.
-
-    The degradation happens before jitter, so positive and negative calls
-    stay comparable draw-for-draw.
-    """
-    if t < 0:
-        raise ContractError(f"step index must be >= 0, got {t}")
-    scores = _scene_scores(scene, state, t)
-
-    if variant.kind in (NOISY_VISUAL, UNCONDITIONED):
-        shrink = 0.0 if variant.kind == UNCONDITIONED else 1.0 - variant.strength
-        gt_mean = scores[scene.gt_ids].mean()
-        hal_mean = scores[scene.hal_ids].mean()
-        mid = 0.5 * (gt_mean + hal_mean)
-        scores[scene.gt_ids] += (mid + shrink * (gt_mean - mid)) - gt_mean
-        scores[scene.hal_ids] += (mid + shrink * (hal_mean - mid)) - hal_mean
-        scores[~scene.admissible(state)] -= scene.grammar_penalty
-    else:  # perturbed_instruction: scramble where the grammar penalty lands
-        offsets = np.where(scene.admissible(state), 0.0, -scene.grammar_penalty)
-        if rng is not None:
-            permuted = offsets[rng.permutation(offsets.shape[0])]
-        else:
-            permuted = offsets[::-1].copy()
-        scores += (1.0 - variant.strength) * offsets + variant.strength * permuted
-
-    if scene.noise_sigma > 0 and rng is not None:
-        scores += rng.normal(0.0, scene.noise_sigma, scores.shape[0])
-    return LogitVector.of(scores)
+    """Logits from a degraded view of the same scene (one row)."""
+    return LogitVector.of(scene_logit_rows(scene, variant, [state], t, [rng])[0])
 
 
 class SyntheticProvider:
     """Logit provider backed by a scene.
 
-    The grammar state of each call comes from the last non-filler token of
-    the history (``SceneSpec.state_after``), so a call does not replay the
+    The grammar state of each row comes from the last non-filler token of
+    its history (``SceneSpec.state_after``), so a call does not replay the
     history.
 
-    Each instance counts how many times it was asked for logits, which is
-    what the per-step ``provider_calls`` telemetry and the bench call-count
-    law are measured from.
+    ``logit_rows`` serves a batch of rows in one call and ``logits`` is its
+    one-row case. Each instance counts the rows it was asked for (one per
+    row per call), which is what the per-step ``provider_calls`` telemetry
+    and the bench call-count law are measured from.
     """
+
+    variant: NegativeVariantSpec | None = None
 
     def __init__(self, scene: SceneSpec):
         self.scene = scene
@@ -370,42 +427,32 @@ class SyntheticProvider:
     def eos_id(self) -> int:
         return self.scene.eos_id
 
+    def logit_rows(
+        self,
+        histories: Sequence[Sequence[TokenId]],
+        t: int,
+        rngs: Sequence[np.random.Generator | None],
+    ) -> np.ndarray:
+        """Scores [len(histories), vocab] for each history at step t, rng by rng."""
+        self.calls += len(histories)
+        states = [self.scene.state_after(history) for history in histories]
+        return scene_logit_rows(self.scene, self.variant, states, t, rngs)
+
     def logits(
         self,
         history: Sequence[TokenId],
         t: int,
         rng: np.random.Generator | None = None,
     ) -> LogitVector:
-        self.calls += 1
-        return logits_for(self.scene, self.scene.state_after(history), t, rng)
+        return LogitVector.of(self.logit_rows([history], t, [rng])[0])
 
 
-class NegativeProvider:
+class NegativeProvider(SyntheticProvider):
     """Provider serving the degraded-evidence view used by contrastive decoding."""
 
     def __init__(self, scene: SceneSpec, variant: NegativeVariantSpec):
-        self.scene = scene
+        super().__init__(scene)
         self.variant = variant
-        self.calls = 0
-
-    @property
-    def vocab(self) -> Vocabulary:
-        return self.scene.vocabulary
-
-    @property
-    def eos_id(self) -> int:
-        return self.scene.eos_id
-
-    def logits(
-        self,
-        history: Sequence[TokenId],
-        t: int,
-        rng: np.random.Generator | None = None,
-    ) -> LogitVector:
-        self.calls += 1
-        return negative_logits_for(
-            self.scene, self.variant, self.scene.state_after(history), t, rng
-        )
 
 
 # -- default scene and presets ----------------------------------------------

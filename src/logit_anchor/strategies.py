@@ -1,8 +1,9 @@
 """Decoding strategies over an abstract logit provider.
 
 A provider is anything with ``vocab``, ``eos_id``, a ``calls`` counter, and
-``logits(history, t, rng) -> LogitVector``. Three decoding families are
-implemented on top of it:
+``logits(history, t, rng) -> LogitVector``; it may also offer
+``logit_rows(histories, t, rngs) -> [rows, vocab] array`` to serve many rows
+in one call. Three decoding families are implemented on top of it:
 
 * plain ancestral sampling / greedy, optionally with the adaptive candidate
   constraint (one provider call per step);
@@ -17,16 +18,28 @@ computed from the *original* (unadjusted) distribution and intersected into
 the adjusted logits before the final softmax. The EOS token is re-allowed
 after truncation so every run can terminate.
 
-Each run owns its randomness: the seed is split into three independent
-streams (sampling, positive-provider jitter, negative-provider jitter), so
-two strategies given the same seed see identical positive-provider noise
+:func:`decode` is the one decode loop. It runs all seeds of one strategy in
+lockstep: each seed is a row, every per-step operation works on
+``[rows, vocab]`` arrays, and a row retires when it emits EOS. A single run
+is the one-row case. The public one-vector operations (``boost``,
+``contrastive_adjust``, ``flb_step``, ``mask_l0``) are the references the
+row kernels are tested against.
+
+Each row owns its randomness: its seed is split into three independent
+streams (sampling, positive-provider jitter, negative-provider jitter), and
+no stream is shared between rows. A row draws in a fixed order: one jitter
+vector per provider call (after one permutation, for the
+perturbed-instruction negative) and one uniform per sampled step. So a
+seed's record does not depend on which other seeds share its batch, and two
+strategies given the same seed see identical positive-provider noise
 regardless of how many extra calls either of them makes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -37,13 +50,11 @@ from .core import (
     StepTrace,
     TokenId,
     Vocabulary,
-    argmax,
-    entropy,
-    sample,
+    _unchecked,
     softmax,
 )
 from .errors import ConfigError, ContractError, ExclusionError
-from .plausibility import CandidateMask, apply_mask, candidate_set
+from .plausibility import apply_mask, candidate_set
 from .simulator import NEGATIVE_KINDS, NOISY_VISUAL, PERTURBED_INSTRUCTION, UNCONDITIONED
 from .weighting import WeightSchedule, weight_at
 
@@ -73,7 +84,12 @@ _DEFAULT_STRENGTH = {VCD: 0.7, ICD: 1.0, M3ID: 1.0}
 
 
 class LogitProvider(Protocol):
-    """Structural interface every decode loop consumes."""
+    """Structural interface the decode loop consumes.
+
+    A provider may also offer ``logit_rows(histories, t, rngs)``, returning
+    a fresh ``[rows, vocab]`` score array, to serve all rows of a step in
+    one call; without it the loop calls ``logits`` once per row.
+    """
 
     vocab: Vocabulary
     eos_id: int
@@ -109,8 +125,8 @@ class ContrastiveConfig:
     strength: float | None = None
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha!r}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha!r}")
         if self.negative_kind not in NEGATIVE_KINDS:
             raise ConfigError(
                 f"unknown negative kind {self.negative_kind!r}; "
@@ -174,23 +190,8 @@ def mask_l0(
     ``the_only`` keeps the single "The" entry, ``full`` keeps everything.
     Entries excluded in the cache itself also contribute 0.
     """
-    if mode not in L0_MASKS:
-        raise ConfigError(f"unknown l0 mask {mode!r}; expected one of {L0_MASKS}")
-    contrib = np.where(cache.logits.mask, 0.0, cache.logits.scores)
-    if mode == L0_NOUNS_ONLY:
-        if noun_ids is None or len(noun_ids) == 0:
-            raise ConfigError("nouns_only mask needs a nonempty noun id list")
-        keep = np.zeros(contrib.shape[0], dtype=bool)
-        keep[np.asarray(noun_ids)] = True
-        contrib = np.where(keep, contrib, 0.0)
-    elif mode == L0_THE_ONLY:
-        if "The" not in vocab:
-            raise ConfigError('the_only mask needs a "The" token in the vocabulary')
-        keep = np.zeros(contrib.shape[0], dtype=bool)
-        keep[vocab.id_of("The")] = True
-        contrib = np.where(keep, contrib, 0.0)
-    # contrib is a fresh array, finite everywhere: masked entries were zeroed.
-    return LogitVector._trusted(contrib, np.zeros(contrib.shape[0], dtype=bool))
+    contrib = _l0_rows(cache.logits.scores, cache.logits.mask, _l0_lane(mode, vocab, noun_ids))
+    return LogitVector(contrib, np.zeros(contrib.shape[0], dtype=bool))
 
 
 def boost(l_t: LogitVector, l0_contrib: LogitVector, w_t: float) -> LogitVector:
@@ -215,59 +216,6 @@ def _constrain(
     return apply_mask(adjusted, cmask)
 
 
-def _constrain_fast(
-    scores: np.ndarray,
-    base_mask: np.ndarray,
-    raw: LogitVector,
-    temperature: float,
-    beta: float,
-    eos_id: TokenId | None,
-) -> LogitVector:
-    """Single-pass equivalent of softmax + candidate_set + with_allowed + apply_mask.
-
-    The keep-set comes from the distribution of ``raw`` (the unadjusted
-    logits) and is applied to ``scores`` under ``base_mask``. Used by the
-    decode loops to build one vector per step without the intermediate
-    containers or the full probability vector. It repeats the arithmetic of
-    masked_probs and of the candidate threshold, so it agrees with the
-    composed public operations bit for bit: the largest probability is
-    exactly ``1 / total``, because the shifted exponentials hold an exact
-    1.0 at the maximum, and masked entries have probability 0.
-    """
-    mask = raw.mask
-    n_masked = np.count_nonzero(mask)
-    size = mask.shape[0]
-    if n_masked == size:
-        raise ExclusionError("softmax over a fully masked vector")
-    if n_masked:
-        live = ~mask
-        scaled = raw.scores[live]
-    else:
-        scaled = raw.scores
-    if temperature != 1.0:
-        scaled = scaled / temperature
-    exps = np.exp(scaled - scaled[scaled.argmax()])
-    total = exps.sum()
-    cut = beta * (1.0 / total)
-    if n_masked:
-        dropped = np.full(size, 0.0 < cut)
-        dropped[live] = exps / total < cut
-    else:
-        dropped = exps / total < cut
-    if eos_id is not None:
-        dropped[eos_id] = False
-    combined = dropped if base_mask is mask and not n_masked else base_mask | dropped
-    # The most likely token has probability exactly 1 / total, so with
-    # beta <= 1 it survives the cut; only a wider base mask or beta > 1 can
-    # exclude every token.
-    if (base_mask is not mask or beta > 1.0) and np.count_nonzero(combined) == size:
-        raise ExclusionError("candidate mask excluded every unmasked token")
-    # scores is either a provider vector's (already immutable) array or a
-    # fresh arithmetic result; combined is always fresh. Both satisfy the
-    # _trusted contract: finite where unmasked, no writable outside alias.
-    return LogitVector._trusted(scores, combined)
-
-
 def flb_step(
     l_t: LogitVector,
     l0_contrib: LogitVector,
@@ -287,207 +235,392 @@ def flb_step(
     return softmax(adjusted, temperature)
 
 
-# -- decode loops ---------------------------------------------------------------
+# -- row kernels ----------------------------------------------------------------
+#
+# Each kernel takes one row as a 1-d [vocab] array or several as a
+# [rows, vocab] array, and repeats, row by row, the arithmetic of the public
+# one-vector operations above, so the two agree bit for bit. The decode loop
+# hands a lone row over as a 1-d array: numpy runs the same arithmetic on it
+# with less overhead (per-row values are scalars, and a row's maximum is read
+# at its argmax). A mask of None means no entry is masked. Reductions over a
+# row's unmasked entries are taken over those entries packed together, as
+# the one-vector operations take them: numpy's pairwise summation groups a
+# zero-padded row differently.
 
 
-def _spawn_rngs(seed: int) -> tuple[np.random.Generator, ...]:
-    streams = np.random.SeedSequence(seed).spawn(3)
-    return tuple(np.random.default_rng(s) for s in streams)
+def _col(values):
+    """Per-row values shaped to broadcast against the rows (a scalar for one row)."""
+    return values if values.ndim == 0 else values[:, None]
 
 
-def _check_run_args(max_steps: int, mode: str, temperature: float):
+def _row_max(x: np.ndarray):
+    """Each row's largest entry, shaped to broadcast against the rows."""
+    if x.ndim == 1:
+        return x[x.argmax()]
+    return x.max(axis=1, keepdims=True)
+
+
+def _groups(keep: np.ndarray) -> list[tuple[np.ndarray | None, np.ndarray]]:
+    """Rows that keep equally many entries: (row indices, None for all rows; their lanes).
+
+    Packing a group's kept entries gives a rectangular block, and a reduction
+    along the last axis of a contiguous block equals the one-dimensional
+    reduction of each row's packed entries.
+    """
+    if keep.ndim == 2:
+        counts = keep.sum(axis=1)
+        if not (counts == counts[0]).all():
+            return [(rows, keep[rows]) for rows in (
+                np.flatnonzero(counts == count) for count in np.unique(counts)
+            )]
+    return [(None, keep)]
+
+
+def _packed(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Each row's kept entries, packed; all rows keep equally many."""
+    block = x[keep]
+    return block if keep.ndim == 1 else block.reshape(keep.shape[0], -1)
+
+
+def _entropies(p: np.ndarray):
+    """Entropy in nats of each row of probabilities, over its positive entries."""
+    support = p > 0.0
+    if np.count_nonzero(support) == support.size:
+        return -(p * np.log(p)).sum(axis=-1)
+    groups = _groups(support)
+    out = np.empty(p.shape[0]) if len(groups) > 1 else None
+    for rows, keep in groups:
+        q = _packed(p if rows is None else p[rows], keep)
+        ent = -(q * np.log(q)).sum(axis=-1)
+        if out is None:
+            return ent
+        out[rows] = ent
+    return out
+
+
+def _normalised(block: np.ndarray):
+    """Softmax of each row of a block with nothing masked, and the rows' totals.
+
+    The totals are the sums of the max-shifted exponentials, whose largest
+    is exactly 1.0, so a row's largest probability is exactly ``1 / total``.
+    """
+    exps = np.exp(block - _row_max(block))
+    total = exps.sum(axis=-1)
+    return exps / _col(total), total
+
+
+def _softmax(scores: np.ndarray, mask: np.ndarray | None, temperature: float, entropy: bool = False):
+    """Each row's softmax over its unmasked entries: (probabilities, totals, entropies).
+
+    Row by row this is :func:`masked_probs` (masked entries get exactly 0)
+    and, with ``entropy``, :func:`entropy`; entropies are None without it.
+    """
+    scaled = scores / temperature if temperature != 1.0 else scores
+    if mask is None:
+        probs, totals = _normalised(scaled)
+        return probs, totals, _entropies(probs) if entropy else None
+    probs = np.zeros(scaled.shape)
+    groups = _groups(~mask)
+    if len(groups) > 1:
+        totals, entropies = np.empty(scaled.shape[0]), np.empty(scaled.shape[0])
+    for rows, keep in groups:
+        p, total = _normalised(_packed(scaled if rows is None else scaled[rows], keep))
+        ent = _entropies(p) if entropy else None
+        if rows is None:
+            probs[keep] = p.ravel()
+            return probs, total, ent
+        spread = np.zeros((rows.size, scaled.shape[1]))
+        spread[keep] = p.ravel()
+        probs[rows] = spread
+        totals[rows] = total
+        if entropy:
+            entropies[rows] = ent
+    return probs, totals, entropies if entropy else None
+
+
+def _candidate_mask(
+    raw: np.ndarray,
+    raw_mask: np.ndarray | None,
+    base_mask: np.ndarray | None,
+    temperature: float,
+    beta: float,
+    eos_id: TokenId | None,
+) -> np.ndarray:
+    """``base_mask`` plus the tokens outside each row's candidate set.
+
+    Row by row, ``apply_mask`` of ``candidate_set(softmax(raw), beta)`` with
+    EOS re-allowed: a token stays iff its probability under the raw
+    distribution reaches beta times the largest one, which is exactly
+    ``1 / total``. Masked raw tokens have probability 0.
+    """
+    probs, total, _ = _softmax(raw, raw_mask, temperature)
+    dropped = probs < _col(beta * (1.0 / total))
+    if eos_id is not None:
+        dropped[..., eos_id] = False
+    if base_mask is None:
+        return dropped
+    mask = base_mask | dropped
+    # The most likely raw token survives the cut (beta <= 1), so only a base
+    # mask wider than the raw one can exclude every token.
+    if base_mask is not raw_mask and mask.all(axis=-1).any():
+        raise ExclusionError("candidate mask excluded every unmasked token")
+    return mask
+
+
+def _sample_rows(probs: np.ndarray, draws) -> list[TokenId]:
+    """Inverse-CDF choice per row from one uniform each, as :func:`sample` makes it.
+
+    Zero-probability entries add exactly 0 to the running sum, so the full
+    row's cumulative sums hold the support's at the support's positions, and
+    the first entry whose sum exceeds ``u`` is the token that
+    ``searchsorted(side="right")`` finds on the support.
+    """
+    cum = probs.cumsum(axis=-1)
+    last = cum[..., -1]
+    u = draws * last
+    chosen = (cum > _col(u)).argmax(axis=-1).tolist()
+    if probs.ndim == 1:
+        probs, chosen, u, last = probs[None], [chosen], [u], [last]
+    for j, (uj, lj) in enumerate(zip(u, last)):
+        if uj >= lj:  # u reached the total: take the last supported token
+            chosen[j] = int(np.flatnonzero(probs[j])[-1])
+    return chosen
+
+
+def _l0_lane(mode: str, vocab: Vocabulary, noun_ids: Sequence[TokenId] | None) -> np.ndarray | None:
+    """The tokens whose step-0 logits the boost adds back; None for all of them."""
+    if mode not in L0_MASKS:
+        raise ConfigError(f"unknown l0 mask {mode!r}; expected one of {L0_MASKS}")
+    if mode == L0_FULL:
+        return None
+    keep = np.zeros(vocab.size, dtype=bool)
+    if mode == L0_NOUNS_ONLY:
+        if noun_ids is None or len(noun_ids) == 0:
+            raise ConfigError("nouns_only mask needs a nonempty noun id list")
+        keep[np.asarray(noun_ids)] = True
+    else:
+        if "The" not in vocab:
+            raise ConfigError('the_only mask needs a "The" token in the vocabulary')
+        keep[vocab.id_of("The")] = True
+    return keep
+
+
+def _l0_rows(raw: np.ndarray, raw_mask: np.ndarray | None, lane: np.ndarray | None) -> np.ndarray:
+    """Each row's additive step-0 contribution: 0 outside the lane and where masked."""
+    contrib = raw if raw_mask is None else np.where(raw_mask, 0.0, raw)
+    if lane is not None:
+        contrib = np.where(lane, contrib, 0.0)
+    return contrib
+
+
+# -- the decode loop --------------------------------------------------------------
+
+
+def _check_run_args(max_steps: int, temperature: float):
     if max_steps < 1:
         raise ConfigError(f"max_steps must be >= 1, got {max_steps}")
-    if mode not in (SAMPLE, GREEDY_MODE):
-        raise ConfigError(f"mode must be 'sample' or 'greedy', got {mode!r}")
-    if temperature <= 0:
-        raise ConfigError(f"temperature must be positive, got {temperature!r}")
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise ConfigError(f"temperature must be finite and positive, got {temperature!r}")
 
 
-def _choose(
-    adjusted: LogitVector,
-    dist: ProbDist,
-    mode: str,
-    rng: np.random.Generator,
-) -> TokenId:
-    if mode == GREEDY_MODE:
-        return argmax(adjusted)
-    return sample(dist, rng)
-
-
-def _run_loop(
+def _provider_rows(
     provider: LogitProvider,
-    step_fn: Callable[[int, Sequence[TokenId], np.random.Generator], tuple[LogitVector, LogitVector]],
-    *,
-    prompt_id: str,
-    label: str,
-    max_steps: int,
-    seed: int,
-    mode: str,
-    temperature: float,
-    pos_rng: np.random.Generator,
-    sample_rng: np.random.Generator,
-    extra_providers: tuple[LogitProvider, ...] = (),
-) -> GenerationRecord:
-    """Shared decode loop: step_fn maps (t, history, rng) -> (raw, adjusted)."""
-    providers = (provider, *extra_providers)
-    history: list[TokenId] = []
-    steps: list[StepTrace] = []
-    for t in range(max_steps):
-        calls_before = sum(p.calls for p in providers)
-        raw, adjusted = step_fn(t, tuple(history), pos_rng)
-        dist = softmax(adjusted, temperature)
-        chosen = _choose(adjusted, dist, mode, sample_rng)
-        steps.append(
-            StepTrace(
-                step_index=t,
-                raw_logits=raw,
-                adjusted_logits=adjusted,
-                dist=dist,
-                chosen=chosen,
-                entropy_nats=entropy(dist),
-                provider_calls=sum(p.calls for p in providers) - calls_before,
-            )
-        )
-        history.append(chosen)
-        if chosen == provider.eos_id:
-            break
-    return GenerationRecord(
-        prompt_id=prompt_id,
-        strategy=label,
-        seed=seed,
-        steps=tuple(steps),
-        text=provider.vocab.render(history),
-    )
+    histories: list[list[TokenId]],
+    t: int,
+    rngs: list[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One pass of the provider over the rows: scores and mask (None if none).
 
-
-def decode_baseline(
-    provider: LogitProvider,
-    *,
-    prompt_id: str = "scene",
-    max_steps: int = 60,
-    seed: int = 0,
-    mode: str = SAMPLE,
-    temperature: float = 1.0,
-    beta: float | None = None,
-    label: str | None = None,
-) -> GenerationRecord:
-    """Plain ancestral sampling (or greedy), one provider call per step.
-
-    With ``beta`` set, the candidate constraint is applied to the raw logits
-    before sampling; with ``beta=None`` this is unconstrained decoding.
+    A provider with ``logit_rows`` serves all rows in one call; any other is
+    called through ``logits`` once per row. A lone row comes back 1-d.
     """
-    _check_run_args(max_steps, mode, temperature)
-    sample_rng, pos_rng, _ = _spawn_rngs(seed)
-    if label is None:
-        base = GREEDY_MODE if mode == GREEDY_MODE else BASELINE
-        label = base if beta is None else f"{base}(beta={beta:g})"
-
-    def step(t, history, rng):
-        raw = provider.logits(history, t, rng)
-        if beta is None:
-            return raw, raw
-        return raw, _constrain_fast(
-            raw.scores, raw.mask, raw, temperature, beta, provider.eos_id
-        )
-
-    return _run_loop(
-        provider, step,
-        prompt_id=prompt_id, label=label, max_steps=max_steps, seed=seed,
-        mode=mode, temperature=temperature, pos_rng=pos_rng, sample_rng=sample_rng,
-    )
-
-
-def decode_contrastive(
-    provider: LogitProvider,
-    negative_provider: LogitProvider,
-    cfg: ContrastiveConfig,
-    *,
-    prompt_id: str = "scene",
-    max_steps: int = 60,
-    seed: int = 0,
-    mode: str = SAMPLE,
-    temperature: float = 1.0,
-    label: str | None = None,
-) -> GenerationRecord:
-    """Contrastive decoding against a degraded provider, two calls per step.
-
-    The candidate constraint comes from the positive distribution alone and
-    is applied to the combined logits.
-    """
-    _check_run_args(max_steps, mode, temperature)
-    sample_rng, pos_rng, neg_rng = _spawn_rngs(seed)
-    if label is None:
-        label = f"contrastive({cfg.negative_kind},alpha={cfg.alpha:g},beta={cfg.beta:g})"
-
-    def step(t, history, rng):
-        raw = provider.logits(history, t, rng)
-        neg = negative_provider.logits(history, t, neg_rng)
-        combined = (1.0 + cfg.alpha) * raw.scores - cfg.alpha * neg.scores
-        return raw, _constrain_fast(
-            combined, raw.mask | neg.mask, raw, temperature, cfg.beta, provider.eos_id
-        )
-
-    return _run_loop(
-        provider, step,
-        prompt_id=prompt_id, label=label, max_steps=max_steps, seed=seed,
-        mode=mode, temperature=temperature, pos_rng=pos_rng, sample_rng=sample_rng,
-        extra_providers=(negative_provider,),
-    )
-
-
-def decode_flb(
-    provider: LogitProvider,
-    cfg: FlbConfig,
-    *,
-    prompt_id: str = "scene",
-    max_steps: int = 60,
-    seed: int = 0,
-    mode: str = SAMPLE,
-    temperature: float = 1.0,
-    noun_ids: Sequence[TokenId] | None = None,
-    label: str | None = None,
-) -> GenerationRecord:
-    """First-logit boosted decoding, one provider call per step.
-
-    Step 0 captures the raw logits and samples from their constrained
-    softmax unboosted (under the increasing schedule w_0 = 0 anyway; the
-    other schedules follow the same step-0 rule, so a token never boosts
-    itself). Steps t >= 1 add ``w_t`` times the masked step-0 contribution.
-    """
-    _check_run_args(max_steps, mode, temperature)
-    sample_rng, pos_rng, _ = _spawn_rngs(seed)
-    if label is None:
-        sched = cfg.schedule
-        label = (
-            f"flb({sched.kind},gamma={sched.gamma:g},lam={sched.lam:g},"
-            f"beta={cfg.beta:g},mask={cfg.l0_mask})"
-        )
-
-    eos_id = provider.eos_id
-    # The masked step-0 logits; captured inside step 0 so its provider call
-    # lands in that step's trace.
-    contrib = None
-
-    def step(t, history, rng):
-        nonlocal contrib
-        if t == 0:
-            cache = capture_first_logit(provider, rng)
-            contrib = mask_l0(cache, cfg.l0_mask, provider.vocab, noun_ids).scores
-            raw = cache.logits
-            boosted = raw.scores
+    n = len(histories)
+    logit_rows = getattr(provider, "logit_rows", None)
+    if logit_rows is not None:
+        scores, mask = logit_rows(histories, t, rngs), None
+        if n == 1 and scores.ndim == 2:
+            scores = scores[0]
+    else:
+        vectors = [provider.logits(tuple(h), t, rng) for h, rng in zip(histories, rngs)]
+        if n == 1:
+            scores, mask = vectors[0].scores, vectors[0].mask
         else:
-            # The weighted contribution does not depend on this step's logits.
-            lift = weight_at(cfg.schedule, t) * contrib
-            raw = provider.logits(history, t, rng)
-            boosted = raw.scores + lift
-        return raw, _constrain_fast(boosted, raw.mask, raw, temperature, cfg.beta, eos_id)
+            scores = np.array([v.scores for v in vectors])
+            mask = np.array([v.mask for v in vectors])
+        if not np.count_nonzero(mask):
+            mask = None
+    shape = (provider.vocab.size,) if n == 1 else (n, provider.vocab.size)
+    if scores.shape != shape or scores.dtype != np.float64:
+        raise ContractError(
+            f"provider returned {scores.dtype} scores of shape {scores.shape} for "
+            f"{n} rows of a {provider.vocab.size}-token vocabulary"
+        )
+    finite = np.isfinite(scores)
+    if mask is not None:
+        finite |= mask
+        if mask.all(axis=-1).any():
+            raise ExclusionError("softmax over a fully masked vector")
+    if np.count_nonzero(finite) != finite.size:
+        raise ContractError(f"provider returned non-finite unmasked scores at step {t}")
+    return scores, mask
 
-    return _run_loop(
-        provider, step,
-        prompt_id=prompt_id, label=label, max_steps=max_steps, seed=seed,
-        mode=mode, temperature=temperature, pos_rng=pos_rng, sample_rng=sample_rng,
-    )
+
+def _listed(values: np.ndarray) -> list:
+    """Per-row values as a list, one item per row."""
+    items = values.tolist()
+    return items if isinstance(items, list) else [items]
+
+
+def _check_step(t: int, probs: np.ndarray, mask: np.ndarray | None, chosen: list[TokenId]):
+    """The checks ProbDist and StepTrace make, for all rows of one step."""
+    sums = _listed(probs.sum(axis=-1))
+    if np.count_nonzero(probs < 0.0) or not all(abs(s - 1.0) <= 1e-9 for s in sums):
+        raise ContractError(f"step {t}: probabilities sum to {sums!r}, not 1")
+    rows = probs.reshape(len(chosen), -1)
+    masks = None if mask is None else mask.reshape(len(chosen), -1)
+    for j, c in enumerate(chosen):
+        if not rows[j, c] > 0.0 or (masks is not None and masks[j, c]):
+            raise ContractError(f"step {t} chose a masked or zero-probability token {c}")
+
+
+def _frozen(*arrays: np.ndarray | None) -> None:
+    for arr in arrays:
+        if arr is not None:
+            arr.setflags(write=False)
+
+
+def decode(
+    strategy: "Strategy",
+    provider: LogitProvider,
+    seeds: Sequence[int],
+    *,
+    negative: LogitProvider | None = None,
+    noun_ids: Sequence[TokenId] | None = None,
+    prompt_id: str = "scene",
+    max_steps: int = 60,
+    temperature: float = 1.0,
+) -> list[GenerationRecord]:
+    """Decode one run of ``strategy`` per seed, all in lockstep; records in seed order.
+
+    Each seed is one row. At step t every unfinished row makes its provider
+    calls (``negative`` too, for the contrastive kinds), and the strategy's
+    adjustment, the candidate constraint, the softmax, the choice and the
+    entropy are computed for all rows at once. A row retires when it emits
+    EOS or reaches ``max_steps``. Each row's record is what decoding its seed
+    alone gives, bit for bit: rows share no random stream and every
+    reduction is taken row by row.
+    """
+    _check_run_args(max_steps, temperature)
+    if not seeds:
+        return []
+    kind = strategy.kind
+    contrastive = kind in CONTRASTIVE_KINDS
+    if contrastive and negative is None:
+        raise ConfigError(f"{kind} needs a negative provider")
+    label = strategy.label()
+    greedy = strategy.mode == GREEDY_MODE
+    eos_id = provider.eos_id
+    if contrastive:
+        alpha, beta = strategy.contrastive.alpha, strategy.contrastive.beta
+    elif kind == FLB:
+        beta = strategy.flb.beta
+        lane = _l0_lane(strategy.flb.l0_mask, provider.vocab, noun_ids)
+    else:
+        beta = strategy.beta
+
+    # Three streams per seed (sampling, positive jitter, negative jitter);
+    # a Generator is built only for the streams this strategy draws from.
+    streams = [np.random.SeedSequence(seed).spawn(3) for seed in seeds]
+    sample_rngs = [None if greedy else np.random.default_rng(s[0]) for s in streams]
+    pos_rngs = [np.random.default_rng(s[1]) for s in streams]
+    neg_rngs = [np.random.default_rng(s[2]) for s in streams] if contrastive else None
+
+    no_mask = np.zeros(provider.vocab.size, dtype=bool)
+    no_mask.setflags(write=False)
+    histories: list[list[TokenId]] = [[] for _ in seeds]
+    traces: list[list[StepTrace]] = [[] for _ in seeds]
+    live = list(range(len(seeds)))
+    contrib = None
+    for t in range(max_steps):
+        n = len(live)
+        if kind == FLB and t > 0:
+            # The weighted contribution does not depend on this step's logits.
+            lift = weight_at(strategy.flb.schedule, t) * contrib
+        calls = provider.calls + (negative.calls if contrastive else 0)
+        rows_history = [histories[i] for i in live]
+        raw, raw_mask = _provider_rows(provider, rows_history, t, [pos_rngs[i] for i in live])
+        scores, base_mask = raw, raw_mask
+        if contrastive:
+            neg, neg_mask = _provider_rows(negative, rows_history, t, [neg_rngs[i] for i in live])
+            scores = (1.0 + alpha) * raw - alpha * neg
+            if neg_mask is not None:
+                base_mask = neg_mask if raw_mask is None else raw_mask | neg_mask
+        elif kind == FLB:
+            if t == 0:
+                contrib = _l0_rows(raw, raw_mask, lane)
+            else:
+                scores = raw + lift
+        calls = provider.calls + (negative.calls if contrastive else 0) - calls
+        per_row, extra = divmod(calls, n)
+        if extra:
+            raise ContractError(f"step {t}: {calls} provider calls do not split over {n} rows")
+
+        mask = base_mask
+        if beta is not None:
+            mask = _candidate_mask(raw, raw_mask, base_mask, temperature, beta, eos_id)
+        probs, _, entropies = _softmax(scores, mask, temperature, entropy=True)
+        if greedy:
+            best = scores if mask is None else np.where(mask, -np.inf, scores)
+            chosen = _listed(best.argmax(axis=-1))
+        else:
+            draws = [sample_rngs[i].random() for i in live]
+            chosen = _sample_rows(probs, draws[0] if n == 1 else np.array(draws))
+        _check_step(t, probs, mask, chosen)
+        entropies = _listed(entropies)
+
+        _frozen(raw, raw_mask, scores, mask, probs)
+        same = scores is raw and mask is raw_mask
+        rows = zip(
+            live, chosen, entropies,
+            (raw,) if n == 1 else raw,
+            (no_mask,) * n if raw_mask is None else (raw_mask,) if n == 1 else raw_mask,
+            (scores,) if n == 1 else scores,
+            (no_mask,) * n if mask is None else (mask,) if n == 1 else mask,
+            (probs,) if n == 1 else probs,
+        )
+        for i, c, ent, raw_row, raw_mask_row, scores_row, mask_row, probs_row in rows:
+            raw_vec = _unchecked(LogitVector, scores=raw_row, mask=raw_mask_row)
+            traces[i].append(_unchecked(
+                StepTrace,
+                step_index=t,
+                raw_logits=raw_vec,
+                adjusted_logits=raw_vec if same else _unchecked(
+                    LogitVector, scores=scores_row, mask=mask_row
+                ),
+                dist=_unchecked(ProbDist, probs=probs_row),
+                chosen=c,
+                entropy_nats=ent,
+                provider_calls=per_row,
+            ))
+            histories[i].append(c)
+
+        if eos_id in chosen:
+            going = [c != eos_id for c in chosen]
+            live = [i for i, g in zip(live, going) if g]
+            if not live:
+                break
+            if contrib is not None:
+                contrib = contrib[going] if len(live) > 1 else contrib[going.index(True)]
+    return [
+        GenerationRecord(
+            prompt_id=prompt_id,
+            strategy=label,
+            seed=seed,
+            steps=tuple(steps),
+            text=provider.vocab.render(history),
+        )
+        for seed, steps, history in zip(seeds, traces, histories)
+    ]
 
 
 # -- strategy descriptors --------------------------------------------------------

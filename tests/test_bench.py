@@ -29,7 +29,8 @@ class TestCostModel:
         assert CostModel.parse("padded:2.5") == CostModel("padded", 2.5)
 
     @pytest.mark.parametrize(
-        "text", ["padded", "padded:", "padded:soon", "warp", "cheap:5"]
+        "text", ["padded", "padded:", "padded:soon", "warp", "cheap:5",
+                 "padded:nan", "padded:inf"]
     )
     def test_parse_rejects(self, text):
         with pytest.raises(ConfigError):

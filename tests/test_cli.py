@@ -127,6 +127,65 @@ class TestSimulate:
             "simulate", "--scene", "atlantis", "--out", tmp_path / "o"
         ) == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--strategies", "vcd:alpha=inf"), "alpha must be finite"),
+        (("--strategies", "vcd:alpha=nan"), "alpha must be finite"),
+        (("--temperature", "nan"), "temperature must be finite"),
+        (("--temperature", "inf"), "temperature must be finite"),
+    ])
+    def test_non_finite_flag_exits_2(self, tmp_path, capsys, flags, message):
+        assert run_cli(
+            "simulate", *flags, "--seeds", "0", "--max-steps", "5", "--out", tmp_path / "o"
+        ) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"noise_sigma": float("nan")}, "noise_sigma must be finite"),
+        ({"decay_kappa": float("nan")}, "decay_kappa must be finite"),
+        ({"decay_depth": float("inf")}, "decay_depth must be finite"),
+        ({"grammar_penalty": float("inf")}, "grammar_penalty must be finite"),
+        ({"base_logits": 0}, "base logit of 'The' must be finite"),
+    ])
+    def test_non_finite_scene_value_exits_2(self, tmp_path, capsys, scene, edit, message):
+        from logit_anchor import scene_to_dict
+
+        spec = scene_to_dict(scene)
+        if "base_logits" in edit:
+            spec["base_logits"][edit["base_logits"]] = float("nan")
+        else:
+            spec.update(edit)
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(spec))  # writes NaN / Infinity, which json reads back
+        assert run_cli(
+            "simulate", "--scene", path, "--seeds", "0", "--max-steps", "5",
+            "--out", tmp_path / "o",
+        ) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
+
+    def test_closed_stdout_exits_cleanly(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        out = tmp_path / "o"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        env.pop(SEED_ENV_VAR, None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "logit_anchor.cli", "simulate", "--seeds", "0:5",
+             "--max-steps", "10", "--format", "json", "--out", str(out)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()  # the reader goes away before anything is printed
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 141
+        assert b"Traceback" not in err and b"BrokenPipeError" not in err
+        report = json.loads((out / "report.json").read_text())
+        assert len(report["strategies"]) == 5
+        assert len(list((out / "traces").rglob("*.jsonl"))) == 25
+
 
 class TestEvaluateCorpus:
     def test_golden_values(self, tmp_path, capsys):

@@ -33,6 +33,7 @@ from logit_anchor.simulator import (
     logits_for,
     negative_logits_for,
     scene_from_dict,
+    scene_logit_rows,
     scene_to_dict,
 )
 
@@ -312,6 +313,40 @@ class TestProviders:
             )
             assert np.array_equal(got.scores, want.scores)
             assert np.array_equal(got.mask, want.mask)
+
+    @settings(max_examples=40, deadline=None)
+    @given(t=st.integers(0, 300), seed=st.integers(0, 2**32 - 1), strength=st.sampled_from([0.0, 0.6, 1.0]))
+    def test_rows_call_matches_one_row_calls(self, t, seed, strength):
+        """One rows call over every grammar state equals the one-row calls, row by row."""
+        a, noun, conn = V.id_of("The"), V.id_of("dog"), V.id_of("and")
+        histories = [
+            [], [a], [V.id_of("A")], [a, noun], [a, noun, conn], [a, noun, SCENE.eos_id],
+            [a, FILLER_IDS[0]], [], [a],  # repeated states share one noiseless row
+        ]
+        states = [SCENE.state_after(h) for h in histories]
+        assert {s.state for s in states} == {START, AFTER_ARTICLE, AFTER_NOUN,
+                                            AFTER_CONNECTIVE, TERMINAL}
+        # A state no history reaches, and a row without an rng.
+        states.append(GrammarState(AFTER_ARTICLE))
+        seeds = [seed + i for i in range(len(states) - 1)] + [None]
+
+        def rngs():
+            return [None if s is None else np.random.default_rng(s) for s in seeds]
+
+        for variant in (None, *(NegativeVariantSpec(k, strength) for k in NEGATIVE_KINDS)):
+            rows = scene_logit_rows(SCENE, variant, states, t, rngs())
+            for row, state, rng in zip(rows, states, rngs()):
+                if variant is None:
+                    want = logits_for(SCENE, state, t, rng)
+                else:
+                    want = negative_logits_for(SCENE, variant, state, t, rng)
+                assert row.tobytes() == want.scores.tobytes()
+            provider = (SyntheticProvider(SCENE) if variant is None
+                        else NegativeProvider(SCENE, variant))
+            got = provider.logit_rows(histories, t, rngs()[:-1])
+            assert provider.calls == len(histories)
+            for row, history, rng in zip(got, histories, rngs()):
+                assert row.tobytes() == provider.logits(history, t, rng).scores.tobytes()
 
     def test_negative_provider(self, scene):
         quiet = replace(scene, noise_sigma=0.0)

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from logit_anchor import (
@@ -26,8 +26,8 @@ from logit_anchor import (
     candidate_set,
     capture_first_logit,
     contrastive_adjust,
-    decode_baseline,
-    decode_flb,
+    decode,
+    entropy,
     flb_step,
     mask_l0,
     parse_strategy,
@@ -50,6 +50,15 @@ def quiet(scene=None):
 
 def tokens_of(record):
     return [s.chosen for s in record.steps]
+
+
+def decode_flb(provider, cfg, *, seed, max_steps=60):
+    """One flb run through the decode loop, on the given provider."""
+    (record,) = decode(
+        Strategy(kind="flb", flb=cfg), provider, [seed],
+        noun_ids=provider.scene.noun_ids, max_steps=max_steps,
+    )
+    return record
 
 
 class TestL0Contribution:
@@ -130,6 +139,11 @@ class TestPureOps:
         out = contrastive_adjust(pos, neg, 1.0)
         assert list(out.mask) == [True, True, False]
 
+    @pytest.mark.parametrize("alpha", [float("inf"), float("nan"), -0.5])
+    def test_contrastive_config_rejects_bad_alpha(self, alpha):
+        with pytest.raises(ConfigError, match="alpha must be finite and >= 0"):
+            ContrastiveConfig(alpha=alpha)
+
     def test_contrastive_negative_alpha_rejected(self):
         with pytest.raises(ConfigError):
             contrastive_adjust(LogitVector.of([1.0]), LogitVector.of([1.0]), -0.1)
@@ -146,7 +160,7 @@ class TestPureOps:
 
 
 class TestConstrainFast:
-    """The decode loops' fused keep-set against the public composition."""
+    """The decode loop's fused keep-set (``_candidate_mask``) against the public composition."""
 
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
@@ -161,30 +175,38 @@ class TestConstrainFast:
         scores = st.one_of(st.floats(-30.0, 30.0), near, st.just(0.0))
         raw_scores = np.array([0.0] + data.draw(st.lists(scores, min_size=n - 1, max_size=n - 1)))
         raw_mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        # A fully masked provider row is rejected before the constraint
+        # (test_fully_masked_provider_row_is_rejected).
+        assume(not raw_mask.all())
         raw = LogitVector(raw_scores, raw_mask)
         extra = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-        base_mask = raw.mask if data.draw(st.booleans()) else raw.mask | extra
-        adjusted = raw.scores + np.array(
-            data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
-        )
+        wider = data.draw(st.booleans())
+        base_mask = raw.mask | extra if wider else raw.mask
         eos = data.draw(st.one_of(st.none(), st.integers(0, n - 1)))
 
-        def public():
-            cmask = candidate_set(softmax(raw, temperature), beta)
-            if eos is not None:
-                cmask = cmask.with_allowed(eos)
-            return apply_mask(LogitVector(adjusted, base_mask), cmask)
+        cmask = candidate_set(softmax(raw, temperature), beta)
+        if eos is not None:
+            cmask = cmask.with_allowed(eos)
+
+        def got(as_rows):
+            # The loop hands a lone row over 1-d and several rows 2-d.
+            shape = (lambda a: a[None]) if as_rows else (lambda a: a)
+            raw_mask = shape(raw.mask).copy()
+            wide_mask = shape(base_mask).copy() if wider else raw_mask
+            mask = strategies._candidate_mask(
+                shape(raw.scores), raw_mask, wide_mask, temperature, beta, eos
+            )
+            return mask[0] if as_rows else mask
 
         try:
-            want = public()
+            want = apply_mask(LogitVector(raw.scores, base_mask), cmask)
         except ExclusionError:
-            with pytest.raises(ExclusionError):
-                strategies._constrain_fast(adjusted, base_mask, raw, temperature, beta, eos)
+            for as_rows in (False, True):
+                with pytest.raises(ExclusionError):
+                    got(as_rows)
             return
-        got = strategies._constrain_fast(adjusted, base_mask, raw, temperature, beta, eos)
-        assert np.array_equal(got.mask, want.mask)
-        assert np.array_equal(got.scores, want.scores)
-        assert not got.mask.flags.writeable and not got.scores.flags.writeable
+        assert np.array_equal(got(False), want.mask)
+        assert np.array_equal(got(True), want.mask)
 
     @pytest.mark.parametrize(
         "beta, scores",
@@ -202,8 +224,30 @@ class TestConstrainFast:
         want = apply_mask(raw, candidate_set(softmax(raw), beta))
         naive = np.exp(raw.scores - raw.scores.max()) < beta
         assert not np.array_equal(want.mask, naive)
-        got = strategies._constrain_fast(raw.scores, raw.mask, raw, 1.0, beta, None)
-        assert np.array_equal(got.mask, want.mask)
+        for rows in (raw.scores, raw.scores[None]):
+            got = strategies._candidate_mask(rows, None, None, 1.0, beta, None)
+            assert np.array_equal(got.reshape(-1), want.mask)
+
+    def test_fully_masked_provider_row_is_rejected(self, scene):
+        class MaskingProvider:
+            """Served through ``logits`` (no ``logit_rows``); masks every token."""
+
+            def __init__(self):
+                self.inner = SyntheticProvider(scene)
+                self.vocab, self.eos_id = self.inner.vocab, self.inner.eos_id
+
+            @property
+            def calls(self):
+                return self.inner.calls
+
+            def logits(self, history, t, rng=None):
+                vec = self.inner.logits(history, t, rng)
+                return vec.with_mask(np.ones(vec.size, dtype=bool))
+
+        for text in ("baseline", "baseline:beta=0.1", "flb"):
+            with pytest.raises(ExclusionError, match="fully masked"):
+                decode(parse_strategy(text), MaskingProvider(), [0, 1],
+                       noun_ids=scene.noun_ids)
 
 
 class TestDecodeFlb:
@@ -266,7 +310,7 @@ class TestDecodeFlb:
 class TestDegeneracy:
     def test_zero_gamma_equals_constrained_baseline(self, scene):
         for seed in range(6):
-            base = decode_baseline(SyntheticProvider(scene), seed=seed, beta=0.1)
+            base = run_strategy(scene, Strategy(kind="baseline", beta=0.1), seed=seed)
             flb = decode_flb(
                 SyntheticProvider(scene),
                 FlbConfig(schedule=WeightSchedule(INCREASING, 0.0, 0.05), beta=0.1),
@@ -275,7 +319,7 @@ class TestDegeneracy:
             assert tokens_of(base) == tokens_of(flb)
 
     def test_zero_gamma_distributions_bit_identical(self, scene):
-        base = decode_baseline(SyntheticProvider(scene), seed=17, beta=0.1)
+        base = run_strategy(scene, Strategy(kind="baseline", beta=0.1), seed=17)
         flb = decode_flb(
             SyntheticProvider(scene),
             FlbConfig(schedule=WeightSchedule(INCREASING, 0.0, 0.05), beta=0.1),
@@ -417,3 +461,78 @@ class TestRunMany:
         assert rec.text.split() == [
             scene.vocabulary.token(s.chosen) for s in rec.steps
         ]
+
+
+def assert_same_record(alone, batched):
+    assert (alone.prompt_id, alone.strategy, alone.seed, alone.text) == \
+        (batched.prompt_id, batched.strategy, batched.seed, batched.text)
+    assert len(alone.steps) == len(batched.steps)
+    for a, b in zip(alone.steps, batched.steps):
+        assert (a.step_index, a.chosen, a.provider_calls) == \
+            (b.step_index, b.chosen, b.provider_calls)
+        assert a.entropy_nats.hex() == b.entropy_nats.hex()
+        for x, y in (
+            (a.raw_logits.scores, b.raw_logits.scores),
+            (a.raw_logits.mask, b.raw_logits.mask),
+            (a.adjusted_logits.scores, b.adjusted_logits.scores),
+            (a.adjusted_logits.mask, b.adjusted_logits.mask),
+            (a.dist.probs, b.dist.probs),
+        ):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            assert not y.flags.writeable
+
+
+DESCRIPTORS = st.one_of(
+    st.builds(
+        lambda kind, beta: kind + beta,
+        st.sampled_from(["baseline", "greedy"]),
+        st.sampled_from(["", ":beta=0", ":beta=0.1", ":beta=1"]),
+    ),
+    st.builds(
+        "{}:alpha={},beta={}".format,
+        st.sampled_from(["vcd", "icd", "m3id"]),
+        st.sampled_from([0, 1, 2.5]),
+        st.sampled_from([0, 0.1, 1]),
+    ),
+    st.builds(
+        "flb:mask={},schedule={},beta={},gamma={}".format,
+        st.sampled_from(["full", "nouns", "the"]),
+        st.sampled_from(["increasing", "decreasing", "constant"]),
+        st.sampled_from([0, 0.1, 1]),
+        st.sampled_from([0, 0.3, 2]),
+    ),
+)
+
+
+class TestLockstep:
+    """A seed's record does not depend on the other rows of its batch."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        text=DESCRIPTORS,
+        temperature=st.sampled_from([1.0, 0.5, 1.7, 0.02]),
+        max_steps=st.integers(1, 40),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=5, unique=True),
+    )
+    @example(text="flb:mask=nouns", temperature=1.0, max_steps=60, seeds=[0, 1, 2, 3, 4])
+    @example(text="icd", temperature=0.02, max_steps=40, seeds=[7, 8, 9])
+    def test_record_is_the_same_alone_and_in_a_batch(
+        self, scene, text, temperature, max_steps, seeds
+    ):
+        strategy = parse_strategy(text)
+        batch = run_many(scene, [strategy], seeds, max_steps=max_steps, temperature=temperature)
+        assert [r.seed for r in batch] == sorted(seeds)
+        for record in batch:
+            alone = run_strategy(
+                scene, strategy, seed=record.seed, max_steps=max_steps, temperature=temperature
+            )
+            assert_same_record(alone, record)
+            # Each step also equals the public one-vector operations.
+            for step in record.steps:
+                want = softmax(step.adjusted_logits, temperature)
+                assert step.dist.probs.tobytes() == want.probs.tobytes()
+                assert step.entropy_nats == entropy(want)
+
+    def test_rows_retire_at_different_steps(self, scene):
+        records = run_many(scene, [parse_strategy("flb:mask=nouns")], range(5))
+        assert len({len(r.steps) for r in records}) >= 3
