@@ -16,6 +16,12 @@ printed and no traceback is shown.
 ``--jobs`` is accepted for compatibility and must be >= 1; it has no
 effect. Decoding runs in one process: all seeds of a strategy are decoded
 together as rows of one batch.
+
+Config input (files, flags, seeds, the seed env override) is resolved in
+``config``. Scoring is done here, once: ``_score`` scores one strategy label's
+runs for simulate and ``evaluate --traces`` (via ``_trace_report``), sweep
+and ablate; ``_run_and_score`` is the one ``run_many`` over a strategy list
+that sweep and ablate share, so those commands only build strategies and rows.
 """
 
 from __future__ import annotations
@@ -28,22 +34,33 @@ import re
 import sys
 from itertools import product
 from pathlib import Path
+from typing import NamedTuple
 
 from .bench import CostModel, run_bench
 from .config import (
     DEFAULT_BIN_WIDTH,
+    DEFAULT_MAX_STEPS,
+    DEFAULT_SEEDS,
+    DEFAULT_TEMPERATURE,
     build_run_config,
-    env_seed_override,
+    load_config_file,
     load_json_file,
-    parse_seed_list,
     parse_strategies,
+    read_float,
+    read_float_list,
+    read_int,
+    read_names,
     resolve_scene,
+    resolve_seeds,
+    setting,
 )
 from .data import load_captions_jsonl
-from .errors import ConfigError, ContractError, ExclusionError, InputError, LogitAnchorError
+from .errors import ConfigError, InputError, LogitAnchorError
 from .metrics import (
     Annotation,
+    MetricsReport,
     ObjectLexicon,
+    SentenceInitialStats,
     TraceLexicon,
     article_stats,
     corpus_metrics,
@@ -53,17 +70,19 @@ from .metrics import (
     read_trace,
     sentence_initial_stats,
     simulated_corpus,
+    summarize_record,
     write_trace,
 )
 from .runner import run_many
 from .simulator import scene_from_dict, scene_to_dict
-from .strategies import FlbConfig, Strategy, parse_strategy
+from .strategies import FlbConfig, Strategy
 from .weighting import WeightSchedule
 
 REPORT_COLUMNS = (
     "strategy", "chair_i", "chair_s", "cover", "cog", "recall", "object_score",
     "hal_noun_rate", "sentence_initial_the", "provider_calls_per_token", "tokens",
 )
+CURVE_COLUMNS = ("strategy", "lo", "hi", "gt_mass", "hal_mass", "slots")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -71,18 +90,78 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    """One line per row dict: its values under the ``header`` columns."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([row[column] for column in header] for row in rows)
 
 
 def _formats(args) -> set[str]:
     return {args.format} if args.format else {"csv", "json"}
 
 
+def _write_report(args, name: str, payload, header, rows) -> Path:
+    """``name``.json holds ``payload``, ``name``.csv the rows; --format picks."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    formats = _formats(args)
+    if "json" in formats:
+        _write_json(out / f"{name}.json", payload)
+    if "csv" in formats:
+        _write_csv(out / f"{name}.csv", header, rows)
+    return out
+
+
 def sanitize_label(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9._,()=-]", "_", label)
+
+
+class _Score(NamedTuple):
+    """What every command reports for one strategy label's runs."""
+
+    corpus: MetricsReport
+    hal_noun_rate: float
+    initial: SentenceInitialStats
+
+
+def _score(runs, lexicon, scene) -> _Score:
+    """Score one label's runs as a corpus of captions of ``scene``."""
+    captions, annotations, identity = simulated_corpus(
+        runs, lexicon, scene.gt_objects, scene.cognition_objects
+    )
+    return _Score(
+        corpus_metrics(captions, annotations, identity),
+        hal_noun_rate(runs, lexicon),
+        sentence_initial_stats(runs),
+    )
+
+
+def _run_and_score(scene, scene_name, strategies, seeds, *, jobs, **run_kwargs):
+    """One ``run_many`` over ``strategies``, summarized, scored per label."""
+    lexicon = TraceLexicon.from_scene(scene)
+    runs_by_label = {strategy.label(): [] for strategy in strategies}
+    records = run_many(scene, strategies, seeds, prompt_id=scene_name, jobs=jobs, **run_kwargs)
+    for record in records:
+        runs_by_label[record.strategy].append(summarize_record(record, lexicon))
+    return {label: _score(runs, lexicon, scene) for label, runs in runs_by_label.items()}
+
+
+def _metric_row(score: _Score) -> dict:
+    """The metric columns of a sweep or ablate row."""
+    corpus = score.corpus
+    return {
+        "chair_i": corpus.chair_i,
+        "chair_s": corpus.chair_s,
+        "cover": corpus.cover,
+        "cog": corpus.cog,
+        "object_score": corpus.object_score,
+        "hal_noun_rate": score.hal_noun_rate,
+    }
+
+
+def _flb(schedule: WeightSchedule, beta: float, mask: str) -> Strategy:
+    return Strategy(kind="flb", flb=FlbConfig(schedule=schedule, beta=beta, l0_mask=mask))
 
 
 def _trace_report(stats_by_label, lexicon, scene, bin_width):
@@ -90,19 +169,16 @@ def _trace_report(stats_by_label, lexicon, scene, bin_width):
     strategies = {}
     curves = {}
     for label, runs in stats_by_label.items():
-        captions, annotations, identity = simulated_corpus(
-            runs, lexicon, scene.gt_objects, scene.cognition_objects
-        )
-        corpus = corpus_metrics(captions, annotations, identity)
+        score = _score(runs, lexicon, scene)
         tokens = sum(len(run.steps) for run in runs)
         calls = sum(step.provider_calls for run in runs for step in run.steps)
-        initial = sentence_initial_stats(runs)
+        initial = score.initial
         strategies[label] = {
-            "corpus": corpus.to_dict(),
+            "corpus": score.corpus.to_dict(),
             "traces": {
                 "tokens": tokens,
                 "provider_calls_per_token": calls / tokens if tokens else 0.0,
-                "hal_noun_rate": hal_noun_rate(runs, lexicon),
+                "hal_noun_rate": score.hal_noun_rate,
                 "sentence_initial_the": {
                     "fraction": initial.the_fraction,
                     "count": initial.the_count,
@@ -124,49 +200,33 @@ def _trace_report(stats_by_label, lexicon, scene, bin_width):
 
 
 def _report_rows(report):
+    """One row dict per strategy, in label order, holding the REPORT_COLUMNS."""
     rows = []
-    for label, block in report["strategies"].items():
-        corpus = block["corpus"]
-        traces = block["traces"]
-        rows.append([
-            label,
-            corpus["chair_i"], corpus["chair_s"], corpus["cover"],
-            corpus["cog"], corpus["recall"], corpus["object_score"],
-            traces["hal_noun_rate"],
-            traces["sentence_initial_the"]["fraction"],
-            traces["provider_calls_per_token"],
-            traces["tokens"],
-        ])
-    rows.sort(key=lambda row: row[0])
+    for label in sorted(report["strategies"]):
+        corpus = report["strategies"][label]["corpus"]
+        traces = report["strategies"][label]["traces"]
+        initial = traces["sentence_initial_the"]["fraction"]
+        rows.append({"strategy": label, **corpus, **traces, "sentence_initial_the": initial})
     return rows
 
 
-def _curve_rows(report):
-    rows = []
-    for label in sorted(report["curves"]):
-        for b in report["curves"][label]:
-            rows.append([label, b["lo"], b["hi"], b["gt_mass"], b["hal_mass"], b["slots"]])
-    return rows
-
-
-def _write_trace_report(out: Path, report, formats) -> None:
-    if "json" in formats:
-        _write_json(out / "report.json", report)
-    if "csv" in formats:
-        _write_csv(out / "report.csv", REPORT_COLUMNS, _report_rows(report))
-        _write_csv(
-            out / "curves.csv",
-            ("strategy", "lo", "hi", "gt_mass", "hal_mass", "slots"),
-            _curve_rows(report),
-        )
+def _write_trace_report(args, report) -> None:
+    """report.json and report.csv, plus curves.csv, in --out."""
+    out = _write_report(args, "report", report, REPORT_COLUMNS, _report_rows(report))
+    if "csv" in _formats(args):
+        curves = [
+            {"strategy": label, **b}
+            for label in sorted(report["curves"]) for b in report["curves"][label]
+        ]
+        _write_csv(out / "curves.csv", CURVE_COLUMNS, curves)
 
 
 def _print_strategy_summary(report) -> None:
     for row in _report_rows(report):
-        label, chair, _, cover_value, _, _, score, rate = row[:8]
         print(
-            f"{label:<56} chair_i={chair:.4f} cover={cover_value:.4f} "
-            f"score={score:.4f} hal_rate={rate:.4f}"
+            f"{row['strategy']:<56} chair_i={row['chair_i']:.4f} "
+            f"cover={row['cover']:.4f} score={row['object_score']:.4f} "
+            f"hal_rate={row['hal_noun_rate']:.4f}"
         )
 
 
@@ -204,28 +264,21 @@ def cmd_simulate(args) -> int:
         )
         stats_by_label[record.strategy].append(stats)
 
-    report = {
+    shared = {  # the fields report.json and manifest.json have in common
         "scene": cfg.scene_name,
         "scene_spec": scene_to_dict(cfg.scene),
         "seeds": list(cfg.seeds),
         "max_steps": cfg.max_steps,
         "temperature": cfg.temperature,
         "bin_width": cfg.bin_width,
-        **_trace_report(stats_by_label, lexicon, cfg.scene, cfg.bin_width),
     }
+    report = {**shared, **_trace_report(stats_by_label, lexicon, cfg.scene, cfg.bin_width)}
     manifest = {
-        "command": "simulate",
-        "scene": cfg.scene_name,
-        "scene_spec": scene_to_dict(cfg.scene),
-        "strategies": labels,
-        "seeds": list(cfg.seeds),
-        "max_steps": cfg.max_steps,
-        "temperature": cfg.temperature,
-        "bin_width": cfg.bin_width,
+        **shared, "command": "simulate", "strategies": labels,
         "full_dist": bool(args.full_dist),
     }
     _write_json(out / "manifest.json", manifest)
-    _write_trace_report(out, report, _formats(args))
+    _write_trace_report(args, report)
     print(f"simulated {len(records)} runs over {len(cfg.seeds)} seeds -> {out}")
     _print_strategy_summary(report)
     return 0
@@ -234,8 +287,16 @@ def cmd_simulate(args) -> int:
 # -- evaluate ---------------------------------------------------------------------
 
 
+def _load_input_json(path):
+    """A JSON input file; one that cannot be read or parsed is an input error."""
+    try:
+        return load_json_file(path)
+    except ConfigError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _load_annotations_file(path: str) -> list[Annotation]:
-    data = load_json_file(path)
+    data = _load_input_json(path)
     if not isinstance(data, list):
         raise InputError(f"{path}: annotations must be a JSON array")
     return [Annotation.from_dict(item) for item in data]
@@ -261,7 +322,7 @@ def _evaluate_corpus(args) -> int:
         raise InputError(f"cannot read {captions_path}: {exc}") from exc
     captions = load_captions_jsonl(captions_text, source=str(captions_path))
     annotations = _load_annotations_file(args.annotations)
-    lexicon_data = load_json_file(args.lexicon)
+    lexicon_data = _load_input_json(args.lexicon)
     try:
         lexicon = ObjectLexicon.from_dict(lexicon_data)
     except ConfigError as exc:
@@ -272,26 +333,13 @@ def _evaluate_corpus(args) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     report = {"corpus": report_obj.to_dict()}
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        formats = _formats(args)
-        if "json" in formats:
-            _write_json(out / "report.json", report)
-        if "csv" in formats:
-            counts = report["corpus"]["counts"]
-            _write_csv(
-                out / "report.csv",
-                ("chair_i", "chair_s", "cover", "cog", "recall", "object_score",
-                 "captions", "matched", "mentions", "hallucinated",
-                 "gt", "covered", "hal_captions", "cognition_hits"),
-                [[
-                    report_obj.chair_i, report_obj.chair_s, report_obj.cover,
-                    report_obj.cog, report_obj.recall, report_obj.object_score,
-                    counts["captions"], counts["matched"], counts["mentions"],
-                    counts["hallucinated"], counts["gt"], counts["covered"],
-                    counts["hal_captions"], counts["cognition_hits"],
-                ]],
-            )
+        _write_report(
+            args, "report", report,
+            ("chair_i", "chair_s", "cover", "cog", "recall", "object_score",
+             "captions", "matched", "mentions", "hallucinated",
+             "gt", "covered", "hal_captions", "cognition_hits"),
+            [{**report["corpus"], **report["corpus"]["counts"]}],
+        )
     print(
         f"captions={report_obj.n_matched}/{report_obj.n_captions} "
         f"chair_i={report_obj.chair_i:.4f} chair_s={report_obj.chair_s:.4f} "
@@ -302,14 +350,33 @@ def _evaluate_corpus(args) -> int:
 
 
 def read_trace_dir(traces_dir: Path):
-    """Load a simulate output directory: manifest, scene, grouped run stats."""
+    """Load a simulate output directory: manifest, scene, grouped run stats.
+
+    A manifest that cannot be read, is not a JSON object, lacks ``scene_spec``
+    or ``strategies``, or holds a bad scene, label list or ``bin_width`` is an
+    input error (exit 3) naming the file and the key. The returned manifest
+    holds ``bin_width`` as read (the default when absent).
+    """
     manifest_path = traces_dir / "manifest.json"
     if not manifest_path.exists():
         raise InputError(f"{traces_dir}: no manifest.json; not a simulate output")
-    manifest = load_json_file(manifest_path)
-    scene = scene_from_dict(manifest["scene_spec"])
+    manifest = _load_input_json(manifest_path)
+    try:
+        if not isinstance(manifest, dict):
+            raise ConfigError(f"must be a JSON object, got {type(manifest).__name__}")
+        missing = sorted({"scene_spec", "strategies"} - set(manifest))
+        if missing:
+            raise ConfigError(f"missing key {missing[0]!r}")
+        scene = scene_from_dict(manifest["scene_spec"])
+        labels = read_names(manifest["strategies"], "strategies")
+        bin_width = read_int(manifest.get("bin_width", DEFAULT_BIN_WIDTH), "bin_width")
+        if bin_width < 1:
+            raise ConfigError(f"bin_width must be >= 1, got {bin_width}")
+        manifest = {**manifest, "bin_width": bin_width}
+    except ConfigError as exc:
+        raise InputError(f"{manifest_path}: {exc}") from exc
     stats_by_label = {}
-    for label in manifest["strategies"]:
+    for label in labels:
         strategy_dir = traces_dir / "traces" / sanitize_label(label)
         if not strategy_dir.is_dir():
             raise InputError(f"{traces_dir}: missing trace directory for {label!r}")
@@ -323,7 +390,7 @@ def read_trace_dir(traces_dir: Path):
 def _evaluate_traces(args) -> int:
     manifest, scene, stats_by_label = read_trace_dir(Path(args.traces))
     lexicon = TraceLexicon.from_scene(scene)
-    bin_width = int(manifest.get("bin_width", DEFAULT_BIN_WIDTH))
+    bin_width = manifest["bin_width"]  # read and checked by read_trace_dir
     report = {
         "scene": manifest.get("scene", "custom"),
         "scene_spec": scene_to_dict(scene),
@@ -334,9 +401,7 @@ def _evaluate_traces(args) -> int:
         **_trace_report(stats_by_label, lexicon, scene, bin_width),
     }
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_trace_report(out, report, _formats(args))
+        _write_trace_report(args, report)
     n_runs = sum(len(v) for v in stats_by_label.values())
     print(f"evaluated {n_runs} stored runs from {args.traces}")
     _print_strategy_summary(report)
@@ -352,16 +417,6 @@ def cmd_evaluate(args) -> int:
 # -- sweep ------------------------------------------------------------------------
 
 
-def _parse_float_list(text: str, name: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise ConfigError(f"{name}: expected comma-separated numbers, got {text!r}") from None
-    if not values:
-        raise ConfigError(f"{name}: empty list")
-    return values
-
-
 _SWEEP_KEYS = {
     "scene", "gammas", "lams", "betas", "schedules", "mask",
     "seeds", "max_steps", "temperature",
@@ -369,92 +424,40 @@ _SWEEP_KEYS = {
 
 
 def cmd_sweep(args) -> int:
-    file_cfg = {}
-    if args.config:
-        file_cfg = load_json_file(args.config)
-        if not isinstance(file_cfg, dict):
-            raise ConfigError(f"{args.config}: top-level config must be an object")
-        unknown = set(file_cfg) - _SWEEP_KEYS
-        if unknown:
-            raise ConfigError(f"{args.config}: unknown config keys {sorted(unknown)}")
+    file_cfg = load_config_file(args.config, _SWEEP_KEYS)
+    scene, scene_name = resolve_scene(setting(args.scene, file_cfg, "scene", None))
+    schedules = setting(args.schedules, file_cfg, "schedules", "increasing", read_names)
+    gammas = setting(args.gammas, file_cfg, "gammas", "0.1,0.3,0.5,0.7", read_float_list)
+    lams = setting(args.lams, file_cfg, "lams", "0.01,0.05,0.1", read_float_list)
+    betas = setting(args.betas, file_cfg, "betas", "0.1", read_float_list)
+    mask = setting(args.mask, file_cfg, "mask", "full")
+    seeds = resolve_seeds(args.seeds, file_cfg, DEFAULT_SEEDS)
+    max_steps = setting(args.max_steps, file_cfg, "max_steps", DEFAULT_MAX_STEPS, read_int)
+    temperature = setting(
+        args.temperature, file_cfg, "temperature", DEFAULT_TEMPERATURE, read_float
+    )
 
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        return file_cfg.get(key, default)
-
-    scene, scene_name = resolve_scene(pick(args.scene, "scene", None))
-    gammas = pick(args.gammas, "gammas", "0.1,0.3,0.5,0.7")
-    lams = pick(args.lams, "lams", "0.01,0.05,0.1")
-    betas = pick(args.betas, "betas", "0.1")
-    schedules = pick(args.schedules, "schedules", "increasing")
-    if isinstance(gammas, str):
-        gammas = _parse_float_list(gammas, "gammas")
-    if isinstance(lams, str):
-        lams = _parse_float_list(lams, "lams")
-    if isinstance(betas, str):
-        betas = _parse_float_list(betas, "betas")
-    if isinstance(schedules, str):
-        schedules = tuple(s.strip() for s in schedules.split(",") if s.strip())
-    mask = pick(args.mask, "mask", "full")
-    seeds_value = pick(args.seeds, "seeds", None)
-    if seeds_value is None:
-        seeds = tuple(range(20))
-    elif isinstance(seeds_value, str):
-        seeds = parse_seed_list(seeds_value)
-    else:
-        seeds = tuple(int(s) for s in seeds_value)
-    env_seeds = env_seed_override()
-    if env_seeds is not None:
-        seeds = env_seeds
-    max_steps = int(pick(args.max_steps, "max_steps", 60))
-    temperature = float(pick(args.temperature, "temperature", 1.0))
-
-    lexicon = TraceLexicon.from_scene(scene)
-    rows = []
-    for schedule_kind, gamma, lam, beta in product(schedules, gammas, lams, betas):
-        strategy = Strategy(
-            kind="flb",
-            flb=FlbConfig(
-                schedule=WeightSchedule(schedule_kind, gamma, lam),
-                beta=beta,
-                l0_mask=mask,
-            ),
-        )
-        records = run_many(
-            scene, [strategy], seeds,
-            max_steps=max_steps, temperature=temperature,
-            prompt_id=scene_name, jobs=args.jobs,
-        )
-        from .metrics import summarize_record
-
-        runs = [summarize_record(r, lexicon) for r in records]
-        captions, annotations, identity = simulated_corpus(
-            runs, lexicon, scene.gt_objects, scene.cognition_objects
-        )
-        corpus = corpus_metrics(captions, annotations, identity)
-        rows.append({
-            "schedule": schedule_kind,
-            "gamma": gamma,
-            "lam": lam,
-            "beta": beta,
-            "label": strategy.label(),
-            "chair_i": corpus.chair_i,
-            "chair_s": corpus.chair_s,
-            "cover": corpus.cover,
-            "cog": corpus.cog,
-            "object_score": corpus.object_score,
-            "hal_noun_rate": hal_noun_rate(runs, lexicon),
-        })
-
+    cells = [
+        (schedule_kind, gamma, lam, beta,
+         _flb(WeightSchedule(schedule_kind, gamma, lam), beta, mask))
+        for schedule_kind, gamma, lam, beta in product(schedules, gammas, lams, betas)
+    ]
+    # One run over the whole grid: a repeated grid value repeats a label,
+    # which run_many rejects.
+    scores = _run_and_score(
+        scene, scene_name, [cell[-1] for cell in cells], seeds,
+        max_steps=max_steps, temperature=temperature, jobs=args.jobs,
+    )
+    rows = [
+        {"schedule": schedule_kind, "gamma": gamma, "lam": lam, "beta": beta,
+         "label": strategy.label(), **_metric_row(scores[strategy.label()])}
+        for schedule_kind, gamma, lam, beta, strategy in cells
+    ]
     rows.sort(key=lambda r: (-r["object_score"], r["chair_i"], r["label"]))
     for rank, row in enumerate(rows, start=1):
         row["rank"] = rank
         row["best"] = rank == 1
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    formats = _formats(args)
     result = {
         "scene": scene_name,
         "seeds": list(seeds),
@@ -463,14 +466,10 @@ def cmd_sweep(args) -> int:
         "mask": mask,
         "rows": rows,
     }
-    if "json" in formats:
-        _write_json(out / "sweep.json", result)
-    if "csv" in formats:
-        header = ("rank", "best", "schedule", "gamma", "lam", "beta",
-                  "chair_i", "chair_s", "cover", "cog", "object_score",
-                  "hal_noun_rate", "label")
-        _write_csv(out / "sweep.csv", header,
-                   [[row[k] for k in header] for row in rows])
+    header = ("rank", "best", "schedule", "gamma", "lam", "beta",
+              "chair_i", "chair_s", "cover", "cog", "object_score",
+              "hal_noun_rate", "label")
+    out = _write_report(args, "sweep", result, header, rows)
     print(f"swept {len(rows)} cells over {len(seeds)} seeds -> {out}")
     for row in rows[: min(5, len(rows))]:
         marker = "*" if row["best"] else " "
@@ -491,27 +490,17 @@ def cmd_bench(args) -> int:
         args.strategies if args.strategies is not None
         else "baseline;greedy;vcd;icd;m3id;flb"
     )
-    seeds = parse_seed_list(args.seeds) if args.seeds else tuple(range(40))
-    env_seeds = env_seed_override()
-    if env_seeds is not None:
-        seeds = env_seeds
+    seeds = resolve_seeds(args.seeds, {}, tuple(range(40)))
     cost_model = CostModel.parse(args.cost_model)
     report = run_bench(
         scene, strategies, seeds, cost_model,
         max_steps=args.max_steps, min_tokens=args.min_tokens,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    formats = _formats(args)
     payload = {"scene": scene_name, "seeds": list(seeds), **report.to_dict()}
-    if "json" in formats:
-        _write_json(out / "bench.json", payload)
-    if "csv" in formats:
-        header = ("strategy", "runs", "tokens_measured", "provider_calls",
-                  "provider_calls_per_token", "wall_ms_per_token",
-                  "overhead_ms_per_token")
-        _write_csv(out / "bench.csv", header,
-                   [[row.to_dict()[k] for k in header] for row in report.rows])
+    header = ("strategy", "runs", "tokens_measured", "provider_calls",
+              "provider_calls_per_token", "wall_ms_per_token",
+              "overhead_ms_per_token")
+    out = _write_report(args, "bench", payload, header, payload["rows"])
     print(f"bench ({cost_model.kind}, pad={cost_model.pad_us:g}us) -> {out}")
     for row in report.rows:
         print(
@@ -526,63 +515,24 @@ def cmd_bench(args) -> int:
 
 def cmd_ablate(args) -> int:
     scene, scene_name = resolve_scene(args.scene)
-    seeds = parse_seed_list(args.seeds) if args.seeds else tuple(range(100))
-    env_seeds = env_seed_override()
-    if env_seeds is not None:
-        seeds = env_seeds
-
-    def flb_strategy(mask: str) -> Strategy:
-        return Strategy(
-            kind="flb",
-            flb=FlbConfig(
-                schedule=WeightSchedule("increasing", args.gamma, args.lam),
-                beta=args.beta,
-                l0_mask=mask,
-            ),
-        )
-
-    variants = [
-        ("baseline", Strategy(kind="baseline")),
-        ("nouns_only", flb_strategy("nouns_only")),
-        ("the_only", flb_strategy("the_only")),
-        ("full", flb_strategy("full")),
-    ]
-    lexicon = TraceLexicon.from_scene(scene)
-    records = run_many(
-        scene, [s for _, s in variants], seeds,
-        max_steps=args.max_steps, prompt_id=scene_name, jobs=args.jobs,
+    seeds = resolve_seeds(args.seeds, {}, tuple(range(100)))
+    schedule = WeightSchedule("increasing", args.gamma, args.lam)
+    variants = {"baseline": Strategy(kind="baseline")}
+    for mask in ("nouns_only", "the_only", "full"):
+        variants[mask] = _flb(schedule, args.beta, mask)
+    scores = _run_and_score(
+        scene, scene_name, list(variants.values()), seeds,
+        max_steps=args.max_steps, jobs=args.jobs,
     )
-    from .metrics import summarize_record
-
-    by_label: dict[str, list] = {}
-    for record in records:
-        by_label.setdefault(record.strategy, []).append(
-            summarize_record(record, lexicon)
-        )
-
     rows = []
-    for variant, strategy in variants:
-        runs = by_label[strategy.label()]
-        captions, annotations, identity = simulated_corpus(
-            runs, lexicon, scene.gt_objects, scene.cognition_objects
-        )
-        corpus = corpus_metrics(captions, annotations, identity)
-        initial = sentence_initial_stats(runs)
+    for variant, strategy in variants.items():
+        score = scores[strategy.label()]
         rows.append({
             "variant": variant,
             "label": strategy.label(),
-            "chair_i": corpus.chair_i,
-            "chair_s": corpus.chair_s,
-            "cover": corpus.cover,
-            "cog": corpus.cog,
-            "object_score": corpus.object_score,
-            "hal_noun_rate": hal_noun_rate(runs, lexicon),
-            "sentence_initial_the": initial.the_fraction,
+            **_metric_row(score),
+            "sentence_initial_the": score.initial.the_fraction,
         })
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    formats = _formats(args)
     payload = {
         "scene": scene_name,
         "seeds": list(seeds),
@@ -592,13 +542,9 @@ def cmd_ablate(args) -> int:
         "beta": args.beta,
         "rows": rows,
     }
-    if "json" in formats:
-        _write_json(out / "ablate.json", payload)
-    if "csv" in formats:
-        header = ("variant", "chair_i", "chair_s", "cover", "cog", "object_score",
-                  "hal_noun_rate", "sentence_initial_the", "label")
-        _write_csv(out / "ablate.csv", header,
-                   [[row[k] for k in header] for row in rows])
+    header = ("variant", "chair_i", "chair_s", "cover", "cog", "object_score",
+              "hal_noun_rate", "sentence_initial_the", "label")
+    out = _write_report(args, "ablate", payload, header, rows)
     print(f"ablation over {len(seeds)} seeds -> {out}")
     for row in rows:
         print(
@@ -711,10 +657,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ContractError, ExclusionError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 4
-    except LogitAnchorError as exc:  # any future subclass
+    except LogitAnchorError as exc:  # ContractError, ExclusionError, any future subclass
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
 

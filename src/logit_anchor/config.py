@@ -1,10 +1,13 @@
-"""Config file loading and CLI value parsing.
+"""Config input for every command: config files, flags, seeds, typed values.
 
-One JSON file drives a run; command-line flags override file values, and the
-LOGIT_ANCHOR_SEED environment variable overrides the seed list from either
-source. It takes the same syntax as ``--seeds``: comma-separated integers and
-``lo:hi`` ranges, e.g. ``0:50,99``. Scene values may be a preset name, a path
-to a scene JSON file, or an inline scene object.
+One JSON file (``load_config_file``: an object holding only the command's
+keys) drives a run; command-line flags override file values (``setting``),
+and the LOGIT_ANCHOR_SEED environment variable overrides the seed list from
+either source (``resolve_seeds``). It takes the same syntax as ``--seeds``:
+comma-separated integers and ``lo:hi`` ranges, e.g. ``0:50,99``. Scene values
+may be a preset name, a path to a scene JSON file, or an inline scene object.
+Every value goes through a typed reader (``read_int``, ``read_seeds``, ...)
+that raises ConfigError naming the key and the value, never a traceback.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ DEFAULT_SEEDS = tuple(range(20))
 DEFAULT_MAX_STEPS = 60
 DEFAULT_TEMPERATURE = 1.0
 DEFAULT_BIN_WIDTH = 20
+
+SIMULATE_KEYS = ("scene", "strategies", "seeds", "max_steps", "temperature", "bin_width")
 
 
 @dataclass(frozen=True)
@@ -59,35 +64,88 @@ def load_json_file(path: str | Path):
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the name
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer with more digits than Python converts
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
-def parse_seed_list(text: str, source: str = "seeds") -> tuple[int, ...]:
-    """Comma-separated integers; "0:50" expands to range(0, 50)."""
-    seeds: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ":" in part:
-            lo_text, _, hi_text = part.partition(":")
-            try:
-                lo, hi = int(lo_text), int(hi_text)
-            except ValueError:
-                raise ConfigError(f"{source}: bad seed range {part!r}") from None
-            if hi <= lo:
-                raise ConfigError(f"{source}: empty seed range {part!r}")
-            seeds.extend(range(lo, hi))
-        else:
-            try:
-                seeds.append(int(part))
-            except ValueError:
-                raise ConfigError(f"{source}: bad seed {part!r}") from None
+def load_config_file(path: str | Path | None, keys) -> dict:
+    """The object in a JSON config file, whose keys must all be in ``keys``; {} for no file."""
+    if path is None:
+        return {}
+    data = load_json_file(path)
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: top-level config must be an object")
+    unknown = set(data) - set(keys)
+    if unknown:
+        raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
+    return data
+
+
+def setting(flag, file_cfg: dict, key: str, default, read=None):
+    """The flag if given, else the file's value, else ``default``; read by ``read(value, key)``."""
+    value = flag if flag is not None else file_cfg.get(key, default)
+    return value if read is None else read(value, key)
+
+
+# -- typed readers ----------------------------------------------------------------
+
+
+def read_int(value, key: str) -> int:
+    """An integer, a float with no fractional part, or a string that spells an integer."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    elif isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{key}: {value!r} is not an integer")
+
+
+def read_float(value, key: str) -> float:
+    """A number, or a string that spells one."""
+    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):  # OverflowError: an int beyond float range
+            pass
+    raise ConfigError(f"{key}: {value!r} is not a number")
+
+
+def _items(value, key: str) -> list:
+    """A comma-separated string's non-empty parts, or a list's items; never empty."""
+    if isinstance(value, str):
+        items = [part.strip() for part in value.split(",") if part.strip()]
+    elif isinstance(value, (list, tuple)):
+        items = list(value)
+    else:
+        raise ConfigError(f"{key}: {value!r} is not a list or a comma-separated string")
+    if not items:
+        raise ConfigError(f"{key}: empty list")
+    return items
+
+
+def read_float_list(value, key: str) -> tuple[float, ...]:
+    return tuple(read_float(item, key) for item in _items(value, key))
+
+
+def read_names(value, key: str) -> tuple[str, ...]:
+    items = _items(value, key)
+    for item in items:
+        if not isinstance(item, str):
+            raise ConfigError(f"{key}: {item!r} is not a string")
+    return tuple(items)
+
+
+def _distinct_seeds(seeds: list[int], source: str) -> tuple[int, ...]:
     if not seeds:
         raise ConfigError(f"{source}: no seeds given")
     if len(set(seeds)) != len(seeds):
@@ -95,11 +153,42 @@ def parse_seed_list(text: str, source: str = "seeds") -> tuple[int, ...]:
     return tuple(seeds)
 
 
+def parse_seed_list(text: str, source: str = "seeds") -> tuple[int, ...]:
+    """Comma-separated integers; "0:50" expands to range(0, 50)."""
+    seeds: list[int] = []
+    for part in text.split(","):
+        lo, colon, hi = part.partition(":")
+        if colon:
+            lo, hi = read_int(lo, source), read_int(hi, source)
+            if hi <= lo:
+                raise ConfigError(f"{source}: empty seed range {part.strip()!r}")
+            seeds.extend(range(lo, hi))
+        elif part.strip():
+            seeds.append(read_int(part, source))
+    return _distinct_seeds(seeds, source)
+
+
+def read_seeds(value, key: str = "seeds") -> tuple[int, ...]:
+    """A seed string such as ``--seeds`` takes, or a list of distinct integers."""
+    if isinstance(value, str):
+        return parse_seed_list(value, source=key)
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key}: {value!r} is not a list of integers or a seed string")
+    return _distinct_seeds([read_int(seed, key) for seed in value], key)
+
+
 def env_seed_override() -> tuple[int, ...] | None:
     value = os.environ.get(SEED_ENV_VAR)
     if value is None or not value.strip():
         return None
     return parse_seed_list(value, source=SEED_ENV_VAR)
+
+
+def resolve_seeds(flag: str | None, file_cfg: dict, default) -> tuple[int, ...]:
+    """``--seeds``, else the file's seeds, else ``default``; LOGIT_ANCHOR_SEED overrides all."""
+    seeds = setting(flag, file_cfg, "seeds", default, read_seeds)
+    env_seeds = env_seed_override()
+    return seeds if env_seeds is None else env_seeds
 
 
 def resolve_scene(value) -> tuple[SceneSpec, str]:
@@ -112,7 +201,7 @@ def resolve_scene(value) -> tuple[SceneSpec, str]:
     if value in PRESET_NAMES:
         return preset(value), value
     path = Path(value)
-    if path.suffix == ".json" or path.exists():
+    if path.suffix == ".json" or os.path.exists(path):  # False for names no file can have
         return scene_from_dict(load_json_file(path)), path.stem
     raise ConfigError(
         f"unknown scene {value!r}: not a preset ({', '.join(PRESET_NAMES)}) "
@@ -121,13 +210,12 @@ def resolve_scene(value) -> tuple[SceneSpec, str]:
 
 
 def parse_strategies(values) -> tuple[Strategy, ...]:
+    """Descriptors from a ';'-separated string or a list of descriptor strings."""
     if isinstance(values, str):
         values = [v for v in values.split(";") if v.strip()]
-    return tuple(parse_strategy(str(v)) for v in values)
-
-
-def _file_value(file_cfg: dict, key: str, default):
-    return file_cfg.get(key, default) if file_cfg else default
+    if not isinstance(values, (list, tuple)) or not all(isinstance(v, str) for v in values):
+        raise ConfigError(f"strategies must be descriptor strings, got {values!r}")
+    return tuple(parse_strategy(v) for v in values)
 
 
 def build_run_config(
@@ -141,53 +229,18 @@ def build_run_config(
     bin_width: int | None = None,
 ) -> RunConfig:
     """Merge defaults, config file, CLI flags, and the seed env override."""
-    file_cfg = {}
-    if config_path is not None:
-        file_cfg = load_json_file(config_path)
-        if not isinstance(file_cfg, dict):
-            raise ConfigError(f"{config_path}: top-level config must be an object")
-        unknown = set(file_cfg) - {
-            "scene", "strategies", "seeds", "max_steps", "temperature", "bin_width",
-        }
-        if unknown:
-            raise ConfigError(f"{config_path}: unknown config keys {sorted(unknown)}")
-
-    scene_value = scene if scene is not None else file_cfg.get("scene")
-    scene_spec, scene_name = resolve_scene(scene_value)
-
-    if strategies is not None:
-        strategy_list = parse_strategies(strategies)
-    else:
-        strategy_list = parse_strategies(
-            _file_value(file_cfg, "strategies", list(DEFAULT_STRATEGIES))
-        )
-
-    if seeds is not None:
-        seed_list = parse_seed_list(seeds)
-    elif "seeds" in file_cfg:
-        raw = file_cfg["seeds"]
-        if isinstance(raw, str):
-            seed_list = parse_seed_list(raw, source="config seeds")
-        else:
-            try:
-                seed_list = tuple(int(s) for s in raw)
-            except (TypeError, ValueError):
-                raise ConfigError("config seeds must be integers") from None
-    else:
-        seed_list = DEFAULT_SEEDS
-    env_seeds = env_seed_override()
-    if env_seeds is not None:
-        seed_list = env_seeds
-
+    file_cfg = load_config_file(config_path, SIMULATE_KEYS)
+    scene_spec, scene_name = resolve_scene(setting(scene, file_cfg, "scene", None))
     return RunConfig(
         scene=scene_spec,
         scene_name=scene_name,
-        strategies=strategy_list,
-        seeds=seed_list,
-        max_steps=max_steps if max_steps is not None
-        else int(_file_value(file_cfg, "max_steps", DEFAULT_MAX_STEPS)),
-        temperature=temperature if temperature is not None
-        else float(_file_value(file_cfg, "temperature", DEFAULT_TEMPERATURE)),
-        bin_width=bin_width if bin_width is not None
-        else int(_file_value(file_cfg, "bin_width", DEFAULT_BIN_WIDTH)),
+        strategies=parse_strategies(
+            setting(strategies, file_cfg, "strategies", DEFAULT_STRATEGIES)
+        ),
+        seeds=resolve_seeds(seeds, file_cfg, DEFAULT_SEEDS),
+        max_steps=setting(max_steps, file_cfg, "max_steps", DEFAULT_MAX_STEPS, read_int),
+        temperature=setting(
+            temperature, file_cfg, "temperature", DEFAULT_TEMPERATURE, read_float
+        ),
+        bin_width=setting(bin_width, file_cfg, "bin_width", DEFAULT_BIN_WIDTH, read_int),
     )

@@ -96,7 +96,8 @@ def run_many(
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     labels = [s.label() for s in strategies]
     if len(set(labels)) != len(labels):
-        raise ConfigError("strategy labels must be unique within one run")
+        repeated = next(label for i, label in enumerate(labels) if label in labels[:i])
+        raise ConfigError(f"strategy labels must be unique within one run: {repeated!r} repeats")
     ordered = sorted(seeds)
     records = []
     for strategy in strategies:

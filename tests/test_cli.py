@@ -232,6 +232,13 @@ class TestEvaluateCorpus:
         argv[5] = str(lex)
         assert run_cli("evaluate", *argv) == 3
 
+    @pytest.mark.parametrize("index", [3, 5], ids=["annotations", "lexicon"])
+    def test_unreadable_json_input_exits_3(self, tmp_path, capsys, index):
+        argv = list(GOLDEN)
+        argv[index] = str(tmp_path / "absent.json")
+        assert run_cli("evaluate", *argv) == 3
+        assert "absent.json" in capsys.readouterr().err
+
 
 class TestEvaluateTraces:
     def test_rescore_matches_simulate_report(self, tmp_path):
@@ -250,6 +257,25 @@ class TestEvaluateTraces:
     def test_not_a_trace_dir_exits_3(self, tmp_path, capsys):
         assert run_cli("evaluate", "--traces", tmp_path) == 3
         assert "manifest.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda m: {**m, "bin_width": "x"}, "bin_width"),
+        (lambda m: {k: v for k, v in m.items() if k != "scene_spec"}, "scene_spec"),
+        (lambda m: [m], "JSON object"),
+        (lambda m: {**m, "bin_width": 0}, "bin_width"),
+    ], ids=["bin_width_text", "no_scene_spec", "array", "bin_width_zero"])
+    def test_malformed_manifest_exits_3(self, tmp_path, capsys, edit, named):
+        sim_out = tmp_path / "sim"
+        assert run_cli(
+            "simulate", "--strategies", "baseline", "--seeds", "0", "--max-steps", "5",
+            "--out", sim_out,
+        ) == 0
+        manifest = sim_out / "manifest.json"
+        manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+        capsys.readouterr()
+        assert run_cli("evaluate", "--traces", sim_out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: ") and named in err
 
 
 class TestSweep:
@@ -282,6 +308,16 @@ class TestSweep:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"gamas": [0.3]}))
         assert run_cli("sweep", "--config", bad, "--out", out) == 2
+
+    def test_repeated_grid_value_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(
+            "sweep", "--gammas", "0.3,0.3", "--lams", "0.05", "--seeds", "0:2",
+            "--max-steps", "5", "--out", out,
+        ) == 2
+        err = capsys.readouterr().err
+        assert "'flb(increasing,gamma=0.3,lam=0.05,beta=0.1,mask=full)' repeats" in err
+        assert not out.exists()
 
 
 class TestBench:
@@ -328,6 +364,81 @@ class TestAblate:
         lines = (out / "ablate.csv").read_text().splitlines()
         assert len(lines) == 5
         assert "hal_rate=" in capsys.readouterr().out
+
+
+BAD_CONFIG_VALUES = [
+    ("max_steps", "abc"),
+    ("seeds", [1.5, 2]),
+    ("seeds", [1.5]),
+    ("seeds", 5),
+    ("seeds", [True]),
+    ("temperature", "hot"),
+]
+
+
+class TestConfigFileValues:
+    @pytest.mark.parametrize("command, key, value", [
+        *[(command, key, value)
+          for command in ("simulate", "sweep") for key, value in BAD_CONFIG_VALUES],
+        ("simulate", "bin_width", "x"),
+        ("sweep", "gammas", [0.3, "x"]),
+    ])
+    def test_bad_value_exits_2_naming_the_key(self, tmp_path, capsys, command, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seeds": [0], "max_steps": 3, key: value}))
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", path, "--out", out) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "bench", "ablate"])
+    def test_empty_seed_flag_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert run_cli(command, "--seeds", "", "--out", out) == 2
+        assert capsys.readouterr().err.startswith("error: seeds: no seeds given")
+        assert not out.exists()
+
+
+# The columns sweep and ablate rows share with simulate's report.
+SHARED_METRICS = ("chair_i", "chair_s", "cover", "cog", "object_score", "hal_noun_rate")
+
+
+class TestSharedScoring:
+    """simulate, sweep and ablate score a strategy's runs the same way."""
+
+    def test_ablate_and_sweep_rows_equal_simulate_report(self, tmp_path):
+        common = ("--seeds", "0:6", "--max-steps", "25", "--format", "json")
+        assert run_cli(
+            "simulate", "--strategies", "baseline;flb:mask=nouns;flb:mask=the;flb",
+            *common, "--out", tmp_path / "sim",
+        ) == 0
+        report = json.loads((tmp_path / "sim" / "report.json").read_text())["strategies"]
+
+        def simulated(label):
+            corpus, traces = report[label]["corpus"], report[label]["traces"]
+            return {
+                **{key: corpus[key] for key in SHARED_METRICS[:-1]},
+                "hal_noun_rate": traces["hal_noun_rate"],
+                "sentence_initial_the": traces["sentence_initial_the"]["fraction"],
+            }
+
+        assert run_cli("ablate", *common, "--out", tmp_path / "ablate") == 0
+        rows = json.loads((tmp_path / "ablate" / "ablate.json").read_text())["rows"]
+        assert sorted(row["label"] for row in rows) == sorted(report)
+        for row in rows:
+            columns = (*SHARED_METRICS, "sentence_initial_the")
+            assert {key: row[key] for key in columns} == simulated(row["label"])
+
+        assert run_cli(
+            "sweep", "--gammas", "0.3", "--lams", "0.05", "--betas", "0.1",
+            *common, "--out", tmp_path / "sweep",
+        ) == 0
+        (row,) = json.loads((tmp_path / "sweep" / "sweep.json").read_text())["rows"]
+        assert row["label"] == "flb(increasing,gamma=0.3,lam=0.05,beta=0.1,mask=full)"
+        expected = simulated(row["label"])
+        assert {key: row[key] for key in SHARED_METRICS} == \
+            {key: expected[key] for key in SHARED_METRICS}
 
 
 class TestParser:

@@ -5,16 +5,23 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from logit_anchor import ConfigError, scene_to_dict
 from logit_anchor.config import (
     DEFAULT_SEEDS,
     DEFAULT_STRATEGIES,
     SEED_ENV_VAR,
+    SIMULATE_KEYS,
+    RunConfig,
     build_run_config,
     env_seed_override,
     parse_seed_list,
     parse_strategies,
+    read_float,
+    read_int,
+    read_seeds,
     resolve_scene,
 )
 from logit_anchor.simulator import preset
@@ -160,6 +167,12 @@ class TestBuildRunConfig:
         with pytest.raises(ConfigError, match="line 2"):
             build_run_config(config_path=str(path))
 
+    def test_integer_too_long_to_convert_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"max_steps": ' + "9" * 5000 + "}")
+        with pytest.raises(ConfigError, match="cfg.json"):
+            build_run_config(config_path=str(path))
+
     def test_validation(self, monkeypatch):
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
         with pytest.raises(ConfigError):
@@ -170,3 +183,56 @@ class TestBuildRunConfig:
             build_run_config(bin_width=0)
         with pytest.raises(ConfigError):
             build_run_config(strategies="")
+
+
+class TestTypedReaders:
+    @pytest.mark.parametrize("value, expected", [(7, 7), (7.0, 7), ("7", 7), (" 7 ", 7)])
+    def test_int_accepts(self, value, expected):
+        assert read_int(value, "k") == expected
+
+    @pytest.mark.parametrize("value", ["abc", 1.5, True, None, [1], float("nan"), float("inf")])
+    def test_int_rejects_naming_key_and_value(self, value):
+        with pytest.raises(ConfigError, match=r"^max_steps: .* is not an integer$"):
+            read_int(value, "max_steps")
+
+    @pytest.mark.parametrize("value", ["hot", False, None, [0.5], 10**400])
+    def test_float_rejects_naming_key_and_value(self, value):
+        with pytest.raises(ConfigError, match=r"^temperature: .* is not a number$"):
+            read_float(value, "temperature")
+
+    @pytest.mark.parametrize("value", [5, [1.5, 2], [True], [1, 1], [], "1,1", None])
+    def test_seeds_reject(self, value):
+        with pytest.raises(ConfigError, match="seeds"):
+            read_seeds(value)
+
+    def test_seeds_accept_list_and_string(self):
+        assert read_seeds([3, 1, 2]) == (3, 1, 2)
+        assert read_seeds("0:3,9") == (0, 1, 2, 9)
+
+
+# Arbitrary JSON: what a config file can hold (dicts aside: only "scene" takes
+# one, and scene dicts have their own tests), plus values near the valid ones.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from(["default", "no-decay", "0:3", "baseline;flb", "vcd:alpha=nan",
+                       "flb:gamma=-1", "7", "0.5", "nan"]),
+    lambda children: st.lists(children, max_size=4),
+    max_leaves=8,
+)
+
+
+class TestBuildRunConfigProperty:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.dictionaries(st.sampled_from(SIMULATE_KEYS), JSON_VALUES))
+    def test_returns_run_config_or_raises_config_error(self, tmp_path, file_cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(file_cfg))
+        try:
+            cfg = build_run_config(config_path=str(path))
+        except ConfigError:
+            return
+        assert isinstance(cfg, RunConfig)
+        assert all(type(seed) is int for seed in cfg.seeds)
+        assert type(cfg.max_steps) is int and type(cfg.bin_width) is int
+        assert type(cfg.temperature) is float
