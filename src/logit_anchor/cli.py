@@ -299,7 +299,10 @@ def _load_annotations_file(path: str) -> list[Annotation]:
     data = _load_input_json(path)
     if not isinstance(data, list):
         raise InputError(f"{path}: annotations must be a JSON array")
-    return [Annotation.from_dict(item) for item in data]
+    try:
+        return [Annotation.from_dict(item) for item in data]
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _evaluate_corpus(args) -> int:
@@ -325,7 +328,7 @@ def _evaluate_corpus(args) -> int:
     lexicon_data = _load_input_json(args.lexicon)
     try:
         lexicon = ObjectLexicon.from_dict(lexicon_data)
-    except ConfigError as exc:
+    except (ConfigError, InputError) as exc:
         raise InputError(f"{args.lexicon}: {exc}") from exc
 
     report_obj = corpus_metrics(captions, annotations, lexicon)
@@ -349,12 +352,21 @@ def _evaluate_corpus(args) -> int:
     return 0
 
 
+def _trace_seed(path: Path) -> int:
+    """The seed a trace file is named after; any other name is an input error."""
+    try:
+        return int(path.stem)
+    except ValueError:
+        raise InputError(f"{path}: not a trace file (expected <seed>.jsonl)") from None
+
+
 def read_trace_dir(traces_dir: Path):
     """Load a simulate output directory: manifest, scene, grouped run stats.
 
     A manifest that cannot be read, is not a JSON object, lacks ``scene_spec``
     or ``strategies``, or holds a bad scene, label list or ``bin_width`` is an
-    input error (exit 3) naming the file and the key. The returned manifest
+    input error (exit 3) naming the file and the key; so is a file under
+    ``traces/<label>/`` not named ``<seed>.jsonl``. The returned manifest
     holds ``bin_width`` as read (the default when absent).
     """
     manifest_path = traces_dir / "manifest.json"
@@ -380,7 +392,7 @@ def read_trace_dir(traces_dir: Path):
         strategy_dir = traces_dir / "traces" / sanitize_label(label)
         if not strategy_dir.is_dir():
             raise InputError(f"{traces_dir}: missing trace directory for {label!r}")
-        files = sorted(strategy_dir.glob("*.jsonl"), key=lambda p: int(p.stem))
+        files = sorted(strategy_dir.glob("*.jsonl"), key=_trace_seed)
         if not files:
             raise InputError(f"{traces_dir}: no traces for {label!r}")
         stats_by_label[label] = [read_trace(path) for path in files]

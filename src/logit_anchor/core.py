@@ -163,35 +163,25 @@ def _unchecked(cls, **fields):
     return obj
 
 
-def masked_probs(scores: np.ndarray, mask: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """The softmax kernel on raw arrays; masked entries get exactly zero.
-
-    This is the single source of probability values: :func:`softmax` wraps it,
-    and decode loops call it directly when they only need the array, so both
-    routes are bit-identical.
-    """
-    if temperature <= 0:
-        raise ContractError(f"temperature must be positive, got {temperature}")
-    if mask.all():
-        raise ExclusionError("softmax over a fully masked vector")
-    live = ~mask
-    scaled = scores[live]
-    if temperature != 1.0:
-        scaled = scaled / temperature
-    shifted = scaled - scaled.max()
-    exps = np.exp(shifted)
-    probs = np.zeros(scores.shape[0], dtype=np.float64)
-    probs[live] = exps / exps.sum()
-    return probs
-
-
 def softmax(logits: LogitVector, temperature: float = 1.0) -> ProbDist:
     """Masked softmax with max-subtraction for numerical stability.
 
     Masked tokens get exactly zero probability. ``temperature`` divides the
     scores before exponentiation; it must be positive.
     """
-    return ProbDist(masked_probs(logits.scores, logits.mask, temperature))
+    if temperature <= 0:
+        raise ContractError(f"temperature must be positive, got {temperature}")
+    if logits.mask.all():
+        raise ExclusionError("softmax over a fully masked vector")
+    live = ~logits.mask
+    scaled = logits.scores[live]
+    if temperature != 1.0:
+        scaled = scaled / temperature
+    shifted = scaled - scaled.max()
+    exps = np.exp(shifted)
+    probs = np.zeros(logits.size, dtype=np.float64)
+    probs[live] = exps / exps.sum()
+    return ProbDist(probs)
 
 
 def entropy(dist: ProbDist) -> float:
@@ -207,23 +197,57 @@ def sample(dist: ProbDist, rng: np.random.Generator) -> TokenId:
     generators stay step-for-step comparable. Never returns a token with
     zero probability.
     """
-    support = np.flatnonzero(dist.probs > 0)
-    if support.size == 0:
+    if not (dist.probs > 0).any():
         raise ExclusionError("sampling from an all-zero distribution")
-    cum = np.cumsum(dist.probs[support])
-    u = rng.random() * cum[-1]
-    idx = int(np.searchsorted(cum, u, side="right"))
-    if idx >= support.size:
-        idx = support.size - 1
-    return int(support[idx])
+    return _sample_rows(dist.probs, rng.random())[0]
 
 
 def argmax(logits: LogitVector) -> TokenId:
     """Highest-scoring unmasked token; ties break toward the lowest id."""
     if logits.mask.all():
         raise ExclusionError("argmax over a fully masked vector")
-    scores = np.where(logits.mask, -np.inf, logits.scores)
-    return int(np.argmax(scores))
+    return _greedy_rows(logits.scores, logits.mask)[0]
+
+
+# -- row kernels ----------------------------------------------------------------
+# The decode loop (``strategies.decode``) runs these on all its rows at once;
+# :func:`sample` and :func:`argmax` are their one-row case.
+
+
+def _col(values):
+    """Per-row values shaped to broadcast against the rows (a scalar for one row)."""
+    return values if values.ndim == 0 else values[:, None]
+
+
+def _listed(values: np.ndarray) -> list:
+    """Per-row values as a list, one item per row."""
+    items = values.tolist()
+    return items if isinstance(items, list) else [items]
+
+
+def _sample_rows(probs: np.ndarray, draws) -> list[TokenId]:
+    """Inverse-CDF choice per row, from one uniform each (a scalar for one row).
+
+    The choice is the first token whose running sum over the row's positive
+    support exceeds ``u * total``. Zero entries add exactly 0, so the full
+    row's running sums are the support's, and a zero entry never exceeds first.
+    """
+    cum = probs.cumsum(axis=-1)
+    last = cum[..., -1]
+    u = draws * last
+    chosen = (cum > _col(u)).argmax(axis=-1).tolist()
+    if probs.ndim == 1:
+        probs, chosen, u, last = probs[None], [chosen], [u], [last]
+    for j, (uj, lj) in enumerate(zip(u, last)):
+        if uj >= lj:  # u reached the total: take the last supported token
+            chosen[j] = int(np.flatnonzero(probs[j])[-1])
+    return chosen
+
+
+def _greedy_rows(scores: np.ndarray, mask: np.ndarray | None) -> list[TokenId]:
+    """Each row's highest-scoring unmasked token, ties toward the lowest id."""
+    best = scores if mask is None else np.where(mask, -np.inf, scores)
+    return _listed(best.argmax(axis=-1))
 
 
 @dataclass(frozen=True, slots=True)

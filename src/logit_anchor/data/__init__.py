@@ -27,9 +27,13 @@ def load_captions_jsonl(text: str, source: str = "<captions>") -> list[CaptionRe
         if not isinstance(data, dict) or "id" not in data:
             raise InputError(f"{source}:{lineno}: caption line needs an 'id' field")
         if "tokens" in data:
-            captions.append(
-                CaptionRecord(str(data["id"]), tuple(str(t) for t in data["tokens"]))
-            )
+            tokens = data["tokens"]
+            if not isinstance(tokens, list):
+                raise InputError(
+                    f"{source}:{lineno}: 'tokens' must be a list of strings, "
+                    f"got {type(tokens).__name__}"
+                )
+            captions.append(CaptionRecord(str(data["id"]), tuple(str(t) for t in tokens)))
         elif "text" in data:
             captions.append(CaptionRecord.from_text(str(data["id"]), str(data["text"])))
         else:

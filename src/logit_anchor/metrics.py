@@ -93,6 +93,12 @@ class ObjectLexicon:
     def from_dict(cls, data: Mapping) -> "ObjectLexicon":
         if not isinstance(data, Mapping):
             raise InputError("lexicon must be an object mapping names to form lists")
+        for name, forms in data.items():
+            if not isinstance(forms, list):
+                raise InputError(
+                    f"lexicon entry {name!r} must be a list of surface forms, "
+                    f"got {type(forms).__name__}"
+                )
         return cls({str(k): tuple(str(s) for s in v) for k, v in data.items()})
 
     def to_dict(self) -> dict:
@@ -113,13 +119,23 @@ class Annotation:
         try:
             return cls(
                 image_id=str(data["id"]),
-                gt_objects=frozenset(str(x) for x in data["gt_objects"]),
-                cognition_objects=frozenset(
-                    str(x) for x in data.get("cognition_objects", ())
+                gt_objects=_name_set(data["gt_objects"], "gt_objects"),
+                cognition_objects=_name_set(
+                    data.get("cognition_objects", []), "cognition_objects"
                 ),
             )
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed annotation: {exc}") from exc
+
+
+def _name_set(names, key: str) -> frozenset[str]:
+    """An annotation's object list; a string would be read as its characters."""
+    if not isinstance(names, list):
+        raise InputError(
+            f"malformed annotation: {key} must be a list of object names, "
+            f"got {type(names).__name__}"
+        )
+    return frozenset(str(x) for x in names)
 
 
 @dataclass(frozen=True)
@@ -751,6 +767,8 @@ def read_trace(path) -> RunStats:
                 data = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
+            if not isinstance(data, dict):
+                raise InputError(f"{path}:{lineno}: a record must be a JSON object")
             kind = data.get("kind")
             if kind == "run":
                 if header is not None:
@@ -776,13 +794,16 @@ def read_trace(path) -> RunStats:
                 raise InputError(f"{path}:{lineno}: unknown record kind {kind!r}")
     if header is None:
         raise InputError(f"{path}: missing run header")
-    if len(steps) != int(header.get("n_steps", len(steps))):
-        raise InputError(
-            f"{path}: header declares {header['n_steps']} steps, found {len(steps)}"
+    try:
+        n_steps = int(header.get("n_steps", len(steps)))
+        stats = RunStats(
+            prompt_id=str(header["prompt_id"]),
+            strategy=str(header["strategy"]),
+            seed=int(header["seed"]),
+            steps=tuple(steps),
         )
-    return RunStats(
-        prompt_id=str(header["prompt_id"]),
-        strategy=str(header["strategy"]),
-        seed=int(header["seed"]),
-        steps=tuple(steps),
-    )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: bad run header ({type(exc).__name__}: {exc})") from exc
+    if len(steps) != n_steps:
+        raise InputError(f"{path}: header declares {n_steps} steps, found {len(steps)}")
+    return stats

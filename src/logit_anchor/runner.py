@@ -30,7 +30,7 @@ def make_providers(
     negative = None
     if strategy.kind in CONTRASTIVE_KINDS:
         variant = NegativeVariantSpec(
-            kind=strategy.contrastive.negative_kind,
+            kind=strategy.negative_kind,
             strength=strategy.resolved_strength(),
         )
         negative = NegativeProvider(scene, variant)

@@ -21,9 +21,9 @@ after truncation so every run can terminate.
 :func:`decode` is the one decode loop. It runs all seeds of one strategy in
 lockstep: each seed is a row, every per-step operation works on
 ``[rows, vocab]`` arrays, and a row retires when it emits EOS. A single run
-is the one-row case. The public one-vector operations (``boost``,
-``contrastive_adjust``, ``flb_step``, ``mask_l0``) are the references the
-row kernels are tested against.
+is the one-row case. ``boost``, ``core.softmax``, ``core.entropy`` and the
+``plausibility`` operations are the one-vector references the row kernels
+are tested against.
 
 Each row owns its randomness: its seed is split into three independent
 streams (sampling, positive-provider jitter, negative-provider jitter), and
@@ -50,12 +50,14 @@ from .core import (
     StepTrace,
     TokenId,
     Vocabulary,
+    _col,
+    _greedy_rows,
+    _listed,
+    _sample_rows,
     _unchecked,
-    softmax,
 )
 from .errors import ConfigError, ContractError, ExclusionError
-from .plausibility import apply_mask, candidate_set
-from .simulator import NEGATIVE_KINDS, NOISY_VISUAL, PERTURBED_INSTRUCTION, UNCONDITIONED
+from .simulator import NOISY_VISUAL, PERTURBED_INSTRUCTION, UNCONDITIONED
 from .weighting import WeightSchedule, weight_at
 
 BASELINE = "baseline"
@@ -104,13 +106,6 @@ class LogitProvider(Protocol):
 
 
 @dataclass(frozen=True)
-class FirstLogitCache:
-    """The raw step-0 logits, captured before any masking or adjustment."""
-
-    logits: LogitVector
-
-
-@dataclass(frozen=True)
 class ContrastiveConfig:
     """Settings for one contrastive pairing.
 
@@ -120,18 +115,12 @@ class ContrastiveConfig:
     """
 
     alpha: float = 1.0
-    negative_kind: str = NOISY_VISUAL
     beta: float = 0.1
     strength: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha!r}")
-        if self.negative_kind not in NEGATIVE_KINDS:
-            raise ConfigError(
-                f"unknown negative kind {self.negative_kind!r}; "
-                f"expected one of {NEGATIVE_KINDS}"
-            )
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigError(f"beta must lie in [0, 1], got {self.beta!r}")
         if self.strength is not None and not 0.0 <= self.strength <= 1.0:
@@ -158,6 +147,11 @@ class FlbConfig:
 # -- pure per-step operations --------------------------------------------------
 
 
+def _combine(pos: np.ndarray, neg: np.ndarray, alpha: float) -> np.ndarray:
+    """The contrastive combination of positive and negative scores."""
+    return (1.0 + alpha) * pos - alpha * neg
+
+
 def contrastive_adjust(l_pos: LogitVector, l_neg: LogitVector, alpha: float) -> LogitVector:
     """(1 + alpha) * positive - alpha * negative, masks unioned."""
     if alpha < 0:
@@ -166,31 +160,23 @@ def contrastive_adjust(l_pos: LogitVector, l_neg: LogitVector, alpha: float) -> 
         raise ContractError(
             f"positive size {l_pos.size} does not match negative size {l_neg.size}"
         )
-    scores = (1.0 + alpha) * l_pos.scores - alpha * l_neg.scores
-    return LogitVector(scores, l_pos.mask | l_neg.mask)
-
-
-def capture_first_logit(
-    provider: LogitProvider, rng: np.random.Generator | None = None
-) -> FirstLogitCache:
-    """One provider call with empty history; the result is cached for the run."""
-    return FirstLogitCache(provider.logits((), 0, rng))
+    return LogitVector(_combine(l_pos.scores, l_neg.scores, alpha), l_pos.mask | l_neg.mask)
 
 
 def mask_l0(
-    cache: FirstLogitCache,
+    l0: LogitVector,
     mode: str,
     vocab: Vocabulary,
     noun_ids: Sequence[TokenId] | None = None,
 ) -> LogitVector:
-    """Turn the cached first logits into a per-token additive contribution.
+    """Turn the raw step-0 logits into a per-token additive contribution.
 
     Entries outside the selected mode contribute exactly 0 (they are zeroed,
     not given a raw zero logit): ``nouns_only`` keeps noun entries,
     ``the_only`` keeps the single "The" entry, ``full`` keeps everything.
-    Entries excluded in the cache itself also contribute 0.
+    Entries excluded in ``l0`` itself also contribute 0.
     """
-    contrib = _l0_rows(cache.logits.scores, cache.logits.mask, _l0_lane(mode, vocab, noun_ids))
+    contrib = _l0_rows(l0.scores, l0.mask, _l0_lane(mode, vocab, noun_ids))
     return LogitVector(contrib, np.zeros(contrib.shape[0], dtype=bool))
 
 
@@ -203,54 +189,17 @@ def boost(l_t: LogitVector, l0_contrib: LogitVector, w_t: float) -> LogitVector:
     return LogitVector(l_t.scores + w_t * l0_contrib.scores, l_t.mask)
 
 
-def _constrain(
-    adjusted: LogitVector,
-    original: ProbDist,
-    beta: float,
-    eos_id: TokenId | None,
-) -> LogitVector:
-    """Candidate mask from the original distribution, EOS re-allowed."""
-    cmask = candidate_set(original, beta)
-    if eos_id is not None:
-        cmask = cmask.with_allowed(eos_id)
-    return apply_mask(adjusted, cmask)
-
-
-def flb_step(
-    l_t: LogitVector,
-    l0_contrib: LogitVector,
-    w_t: float,
-    beta: float,
-    *,
-    temperature: float = 1.0,
-    eos_id: TokenId | None = None,
-) -> ProbDist:
-    """One boosted, constrained step: softmax(constrain(l_t + w_t * l0)).
-
-    The candidate set is computed from the *un-boosted* distribution and then
-    applied to the boosted logits.
-    """
-    original = softmax(l_t, temperature)
-    adjusted = _constrain(boost(l_t, l0_contrib, w_t), original, beta, eos_id)
-    return softmax(adjusted, temperature)
-
-
 # -- row kernels ----------------------------------------------------------------
 #
 # Each kernel takes one row as a 1-d [vocab] array or several as a
-# [rows, vocab] array, and repeats, row by row, the arithmetic of the public
-# one-vector operations above, so the two agree bit for bit. The decode loop
+# [rows, vocab] array, and repeats, row by row, the arithmetic of the
+# one-vector references, so the two agree bit for bit. The decode loop
 # hands a lone row over as a 1-d array: numpy runs the same arithmetic on it
 # with less overhead (per-row values are scalars, and a row's maximum is read
 # at its argmax). A mask of None means no entry is masked. Reductions over a
 # row's unmasked entries are taken over those entries packed together, as
 # the one-vector operations take them: numpy's pairwise summation groups a
 # zero-padded row differently.
-
-
-def _col(values):
-    """Per-row values shaped to broadcast against the rows (a scalar for one row)."""
-    return values if values.ndim == 0 else values[:, None]
 
 
 def _row_max(x: np.ndarray):
@@ -312,8 +261,8 @@ def _normalised(block: np.ndarray):
 def _softmax(scores: np.ndarray, mask: np.ndarray | None, temperature: float, entropy: bool = False):
     """Each row's softmax over its unmasked entries: (probabilities, totals, entropies).
 
-    Row by row this is :func:`masked_probs` (masked entries get exactly 0)
-    and, with ``entropy``, :func:`entropy`; entropies are None without it.
+    Row by row this is ``core.softmax`` (masked entries get exactly 0) and,
+    with ``entropy``, ``core.entropy``; entropies are None without it.
     """
     scaled = scores / temperature if temperature != 1.0 else scores
     if mask is None:
@@ -365,26 +314,6 @@ def _candidate_mask(
     if base_mask is not raw_mask and mask.all(axis=-1).any():
         raise ExclusionError("candidate mask excluded every unmasked token")
     return mask
-
-
-def _sample_rows(probs: np.ndarray, draws) -> list[TokenId]:
-    """Inverse-CDF choice per row from one uniform each, as :func:`sample` makes it.
-
-    Zero-probability entries add exactly 0 to the running sum, so the full
-    row's cumulative sums hold the support's at the support's positions, and
-    the first entry whose sum exceeds ``u`` is the token that
-    ``searchsorted(side="right")`` finds on the support.
-    """
-    cum = probs.cumsum(axis=-1)
-    last = cum[..., -1]
-    u = draws * last
-    chosen = (cum > _col(u)).argmax(axis=-1).tolist()
-    if probs.ndim == 1:
-        probs, chosen, u, last = probs[None], [chosen], [u], [last]
-    for j, (uj, lj) in enumerate(zip(u, last)):
-        if uj >= lj:  # u reached the total: take the last supported token
-            chosen[j] = int(np.flatnonzero(probs[j])[-1])
-    return chosen
 
 
 def _l0_lane(mode: str, vocab: Vocabulary, noun_ids: Sequence[TokenId] | None) -> np.ndarray | None:
@@ -465,16 +394,20 @@ def _provider_rows(
     return scores, mask
 
 
-def _listed(values: np.ndarray) -> list:
-    """Per-row values as a list, one item per row."""
-    items = values.tolist()
-    return items if isinstance(items, list) else [items]
-
-
-def _check_step(t: int, probs: np.ndarray, mask: np.ndarray | None, chosen: list[TokenId]):
+def _check_step(
+    t: int, probs: np.ndarray, mask: np.ndarray | None, chosen: list[TokenId],
+    scores: np.ndarray, temperature: float, label: str,
+):
     """The checks ProbDist and StepTrace make, for all rows of one step."""
     sums = _listed(probs.sum(axis=-1))
     if np.count_nonzero(probs < 0.0) or not all(abs(s - 1.0) <= 1e-9 for s in sums):
+        # The provider's rows are checked finite, so scores that are not
+        # finite once adjusted and scaled come from the user's settings.
+        scaled = scores / temperature
+        if not np.isfinite(scaled if mask is None else scaled[~mask]).all():
+            raise ConfigError(
+                f"{label}: the adjusted scores overflow at step {t}, temperature {temperature!r}"
+            )
         raise ContractError(f"step {t}: probabilities sum to {sums!r}, not 1")
     rows = probs.reshape(len(chosen), -1)
     masks = None if mask is None else mask.reshape(len(chosen), -1)
@@ -552,7 +485,7 @@ def decode(
         scores, base_mask = raw, raw_mask
         if contrastive:
             neg, neg_mask = _provider_rows(negative, rows_history, t, [neg_rngs[i] for i in live])
-            scores = (1.0 + alpha) * raw - alpha * neg
+            scores = _combine(raw, neg, alpha)
             if neg_mask is not None:
                 base_mask = neg_mask if raw_mask is None else raw_mask | neg_mask
         elif kind == FLB:
@@ -570,12 +503,11 @@ def decode(
             mask = _candidate_mask(raw, raw_mask, base_mask, temperature, beta, eos_id)
         probs, _, entropies = _softmax(scores, mask, temperature, entropy=True)
         if greedy:
-            best = scores if mask is None else np.where(mask, -np.inf, scores)
-            chosen = _listed(best.argmax(axis=-1))
+            chosen = _greedy_rows(scores, mask)
         else:
             draws = [sample_rngs[i].random() for i in live]
             chosen = _sample_rows(probs, draws[0] if n == 1 else np.array(draws))
-        _check_step(t, probs, mask, chosen)
+        _check_step(t, probs, mask, chosen, scores, temperature, label)
         entropies = _listed(entropies)
 
         _frozen(raw, raw_mask, scores, mask, probs)
@@ -646,17 +578,9 @@ class Strategy:
             )
         if self.kind in CONTRASTIVE_KINDS:
             if self.contrastive is None:
-                object.__setattr__(
-                    self, "contrastive",
-                    ContrastiveConfig(negative_kind=_NEGATIVE_KIND_FOR[self.kind]),
-                )
+                object.__setattr__(self, "contrastive", ContrastiveConfig())
             if self.flb is not None or self.beta is not None:
                 raise ConfigError(f"{self.kind} takes only contrastive settings")
-            if self.contrastive.negative_kind != _NEGATIVE_KIND_FOR[self.kind]:
-                raise ConfigError(
-                    f"{self.kind} requires the {_NEGATIVE_KIND_FOR[self.kind]} negative, "
-                    f"got {self.contrastive.negative_kind!r}"
-                )
         elif self.kind == FLB:
             if self.flb is None:
                 object.__setattr__(self, "flb", FlbConfig())
@@ -671,6 +595,11 @@ class Strategy:
     @property
     def mode(self) -> str:
         return GREEDY_MODE if self.kind == GREEDY else SAMPLE
+
+    @property
+    def negative_kind(self) -> str | None:
+        """The negative provider's degradation; None for the kinds without one."""
+        return _NEGATIVE_KIND_FOR.get(self.kind)
 
     def resolved_strength(self) -> float:
         if self.contrastive is None:
@@ -762,10 +691,7 @@ def parse_strategy(text: str) -> Strategy:
         strength = take_float("strength", None)
         strategy = Strategy(
             kind=kind,
-            contrastive=ContrastiveConfig(
-                alpha=alpha, negative_kind=_NEGATIVE_KIND_FOR[kind],
-                beta=beta, strength=strength,
-            ),
+            contrastive=ContrastiveConfig(alpha=alpha, beta=beta, strength=strength),
         )
     else:
         gamma = take_float("gamma", 0.3)

@@ -141,6 +141,24 @@ class TestSimulate:
         assert "error:" in err and message in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flags, label", [
+        (("--strategies", "flb:gamma=1e308"), "flb(increasing,gamma=1e+308,"),
+        (("--strategies", "vcd:alpha=1e308"), "vcd(alpha=1e+308,"),
+        (("--strategies", "baseline", "--temperature", "1e-320"), "baseline: "),
+    ])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_setting_exits_2(self, tmp_path, capsys, flags, label):
+        assert run_cli("simulate", *flags, "--seeds", "0:3", "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {label}") and "step " in err and "temperature" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_large_safe_setting_decodes(self, tmp_path):
+        assert run_cli(
+            "simulate", "--strategies", "flb:gamma=1e200", "--seeds", "0:3",
+            "--out", tmp_path / "o",
+        ) == 0
+
     @pytest.mark.parametrize("edit, message", [
         ({"noise_sigma": float("nan")}, "noise_sigma must be finite"),
         ({"decay_kappa": float("nan")}, "decay_kappa must be finite"),
@@ -232,12 +250,50 @@ class TestEvaluateCorpus:
         argv[5] = str(lex)
         assert run_cli("evaluate", *argv) == 3
 
+    @pytest.mark.parametrize("index, name, edit, key", [
+        (5, "lex.json", lambda lex: {**lex, "dog": 5}, "'dog'"),
+        (1, "caps.jsonl", lambda caps: [*caps, {"id": "img9", "tokens": 5}], "'tokens'"),
+        (3, "ann.json", lambda ann: [{**ann[0], "gt_objects": "dog"}, *ann[1:]], "gt_objects"),
+        (3, "ann.json", lambda ann: [{**ann[0], "cognition_objects": "cat"}, *ann[1:]],
+         "cognition_objects"),
+    ], ids=["lexicon_forms", "caption_tokens", "gt_objects", "cognition_objects"])
+    def test_malformed_value_exits_3_naming_file_and_key(
+        self, tmp_path, capsys, index, name, edit, key
+    ):
+        source = Path(GOLDEN[index])
+        if name.endswith(".jsonl"):
+            lines = [json.loads(line) for line in source.read_text().splitlines()]
+            text = "\n".join(json.dumps(line) for line in edit(lines)) + "\n"
+        else:
+            text = json.dumps(edit(json.loads(source.read_text())))
+        bad = tmp_path / name
+        bad.write_text(text)
+        argv = list(GOLDEN)
+        argv[index] = str(bad)
+        assert run_cli("evaluate", *argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}") and key in err
+
     @pytest.mark.parametrize("index", [3, 5], ids=["annotations", "lexicon"])
     def test_unreadable_json_input_exits_3(self, tmp_path, capsys, index):
         argv = list(GOLDEN)
         argv[index] = str(tmp_path / "absent.json")
         assert run_cli("evaluate", *argv) == 3
         assert "absent.json" in capsys.readouterr().err
+
+
+def _add_notes_file(strategy_dir):
+    path = strategy_dir / "notes.jsonl"
+    path.write_text("{}\n")
+    return path
+
+
+def _edit_line(path, index, edit):
+    """Replace line ``index`` of a JSONL file by ``edit`` of its record."""
+    lines = path.read_text().splitlines()
+    lines[index] = json.dumps(edit(json.loads(lines[index])))
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 class TestEvaluateTraces:
@@ -276,6 +332,25 @@ class TestEvaluateTraces:
         assert run_cli("evaluate", "--traces", sim_out) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {manifest}: ") and named in err
+
+    @pytest.mark.parametrize("edit", [
+        _add_notes_file,
+        lambda d: _edit_line(
+            d / "0.jsonl", 0, lambda h: {k: v for k, v in h.items() if k != "seed"}
+        ),
+        lambda d: _edit_line(d / "0.jsonl", 0, lambda h: {**h, "n_steps": "x"}),
+        lambda d: _edit_line(d / "0.jsonl", 1, lambda s: list(s.values())),
+    ], ids=["other_jsonl_file", "header_without_seed", "n_steps_text", "step_array"])
+    def test_malformed_trace_exits_3_naming_the_file(self, tmp_path, capsys, edit):
+        sim_out = tmp_path / "sim"
+        assert run_cli(
+            "simulate", "--strategies", "baseline", "--seeds", "0:2", "--max-steps", "5",
+            "--out", sim_out,
+        ) == 0
+        bad = edit(sim_out / "traces" / "baseline")
+        capsys.readouterr()
+        assert run_cli("evaluate", "--traces", sim_out) == 3
+        assert capsys.readouterr().err.startswith(f"error: {bad}")
 
 
 class TestSweep:

@@ -7,11 +7,13 @@ and frozen here.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from logit_anchor import (
     ContractError,
@@ -26,7 +28,7 @@ from logit_anchor import (
     sample,
     softmax,
 )
-from logit_anchor.core import masked_probs
+from logit_anchor.core import _greedy_rows, _sample_rows
 
 # 50-digit reference: softmax([1, 2, 3])
 SOFTMAX_123 = (0.09003057317038046, 0.24472847105479767, 0.6652409557748219)
@@ -150,17 +152,6 @@ class TestSoftmax:
         with pytest.raises(ExclusionError):
             softmax(vec(1.0, 2.0, mask=np.array([True, True])))
 
-    def test_kernel_matches_wrapper_bitwise(self, rng):
-        for _ in range(50):
-            scores = rng.normal(size=16)
-            mask = rng.random(16) < 0.2
-            if mask.all():
-                continue
-            lv = LogitVector.of(scores, mask)
-            assert np.array_equal(
-                masked_probs(lv.scores, lv.mask, 1.0), softmax(lv).probs
-            )
-
     @given(finite_logits)
     @settings(max_examples=60, deadline=None)
     def test_sums_to_one_and_nonnegative(self, scores):
@@ -251,6 +242,81 @@ class TestArgmax:
     def test_all_masked_raises(self):
         with pytest.raises(ExclusionError):
             argmax(vec(1.0, mask=np.array([True])))
+
+
+def scan_sample(row, u):
+    """Literal inverse CDF: the first token whose running sum over the
+    positive support exceeds ``u * total``; the last one if none does."""
+    support = [i for i, p in enumerate(row) if p > 0.0]
+    total = 0.0
+    for i in support:
+        total += row[i]
+    running = 0.0
+    for i in support:
+        running += row[i]
+        if running > u * total:
+            return i
+    return support[-1]
+
+
+def scan_greedy(row, mask):
+    """Literal argmax: the lowest-id unmasked maximum."""
+    best = None
+    for i, (x, masked) in enumerate(zip(row, mask)):
+        if not masked and (best is None or x > row[best]):
+            best = i
+    return best
+
+
+# Zero, subnormal and tiny entries next to ordinary ones.
+_PROB_ENTRIES = st.one_of(
+    st.sampled_from([0.0, 0.0, 5e-324, 1e-310, 1e-300, 0.25, 0.5, 1.0]),
+    st.floats(0.0, 1.0),
+)
+_UNIFORMS = st.one_of(
+    st.sampled_from([0.0, 1.0 - 2.0**-53, 0.5]), st.floats(0.0, 1.0, exclude_max=True)
+)
+# A few repeated values make tied maxima common.
+_SCORES = st.one_of(st.sampled_from([-1.0, 0.0, 2.5]), st.floats(-50.0, 50.0))
+
+
+class TestRowKernels:
+    """The sampling and greedy kernels, batch and one row, against literal scans."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_sample_rows_matches_scan(self, data):
+        rows, vocab = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12))
+        probs = data.draw(arrays(np.float64, (rows, vocab), elements=_PROB_ENTRIES))
+        for row in probs:  # each row needs a positive entry
+            if not (row > 0).any():
+                row[data.draw(st.integers(0, vocab - 1))] = data.draw(
+                    st.sampled_from([5e-324, 0.3])
+                )
+        us = data.draw(st.lists(_UNIFORMS, min_size=rows, max_size=rows))
+        want = [scan_sample(list(row), u) for row, u in zip(probs, us)]
+        assert _sample_rows(probs, np.array(us)) == want
+        assert [_sample_rows(row, u)[0] for row, u in zip(probs, us)] == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_greedy_rows_matches_scan(self, data):
+        rows, vocab = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12))
+        scores = data.draw(arrays(np.float64, (rows, vocab), elements=_SCORES))
+        mask = data.draw(arrays(bool, (rows, vocab)))
+        for row in mask:
+            row[data.draw(st.integers(0, vocab - 1))] = False
+        want = [scan_greedy(list(s), list(m)) for s, m in zip(scores, mask)]
+        assert _greedy_rows(scores, mask) == want
+        assert [argmax(LogitVector(s, m)) for s, m in zip(scores, mask)] == want
+        unmasked = [scan_greedy(list(s), [False] * vocab) for s in scores]
+        assert _greedy_rows(scores, None) == unmasked
+
+    def test_sample_matches_scan_at_the_edges(self):
+        d = ProbDist(np.array([0.0, 0.2, 0.0, 0.3, 0.5, 0.0]))
+        for u in (0.0, 0.2, 0.5 - 2.0**-54, 0.5, 0.99, 1.0 - 2.0**-53):
+            rng = SimpleNamespace(random=lambda u=u: u)
+            assert sample(d, rng) == scan_sample(list(d.probs), u)
 
 
 class TestStepTrace:
