@@ -37,9 +37,6 @@ from .metrics import (
     Annotation,
     ArticleStats,
     CaptionRecord,
-    CurveBin,
-    EmissionBin,
-    EntropyCell,
     Mention,
     MetricsReport,
     ObjectLexicon,
@@ -48,12 +45,7 @@ from .metrics import (
     StepStats,
     TraceLexicon,
     article_stats,
-    chair_i,
-    cog,
     corpus_metrics,
-    cover,
-    emission_bins,
-    emission_counts,
     entropy_stats,
     extract_objects,
     hal_noun_rate,
@@ -65,7 +57,7 @@ from .metrics import (
     write_trace,
 )
 from .plausibility import CandidateMask, apply_mask, candidate_set
-from .runner import make_providers, run_many, run_strategy
+from .runner import run_many, run_strategy
 from .simulator import (
     NegativeProvider,
     NegativeVariantSpec,
@@ -82,9 +74,7 @@ from .strategies import (
     LogitProvider,
     Strategy,
     boost,
-    contrastive_adjust,
     decode,
-    mask_l0,
     parse_strategy,
 )
 from .weighting import (
@@ -108,11 +98,8 @@ __all__ = [
     "ContractError",
     "ContrastiveConfig",
     "CostModel",
-    "CurveBin",
     "DEFAULT_GAMMA",
     "DEFAULT_LAM",
-    "EmissionBin",
-    "EntropyCell",
     "ExclusionError",
     "FlbConfig",
     "GenerationRecord",
@@ -143,21 +130,13 @@ __all__ = [
     "article_stats",
     "boost",
     "candidate_set",
-    "chair_i",
-    "cog",
-    "contrastive_adjust",
     "corpus_metrics",
-    "cover",
     "decode",
     "default_scene",
-    "emission_bins",
-    "emission_counts",
     "entropy",
     "entropy_stats",
     "extract_objects",
     "hal_noun_rate",
-    "make_providers",
-    "mask_l0",
     "object_score",
     "parse_strategy",
     "positional_curves",

@@ -138,7 +138,6 @@ def run_bench(
     cost_model: CostModel = CostModel(),
     *,
     max_steps: int = 60,
-    temperature: float = 1.0,
     min_tokens: int = 1000,
 ) -> BenchReport:
     """Run every strategy over all seeds, sequentially, and account costs.
@@ -159,8 +158,7 @@ def run_bench(
             start = time.perf_counter()
             record = run_strategy(
                 scene, strategy,
-                seed=seed, max_steps=max_steps,
-                temperature=temperature, wrap=wrap,
+                seed=seed, max_steps=max_steps, wrap=wrap,
             )
             elapsed_ms = (time.perf_counter() - start) * 1000.0
             tokens = len(record.steps)

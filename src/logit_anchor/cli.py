@@ -366,7 +366,8 @@ def read_trace_dir(traces_dir: Path):
     A manifest that cannot be read, is not a JSON object, lacks ``scene_spec``
     or ``strategies``, or holds a bad scene, label list or ``bin_width`` is an
     input error (exit 3) naming the file and the key; so is a file under
-    ``traces/<label>/`` not named ``<seed>.jsonl``. The returned manifest
+    ``traces/<label>/`` not named ``<seed>.jsonl``, or whose header holds
+    another seed. The returned manifest
     holds ``bin_width`` as read (the default when absent).
     """
     manifest_path = traces_dir / "manifest.json"
@@ -396,6 +397,9 @@ def read_trace_dir(traces_dir: Path):
         if not files:
             raise InputError(f"{traces_dir}: no traces for {label!r}")
         stats_by_label[label] = [read_trace(path) for path in files]
+        for path, run in zip(files, stats_by_label[label]):
+            if run.seed != _trace_seed(path):
+                raise InputError(f"{path}: header seed {run.seed} does not match the file name")
     return manifest, scene, stats_by_label
 
 

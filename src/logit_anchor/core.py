@@ -44,9 +44,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.tokens)
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
     def id_of(self, token: str) -> TokenId:
         try:
             return self._index[token]
@@ -111,12 +108,6 @@ class LogitVector:
     @property
     def size(self) -> int:
         return self.scores.shape[0]
-
-    def unmasked_count(self) -> int:
-        return int((~self.mask).sum())
-
-    def with_scores(self, scores) -> "LogitVector":
-        return LogitVector(_as_float64(scores), self.mask)
 
     def with_mask(self, mask) -> "LogitVector":
         return LogitVector(self.scores, np.asarray(mask, dtype=bool))

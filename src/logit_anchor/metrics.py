@@ -2,7 +2,7 @@
 
 Corpus side: captions are matched against per-image annotations through an
 object lexicon (surface form -> canonical object, longest match wins).
-Reported rates follow the usual conventions:
+``corpus_metrics`` reports these rates, under the usual conventions:
 
     chair_i   hallucinated distinct objects / mentioned distinct objects
     chair_s   captions containing at least one hallucinated object (a.k.a. Hal)
@@ -29,6 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .config import read_int
 from .core import GenerationRecord, Vocabulary
 from .errors import ConfigError, InputError
 
@@ -47,6 +48,7 @@ class ObjectLexicon:
     """
 
     forms: Mapping[str, tuple[str, ...]]
+    by_words: dict[tuple[str, ...], str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         normalized: dict[str, tuple[str, ...]] = {}
@@ -55,26 +57,19 @@ class ObjectLexicon:
                 raise ConfigError(f"object {obj!r} has no surface forms")
             normalized[obj] = tuple(s.lower() for s in surfaces)
         object.__setattr__(self, "forms", normalized)
-        claimed: dict[tuple[str, ...], str] = {}
+        by_words: dict[tuple[str, ...], str] = {}
         for obj, surfaces in normalized.items():
             for surface in surfaces:
                 words = tuple(surface.split())
                 if not words:
                     raise ConfigError(f"object {obj!r} has an empty surface form")
-                prior = claimed.get(words)
+                prior = by_words.get(words)
                 if prior is not None and prior != obj:
                     raise ConfigError(
                         f"surface {surface!r} maps to both {prior!r} and {obj!r}"
                     )
-                claimed[words] = obj
-
-    @cached_property
-    def by_words(self) -> dict[tuple[str, ...], str]:
-        out: dict[tuple[str, ...], str] = {}
-        for obj, surfaces in self.forms.items():
-            for surface in surfaces:
-                out[tuple(surface.split())] = obj
-        return out
+                by_words[words] = obj
+        object.__setattr__(self, "by_words", by_words)
 
     @cached_property
     def max_words(self) -> int:
@@ -186,31 +181,6 @@ def extract_objects(caption: CaptionRecord, lexicon: ObjectLexicon) -> tuple[Men
         if not matched:
             i += 1
     return tuple(out)
-
-
-def chair_i(mentioned: Iterable[str], gt_objects: Iterable[str]) -> float:
-    """Fraction of mentioned distinct objects that are not in the ground truth."""
-    mentioned = set(mentioned)
-    if not mentioned:
-        return 0.0
-    hallucinated = mentioned - set(gt_objects)
-    return len(hallucinated) / len(mentioned)
-
-
-def cover(mentioned: Iterable[str], gt_objects: Iterable[str]) -> float:
-    """Fraction of ground-truth objects that got mentioned."""
-    gt = set(gt_objects)
-    if not gt:
-        raise InputError("cover is undefined for an empty ground-truth set")
-    return len(set(mentioned) & gt) / len(gt)
-
-
-def cog(hallucinated: Iterable[str], cognition_objects: Iterable[str]) -> float:
-    """Fraction of hallucinated objects that are plausible confusions."""
-    hallucinated = set(hallucinated)
-    if not hallucinated:
-        return 0.0
-    return len(hallucinated & set(cognition_objects)) / len(hallucinated)
 
 
 @dataclass(frozen=True)
@@ -470,7 +440,6 @@ def positional_curves(
     runs: Sequence[RunStats],
     lexicon: TraceLexicon,
     bin_width: int = 20,
-    max_step: int | None = None,
 ) -> tuple[CurveBin, ...]:
     """Probability-mass curves over step bins, restricted to noun slots."""
     if bin_width < 1:
@@ -478,8 +447,6 @@ def positional_curves(
     sums: dict[int, list[float]] = {}
     for run in runs:
         for _, step in _noun_slots(run, lexicon):
-            if max_step is not None and step.t >= max_step:
-                continue
             cell = sums.setdefault(step.t // bin_width, [0.0, 0.0, 0])
             cell[0] += step.gt_mass
             cell[1] += step.hal_mass
@@ -506,10 +473,6 @@ class ArticleCell:
     hal_share: float
     gt_mean_prob: float
     hal_mean_prob: float
-
-    @property
-    def total(self) -> int:
-        return self.gt_count + self.hal_count
 
 
 @dataclass(frozen=True)
@@ -629,56 +592,15 @@ def sentence_initial_stats(runs: Sequence[RunStats]) -> SentenceInitialStats:
     )
 
 
-def emission_counts(run: RunStats, lexicon: TraceLexicon) -> tuple[int, int]:
-    """(hallucinated noun emissions, total noun emissions), multiplicity kept."""
-    hal = nouns = 0
-    for step in run.steps:
-        if step.chosen in lexicon.noun_ids:
-            nouns += 1
-            hal += step.chosen in lexicon.hal_ids
-    return hal, nouns
-
-
 def hal_noun_rate(runs: Sequence[RunStats], lexicon: TraceLexicon) -> float:
-    """Aggregate hallucinated share of emitted nouns across runs."""
+    """Aggregate hallucinated share of emitted nouns across runs, multiplicity kept."""
     hal = nouns = 0
-    for run in runs:
-        h, n = emission_counts(run, lexicon)
-        hal += h
-        nouns += n
-    return hal / nouns if nouns else 0.0
-
-
-@dataclass(frozen=True)
-class EmissionBin:
-    lo: int
-    hi: int
-    hal_emitted: int
-    nouns_emitted: int
-
-    @property
-    def hal_share(self) -> float:
-        return self.hal_emitted / self.nouns_emitted if self.nouns_emitted else 0.0
-
-
-def emission_bins(
-    runs: Sequence[RunStats], lexicon: TraceLexicon, bin_width: int = 20
-) -> tuple[EmissionBin, ...]:
-    """Noun emissions and their hallucinated share, binned by step index."""
-    if bin_width < 1:
-        raise ConfigError(f"bin_width must be >= 1, got {bin_width}")
-    counts: dict[int, list[int]] = {}
     for run in runs:
         for step in run.steps:
             if step.chosen in lexicon.noun_ids:
-                cell = counts.setdefault(step.t // bin_width, [0, 0])
-                cell[0] += step.chosen in lexicon.hal_ids
-                cell[1] += 1
-    return tuple(
-        EmissionBin(lo=b * bin_width, hi=(b + 1) * bin_width,
-                    hal_emitted=h, nouns_emitted=n)
-        for b, (h, n) in sorted(counts.items())
-    )
+                nouns += 1
+                hal += step.chosen in lexicon.hal_ids
+    return hal / nouns if nouns else 0.0
 
 
 def simulated_corpus(
@@ -755,7 +677,8 @@ def write_trace(
 
 
 def read_trace(path) -> RunStats:
-    """Read one JSONL trace back into the summary form."""
+    """Read one JSONL trace back into the summary form; a malformed record (say,
+    an integer field holding a fraction) is an InputError naming the file and line."""
     steps: list[StepStats] = []
     header: dict | None = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -773,37 +696,39 @@ def read_trace(path) -> RunStats:
             if kind == "run":
                 if header is not None:
                     raise InputError(f"{path}:{lineno}: duplicate run header")
-                header = data
+                header, header_line = data, lineno
             elif kind == "step":
                 try:
                     steps.append(
                         StepStats(
-                            t=int(data["t"]),
-                            chosen=int(data["chosen"]),
+                            t=read_int(data["t"], "t"),
+                            chosen=read_int(data["chosen"], "chosen"),
                             token=str(data["token"]),
                             entropy=float(data["entropy"]),
                             chosen_prob=float(data["chosen_prob"]),
                             gt_mass=float(data["gt_mass"]),
                             hal_mass=float(data["hal_mass"]),
-                            provider_calls=int(data["provider_calls"]),
+                            provider_calls=read_int(data["provider_calls"], "provider_calls"),
                         )
                     )
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError, ConfigError) as exc:
                     raise InputError(f"{path}:{lineno}: bad step record ({exc})") from exc
             else:
                 raise InputError(f"{path}:{lineno}: unknown record kind {kind!r}")
     if header is None:
         raise InputError(f"{path}: missing run header")
     try:
-        n_steps = int(header.get("n_steps", len(steps)))
+        n_steps = read_int(header.get("n_steps", len(steps)), "n_steps")
         stats = RunStats(
             prompt_id=str(header["prompt_id"]),
             strategy=str(header["strategy"]),
-            seed=int(header["seed"]),
+            seed=read_int(header["seed"], "seed"),
             steps=tuple(steps),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path}: bad run header ({type(exc).__name__}: {exc})") from exc
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise InputError(
+            f"{path}:{header_line}: bad run header ({type(exc).__name__}: {exc})"
+        ) from exc
     if len(steps) != n_steps:
         raise InputError(f"{path}: header declares {n_steps} steps, found {len(steps)}")
     return stats

@@ -1,6 +1,8 @@
 """Bind strategy descriptors to scene providers and execute runs.
 
-Each call decodes its runs in one process and one thread: all seeds of one
+``run_many`` runs every (strategy, seed) pair of a command; ``run_strategy``
+runs one, optionally through a provider wrapper (the bench's padded cost
+model). Each call decodes its runs in one process and one thread: all seeds of one
 strategy go through ``strategies.decode`` together, as the rows of one
 lockstep batch, with fresh provider instances per strategy (so call counters
 never leak between strategies). Each row has its own seed-derived random
@@ -20,13 +22,15 @@ from .strategies import CONTRASTIVE_KINDS, Strategy, decode
 ProviderWrap = Callable[[object], object]
 
 
-def make_providers(
+def _decode(
     scene: SceneSpec,
     strategy: Strategy,
+    seeds: Sequence[int],
     wrap: ProviderWrap | None = None,
-) -> tuple[object, object | None]:
-    """Fresh positive (and, for contrastive kinds, negative) providers."""
-    positive = SyntheticProvider(scene)
+    **kwargs,
+) -> list[GenerationRecord]:
+    """Decode ``seeds`` through fresh providers, each mapped by ``wrap`` if given."""
+    provider = SyntheticProvider(scene)
     negative = None
     if strategy.kind in CONTRASTIVE_KINDS:
         variant = NegativeVariantSpec(
@@ -35,20 +39,9 @@ def make_providers(
         )
         negative = NegativeProvider(scene, variant)
     if wrap is not None:
-        positive = wrap(positive)
+        provider = wrap(provider)
         if negative is not None:
             negative = wrap(negative)
-    return positive, negative
-
-
-def _decode(
-    scene: SceneSpec,
-    strategy: Strategy,
-    seeds: Sequence[int],
-    wrap: ProviderWrap | None = None,
-    **kwargs,
-) -> list[GenerationRecord]:
-    provider, negative = make_providers(scene, strategy, wrap)
     return decode(
         strategy, provider, seeds, negative=negative, noun_ids=scene.noun_ids, **kwargs
     )

@@ -375,31 +375,6 @@ def scene_logit_rows(
     return scores
 
 
-def logits_for(
-    scene: SceneSpec,
-    state: GrammarState,
-    t: int,
-    rng: np.random.Generator | None = None,
-) -> LogitVector:
-    """Scene logits at step t: the one-row case of :func:`scene_logit_rows`.
-
-    With ``noise_sigma == 0`` (or no rng) this is a pure function of
-    (scene, state, t).
-    """
-    return LogitVector.of(scene_logit_rows(scene, None, [state], t, [rng])[0])
-
-
-def negative_logits_for(
-    scene: SceneSpec,
-    variant: NegativeVariantSpec,
-    state: GrammarState,
-    t: int,
-    rng: np.random.Generator | None = None,
-) -> LogitVector:
-    """Logits from a degraded view of the same scene (one row)."""
-    return LogitVector.of(scene_logit_rows(scene, variant, [state], t, [rng])[0])
-
-
 class SyntheticProvider:
     """Logit provider backed by a scene.
 

@@ -23,7 +23,8 @@ lockstep: each seed is a row, every per-step operation works on
 ``[rows, vocab]`` arrays, and a row retires when it emits EOS. A single run
 is the one-row case. ``boost``, ``core.softmax``, ``core.entropy`` and the
 ``plausibility`` operations are the one-vector references the row kernels
-are tested against.
+are tested against; the contrastive combination (``_combine``) and the
+step-0 contribution (``_l0_lane``, ``_l0_rows``) exist only as row kernels.
 
 Each row owns its randomness: its seed is split into three independent
 streams (sampling, positive-provider jitter, negative-provider jitter), and
@@ -73,9 +74,6 @@ L0_FULL = "full"
 L0_NOUNS_ONLY = "nouns_only"
 L0_THE_ONLY = "the_only"
 L0_MASKS = (L0_FULL, L0_NOUNS_ONLY, L0_THE_ONLY)
-
-SAMPLE = "sample"
-GREEDY_MODE = "greedy"
 
 _NEGATIVE_KIND_FOR = {
     VCD: NOISY_VISUAL,
@@ -150,34 +148,6 @@ class FlbConfig:
 def _combine(pos: np.ndarray, neg: np.ndarray, alpha: float) -> np.ndarray:
     """The contrastive combination of positive and negative scores."""
     return (1.0 + alpha) * pos - alpha * neg
-
-
-def contrastive_adjust(l_pos: LogitVector, l_neg: LogitVector, alpha: float) -> LogitVector:
-    """(1 + alpha) * positive - alpha * negative, masks unioned."""
-    if alpha < 0:
-        raise ConfigError(f"alpha must be >= 0, got {alpha!r}")
-    if l_pos.size != l_neg.size:
-        raise ContractError(
-            f"positive size {l_pos.size} does not match negative size {l_neg.size}"
-        )
-    return LogitVector(_combine(l_pos.scores, l_neg.scores, alpha), l_pos.mask | l_neg.mask)
-
-
-def mask_l0(
-    l0: LogitVector,
-    mode: str,
-    vocab: Vocabulary,
-    noun_ids: Sequence[TokenId] | None = None,
-) -> LogitVector:
-    """Turn the raw step-0 logits into a per-token additive contribution.
-
-    Entries outside the selected mode contribute exactly 0 (they are zeroed,
-    not given a raw zero logit): ``nouns_only`` keeps noun entries,
-    ``the_only`` keeps the single "The" entry, ``full`` keeps everything.
-    Entries excluded in ``l0`` itself also contribute 0.
-    """
-    contrib = _l0_rows(l0.scores, l0.mask, _l0_lane(mode, vocab, noun_ids))
-    return LogitVector(contrib, np.zeros(contrib.shape[0], dtype=bool))
 
 
 def boost(l_t: LogitVector, l0_contrib: LogitVector, w_t: float) -> LogitVector:
@@ -422,6 +392,12 @@ def _frozen(*arrays: np.ndarray | None) -> None:
             arr.setflags(write=False)
 
 
+# Settings that overflow make inf, then nan in the softmax's max shift;
+# _check_step reports them as a ConfigError, so numpy's warnings would only
+# repeat it on stderr. Entered once per call, this exempts all of decode from
+# the suite's RuntimeWarning filter; the finite-provider-row and probability
+# checks still catch what it silences (entropy reads only positive entries).
+@np.errstate(over="ignore", invalid="ignore")
 def decode(
     strategy: "Strategy",
     provider: LogitProvider,
@@ -451,7 +427,7 @@ def decode(
     if contrastive and negative is None:
         raise ConfigError(f"{kind} needs a negative provider")
     label = strategy.label()
-    greedy = strategy.mode == GREEDY_MODE
+    greedy = kind == GREEDY
     eos_id = provider.eos_id
     if contrastive:
         alpha, beta = strategy.contrastive.alpha, strategy.contrastive.beta
@@ -591,10 +567,6 @@ class Strategy:
                 raise ConfigError(f"{self.kind} takes no contrastive or flb settings")
             if self.beta is not None and not 0.0 <= self.beta <= 1.0:
                 raise ConfigError(f"beta must lie in [0, 1], got {self.beta!r}")
-
-    @property
-    def mode(self) -> str:
-        return GREEDY_MODE if self.kind == GREEDY else SAMPLE
 
     @property
     def negative_kind(self) -> str | None:

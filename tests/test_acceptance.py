@@ -26,9 +26,9 @@ from logit_anchor import (
     WeightSchedule,
     candidate_set,
     cli,
-    emission_counts,
     entropy,
     entropy_stats,
+    hal_noun_rate,
     object_score,
     parse_strategy,
     positional_curves,
@@ -85,20 +85,7 @@ def paired_arms():
 
 
 def per_seed_rates(runs, lexicon) -> np.ndarray:
-    rates = []
-    for run in runs:
-        hal, nouns = emission_counts(run, lexicon)
-        rates.append(hal / nouns if nouns else 0.0)
-    return np.asarray(rates)
-
-
-def aggregate_rate(runs, lexicon) -> float:
-    hal = nouns = 0
-    for run in runs:
-        h, n = emission_counts(run, lexicon)
-        hal += h
-        nouns += n
-    return hal / nouns
+    return np.asarray([hal_noun_rate([run], lexicon) for run in runs])
 
 
 def test_c01_weight_schedule_exactness(report):
@@ -223,8 +210,8 @@ def test_c07_decay_mitigation_direction(report, paired_arms):
         scene, lexicon, arms = paired_arms
         base_rates = per_seed_rates(arms["baseline"], lexicon)
         flb_rates = per_seed_rates(arms["full"], lexicon)
-        assert aggregate_rate(arms["full"], lexicon) \
-            < aggregate_rate(arms["baseline"], lexicon)
+        assert hal_noun_rate(arms["full"], lexicon) \
+            < hal_noun_rate(arms["baseline"], lexicon)
         wins = int((flb_rates < base_rates).sum())
         losses = int((flb_rates > base_rates).sum())
         n = wins + losses
@@ -241,10 +228,10 @@ def test_c08_ablation_ordering(report, paired_arms):
     with report(8, "ablation ordering"):
         start = time.perf_counter()
         scene, lexicon, arms = paired_arms
-        base = aggregate_rate(arms["baseline"], lexicon)
-        nouns_only = aggregate_rate(arms["nouns_only"], lexicon)
-        the_only = aggregate_rate(arms["the_only"], lexicon)
-        full = aggregate_rate(arms["full"], lexicon)
+        base = hal_noun_rate(arms["baseline"], lexicon)
+        nouns_only = hal_noun_rate(arms["nouns_only"], lexicon)
+        the_only = hal_noun_rate(arms["the_only"], lexicon)
+        full = hal_noun_rate(arms["full"], lexicon)
         assert nouns_only < base
         assert the_only < base
         best_arm = "nouns_only" if nouns_only <= the_only else "the_only"

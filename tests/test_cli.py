@@ -146,7 +146,6 @@ class TestSimulate:
         (("--strategies", "vcd:alpha=1e308"), "vcd(alpha=1e+308,"),
         (("--strategies", "baseline", "--temperature", "1e-320"), "baseline: "),
     ])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_setting_exits_2(self, tmp_path, capsys, flags, label):
         assert run_cli("simulate", *flags, "--seeds", "0:3", "--out", tmp_path / "o") == 2
         err = capsys.readouterr().err
@@ -340,7 +339,9 @@ class TestEvaluateTraces:
         ),
         lambda d: _edit_line(d / "0.jsonl", 0, lambda h: {**h, "n_steps": "x"}),
         lambda d: _edit_line(d / "0.jsonl", 1, lambda s: list(s.values())),
-    ], ids=["other_jsonl_file", "header_without_seed", "n_steps_text", "step_array"])
+        lambda d: _edit_line(d / "0.jsonl", 0, lambda h: {**h, "seed": 1}),
+    ], ids=["other_jsonl_file", "header_without_seed", "n_steps_text", "step_array",
+            "header_seed_not_file_name"])
     def test_malformed_trace_exits_3_naming_the_file(self, tmp_path, capsys, edit):
         sim_out = tmp_path / "sim"
         assert run_cli(
@@ -351,6 +352,26 @@ class TestEvaluateTraces:
         capsys.readouterr()
         assert run_cli("evaluate", "--traces", sim_out) == 3
         assert capsys.readouterr().err.startswith(f"error: {bad}")
+
+    @pytest.mark.parametrize("line, field, value", [
+        (0, "seed", 3.5), (0, "n_steps", 5.0001), (1, "t", 2.9), (1, "chosen", 1.5),
+        (1, "provider_calls", True),
+    ])
+    def test_non_integer_trace_field_exits_3_naming_it(
+        self, tmp_path, capsys, line, field, value
+    ):
+        sim_out = tmp_path / "sim"
+        assert run_cli(
+            "simulate", "--strategies", "baseline", "--seeds", "0", "--max-steps", "5",
+            "--out", sim_out,
+        ) == 0
+        bad = _edit_line(
+            sim_out / "traces" / "baseline" / "0.jsonl", line, lambda r: {**r, field: value}
+        )
+        capsys.readouterr()
+        assert run_cli("evaluate", "--traces", sim_out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:{line + 1}: ") and f"{field}: {value!r}" in err
 
 
 class TestSweep:

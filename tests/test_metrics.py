@@ -22,12 +22,7 @@ from logit_anchor import (
     Strategy,
     TraceLexicon,
     article_stats,
-    chair_i,
-    cog,
     corpus_metrics,
-    cover,
-    emission_bins,
-    emission_counts,
     entropy_stats,
     extract_objects,
     hal_noun_rate,
@@ -88,22 +83,6 @@ class TestExtraction:
     def test_round_trip_dict(self):
         lex = ObjectLexicon({"dog": ("dog", "puppy")})
         assert ObjectLexicon.from_dict(lex.to_dict()) == lex
-
-
-class TestPerCaptionRates:
-    def test_chair_i(self):
-        assert chair_i({"a", "b"}, {"a"}) == 0.5
-        assert chair_i(set(), {"a"}) == 0.0
-        assert chair_i({"x"}, {"a"}) == 1.0
-
-    def test_cover(self):
-        assert cover({"a"}, {"a", "b"}) == 0.5
-        with pytest.raises(InputError):
-            cover({"a"}, set())
-
-    def test_cog(self):
-        assert cog({"x", "y"}, {"x"}) == 0.5
-        assert cog(set(), {"x"}) == 0.0
 
 
 class TestGoldenCorpus:
@@ -251,7 +230,6 @@ class TestTraceAnalytics:
     def test_emission_counts_and_rate(self, scene):
         run = mk_run(scene, SPEC)
         lex = trace_lexicon(scene)
-        assert emission_counts(run, lex) == (1, 2)
         assert hal_noun_rate([run], lex) == 0.5
         assert hal_noun_rate([], lex) == 0.0
 
@@ -267,13 +245,6 @@ class TestTraceAnalytics:
         assert [bb.slots for bb in fine] == [1, 1]
         with pytest.raises(ConfigError):
             positional_curves([run], trace_lexicon(scene), bin_width=0)
-
-    def test_emission_bins(self, scene):
-        run = mk_run(scene, SPEC)
-        bins = emission_bins([run], trace_lexicon(scene), bin_width=3)
-        assert [(b.lo, b.hal_emitted, b.nouns_emitted) for b in bins] == \
-            [(0, 0, 1), (3, 1, 1)]
-        assert bins[1].hal_share == 1.0
 
     def test_summarize_record_consistency(self, scene):
         rec = run_strategy(scene, Strategy(kind="baseline"), seed=0, max_steps=25)
@@ -363,9 +334,12 @@ class TestDecayStatistics:
                 scene_obj, [Strategy(kind="baseline")], seeds, max_steps=max_steps
             )
         ]
-        bins = emission_bins(runs, lex, bin_width=20)
-        table = [(b.hal_emitted, b.nouns_emitted - b.hal_emitted) for b in bins]
-        return [row for row in table if sum(row) >= 20]
+        bins: dict[int, list[int]] = {}  # step bin -> [hal, gt] noun emissions
+        for run in runs:
+            for step in run.steps:
+                if step.chosen in lex.noun_ids:
+                    bins.setdefault(step.t // 20, [0, 0])[step.chosen in lex.gt_ids] += 1
+        return [row for _, row in sorted(bins.items()) if sum(row) >= 20]
 
     def test_no_decay_is_flat_and_decay_is_not(self, nodecay_scene, scene):
         scipy_stats = pytest.importorskip("scipy.stats")

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logit_anchor import ConfigError, SceneSpec, Vocabulary, default_scene, preset
+from logit_anchor import ConfigError, LogitVector, SceneSpec, Vocabulary, default_scene, preset
 from logit_anchor.simulator import (
     AFTER_ARTICLE,
     AFTER_CONNECTIVE,
@@ -30,14 +30,17 @@ from logit_anchor.simulator import (
     NegativeVariantSpec,
     SyntheticProvider,
     decay_at,
-    logits_for,
-    negative_logits_for,
     scene_from_dict,
     scene_logit_rows,
     scene_to_dict,
 )
 
 MARGIN_AT_50 = -1.6716600055044048  # 4 * exp(-2.5) - 2
+
+
+def scene_row(scene, variant, state, t, rng=None):
+    """One row of ``scene_logit_rows``: ``variant``'s logits (the scene's for None)."""
+    return LogitVector.of(scene_logit_rows(scene, variant, [state], t, [rng])[0])
 
 
 def noun_slot(scene, article="A"):
@@ -169,14 +172,14 @@ class TestGrammar:
 class TestLogits:
     def test_pure_without_noise(self, scene):
         quiet = replace(scene, noise_sigma=0.0)
-        a = logits_for(quiet, GrammarState(), 0, np.random.default_rng(0))
-        b = logits_for(quiet, GrammarState(), 0, np.random.default_rng(99))
+        a = scene_row(quiet, None, GrammarState(), 0, np.random.default_rng(0))
+        b = scene_row(quiet, None, GrammarState(), 0, np.random.default_rng(99))
         assert np.array_equal(a.scores, b.scores)
-        c = logits_for(scene, GrammarState(), 0, rng=None)
+        c = scene_row(scene, None, GrammarState(), 0, rng=None)
         assert np.array_equal(a.scores, c.scores)
 
     def test_grammar_penalty_is_finite_offset(self, scene):
-        lv = logits_for(scene, GrammarState(), 0, rng=None)
+        lv = scene_row(scene, None, GrammarState(), 0, rng=None)
         v = scene.vocabulary
         assert not lv.mask.any()  # penalty, not exclusion
         assert lv.scores[v.id_of("The")] == 5.0
@@ -188,7 +191,7 @@ class TestLogits:
         assert d == pytest.approx(2.0 * (1 - math.exp(-0.05 * 50)), abs=1e-15)
 
     def test_margin_reference_at_50(self, scene):
-        lv = logits_for(scene, noun_slot(scene, "A"), 50, rng=None)
+        lv = scene_row(scene, None, noun_slot(scene, "A"), 50, rng=None)
         v = scene.vocabulary
         margin = lv.scores[v.id_of("dog")] - lv.scores[v.id_of("cat")]
         assert margin == pytest.approx(MARGIN_AT_50, abs=1e-12)
@@ -197,37 +200,37 @@ class TestLogits:
         v = scene.vocabulary
 
         def margin(t):
-            lv = logits_for(scene, noun_slot(scene, "A"), t, rng=None)
+            lv = scene_row(scene, None, noun_slot(scene, "A"), t, rng=None)
             return lv.scores[v.id_of("dog")] - lv.scores[v.id_of("cat")]
 
         assert margin(13) > 0 > margin(14)
 
     def test_grounding_suppresses_hal_after_the(self, scene):
         v = scene.vocabulary
-        after_the = logits_for(scene, noun_slot(scene, "The"), 10, rng=None)
-        after_a = logits_for(scene, noun_slot(scene, "A"), 10, rng=None)
+        after_the = scene_row(scene, None, noun_slot(scene, "The"), 10, rng=None)
+        after_a = scene_row(scene, None, noun_slot(scene, "A"), 10, rng=None)
         assert after_a.scores[v.id_of("cat")] - after_the.scores[v.id_of("cat")] \
             == pytest.approx(3.0, abs=1e-12)
         assert after_a.scores[v.id_of("dog")] == after_the.scores[v.id_of("dog")]
-        after_in = logits_for(scene, noun_slot(scene, "In"), 10, rng=None)
+        after_in = scene_row(scene, None, noun_slot(scene, "In"), 10, rng=None)
         assert after_a.scores[v.id_of("cat")] - after_in.scores[v.id_of("cat")] \
             == pytest.approx(1.0, abs=1e-12)
 
     def test_noise_is_seed_reproducible(self, scene):
-        a = logits_for(scene, GrammarState(), 3, np.random.default_rng(7))
-        b = logits_for(scene, GrammarState(), 3, np.random.default_rng(7))
-        c = logits_for(scene, GrammarState(), 3, np.random.default_rng(8))
+        a = scene_row(scene, None, GrammarState(), 3, np.random.default_rng(7))
+        b = scene_row(scene, None, GrammarState(), 3, np.random.default_rng(7))
+        c = scene_row(scene, None, GrammarState(), 3, np.random.default_rng(8))
         assert np.array_equal(a.scores, b.scores)
         assert not np.array_equal(a.scores, c.scores)
 
     def test_negative_step_rejected(self, scene):
         with pytest.raises(Exception):
-            logits_for(scene, GrammarState(), -1)
+            scene_row(scene, None, GrammarState(), -1)
 
 
 class TestNegativeVariants:
     def test_unconditioned_equalizes_class_means(self, scene):
-        lv = negative_logits_for(
+        lv = scene_row(
             scene, NegativeVariantSpec(UNCONDITIONED), noun_slot(scene), 30, rng=None
         )
         gt = lv.scores[scene.gt_ids].mean()
@@ -236,8 +239,8 @@ class TestNegativeVariants:
 
     def test_noisy_visual_shrinks_margin(self, scene):
         state = noun_slot(scene)
-        pos = logits_for(scene, state, 30, rng=None)
-        neg = negative_logits_for(
+        pos = scene_row(scene, None, state, 30, rng=None)
+        neg = scene_row(
             scene, NegativeVariantSpec(NOISY_VISUAL, strength=0.7), state, 30, rng=None
         )
         pos_margin = pos.scores[scene.gt_ids].mean() - pos.scores[scene.hal_ids].mean()
@@ -246,8 +249,8 @@ class TestNegativeVariants:
 
     def test_noisy_visual_strength_zero_matches_positive(self, scene):
         state = noun_slot(scene)
-        pos = logits_for(scene, state, 12, rng=None)
-        neg = negative_logits_for(
+        pos = scene_row(scene, None, state, 12, rng=None)
+        neg = scene_row(
             scene, NegativeVariantSpec(NOISY_VISUAL, strength=0.0), state, 12, rng=None
         )
         assert neg.scores == pytest.approx(pos.scores, abs=1e-12)
@@ -255,8 +258,8 @@ class TestNegativeVariants:
     def test_perturbed_instruction_moves_the_penalty(self, scene):
         quiet = replace(scene, noise_sigma=0.0)
         state = GrammarState()
-        pos = logits_for(quiet, state, 0, rng=None)
-        neg = negative_logits_for(
+        pos = scene_row(quiet, None, state, 0, rng=None)
+        neg = scene_row(
             quiet, NegativeVariantSpec(PERTURBED_INSTRUCTION, strength=1.0),
             state, 0, np.random.default_rng(5),
         )
@@ -266,8 +269,8 @@ class TestNegativeVariants:
 
     def test_perturbed_instruction_strength_zero_matches_positive(self, scene):
         state = GrammarState()
-        pos = logits_for(scene, state, 0, rng=None)
-        neg = negative_logits_for(
+        pos = scene_row(scene, None, state, 0, rng=None)
+        neg = scene_row(
             scene, NegativeVariantSpec(PERTURBED_INSTRUCTION, strength=0.0),
             state, 0, rng=None,
         )
@@ -289,7 +292,7 @@ class TestProviders:
         assert provider.calls == 0
         lv = provider.logits(history, 1, rng=None)
         assert provider.calls == 1
-        expected = logits_for(quiet, quiet.state_after(history), 1, rng=None)
+        expected = scene_row(quiet, None, quiet.state_after(history), 1, rng=None)
         assert np.array_equal(lv.scores, expected.scores)
         assert provider.eos_id == quiet.eos_id
         assert provider.vocab is quiet.vocabulary
@@ -300,7 +303,7 @@ class TestProviders:
         history = tuple(history)
         state = fold(SCENE, history)
         got = SyntheticProvider(SCENE).logits(history, t, np.random.default_rng(seed))
-        want = logits_for(SCENE, state, t, np.random.default_rng(seed))
+        want = scene_row(SCENE, None, state, t, np.random.default_rng(seed))
         assert np.array_equal(got.scores, want.scores)
         assert np.array_equal(got.mask, want.mask)
         for kind in NEGATIVE_KINDS:
@@ -308,7 +311,7 @@ class TestProviders:
             got = NegativeProvider(SCENE, variant).logits(
                 history, t, np.random.default_rng(seed)
             )
-            want = negative_logits_for(
+            want = scene_row(
                 SCENE, variant, state, t, np.random.default_rng(seed)
             )
             assert np.array_equal(got.scores, want.scores)
@@ -336,10 +339,7 @@ class TestProviders:
         for variant in (None, *(NegativeVariantSpec(k, strength) for k in NEGATIVE_KINDS)):
             rows = scene_logit_rows(SCENE, variant, states, t, rngs())
             for row, state, rng in zip(rows, states, rngs()):
-                if variant is None:
-                    want = logits_for(SCENE, state, t, rng)
-                else:
-                    want = negative_logits_for(SCENE, variant, state, t, rng)
+                want = scene_row(SCENE, variant, state, t, rng)
                 assert row.tobytes() == want.scores.tobytes()
             provider = (SyntheticProvider(SCENE) if variant is None
                         else NegativeProvider(SCENE, variant))
@@ -353,7 +353,7 @@ class TestProviders:
         provider = NegativeProvider(quiet, NegativeVariantSpec(UNCONDITIONED))
         lv = provider.logits((), 0, rng=None)
         assert provider.calls == 1
-        expected = negative_logits_for(
+        expected = scene_row(
             quiet, NegativeVariantSpec(UNCONDITIONED), GrammarState(), 0, rng=None
         )
         assert np.array_equal(lv.scores, expected.scores)

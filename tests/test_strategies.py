@@ -23,10 +23,8 @@ from logit_anchor import (
     apply_mask,
     boost,
     candidate_set,
-    contrastive_adjust,
     decode,
     entropy,
-    mask_l0,
     parse_strategy,
     run_many,
     run_strategy,
@@ -34,7 +32,7 @@ from logit_anchor import (
     weight_at,
 )
 from logit_anchor import strategies
-from logit_anchor.simulator import SyntheticProvider
+from logit_anchor.simulator import NegativeProvider, NegativeVariantSpec, SyntheticProvider
 from logit_anchor.weighting import CONSTANT, DECREASING, INCREASING
 
 
@@ -58,46 +56,69 @@ def decode_flb(provider, cfg, *, seed, max_steps=60):
     return record
 
 
+def l0_contrib(l0, mode, vocab, noun_ids=None):
+    """The boost's step-0 contribution, as the decode loop computes it."""
+    return strategies._l0_rows(l0.scores, l0.mask, strategies._l0_lane(mode, vocab, noun_ids))
+
+
+class Masked:
+    """Serves ``inner`` through ``logits`` (no ``logit_rows``), with ``ids`` masked."""
+
+    def __init__(self, inner, ids):
+        self.inner, self.ids = inner, ids
+        self.vocab, self.eos_id = inner.vocab, inner.eos_id
+
+    @property
+    def calls(self):
+        return self.inner.calls
+
+    def logits(self, history, t, rng=None):
+        vec = self.inner.logits(history, t, rng)
+        mask = vec.mask.copy()
+        mask[self.ids] = True
+        return vec.with_mask(mask)
+
+
 class TestL0Contribution:
     def test_full_keeps_everything(self, scene):
         l0 = LogitVector.of([1.0, -2.0, 3.0])
-        contrib = mask_l0(l0, "full", Vocabulary(("x", "y", "z")))
-        assert list(contrib.scores) == [1.0, -2.0, 3.0]
+        contrib = l0_contrib(l0, "full", Vocabulary(("x", "y", "z")))
+        assert list(contrib) == [1.0, -2.0, 3.0]
 
     def test_masked_cache_entries_contribute_zero(self):
         l0 = LogitVector.of([1.0, 2.0], np.array([False, True]))
-        contrib = mask_l0(l0, "full", Vocabulary(("x", "y")))
-        assert list(contrib.scores) == [1.0, 0.0]
+        contrib = l0_contrib(l0, "full", Vocabulary(("x", "y")))
+        assert list(contrib) == [1.0, 0.0]
 
     def test_nouns_only(self, scene):
         l0 = LogitVector.of(np.arange(scene.vocabulary.size, dtype=float))
-        contrib = mask_l0(l0, "nouns_only", scene.vocabulary, scene.noun_ids)
+        contrib = l0_contrib(l0, "nouns_only", scene.vocabulary, scene.noun_ids)
         keep = np.zeros(scene.vocabulary.size, dtype=bool)
         keep[scene.noun_ids] = True
-        assert (contrib.scores[~keep] == 0.0).all()
-        assert np.array_equal(contrib.scores[keep], np.arange(48.0)[keep])
+        assert (contrib[~keep] == 0.0).all()
+        assert np.array_equal(contrib[keep], np.arange(48.0)[keep])
 
     def test_nouns_only_requires_ids(self, scene):
         l0 = LogitVector.of(np.zeros(48))
         with pytest.raises(ConfigError):
-            mask_l0(l0, "nouns_only", scene.vocabulary, None)
+            l0_contrib(l0, "nouns_only", scene.vocabulary, None)
 
     def test_the_only(self, scene):
         l0 = LogitVector.of(np.ones(scene.vocabulary.size))
-        contrib = mask_l0(l0, "the_only", scene.vocabulary)
+        contrib = l0_contrib(l0, "the_only", scene.vocabulary)
         the = scene.vocabulary.id_of("The")
-        assert contrib.scores[the] == 1.0
-        assert contrib.scores.sum() == 1.0
+        assert contrib[the] == 1.0
+        assert contrib.sum() == 1.0
 
     def test_the_only_requires_the_token(self):
         l0 = LogitVector.of([1.0, 2.0])
         with pytest.raises(ConfigError):
-            mask_l0(l0, "the_only", Vocabulary(("x", "y")))
+            l0_contrib(l0, "the_only", Vocabulary(("x", "y")))
 
     def test_unknown_mode_rejected(self, scene):
         l0 = LogitVector.of(np.zeros(48))
         with pytest.raises(ConfigError):
-            mask_l0(l0, "verbs_only", scene.vocabulary)
+            l0_contrib(l0, "verbs_only", scene.vocabulary)
 
 
 class TestPureOps:
@@ -117,25 +138,27 @@ class TestPureOps:
             boost(LogitVector.of([1.0]), LogitVector.of([1.0, 2.0]), 0.5)
 
     def test_contrastive_adjust_formula(self):
-        pos = LogitVector.of([1.0, 2.0])
-        neg = LogitVector.of([0.0, 4.0])
-        out = contrastive_adjust(pos, neg, 0.5)
-        assert list(out.scores) == [1.5, 1.0]
+        out = strategies._combine(np.array([1.0, 2.0]), np.array([0.0, 4.0]), 0.5)
+        assert list(out) == [1.5, 1.0]
 
-    def test_contrastive_adjust_unions_masks(self):
-        pos = LogitVector.of([1.0, 2.0, 3.0], np.array([True, False, False]))
-        neg = LogitVector.of([0.0, 0.0, 0.0], np.array([False, True, False]))
-        out = contrastive_adjust(pos, neg, 1.0)
-        assert list(out.mask) == [True, True, False]
+    def test_contrastive_adjust_unions_masks(self, scene):
+        """A token either provider masks is masked in the combined scores, and nothing else is."""
+        the, a = scene.vocabulary.id_of("The"), scene.vocabulary.id_of("A")
+        negative = NegativeProvider(scene, NegativeVariantSpec("noisy_visual", 0.7))
+        for seeds in ([0], [0, 1]):  # a lone row is 1-d, several are 2-d
+            records = decode(
+                parse_strategy("vcd:beta=0"), Masked(SyntheticProvider(scene), [the]),
+                seeds, negative=Masked(negative, [a]), max_steps=10,
+            )
+            for step in (s for r in records for s in r.steps):
+                assert step.adjusted_logits.mask[[the, a]].all()
+                assert np.count_nonzero(step.adjusted_logits.mask) == 2
+                assert step.chosen not in (the, a)
 
     @pytest.mark.parametrize("alpha", [float("inf"), float("nan"), -0.5])
     def test_contrastive_config_rejects_bad_alpha(self, alpha):
         with pytest.raises(ConfigError, match="alpha must be finite and >= 0"):
             ContrastiveConfig(alpha=alpha)
-
-    def test_contrastive_negative_alpha_rejected(self):
-        with pytest.raises(ConfigError):
-            contrastive_adjust(LogitVector.of([1.0]), LogitVector.of([1.0]), -0.1)
 
 
 class TestConstrainFast:
@@ -208,25 +231,10 @@ class TestConstrainFast:
             assert np.array_equal(got.reshape(-1), want.mask)
 
     def test_fully_masked_provider_row_is_rejected(self, scene):
-        class MaskingProvider:
-            """Served through ``logits`` (no ``logit_rows``); masks every token."""
-
-            def __init__(self):
-                self.inner = SyntheticProvider(scene)
-                self.vocab, self.eos_id = self.inner.vocab, self.inner.eos_id
-
-            @property
-            def calls(self):
-                return self.inner.calls
-
-            def logits(self, history, t, rng=None):
-                vec = self.inner.logits(history, t, rng)
-                return vec.with_mask(np.ones(vec.size, dtype=bool))
-
         for text in ("baseline", "baseline:beta=0.1", "flb"):
             with pytest.raises(ExclusionError, match="fully masked"):
-                decode(parse_strategy(text), MaskingProvider(), [0, 1],
-                       noun_ids=scene.noun_ids)
+                decode(parse_strategy(text), Masked(SyntheticProvider(scene), slice(None)),
+                       [0, 1], noun_ids=scene.noun_ids)
 
 
 class TestDecodeFlb:
@@ -350,10 +358,6 @@ class TestStrategyDescriptor:
         with pytest.raises(ConfigError):
             Strategy(kind="beam")
 
-    def test_greedy_mode(self):
-        assert Strategy(kind="greedy").mode == "greedy"
-        assert Strategy(kind="baseline").mode == "sample"
-
 
 class TestParseStrategy:
     def test_plain_kinds(self):
@@ -446,7 +450,6 @@ class TestDescriptorProperty:
     @example(text="vcd:alpha=1e308")
     @example(text="icd:alpha=1e308,beta=0")
     @example(text="flb:gamma=1e200")
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_parses_and_decodes_or_raises_config_error(self, scene, text):
         """Any descriptor decodes on the default scene or is a ConfigError.
 
