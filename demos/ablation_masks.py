@@ -11,7 +11,8 @@ mechanisms by which the boost grounds later nouns.
 import argparse
 
 from logit_anchor import (
-    FlbConfig,
+    DEFAULT_GAMMA,
+    DEFAULT_LAM,
     Strategy,
     TraceLexicon,
     WeightSchedule,
@@ -29,7 +30,7 @@ def main(args):
     schedule = WeightSchedule("increasing", args.gamma, args.lam)
 
     def flb(mask):
-        return Strategy(kind="flb", flb=FlbConfig(schedule=schedule, l0_mask=mask))
+        return Strategy(kind="flb", schedule=schedule, l0_mask=mask)
 
     variants = [
         ("baseline", Strategy(kind="baseline")),
@@ -60,7 +61,7 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scene", default="default")
     parser.add_argument("--runs", type=int, default=200)
-    parser.add_argument("--gamma", type=float, default=0.3)
-    parser.add_argument("--lam", "--lambda", type=float, default=0.05, dest="lam")
+    parser.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
+    parser.add_argument("--lam", "--lambda", type=float, default=DEFAULT_LAM, dest="lam")
     parser.add_argument("--max-steps", type=int, default=60, dest="max_steps")
     main(parser.parse_args())

@@ -69,8 +69,6 @@ from .simulator import (
     scene_to_dict,
 )
 from .strategies import (
-    ContrastiveConfig,
-    FlbConfig,
     LogitProvider,
     Strategy,
     boost,
@@ -96,12 +94,10 @@ __all__ = [
     "CaptionRecord",
     "ConfigError",
     "ContractError",
-    "ContrastiveConfig",
     "CostModel",
     "DEFAULT_GAMMA",
     "DEFAULT_LAM",
     "ExclusionError",
-    "FlbConfig",
     "GenerationRecord",
     "InputError",
     "LogitAnchorError",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -99,17 +99,6 @@ class BenchRow:
     wall_ms_per_token: float
     overhead_ms_per_token: float
 
-    def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "runs": self.runs,
-            "tokens_measured": self.tokens_measured,
-            "provider_calls": self.provider_calls,
-            "provider_calls_per_token": self.provider_calls_per_token,
-            "wall_ms_per_token": self.wall_ms_per_token,
-            "overhead_ms_per_token": self.overhead_ms_per_token,
-        }
-
 
 @dataclass(frozen=True)
 class BenchReport:
@@ -124,11 +113,7 @@ class BenchReport:
         raise InputError(f"no bench row for strategy {strategy_label!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "cost_model": {"kind": self.cost_model.kind, "pad_us": self.cost_model.pad_us},
-            "max_steps": self.max_steps,
-            "rows": [row.to_dict() for row in self.rows],
-        }
+        return asdict(self)
 
 
 def run_bench(

@@ -32,6 +32,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import asdict
 from itertools import product
 from pathlib import Path
 from typing import NamedTuple
@@ -75,8 +76,8 @@ from .metrics import (
 )
 from .runner import run_many
 from .simulator import scene_from_dict, scene_to_dict
-from .strategies import FlbConfig, Strategy
-from .weighting import WeightSchedule
+from .strategies import FLB, SETTINGS, Strategy
+from .weighting import DEFAULT_GAMMA, DEFAULT_LAM, WeightSchedule
 
 REPORT_COLUMNS = (
     "strategy", "chair_i", "chair_s", "cover", "cog", "recall", "object_score",
@@ -160,10 +161,6 @@ def _metric_row(score: _Score) -> dict:
     }
 
 
-def _flb(schedule: WeightSchedule, beta: float, mask: str) -> Strategy:
-    return Strategy(kind="flb", flb=FlbConfig(schedule=schedule, beta=beta, l0_mask=mask))
-
-
 def _trace_report(stats_by_label, lexicon, scene, bin_width):
     """The per-strategy report block shared by simulate and evaluate --traces."""
     strategies = {}
@@ -191,11 +188,7 @@ def _trace_report(stats_by_label, lexicon, scene, bin_width):
                 "article": article_stats(runs, lexicon).to_dict(),
             },
         }
-        curves[label] = [
-            {"lo": b.lo, "hi": b.hi, "gt_mass": b.gt_mass,
-             "hal_mass": b.hal_mass, "slots": b.slots}
-            for b in positional_curves(runs, lexicon, bin_width)
-        ]
+        curves[label] = [asdict(b) for b in positional_curves(runs, lexicon, bin_width)]
     return {"strategies": strategies, "curves": curves}
 
 
@@ -366,8 +359,9 @@ def read_trace_dir(traces_dir: Path):
     A manifest that cannot be read, is not a JSON object, lacks ``scene_spec``
     or ``strategies``, or holds a bad scene, label list or ``bin_width`` is an
     input error (exit 3) naming the file and the key; so is a file under
-    ``traces/<label>/`` not named ``<seed>.jsonl``, or whose header holds
-    another seed. The returned manifest
+    ``traces/<label>/`` not named ``<seed>.jsonl``, whose header holds
+    another seed or label, or whose steps choose a token id outside the
+    scene's vocabulary or name another token. The returned manifest
     holds ``bin_width`` as read (the default when absent).
     """
     manifest_path = traces_dir / "manifest.json"
@@ -388,6 +382,7 @@ def read_trace_dir(traces_dir: Path):
         manifest = {**manifest, "bin_width": bin_width}
     except ConfigError as exc:
         raise InputError(f"{manifest_path}: {exc}") from exc
+    surface = dict(enumerate(scene.vocabulary.tokens))  # None for an id outside it
     stats_by_label = {}
     for label in labels:
         strategy_dir = traces_dir / "traces" / sanitize_label(label)
@@ -400,6 +395,12 @@ def read_trace_dir(traces_dir: Path):
         for path, run in zip(files, stats_by_label[label]):
             if run.seed != _trace_seed(path):
                 raise InputError(f"{path}: header seed {run.seed} does not match the file name")
+            if run.strategy != label:
+                raise InputError(f"{path}: header strategy {run.strategy!r} is not {label!r}")
+            for step in run.steps:
+                if surface.get(step.chosen) != step.token:
+                    raise InputError(f"{path}: step {step.t}: chosen: {step.chosen}, "
+                                     f"token: {step.token!r}: not one token of the scene")
     return manifest, scene, stats_by_label
 
 
@@ -446,7 +447,7 @@ def cmd_sweep(args) -> int:
     gammas = setting(args.gammas, file_cfg, "gammas", "0.1,0.3,0.5,0.7", read_float_list)
     lams = setting(args.lams, file_cfg, "lams", "0.01,0.05,0.1", read_float_list)
     betas = setting(args.betas, file_cfg, "betas", "0.1", read_float_list)
-    mask = setting(args.mask, file_cfg, "mask", "full")
+    mask = setting(args.mask, file_cfg, "mask", SETTINGS[FLB]["l0_mask"])
     seeds = resolve_seeds(args.seeds, file_cfg, DEFAULT_SEEDS)
     max_steps = setting(args.max_steps, file_cfg, "max_steps", DEFAULT_MAX_STEPS, read_int)
     temperature = setting(
@@ -455,7 +456,8 @@ def cmd_sweep(args) -> int:
 
     cells = [
         (schedule_kind, gamma, lam, beta,
-         _flb(WeightSchedule(schedule_kind, gamma, lam), beta, mask))
+         Strategy(kind=FLB, schedule=WeightSchedule(schedule_kind, gamma, lam),
+                  beta=beta, l0_mask=mask))
         for schedule_kind, gamma, lam, beta in product(schedules, gammas, lams, betas)
     ]
     # One run over the whole grid: a repeated grid value repeats a label,
@@ -532,10 +534,10 @@ def cmd_bench(args) -> int:
 def cmd_ablate(args) -> int:
     scene, scene_name = resolve_scene(args.scene)
     seeds = resolve_seeds(args.seeds, {}, tuple(range(100)))
-    schedule = WeightSchedule("increasing", args.gamma, args.lam)
+    schedule = WeightSchedule(gamma=args.gamma, lam=args.lam)
     variants = {"baseline": Strategy(kind="baseline")}
     for mask in ("nouns_only", "the_only", "full"):
-        variants[mask] = _flb(schedule, args.beta, mask)
+        variants[mask] = Strategy(kind=FLB, schedule=schedule, beta=args.beta, l0_mask=mask)
     scores = _run_and_score(
         scene, scene_name, list(variants.values()), seeds,
         max_steps=args.max_steps, jobs=args.jobs,
@@ -641,9 +643,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="compare first-logit contribution masks")
     p.add_argument("--scene")
     p.add_argument("--seeds")
-    p.add_argument("--gamma", type=float, default=0.3)
-    p.add_argument("--lam", "--lambda", type=float, default=0.05, dest="lam")
-    p.add_argument("--beta", type=float, default=0.1)
+    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
+    p.add_argument("--lam", "--lambda", type=float, default=DEFAULT_LAM, dest="lam")
+    p.add_argument("--beta", type=float, default=SETTINGS[FLB]["beta"])
     p.add_argument("--max-steps", type=int, default=60, dest="max_steps")
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility, must be >= 1; has no effect")

@@ -13,14 +13,13 @@ that raises ConfigError naming the key and the value, never a traceback.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
 from .simulator import PRESET_NAMES, SceneSpec, preset, scene_from_dict
-from .strategies import Strategy, parse_strategy
+from .strategies import Strategy, _check_run_args, parse_strategy
 
 SEED_ENV_VAR = "LOGIT_ANCHOR_SEED"
 
@@ -47,15 +46,8 @@ class RunConfig:
 
     def __post_init__(self):
         if not self.strategies:
-            raise ConfigError("at least one strategy is required")
-        if not self.seeds:
-            raise ConfigError("at least one seed is required")
-        if self.max_steps < 1:
-            raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
-        if not (math.isfinite(self.temperature) and self.temperature > 0):
-            raise ConfigError(
-                f"temperature must be finite and positive, got {self.temperature!r}"
-            )
+            raise ConfigError("strategies: no strategies given")
+        _check_run_args(self.max_steps, self.temperature)
         if self.bin_width < 1:
             raise ConfigError(f"bin_width must be >= 1, got {self.bin_width}")
 
@@ -98,13 +90,13 @@ def setting(flag, file_cfg: dict, key: str, default, read=None):
 
 def read_int(value, key: str) -> int:
     """An integer, a float with no fractional part, or a string that spells an integer."""
+    if type(value) is int:  # tested first, as the commonest; a bool is not an int here
+        return value
     if isinstance(value, str):
         try:
             return int(value)
         except ValueError:
             pass
-    elif isinstance(value, int) and not isinstance(value, bool):
-        return value
     elif isinstance(value, float) and value.is_integer():
         return int(value)
     raise ConfigError(f"{key}: {value!r} is not an integer")
@@ -148,6 +140,9 @@ def read_names(value, key: str) -> tuple[str, ...]:
 def _distinct_seeds(seeds: list[int], source: str) -> tuple[int, ...]:
     if not seeds:
         raise ConfigError(f"{source}: no seeds given")
+    bad = [seed for seed in seeds if not 0 <= seed < 2**64]
+    if bad:
+        raise ConfigError(f"{source}: seed {bad[0]} is outside [0, 2**64)")
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"{source}: duplicate seeds")
     return tuple(seeds)
@@ -201,7 +196,7 @@ def resolve_scene(value) -> tuple[SceneSpec, str]:
     if value in PRESET_NAMES:
         return preset(value), value
     path = Path(value)
-    if path.suffix == ".json" or os.path.exists(path):  # False for names no file can have
+    if path.suffix == ".json" or os.path.exists(value):  # False for "" and names no file can have
         return scene_from_dict(load_json_file(path)), path.stem
     raise ConfigError(
         f"unknown scene {value!r}: not a preset ({', '.join(PRESET_NAMES)}) "

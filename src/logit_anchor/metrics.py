@@ -34,6 +34,9 @@ from .core import GenerationRecord, Vocabulary
 from .errors import ConfigError, InputError
 
 _EDGE_PUNCT = ".,;:!?\"'()[]"
+# The decode loop accepts probabilities that sum to 1 within 1e-9, so a step's
+# gt or hal mass, a sum of some of them, may exceed 1 by as much.
+_P_MAX = 1.0 + 1e-9
 
 
 # -- corpus side ----------------------------------------------------------------
@@ -275,8 +278,6 @@ def corpus_metrics(
 
     if matched == 0:
         raise InputError("no caption matched an annotation; nothing to score")
-    if gt_total == 0:
-        raise InputError("matched annotations carry no ground-truth objects")
 
     chair_i_value = hallucinated_total / mentions_total if mentions_total else 0.0
     cover_value = covered_total / gt_total
@@ -676,9 +677,21 @@ def write_trace(
     return stats
 
 
+def _step_fault(step: StepStats, t: int) -> str:
+    """The field of step ``t`` that no writer could have produced, and its value."""
+    if step.t != t:
+        return f"t: {step.t!r} where step {t} belongs"
+    if step.provider_calls < 1:
+        return f"provider_calls: {step.provider_calls!r} is below 1"
+    name = next(n for n in ("chosen_prob", "gt_mass", "hal_mass")
+                if not 0.0 <= getattr(step, n) <= _P_MAX)
+    return f"{name}: {getattr(step, name)!r} lies outside [0, 1]"
+
+
 def read_trace(path) -> RunStats:
     """Read one JSONL trace back into the summary form; a malformed record (say,
-    an integer field holding a fraction) is an InputError naming the file and line."""
+    an integer field holding a fraction, a probability above 1 or steps out of
+    order) is an InputError naming the file, the line and the field."""
     steps: list[StepStats] = []
     header: dict | None = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -699,20 +712,24 @@ def read_trace(path) -> RunStats:
                 header, header_line = data, lineno
             elif kind == "step":
                 try:
-                    steps.append(
-                        StepStats(
-                            t=read_int(data["t"], "t"),
-                            chosen=read_int(data["chosen"], "chosen"),
-                            token=str(data["token"]),
-                            entropy=float(data["entropy"]),
-                            chosen_prob=float(data["chosen_prob"]),
-                            gt_mass=float(data["gt_mass"]),
-                            hal_mass=float(data["hal_mass"]),
-                            provider_calls=read_int(data["provider_calls"], "provider_calls"),
-                        )
+                    step = StepStats(
+                        t=read_int(data["t"], "t"),
+                        chosen=read_int(data["chosen"], "chosen"),
+                        token=str(data["token"]),
+                        entropy=float(data["entropy"]),
+                        chosen_prob=float(data["chosen_prob"]),
+                        gt_mass=float(data["gt_mass"]),
+                        hal_mass=float(data["hal_mass"]),
+                        provider_calls=read_int(data["provider_calls"], "provider_calls"),
                     )
                 except (KeyError, TypeError, ValueError, ConfigError) as exc:
                     raise InputError(f"{path}:{lineno}: bad step record ({exc})") from exc
+                if not (step.t == len(steps) and step.provider_calls >= 1  # as _step_fault
+                        and 0.0 <= step.chosen_prob <= _P_MAX and 0.0 <= step.gt_mass <= _P_MAX
+                        and 0.0 <= step.hal_mass <= _P_MAX):
+                    fault = _step_fault(step, len(steps))
+                    raise InputError(f"{path}:{lineno}: bad step record ({fault})")
+                steps.append(step)
             else:
                 raise InputError(f"{path}:{lineno}: unknown record kind {kind!r}")
     if header is None:

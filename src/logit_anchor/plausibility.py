@@ -38,9 +38,6 @@ class CandidateMask:
     def size(self) -> int:
         return self.allowed.shape[0]
 
-    def count(self) -> int:
-        return int(self.allowed.sum())
-
     def with_allowed(self, token_id: TokenId) -> "CandidateMask":
         """Copy with one extra token force-allowed (used for EOS exemption)."""
         allowed = self.allowed.copy()

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 from .core import GenerationRecord
 from .errors import ConfigError
 from .simulator import NegativeProvider, NegativeVariantSpec, SceneSpec, SyntheticProvider
-from .strategies import CONTRASTIVE_KINDS, Strategy, decode
+from .strategies import CONTRASTIVE_KINDS, NEGATIVE_KIND_FOR, Strategy, decode
 
 ProviderWrap = Callable[[object], object]
 
@@ -34,8 +34,8 @@ def _decode(
     negative = None
     if strategy.kind in CONTRASTIVE_KINDS:
         variant = NegativeVariantSpec(
-            kind=strategy.negative_kind,
-            strength=strategy.resolved_strength(),
+            kind=NEGATIVE_KIND_FOR[strategy.kind],
+            strength=strategy.strength,
         )
         negative = NegativeProvider(scene, variant)
     if wrap is not None:

@@ -110,8 +110,8 @@ class SceneSpec:
         object.__setattr__(self, "article_grounding", dict(self.article_grounding))
         if len(self.base_logits) != self.vocabulary.size:
             raise ConfigError(
-                f"base_logits has {len(self.base_logits)} entries for a "
-                f"{self.vocabulary.size}-token vocabulary"
+                f"base_logits has {len(self.base_logits)} entries for "
+                f"{self.vocabulary.size} tokens"
             )
         groups = [self.articles, self.gt_objects, self.hal_objects,
                   self.connectives, (self.eos,)]
@@ -512,28 +512,31 @@ def scene_to_dict(scene: SceneSpec) -> dict:
 
 
 def scene_from_dict(data: dict) -> SceneSpec:
+    """The scene ``scene_to_dict`` wrote; each field is read by a typed reader
+    that names it, and a field left out takes SceneSpec's default."""
+    from .config import read_float, read_float_list, read_names  # config imports this module
+
     if not isinstance(data, dict):
         raise ConfigError(f"scene must be an object, got {type(data).__name__}")
-    required = ("tokens", "base_logits", "articles", "gt_objects",
-                "hal_objects", "connectives", "eos")
-    for key in required:
-        if key not in data:
-            raise ConfigError(f"scene is missing required field {key!r}")
+    grounding = data.get("article_grounding", {})
+    if not isinstance(grounding, dict):
+        raise ConfigError(f"article_grounding: {grounding!r} is not an object")
+    cognition = data.get("cognition_objects", [])
     try:
         return SceneSpec(
-            vocabulary=Vocabulary(tuple(data["tokens"])),
-            base_logits=tuple(float(x) for x in data["base_logits"]),
-            articles=tuple(data["articles"]),
-            gt_objects=tuple(data["gt_objects"]),
-            hal_objects=tuple(data["hal_objects"]),
-            connectives=tuple(data["connectives"]),
+            vocabulary=Vocabulary(read_names(data["tokens"], "tokens")),
+            base_logits=read_float_list(data["base_logits"], "base_logits"),
+            articles=read_names(data["articles"], "articles"),
+            gt_objects=read_names(data["gt_objects"], "gt_objects"),
+            hal_objects=read_names(data["hal_objects"], "hal_objects"),
+            connectives=read_names(data["connectives"], "connectives"),
             eos=str(data["eos"]),
-            decay_kappa=float(data.get("decay_kappa", 0.05)),
-            decay_depth=float(data.get("decay_depth", 2.0)),
-            noise_sigma=float(data.get("noise_sigma", 0.3)),
-            grammar_penalty=float(data.get("grammar_penalty", 12.0)),
-            article_grounding=dict(data.get("article_grounding", {})),
-            cognition_objects=tuple(data.get("cognition_objects", ())),
+            article_grounding={a: read_float(g, "article_grounding") for a, g in grounding.items()},
+            cognition_objects=read_names(cognition, "cognition_objects") if cognition != [] else (),
+            **{key: read_float(data[key], key) for key in (
+                "decay_kappa", "decay_depth", "noise_sigma", "grammar_penalty") if key in data},
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed scene: {exc}") from exc
+    except KeyError as exc:
+        raise ConfigError(f"scene is missing required field {exc}") from None
+    except ContractError as exc:  # duplicate tokens
+        raise ConfigError(f"tokens: {exc}") from exc

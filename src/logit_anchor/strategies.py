@@ -18,6 +18,11 @@ computed from the *original* (unadjusted) distribution and intersected into
 the adjusted logits before the final softmax. The EOS token is re-allowed
 after truncation so every run can terminate.
 
+Every setting is a field of one frozen ``Strategy``; ``SETTINGS`` lists the
+ones each kind takes and their defaults, which fill any left out. In code,
+``Strategy(kind="flb", schedule=WeightSchedule(gamma=0.5), beta=0.2)`` is
+the descriptor ``flb:gamma=0.5,beta=0.2`` (``parse_strategy``).
+
 :func:`decode` is the one decode loop. It runs all seeds of one strategy in
 lockstep: each seed is a row, every per-step operation works on
 ``[rows, vocab]`` arrays, and a row retires when it emits EOS. A single run
@@ -39,7 +44,7 @@ regardless of how many extra calls either of them makes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -75,12 +80,12 @@ L0_NOUNS_ONLY = "nouns_only"
 L0_THE_ONLY = "the_only"
 L0_MASKS = (L0_FULL, L0_NOUNS_ONLY, L0_THE_ONLY)
 
-_NEGATIVE_KIND_FOR = {
+# The negative provider's degradation for each contrastive kind.
+NEGATIVE_KIND_FOR = {
     VCD: NOISY_VISUAL,
     ICD: PERTURBED_INSTRUCTION,
     M3ID: UNCONDITIONED,
 }
-_DEFAULT_STRENGTH = {VCD: 0.7, ICD: 1.0, M3ID: 1.0}
 
 
 class LogitProvider(Protocol):
@@ -101,45 +106,6 @@ class LogitProvider(Protocol):
         t: int,
         rng: np.random.Generator | None = None,
     ) -> LogitVector: ...
-
-
-@dataclass(frozen=True)
-class ContrastiveConfig:
-    """Settings for one contrastive pairing.
-
-    ``strength`` parameterizes the negative provider's degradation; None
-    defers to the per-kind default (0.7 for the noisy-visual negative, 1.0
-    otherwise).
-    """
-
-    alpha: float = 1.0
-    beta: float = 0.1
-    strength: float | None = None
-
-    def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha!r}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ConfigError(f"beta must lie in [0, 1], got {self.beta!r}")
-        if self.strength is not None and not 0.0 <= self.strength <= 1.0:
-            raise ConfigError(f"strength must lie in [0, 1], got {self.strength!r}")
-
-
-@dataclass(frozen=True)
-class FlbConfig:
-    """Settings for the first-logit boost: schedule, constraint, ablation mask."""
-
-    schedule: WeightSchedule = field(default_factory=WeightSchedule)
-    beta: float = 0.1
-    l0_mask: str = L0_FULL
-
-    def __post_init__(self):
-        if not 0.0 <= self.beta <= 1.0:
-            raise ConfigError(f"beta must lie in [0, 1], got {self.beta!r}")
-        if self.l0_mask not in L0_MASKS:
-            raise ConfigError(
-                f"unknown l0 mask {self.l0_mask!r}; expected one of {L0_MASKS}"
-            )
 
 
 # -- pure per-step operations --------------------------------------------------
@@ -287,9 +253,10 @@ def _candidate_mask(
 
 
 def _l0_lane(mode: str, vocab: Vocabulary, noun_ids: Sequence[TokenId] | None) -> np.ndarray | None:
-    """The tokens whose step-0 logits the boost adds back; None for all of them."""
-    if mode not in L0_MASKS:
-        raise ConfigError(f"unknown l0 mask {mode!r}; expected one of {L0_MASKS}")
+    """The tokens whose step-0 logits the boost adds back; None for all of them.
+
+    ``mode`` is one of L0_MASKS, as Strategy checks.
+    """
     if mode == L0_FULL:
         return None
     keep = np.zeros(vocab.size, dtype=bool)
@@ -316,6 +283,7 @@ def _l0_rows(raw: np.ndarray, raw_mask: np.ndarray | None, lane: np.ndarray | No
 
 
 def _check_run_args(max_steps: int, temperature: float):
+    """The one check of the run arguments; ``config.RunConfig`` makes it too."""
     if max_steps < 1:
         raise ConfigError(f"max_steps must be >= 1, got {max_steps}")
     if not (math.isfinite(temperature) and temperature > 0):
@@ -429,13 +397,9 @@ def decode(
     label = strategy.label()
     greedy = kind == GREEDY
     eos_id = provider.eos_id
-    if contrastive:
-        alpha, beta = strategy.contrastive.alpha, strategy.contrastive.beta
-    elif kind == FLB:
-        beta = strategy.flb.beta
-        lane = _l0_lane(strategy.flb.l0_mask, provider.vocab, noun_ids)
-    else:
-        beta = strategy.beta
+    beta, alpha, schedule = strategy.beta, strategy.alpha, strategy.schedule
+    if kind == FLB:
+        lane = _l0_lane(strategy.l0_mask, provider.vocab, noun_ids)
 
     # Three streams per seed (sampling, positive jitter, negative jitter);
     # a Generator is built only for the streams this strategy draws from.
@@ -454,7 +418,7 @@ def decode(
         n = len(live)
         if kind == FLB and t > 0:
             # The weighted contribution does not depend on this step's logits.
-            lift = weight_at(strategy.flb.schedule, t) * contrib
+            lift = weight_at(schedule, t) * contrib
         calls = provider.calls + (negative.calls if contrastive else 0)
         rows_history = [histories[i] for i in live]
         raw, raw_mask = _provider_rows(provider, rows_history, t, [pos_rngs[i] for i in live])
@@ -533,52 +497,60 @@ def decode(
 
 # -- strategy descriptors --------------------------------------------------------
 
+# The settings each kind takes, with their defaults: the one place a strategy
+# default is written (a schedule's gamma and lam default in WeightSchedule).
+# A beta of None means no candidate constraint.
+_CONTRASTIVE = {"alpha": 1.0, "beta": 0.1}
+SETTINGS = {
+    BASELINE: {"beta": None},
+    GREEDY: {"beta": None},
+    VCD: {**_CONTRASTIVE, "strength": 0.7},
+    ICD: {**_CONTRASTIVE, "strength": 1.0},
+    M3ID: {**_CONTRASTIVE, "strength": 1.0},
+    FLB: {"schedule": WeightSchedule(), "beta": 0.1, "l0_mask": L0_FULL},
+}
+
+# The one range check of each setting: (test, what the value must be). A
+# schedule is checked by WeightSchedule when it is built.
+_RANGES = {
+    "beta": (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    "alpha": (lambda v: math.isfinite(v) and v >= 0, "must be finite and >= 0"),
+    "strength": (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    "schedule": (lambda v: isinstance(v, WeightSchedule), "must be a WeightSchedule"),
+    "l0_mask": (lambda v: v in L0_MASKS, f"must be one of {L0_MASKS}"),
+}
+
 
 @dataclass(frozen=True)
 class Strategy:
     """A named, fully resolved decoding configuration.
 
-    Exactly one variant payload is active: ``contrastive`` for vcd/icd/m3id,
-    ``flb`` for flb, the optional ``beta`` for baseline/greedy.
+    ``SETTINGS`` lists the settings each kind takes. One left unset (None) is
+    filled from the kind's default; one the kind does not take must stay None.
     """
 
     kind: str
     beta: float | None = None
-    contrastive: ContrastiveConfig | None = None
-    flb: FlbConfig | None = None
+    alpha: float | None = None
+    strength: float | None = None
+    schedule: WeightSchedule | None = None
+    l0_mask: str | None = None
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ConfigError(
                 f"unknown strategy {self.kind!r}; expected one of {STRATEGY_KINDS}"
             )
-        if self.kind in CONTRASTIVE_KINDS:
-            if self.contrastive is None:
-                object.__setattr__(self, "contrastive", ContrastiveConfig())
-            if self.flb is not None or self.beta is not None:
-                raise ConfigError(f"{self.kind} takes only contrastive settings")
-        elif self.kind == FLB:
-            if self.flb is None:
-                object.__setattr__(self, "flb", FlbConfig())
-            if self.contrastive is not None or self.beta is not None:
-                raise ConfigError("flb takes only flb settings")
-        else:
-            if self.contrastive is not None or self.flb is not None:
-                raise ConfigError(f"{self.kind} takes no contrastive or flb settings")
-            if self.beta is not None and not 0.0 <= self.beta <= 1.0:
-                raise ConfigError(f"beta must lie in [0, 1], got {self.beta!r}")
-
-    @property
-    def negative_kind(self) -> str | None:
-        """The negative provider's degradation; None for the kinds without one."""
-        return _NEGATIVE_KIND_FOR.get(self.kind)
-
-    def resolved_strength(self) -> float:
-        if self.contrastive is None:
-            raise ConfigError(f"{self.kind} has no negative provider")
-        if self.contrastive.strength is not None:
-            return self.contrastive.strength
-        return _DEFAULT_STRENGTH[self.kind]
+        takes = SETTINGS[self.kind]
+        for name, (ok, must) in _RANGES.items():
+            value = getattr(self, name)
+            if name not in takes:
+                if value is not None:
+                    raise ConfigError(f"{self.kind} takes no {name} setting, got {value!r}")
+            elif value is None:
+                object.__setattr__(self, name, takes[name])
+            elif not ok(value):
+                raise ConfigError(f"{name} {must}, got {value!r}")
 
     def label(self) -> str:
         if self.kind in (BASELINE, GREEDY):
@@ -586,35 +558,35 @@ class Strategy:
                 return self.kind
             return f"{self.kind}(beta={self.beta:g})"
         if self.kind in CONTRASTIVE_KINDS:
-            cfg = self.contrastive
             return (
-                f"{self.kind}(alpha={cfg.alpha:g},beta={cfg.beta:g},"
-                f"strength={self.resolved_strength():g})"
+                f"{self.kind}(alpha={self.alpha:g},beta={self.beta:g},"
+                f"strength={self.strength:g})"
             )
-        cfg = self.flb
         return (
-            f"flb({cfg.schedule.kind},gamma={cfg.schedule.gamma:g},"
-            f"lam={cfg.schedule.lam:g},beta={cfg.beta:g},mask={cfg.l0_mask})"
+            f"flb({self.schedule.kind},gamma={self.schedule.gamma:g},"
+            f"lam={self.schedule.lam:g},beta={self.beta:g},mask={self.l0_mask})"
         )
 
 
-_SCHEDULE_ALIASES = {
-    "increasing": "increasing", "inc": "increasing",
-    "decreasing": "decreasing", "dec": "decreasing",
-    "constant": "constant", "const": "constant",
+# The names the schedule and mask keys accept.
+_ALIASES = {
+    "schedule": {
+        "increasing": "increasing", "inc": "increasing",
+        "decreasing": "decreasing", "dec": "decreasing",
+        "constant": "constant", "const": "constant",
+    },
+    "mask": {
+        "full": L0_FULL,
+        "nouns_only": L0_NOUNS_ONLY, "nouns": L0_NOUNS_ONLY,
+        "the_only": L0_THE_ONLY, "the": L0_THE_ONLY,
+    },
 }
-_MASK_ALIASES = {
-    "full": L0_FULL,
-    "nouns_only": L0_NOUNS_ONLY, "nouns": L0_NOUNS_ONLY,
-    "the_only": L0_THE_ONLY, "the": L0_THE_ONLY,
+# The setting each descriptor key gives, and the schedule field of a schedule key.
+_SETTING_OF = {
+    "beta": "beta", "alpha": "alpha", "strength": "strength", "mask": "l0_mask",
+    "gamma": "schedule", "lambda": "schedule", "schedule": "schedule",
 }
-
-
-def _parse_float(kind: str, key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{kind}: {key} expects a number, got {value!r}") from None
+_SCHEDULE_FIELD = {"gamma": "gamma", "lambda": "lam", "schedule": "kind"}
 
 
 def parse_strategy(text: str) -> Strategy:
@@ -624,8 +596,9 @@ def parse_strategy(text: str) -> Strategy:
     comma-separated key=value list. Recognized keys depend on the kind:
     ``beta`` for baseline/greedy; ``alpha``, ``beta``, ``strength`` for the
     contrastive kinds; ``gamma``, ``lambda`` (or ``lam``), ``beta``,
-    ``schedule``, ``mask`` for flb. A key given twice, or with an empty
-    value, is a ConfigError, never a silent default.
+    ``schedule``, ``mask`` for flb. Keys left out take the kind's defaults
+    (``SETTINGS``). A key given twice, or with an empty value, is a
+    ConfigError, never a silent default.
     """
     text = text.strip()
     kind, _, rest = text.partition(":")
@@ -648,43 +621,25 @@ def parse_strategy(text: str) -> Strategy:
             if key in params:
                 raise ConfigError(f"{kind}: {key} is given more than once in {text!r}")
             params[key] = value
+    unknown = sorted(key for key in params if _SETTING_OF.get(key) not in SETTINGS[kind])
+    if unknown:
+        raise ConfigError(f"unknown parameter(s) {unknown} for strategy {kind!r}")
 
-    def take_float(key: str, default: float | None) -> float | None:
-        if key not in params:
-            return default
-        return _parse_float(kind, key, params.pop(key))
-
-    if kind in (BASELINE, GREEDY):
-        beta = take_float("beta", None)
-        strategy = Strategy(kind=kind, beta=beta)
-    elif kind in CONTRASTIVE_KINDS:
-        alpha = take_float("alpha", 1.0)
-        beta = take_float("beta", 0.1)
-        strength = take_float("strength", None)
-        strategy = Strategy(
-            kind=kind,
-            contrastive=ContrastiveConfig(alpha=alpha, beta=beta, strength=strength),
-        )
-    else:
-        gamma = take_float("gamma", 0.3)
-        lam = take_float("lambda", 0.05)
-        beta = take_float("beta", 0.1)
-        sched_name = params.pop("schedule", "increasing").lower()
-        if sched_name not in _SCHEDULE_ALIASES:
-            raise ConfigError(f"unknown schedule {sched_name!r}")
-        mask_name = params.pop("mask", "full").lower()
-        if mask_name not in _MASK_ALIASES:
-            raise ConfigError(f"unknown l0 mask {mask_name!r}")
-        strategy = Strategy(
-            kind=FLB,
-            flb=FlbConfig(
-                schedule=WeightSchedule(_SCHEDULE_ALIASES[sched_name], gamma, lam),
-                beta=beta,
-                l0_mask=_MASK_ALIASES[mask_name],
-            ),
-        )
-    if params:
-        raise ConfigError(
-            f"unknown parameter(s) {sorted(params)} for strategy {kind!r}"
-        )
-    return strategy
+    settings, schedule = {}, {}
+    for key, value in params.items():
+        if key in _ALIASES:
+            if value.lower() not in _ALIASES[key]:
+                raise ConfigError(f"{kind}: unknown {key} {value.lower()!r}")
+            value = _ALIASES[key][value.lower()]
+        else:
+            try:
+                value = float(value)
+            except ValueError:
+                raise ConfigError(f"{kind}: {key} expects a number, got {value!r}") from None
+        if key in _SCHEDULE_FIELD:
+            schedule[_SCHEDULE_FIELD[key]] = value
+        else:
+            settings[_SETTING_OF[key]] = value
+    if schedule:
+        settings["schedule"] = WeightSchedule(**schedule)
+    return Strategy(kind=kind, **settings)

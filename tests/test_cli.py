@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from logit_anchor import cli
 from logit_anchor.cli import main, sanitize_label
-from logit_anchor.config import SEED_ENV_VAR
+from logit_anchor.config import SEED_ENV_VAR, SIMULATE_KEYS
 
 DATA = Path(cli.__file__).parent / "data"
 GOLDEN = [
@@ -374,6 +381,54 @@ class TestEvaluateTraces:
         assert err.startswith(f"error: {bad}:{line + 1}: ") and f"{field}: {value!r}" in err
 
 
+    def _simulated(self, tmp_path):
+        sim_out = tmp_path / "sim"
+        assert run_cli(
+            "simulate", "--strategies", "baseline", "--seeds", "0", "--max-steps", "10",
+            "--out", sim_out,
+        ) == 0
+        return sim_out, sim_out / "traces" / "baseline" / "0.jsonl"
+
+    @pytest.mark.parametrize("line, field, value", [
+        (3, "t", 45), (2, "t", 0), (2, "provider_calls", -5), (2, "provider_calls", 0),
+        (2, "chosen_prob", 7.5), (2, "gt_mass", -0.25), (2, "hal_mass", 1.5),
+        (2, "chosen_prob", float("nan")),
+    ])
+    def test_impossible_step_field_exits_3_naming_it(self, tmp_path, capsys, line, field, value):
+        sim_out, path = self._simulated(tmp_path)
+        bad = _edit_line(path, line, lambda r: {**r, field: value})
+        capsys.readouterr()
+        assert run_cli("evaluate", "--traces", sim_out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:{line + 1}: ") and f"{field}: {value!r}" in err
+
+    def test_mass_rounded_above_one_is_read(self, tmp_path):
+        """A sum of probabilities may exceed 1 by rounding; the decode loop allows 1e-9."""
+        sim_out, path = self._simulated(tmp_path)
+        _edit_line(path, 2, lambda r: {**r, "gt_mass": 1.0 + 2**-52})
+        assert run_cli("evaluate", "--traces", sim_out) == 0
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda r: {**r, "token": "dog" if r["token"] == "cat" else "cat"}, "token: "),
+        (lambda r: {**r, "chosen": 999}, "chosen: 999"),
+        (lambda r: {**r, "chosen": -1}, "chosen: -1"),
+    ], ids=["token_of_another_id", "id_past_vocabulary", "negative_id"])
+    def test_step_naming_no_scene_token_exits_3(self, tmp_path, capsys, edit, named):
+        sim_out, path = self._simulated(tmp_path)
+        bad = _edit_line(path, 2, edit)
+        capsys.readouterr()
+        assert run_cli("evaluate", "--traces", sim_out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: step 1: ") and named in err
+
+    def test_header_strategy_of_another_directory_exits_3(self, tmp_path, capsys):
+        sim_out, path = self._simulated(tmp_path)
+        bad = _edit_line(path, 0, lambda h: {**h, "strategy": "vcd"})
+        capsys.readouterr()
+        assert run_cli("evaluate", "--traces", sim_out) == 3
+        assert capsys.readouterr().err.startswith(f"error: {bad}: header strategy 'vcd'")
+
+
 class TestSweep:
     def test_small_grid_ranked(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -547,3 +602,126 @@ class TestParser:
     def test_sanitize_label(self):
         assert sanitize_label("flb(increasing,gamma=0.3)") == "flb(increasing,gamma=0.3)"
         assert sanitize_label("a b/c") == "a_b_c"
+
+
+# -- every bad input ends in a named error ------------------------------------------
+#
+# One example runs ``simulate`` on two seeds and four steps with exactly one
+# input spoiled: a flag, a descriptor, a config-file key, the seed variable or
+# a scene-file field. Whatever the value, the command ends in exit 0, 2 or 3
+# (never a traceback, never an internal error), and an error names the value
+# or the key that holds it.
+
+_ODD_TEXT = st.sampled_from([
+    "", " ", "x", "nan", "NaN", "inf", "-inf", "-1", "0", "1", "1.5", "-0.5", "2",
+    "1e308", "1e-320", "0x10", "1_0", "9" * 30, "0:2", "3:1", "1,1", "0:", ":", "-3:2",
+    ",", "0;1", "baseline", "vcd:alpha=-1",
+])
+_ODD_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | _ODD_TEXT,
+    lambda children: st.lists(children, max_size=3),
+    max_leaves=5,
+)
+_ODD_DESCRIPTOR = st.builds(
+    lambda kind, parts: kind + (":" + ",".join(parts) if parts else ""),
+    st.sampled_from(["baseline", "greedy", "vcd", "icd", "m3id", "flb", "beam", ""]),
+    st.lists(
+        st.builds(
+            "{}={}".format,
+            st.sampled_from(["beta", "alpha", "strength", "gamma", "lambda", "lam",
+                             "schedule", "mask", "size"]),
+            _ODD_TEXT | st.sampled_from(["dec", "const", "nouns", "the", "linear"]),
+        ),
+        max_size=3,
+    ),
+)
+_FLAGS = ("--seeds", "--max-steps", "--temperature", "--bin-width")
+_SCENE_FIELDS = (
+    "tokens", "base_logits", "articles", "gt_objects", "hal_objects", "connectives",
+    "eos", "decay_kappa", "decay_depth", "noise_sigma", "grammar_penalty",
+    "article_grounding", "cognition_objects",
+)
+
+
+@st.composite
+def _spoiled_input(draw):
+    """(site, key, value): one bad input and the name an error should give it."""
+    site = draw(st.sampled_from(["flag", "strategies", "config", "env", "scene"]))
+    if site == "flag":
+        return site, draw(st.sampled_from(_FLAGS)), draw(_ODD_TEXT)
+    if site == "strategies":
+        return site, "--strategies", draw(_ODD_DESCRIPTOR)
+    if site == "config":
+        key = draw(st.sampled_from(SIMULATE_KEYS))
+        return site, key, draw(_ODD_JSON | (_ODD_DESCRIPTOR if key == "strategies" else _ODD_JSON))
+    if site == "env":
+        return site, SEED_ENV_VAR, draw(_ODD_TEXT)
+    return site, draw(st.sampled_from(_SCENE_FIELDS)), draw(_ODD_JSON)
+
+
+def _named(err: str, key: str, value) -> bool:
+    """Whether ``err`` names the spoiled key, or the value or one of its parts."""
+    texts = {key.lstrip("-"), key.lstrip("-").replace("-", "_"), repr(value)}
+    for item in value if isinstance(value, list) else [value]:
+        texts |= {str(item).strip(), repr(item)}
+        if isinstance(item, str):  # comma lists and descriptors: an error may name one part
+            pieces = [piece.strip() for piece in re.split("[:,;=]", item)]
+            texts |= {*pieces, *map(repr, pieces), *(piece.lower() for piece in pieces)}
+            if "lambda" in pieces:  # the schedule calls it lam
+                texts.add("lam")
+    return any(text.strip() and text in err for text in texts)
+
+
+class TestWholeCliProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(spoiled=_spoiled_input())
+    # Inputs that once ended in a traceback or an unnamed error.
+    @example(spoiled=("flag", "--seeds", "-3:2"))
+    @example(spoiled=("env", SEED_ENV_VAR, "-1"))
+    @example(spoiled=("config", "seeds", [1e249]))
+    @example(spoiled=("config", "scene", ""))
+    @example(spoiled=("config", "strategies", ""))
+    @example(spoiled=("scene", "tokens", []))
+    @example(spoiled=("scene", "tokens", ["The", "The"]))
+    @example(spoiled=("scene", "decay_kappa", 10**400))
+    @example(spoiled=("scene", "base_logits", [None]))
+    @example(spoiled=("scene", "article_grounding", {"The": "x"}))
+    def test_bad_input_ends_in_a_named_error(self, scene, spoiled):
+        from logit_anchor import scene_to_dict
+
+        site, key, value = spoiled
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            flags = {"--seeds": "0:2", "--max-steps": "4", "--format": "json",
+                     "--out": str(tmp / "out")}
+            env = os.environ.get(SEED_ENV_VAR)
+            os.environ.pop(SEED_ENV_VAR, None)
+            if site in ("flag", "strategies"):
+                flags[key] = value
+            elif site == "config":
+                (tmp / "cfg.json").write_text(json.dumps({key: value}))
+                flags["--config"] = str(tmp / "cfg.json")
+                if key in ("seeds", "max_steps"):
+                    del flags[f"--{key.replace('_', '-')}"]
+            elif site == "env":
+                os.environ[SEED_ENV_VAR] = value
+            else:
+                spec = {**scene_to_dict(scene), key: value}
+                (tmp / "scene.json").write_text(json.dumps(spec))
+                flags["--scene"] = str(tmp / "scene.json")
+            argv = ["simulate"] + [f"{flag}={v}" for flag, v in flags.items()]
+            err = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:  # argparse rejects a flag's type
+                        code = exc.code
+            finally:
+                os.environ.pop(SEED_ENV_VAR, None)
+                if env is not None:
+                    os.environ[SEED_ENV_VAR] = env
+        err = err.getvalue()
+        assert code in (0, 2, 3), err
+        if code:
+            assert "error:" in err and _named(err, key, value), err

@@ -91,12 +91,12 @@ class TestParseStrategies:
     def test_string_form(self):
         strategies = parse_strategies("baseline; flb:gamma=0.5")
         assert [s.kind for s in strategies] == ["baseline", "flb"]
-        assert strategies[1].flb.schedule.gamma == 0.5
+        assert strategies[1].schedule.gamma == 0.5
 
     def test_list_form(self):
         strategies = parse_strategies(["greedy", "vcd"])
         assert [s.kind for s in strategies] == ["greedy", "vcd"]
-        assert strategies[1].contrastive is not None
+        assert strategies[1].alpha is not None
 
 
 class TestBuildRunConfig:

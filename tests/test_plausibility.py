@@ -93,9 +93,6 @@ class TestCandidateMask:
         assert list(m.allowed) == [True, False, False]
         assert m2.beta == 0.5
 
-    def test_count(self):
-        assert CandidateMask(np.array([True, True, False]), 0.1).count() == 2
-
 
 class TestApplyMask:
     def test_keeps_scores_changes_mask(self):

@@ -13,9 +13,7 @@ from hypothesis import strategies as st
 from logit_anchor import (
     ConfigError,
     ContractError,
-    ContrastiveConfig,
     ExclusionError,
-    FlbConfig,
     LogitVector,
     Strategy,
     Vocabulary,
@@ -47,10 +45,10 @@ def tokens_of(record):
     return [s.chosen for s in record.steps]
 
 
-def decode_flb(provider, cfg, *, seed, max_steps=60):
-    """One flb run through the decode loop, on the given provider."""
+def decode_flb(provider, strategy, *, seed, max_steps=60):
+    """One run of an flb ``strategy`` through the decode loop, on the given provider."""
     (record,) = decode(
-        Strategy(kind="flb", flb=cfg), provider, [seed],
+        strategy, provider, [seed],
         noun_ids=provider.scene.noun_ids, max_steps=max_steps,
     )
     return record
@@ -115,10 +113,10 @@ class TestL0Contribution:
         with pytest.raises(ConfigError):
             l0_contrib(l0, "the_only", Vocabulary(("x", "y")))
 
-    def test_unknown_mode_rejected(self, scene):
-        l0 = LogitVector.of(np.zeros(48))
-        with pytest.raises(ConfigError):
-            l0_contrib(l0, "verbs_only", scene.vocabulary)
+    def test_unknown_mode_rejected(self):
+        """Strategy checks the mode once, so the kernel only ever sees one of L0_MASKS."""
+        with pytest.raises(ConfigError, match="l0_mask must be one of"):
+            Strategy(kind="flb", l0_mask="verbs_only")
 
 
 class TestPureOps:
@@ -158,7 +156,7 @@ class TestPureOps:
     @pytest.mark.parametrize("alpha", [float("inf"), float("nan"), -0.5])
     def test_contrastive_config_rejects_bad_alpha(self, alpha):
         with pytest.raises(ConfigError, match="alpha must be finite and >= 0"):
-            ContrastiveConfig(alpha=alpha)
+            Strategy(kind="vcd", alpha=alpha)
 
 
 class TestConstrainFast:
@@ -240,13 +238,13 @@ class TestConstrainFast:
 class TestDecodeFlb:
     def test_step_zero_never_boosts_any_schedule(self, quiet):
         for kind in (INCREASING, DECREASING, CONSTANT):
-            cfg = FlbConfig(schedule=WeightSchedule(kind, 0.3, 0.05))
+            cfg = Strategy(kind="flb", schedule=WeightSchedule(kind, 0.3, 0.05))
             rec = decode_flb(SyntheticProvider(quiet), cfg, seed=4, max_steps=10)
             step0 = rec.steps[0]
             assert np.array_equal(step0.adjusted_logits.scores, step0.raw_logits.scores)
 
     def test_trace_telescoping(self, quiet):
-        cfg = FlbConfig(schedule=WeightSchedule(INCREASING, 0.3, 0.05))
+        cfg = Strategy(kind="flb", schedule=WeightSchedule(INCREASING, 0.3, 0.05))
         rec = decode_flb(SyntheticProvider(quiet), cfg, seed=9, max_steps=40)
         step0 = rec.steps[0]
         contrib = np.where(step0.raw_logits.mask, 0.0, step0.raw_logits.scores)
@@ -256,7 +254,7 @@ class TestDecodeFlb:
             assert np.allclose(diff, w * contrib, atol=1e-12, rtol=0.0)
 
     def test_decode_path_matches_public_composition(self, quiet):
-        cfg = FlbConfig(schedule=WeightSchedule(INCREASING, 0.4, 0.08), beta=0.1)
+        cfg = Strategy(kind="flb", schedule=WeightSchedule(INCREASING, 0.4, 0.08), beta=0.1)
         rec = decode_flb(SyntheticProvider(quiet), cfg, seed=2, max_steps=30)
         step0 = rec.steps[0]
         contrib = LogitVector.of(
@@ -273,12 +271,14 @@ class TestDecodeFlb:
 
     def test_one_provider_call_per_step_including_step_zero(self, scene):
         provider = SyntheticProvider(scene)
-        rec = decode_flb(provider, FlbConfig(), seed=0, max_steps=25)
+        rec = decode_flb(provider, Strategy(kind="flb"), seed=0, max_steps=25)
         assert provider.calls == len(rec.steps)
         assert all(s.provider_calls == 1 for s in rec.steps)
 
     def test_eos_is_never_masked_out(self, scene):
-        rec = decode_flb(SyntheticProvider(scene), FlbConfig(beta=0.9), seed=1, max_steps=30)
+        rec = decode_flb(
+            SyntheticProvider(scene), Strategy(kind="flb", beta=0.9), seed=1, max_steps=30
+        )
         assert all(not s.adjusted_logits.mask[scene.eos_id] for s in rec.steps)
 
     def test_weights_are_computed_per_step_not_up_front(self, scene, monkeypatch):
@@ -289,7 +289,9 @@ class TestDecodeFlb:
             return weight_at(schedule, t)
 
         monkeypatch.setattr(strategies, "weight_at", counting_weight_at)
-        rec = decode_flb(SyntheticProvider(scene), FlbConfig(), seed=0, max_steps=10_000)
+        rec = decode_flb(
+            SyntheticProvider(scene), Strategy(kind="flb"), seed=0, max_steps=10_000
+        )
         assert rec.steps[-1].chosen == scene.eos_id
         assert len(calls) <= len(rec.steps)
 
@@ -300,7 +302,7 @@ class TestDegeneracy:
             base = run_strategy(scene, Strategy(kind="baseline", beta=0.1), seed=seed)
             flb = decode_flb(
                 SyntheticProvider(scene),
-                FlbConfig(schedule=WeightSchedule(INCREASING, 0.0, 0.05), beta=0.1),
+                Strategy(kind="flb", schedule=WeightSchedule(INCREASING, 0.0, 0.05), beta=0.1),
                 seed=seed,
             )
             assert tokens_of(base) == tokens_of(flb)
@@ -309,7 +311,7 @@ class TestDegeneracy:
         base = run_strategy(scene, Strategy(kind="baseline", beta=0.1), seed=17)
         flb = decode_flb(
             SyntheticProvider(scene),
-            FlbConfig(schedule=WeightSchedule(INCREASING, 0.0, 0.05), beta=0.1),
+            Strategy(kind="flb", schedule=WeightSchedule(INCREASING, 0.0, 0.05), beta=0.1),
             seed=17,
         )
         for sb, sf in zip(base.steps, flb.steps):
@@ -328,31 +330,68 @@ class TestDegeneracy:
             assert tokens_of(base) == tokens_of(flb)
 
 
+# A valid value of each setting, for kinds that take it.
+SETTING_VALUES = {
+    "beta": 0.1, "alpha": 1.0, "strength": 0.5, "schedule": WeightSchedule(), "l0_mask": "full",
+}
+# The settings each kind does not take, written out rather than read from SETTINGS.
+NOT_TAKEN = {
+    "baseline": ("alpha", "strength", "schedule", "l0_mask"),
+    "greedy": ("alpha", "strength", "schedule", "l0_mask"),
+    "vcd": ("schedule", "l0_mask"),
+    "icd": ("schedule", "l0_mask"),
+    "m3id": ("schedule", "l0_mask"),
+    "flb": ("alpha", "strength"),
+}
+
+
 class TestStrategyDescriptor:
     def test_defaults_fill_in(self):
         s = Strategy(kind="vcd")
-        assert s.contrastive.alpha == 1.0
-        assert s.resolved_strength() == 0.7
-        assert Strategy(kind="icd").resolved_strength() == 1.0
-        assert Strategy(kind="m3id").resolved_strength() == 1.0
+        assert s.alpha == 1.0
+        assert s.strength == 0.7
+        assert Strategy(kind="icd").strength == 1.0
+        assert Strategy(kind="m3id").strength == 1.0
         f = Strategy(kind="flb")
-        assert f.flb.schedule == WeightSchedule()
-        assert f.flb.beta == 0.1
+        assert f.schedule == WeightSchedule()
+        assert f.beta == 0.1
+        assert f.l0_mask == "full"
+        assert Strategy(kind="greedy").beta is None
 
     def test_labels(self):
+        """Every bare kind's label; labels name the trace directories and the report keys."""
         assert Strategy(kind="baseline").label() == "baseline"
         assert Strategy(kind="baseline", beta=0.1).label() == "baseline(beta=0.1)"
+        assert Strategy(kind="greedy").label() == "greedy"
         assert Strategy(kind="vcd").label() == "vcd(alpha=1,beta=0.1,strength=0.7)"
+        assert Strategy(kind="icd").label() == "icd(alpha=1,beta=0.1,strength=1)"
+        assert Strategy(kind="m3id").label() == "m3id(alpha=1,beta=0.1,strength=1)"
         assert Strategy(kind="flb").label() == \
             "flb(increasing,gamma=0.3,lam=0.05,beta=0.1,mask=full)"
 
     def test_cross_payload_rejected(self):
         with pytest.raises(ConfigError):
-            Strategy(kind="vcd", flb=FlbConfig())
+            Strategy(kind="vcd", schedule=WeightSchedule())
         with pytest.raises(ConfigError):
-            Strategy(kind="baseline", contrastive=ContrastiveConfig())
-        with pytest.raises(ConfigError):
-            Strategy(kind="flb", beta=0.5)
+            Strategy(kind="baseline", alpha=1.0)
+        # flb takes beta directly: the candidate cut it shares with the other kinds.
+        assert Strategy(kind="flb", beta=0.5).beta == 0.5
+
+    @pytest.mark.parametrize("kind, name", [
+        (kind, name) for kind, names in NOT_TAKEN.items() for name in names
+    ])
+    def test_setting_the_kind_does_not_take_rejected(self, kind, name):
+        with pytest.raises(ConfigError, match=f"^{kind} takes no {name} setting"):
+            Strategy(kind=kind, **{name: SETTING_VALUES[name]})
+
+    @pytest.mark.parametrize("name, value", [
+        ("beta", 1.5), ("beta", float("nan")), ("strength", -0.1), ("alpha", -1.0),
+        ("schedule", "increasing"), ("l0_mask", "verbs"),
+    ])
+    def test_setting_out_of_range_rejected(self, name, value):
+        kind = next(k for k in ("vcd", "flb") if name in strategies.SETTINGS[k])
+        with pytest.raises(ConfigError, match=f"^{name} must"):
+            Strategy(kind=kind, **{name: value})
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -367,18 +406,18 @@ class TestParseStrategy:
 
     def test_flb_parameters_and_aliases(self):
         s = parse_strategy("flb:gamma=0.5,lambda=0.1,schedule=dec,mask=nouns,beta=0.2")
-        assert s.flb.schedule == WeightSchedule(DECREASING, 0.5, 0.1)
-        assert s.flb.beta == 0.2
-        assert s.flb.l0_mask == "nouns_only"
+        assert s.schedule == WeightSchedule(DECREASING, 0.5, 0.1)
+        assert s.beta == 0.2
+        assert s.l0_mask == "nouns_only"
         s2 = parse_strategy("flb:lam=0.2,schedule=const,mask=the")
-        assert s2.flb.schedule == WeightSchedule(CONSTANT, 0.3, 0.2)
-        assert s2.flb.l0_mask == "the_only"
+        assert s2.schedule == WeightSchedule(CONSTANT, 0.3, 0.2)
+        assert s2.l0_mask == "the_only"
 
     def test_contrastive_parameters(self):
         s = parse_strategy("vcd:alpha=2,beta=0.05,strength=0.5")
-        assert s.contrastive.alpha == 2.0
-        assert s.contrastive.beta == 0.05
-        assert s.resolved_strength() == 0.5
+        assert s.alpha == 2.0
+        assert s.beta == 0.05
+        assert s.strength == 0.5
 
     def test_errors(self):
         for bad in (
