@@ -146,8 +146,8 @@ def run_bench(
                 seed=seed, max_steps=max_steps, wrap=wrap,
             )
             elapsed_ms = (time.perf_counter() - start) * 1000.0
-            tokens = len(record.steps)
-            calls = sum(s.provider_calls for s in record.steps)
+            tokens = len(record.chosen)
+            calls = sum(record.provider_calls)
             strategy_runs.append((tokens, calls, elapsed_ms / tokens))
 
     pad_ms = cost_model.pad_us / 1000.0

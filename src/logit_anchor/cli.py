@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -102,10 +103,21 @@ def _formats(args) -> set[str]:
     return {args.format} if args.format else {"csv", "json"}
 
 
+def _out_dir(path) -> Path:
+    """The --out directory ``path``, made if missing; one that cannot be is a ConfigError."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"--out {path}: cannot be the output directory ({exc.strerror})"
+        ) from None
+    return out
+
+
 def _write_report(args, name: str, payload, header, rows) -> Path:
     """``name``.json holds ``payload``, ``name``.csv the rows; --format picks."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     formats = _formats(args)
     if "json" in formats:
         _write_json(out / f"{name}.json", payload)
@@ -239,12 +251,11 @@ def cmd_simulate(args) -> int:
     records = run_many(
         cfg.scene, cfg.strategies, cfg.seeds,
         max_steps=cfg.max_steps, temperature=cfg.temperature,
-        prompt_id=cfg.scene_name, jobs=args.jobs,
+        prompt_id=cfg.scene_name, jobs=args.jobs, record=args.full_dist,
     )
     lexicon = TraceLexicon.from_scene(cfg.scene)
-    out = Path(args.out)
+    out = _out_dir(args.out)
     trace_root = out / "traces"
-    trace_root.mkdir(parents=True, exist_ok=True)
 
     labels = [s.label() for s in cfg.strategies]
     stats_by_label = {label: [] for label in labels}
@@ -361,7 +372,8 @@ def read_trace_dir(traces_dir: Path):
     input error (exit 3) naming the file and the key; so is a file under
     ``traces/<label>/`` not named ``<seed>.jsonl``, whose header holds
     another seed or label, or whose steps choose a token id outside the
-    scene's vocabulary or name another token. The returned manifest
+    scene's vocabulary, name another token or hold more entropy than a
+    distribution over that vocabulary can have. The returned manifest
     holds ``bin_width`` as read (the default when absent).
     """
     manifest_path = traces_dir / "manifest.json"
@@ -383,6 +395,8 @@ def read_trace_dir(traces_dir: Path):
     except ConfigError as exc:
         raise InputError(f"{manifest_path}: {exc}") from exc
     surface = dict(enumerate(scene.vocabulary.tokens))  # None for an id outside it
+    # No distribution over the scene's tokens has more entropy than the uniform one.
+    max_entropy = math.log(scene.vocabulary.size) + 1e-9
     stats_by_label = {}
     for label in labels:
         strategy_dir = traces_dir / "traces" / sanitize_label(label)
@@ -401,6 +415,9 @@ def read_trace_dir(traces_dir: Path):
                 if surface.get(step.chosen) != step.token:
                     raise InputError(f"{path}: step {step.t}: chosen: {step.chosen}, "
                                      f"token: {step.token!r}: not one token of the scene")
+                if step.entropy > max_entropy:
+                    raise InputError(f"{path}: step {step.t}: entropy: {step.entropy!r} "
+                                     f"exceeds ln({scene.vocabulary.size}), the uniform maximum")
     return manifest, scene, stats_by_label
 
 

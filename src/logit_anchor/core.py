@@ -272,14 +272,25 @@ class StepTrace:
 
 @dataclass(frozen=True)
 class GenerationRecord:
-    """One completed decoding run: per-step traces plus the rendered text."""
+    """One completed decoding run: its text and one column per step summary.
+
+    Item t of a column is step t's chosen token, entropy in nats, chosen-token
+    probability, gt or hal noun mass, or provider calls. ``steps`` holds each
+    step's ``StepTrace`` for a run decoded with ``record=True``, else None.
+    """
 
     prompt_id: str
     strategy: str
     seed: int
-    steps: tuple[StepTrace, ...] = field(repr=False)
     text: str
+    chosen: tuple[TokenId, ...]
+    entropy: tuple[float, ...]
+    chosen_prob: tuple[float, ...]
+    gt_mass: tuple[float, ...]
+    hal_mass: tuple[float, ...]
+    provider_calls: tuple[int, ...]
+    steps: tuple[StepTrace, ...] | None = field(default=None, repr=False)
 
     @property
     def token_ids(self) -> tuple[TokenId, ...]:
-        return tuple(s.chosen for s in self.steps)
+        return self.chosen

@@ -23,8 +23,11 @@ trace alone.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import count, repeat
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -353,14 +356,6 @@ class TraceLexicon:
     def hal_names(self) -> frozenset[str]:
         return frozenset(self.vocab.token(i) for i in self.hal_ids)
 
-    @cached_property
-    def _gt_index(self) -> np.ndarray:
-        return np.asarray(sorted(self.gt_ids))
-
-    @cached_property
-    def _hal_index(self) -> np.ndarray:
-        return np.asarray(sorted(self.hal_ids))
-
 
 @dataclass(frozen=True)
 class StepStats:
@@ -395,22 +390,16 @@ class RunStats:
 
 
 def summarize_record(record: GenerationRecord, lexicon: TraceLexicon) -> RunStats:
-    """Reduce a full GenerationRecord to the summary the metrics consume."""
-    gt_index = lexicon._gt_index
-    hal_index = lexicon._hal_index
-    steps = tuple(
-        StepStats(
-            t=s.step_index,
-            chosen=s.chosen,
-            token=lexicon.vocab.token(s.chosen),
-            entropy=s.entropy_nats,
-            chosen_prob=s.dist.prob(s.chosen),
-            gt_mass=float(s.dist.probs[gt_index].sum()),
-            hal_mass=float(s.dist.probs[hal_index].sum()),
-            provider_calls=s.provider_calls,
-        )
-        for s in record.steps
-    )
+    """The run's summary columns, which the decode loop computed, as one StepStats per step.
+
+    The gt and hal masses are those of the scene the run was decoded on,
+    which is the scene ``lexicon`` is built from.
+    """
+    tokens = lexicon.vocab.tokens
+    steps = tuple(map(
+        StepStats, range(len(record.chosen)), record.chosen, [tokens[c] for c in record.chosen],
+        record.entropy, record.chosen_prob, record.gt_mass, record.hal_mass, record.provider_calls,
+    ))
     return RunStats(
         prompt_id=record.prompt_id,
         strategy=record.strategy,
@@ -635,6 +624,15 @@ def simulated_corpus(
 # -- trace files ------------------------------------------------------------------
 
 
+# A step line as ``json.dumps(line, sort_keys=True)`` writes it, with the dist
+# field (and its ", ") or nothing at %s. The decode loop checks every value
+# finite, and a finite float's repr is its JSON form.
+_STEP_LINE = (
+    '{"chosen": %d, "chosen_prob": %r, %s"entropy": %r, "gt_mass": %r, "hal_mass": %r, '
+    '"kind": "step", "provider_calls": %d, "t": %d, "token": %s}\n'
+)
+
+
 def write_trace(
     path,
     record: GenerationRecord,
@@ -644,36 +642,36 @@ def write_trace(
 ) -> RunStats:
     """Write one run as JSONL: a header line, then one line per step.
 
-    Per-step distributions are stored only when ``full_dist`` is set; the
-    summary fields are always present and are everything the metrics here
-    consume. Returns the summary that was written.
+    Each line is byte for byte ``json.dumps(..., sort_keys=True)`` of its
+    record; step lines are formatted directly from the record's columns, and
+    the file is written in one call. The summary fields are everything the
+    metrics here consume. With ``full_dist`` each step line also holds the
+    step's distribution, which only a record decoded with ``record=True``
+    keeps. Returns the summary that was written.
     """
     stats = summarize_record(record, lexicon)
+    header = {
+        "kind": "run",
+        "prompt_id": stats.prompt_id,
+        "strategy": stats.strategy,
+        "seed": stats.seed,
+        "n_steps": len(stats.steps),
+        "text": stats.text,
+    }
+    dists = repeat("")
+    if full_dist:
+        if record.steps is None:
+            raise ConfigError("full_dist needs a record decoded with record=True")
+        dists = ('"dist": [%s], ' % ", ".join(map(repr, s.dist.probs.tolist()))
+                 for s in record.steps)
+    lines = map(
+        _STEP_LINE.__mod__,
+        zip(record.chosen, record.chosen_prob, dists, record.entropy, record.gt_mass,
+            record.hal_mass, record.provider_calls, count(),
+            map(encode_basestring_ascii, stats.tokens)),
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        header = {
-            "kind": "run",
-            "prompt_id": stats.prompt_id,
-            "strategy": stats.strategy,
-            "seed": stats.seed,
-            "n_steps": len(stats.steps),
-            "text": stats.text,
-        }
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for step, full in zip(stats.steps, record.steps):
-            line = {
-                "kind": "step",
-                "t": step.t,
-                "chosen": step.chosen,
-                "token": step.token,
-                "entropy": step.entropy,
-                "chosen_prob": step.chosen_prob,
-                "gt_mass": step.gt_mass,
-                "hal_mass": step.hal_mass,
-                "provider_calls": step.provider_calls,
-            }
-            if full_dist:
-                line["dist"] = [float(p) for p in full.dist.probs]
-            fh.write(json.dumps(line, sort_keys=True) + "\n")
+        fh.write(json.dumps(header, sort_keys=True) + "\n" + "".join(lines))
     return stats
 
 
@@ -683,6 +681,8 @@ def _step_fault(step: StepStats, t: int) -> str:
         return f"t: {step.t!r} where step {t} belongs"
     if step.provider_calls < 1:
         return f"provider_calls: {step.provider_calls!r} is below 1"
+    if not 0.0 <= step.entropy < math.inf:
+        return f"entropy: {step.entropy!r} is negative or not finite"
     name = next(n for n in ("chosen_prob", "gt_mass", "hal_mass")
                 if not 0.0 <= getattr(step, n) <= _P_MAX)
     return f"{name}: {getattr(step, name)!r} lies outside [0, 1]"
@@ -690,8 +690,9 @@ def _step_fault(step: StepStats, t: int) -> str:
 
 def read_trace(path) -> RunStats:
     """Read one JSONL trace back into the summary form; a malformed record (say,
-    an integer field holding a fraction, a probability above 1 or steps out of
-    order) is an InputError naming the file, the line and the field."""
+    an integer field holding a fraction, a probability above 1, a negative
+    entropy or steps out of order) is an InputError naming the file, the line
+    and the field."""
     steps: list[StepStats] = []
     header: dict | None = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -725,6 +726,7 @@ def read_trace(path) -> RunStats:
                 except (KeyError, TypeError, ValueError, ConfigError) as exc:
                     raise InputError(f"{path}:{lineno}: bad step record ({exc})") from exc
                 if not (step.t == len(steps) and step.provider_calls >= 1  # as _step_fault
+                        and 0.0 <= step.entropy < math.inf
                         and 0.0 <= step.chosen_prob <= _P_MAX and 0.0 <= step.gt_mass <= _P_MAX
                         and 0.0 <= step.hal_mass <= _P_MAX):
                     fault = _step_fault(step, len(steps))

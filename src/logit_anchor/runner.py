@@ -7,7 +7,9 @@ strategy go through ``strategies.decode`` together, as the rows of one
 lockstep batch, with fresh provider instances per strategy (so call counters
 never leak between strategies). Each row has its own seed-derived random
 streams, so a run's record is the same whichever seeds share its batch, and
-a single run is the one-row batch.
+a single run is the one-row batch. Records keep each step's ``StepTrace``
+(logits, distribution) from ``run_strategy``, and from ``run_many`` only with
+``record=True``; their summary columns are always there.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ def _decode(
         if negative is not None:
             negative = wrap(negative)
     return decode(
-        strategy, provider, seeds, negative=negative, noun_ids=scene.noun_ids, **kwargs
+        strategy, provider, seeds, negative=negative,
+        gt_ids=scene.gt_ids, hal_ids=scene.hal_ids, **kwargs,
     )
 
 
@@ -57,7 +60,7 @@ def run_strategy(
     prompt_id: str = "scene",
     wrap: ProviderWrap | None = None,
 ) -> GenerationRecord:
-    """Execute one decoding run of ``strategy`` on ``scene``.
+    """Execute one decoding run of ``strategy`` on ``scene``; its record keeps every step.
 
     ``wrap`` maps each fresh provider to the object the loop calls instead;
     a wrapper without ``logit_rows`` is called through ``logits`` once per
@@ -65,7 +68,7 @@ def run_strategy(
     """
     (record,) = _decode(
         scene, strategy, (seed,), wrap,
-        max_steps=max_steps, temperature=temperature, prompt_id=prompt_id,
+        max_steps=max_steps, temperature=temperature, prompt_id=prompt_id, record=True,
     )
     return record
 
@@ -79,10 +82,12 @@ def run_many(
     temperature: float = 1.0,
     prompt_id: str = "scene",
     jobs: int = 1,
+    record: bool = False,
 ) -> list[GenerationRecord]:
     """All (strategy, seed) runs, ordered by strategy position then seed.
 
-    Each strategy decodes all its seeds as one lockstep batch. ``jobs`` is
+    Each strategy decodes all its seeds as one lockstep batch. Only with
+    ``record`` do the records keep each step's ``StepTrace``. ``jobs`` is
     accepted for compatibility and must be >= 1; it has no effect.
     """
     if jobs < 1:
@@ -96,6 +101,6 @@ def run_many(
     for strategy in strategies:
         records += _decode(
             scene, strategy, ordered,
-            max_steps=max_steps, temperature=temperature, prompt_id=prompt_id,
+            max_steps=max_steps, temperature=temperature, prompt_id=prompt_id, record=record,
         )
     return records

@@ -223,6 +223,36 @@ def _softmax(scores: np.ndarray, mask: np.ndarray | None, temperature: float, en
     return probs, totals, entropies if entropy else None
 
 
+def _index_sums(p: np.ndarray, index: np.ndarray):
+    """Each row's sum of its entries at ``index``, bit for bit ``row[index].sum()``.
+
+    An axis sum of the gathered ``[rows, n]`` block may add in another order
+    than numpy's pairwise sum of one row, so the block is added column by
+    column in that order: from 0.0, one entry after another below 8 entries;
+    up to 128, eight strided partial sums, combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the rest one by one;
+    above 128, the sums of the two parts split at ``n//2 - (n//2) % 8``.
+    """
+    if p.ndim == 1:
+        return np.add.reduce(p[index])  # what p[index].sum() runs
+    block = p[:, index]
+    n = block.shape[1]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _index_sums(block, slice(half)) + _index_sums(block, slice(half, n))
+    if n < 8:
+        total, rest = np.zeros(len(block)), 0
+    else:
+        r = block[:, :8] + 0.0  # as from 0.0: a -0.0 sum comes out 0.0
+        for i in range(8, n - n % 8, 8):
+            r += block[:, i:i + 8]
+        r = r[:, 0::2] + r[:, 1::2]  # r0+r1, r2+r3, r4+r5, r6+r7
+        total, rest = (r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3]), n - n % 8
+    for i in range(rest, n):
+        total += block[:, i]
+    return total
+
+
 def _candidate_mask(
     raw: np.ndarray,
     raw_mask: np.ndarray | None,
@@ -335,8 +365,11 @@ def _provider_rows(
 def _check_step(
     t: int, probs: np.ndarray, mask: np.ndarray | None, chosen: list[TokenId],
     scores: np.ndarray, temperature: float, label: str,
-):
-    """The checks ProbDist and StepTrace make, for all rows of one step."""
+) -> list[float]:
+    """The checks ProbDist and StepTrace make, for all rows of one step.
+
+    Returns each row's probability of its chosen token, which they check.
+    """
     sums = _listed(probs.sum(axis=-1))
     if np.count_nonzero(probs < 0.0) or not all(abs(s - 1.0) <= 1e-9 for s in sums):
         # The provider's rows are checked finite, so scores that are not
@@ -349,15 +382,13 @@ def _check_step(
         raise ContractError(f"step {t}: probabilities sum to {sums!r}, not 1")
     rows = probs.reshape(len(chosen), -1)
     masks = None if mask is None else mask.reshape(len(chosen), -1)
+    picked = []
     for j, c in enumerate(chosen):
-        if not rows[j, c] > 0.0 or (masks is not None and masks[j, c]):
+        p = float(rows[j, c])
+        if not p > 0.0 or (masks is not None and masks[j, c]):
             raise ContractError(f"step {t} chose a masked or zero-probability token {c}")
-
-
-def _frozen(*arrays: np.ndarray | None) -> None:
-    for arr in arrays:
-        if arr is not None:
-            arr.setflags(write=False)
+        picked.append(p)
+    return picked
 
 
 # Settings that overflow make inf, then nan in the softmax's max shift;
@@ -372,20 +403,25 @@ def decode(
     seeds: Sequence[int],
     *,
     negative: LogitProvider | None = None,
-    noun_ids: Sequence[TokenId] | None = None,
+    gt_ids: Sequence[TokenId] = (),
+    hal_ids: Sequence[TokenId] = (),
     prompt_id: str = "scene",
     max_steps: int = 60,
     temperature: float = 1.0,
+    record: bool = False,
 ) -> list[GenerationRecord]:
     """Decode one run of ``strategy`` per seed, all in lockstep; records in seed order.
 
     Each seed is one row. At step t every unfinished row makes its provider
     calls (``negative`` too, for the contrastive kinds), and the strategy's
     adjustment, the candidate constraint, the softmax, the choice and the
-    entropy are computed for all rows at once. A row retires when it emits
-    EOS or reaches ``max_steps``. Each row's record is what decoding its seed
-    alone gives, bit for bit: rows share no random stream and every
-    reduction is taken row by row.
+    summary columns of ``GenerationRecord`` are computed for all rows at
+    once; the gt and hal mass columns sum the probabilities of ``gt_ids``
+    and ``hal_ids``, the nouns of flb's ``nouns_only`` mask. A row retires
+    when it emits EOS or reaches ``max_steps``. Each row's record is what
+    decoding its seed alone gives, bit for bit: rows share no random stream
+    and every reduction is taken row by row. Only with ``record`` does a
+    record also keep each step's ``StepTrace`` (logits, distribution).
     """
     _check_run_args(max_steps, temperature)
     if not seeds:
@@ -398,8 +434,9 @@ def decode(
     greedy = kind == GREEDY
     eos_id = provider.eos_id
     beta, alpha, schedule = strategy.beta, strategy.alpha, strategy.schedule
+    gt_index, hal_index = (np.array(sorted(set(ids)), dtype=np.intp) for ids in (gt_ids, hal_ids))
     if kind == FLB:
-        lane = _l0_lane(strategy.l0_mask, provider.vocab, noun_ids)
+        lane = _l0_lane(strategy.l0_mask, provider.vocab, [*gt_index, *hal_index])
 
     # Three streams per seed (sampling, positive jitter, negative jitter);
     # a Generator is built only for the streams this strategy draws from.
@@ -411,6 +448,7 @@ def decode(
     no_mask = np.zeros(provider.vocab.size, dtype=bool)
     no_mask.setflags(write=False)
     histories: list[list[TokenId]] = [[] for _ in seeds]
+    summaries: list[list[tuple]] = [[] for _ in seeds]
     traces: list[list[StepTrace]] = [[] for _ in seeds]
     live = list(range(len(seeds)))
     contrib = None
@@ -447,34 +485,33 @@ def decode(
         else:
             draws = [sample_rngs[i].random() for i in live]
             chosen = _sample_rows(probs, draws[0] if n == 1 else np.array(draws))
-        _check_step(t, probs, mask, chosen, scores, temperature, label)
+        chosen_probs = _check_step(t, probs, mask, chosen, scores, temperature, label)
         entropies = _listed(entropies)
 
-        _frozen(raw, raw_mask, scores, mask, probs)
-        same = scores is raw and mask is raw_mask
-        rows = zip(
-            live, chosen, entropies,
-            (raw,) if n == 1 else raw,
-            (no_mask,) * n if raw_mask is None else (raw_mask,) if n == 1 else raw_mask,
-            (scores,) if n == 1 else scores,
-            (no_mask,) * n if mask is None else (mask,) if n == 1 else mask,
-            (probs,) if n == 1 else probs,
+        columns = zip(
+            live, chosen, entropies, chosen_probs,
+            _listed(_index_sums(probs, gt_index)), _listed(_index_sums(probs, hal_index)),
         )
-        for i, c, ent, raw_row, raw_mask_row, scores_row, mask_row, probs_row in rows:
-            raw_vec = _unchecked(LogitVector, scores=raw_row, mask=raw_mask_row)
-            traces[i].append(_unchecked(
-                StepTrace,
-                step_index=t,
-                raw_logits=raw_vec,
-                adjusted_logits=raw_vec if same else _unchecked(
-                    LogitVector, scores=scores_row, mask=mask_row
-                ),
-                dist=_unchecked(ProbDist, probs=probs_row),
-                chosen=c,
-                entropy_nats=ent,
-                provider_calls=per_row,
-            ))
+        for i, c, ent, p, gt, hal in columns:
+            summaries[i].append((c, ent, p, gt, hal, per_row))
             histories[i].append(c)
+        if record:
+            # Read-only rows: a record can share them with no writable alias.
+            rows = []
+            for arr in (raw, raw_mask, scores, mask, probs):
+                if arr is not None:
+                    arr.setflags(write=False)
+                rows.append((no_mask,) * n if arr is None else (arr,) if n == 1 else arr)
+            for i, c, ent, raw_row, raw_mask_row, scores_row, mask_row, probs_row in zip(
+                live, chosen, entropies, *rows
+            ):
+                traces[i].append(_unchecked(
+                    StepTrace, step_index=t,
+                    raw_logits=_unchecked(LogitVector, scores=raw_row, mask=raw_mask_row),
+                    adjusted_logits=_unchecked(LogitVector, scores=scores_row, mask=mask_row),
+                    dist=_unchecked(ProbDist, probs=probs_row), chosen=c, entropy_nats=ent,
+                    provider_calls=per_row,
+                ))
 
         if eos_id in chosen:
             going = [c != eos_id for c in chosen]
@@ -485,13 +522,10 @@ def decode(
                 contrib = contrib[going] if len(live) > 1 else contrib[going.index(True)]
     return [
         GenerationRecord(
-            prompt_id=prompt_id,
-            strategy=label,
-            seed=seed,
-            steps=tuple(steps),
-            text=provider.vocab.render(history),
+            prompt_id, label, seed, provider.vocab.render(history),
+            *zip(*summary), steps=tuple(steps) if record else None,
         )
-        for seed, steps, history in zip(seeds, traces, histories)
+        for seed, summary, steps, history in zip(seeds, summaries, traces, histories)
     ]
 
 

@@ -151,7 +151,7 @@ def test_c04_call_count_law(report):
             strategy.label(): 1 if text in single else 2
             for text, strategy in zip(single + double, strategies)
         }
-        records = run_many(scene, strategies, range(10), max_steps=40)
+        records = run_many(scene, strategies, range(10), max_steps=40, record=True)
         for record in records:
             k = expected[record.strategy]
             assert record.steps
@@ -251,7 +251,7 @@ def test_c09_beta_zero_failure_regression(report):
         article_ids = {int(spike.vocabulary.id_of(a)) for a in spike.articles}
 
         def runs_with_misplaced_article(strategy, seeds) -> int:
-            records = run_many(spike, [strategy], seeds, max_steps=60, jobs=4)
+            records = run_many(spike, [strategy], seeds, max_steps=60, jobs=4, record=True)
             bad = 0
             for record in records:
                 state = spike.state_after(())

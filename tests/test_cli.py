@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import tempfile
@@ -392,7 +393,8 @@ class TestEvaluateTraces:
     @pytest.mark.parametrize("line, field, value", [
         (3, "t", 45), (2, "t", 0), (2, "provider_calls", -5), (2, "provider_calls", 0),
         (2, "chosen_prob", 7.5), (2, "gt_mass", -0.25), (2, "hal_mass", 1.5),
-        (2, "chosen_prob", float("nan")),
+        (2, "chosen_prob", float("nan")), (2, "entropy", -5.0), (2, "entropy", float("inf")),
+        (2, "entropy", float("nan")),
     ])
     def test_impossible_step_field_exits_3_naming_it(self, tmp_path, capsys, line, field, value):
         sim_out, path = self._simulated(tmp_path)
@@ -401,6 +403,29 @@ class TestEvaluateTraces:
         assert run_cli("evaluate", "--traces", sim_out) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}:{line + 1}: ") and f"{field}: {value!r}" in err
+
+    def test_negative_entropy_exits_3(self, tmp_path, capsys):
+        """One step's entropy set to -5.0 used to be scored, moving the mean entropy."""
+        sim_out = tmp_path / "sim"
+        assert run_cli(
+            "simulate", "--strategies", "baseline", "--seeds", "0:3", "--max-steps", "10",
+            "--out", sim_out,
+        ) == 0
+        bad = _edit_line(sim_out / "traces" / "baseline" / "0.jsonl", 3,
+                         lambda r: {**r, "entropy": -5.0})
+        capsys.readouterr()
+        assert run_cli("evaluate", "--traces", sim_out) == 3
+        assert capsys.readouterr().err.startswith(f"error: {bad}:4: bad step record (entropy: -5.0")
+
+    def test_entropy_above_the_uniform_ones_exits_3(self, tmp_path, capsys):
+        """No step over the default scene's 48 tokens has more entropy than ln(48)."""
+        sim_out, path = self._simulated(tmp_path)
+        _edit_line(path, 2, lambda r: {**r, "entropy": math.log(48) + 1e-10})
+        assert run_cli("evaluate", "--traces", sim_out) == 0
+        bad = _edit_line(path, 2, lambda r: {**r, "entropy": 3.9})
+        capsys.readouterr()
+        assert run_cli("evaluate", "--traces", sim_out) == 3
+        assert capsys.readouterr().err.startswith(f"error: {bad}: step 1: entropy: 3.9 ")
 
     def test_mass_rounded_above_one_is_read(self, tmp_path):
         """A sum of probabilities may exceed 1 by rounding; the decode loop allows 1e-9."""
@@ -590,6 +615,28 @@ class TestSharedScoring:
         expected = simulated(row["label"])
         assert {key: row[key] for key in SHARED_METRICS} == \
             {key: expected[key] for key in SHARED_METRICS}
+
+
+class TestOutPath:
+    """An --out that names a file, or lies under one, is a configuration error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--strategies", "baseline", "--seeds", "0", "--max-steps", "3"],
+        ["evaluate", *GOLDEN],
+        ["sweep", "--gammas", "0.1", "--lams", "0.01", "--seeds", "0", "--max-steps", "3"],
+        ["bench", "--strategies", "baseline", "--seeds", "0:2", "--max-steps", "5",
+         "--min-tokens", "1"],
+        ["ablate", "--seeds", "0", "--max-steps", "3"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, argv, under):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / "sub" if under else taken
+        assert run_cli(*argv, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out}: ") and "Traceback" not in err
+        assert taken.read_text() == "kept\n"
 
 
 class TestParser:

@@ -351,7 +351,10 @@ def test_generation_record_token_ids():
         step_index=0, raw_logits=lv, adjusted_logits=lv, dist=d,
         chosen=1, entropy_nats=entropy(d), provider_calls=1,
     )
+    p, h = d.prob(1), entropy(d)
     rec = GenerationRecord(
-        prompt_id="p", strategy="baseline", seed=0, steps=(step, step), text="b b"
+        prompt_id="p", strategy="baseline", seed=0, text="b b", chosen=(1, 1),
+        entropy=(h, h), chosen_prob=(p, p), gt_mass=(p, p), hal_mass=(0.0, 0.0),
+        provider_calls=(1, 1), steps=(step, step),
     )
     assert rec.token_ids == (1, 1)

@@ -1,0 +1,78 @@
+"""Golden outputs: every file three ``simulate`` runs write, pinned by sha256.
+
+The runs cover the default strategies plus a masked flb, a temperature
+below 1 with ``--full-dist``, and gt and hal sets that are not 8 nouns long.
+Any change to an output byte of these runs, stdout included, fails here
+rather than only under a manual ``diff -r``. To re-pin after a deliberate
+output change, run this file as a script:
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from logit_anchor.cli import main
+from logit_anchor.config import SEED_ENV_VAR
+from logit_anchor.simulator import preset, scene_to_dict
+
+PINNED = Path(__file__).parent / "data" / "golden_outputs.json"
+
+BASE = [
+    "simulate", "--seeds", "0:8", "--max-steps", "40",
+    "--strategies", "baseline;vcd;icd;m3id;flb;flb:mask=nouns",
+]
+RUNS = {
+    "default": BASE,
+    "full_dist": BASE + ["--temperature", "0.7", "--full-dist"],
+    "uneven_sets": None,  # BASE on a scene whose gt and hal sets hold 3 and 13 nouns
+}
+
+
+def uneven_scene() -> dict:
+    """The default scene with five of its gt nouns moved to the hal set."""
+    scene = scene_to_dict(preset("default"))
+    moved = scene["gt_objects"][3:]
+    scene["gt_objects"] = scene["gt_objects"][:3]
+    scene["hal_objects"] = moved + scene["hal_objects"]
+    return scene
+
+
+def run_hashes(name: str, root: Path) -> dict[str, str]:
+    """sha256 of each file run ``name`` writes under ``root``, and of its stdout."""
+    argv = RUNS[name]
+    if argv is None:
+        scene_path = root / "scene.json"
+        scene_path.write_text(json.dumps(uneven_scene()), encoding="utf-8")
+        argv = BASE + ["--scene", str(scene_path)]
+    out = root / name
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(argv + ["--out", str(out)]) == 0
+    hashes = {"<stdout>": stdout.getvalue().replace(str(out), "<out>").encode("utf-8")}
+    hashes.update((p.relative_to(out).as_posix(), p.read_bytes())
+                  for p in out.rglob("*") if p.is_file())
+    return {key: hashlib.sha256(data).hexdigest() for key, data in sorted(hashes.items())}
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_outputs_match_pinned_hashes(name, tmp_path, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    pinned = json.loads(PINNED.read_text(encoding="utf-8"))[name]
+    assert run_hashes(name, tmp_path) == pinned
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        hashes = {name: run_hashes(name, Path(tmp)) for name in RUNS}
+    PINNED.parent.mkdir(exist_ok=True)
+    PINNED.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"pinned {sum(map(len, hashes.values()))} hashes -> {PINNED}", file=sys.stderr)

@@ -15,7 +15,9 @@ from logit_anchor import (
     ContractError,
     ExclusionError,
     LogitVector,
+    StepStats,
     Strategy,
+    TraceLexicon,
     Vocabulary,
     WeightSchedule,
     apply_mask,
@@ -27,10 +29,17 @@ from logit_anchor import (
     run_many,
     run_strategy,
     softmax,
+    summarize_record,
     weight_at,
 )
 from logit_anchor import strategies
-from logit_anchor.simulator import NegativeProvider, NegativeVariantSpec, SyntheticProvider
+from logit_anchor.simulator import (
+    NegativeProvider,
+    NegativeVariantSpec,
+    SyntheticProvider,
+    scene_from_dict,
+    scene_to_dict,
+)
 from logit_anchor.weighting import CONSTANT, DECREASING, INCREASING
 
 
@@ -48,8 +57,8 @@ def tokens_of(record):
 def decode_flb(provider, strategy, *, seed, max_steps=60):
     """One run of an flb ``strategy`` through the decode loop, on the given provider."""
     (record,) = decode(
-        strategy, provider, [seed],
-        noun_ids=provider.scene.noun_ids, max_steps=max_steps,
+        strategy, provider, [seed], gt_ids=provider.scene.gt_ids,
+        hal_ids=provider.scene.hal_ids, max_steps=max_steps, record=True,
     )
     return record
 
@@ -146,7 +155,7 @@ class TestPureOps:
         for seeds in ([0], [0, 1]):  # a lone row is 1-d, several are 2-d
             records = decode(
                 parse_strategy("vcd:beta=0"), Masked(SyntheticProvider(scene), [the]),
-                seeds, negative=Masked(negative, [a]), max_steps=10,
+                seeds, negative=Masked(negative, [a]), max_steps=10, record=True,
             )
             for step in (s for r in records for s in r.steps):
                 assert step.adjusted_logits.mask[[the, a]].all()
@@ -232,7 +241,7 @@ class TestConstrainFast:
         for text in ("baseline", "baseline:beta=0.1", "flb"):
             with pytest.raises(ExclusionError, match="fully masked"):
                 decode(parse_strategy(text), Masked(SyntheticProvider(scene), slice(None)),
-                       [0, 1], noun_ids=scene.noun_ids)
+                       [0, 1], gt_ids=scene.gt_ids, hal_ids=scene.hal_ids)
 
 
 class TestDecodeFlb:
@@ -505,8 +514,8 @@ class TestRunMany:
     def test_jobs_do_not_change_results(self, scene):
         strategies = [Strategy(kind="baseline"), parse_strategy("flb")]
         seeds = tuple(range(6))
-        seq = run_many(scene, strategies, seeds, max_steps=25, jobs=1)
-        par = run_many(scene, strategies, seeds, max_steps=25, jobs=4)
+        seq = run_many(scene, strategies, seeds, max_steps=25, jobs=1, record=True)
+        par = run_many(scene, strategies, seeds, max_steps=25, jobs=4, record=True)
         assert [(r.strategy, r.seed, tokens_of(r)) for r in seq] == \
             [(r.strategy, r.seed, tokens_of(r)) for r in par]
 
@@ -589,7 +598,9 @@ class TestLockstep:
         self, scene, text, temperature, max_steps, seeds
     ):
         strategy = parse_strategy(text)
-        batch = run_many(scene, [strategy], seeds, max_steps=max_steps, temperature=temperature)
+        batch = run_many(
+            scene, [strategy], seeds, max_steps=max_steps, temperature=temperature, record=True
+        )
         assert [r.seed for r in batch] == sorted(seeds)
         for record in batch:
             alone = run_strategy(
@@ -603,5 +614,85 @@ class TestLockstep:
                 assert step.entropy_nats == entropy(want)
 
     def test_rows_retire_at_different_steps(self, scene):
-        records = run_many(scene, [parse_strategy("flb:mask=nouns")], range(5))
+        records = run_many(scene, [parse_strategy("flb:mask=nouns")], range(5), record=True)
         assert len({len(r.steps) for r in records}) >= 3
+
+
+class TestIndexSums:
+    """The loop's gt/hal mass reduction adds a row's entries as ``row[index].sum()`` does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.one_of(st.none(), st.integers(1, 40)),  # None: the lone 1-d row
+        size=st.one_of(st.integers(1, 150), st.integers(120, 150)),
+        spare=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+        power=st.integers(1, 40),
+        zeros=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        subnormals=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    )
+    @example(rows=30, size=8, spare=40, seed=0, power=1, zeros=0.0, subnormals=0.0)
+    @example(rows=3, size=150, spare=0, seed=1, power=1, zeros=0.0, subnormals=0.0)
+    @example(rows=3, size=140, spare=0, seed=2, power=1, zeros=0.0, subnormals=0.0)
+    def test_each_row_equals_its_own_sum(self, rows, size, spare, seed, power, zeros, subnormals):
+        rng = np.random.default_rng(seed)
+        shape = (size + spare,) if rows is None else (rows, size + spare)
+        p = rng.random(shape) ** power
+        p[rng.random(shape) < zeros] = 0.0
+        tiny = rng.random(shape) < subnormals * 0.5
+        p[tiny] = rng.choice([5e-324, 1e-310, 2e-308], size=int(tiny.sum()))
+        index = np.sort(rng.choice(size + spare, size=size, replace=False))
+        got = np.asarray(strategies._index_sums(p, index), dtype=np.float64)
+        want = np.array([row[index].sum() for row in p.reshape(-1, size + spare)])
+        assert got.shape == (() if rows is None else (rows,))
+        assert got.reshape(-1).tobytes() == want.tobytes()
+
+
+def reference_summary(record, lexicon):
+    """Each step's summary reduced from its StepTrace alone, one step at a time."""
+    gt_index = np.asarray(sorted(lexicon.gt_ids))
+    hal_index = np.asarray(sorted(lexicon.hal_ids))
+    return tuple(
+        StepStats(
+            t=s.step_index,
+            chosen=s.chosen,
+            token=lexicon.vocab.token(s.chosen),
+            entropy=s.entropy_nats,
+            chosen_prob=s.dist.prob(s.chosen),
+            gt_mass=float(s.dist.probs[gt_index].sum()),
+            hal_mass=float(s.dist.probs[hal_index].sum()),
+            provider_calls=s.provider_calls,
+        )
+        for s in record.steps
+    )
+
+
+class TestSummaryColumns:
+    """The loop's summary columns equal the per-step reduction of the recorded run."""
+
+    @pytest.fixture(scope="class")
+    def early_eos(self, scene):
+        """The default scene with EOS likely enough that even near-greedy rows retire early."""
+        spec = scene_to_dict(scene)
+        spec["base_logits"][spec["tokens"].index(spec["eos"])] = 2.0
+        return scene_from_dict(spec)
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.02, 9.0])
+    @pytest.mark.parametrize("text", [
+        "baseline", "greedy", "vcd", "icd", "m3id", "flb", "baseline:beta=0.1", "flb:mask=nouns",
+    ])
+    def test_columns_equal_the_step_traces(self, early_eos, text, temperature):
+        scene = early_eos
+        lexicon = TraceLexicon.from_scene(scene)
+        strategy = parse_strategy(text)
+        kwargs = {"max_steps": 40, "temperature": temperature}
+        recorded = run_many(scene, [strategy], range(12), record=True, **kwargs)
+        plain = run_many(scene, [strategy], range(12), **kwargs)
+        assert len({len(r.steps) for r in recorded}) > 1  # rows retire at different steps
+        for full, lean in zip(recorded, plain):
+            assert lean.steps is None
+            want = reference_summary(full, lexicon)
+            for record in (full, lean):
+                # repr tells every float apart bit for bit, -0.0 from 0.0 too.
+                assert repr(summarize_record(record, lexicon).steps) == repr(want)
+                assert record.token_ids == tuple(s.chosen for s in full.steps)
