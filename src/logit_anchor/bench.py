@@ -60,7 +60,7 @@ class CostModel:
 
 
 class PaddedProvider:
-    """Wraps a provider, busy-waiting a fixed time inside each logits call.
+    """Forwards a provider's ``logits`` arrays unchanged, busy-waiting a fixed time in each call.
 
     Busy-waiting (not sleeping) keeps sub-millisecond pads accurate.
     """

@@ -104,10 +104,14 @@ def _formats(args) -> set[str]:
 
 
 def _out_dir(path) -> Path:
-    """The --out directory ``path``, made if missing; one that cannot be is a ConfigError."""
+    """The --out directory ``path``, checked before any work by making it and removing what
+    was made (the writers make it again); one that cannot be made is a ConfigError."""
     out = Path(path)
     try:
+        made = [p for p in (out, *out.parents) if not p.exists()]
         out.mkdir(parents=True, exist_ok=True)
+        for p in made:
+            p.rmdir()
     except OSError as exc:
         raise ConfigError(
             f"--out {path}: cannot be the output directory ({exc.strerror})"
@@ -115,15 +119,14 @@ def _out_dir(path) -> Path:
     return out
 
 
-def _write_report(args, name: str, payload, header, rows) -> Path:
+def _write_report(args, out: Path, name: str, payload, header, rows) -> None:
     """``name``.json holds ``payload``, ``name``.csv the rows; --format picks."""
-    out = _out_dir(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     formats = _formats(args)
     if "json" in formats:
         _write_json(out / f"{name}.json", payload)
     if "csv" in formats:
         _write_csv(out / f"{name}.csv", header, rows)
-    return out
 
 
 def sanitize_label(label: str) -> str:
@@ -215,9 +218,9 @@ def _report_rows(report):
     return rows
 
 
-def _write_trace_report(args, report) -> None:
-    """report.json and report.csv, plus curves.csv, in --out."""
-    out = _write_report(args, "report", report, REPORT_COLUMNS, _report_rows(report))
+def _write_trace_report(args, out: Path, report) -> None:
+    """report.json and report.csv, plus curves.csv, in ``out``."""
+    _write_report(args, out, "report", report, REPORT_COLUMNS, _report_rows(report))
     if "csv" in _formats(args):
         curves = [
             {"strategy": label, **b}
@@ -248,13 +251,13 @@ def cmd_simulate(args) -> int:
         temperature=args.temperature,
         bin_width=args.bin_width,
     )
+    out = _out_dir(args.out)
     records = run_many(
         cfg.scene, cfg.strategies, cfg.seeds,
         max_steps=cfg.max_steps, temperature=cfg.temperature,
         prompt_id=cfg.scene_name, jobs=args.jobs, record=args.full_dist,
     )
     lexicon = TraceLexicon.from_scene(cfg.scene)
-    out = _out_dir(args.out)
     trace_root = out / "traces"
 
     labels = [s.label() for s in cfg.strategies]
@@ -281,8 +284,8 @@ def cmd_simulate(args) -> int:
         **shared, "command": "simulate", "strategies": labels,
         "full_dist": bool(args.full_dist),
     }
+    _write_trace_report(args, out, report)
     _write_json(out / "manifest.json", manifest)
-    _write_trace_report(args, report)
     print(f"simulated {len(records)} runs over {len(cfg.seeds)} seeds -> {out}")
     _print_strategy_summary(report)
     return 0
@@ -309,7 +312,7 @@ def _load_annotations_file(path: str) -> list[Annotation]:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _evaluate_corpus(args) -> int:
+def _evaluate_corpus(args, out: Path | None) -> int:
     missing = [
         flag for flag, value in (
             ("--captions", args.captions),
@@ -339,9 +342,9 @@ def _evaluate_corpus(args) -> int:
     for warning in report_obj.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     report = {"corpus": report_obj.to_dict()}
-    if args.out:
+    if out:
         _write_report(
-            args, "report", report,
+            args, out, "report", report,
             ("chair_i", "chair_s", "cover", "cog", "recall", "object_score",
              "captions", "matched", "mentions", "hallucinated",
              "gt", "covered", "hal_captions", "cognition_hits"),
@@ -421,7 +424,7 @@ def read_trace_dir(traces_dir: Path):
     return manifest, scene, stats_by_label
 
 
-def _evaluate_traces(args) -> int:
+def _evaluate_traces(args, out: Path | None) -> int:
     manifest, scene, stats_by_label = read_trace_dir(Path(args.traces))
     lexicon = TraceLexicon.from_scene(scene)
     bin_width = manifest["bin_width"]  # read and checked by read_trace_dir
@@ -434,8 +437,8 @@ def _evaluate_traces(args) -> int:
         "bin_width": bin_width,
         **_trace_report(stats_by_label, lexicon, scene, bin_width),
     }
-    if args.out:
-        _write_trace_report(args, report)
+    if out:
+        _write_trace_report(args, out, report)
     n_runs = sum(len(v) for v in stats_by_label.values())
     print(f"evaluated {n_runs} stored runs from {args.traces}")
     _print_strategy_summary(report)
@@ -443,9 +446,10 @@ def _evaluate_traces(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    out = _out_dir(args.out) if args.out else None
     if args.traces:
-        return _evaluate_traces(args)
-    return _evaluate_corpus(args)
+        return _evaluate_traces(args, out)
+    return _evaluate_corpus(args, out)
 
 
 # -- sweep ------------------------------------------------------------------------
@@ -477,6 +481,7 @@ def cmd_sweep(args) -> int:
                   beta=beta, l0_mask=mask))
         for schedule_kind, gamma, lam, beta in product(schedules, gammas, lams, betas)
     ]
+    out = _out_dir(args.out)
     # One run over the whole grid: a repeated grid value repeats a label,
     # which run_many rejects.
     scores = _run_and_score(
@@ -504,7 +509,7 @@ def cmd_sweep(args) -> int:
     header = ("rank", "best", "schedule", "gamma", "lam", "beta",
               "chair_i", "chair_s", "cover", "cog", "object_score",
               "hal_noun_rate", "label")
-    out = _write_report(args, "sweep", result, header, rows)
+    _write_report(args, out, "sweep", result, header, rows)
     print(f"swept {len(rows)} cells over {len(seeds)} seeds -> {out}")
     for row in rows[: min(5, len(rows))]:
         marker = "*" if row["best"] else " "
@@ -527,6 +532,7 @@ def cmd_bench(args) -> int:
     )
     seeds = resolve_seeds(args.seeds, {}, tuple(range(40)))
     cost_model = CostModel.parse(args.cost_model)
+    out = _out_dir(args.out)
     report = run_bench(
         scene, strategies, seeds, cost_model,
         max_steps=args.max_steps, min_tokens=args.min_tokens,
@@ -535,7 +541,7 @@ def cmd_bench(args) -> int:
     header = ("strategy", "runs", "tokens_measured", "provider_calls",
               "provider_calls_per_token", "wall_ms_per_token",
               "overhead_ms_per_token")
-    out = _write_report(args, "bench", payload, header, payload["rows"])
+    _write_report(args, out, "bench", payload, header, payload["rows"])
     print(f"bench ({cost_model.kind}, pad={cost_model.pad_us:g}us) -> {out}")
     for row in report.rows:
         print(
@@ -555,6 +561,7 @@ def cmd_ablate(args) -> int:
     variants = {"baseline": Strategy(kind="baseline")}
     for mask in ("nouns_only", "the_only", "full"):
         variants[mask] = Strategy(kind=FLB, schedule=schedule, beta=args.beta, l0_mask=mask)
+    out = _out_dir(args.out)
     scores = _run_and_score(
         scene, scene_name, list(variants.values()), seeds,
         max_steps=args.max_steps, jobs=args.jobs,
@@ -579,7 +586,7 @@ def cmd_ablate(args) -> int:
     }
     header = ("variant", "chair_i", "chair_s", "cover", "cog", "object_score",
               "hal_noun_rate", "sentence_initial_the", "label")
-    out = _write_report(args, "ablate", payload, header, rows)
+    _write_report(args, out, "ablate", payload, header, rows)
     print(f"ablation over {len(seeds)} seeds -> {out}")
     for row in rows:
         print(

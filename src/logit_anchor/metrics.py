@@ -38,7 +38,7 @@ from .errors import ConfigError, InputError
 
 _EDGE_PUNCT = ".,;:!?\"'()[]"
 # The decode loop accepts probabilities that sum to 1 within 1e-9, so a step's
-# gt or hal mass, a sum of some of them, may exceed 1 by as much.
+# gt and hal mass together, a sum of some of them, may exceed 1 by as much.
 _P_MAX = 1.0 + 1e-9
 
 
@@ -683,16 +683,19 @@ def _step_fault(step: StepStats, t: int) -> str:
         return f"provider_calls: {step.provider_calls!r} is below 1"
     if not 0.0 <= step.entropy < math.inf:
         return f"entropy: {step.entropy!r} is negative or not finite"
-    name = next(n for n in ("chosen_prob", "gt_mass", "hal_mass")
-                if not 0.0 <= getattr(step, n) <= _P_MAX)
-    return f"{name}: {getattr(step, name)!r} lies outside [0, 1]"
+    if not 0.0 < step.chosen_prob <= _P_MAX:  # the loop never chooses a zero-probability token
+        return f"chosen_prob: {step.chosen_prob!r} lies outside (0, 1]"
+    for name in ("gt_mass", "hal_mass"):
+        if not 0.0 <= getattr(step, name) <= _P_MAX:
+            return f"{name}: {getattr(step, name)!r} lies outside [0, 1]"
+    return f"gt_mass + hal_mass: {step.gt_mass!r} + {step.hal_mass!r} exceeds 1"
 
 
 def read_trace(path) -> RunStats:
     """Read one JSONL trace back into the summary form; a malformed record (say,
-    an integer field holding a fraction, a probability above 1, a negative
-    entropy or steps out of order) is an InputError naming the file, the line
-    and the field."""
+    an integer field holding a fraction, a chosen_prob of 0, gt and hal mass
+    summing above 1, a negative entropy or steps out of order) is an InputError
+    naming the file, the line and the field."""
     steps: list[StepStats] = []
     header: dict | None = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -727,8 +730,8 @@ def read_trace(path) -> RunStats:
                     raise InputError(f"{path}:{lineno}: bad step record ({exc})") from exc
                 if not (step.t == len(steps) and step.provider_calls >= 1  # as _step_fault
                         and 0.0 <= step.entropy < math.inf
-                        and 0.0 <= step.chosen_prob <= _P_MAX and 0.0 <= step.gt_mass <= _P_MAX
-                        and 0.0 <= step.hal_mass <= _P_MAX):
+                        and 0.0 < step.chosen_prob <= _P_MAX and 0.0 <= step.gt_mass
+                        and 0.0 <= step.hal_mass and step.gt_mass + step.hal_mass <= _P_MAX):
                     fault = _step_fault(step, len(steps))
                     raise InputError(f"{path}:{lineno}: bad step record ({fault})")
                 steps.append(step)

@@ -64,7 +64,7 @@ def run_strategy(
 
     ``wrap`` maps each fresh provider to the object the loop calls instead;
     a wrapper without ``logit_rows`` is called through ``logits`` once per
-    provider pass.
+    provider pass; either way it keeps the ``strategies.LogitProvider`` contract.
     """
     (record,) = _decode(
         scene, strategy, (seed,), wrap,

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import LogitVector, TokenId, Vocabulary
+from .core import TokenId, Vocabulary
 from .errors import ConfigError, ContractError
 
 START = "start"
@@ -382,10 +382,10 @@ class SyntheticProvider:
     its history (``SceneSpec.state_after``), so a call does not replay the
     history.
 
-    ``logit_rows`` serves a batch of rows in one call and ``logits`` is its
-    one-row case. Each instance counts the rows it was asked for (one per
-    row per call), which is what the per-step ``provider_calls`` telemetry
-    and the bench call-count law are measured from.
+    ``logit_rows`` serves a batch of rows as one float64 ``[rows, vocab]`` array
+    and ``logits`` is its one-row case, a ``[vocab]`` array. Each instance counts
+    the rows it was asked for (one per row per call): the per-step
+    ``provider_calls`` telemetry and the bench call-count law are measured from it.
     """
 
     variant: NegativeVariantSpec | None = None
@@ -418,8 +418,8 @@ class SyntheticProvider:
         history: Sequence[TokenId],
         t: int,
         rng: np.random.Generator | None = None,
-    ) -> LogitVector:
-        return LogitVector.of(self.logit_rows([history], t, [rng])[0])
+    ) -> np.ndarray:
+        return self.logit_rows([history], t, [rng])[0]
 
 
 class NegativeProvider(SyntheticProvider):

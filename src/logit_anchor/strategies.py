@@ -1,9 +1,9 @@
 """Decoding strategies over an abstract logit provider.
 
-A provider is anything with ``vocab``, ``eos_id``, a ``calls`` counter, and
-``logits(history, t, rng) -> LogitVector``; it may also offer
-``logit_rows(histories, t, rngs) -> [rows, vocab] array`` to serve many rows
-in one call. Three decoding families are implemented on top of it:
+A provider (``LogitProvider``) is anything with ``vocab``, ``eos_id``, a
+``calls`` counter, and ``logits(history, t, rng) -> [vocab] array``; it may
+also offer ``logit_rows(histories, t, rngs) -> [rows, vocab] array`` to serve
+many rows in one call. Three decoding families are implemented on top of it:
 
 * plain ancestral sampling / greedy, optionally with the adaptive candidate
   constraint (one provider call per step);
@@ -16,7 +16,7 @@ in one call. Three decoding families are implemented on top of it:
 All three apply the candidate constraint the same way: the keep-set is
 computed from the *original* (unadjusted) distribution and intersected into
 the adjusted logits before the final softmax. The EOS token is re-allowed
-after truncation so every run can terminate.
+after truncation so every run can terminate. Providers mask nothing.
 
 Every setting is a field of one frozen ``Strategy``; ``SETTINGS`` lists the
 ones each kind takes and their defaults, which fill any left out. In code,
@@ -62,7 +62,7 @@ from .core import (
     _sample_rows,
     _unchecked,
 )
-from .errors import ConfigError, ContractError, ExclusionError
+from .errors import ConfigError, ContractError
 from .simulator import NOISY_VISUAL, PERTURBED_INSTRUCTION, UNCONDITIONED
 from .weighting import WeightSchedule, weight_at
 
@@ -91,9 +91,9 @@ NEGATIVE_KIND_FOR = {
 class LogitProvider(Protocol):
     """Structural interface the decode loop consumes.
 
-    A provider may also offer ``logit_rows(histories, t, rngs)``, returning
-    a fresh ``[rows, vocab]`` score array, to serve all rows of a step in
-    one call; without it the loop calls ``logits`` once per row.
+    ``logits`` returns a fresh float64 ``[vocab]`` array of finite scores, nothing
+    masked; the optional ``logit_rows(histories, t, rngs)`` returns a fresh
+    ``[rows, vocab]`` one, to serve all rows of a step in one call.
     """
 
     vocab: Vocabulary
@@ -105,7 +105,7 @@ class LogitProvider(Protocol):
         history: Sequence[TokenId],
         t: int,
         rng: np.random.Generator | None = None,
-    ) -> LogitVector: ...
+    ) -> np.ndarray: ...
 
 
 # -- pure per-step operations --------------------------------------------------
@@ -253,33 +253,18 @@ def _index_sums(p: np.ndarray, index: np.ndarray):
     return total
 
 
-def _candidate_mask(
-    raw: np.ndarray,
-    raw_mask: np.ndarray | None,
-    base_mask: np.ndarray | None,
-    temperature: float,
-    beta: float,
-    eos_id: TokenId | None,
-) -> np.ndarray:
-    """``base_mask`` plus the tokens outside each row's candidate set.
+def _candidate_mask(raw: np.ndarray, temperature: float, beta: float, eos_id: TokenId | None):
+    """The tokens outside each row's candidate set.
 
-    Row by row, ``apply_mask`` of ``candidate_set(softmax(raw), beta)`` with
-    EOS re-allowed: a token stays iff its probability under the raw
-    distribution reaches beta times the largest one, which is exactly
-    ``1 / total``. Masked raw tokens have probability 0.
+    Row by row, the mask of ``candidate_set(softmax(raw), beta)`` with EOS
+    re-allowed: a token stays iff its probability under the raw distribution
+    reaches beta times the largest one, exactly ``1 / total``, so the largest stays.
     """
-    probs, total, _ = _softmax(raw, raw_mask, temperature)
+    probs, total, _ = _softmax(raw, None, temperature)
     dropped = probs < _col(beta * (1.0 / total))
     if eos_id is not None:
         dropped[..., eos_id] = False
-    if base_mask is None:
-        return dropped
-    mask = base_mask | dropped
-    # The most likely raw token survives the cut (beta <= 1), so only a base
-    # mask wider than the raw one can exclude every token.
-    if base_mask is not raw_mask and mask.all(axis=-1).any():
-        raise ExclusionError("candidate mask excluded every unmasked token")
-    return mask
+    return dropped
 
 
 def _l0_lane(mode: str, vocab: Vocabulary, noun_ids: Sequence[TokenId] | None) -> np.ndarray | None:
@@ -301,12 +286,9 @@ def _l0_lane(mode: str, vocab: Vocabulary, noun_ids: Sequence[TokenId] | None) -
     return keep
 
 
-def _l0_rows(raw: np.ndarray, raw_mask: np.ndarray | None, lane: np.ndarray | None) -> np.ndarray:
-    """Each row's additive step-0 contribution: 0 outside the lane and where masked."""
-    contrib = raw if raw_mask is None else np.where(raw_mask, 0.0, raw)
-    if lane is not None:
-        contrib = np.where(lane, contrib, 0.0)
-    return contrib
+def _l0_rows(raw: np.ndarray, lane: np.ndarray | None) -> np.ndarray:
+    """Each row's additive step-0 contribution: 0 outside the lane."""
+    return raw if lane is None else np.where(lane, raw, 0.0)
 
 
 # -- the decode loop --------------------------------------------------------------
@@ -320,46 +302,38 @@ def _check_run_args(max_steps: int, temperature: float):
         raise ConfigError(f"temperature must be finite and positive, got {temperature!r}")
 
 
+def _checked(scores, shape: tuple[int, ...], call: str) -> np.ndarray:
+    """``scores`` if it is a float64 array of ``shape``; anything else is a ContractError."""
+    if isinstance(scores, np.ndarray) and scores.shape == shape and scores.dtype == np.float64:
+        return scores
+    got = f"{scores.dtype} {scores.shape}" if isinstance(scores, np.ndarray) else type(scores).__name__
+    raise ContractError(f"provider returned {got} from {call}, not float64 scores of shape {shape}")
+
+
 def _provider_rows(
     provider: LogitProvider,
     histories: list[list[TokenId]],
     t: int,
     rngs: list[np.random.Generator],
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """One pass of the provider over the rows: scores and mask (None if none).
+) -> np.ndarray:
+    """One pass of the provider over the rows, checked: their scores, a lone row 1-d.
 
-    A provider with ``logit_rows`` serves all rows in one call; any other is
-    called through ``logits`` once per row. A lone row comes back 1-d.
+    ``logit_rows`` serves all rows in one call, else ``logits`` is called once per row.
+    This is the one check of provider output: what ``LogitProvider`` does not allow is a ContractError.
     """
-    n = len(histories)
+    n, size = len(histories), provider.vocab.size
     logit_rows = getattr(provider, "logit_rows", None)
     if logit_rows is not None:
-        scores, mask = logit_rows(histories, t, rngs), None
-        if n == 1 and scores.ndim == 2:
+        scores = _checked(logit_rows(histories, t, rngs), (n, size), "logit_rows")
+        if n == 1:
             scores = scores[0]
     else:
-        vectors = [provider.logits(tuple(h), t, rng) for h, rng in zip(histories, rngs)]
-        if n == 1:
-            scores, mask = vectors[0].scores, vectors[0].mask
-        else:
-            scores = np.array([v.scores for v in vectors])
-            mask = np.array([v.mask for v in vectors])
-        if not np.count_nonzero(mask):
-            mask = None
-    shape = (provider.vocab.size,) if n == 1 else (n, provider.vocab.size)
-    if scores.shape != shape or scores.dtype != np.float64:
-        raise ContractError(
-            f"provider returned {scores.dtype} scores of shape {scores.shape} for "
-            f"{n} rows of a {provider.vocab.size}-token vocabulary"
-        )
-    finite = np.isfinite(scores)
-    if mask is not None:
-        finite |= mask
-        if mask.all(axis=-1).any():
-            raise ExclusionError("softmax over a fully masked vector")
-    if np.count_nonzero(finite) != finite.size:
-        raise ContractError(f"provider returned non-finite unmasked scores at step {t}")
-    return scores, mask
+        rows = [_checked(provider.logits(tuple(h), t, rng), (size,), "logits")
+                for h, rng in zip(histories, rngs)]
+        scores = rows[0] if n == 1 else np.array(rows)
+    if np.count_nonzero(np.isfinite(scores)) != scores.size:
+        raise ContractError(f"provider returned non-finite scores at step {t}")
+    return scores
 
 
 def _check_step(
@@ -459,16 +433,14 @@ def decode(
             lift = weight_at(schedule, t) * contrib
         calls = provider.calls + (negative.calls if contrastive else 0)
         rows_history = [histories[i] for i in live]
-        raw, raw_mask = _provider_rows(provider, rows_history, t, [pos_rngs[i] for i in live])
-        scores, base_mask = raw, raw_mask
+        raw = _provider_rows(provider, rows_history, t, [pos_rngs[i] for i in live])
+        scores = raw
         if contrastive:
-            neg, neg_mask = _provider_rows(negative, rows_history, t, [neg_rngs[i] for i in live])
+            neg = _provider_rows(negative, rows_history, t, [neg_rngs[i] for i in live])
             scores = _combine(raw, neg, alpha)
-            if neg_mask is not None:
-                base_mask = neg_mask if raw_mask is None else raw_mask | neg_mask
         elif kind == FLB:
             if t == 0:
-                contrib = _l0_rows(raw, raw_mask, lane)
+                contrib = _l0_rows(raw, lane)
             else:
                 scores = raw + lift
         calls = provider.calls + (negative.calls if contrastive else 0) - calls
@@ -476,9 +448,9 @@ def decode(
         if extra:
             raise ContractError(f"step {t}: {calls} provider calls do not split over {n} rows")
 
-        mask = base_mask
+        mask = None
         if beta is not None:
-            mask = _candidate_mask(raw, raw_mask, base_mask, temperature, beta, eos_id)
+            mask = _candidate_mask(raw, temperature, beta, eos_id)
         probs, _, entropies = _softmax(scores, mask, temperature, entropy=True)
         if greedy:
             chosen = _greedy_rows(scores, mask)
@@ -498,16 +470,16 @@ def decode(
         if record:
             # Read-only rows: a record can share them with no writable alias.
             rows = []
-            for arr in (raw, raw_mask, scores, mask, probs):
+            for arr in (raw, scores, mask, probs):
                 if arr is not None:
                     arr.setflags(write=False)
                 rows.append((no_mask,) * n if arr is None else (arr,) if n == 1 else arr)
-            for i, c, ent, raw_row, raw_mask_row, scores_row, mask_row, probs_row in zip(
+            for i, c, ent, raw_row, scores_row, mask_row, probs_row in zip(
                 live, chosen, entropies, *rows
             ):
                 traces[i].append(_unchecked(
                     StepTrace, step_index=t,
-                    raw_logits=_unchecked(LogitVector, scores=raw_row, mask=raw_mask_row),
+                    raw_logits=_unchecked(LogitVector, scores=raw_row, mask=no_mask),
                     adjusted_logits=_unchecked(LogitVector, scores=scores_row, mask=mask_row),
                     dist=_unchecked(ProbDist, probs=probs_row), chosen=c, entropy_nats=ent,
                     provider_calls=per_row,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
 from logit_anchor import bench
@@ -52,12 +53,14 @@ class TestPaddedProvider:
         assert padded.vocab is inner.vocab
         assert padded.eos_id == inner.eos_id
         start = time.perf_counter()
-        vec = padded.logits((), 0)  # rng omitted: deterministic scores
+        row = padded.logits((), 0)  # rng omitted: deterministic scores
         elapsed = time.perf_counter() - start
         assert padded.calls == inner.calls == 1
         assert elapsed >= 200e-6
+        assert type(row) is np.ndarray and row.dtype == np.float64
+        assert row.shape == (scene.vocabulary.size,)
         bare = SyntheticProvider(scene)
-        assert (vec.scores == bare.logits((), 0).scores).all()
+        assert (row == bare.logits((), 0)).all()
 
 
 class TestRunBench:

@@ -392,7 +392,8 @@ class TestEvaluateTraces:
 
     @pytest.mark.parametrize("line, field, value", [
         (3, "t", 45), (2, "t", 0), (2, "provider_calls", -5), (2, "provider_calls", 0),
-        (2, "chosen_prob", 7.5), (2, "gt_mass", -0.25), (2, "hal_mass", 1.5),
+        (2, "chosen_prob", 7.5), (2, "chosen_prob", 0.0), (2, "chosen_prob", -0.0),
+        (2, "gt_mass", -0.25), (2, "hal_mass", 1.5),
         (2, "chosen_prob", float("nan")), (2, "entropy", -5.0), (2, "entropy", float("inf")),
         (2, "entropy", float("nan")),
     ])
@@ -430,8 +431,21 @@ class TestEvaluateTraces:
     def test_mass_rounded_above_one_is_read(self, tmp_path):
         """A sum of probabilities may exceed 1 by rounding; the decode loop allows 1e-9."""
         sim_out, path = self._simulated(tmp_path)
-        _edit_line(path, 2, lambda r: {**r, "gt_mass": 1.0 + 2**-52})
+        _edit_line(path, 2, lambda r: {**r, "gt_mass": 1.0 + 2**-52, "hal_mass": 0.0})
         assert run_cli("evaluate", "--traces", sim_out) == 0
+        _edit_line(path, 2, lambda r: {**r, "gt_mass": 0.5, "hal_mass": 0.5 + 5e-10})
+        assert run_cli("evaluate", "--traces", sim_out) == 0
+
+    @pytest.mark.parametrize("gt, hal", [(0.6, 0.5), (1.0, 2e-9)])
+    def test_masses_summing_above_one_exit_3(self, tmp_path, capsys, gt, hal):
+        """gt and hal mass are sums of disjoint parts of one distribution, so together at most 1."""
+        sim_out, path = self._simulated(tmp_path)
+        bad = _edit_line(path, 2, lambda r: {**r, "gt_mass": gt, "hal_mass": hal})
+        capsys.readouterr()
+        assert run_cli("evaluate", "--traces", sim_out) == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}:3: bad step record (gt_mass + hal_mass: {gt!r} + {hal!r} exceeds 1)"
+        )
 
     @pytest.mark.parametrize("edit, named", [
         (lambda r: {**r, "token": "dog" if r["token"] == "cat" else "cat"}, "token: "),
@@ -617,17 +631,21 @@ class TestSharedScoring:
             {key: expected[key] for key in SHARED_METRICS}
 
 
+# A quick run of each command that takes --out.
+OUT_COMMANDS = [
+    ["simulate", "--strategies", "baseline", "--seeds", "0", "--max-steps", "3"],
+    ["evaluate", *GOLDEN],
+    ["sweep", "--gammas", "0.1", "--lams", "0.01", "--seeds", "0", "--max-steps", "3"],
+    ["bench", "--strategies", "baseline", "--seeds", "0:2", "--max-steps", "5",
+     "--min-tokens", "1"],
+    ["ablate", "--seeds", "0", "--max-steps", "3"],
+]
+
+
 class TestOutPath:
     """An --out that names a file, or lies under one, is a configuration error."""
 
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--strategies", "baseline", "--seeds", "0", "--max-steps", "3"],
-        ["evaluate", *GOLDEN],
-        ["sweep", "--gammas", "0.1", "--lams", "0.01", "--seeds", "0", "--max-steps", "3"],
-        ["bench", "--strategies", "baseline", "--seeds", "0:2", "--max-steps", "5",
-         "--min-tokens", "1"],
-        ["ablate", "--seeds", "0", "--max-steps", "3"],
-    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", OUT_COMMANDS, ids=lambda argv: argv[0])
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
     def test_out_naming_a_file_exits_2(self, tmp_path, capsys, argv, under):
         taken = tmp_path / "taken"
@@ -637,6 +655,21 @@ class TestOutPath:
         err = capsys.readouterr().err
         assert err.startswith(f"error: --out {out}: ") and "Traceback" not in err
         assert taken.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("argv, entry", [
+        *zip(OUT_COMMANDS, ["run_many", "corpus_metrics", "run_many", "run_bench", "run_many"]),
+        (["evaluate", "--traces", "never_read"], "read_trace_dir"),
+    ], ids=["simulate", "evaluate", "sweep", "bench", "ablate", "evaluate_traces"])
+    def test_out_is_checked_before_any_work(self, tmp_path, capsys, monkeypatch, argv, entry):
+        """A bad --out used to be found only when the report was written, after all the work."""
+        def never(*args, **kwargs):
+            raise AssertionError(f"{entry} ran before --out was checked")
+
+        monkeypatch.setattr(cli, entry, never)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        assert run_cli(*argv, "--out", taken) == 2
+        assert capsys.readouterr().err.startswith(f"error: --out {taken}: ")
 
 
 class TestParser:
@@ -654,10 +687,11 @@ class TestParser:
 # -- every bad input ends in a named error ------------------------------------------
 #
 # One example runs ``simulate`` on two seeds and four steps with exactly one
-# input spoiled: a flag, a descriptor, a config-file key, the seed variable or
-# a scene-file field. Whatever the value, the command ends in exit 0, 2 or 3
-# (never a traceback, never an internal error), and an error names the value
-# or the key that holds it.
+# input spoiled: a flag, a descriptor, a config-file key, the seed variable,
+# a scene-file field or an --out that is (or lies under) an existing file.
+# Whatever the value, the command ends in exit 0, 2 or 3 (never a traceback,
+# never an internal error), and an error names the value or the key that
+# holds it; a spoiled --out always ends in exit 2.
 
 _ODD_TEXT = st.sampled_from([
     "", " ", "x", "nan", "NaN", "inf", "-inf", "-1", "0", "1", "1.5", "-0.5", "2",
@@ -693,7 +727,7 @@ _SCENE_FIELDS = (
 @st.composite
 def _spoiled_input(draw):
     """(site, key, value): one bad input and the name an error should give it."""
-    site = draw(st.sampled_from(["flag", "strategies", "config", "env", "scene"]))
+    site = draw(st.sampled_from(["flag", "strategies", "config", "env", "scene", "out"]))
     if site == "flag":
         return site, draw(st.sampled_from(_FLAGS)), draw(_ODD_TEXT)
     if site == "strategies":
@@ -703,6 +737,8 @@ def _spoiled_input(draw):
         return site, key, draw(_ODD_JSON | (_ODD_DESCRIPTOR if key == "strategies" else _ODD_JSON))
     if site == "env":
         return site, SEED_ENV_VAR, draw(_ODD_TEXT)
+    if site == "out":  # an existing file, or a path under one
+        return site, "--out", draw(st.sampled_from(["taken", "taken/sub"]))
     return site, draw(st.sampled_from(_SCENE_FIELDS)), draw(_ODD_JSON)
 
 
@@ -733,6 +769,7 @@ class TestWholeCliProperty:
     @example(spoiled=("scene", "decay_kappa", 10**400))
     @example(spoiled=("scene", "base_logits", [None]))
     @example(spoiled=("scene", "article_grounding", {"The": "x"}))
+    @example(spoiled=("out", "--out", "taken"))
     def test_bad_input_ends_in_a_named_error(self, scene, spoiled):
         from logit_anchor import scene_to_dict
 
@@ -752,6 +789,9 @@ class TestWholeCliProperty:
                     del flags[f"--{key.replace('_', '-')}"]
             elif site == "env":
                 os.environ[SEED_ENV_VAR] = value
+            elif site == "out":
+                (tmp / "taken").write_text("kept\n")
+                flags["--out"] = str(tmp / value)
             else:
                 spec = {**scene_to_dict(scene), key: value}
                 (tmp / "scene.json").write_text(json.dumps(spec))
@@ -770,5 +810,6 @@ class TestWholeCliProperty:
                     os.environ[SEED_ENV_VAR] = env
         err = err.getvalue()
         assert code in (0, 2, 3), err
+        assert code == 2 or site != "out", err
         if code:
             assert "error:" in err and _named(err, key, value), err

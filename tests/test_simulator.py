@@ -43,6 +43,12 @@ def scene_row(scene, variant, state, t, rng=None):
     return LogitVector.of(scene_logit_rows(scene, variant, [state], t, [rng])[0])
 
 
+def assert_plain_row(row, scene):
+    """A provider's ``logits``: an unmasked 1-d float64 array, one score per token."""
+    assert type(row) is np.ndarray and row.dtype == np.float64
+    assert row.shape == (scene.vocabulary.size,)
+
+
 def noun_slot(scene, article="A"):
     return GrammarState(AFTER_ARTICLE, last_article=scene.vocabulary.id_of(article))
 
@@ -290,10 +296,10 @@ class TestProviders:
         v = quiet.vocabulary
         history = (v.id_of("The"),)
         assert provider.calls == 0
-        lv = provider.logits(history, 1, rng=None)
+        row = provider.logits(history, 1, rng=None)
         assert provider.calls == 1
         expected = scene_row(quiet, None, quiet.state_after(history), 1, rng=None)
-        assert np.array_equal(lv.scores, expected.scores)
+        assert np.array_equal(row, expected.scores)
         assert provider.eos_id == quiet.eos_id
         assert provider.vocab is quiet.vocabulary
 
@@ -304,8 +310,8 @@ class TestProviders:
         state = fold(SCENE, history)
         got = SyntheticProvider(SCENE).logits(history, t, np.random.default_rng(seed))
         want = scene_row(SCENE, None, state, t, np.random.default_rng(seed))
-        assert np.array_equal(got.scores, want.scores)
-        assert np.array_equal(got.mask, want.mask)
+        assert np.array_equal(got, want.scores)
+        assert_plain_row(got, SCENE)
         for kind in NEGATIVE_KINDS:
             variant = NegativeVariantSpec(kind, strength=0.6)
             got = NegativeProvider(SCENE, variant).logits(
@@ -314,8 +320,8 @@ class TestProviders:
             want = scene_row(
                 SCENE, variant, state, t, np.random.default_rng(seed)
             )
-            assert np.array_equal(got.scores, want.scores)
-            assert np.array_equal(got.mask, want.mask)
+            assert np.array_equal(got, want.scores)
+            assert_plain_row(got, SCENE)
 
     @settings(max_examples=40, deadline=None)
     @given(t=st.integers(0, 300), seed=st.integers(0, 2**32 - 1), strength=st.sampled_from([0.0, 0.6, 1.0]))
@@ -346,17 +352,17 @@ class TestProviders:
             got = provider.logit_rows(histories, t, rngs()[:-1])
             assert provider.calls == len(histories)
             for row, history, rng in zip(got, histories, rngs()):
-                assert row.tobytes() == provider.logits(history, t, rng).scores.tobytes()
+                assert row.tobytes() == provider.logits(history, t, rng).tobytes()
 
     def test_negative_provider(self, scene):
         quiet = replace(scene, noise_sigma=0.0)
         provider = NegativeProvider(quiet, NegativeVariantSpec(UNCONDITIONED))
-        lv = provider.logits((), 0, rng=None)
+        row = provider.logits((), 0, rng=None)
         assert provider.calls == 1
         expected = scene_row(
             quiet, NegativeVariantSpec(UNCONDITIONED), GrammarState(), 0, rng=None
         )
-        assert np.array_equal(lv.scores, expected.scores)
+        assert np.array_equal(row, expected.scores)
 
 
 class TestPresets:

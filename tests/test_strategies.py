@@ -7,13 +7,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logit_anchor import (
     ConfigError,
     ContractError,
-    ExclusionError,
     LogitVector,
     StepStats,
     Strategy,
@@ -65,14 +64,15 @@ def decode_flb(provider, strategy, *, seed, max_steps=60):
 
 def l0_contrib(l0, mode, vocab, noun_ids=None):
     """The boost's step-0 contribution, as the decode loop computes it."""
-    return strategies._l0_rows(l0.scores, l0.mask, strategies._l0_lane(mode, vocab, noun_ids))
+    return strategies._l0_rows(l0.scores, strategies._l0_lane(mode, vocab, noun_ids))
 
 
-class Masked:
-    """Serves ``inner`` through ``logits`` (no ``logit_rows``), with ``ids`` masked."""
+class Forwarder:
+    """Serves ``inner`` through ``logits`` alone (no ``logit_rows``), each row
+    passed through ``spoil``; counts the calls it forwards."""
 
-    def __init__(self, inner, ids):
-        self.inner, self.ids = inner, ids
+    def __init__(self, inner, spoil=None):
+        self.inner, self.spoil, self.forwarded = inner, spoil, 0
         self.vocab, self.eos_id = inner.vocab, inner.eos_id
 
     @property
@@ -80,10 +80,20 @@ class Masked:
         return self.inner.calls
 
     def logits(self, history, t, rng=None):
-        vec = self.inner.logits(history, t, rng)
-        mask = vec.mask.copy()
-        mask[self.ids] = True
-        return vec.with_mask(mask)
+        self.forwarded += 1
+        row = self.inner.logits(history, t, rng)
+        return row if self.spoil is None else self.spoil(row)
+
+
+class SpoiledRows(SyntheticProvider):
+    """A scene provider whose ``logit_rows`` output passes through ``spoil``."""
+
+    def __init__(self, scene, spoil, variant=None):
+        super().__init__(scene)
+        self.spoil, self.variant = spoil, variant
+
+    def logit_rows(self, histories, t, rngs):
+        return self.spoil(super().logit_rows(histories, t, rngs))
 
 
 class TestL0Contribution:
@@ -91,11 +101,6 @@ class TestL0Contribution:
         l0 = LogitVector.of([1.0, -2.0, 3.0])
         contrib = l0_contrib(l0, "full", Vocabulary(("x", "y", "z")))
         assert list(contrib) == [1.0, -2.0, 3.0]
-
-    def test_masked_cache_entries_contribute_zero(self):
-        l0 = LogitVector.of([1.0, 2.0], np.array([False, True]))
-        contrib = l0_contrib(l0, "full", Vocabulary(("x", "y")))
-        assert list(contrib) == [1.0, 0.0]
 
     def test_nouns_only(self, scene):
         l0 = LogitVector.of(np.arange(scene.vocabulary.size, dtype=float))
@@ -148,20 +153,6 @@ class TestPureOps:
         out = strategies._combine(np.array([1.0, 2.0]), np.array([0.0, 4.0]), 0.5)
         assert list(out) == [1.5, 1.0]
 
-    def test_contrastive_adjust_unions_masks(self, scene):
-        """A token either provider masks is masked in the combined scores, and nothing else is."""
-        the, a = scene.vocabulary.id_of("The"), scene.vocabulary.id_of("A")
-        negative = NegativeProvider(scene, NegativeVariantSpec("noisy_visual", 0.7))
-        for seeds in ([0], [0, 1]):  # a lone row is 1-d, several are 2-d
-            records = decode(
-                parse_strategy("vcd:beta=0"), Masked(SyntheticProvider(scene), [the]),
-                seeds, negative=Masked(negative, [a]), max_steps=10, record=True,
-            )
-            for step in (s for r in records for s in r.steps):
-                assert step.adjusted_logits.mask[[the, a]].all()
-                assert np.count_nonzero(step.adjusted_logits.mask) == 2
-                assert step.chosen not in (the, a)
-
     @pytest.mark.parametrize("alpha", [float("inf"), float("nan"), -0.5])
     def test_contrastive_config_rejects_bad_alpha(self, alpha):
         with pytest.raises(ConfigError, match="alpha must be finite and >= 0"):
@@ -182,40 +173,17 @@ class TestConstrainFast:
         edge = temperature * math.log(beta) if beta > 0 else -30.0
         near = st.integers(-4, 4).map(lambda k: edge + k * math.ulp(edge))
         scores = st.one_of(st.floats(-30.0, 30.0), near, st.just(0.0))
-        raw_scores = np.array([0.0] + data.draw(st.lists(scores, min_size=n - 1, max_size=n - 1)))
-        raw_mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-        # A fully masked provider row is rejected before the constraint
-        # (test_fully_masked_provider_row_is_rejected).
-        assume(not raw_mask.all())
-        raw = LogitVector(raw_scores, raw_mask)
-        extra = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-        wider = data.draw(st.booleans())
-        base_mask = raw.mask | extra if wider else raw.mask
+        raw = LogitVector.of([0.0] + data.draw(st.lists(scores, min_size=n - 1, max_size=n - 1)))
         eos = data.draw(st.one_of(st.none(), st.integers(0, n - 1)))
 
         cmask = candidate_set(softmax(raw, temperature), beta)
         if eos is not None:
             cmask = cmask.with_allowed(eos)
-
-        def got(as_rows):
-            # The loop hands a lone row over 1-d and several rows 2-d.
-            shape = (lambda a: a[None]) if as_rows else (lambda a: a)
-            raw_mask = shape(raw.mask).copy()
-            wide_mask = shape(base_mask).copy() if wider else raw_mask
-            mask = strategies._candidate_mask(
-                shape(raw.scores), raw_mask, wide_mask, temperature, beta, eos
-            )
-            return mask[0] if as_rows else mask
-
-        try:
-            want = apply_mask(LogitVector(raw.scores, base_mask), cmask)
-        except ExclusionError:
-            for as_rows in (False, True):
-                with pytest.raises(ExclusionError):
-                    got(as_rows)
-            return
-        assert np.array_equal(got(False), want.mask)
-        assert np.array_equal(got(True), want.mask)
+        want = apply_mask(raw, cmask)
+        # The loop hands a lone row over 1-d and several rows 2-d.
+        for rows in (raw.scores, raw.scores[None]):
+            got = strategies._candidate_mask(rows, temperature, beta, eos)
+            assert np.array_equal(got.reshape(-1), want.mask)
 
     @pytest.mark.parametrize(
         "beta, scores",
@@ -234,14 +202,112 @@ class TestConstrainFast:
         naive = np.exp(raw.scores - raw.scores.max()) < beta
         assert not np.array_equal(want.mask, naive)
         for rows in (raw.scores, raw.scores[None]):
-            got = strategies._candidate_mask(rows, None, None, 1.0, beta, None)
+            got = strategies._candidate_mask(rows, 1.0, beta, None)
             assert np.array_equal(got.reshape(-1), want.mask)
 
-    def test_fully_masked_provider_row_is_rejected(self, scene):
-        for text in ("baseline", "baseline:beta=0.1", "flb"):
-            with pytest.raises(ExclusionError, match="fully masked"):
-                decode(parse_strategy(text), Masked(SyntheticProvider(scene), slice(None)),
-                       [0, 1], gt_ids=scene.gt_ids, hal_ids=scene.hal_ids)
+
+def _with(value):
+    """A spoiler that sets one entry of every row to ``value``."""
+    def spoil(rows):
+        rows = rows.copy()
+        rows[..., 5] = value
+        return rows
+    return spoil
+
+
+# Provider output that breaks the contract: the wrong shape, a dtype other
+# than float64, an entry that is not finite, or something that is not an array.
+SPOILERS = {
+    "short": lambda rows: rows[..., :-1],
+    "extra_axis": lambda rows: rows[None],
+    "float32": lambda rows: rows.astype(np.float32),
+    "int64": lambda rows: rows.astype(np.int64),
+    "nan": _with(np.nan),
+    "inf": _with(np.inf),
+    "-inf": _with(-np.inf),
+    "list": lambda rows: rows.tolist(),
+}
+
+
+class TestProviderContract:
+    """What a provider returns is checked once, on both routes; a breach is a ContractError."""
+
+    @pytest.mark.parametrize("spoiler", SPOILERS)
+    @pytest.mark.parametrize("seeds", [[0], [0, 1, 2]], ids=["one_row", "rows"])
+    @pytest.mark.parametrize("route", ["logit_rows", "logits"])
+    @pytest.mark.parametrize("side", ["positive", "negative"])
+    def test_breach_is_a_contract_error(self, scene, spoiler, seeds, route, side):
+        spoil = SPOILERS[spoiler]
+        variant = NegativeVariantSpec("noisy_visual", 0.7)
+        if route == "logit_rows":
+            spoiled = SpoiledRows(scene, spoil, variant if side == "negative" else None)
+        else:
+            inner = NegativeProvider(scene, variant) if side == "negative" else SyntheticProvider(scene)
+            spoiled = Forwarder(inner, spoil)
+        provider, negative = SyntheticProvider(scene), NegativeProvider(scene, variant)
+        if side == "negative":
+            negative = spoiled
+        else:
+            provider = spoiled
+        with pytest.raises(ContractError, match="^provider returned "):
+            decode(parse_strategy("vcd"), provider, seeds, negative=negative, max_steps=5)
+
+    @pytest.mark.parametrize("seeds", [[0], [0, 1, 2]], ids=["one_row", "rows"])
+    def test_logit_vector_from_logits_is_a_contract_error(self, scene, seeds):
+        """The old contract: ``logits`` returned a LogitVector, scores and mask."""
+        provider = Forwarder(SyntheticProvider(scene), LogitVector.of)
+        with pytest.raises(ContractError, match="^provider returned LogitVector from logits"):
+            decode(parse_strategy("baseline"), provider, seeds, max_steps=5)
+
+
+ROUTE_DESCRIPTORS = [
+    "baseline", "greedy", "vcd", "icd", "m3id", "flb", "baseline:beta=0.1", "flb:mask=nouns",
+]
+
+
+class TestWrappedRoute:
+    """Decoding through ``logits`` alone equals the ``logit_rows`` route bit for bit."""
+
+    @pytest.mark.parametrize("text", ROUTE_DESCRIPTORS)
+    def test_forwarder_equals_logit_rows_route(self, scene, text):
+        """``run_strategy(wrap=)``, the route the bench and the benchmark replay take."""
+        strategy = parse_strategy(text)
+        forwarders = []
+
+        def wrap(provider):
+            forwarders.append(Forwarder(provider))
+            return forwarders[-1]
+
+        for seed in range(4):
+            forwarders.clear()
+            plain = run_strategy(scene, strategy, seed=seed, max_steps=40, temperature=0.7)
+            wrapped = run_strategy(
+                scene, strategy, seed=seed, max_steps=40, temperature=0.7, wrap=wrap
+            )
+            assert_same_record(plain, wrapped)
+            for name in ("chosen", "entropy", "chosen_prob", "gt_mass", "hal_mass",
+                         "provider_calls"):
+                # repr tells every float apart bit for bit, -0.0 from 0.0 too.
+                assert repr(getattr(wrapped, name)) == repr(getattr(plain, name))
+            assert len(forwarders) == (2 if strategy.kind in strategies.CONTRASTIVE_KINDS else 1)
+            assert all(f.forwarded == f.calls for f in forwarders)
+            assert sum(f.calls for f in forwarders) == sum(plain.provider_calls)
+
+    @pytest.mark.parametrize("text", ROUTE_DESCRIPTORS)
+    def test_forwarded_batch_equals_run_many(self, scene, text):
+        """Several rows through ``logits``, stacked in row order, as ``run_many`` decodes them."""
+        strategy, seeds = parse_strategy(text), range(6)
+        negative = None
+        if strategy.kind in strategies.CONTRASTIVE_KINDS:
+            variant = NegativeVariantSpec(strategies.NEGATIVE_KIND_FOR[strategy.kind],
+                                          strategy.strength)
+            negative = Forwarder(NegativeProvider(scene, variant))
+        kwargs = {"max_steps": 40, "temperature": 0.7, "record": True}
+        wrapped = decode(strategy, Forwarder(SyntheticProvider(scene)), seeds, negative=negative,
+                         gt_ids=scene.gt_ids, hal_ids=scene.hal_ids, **kwargs)
+        plain = run_many(scene, [strategy], seeds, **kwargs)
+        for a, b in zip(plain, wrapped):
+            assert_same_record(a, b)
 
 
 class TestDecodeFlb:
