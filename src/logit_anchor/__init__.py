@@ -59,7 +59,6 @@ from .metrics import (
 from .plausibility import CandidateMask, apply_mask, candidate_set
 from .runner import run_many, run_strategy
 from .simulator import (
-    NegativeProvider,
     NegativeVariantSpec,
     SceneSpec,
     SyntheticProvider,
@@ -105,7 +104,6 @@ __all__ = [
     "LogitVector",
     "Mention",
     "MetricsReport",
-    "NegativeProvider",
     "NegativeVariantSpec",
     "ObjectLexicon",
     "PaddedProvider",

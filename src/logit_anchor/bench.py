@@ -9,7 +9,6 @@ latency claims.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -23,6 +22,7 @@ from .strategies import Strategy
 
 CHEAP = "cheap"
 PADDED = "padded"
+MAX_PAD_US = 1e6  # one second per provider call: no bench run could finish at more
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,10 @@ class CostModel:
     def __post_init__(self):
         if self.kind not in (CHEAP, PADDED):
             raise ConfigError(f"unknown cost model {self.kind!r}")
-        if self.kind == PADDED and not (self.pad_us > 0 and math.isfinite(self.pad_us)):
-            raise ConfigError(f"padded cost model needs a finite pad_us > 0, got {self.pad_us!r}")
+        if self.kind == PADDED and not 0 < self.pad_us <= MAX_PAD_US:  # False for nan
+            raise ConfigError(
+                f"padded cost model needs 0 < pad_us <= {MAX_PAD_US:g}, got {self.pad_us!r}"
+            )
         if self.kind == CHEAP and self.pad_us:
             raise ConfigError("cheap cost model takes no padding")
 
@@ -62,6 +64,8 @@ class CostModel:
 class PaddedProvider:
     """Forwards a provider's ``logits`` arrays unchanged, busy-waiting a fixed time in each call.
 
+    ``logits(history, t, rng)`` passes the row's ``Generator`` through to the
+    wrapped provider, so a padded run draws exactly what a bare one does.
     Busy-waiting (not sleeping) keeps sub-millisecond pads accurate.
     """
 
@@ -81,7 +85,7 @@ class PaddedProvider:
     def calls(self):
         return self.inner.calls
 
-    def logits(self, history, t, rng=None):
+    def logits(self, history, t, rng):
         deadline = time.perf_counter() + self.pad_s
         result = self.inner.logits(history, t, rng)
         while time.perf_counter() < deadline:
@@ -130,8 +134,11 @@ def run_bench(
     Strategies are interleaved seed by seed, so a drift in host load is
     spread over every strategy instead of landing on one. Fails with
     InputError if any strategy produces fewer than ``min_tokens`` tokens
-    total; pass more seeds or a larger ``max_steps``.
+    total; pass more seeds or a larger ``max_steps``. A negative
+    ``min_tokens`` is a ConfigError, raised before anything is decoded.
     """
+    if min_tokens < 0:
+        raise ConfigError(f"min_tokens must be >= 0, got {min_tokens!r}")
     wrap = None
     if cost_model.kind == PADDED:
         wrap = lambda provider: PaddedProvider(provider, cost_model.pad_us)

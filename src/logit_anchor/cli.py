@@ -52,6 +52,7 @@ from .config import (
     read_float_list,
     read_int,
     read_names,
+    read_seeds,
     resolve_scene,
     resolve_seeds,
     setting,
@@ -77,7 +78,7 @@ from .metrics import (
 )
 from .runner import run_many
 from .simulator import scene_from_dict, scene_to_dict
-from .strategies import FLB, SETTINGS, Strategy
+from .strategies import FLB, SETTINGS, Strategy, _check_run_args
 from .weighting import DEFAULT_GAMMA, DEFAULT_LAM, WeightSchedule
 
 REPORT_COLUMNS = (
@@ -359,25 +360,20 @@ def _evaluate_corpus(args, out: Path | None) -> int:
     return 0
 
 
-def _trace_seed(path: Path) -> int:
-    """The seed a trace file is named after; any other name is an input error."""
-    try:
-        return int(path.stem)
-    except ValueError:
-        raise InputError(f"{path}: not a trace file (expected <seed>.jsonl)") from None
-
-
 def read_trace_dir(traces_dir: Path):
     """Load a simulate output directory: manifest, scene, grouped run stats.
 
-    A manifest that cannot be read, is not a JSON object, lacks ``scene_spec``
-    or ``strategies``, or holds a bad scene, label list or ``bin_width`` is an
-    input error (exit 3) naming the file and the key; so is a file under
-    ``traces/<label>/`` not named ``<seed>.jsonl``, whose header holds
-    another seed or label, or whose steps choose a token id outside the
-    scene's vocabulary, name another token or hold more entropy than a
-    distribution over that vocabulary can have. The returned manifest
-    holds ``bin_width`` as read (the default when absent).
+    A manifest that cannot be read, is not a JSON object, lacks ``scene``,
+    ``scene_spec``, ``strategies``, ``seeds``, ``max_steps`` or
+    ``temperature``, or holds a bad value for one of them or for
+    ``bin_width``, is an input error (exit 3) naming the file and the key.
+    So is a label's trace files not being exactly ``<seed>.jsonl`` for the
+    manifest's seeds (naming the file and the seed), and a trace whose
+    header holds another seed or label, or whose steps choose a token id
+    outside the scene's vocabulary, name another token or hold more
+    entropy than a distribution over that vocabulary can have. The returned
+    manifest holds those fields as read (``bin_width`` the default when
+    absent), and each label's runs are in seed order.
     """
     manifest_path = traces_dir / "manifest.json"
     if not manifest_path.exists():
@@ -386,15 +382,22 @@ def read_trace_dir(traces_dir: Path):
     try:
         if not isinstance(manifest, dict):
             raise ConfigError(f"must be a JSON object, got {type(manifest).__name__}")
-        missing = sorted({"scene_spec", "strategies"} - set(manifest))
+        required = {"scene", "scene_spec", "strategies", "seeds", "max_steps", "temperature"}
+        missing = sorted(required - set(manifest))
         if missing:
             raise ConfigError(f"missing key {missing[0]!r}")
         scene = scene_from_dict(manifest["scene_spec"])
         labels = read_names(manifest["strategies"], "strategies")
+        (scene_name,) = read_names([manifest["scene"]], "scene")
+        seeds = read_seeds(manifest["seeds"])
+        max_steps = read_int(manifest["max_steps"], "max_steps")
+        temperature = read_float(manifest["temperature"], "temperature")
+        _check_run_args(max_steps, temperature)
         bin_width = read_int(manifest.get("bin_width", DEFAULT_BIN_WIDTH), "bin_width")
         if bin_width < 1:
             raise ConfigError(f"bin_width must be >= 1, got {bin_width}")
-        manifest = {**manifest, "bin_width": bin_width}
+        manifest = {**manifest, "scene": scene_name, "seeds": list(seeds),
+                    "max_steps": max_steps, "temperature": temperature, "bin_width": bin_width}
     except ConfigError as exc:
         raise InputError(f"{manifest_path}: {exc}") from exc
     surface = dict(enumerate(scene.vocabulary.tokens))  # None for an id outside it
@@ -405,12 +408,17 @@ def read_trace_dir(traces_dir: Path):
         strategy_dir = traces_dir / "traces" / sanitize_label(label)
         if not strategy_dir.is_dir():
             raise InputError(f"{traces_dir}: missing trace directory for {label!r}")
-        files = sorted(strategy_dir.glob("*.jsonl"), key=_trace_seed)
-        if not files:
-            raise InputError(f"{traces_dir}: no traces for {label!r}")
-        stats_by_label[label] = [read_trace(path) for path in files]
-        for path, run in zip(files, stats_by_label[label]):
-            if run.seed != _trace_seed(path):
+        files = {seed: strategy_dir / f"{seed}.jsonl" for seed in sorted(seeds)}
+        extra = sorted(set(strategy_dir.glob("*.jsonl")) - set(files.values()))
+        if extra:
+            raise InputError(f"{extra[0]}: not the trace of a manifest seed")
+        stats_by_label[label] = runs = []
+        for seed, path in files.items():
+            if not path.is_file():
+                raise InputError(f"{path}: missing; the manifest lists seed {seed}")
+            run = read_trace(path)
+            runs.append(run)
+            if run.seed != seed:
                 raise InputError(f"{path}: header seed {run.seed} does not match the file name")
             if run.strategy != label:
                 raise InputError(f"{path}: header strategy {run.strategy!r} is not {label!r}")
@@ -427,13 +435,13 @@ def read_trace_dir(traces_dir: Path):
 def _evaluate_traces(args, out: Path | None) -> int:
     manifest, scene, stats_by_label = read_trace_dir(Path(args.traces))
     lexicon = TraceLexicon.from_scene(scene)
-    bin_width = manifest["bin_width"]  # read and checked by read_trace_dir
+    bin_width = manifest["bin_width"]  # every field below is read and checked by read_trace_dir
     report = {
-        "scene": manifest.get("scene", "custom"),
+        "scene": manifest["scene"],
         "scene_spec": scene_to_dict(scene),
-        "seeds": manifest.get("seeds", []),
-        "max_steps": manifest.get("max_steps"),
-        "temperature": manifest.get("temperature"),
+        "seeds": manifest["seeds"],
+        "max_steps": manifest["max_steps"],
+        "temperature": manifest["temperature"],
         "bin_width": bin_width,
         **_trace_report(stats_by_label, lexicon, scene, bin_width),
     }

@@ -5,11 +5,13 @@ runs one, optionally through a provider wrapper (the bench's padded cost
 model). Each call decodes its runs in one process and one thread: all seeds of one
 strategy go through ``strategies.decode`` together, as the rows of one
 lockstep batch, with fresh provider instances per strategy (so call counters
-never leak between strategies). Each row has its own seed-derived random
-streams, so a run's record is the same whichever seeds share its batch, and
-a single run is the one-row batch. Records keep each step's ``StepTrace``
-(logits, distribution) from ``run_strategy``, and from ``run_many`` only with
-``record=True``; their summary columns are always there.
+never leak between strategies): one ``SyntheticProvider`` for the scene, and
+for a contrastive strategy a second one on its degraded view. Each row has
+its own seed-derived random streams, so a run's record is the same whichever
+seeds share its batch, and a single run is the one-row batch. Records keep
+each step's ``StepTrace`` (logits, distribution) from ``run_strategy``, and
+from ``run_many`` only with ``record=True``; their summary columns are
+always there.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable, Sequence
 
 from .core import GenerationRecord
 from .errors import ConfigError
-from .simulator import NegativeProvider, NegativeVariantSpec, SceneSpec, SyntheticProvider
+from .simulator import NegativeVariantSpec, SceneSpec, SyntheticProvider
 from .strategies import CONTRASTIVE_KINDS, NEGATIVE_KIND_FOR, Strategy, decode
 
 ProviderWrap = Callable[[object], object]
@@ -35,11 +37,9 @@ def _decode(
     provider = SyntheticProvider(scene)
     negative = None
     if strategy.kind in CONTRASTIVE_KINDS:
-        variant = NegativeVariantSpec(
-            kind=NEGATIVE_KIND_FOR[strategy.kind],
-            strength=strategy.strength,
+        negative = SyntheticProvider(
+            scene, NegativeVariantSpec(NEGATIVE_KIND_FOR[strategy.kind], strategy.strength)
         )
-        negative = NegativeProvider(scene, variant)
     if wrap is not None:
         provider = wrap(provider)
         if negative is not None:

@@ -16,6 +16,11 @@ Grammar-inadmissible tokens are not masked out; they receive a large finite
 penalty, so a decoding strategy that over-boosts a token can, in principle,
 still emit it somewhere illegal. That failure mode is the point of the
 plausibility constraint.
+
+``SyntheticProvider(scene)`` serves the scene's logits, and
+``SyntheticProvider(scene, variant)`` the degraded view a contrastive
+strategy uses as its second pass. Each row draws its noise from its own
+``numpy.random.Generator``.
 """
 
 from __future__ import annotations
@@ -206,9 +211,10 @@ class SceneSpec:
         return self._class_by_id[token_id]
 
     @cached_property
-    def _admissible(self) -> dict[str, np.ndarray]:
-        n = self.vocabulary.size
-        masks = {}
+    def _penalty(self) -> dict[str, np.ndarray]:
+        """The grammar lane per state: ``grammar_penalty`` on each inadmissible
+        token, 0.0 on the admissible ones (filler is never admissible)."""
+        lanes = {}
         for state, ids in (
             (START, self.article_ids),
             (AFTER_ARTICLE, self.noun_ids),
@@ -216,22 +222,8 @@ class SceneSpec:
             (AFTER_CONNECTIVE, self.article_ids),
             (TERMINAL, np.asarray([], dtype=int)),
         ):
-            m = np.zeros(n, dtype=bool)
-            m[ids] = True
-            m.setflags(write=False)
-            masks[state] = m
-        return masks
-
-    def admissible(self, state: GrammarState) -> np.ndarray:
-        """Boolean lane of grammar-admissible tokens for this state."""
-        return self._admissible[state.state]
-
-    @cached_property
-    def _penalty(self) -> dict[str, np.ndarray]:
-        """Per state: ``grammar_penalty`` on inadmissible tokens, 0.0 elsewhere."""
-        lanes = {}
-        for state, admissible in self._admissible.items():
-            lane = np.where(admissible, 0.0, self.grammar_penalty)
+            lane = np.full(self.vocabulary.size, self.grammar_penalty)
+            lane[ids] = 0.0
             lane.setflags(write=False)
             lanes[state] = lane
         return lanes
@@ -294,8 +286,11 @@ def decay_at(scene: SceneSpec, t: int) -> float:
     return scene.decay_depth * (1.0 - np.exp(-scene.decay_kappa * t))
 
 
-def _scene_scores(scene: SceneSpec, state: GrammarState, t: int) -> np.ndarray:
-    """Unperturbed per-token scores before admissibility and noise."""
+def _noiseless_row(
+    scene: SceneSpec, variant: NegativeVariantSpec | None, state: GrammarState, t: int
+) -> np.ndarray:
+    """The part of a row that depends only on (state, t): everything but the
+    per-row permutation and jitter."""
     scores = scene.base.copy()
     if state.state == AFTER_ARTICLE:
         d = decay_at(scene, t)
@@ -304,15 +299,6 @@ def _scene_scores(scene: SceneSpec, state: GrammarState, t: int) -> np.ndarray:
         if state.last_article is not None:
             grounding = scene.grounding_by_id.get(int(state.last_article), 0.0)
             scores[scene.hal_ids] -= grounding
-    return scores
-
-
-def _noiseless_row(
-    scene: SceneSpec, variant: NegativeVariantSpec | None, state: GrammarState, t: int
-) -> np.ndarray:
-    """The part of a row that depends only on (state, t): everything but the
-    per-row permutation and jitter."""
-    scores = _scene_scores(scene, state, t)
     if variant is None or variant.kind in (NOISY_VISUAL, UNCONDITIONED):
         if variant is not None:
             shrink = 0.0 if variant.kind == UNCONDITIONED else 1.0 - variant.strength
@@ -331,7 +317,7 @@ def scene_logit_rows(
     variant: NegativeVariantSpec | None,
     states: Sequence[GrammarState],
     t: int,
-    rngs: Sequence[np.random.Generator | None],
+    rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
     """Scene logits at step t for a batch of rows, as a fresh [rows, vocab] array.
 
@@ -342,10 +328,9 @@ def scene_logit_rows(
     so positive and negative calls stay comparable draw for draw.
 
     The noiseless row is built once per distinct state; then each row gets
-    its own draws, in this order: one permutation (``perturbed_instruction``
-    only) and one normal vector. A row whose rng is None draws nothing: no
-    jitter, and ``perturbed_instruction`` reverses the penalty lane instead
-    of permuting it. With ``noise_sigma == 0`` no normal vector is drawn.
+    its own draws, in this order: one permutation of its state's penalty
+    lane (``perturbed_instruction`` only) and one normal vector. With
+    ``noise_sigma == 0`` no normal vector is drawn.
     """
     if t < 0:
         raise ContractError(f"step index must be >= 0, got {t}")
@@ -358,40 +343,33 @@ def scene_logit_rows(
     size = scores.shape[1]
     if variant is not None and variant.kind == PERTURBED_INSTRUCTION:
         # Scramble where the grammar penalty lands.
-        offsets = np.array(
-            [np.where(scene.admissible(s), 0.0, -scene.grammar_penalty) for s in unique]
-        )
-        if len(unique) < len(pick):
-            offsets = offsets[pick]
-        permuted = np.array([
-            row[rng.permutation(size)] if rng is not None else row[::-1]
-            for row, rng in zip(offsets, rngs)
-        ])
-        scores += (1.0 - variant.strength) * offsets + variant.strength * permuted
+        penalty = np.array([scene._penalty[st.state] for st in states])
+        permuted = np.array([lane[rng.permutation(size)] for lane, rng in zip(penalty, rngs)])
+        scores -= (1.0 - variant.strength) * penalty + variant.strength * permuted
     if scene.noise_sigma > 0:
         for row, rng in zip(scores, rngs):
-            if rng is not None:
-                row += rng.normal(0.0, scene.noise_sigma, size)
+            row += rng.normal(0.0, scene.noise_sigma, size)
     return scores
 
 
 class SyntheticProvider:
-    """Logit provider backed by a scene.
+    """Logit provider backed by a scene: its own view, or with ``variant`` the
+    degraded view a contrastive strategy uses as its negative.
 
     The grammar state of each row comes from the last non-filler token of
     its history (``SceneSpec.state_after``), so a call does not replay the
     history.
 
     ``logit_rows`` serves a batch of rows as one float64 ``[rows, vocab]`` array
-    and ``logits`` is its one-row case, a ``[vocab]`` array. Each instance counts
+    and ``logits`` is its one-row case, a ``[vocab]`` array. Every row draws
+    its jitter (and permutation) from its own ``Generator``. Each instance counts
     the rows it was asked for (one per row per call): the per-step
     ``provider_calls`` telemetry and the bench call-count law are measured from it.
     """
 
-    variant: NegativeVariantSpec | None = None
-
-    def __init__(self, scene: SceneSpec):
+    def __init__(self, scene: SceneSpec, variant: NegativeVariantSpec | None = None):
         self.scene = scene
+        self.variant = variant
         self.calls = 0
 
     @property
@@ -406,7 +384,7 @@ class SyntheticProvider:
         self,
         histories: Sequence[Sequence[TokenId]],
         t: int,
-        rngs: Sequence[np.random.Generator | None],
+        rngs: Sequence[np.random.Generator],
     ) -> np.ndarray:
         """Scores [len(histories), vocab] for each history at step t, rng by rng."""
         self.calls += len(histories)
@@ -417,17 +395,9 @@ class SyntheticProvider:
         self,
         history: Sequence[TokenId],
         t: int,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator,
     ) -> np.ndarray:
         return self.logit_rows([history], t, [rng])[0]
-
-
-class NegativeProvider(SyntheticProvider):
-    """Provider serving the degraded-evidence view used by contrastive decoding."""
-
-    def __init__(self, scene: SceneSpec, variant: NegativeVariantSpec):
-        super().__init__(scene)
-        self.variant = variant
 
 
 # -- default scene and presets ----------------------------------------------

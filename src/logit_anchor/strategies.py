@@ -93,7 +93,8 @@ class LogitProvider(Protocol):
 
     ``logits`` returns a fresh float64 ``[vocab]`` array of finite scores, nothing
     masked; the optional ``logit_rows(histories, t, rngs)`` returns a fresh
-    ``[rows, vocab]`` one, to serve all rows of a step in one call.
+    ``[rows, vocab]`` one, to serve all rows of a step in one call. ``rng`` is
+    always the row's own ``Generator`` (``rngs`` one per row), never None.
     """
 
     vocab: Vocabulary
@@ -104,7 +105,7 @@ class LogitProvider(Protocol):
         self,
         history: Sequence[TokenId],
         t: int,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator,
     ) -> np.ndarray: ...
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import time
 
 import numpy as np
@@ -37,6 +38,13 @@ class TestCostModel:
         with pytest.raises(ConfigError):
             CostModel.parse(text)
 
+    def test_pad_longer_than_a_second_rejected(self):
+        """A 1e308 us pad passed the finite-and-positive check, and every call then hung."""
+        assert CostModel.parse("padded:1e6").pad_us == 1e6
+        for text, named in (("padded:1e308", "1e+308"), ("padded:1000000.5", "1000000.5")):
+            with pytest.raises(ConfigError, match=re.escape(named)):
+                CostModel.parse(text)
+
     def test_constructor_validation(self):
         with pytest.raises(ConfigError):
             CostModel("padded", 0.0)
@@ -53,14 +61,14 @@ class TestPaddedProvider:
         assert padded.vocab is inner.vocab
         assert padded.eos_id == inner.eos_id
         start = time.perf_counter()
-        row = padded.logits((), 0)  # rng omitted: deterministic scores
+        row = padded.logits((), 0, np.random.default_rng(3))
         elapsed = time.perf_counter() - start
         assert padded.calls == inner.calls == 1
         assert elapsed >= 200e-6
         assert type(row) is np.ndarray and row.dtype == np.float64
         assert row.shape == (scene.vocabulary.size,)
         bare = SyntheticProvider(scene)
-        assert (row == bare.logits((), 0)).all()
+        assert (row == bare.logits((), 0, np.random.default_rng(3))).all()
 
 
 class TestRunBench:
@@ -100,6 +108,14 @@ class TestRunBench:
     def test_min_tokens_enforced(self, scene):
         with pytest.raises(InputError, match="at least 1000"):
             run_bench(scene, [Strategy(kind="baseline")], seeds=range(2), max_steps=10)
+
+    def test_negative_min_tokens_rejected_before_decoding(self, scene, monkeypatch):
+        def no_decoding(*args, **kwargs):
+            raise AssertionError("bench decoded a run")
+
+        monkeypatch.setattr(bench, "run_strategy", no_decoding)
+        with pytest.raises(ConfigError, match="min_tokens must be >= 0, got -5"):
+            run_bench(scene, [Strategy(kind="baseline")], seeds=range(2), min_tokens=-5)
 
     def test_row_lookup(self, scene):
         report = run_bench(

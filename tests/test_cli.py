@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logit_anchor import cli
+from logit_anchor import bench, cli
 from logit_anchor.cli import main, sanitize_label
 from logit_anchor.config import SEED_ENV_VAR, SIMULATE_KEYS
 
@@ -295,6 +295,18 @@ def _add_notes_file(strategy_dir):
     return path
 
 
+def _delete_trace(strategy_dir):
+    """Deleting one trace used to score the others, while the report still listed its seed."""
+    path = strategy_dir / "1.jsonl"
+    path.unlink()
+    return f"{path}: missing; the manifest lists seed 1"
+
+
+def _copy_trace(source, path):
+    path.write_bytes(source.read_bytes())
+    return f"{path}: not the trace of a manifest seed"
+
+
 def _edit_line(path, index, edit):
     """Replace line ``index`` of a JSONL file by ``edit`` of its record."""
     lines = path.read_text().splitlines()
@@ -326,7 +338,15 @@ class TestEvaluateTraces:
         (lambda m: {k: v for k, v in m.items() if k != "scene_spec"}, "scene_spec"),
         (lambda m: [m], "JSON object"),
         (lambda m: {**m, "bin_width": 0}, "bin_width"),
-    ], ids=["bin_width_text", "no_scene_spec", "array", "bin_width_zero"])
+        # The fields below are copied into report.json, which used to take any value.
+        (lambda m: {**m, "max_steps": "abc"}, "max_steps: 'abc'"),
+        (lambda m: {**m, "temperature": [1]}, "temperature: [1]"),
+        (lambda m: {**m, "seeds": "zz"}, "seeds: 'zz'"),
+        (lambda m: {k: v for k, v in m.items() if k != "scene"}, "missing key 'scene'"),
+        (lambda m: {**m, "max_steps": 0}, "max_steps must be >= 1, got 0"),
+        (lambda m: {**m, "temperature": 0.0}, "temperature must be finite and positive, got 0.0"),
+    ], ids=["bin_width_text", "no_scene_spec", "array", "bin_width_zero", "max_steps_text",
+            "temperature_list", "seeds_text", "no_scene", "max_steps_zero", "temperature_zero"])
     def test_malformed_manifest_exits_3(self, tmp_path, capsys, edit, named):
         sim_out = tmp_path / "sim"
         assert run_cli(
@@ -336,9 +356,10 @@ class TestEvaluateTraces:
         manifest = sim_out / "manifest.json"
         manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
         capsys.readouterr()
-        assert run_cli("evaluate", "--traces", sim_out) == 3
+        assert run_cli("evaluate", "--traces", sim_out, "--out", tmp_path / "eval") == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {manifest}: ") and named in err
+        assert not (tmp_path / "eval" / "report.json").exists()
 
     @pytest.mark.parametrize("edit", [
         _add_notes_file,
@@ -348,8 +369,13 @@ class TestEvaluateTraces:
         lambda d: _edit_line(d / "0.jsonl", 0, lambda h: {**h, "n_steps": "x"}),
         lambda d: _edit_line(d / "0.jsonl", 1, lambda s: list(s.values())),
         lambda d: _edit_line(d / "0.jsonl", 0, lambda h: {**h, "seed": 1}),
+        # The files must be exactly one <seed>.jsonl per manifest seed.
+        _delete_trace,
+        lambda d: _copy_trace(d / "1.jsonl", d / "2.jsonl"),
+        lambda d: _copy_trace(d / "1.jsonl", d / "01.jsonl"),
     ], ids=["other_jsonl_file", "header_without_seed", "n_steps_text", "step_array",
-            "header_seed_not_file_name"])
+            "header_seed_not_file_name", "deleted_seed", "seed_not_in_manifest",
+            "seed_name_not_canonical"])
     def test_malformed_trace_exits_3_naming_the_file(self, tmp_path, capsys, edit):
         sim_out = tmp_path / "sim"
         assert run_cli(
@@ -533,6 +559,23 @@ class TestBench:
             "bench", "--strategies", "baseline", "--seeds", "0",
             "--max-steps", "5", "--out", tmp_path / "o",
         ) == 3
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--cost-model", "padded:1e308", "1e+308"),
+        ("--min-tokens", "-5", "-5"),
+    ], ids=["pad_beyond_one_second", "negative_min_tokens"])
+    def test_setting_no_run_can_use_exits_2_before_decoding(
+        self, tmp_path, capsys, monkeypatch, flag, value, named
+    ):
+        def no_decoding(*args, **kwargs):
+            raise AssertionError("bench decoded a run")
+
+        monkeypatch.setattr(bench, "run_strategy", no_decoding)
+        assert run_cli(
+            "bench", "--strategies", "baseline", "--seeds", "0", flag, value,
+            "--out", tmp_path / "o",
+        ) == 2
+        assert named in capsys.readouterr().err
 
     def test_bad_cost_model_exit_2(self, tmp_path):
         assert run_cli(

@@ -1,11 +1,15 @@
-"""Golden outputs: every file three ``simulate`` runs write, pinned by sha256.
+"""Golden outputs: every file four ``simulate`` runs write, pinned by sha256.
 
 The runs cover the default strategies plus a masked flb, a temperature
-below 1 with ``--full-dist``, and gt and hal sets that are not 8 nouns long.
+below 1 with ``--full-dist``, gt and hal sets that are not 8 nouns long, and
+the degraded views at strengths other than their defaults (ICD's blend of
+the penalty lane with its permuted copy only shows below strength 1).
 Any change to an output byte of these runs, stdout included, fails here
 rather than only under a manual ``diff -r``. To re-pin after a deliberate
 output change, run this file as a script:
-``PYTHONPATH=src python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py``. It prints whether each run's
+hashes are new, unchanged or changed, and for a changed run which files
+changed, so adding a run never re-pins the others unnoticed.
 """
 
 from __future__ import annotations
@@ -34,6 +38,11 @@ RUNS = {
     "default": BASE,
     "full_dist": BASE + ["--temperature", "0.7", "--full-dist"],
     "uneven_sets": None,  # BASE on a scene whose gt and hal sets hold 3 and 13 nouns
+    "strengths": [
+        "simulate", "--seeds", "0:8", "--max-steps", "40",
+        "--strategies", "icd:strength=0.35;icd:strength=0;vcd:strength=0.2;m3id",
+        "--temperature", "0.7", "--full-dist",
+    ],
 }
 
 
@@ -73,6 +82,16 @@ def test_outputs_match_pinned_hashes(name, tmp_path, monkeypatch):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         hashes = {name: run_hashes(name, Path(tmp)) for name in RUNS}
+    old = json.loads(PINNED.read_text(encoding="utf-8")) if PINNED.exists() else {}
+    for name, pinned in hashes.items():
+        if name not in old:
+            print(f"{name}: new", file=sys.stderr)
+        elif old[name] == pinned:
+            print(f"{name}: unchanged", file=sys.stderr)
+        else:
+            changed = sorted(k for k in pinned.keys() | old[name].keys()
+                             if pinned.get(k) != old[name].get(k))
+            print(f"{name}: changed ({', '.join(changed)})", file=sys.stderr)
     PINNED.parent.mkdir(exist_ok=True)
     PINNED.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"pinned {sum(map(len, hashes.values()))} hashes -> {PINNED}", file=sys.stderr)

@@ -26,7 +26,6 @@ from logit_anchor.simulator import (
     TERMINAL,
     UNCONDITIONED,
     GrammarState,
-    NegativeProvider,
     NegativeVariantSpec,
     SyntheticProvider,
     decay_at,
@@ -38,9 +37,14 @@ from logit_anchor.simulator import (
 MARGIN_AT_50 = -1.6716600055044048  # 4 * exp(-2.5) - 2
 
 
-def scene_row(scene, variant, state, t, rng=None):
+def scene_row(scene, variant, state, t, rng):
     """One row of ``scene_logit_rows``: ``variant``'s logits (the scene's for None)."""
     return LogitVector.of(scene_logit_rows(scene, variant, [state], t, [rng])[0])
+
+
+def quiet_row(scene, variant, state, t):
+    """``scene_row`` on the scene without jitter, so only a permutation draws."""
+    return scene_row(replace(scene, noise_sigma=0.0), variant, state, t, np.random.default_rng(0))
 
 
 def assert_plain_row(row, scene):
@@ -163,12 +167,12 @@ class TestGrammar:
 
     def test_admissible_sets(self, scene):
         v = scene.vocabulary
-        start = scene.admissible(GrammarState())
+        start = scene._penalty[START] == 0.0
         assert start[v.id_of("The")] and not start[v.id_of("dog")]
-        after_noun = scene.admissible(GrammarState(AFTER_NOUN))
+        after_noun = scene._penalty[AFTER_NOUN] == 0.0
         assert after_noun[v.id_of("and")] and after_noun[scene.eos_id]
         assert not after_noun[v.id_of("The")]
-        assert not scene.admissible(GrammarState(TERMINAL)).any()
+        assert not (scene._penalty[TERMINAL] == 0.0).any()
 
     def test_unknown_state_rejected(self):
         with pytest.raises(Exception):
@@ -181,11 +185,10 @@ class TestLogits:
         a = scene_row(quiet, None, GrammarState(), 0, np.random.default_rng(0))
         b = scene_row(quiet, None, GrammarState(), 0, np.random.default_rng(99))
         assert np.array_equal(a.scores, b.scores)
-        c = scene_row(scene, None, GrammarState(), 0, rng=None)
-        assert np.array_equal(a.scores, c.scores)
+        assert np.array_equal(a.scores, scene.base - scene._penalty[START])
 
     def test_grammar_penalty_is_finite_offset(self, scene):
-        lv = scene_row(scene, None, GrammarState(), 0, rng=None)
+        lv = quiet_row(scene, None, GrammarState(), 0)
         v = scene.vocabulary
         assert not lv.mask.any()  # penalty, not exclusion
         assert lv.scores[v.id_of("The")] == 5.0
@@ -197,7 +200,7 @@ class TestLogits:
         assert d == pytest.approx(2.0 * (1 - math.exp(-0.05 * 50)), abs=1e-15)
 
     def test_margin_reference_at_50(self, scene):
-        lv = scene_row(scene, None, noun_slot(scene, "A"), 50, rng=None)
+        lv = quiet_row(scene, None, noun_slot(scene, "A"), 50)
         v = scene.vocabulary
         margin = lv.scores[v.id_of("dog")] - lv.scores[v.id_of("cat")]
         assert margin == pytest.approx(MARGIN_AT_50, abs=1e-12)
@@ -206,19 +209,19 @@ class TestLogits:
         v = scene.vocabulary
 
         def margin(t):
-            lv = scene_row(scene, None, noun_slot(scene, "A"), t, rng=None)
+            lv = quiet_row(scene, None, noun_slot(scene, "A"), t)
             return lv.scores[v.id_of("dog")] - lv.scores[v.id_of("cat")]
 
         assert margin(13) > 0 > margin(14)
 
     def test_grounding_suppresses_hal_after_the(self, scene):
         v = scene.vocabulary
-        after_the = scene_row(scene, None, noun_slot(scene, "The"), 10, rng=None)
-        after_a = scene_row(scene, None, noun_slot(scene, "A"), 10, rng=None)
+        after_the = quiet_row(scene, None, noun_slot(scene, "The"), 10)
+        after_a = quiet_row(scene, None, noun_slot(scene, "A"), 10)
         assert after_a.scores[v.id_of("cat")] - after_the.scores[v.id_of("cat")] \
             == pytest.approx(3.0, abs=1e-12)
         assert after_a.scores[v.id_of("dog")] == after_the.scores[v.id_of("dog")]
-        after_in = scene_row(scene, None, noun_slot(scene, "In"), 10, rng=None)
+        after_in = quiet_row(scene, None, noun_slot(scene, "In"), 10)
         assert after_a.scores[v.id_of("cat")] - after_in.scores[v.id_of("cat")] \
             == pytest.approx(1.0, abs=1e-12)
 
@@ -231,40 +234,34 @@ class TestLogits:
 
     def test_negative_step_rejected(self, scene):
         with pytest.raises(Exception):
-            scene_row(scene, None, GrammarState(), -1)
+            scene_row(scene, None, GrammarState(), -1, np.random.default_rng(0))
 
 
 class TestNegativeVariants:
     def test_unconditioned_equalizes_class_means(self, scene):
-        lv = scene_row(
-            scene, NegativeVariantSpec(UNCONDITIONED), noun_slot(scene), 30, rng=None
-        )
+        lv = quiet_row(scene, NegativeVariantSpec(UNCONDITIONED), noun_slot(scene), 30)
         gt = lv.scores[scene.gt_ids].mean()
         hal = lv.scores[scene.hal_ids].mean()
         assert gt == pytest.approx(hal, abs=1e-12)
 
     def test_noisy_visual_shrinks_margin(self, scene):
         state = noun_slot(scene)
-        pos = scene_row(scene, None, state, 30, rng=None)
-        neg = scene_row(
-            scene, NegativeVariantSpec(NOISY_VISUAL, strength=0.7), state, 30, rng=None
-        )
+        pos = quiet_row(scene, None, state, 30)
+        neg = quiet_row(scene, NegativeVariantSpec(NOISY_VISUAL, strength=0.7), state, 30)
         pos_margin = pos.scores[scene.gt_ids].mean() - pos.scores[scene.hal_ids].mean()
         neg_margin = neg.scores[scene.gt_ids].mean() - neg.scores[scene.hal_ids].mean()
         assert neg_margin == pytest.approx(0.3 * pos_margin, abs=1e-12)
 
     def test_noisy_visual_strength_zero_matches_positive(self, scene):
         state = noun_slot(scene)
-        pos = scene_row(scene, None, state, 12, rng=None)
-        neg = scene_row(
-            scene, NegativeVariantSpec(NOISY_VISUAL, strength=0.0), state, 12, rng=None
-        )
+        pos = quiet_row(scene, None, state, 12)
+        neg = quiet_row(scene, NegativeVariantSpec(NOISY_VISUAL, strength=0.0), state, 12)
         assert neg.scores == pytest.approx(pos.scores, abs=1e-12)
 
     def test_perturbed_instruction_moves_the_penalty(self, scene):
         quiet = replace(scene, noise_sigma=0.0)
         state = GrammarState()
-        pos = scene_row(quiet, None, state, 0, rng=None)
+        pos = quiet_row(quiet, None, state, 0)
         neg = scene_row(
             quiet, NegativeVariantSpec(PERTURBED_INSTRUCTION, strength=1.0),
             state, 0, np.random.default_rng(5),
@@ -275,12 +272,10 @@ class TestNegativeVariants:
 
     def test_perturbed_instruction_strength_zero_matches_positive(self, scene):
         state = GrammarState()
-        pos = scene_row(scene, None, state, 0, rng=None)
-        neg = scene_row(
-            scene, NegativeVariantSpec(PERTURBED_INSTRUCTION, strength=0.0),
-            state, 0, rng=None,
-        )
+        pos = quiet_row(scene, None, state, 0)
+        neg = quiet_row(scene, NegativeVariantSpec(PERTURBED_INSTRUCTION, strength=0.0), state, 0)
         assert neg.scores == pytest.approx(pos.scores, abs=1e-12)
+        assert np.array_equal(neg.scores, pos.scores)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):
@@ -296,9 +291,9 @@ class TestProviders:
         v = quiet.vocabulary
         history = (v.id_of("The"),)
         assert provider.calls == 0
-        row = provider.logits(history, 1, rng=None)
+        row = provider.logits(history, 1, np.random.default_rng(0))
         assert provider.calls == 1
-        expected = scene_row(quiet, None, quiet.state_after(history), 1, rng=None)
+        expected = quiet_row(quiet, None, quiet.state_after(history), 1)
         assert np.array_equal(row, expected.scores)
         assert provider.eos_id == quiet.eos_id
         assert provider.vocab is quiet.vocabulary
@@ -314,7 +309,7 @@ class TestProviders:
         assert_plain_row(got, SCENE)
         for kind in NEGATIVE_KINDS:
             variant = NegativeVariantSpec(kind, strength=0.6)
-            got = NegativeProvider(SCENE, variant).logits(
+            got = SyntheticProvider(SCENE, variant).logits(
                 history, t, np.random.default_rng(seed)
             )
             want = scene_row(
@@ -335,20 +330,18 @@ class TestProviders:
         states = [SCENE.state_after(h) for h in histories]
         assert {s.state for s in states} == {START, AFTER_ARTICLE, AFTER_NOUN,
                                             AFTER_CONNECTIVE, TERMINAL}
-        # A state no history reaches, and a row without an rng.
-        states.append(GrammarState(AFTER_ARTICLE))
-        seeds = [seed + i for i in range(len(states) - 1)] + [None]
+        states.append(GrammarState(AFTER_ARTICLE))  # a state no history reaches
+        seeds = [seed + i for i in range(len(states))]
 
         def rngs():
-            return [None if s is None else np.random.default_rng(s) for s in seeds]
+            return [np.random.default_rng(s) for s in seeds]
 
         for variant in (None, *(NegativeVariantSpec(k, strength) for k in NEGATIVE_KINDS)):
             rows = scene_logit_rows(SCENE, variant, states, t, rngs())
             for row, state, rng in zip(rows, states, rngs()):
                 want = scene_row(SCENE, variant, state, t, rng)
                 assert row.tobytes() == want.scores.tobytes()
-            provider = (SyntheticProvider(SCENE) if variant is None
-                        else NegativeProvider(SCENE, variant))
+            provider = SyntheticProvider(SCENE, variant)
             got = provider.logit_rows(histories, t, rngs()[:-1])
             assert provider.calls == len(histories)
             for row, history, rng in zip(got, histories, rngs()):
@@ -356,12 +349,10 @@ class TestProviders:
 
     def test_negative_provider(self, scene):
         quiet = replace(scene, noise_sigma=0.0)
-        provider = NegativeProvider(quiet, NegativeVariantSpec(UNCONDITIONED))
-        row = provider.logits((), 0, rng=None)
+        provider = SyntheticProvider(quiet, NegativeVariantSpec(UNCONDITIONED))
+        row = provider.logits((), 0, np.random.default_rng(0))
         assert provider.calls == 1
-        expected = scene_row(
-            quiet, NegativeVariantSpec(UNCONDITIONED), GrammarState(), 0, rng=None
-        )
+        expected = quiet_row(quiet, NegativeVariantSpec(UNCONDITIONED), GrammarState(), 0)
         assert np.array_equal(row, expected.scores)
 
 

@@ -33,7 +33,6 @@ from logit_anchor import (
 )
 from logit_anchor import strategies
 from logit_anchor.simulator import (
-    NegativeProvider,
     NegativeVariantSpec,
     SyntheticProvider,
     scene_from_dict,
@@ -79,7 +78,7 @@ class Forwarder:
     def calls(self):
         return self.inner.calls
 
-    def logits(self, history, t, rng=None):
+    def logits(self, history, t, rng):
         self.forwarded += 1
         row = self.inner.logits(history, t, rng)
         return row if self.spoil is None else self.spoil(row)
@@ -89,8 +88,8 @@ class SpoiledRows(SyntheticProvider):
     """A scene provider whose ``logit_rows`` output passes through ``spoil``."""
 
     def __init__(self, scene, spoil, variant=None):
-        super().__init__(scene)
-        self.spoil, self.variant = spoil, variant
+        super().__init__(scene, variant)
+        self.spoil = spoil
 
     def logit_rows(self, histories, t, rngs):
         return self.spoil(super().logit_rows(histories, t, rngs))
@@ -242,9 +241,8 @@ class TestProviderContract:
         if route == "logit_rows":
             spoiled = SpoiledRows(scene, spoil, variant if side == "negative" else None)
         else:
-            inner = NegativeProvider(scene, variant) if side == "negative" else SyntheticProvider(scene)
-            spoiled = Forwarder(inner, spoil)
-        provider, negative = SyntheticProvider(scene), NegativeProvider(scene, variant)
+            spoiled = Forwarder(SyntheticProvider(scene, variant if side == "negative" else None), spoil)
+        provider, negative = SyntheticProvider(scene), SyntheticProvider(scene, variant)
         if side == "negative":
             negative = spoiled
         else:
@@ -301,7 +299,7 @@ class TestWrappedRoute:
         if strategy.kind in strategies.CONTRASTIVE_KINDS:
             variant = NegativeVariantSpec(strategies.NEGATIVE_KIND_FOR[strategy.kind],
                                           strategy.strength)
-            negative = Forwarder(NegativeProvider(scene, variant))
+            negative = Forwarder(SyntheticProvider(scene, variant))
         kwargs = {"max_steps": 40, "temperature": 0.7, "record": True}
         wrapped = decode(strategy, Forwarder(SyntheticProvider(scene)), seeds, negative=negative,
                          gt_ids=scene.gt_ids, hal_ids=scene.hal_ids, **kwargs)
