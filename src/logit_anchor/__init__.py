@@ -2,9 +2,9 @@
 
 The package has three layers:
 
-* decoding primitives: logit containers, softmax/sampling, adaptive
-  candidate restriction, weight schedules, and the decoding strategies
-  themselves (baseline, contrastive pairs, first-logit boosting);
+* decoding: weight schedules, the decoding strategies (baseline, contrastive
+  pairs, first-logit boosting) and the one lockstep decode loop, whose
+  records keep plain per-step vectors on request;
 * a synthetic caption provider whose hallucination rate grows with
   generation depth, used as a controllable test bed;
 * evaluation: corpus object-hallucination metrics, trace analytics,
@@ -21,15 +21,10 @@ from .core import (
     StepTrace,
     TokenId,
     Vocabulary,
-    argmax,
-    entropy,
-    sample,
-    softmax,
 )
 from .errors import (
     ConfigError,
     ContractError,
-    ExclusionError,
     InputError,
     LogitAnchorError,
 )
@@ -56,7 +51,6 @@ from .metrics import (
     summarize_record,
     write_trace,
 )
-from .plausibility import CandidateMask, apply_mask, candidate_set
 from .runner import run_many, run_strategy
 from .simulator import (
     NegativeVariantSpec,
@@ -70,7 +64,6 @@ from .simulator import (
 from .strategies import (
     LogitProvider,
     Strategy,
-    boost,
     decode,
     parse_strategy,
 )
@@ -89,14 +82,12 @@ __all__ = [
     "ArticleStats",
     "BenchReport",
     "BenchRow",
-    "CandidateMask",
     "CaptionRecord",
     "ConfigError",
     "ContractError",
     "CostModel",
     "DEFAULT_GAMMA",
     "DEFAULT_LAM",
-    "ExclusionError",
     "GenerationRecord",
     "InputError",
     "LogitAnchorError",
@@ -119,15 +110,10 @@ __all__ = [
     "TraceLexicon",
     "Vocabulary",
     "WeightSchedule",
-    "apply_mask",
-    "argmax",
     "article_stats",
-    "boost",
-    "candidate_set",
     "corpus_metrics",
     "decode",
     "default_scene",
-    "entropy",
     "entropy_stats",
     "extract_objects",
     "hal_noun_rate",
@@ -139,12 +125,10 @@ __all__ = [
     "run_bench",
     "run_many",
     "run_strategy",
-    "sample",
     "scene_from_dict",
     "scene_to_dict",
     "sentence_initial_stats",
     "simulated_corpus",
-    "softmax",
     "summarize_record",
     "weight_at",
     "write_trace",

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .runner import run_strategy
+from .runner import _decode
 from .simulator import SceneSpec
 from .strategies import Strategy
 
@@ -132,7 +132,9 @@ def run_bench(
     """Run every strategy over all seeds, sequentially, and account costs.
 
     Strategies are interleaved seed by seed, so a drift in host load is
-    spread over every strategy instead of landing on one. Fails with
+    spread over every strategy instead of landing on one. Each run is
+    decoded alone and unrecorded: only its chosen tokens and provider calls
+    are read, so no per-step vectors are built in the timed span. Fails with
     InputError if any strategy produces fewer than ``min_tokens`` tokens
     total; pass more seeds or a larger ``max_steps``. A negative
     ``min_tokens`` is a ConfigError, raised before anything is decoded.
@@ -148,10 +150,7 @@ def run_bench(
     for seed in seeds:
         for strategy_runs, strategy in zip(runs, strategies):
             start = time.perf_counter()
-            record = run_strategy(
-                scene, strategy,
-                seed=seed, max_steps=max_steps, wrap=wrap,
-            )
+            (record,) = _decode(scene, strategy, (seed,), wrap, max_steps=max_steps)
             elapsed_ms = (time.perf_counter() - start) * 1000.0
             tokens = len(record.chosen)
             calls = sum(record.provider_calls)

@@ -76,9 +76,9 @@ from .metrics import (
     summarize_record,
     write_trace,
 )
-from .runner import run_many
+from .runner import _check_labels, run_many
 from .simulator import scene_from_dict, scene_to_dict
-from .strategies import FLB, SETTINGS, Strategy, _check_run_args
+from .strategies import CONTRASTIVE_KINDS, FLB, SETTINGS, Strategy, _check_run_args
 from .weighting import DEFAULT_GAMMA, DEFAULT_LAM, WeightSchedule
 
 REPORT_COLUMNS = (
@@ -367,11 +367,13 @@ def read_trace_dir(traces_dir: Path):
     ``scene_spec``, ``strategies``, ``seeds``, ``max_steps`` or
     ``temperature``, or holds a bad value for one of them or for
     ``bin_width``, is an input error (exit 3) naming the file and the key.
-    So is a label's trace files not being exactly ``<seed>.jsonl`` for the
-    manifest's seeds (naming the file and the seed), and a trace whose
-    header holds another seed or label, or whose steps choose a token id
-    outside the scene's vocabulary, name another token or hold more
-    entropy than a distribution over that vocabulary can have. The returned
+    So is a label listed twice in ``strategies``, a label's trace files not
+    being exactly ``<seed>.jsonl`` for the manifest's seeds (naming the file
+    and the seed), and a trace whose header holds another seed or label, or
+    whose steps choose a token id outside the scene's vocabulary, name
+    another token, hold more entropy than a distribution over that
+    vocabulary can have, or count other provider calls than the label's kind
+    makes per step: 2 for vcd, icd and m3id, 1 for any other. The returned
     manifest holds those fields as read (``bin_width`` the default when
     absent), and each label's runs are in seed order.
     """
@@ -388,6 +390,7 @@ def read_trace_dir(traces_dir: Path):
             raise ConfigError(f"missing key {missing[0]!r}")
         scene = scene_from_dict(manifest["scene_spec"])
         labels = read_names(manifest["strategies"], "strategies")
+        _check_labels(labels)
         (scene_name,) = read_names([manifest["scene"]], "scene")
         seeds = read_seeds(manifest["seeds"])
         max_steps = read_int(manifest["max_steps"], "max_steps")
@@ -408,6 +411,8 @@ def read_trace_dir(traces_dir: Path):
         strategy_dir = traces_dir / "traces" / sanitize_label(label)
         if not strategy_dir.is_dir():
             raise InputError(f"{traces_dir}: missing trace directory for {label!r}")
+        kind = label.partition("(")[0]
+        calls = 2 if kind in CONTRASTIVE_KINDS else 1  # the call-count law
         files = {seed: strategy_dir / f"{seed}.jsonl" for seed in sorted(seeds)}
         extra = sorted(set(strategy_dir.glob("*.jsonl")) - set(files.values()))
         if extra:
@@ -429,6 +434,9 @@ def read_trace_dir(traces_dir: Path):
                 if step.entropy > max_entropy:
                     raise InputError(f"{path}: step {step.t}: entropy: {step.entropy!r} "
                                      f"exceeds ln({scene.vocabulary.size}), the uniform maximum")
+                if step.provider_calls != calls:
+                    raise InputError(f"{path}: step {step.t}: provider_calls: {step.provider_calls}, "
+                                     f"but {kind} makes {calls} per step")
     return manifest, scene, stats_by_label
 
 
@@ -707,7 +715,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except LogitAnchorError as exc:  # ContractError, ExclusionError, any future subclass
+    except LogitAnchorError as exc:  # ContractError or any future subclass
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
 

@@ -22,6 +22,3 @@ class InputError(LogitAnchorError):
 class ContractError(LogitAnchorError):
     """An internal value violates a structural contract (shape, mask, range)."""
 
-
-class ExclusionError(LogitAnchorError):
-    """Every token ended up masked; no candidate remains to score or sample."""

@@ -694,8 +694,9 @@ def _step_fault(step: StepStats, t: int) -> str:
 def read_trace(path) -> RunStats:
     """Read one JSONL trace back into the summary form; a malformed record (say,
     an integer field holding a fraction, a chosen_prob of 0, gt and hal mass
-    summing above 1, a negative entropy or steps out of order) is an InputError
-    naming the file, the line and the field."""
+    summing above 1, a negative entropy, steps out of order, or a header text
+    that is not the steps' tokens joined by spaces) is an InputError naming
+    the file, the line and the field."""
     steps: list[StepStats] = []
     header: dict | None = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -741,6 +742,7 @@ def read_trace(path) -> RunStats:
         raise InputError(f"{path}: missing run header")
     try:
         n_steps = read_int(header.get("n_steps", len(steps)), "n_steps")
+        text = header["text"]
         stats = RunStats(
             prompt_id=str(header["prompt_id"]),
             strategy=str(header["strategy"]),
@@ -753,4 +755,7 @@ def read_trace(path) -> RunStats:
         ) from exc
     if len(steps) != n_steps:
         raise InputError(f"{path}: header declares {n_steps} steps, found {len(steps)}")
+    if text != stats.text:
+        raise InputError(f"{path}:{header_line}: bad run header "
+                         f"(text: {text!r} is not the steps' tokens joined by spaces)")
     return stats

@@ -1,17 +1,19 @@
 """Bind strategy descriptors to scene providers and execute runs.
 
 ``run_many`` runs every (strategy, seed) pair of a command; ``run_strategy``
-runs one, optionally through a provider wrapper (the bench's padded cost
-model). Each call decodes its runs in one process and one thread: all seeds of one
+runs one and records it, optionally through a provider wrapper. ``_decode``
+is the one path under both; the bench calls it directly, one seed at a time
+through its padded cost model, without recording. Each call decodes its runs
+in one process and one thread: all seeds of one
 strategy go through ``strategies.decode`` together, as the rows of one
 lockstep batch, with fresh provider instances per strategy (so call counters
 never leak between strategies): one ``SyntheticProvider`` for the scene, and
 for a contrastive strategy a second one on its degraded view. Each row has
 its own seed-derived random streams, so a run's record is the same whichever
 seeds share its batch, and a single run is the one-row batch. Records keep
-each step's ``StepTrace`` (logits, distribution) from ``run_strategy``, and
-from ``run_many`` only with ``record=True``; their summary columns are
-always there.
+each step's ``StepTrace`` (plain records of the raw and adjusted logits,
+the candidate mask and the distribution) from ``run_strategy``, and from
+``run_many`` only with ``record=True``; their summary columns are always there.
 """
 
 from __future__ import annotations
@@ -73,6 +75,13 @@ def run_strategy(
     return record
 
 
+def _check_labels(labels: Sequence[str]) -> None:
+    """Refuse a label listed twice: a run's records and traces are keyed by label."""
+    repeated = next((label for i, label in enumerate(labels) if label in labels[:i]), None)
+    if repeated is not None:
+        raise ConfigError(f"strategy labels must be unique within one run: {repeated!r} repeats")
+
+
 def run_many(
     scene: SceneSpec,
     strategies: Sequence[Strategy],
@@ -92,10 +101,7 @@ def run_many(
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    labels = [s.label() for s in strategies]
-    if len(set(labels)) != len(labels):
-        repeated = next(label for i, label in enumerate(labels) if label in labels[:i])
-        raise ConfigError(f"strategy labels must be unique within one run: {repeated!r} repeats")
+    _check_labels([s.label() for s in strategies])
     ordered = sorted(seeds)
     records = []
     for strategy in strategies:

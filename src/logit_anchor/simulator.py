@@ -15,7 +15,7 @@ token choice matter.
 Grammar-inadmissible tokens are not masked out; they receive a large finite
 penalty, so a decoding strategy that over-boosts a token can, in principle,
 still emit it somewhere illegal. That failure mode is the point of the
-plausibility constraint.
+candidate constraint.
 
 ``SyntheticProvider(scene)`` serves the scene's logits, and
 ``SyntheticProvider(scene, variant)`` the degraded view a contrastive

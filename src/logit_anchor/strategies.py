@@ -26,10 +26,13 @@ the descriptor ``flb:gamma=0.5,beta=0.2`` (``parse_strategy``).
 :func:`decode` is the one decode loop. It runs all seeds of one strategy in
 lockstep: each seed is a row, every per-step operation works on
 ``[rows, vocab]`` arrays, and a row retires when it emits EOS. A single run
-is the one-row case. ``boost``, ``core.softmax``, ``core.entropy`` and the
-``plausibility`` operations are the one-vector references the row kernels
-are tested against; the contrastive combination (``_combine``) and the
-step-0 contribution (``_l0_lane``, ``_l0_rows``) exist only as row kernels.
+is the one-row case. Every per-step operation has one implementation, a
+row kernel here or in ``core``: the contrastive combination (``_combine``),
+the step-0 contribution (``_l0_lane``, ``_l0_rows``) and its lift, the
+candidate constraint (``_candidate_mask``), the softmax (``_softmax``), the
+entropy (``_entropies``) and the choice (``core._sample_rows``,
+``core._greedy_rows``). The tests compare them against independent
+one-vector references of their own.
 
 Each row owns its randomness: its seed is split into three independent
 streams (sampling, positive-provider jitter, negative-provider jitter), and
@@ -60,7 +63,6 @@ from .core import (
     _greedy_rows,
     _listed,
     _sample_rows,
-    _unchecked,
 )
 from .errors import ConfigError, ContractError
 from .simulator import NOISY_VISUAL, PERTURBED_INSTRUCTION, UNCONDITIONED
@@ -117,26 +119,17 @@ def _combine(pos: np.ndarray, neg: np.ndarray, alpha: float) -> np.ndarray:
     return (1.0 + alpha) * pos - alpha * neg
 
 
-def boost(l_t: LogitVector, l0_contrib: LogitVector, w_t: float) -> LogitVector:
-    """Add the weighted first-logit contribution onto the current scores."""
-    if l_t.size != l0_contrib.size:
-        raise ContractError(
-            f"step size {l_t.size} does not match contribution size {l0_contrib.size}"
-        )
-    return LogitVector(l_t.scores + w_t * l0_contrib.scores, l_t.mask)
-
-
 # -- row kernels ----------------------------------------------------------------
 #
 # Each kernel takes one row as a 1-d [vocab] array or several as a
-# [rows, vocab] array, and repeats, row by row, the arithmetic of the
-# one-vector references, so the two agree bit for bit. The decode loop
-# hands a lone row over as a 1-d array: numpy runs the same arithmetic on it
-# with less overhead (per-row values are scalars, and a row's maximum is read
-# at its argmax). A mask of None means no entry is masked. Reductions over a
-# row's unmasked entries are taken over those entries packed together, as
-# the one-vector operations take them: numpy's pairwise summation groups a
-# zero-padded row differently.
+# [rows, vocab] array, and gives each row, bit for bit, what the same
+# arithmetic on that row alone gives, so a row's record does not depend on
+# the rows beside it. The decode loop hands a lone row over as a 1-d array:
+# numpy runs the same arithmetic on it with less overhead (per-row values
+# are scalars, and a row's maximum is read at its argmax). A mask of None
+# means no entry is masked. Reductions over a row's unmasked entries are
+# taken over those entries packed together: numpy's pairwise summation
+# groups a zero-padded row differently.
 
 
 def _row_max(x: np.ndarray):
@@ -198,8 +191,9 @@ def _normalised(block: np.ndarray):
 def _softmax(scores: np.ndarray, mask: np.ndarray | None, temperature: float, entropy: bool = False):
     """Each row's softmax over its unmasked entries: (probabilities, totals, entropies).
 
-    Row by row this is ``core.softmax`` (masked entries get exactly 0) and,
-    with ``entropy``, ``core.entropy``; entropies are None without it.
+    Scores are divided by ``temperature``, then shifted by the row's largest
+    before exponentiation; masked entries get exactly 0. With ``entropy``,
+    each row's ``_entropies``; None without it.
     """
     scaled = scores / temperature if temperature != 1.0 else scores
     if mask is None:
@@ -254,15 +248,21 @@ def _index_sums(p: np.ndarray, index: np.ndarray):
     return total
 
 
-def _candidate_mask(raw: np.ndarray, temperature: float, beta: float, eos_id: TokenId | None):
-    """The tokens outside each row's candidate set.
+def _below_cut(probs: np.ndarray, top, beta: float) -> np.ndarray:
+    """The entries below ``beta`` times ``top``, their row's largest probability
+    (one value per row, shaped to broadcast); with ``beta <= 1`` the largest stays."""
+    return probs < beta * top
 
-    Row by row, the mask of ``candidate_set(softmax(raw), beta)`` with EOS
-    re-allowed: a token stays iff its probability under the raw distribution
-    reaches beta times the largest one, exactly ``1 / total``, so the largest stays.
+
+def _candidate_mask(raw: np.ndarray, temperature: float, beta: float, eos_id: TokenId | None):
+    """The tokens outside each row's candidate set, with EOS re-allowed.
+
+    A token stays iff its probability under the raw (unadjusted)
+    distribution reaches beta times the largest one, which is exactly
+    ``1 / total``; so the largest stays.
     """
     probs, total, _ = _softmax(raw, None, temperature)
-    dropped = probs < _col(beta * (1.0 / total))
+    dropped = _below_cut(probs, _col(1.0 / total), beta)
     if eos_id is not None:
         dropped[..., eos_id] = False
     return dropped
@@ -341,9 +341,11 @@ def _check_step(
     t: int, probs: np.ndarray, mask: np.ndarray | None, chosen: list[TokenId],
     scores: np.ndarray, temperature: float, label: str,
 ) -> list[float]:
-    """The checks ProbDist and StepTrace make, for all rows of one step.
+    """The one check of a step's outcome, for all rows at once.
 
-    Returns each row's probability of its chosen token, which they check.
+    Each row's probabilities are nonnegative and sum to 1 within 1e-9, and
+    its chosen token is unmasked and has positive probability. Returns each
+    row's probability of its chosen token.
     """
     sums = _listed(probs.sum(axis=-1))
     if np.count_nonzero(probs < 0.0) or not all(abs(s - 1.0) <= 1e-9 for s in sums):
@@ -354,7 +356,7 @@ def _check_step(
             raise ConfigError(
                 f"{label}: the adjusted scores overflow at step {t}, temperature {temperature!r}"
             )
-        raise ContractError(f"step {t}: probabilities sum to {sums!r}, not 1")
+        raise ContractError(f"step {t}: probabilities go negative or sum to {sums!r}, not 1")
     rows = probs.reshape(len(chosen), -1)
     masks = None if mask is None else mask.reshape(len(chosen), -1)
     picked = []
@@ -396,7 +398,8 @@ def decode(
     when it emits EOS or reaches ``max_steps``. Each row's record is what
     decoding its seed alone gives, bit for bit: rows share no random stream
     and every reduction is taken row by row. Only with ``record`` does a
-    record also keep each step's ``StepTrace`` (logits, distribution).
+    record also keep each step's ``StepTrace``: plain records that share
+    the loop's arrays, made read-only (raw and adjusted logits, mask, probabilities).
     """
     _check_run_args(max_steps, temperature)
     if not seeds:
@@ -478,12 +481,9 @@ def decode(
             for i, c, ent, raw_row, scores_row, mask_row, probs_row in zip(
                 live, chosen, entropies, *rows
             ):
-                traces[i].append(_unchecked(
-                    StepTrace, step_index=t,
-                    raw_logits=_unchecked(LogitVector, scores=raw_row, mask=no_mask),
-                    adjusted_logits=_unchecked(LogitVector, scores=scores_row, mask=mask_row),
-                    dist=_unchecked(ProbDist, probs=probs_row), chosen=c, entropy_nats=ent,
-                    provider_calls=per_row,
+                traces[i].append(StepTrace(
+                    t, LogitVector(raw_row, no_mask), LogitVector(scores_row, mask_row),
+                    ProbDist(probs_row), c, ent, per_row,
                 ))
 
         if eos_id in chosen:

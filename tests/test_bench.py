@@ -92,13 +92,16 @@ class TestRunBench:
 
     def test_strategies_interleave_seed_by_seed(self, scene, monkeypatch):
         order = []
-        inner = bench.run_strategy
+        inner = bench._decode
 
-        def recording_run_strategy(scene, strategy, *, seed, **kwargs):
+        def logging_decode(scene, strategy, seeds, wrap=None, **kwargs):
+            (seed,) = seeds  # one run at a time
             order.append((seed, strategy.label()))
-            return inner(scene, strategy, seed=seed, **kwargs)
+            records = inner(scene, strategy, seeds, wrap, **kwargs)
+            assert records[0].steps is None  # the bench reads no per-step vectors
+            return records
 
-        monkeypatch.setattr(bench, "run_strategy", recording_run_strategy)
+        monkeypatch.setattr(bench, "_decode", logging_decode)
         strategies = [Strategy(kind="baseline"), parse_strategy("vcd")]
         report = run_bench(scene, strategies, seeds=range(3), max_steps=5, min_tokens=1)
         labels = [s.label() for s in strategies]
@@ -113,7 +116,7 @@ class TestRunBench:
         def no_decoding(*args, **kwargs):
             raise AssertionError("bench decoded a run")
 
-        monkeypatch.setattr(bench, "run_strategy", no_decoding)
+        monkeypatch.setattr(bench, "_decode", no_decoding)
         with pytest.raises(ConfigError, match="min_tokens must be >= 0, got -5"):
             run_bench(scene, [Strategy(kind="baseline")], seeds=range(2), min_tokens=-5)
 

@@ -481,6 +481,9 @@ class TestEvaluateTraces:
     def test_step_naming_no_scene_token_exits_3(self, tmp_path, capsys, edit, named):
         sim_out, path = self._simulated(tmp_path)
         bad = _edit_line(path, 2, edit)
+        # The header's text follows the edited token, so only the step's own check can see it.
+        tokens = [json.loads(line)["token"] for line in path.read_text().splitlines()[1:]]
+        _edit_line(path, 0, lambda h: {**h, "text": " ".join(tokens)})
         capsys.readouterr()
         assert run_cli("evaluate", "--traces", sim_out) == 3
         err = capsys.readouterr().err
@@ -492,6 +495,50 @@ class TestEvaluateTraces:
         capsys.readouterr()
         assert run_cli("evaluate", "--traces", sim_out) == 3
         assert capsys.readouterr().err.startswith(f"error: {bad}: header strategy 'vcd'")
+
+    def test_header_text_not_the_tokens_exits_3(self, tmp_path, capsys):
+        sim_out, path = self._simulated(tmp_path)
+        bad = _edit_line(path, 0, lambda h: {**h, "text": "nonsense"})
+        capsys.readouterr()
+        assert run_cli("evaluate", "--traces", sim_out) == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}:1: bad run header (text: 'nonsense' is not the steps' tokens"
+        )
+
+    def _two_labels(self, tmp_path):
+        sim_out = tmp_path / "sim"
+        assert run_cli(
+            "simulate", "--seeds", "0:3", "--max-steps", "10", "--strategies", "baseline;vcd",
+            "--out", sim_out,
+        ) == 0
+        return sim_out
+
+    def test_manifest_repeating_a_label_exits_3(self, tmp_path, capsys):
+        """A repeated label used to be scored twice over, and the other label's traces ignored."""
+        sim_out = self._two_labels(tmp_path)
+        manifest = sim_out / "manifest.json"
+        data = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**data, "strategies": ["baseline", "baseline"]}))
+        capsys.readouterr()
+        assert run_cli("evaluate", "--traces", sim_out) == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: {manifest}: strategy labels must be unique within one run: 'baseline' repeats"
+        )
+
+    @pytest.mark.parametrize("label, calls", [("vcd", 1), ("vcd", 3), ("baseline", 2)])
+    def test_provider_calls_against_the_call_count_law_exit_3(self, tmp_path, capsys, label, calls):
+        """vcd steps rewritten to one call each used to give a wrong calls-per-token figure."""
+        sim_out = self._two_labels(tmp_path)
+        directory = next(d for d in (sim_out / "traces").iterdir() if d.name.startswith(label))
+        bad = directory / "0.jsonl"
+        for line in range(1, len(bad.read_text().splitlines())):
+            _edit_line(bad, line, lambda r: {**r, "provider_calls": calls})
+        capsys.readouterr()
+        assert run_cli("evaluate", "--traces", sim_out) == 3
+        kind_calls = 2 if label == "vcd" else 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}: step 0: provider_calls: {calls}, but {label} makes {kind_calls} per step"
+        )
 
 
 class TestSweep:
@@ -570,7 +617,7 @@ class TestBench:
         def no_decoding(*args, **kwargs):
             raise AssertionError("bench decoded a run")
 
-        monkeypatch.setattr(bench, "run_strategy", no_decoding)
+        monkeypatch.setattr(bench, "_decode", no_decoding)
         assert run_cli(
             "bench", "--strategies", "baseline", "--seeds", "0", flag, value,
             "--out", tmp_path / "o",

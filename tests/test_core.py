@@ -1,4 +1,4 @@
-"""Containers and the softmax/sample/argmax primitives.
+"""The vocabulary, the softmax and entropy kernels, the choice kernels, and recorded steps.
 
 Numeric reference values were computed independently at 50-digit precision
 and frozen here.
@@ -7,7 +7,6 @@ and frozen here.
 from __future__ import annotations
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,20 +14,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import oracle
 from logit_anchor import (
     ContractError,
-    ExclusionError,
     GenerationRecord,
     LogitVector,
     ProbDist,
     StepTrace,
     Vocabulary,
-    argmax,
-    entropy,
-    sample,
-    softmax,
+    parse_strategy,
+    run_many,
+    run_strategy,
 )
 from logit_anchor.core import _greedy_rows, _sample_rows
+from logit_anchor.strategies import CONTRASTIVE_KINDS, GREEDY, _entropies, _softmax
 
 # 50-digit reference: softmax([1, 2, 3])
 SOFTMAX_123 = (0.09003057317038046, 0.24472847105479767, 0.6652409557748219)
@@ -37,8 +36,9 @@ ENTROPY_HALF_QUARTERS = 1.0397207708399179
 LN4 = 1.3862943611198906
 
 
-def vec(*scores, mask=None):
-    return LogitVector.of(np.asarray(scores, dtype=float), mask)
+def softmax(*scores, mask=None, temperature=1.0):
+    """The loop's ``_softmax`` of one row of ``scores``: its probabilities."""
+    return _softmax(np.asarray(scores, dtype=float), mask, temperature)[0]
 
 
 finite_logits = st.lists(
@@ -72,173 +72,178 @@ class TestVocabulary:
 
 
 class TestLogitVector:
-    def test_arrays_are_read_only(self):
-        lv = vec(1.0, 2.0)
-        with pytest.raises(ValueError):
-            lv.scores[0] = 9.0
-        with pytest.raises(ValueError):
-            lv.mask[0] = True
-
-    def test_unmasked_scores_must_be_finite(self):
-        with pytest.raises(ContractError):
-            vec(1.0, float("inf"))
-        with pytest.raises(ContractError):
-            vec(float("nan"), 0.0)
-
-    def test_masked_entries_may_be_non_finite(self):
-        lv = vec(1.0, float("inf"), mask=np.array([False, True]))
-        assert np.count_nonzero(~lv.mask) == 1
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ContractError):
-            LogitVector(np.zeros(3), np.zeros(2, dtype=bool))
-        with pytest.raises(ContractError):
-            LogitVector.of(np.zeros((2, 2)))
-
-    def test_with_mask(self):
-        lv = vec(1.0, 2.0, 3.0)
-        masked = lv.with_mask([True, False, False])
-        assert np.count_nonzero(~masked.mask) == 2
-        assert np.array_equal(masked.scores, lv.scores)
+    def test_arrays_are_read_only(self, scene):
+        """A recorded step shares the loop's arrays, so none of them may be writable."""
+        strategy = parse_strategy("flb")
+        records = [
+            run_strategy(scene, strategy, seed=3, max_steps=12),
+            *run_many(scene, [strategy], [3, 4], max_steps=12, record=True),
+        ]
+        for record in records:
+            for step in record.steps:
+                for arr in (
+                    step.raw_logits.scores, step.raw_logits.mask,
+                    step.adjusted_logits.scores, step.adjusted_logits.mask, step.dist.probs,
+                ):
+                    with pytest.raises(ValueError):
+                        arr[0] = arr[1]
 
 
-class TestProbDist:
-    def test_must_sum_to_one(self):
-        with pytest.raises(ContractError):
-            ProbDist(np.array([0.5, 0.4]))
+# Every kind, with and without the candidate constraint where the kind may go without it.
+STEP_KINDS = [
+    "baseline", "greedy", "baseline:beta=0.1", "greedy:beta=0.3",
+    "vcd", "icd", "m3id", "flb", "flb:mask=nouns",
+]
 
-    def test_no_negative_probabilities(self):
-        with pytest.raises(ContractError):
-            ProbDist(np.array([1.2, -0.2]))
 
-    def test_prob_lookup(self):
-        d = ProbDist(np.array([0.25, 0.75]))
-        assert d.prob(1) == 0.75
-        assert d.size == 2
+class TestStepTrace:
+    """A recorded step is a plain record, so what it holds is checked on the loop's records."""
+
+    @pytest.mark.parametrize("text", STEP_KINDS)
+    def test_valid_trace(self, scene, text):
+        strategy = parse_strategy(text)
+        calls = 2 if strategy.kind in CONTRASTIVE_KINDS else 1
+        for temperature in (1.0, 0.7):
+            records = run_many(
+                scene, [strategy], range(4), max_steps=30, temperature=temperature, record=True
+            )
+            for record in records:
+                for t, step in enumerate(record.steps):
+                    raw, adjusted, probs = step.raw_logits, step.adjusted_logits, step.dist.probs
+                    assert step.step_index == t
+                    assert step.provider_calls == record.provider_calls[t] == calls
+                    assert not raw.mask.any()  # providers mask nothing
+                    if strategy.beta is None:
+                        assert not adjusted.mask.any()
+                    else:  # the keep-set of the raw distribution, EOS re-allowed
+                        allowed = oracle.candidate_set(
+                            oracle.softmax(raw.scores, raw.mask, temperature),
+                            strategy.beta, scene.eos_id,
+                        )
+                        assert np.array_equal(adjusted.mask, ~allowed)
+                    assert (probs >= 0.0).all() and abs(float(probs.sum()) - 1.0) <= 1e-9
+                    assert not probs[adjusted.mask].any()
+                    assert not adjusted.mask[step.chosen] and probs[step.chosen] > 0.0
+                    assert step.chosen == record.chosen[t]
+                    assert probs[step.chosen] == record.chosen_prob[t]
+                    assert step.entropy_nats == record.entropy[t]
+                    if strategy.kind == GREEDY:
+                        best = np.where(adjusted.mask, -np.inf, adjusted.scores)
+                        assert step.chosen == int(best.argmax())
 
 
 class TestSoftmax:
     def test_reference_values(self):
-        d = softmax(vec(1.0, 2.0, 3.0))
-        assert d.probs == pytest.approx(SOFTMAX_123, abs=1e-12)
+        assert softmax(1.0, 2.0, 3.0) == pytest.approx(SOFTMAX_123, abs=1e-12)
 
     def test_shift_invariance(self):
-        a = softmax(vec(1.0, 2.0, 3.0))
-        b = softmax(vec(101.0, 102.0, 103.0))
-        assert a.probs == pytest.approx(b.probs, abs=1e-12)
+        a = softmax(1.0, 2.0, 3.0)
+        b = softmax(101.0, 102.0, 103.0)
+        assert a == pytest.approx(b, abs=1e-12)
 
     def test_extreme_scores_stay_finite(self):
-        d = softmax(vec(700.0, -700.0, 0.0))
-        assert np.isfinite(d.probs).all()
-        assert d.probs[0] == pytest.approx(1.0, abs=1e-12)
+        p = softmax(700.0, -700.0, 0.0)
+        assert np.isfinite(p).all()
+        assert p[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_masked_tokens_get_exactly_zero(self):
-        d = softmax(vec(5.0, 1.0, 1.0, mask=np.array([False, True, False])))
-        assert d.probs[1] == 0.0
-        two = softmax(vec(5.0, 1.0))
-        assert d.probs[0] == pytest.approx(two.probs[0], abs=1e-15)
+        p = softmax(5.0, 1.0, 1.0, mask=np.array([False, True, False]))
+        assert p[1] == 0.0
+        two = softmax(5.0, 1.0)
+        assert p[0] == pytest.approx(two[0], abs=1e-15)
 
     def test_temperature_divides_scores(self):
-        warm = softmax(vec(2.0, 1.0), temperature=2.0)
-        manual = softmax(vec(1.0, 0.5))
-        assert warm.probs == pytest.approx(manual.probs, abs=1e-15)
-        with pytest.raises(ContractError):
-            softmax(vec(1.0), temperature=0.0)
-
-    def test_all_masked_raises(self):
-        with pytest.raises(ExclusionError):
-            softmax(vec(1.0, 2.0, mask=np.array([True, True])))
+        warm = softmax(2.0, 1.0, temperature=2.0)
+        manual = softmax(1.0, 0.5)
+        assert warm == pytest.approx(manual, abs=1e-15)
 
     @given(finite_logits)
     @settings(max_examples=60, deadline=None)
     def test_sums_to_one_and_nonnegative(self, scores):
-        d = softmax(LogitVector.of(scores))
-        assert abs(float(d.probs.sum()) - 1.0) < 1e-9
-        assert (d.probs >= 0).all()
+        p = softmax(*scores)
+        assert abs(float(p.sum()) - 1.0) < 1e-9
+        assert (p >= 0).all()
 
     @given(finite_logits, st.floats(min_value=-20, max_value=20))
     @settings(max_examples=60, deadline=None)
     def test_shift_invariance_property(self, scores, c):
-        a = softmax(LogitVector.of(scores))
-        b = softmax(LogitVector.of(np.asarray(scores) + c))
-        assert a.probs == pytest.approx(b.probs, abs=1e-9)
+        a = softmax(*scores)
+        b = softmax(*(np.asarray(scores) + c))
+        assert a == pytest.approx(b, abs=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_lone_row_equals_its_row_in_a_batch(self, data):
+        """A masked lone row (1-d) gives what its row of a batch gives, bit for bit, and the oracle."""
+        # Up to 40 entries: above 8, a zero-padded row sums in another grouping than its packed entries.
+        rows, vocab = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 40))
+        scores = data.draw(arrays(np.float64, (rows, vocab), elements=st.floats(-40.0, 40.0)))
+        mask = data.draw(arrays(bool, (rows, vocab)))
+        for row in mask:  # each row keeps one entry at least
+            row[data.draw(st.integers(0, vocab - 1))] = False
+        temperature = data.draw(st.sampled_from([1.0, 0.5, 2.0]))
+        probs, totals, entropies = _softmax(scores, mask, temperature, entropy=True)
+        for i in range(rows):
+            p, total, ent = _softmax(scores[i], mask[i], temperature, entropy=True)
+            want = oracle.softmax(scores[i], mask[i], temperature)
+            assert p.tobytes() == probs[i].tobytes() == want.tobytes()
+            assert float(total).hex() == float(totals[i]).hex()
+            assert float(ent) == float(entropies[i]) == oracle.entropy(want)
 
 
 class TestEntropy:
     def test_reference_value(self):
-        d = ProbDist(np.array([0.5, 0.25, 0.25]))
-        assert entropy(d) == pytest.approx(ENTROPY_HALF_QUARTERS, abs=1e-12)
+        h = _entropies(np.array([0.5, 0.25, 0.25]))
+        assert h == pytest.approx(ENTROPY_HALF_QUARTERS, abs=1e-12)
 
     def test_uniform_is_log_n(self):
-        d = ProbDist(np.full(4, 0.25))
-        assert entropy(d) == pytest.approx(LN4, abs=1e-12)
+        assert _entropies(np.full(4, 0.25)) == pytest.approx(LN4, abs=1e-12)
 
     def test_degenerate_is_zero(self):
-        d = ProbDist(np.array([0.0, 1.0, 0.0]))
-        assert entropy(d) == 0.0
+        assert _entropies(np.array([0.0, 1.0, 0.0])) == 0.0
 
     @given(finite_logits)
     @settings(max_examples=60, deadline=None)
     def test_bounded_by_log_support(self, scores):
-        d = softmax(LogitVector.of(scores))
-        h = entropy(d)
+        h = _entropies(softmax(*scores))
         assert -1e-12 <= h <= math.log(len(scores)) + 1e-9
 
 
+def sample(probs, rng):
+    """The loop's sampling kernel on one row, from one uniform of ``rng``."""
+    return _sample_rows(probs, rng.random())[0]
+
+
 class TestSample:
-    def test_consumes_exactly_one_uniform(self):
-        class CountingRng:
-            def __init__(self, u):
-                self.u, self.count = u, 0
-
-            def random(self):
-                self.count += 1
-                return self.u
-
-        d = ProbDist(np.array([0.2, 0.3, 0.5]))
-        stub = CountingRng(0.0)
-        assert sample(d, stub) == 0
-        assert stub.count == 1
-        assert sample(d, CountingRng(0.9999)) == 2
+    def test_inverse_cdf(self):
+        probs = np.array([0.2, 0.3, 0.5])
+        assert _sample_rows(probs, 0.0) == [0]
+        assert _sample_rows(probs, 0.9999) == [2]
         # inverse CDF: u in [0.2, 0.5) lands on the middle token
-        assert sample(d, CountingRng(0.25 / 1.0)) == 1
+        assert _sample_rows(probs, 0.25 / 1.0) == [1]
 
     def test_never_returns_zero_probability_token(self, rng):
-        d = ProbDist(np.array([0.5, 0.0, 0.5]))
-        draws = {sample(d, rng) for _ in range(300)}
+        probs = np.array([0.5, 0.0, 0.5])
+        draws = {sample(probs, rng) for _ in range(300)}
         assert 1 not in draws
         assert draws == {0, 2}
 
     def test_empirical_frequencies(self, rng):
         probs = np.array([0.1, 0.2, 0.7])
-        d = ProbDist(probs)
         n = 20000
-        counts = np.bincount([sample(d, rng) for _ in range(n)], minlength=3)
+        counts = np.bincount([sample(probs, rng) for _ in range(n)], minlength=3)
         # 5 sigma on a binomial proportion
         for k in range(3):
             sigma = math.sqrt(probs[k] * (1 - probs[k]) / n)
             assert abs(counts[k] / n - probs[k]) < 5 * sigma
 
-    def test_all_zero_raises(self):
-        d = ProbDist(np.array([1.0, 0.0]))
-        fake = ProbDist.__new__(ProbDist)
-        object.__setattr__(fake, "probs", np.zeros(2))
-        with pytest.raises(ExclusionError):
-            sample(fake, np.random.default_rng(0))
-        assert d.prob(0) == 1.0
-
 
 class TestArgmax:
     def test_lowest_index_wins_ties(self):
-        assert argmax(vec(1.0, 3.0, 3.0)) == 1
+        assert _greedy_rows(np.array([1.0, 3.0, 3.0]), None) == [1]
 
     def test_masked_tokens_never_win(self):
-        lv = vec(9.0, 1.0, mask=np.array([True, False]))
-        assert argmax(lv) == 1
-
-    def test_all_masked_raises(self):
-        with pytest.raises(ExclusionError):
-            argmax(vec(1.0, mask=np.array([True])))
+        assert _greedy_rows(np.array([9.0, 1.0]), np.array([True, False])) == [1]
 
 
 def scan_sample(row, u):
@@ -305,56 +310,28 @@ class TestRowKernels:
             row[data.draw(st.integers(0, vocab - 1))] = False
         want = [scan_greedy(list(s), list(m)) for s, m in zip(scores, mask)]
         assert _greedy_rows(scores, mask) == want
-        assert [argmax(LogitVector(s, m)) for s, m in zip(scores, mask)] == want
+        assert [_greedy_rows(s, m)[0] for s, m in zip(scores, mask)] == want
         unmasked = [scan_greedy(list(s), [False] * vocab) for s in scores]
         assert _greedy_rows(scores, None) == unmasked
 
     def test_sample_matches_scan_at_the_edges(self):
-        d = ProbDist(np.array([0.0, 0.2, 0.0, 0.3, 0.5, 0.0]))
+        probs = np.array([0.0, 0.2, 0.0, 0.3, 0.5, 0.0])
         for u in (0.0, 0.2, 0.5 - 2.0**-54, 0.5, 0.99, 1.0 - 2.0**-53):
-            rng = SimpleNamespace(random=lambda u=u: u)
-            assert sample(d, rng) == scan_sample(list(d.probs), u)
-
-
-class TestStepTrace:
-    @staticmethod
-    def _trace(chosen, mask=None):
-        lv = vec(1.0, 2.0, mask=mask)
-        d = softmax(lv)
-        return StepTrace(
-            step_index=0, raw_logits=lv, adjusted_logits=lv, dist=d,
-            chosen=chosen, entropy_nats=entropy(d), provider_calls=1,
-        )
-
-    def test_valid_trace(self):
-        t = self._trace(1)
-        assert t.chosen == 1 and t.provider_calls == 1
-
-    def test_masked_choice_rejected(self):
-        with pytest.raises(ContractError):
-            self._trace(0, mask=np.array([True, False]))
-
-    def test_zero_probability_choice_rejected(self):
-        lv = vec(1.0, 2.0)
-        d = ProbDist(np.array([0.0, 1.0]))
-        with pytest.raises(ContractError):
-            StepTrace(
-                step_index=0, raw_logits=lv, adjusted_logits=lv, dist=d,
-                chosen=0, entropy_nats=0.0, provider_calls=1,
-            )
+            assert _sample_rows(probs, u)[0] == scan_sample(list(probs), u)
 
 
 def test_generation_record_token_ids():
-    lv = vec(1.0, 2.0)
-    d = softmax(lv)
+    scores = np.array([1.0, 2.0])
+    lv = LogitVector(scores, np.zeros(2, dtype=bool))
+    p = softmax(*scores)
+    h = float(_entropies(p))
     step = StepTrace(
-        step_index=0, raw_logits=lv, adjusted_logits=lv, dist=d,
-        chosen=1, entropy_nats=entropy(d), provider_calls=1,
+        step_index=0, raw_logits=lv, adjusted_logits=lv, dist=ProbDist(p),
+        chosen=1, entropy_nats=h, provider_calls=1,
     )
-    p, h = d.prob(1), entropy(d)
     rec = GenerationRecord(
         prompt_id="p", strategy="baseline", seed=0, text="b b", chosen=(1, 1),
-        entropy=(h, h), chosen_prob=(p, p), gt_mass=(p, p), hal_mass=(0.0, 0.0),
+        entropy=(h, h), chosen_prob=(p[1], p[1]), gt_mass=(p[1], p[1]), hal_mass=(0.0, 0.0),
         provider_calls=(1, 1), steps=(step, step),
     )
     assert rec.token_ids == (1, 1)

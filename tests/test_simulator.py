@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logit_anchor import ConfigError, LogitVector, SceneSpec, Vocabulary, default_scene, preset
+from logit_anchor import ConfigError, SceneSpec, Vocabulary, default_scene, preset
 from logit_anchor.simulator import (
     AFTER_ARTICLE,
     AFTER_CONNECTIVE,
@@ -39,7 +39,7 @@ MARGIN_AT_50 = -1.6716600055044048  # 4 * exp(-2.5) - 2
 
 def scene_row(scene, variant, state, t, rng):
     """One row of ``scene_logit_rows``: ``variant``'s logits (the scene's for None)."""
-    return LogitVector.of(scene_logit_rows(scene, variant, [state], t, [rng])[0])
+    return scene_logit_rows(scene, variant, [state], t, [rng])[0]
 
 
 def quiet_row(scene, variant, state, t):
@@ -184,15 +184,15 @@ class TestLogits:
         quiet = replace(scene, noise_sigma=0.0)
         a = scene_row(quiet, None, GrammarState(), 0, np.random.default_rng(0))
         b = scene_row(quiet, None, GrammarState(), 0, np.random.default_rng(99))
-        assert np.array_equal(a.scores, b.scores)
-        assert np.array_equal(a.scores, scene.base - scene._penalty[START])
+        assert np.array_equal(a, b)
+        assert np.array_equal(a, scene.base - scene._penalty[START])
 
     def test_grammar_penalty_is_finite_offset(self, scene):
         lv = quiet_row(scene, None, GrammarState(), 0)
         v = scene.vocabulary
-        assert not lv.mask.any()  # penalty, not exclusion
-        assert lv.scores[v.id_of("The")] == 5.0
-        assert lv.scores[v.id_of("dog")] == 3.0 - scene.grammar_penalty
+        assert np.isfinite(lv).all()  # penalty, not exclusion
+        assert lv[v.id_of("The")] == 5.0
+        assert lv[v.id_of("dog")] == 3.0 - scene.grammar_penalty
 
     def test_decay_magnitude(self, scene):
         assert decay_at(scene, 0) == 0.0
@@ -202,7 +202,7 @@ class TestLogits:
     def test_margin_reference_at_50(self, scene):
         lv = quiet_row(scene, None, noun_slot(scene, "A"), 50)
         v = scene.vocabulary
-        margin = lv.scores[v.id_of("dog")] - lv.scores[v.id_of("cat")]
+        margin = lv[v.id_of("dog")] - lv[v.id_of("cat")]
         assert margin == pytest.approx(MARGIN_AT_50, abs=1e-12)
 
     def test_margin_sign_flips_at_14(self, scene):
@@ -210,7 +210,7 @@ class TestLogits:
 
         def margin(t):
             lv = quiet_row(scene, None, noun_slot(scene, "A"), t)
-            return lv.scores[v.id_of("dog")] - lv.scores[v.id_of("cat")]
+            return lv[v.id_of("dog")] - lv[v.id_of("cat")]
 
         assert margin(13) > 0 > margin(14)
 
@@ -218,19 +218,19 @@ class TestLogits:
         v = scene.vocabulary
         after_the = quiet_row(scene, None, noun_slot(scene, "The"), 10)
         after_a = quiet_row(scene, None, noun_slot(scene, "A"), 10)
-        assert after_a.scores[v.id_of("cat")] - after_the.scores[v.id_of("cat")] \
+        assert after_a[v.id_of("cat")] - after_the[v.id_of("cat")] \
             == pytest.approx(3.0, abs=1e-12)
-        assert after_a.scores[v.id_of("dog")] == after_the.scores[v.id_of("dog")]
+        assert after_a[v.id_of("dog")] == after_the[v.id_of("dog")]
         after_in = quiet_row(scene, None, noun_slot(scene, "In"), 10)
-        assert after_a.scores[v.id_of("cat")] - after_in.scores[v.id_of("cat")] \
+        assert after_a[v.id_of("cat")] - after_in[v.id_of("cat")] \
             == pytest.approx(1.0, abs=1e-12)
 
     def test_noise_is_seed_reproducible(self, scene):
         a = scene_row(scene, None, GrammarState(), 3, np.random.default_rng(7))
         b = scene_row(scene, None, GrammarState(), 3, np.random.default_rng(7))
         c = scene_row(scene, None, GrammarState(), 3, np.random.default_rng(8))
-        assert np.array_equal(a.scores, b.scores)
-        assert not np.array_equal(a.scores, c.scores)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_negative_step_rejected(self, scene):
         with pytest.raises(Exception):
@@ -240,23 +240,23 @@ class TestLogits:
 class TestNegativeVariants:
     def test_unconditioned_equalizes_class_means(self, scene):
         lv = quiet_row(scene, NegativeVariantSpec(UNCONDITIONED), noun_slot(scene), 30)
-        gt = lv.scores[scene.gt_ids].mean()
-        hal = lv.scores[scene.hal_ids].mean()
+        gt = lv[scene.gt_ids].mean()
+        hal = lv[scene.hal_ids].mean()
         assert gt == pytest.approx(hal, abs=1e-12)
 
     def test_noisy_visual_shrinks_margin(self, scene):
         state = noun_slot(scene)
         pos = quiet_row(scene, None, state, 30)
         neg = quiet_row(scene, NegativeVariantSpec(NOISY_VISUAL, strength=0.7), state, 30)
-        pos_margin = pos.scores[scene.gt_ids].mean() - pos.scores[scene.hal_ids].mean()
-        neg_margin = neg.scores[scene.gt_ids].mean() - neg.scores[scene.hal_ids].mean()
+        pos_margin = pos[scene.gt_ids].mean() - pos[scene.hal_ids].mean()
+        neg_margin = neg[scene.gt_ids].mean() - neg[scene.hal_ids].mean()
         assert neg_margin == pytest.approx(0.3 * pos_margin, abs=1e-12)
 
     def test_noisy_visual_strength_zero_matches_positive(self, scene):
         state = noun_slot(scene)
         pos = quiet_row(scene, None, state, 12)
         neg = quiet_row(scene, NegativeVariantSpec(NOISY_VISUAL, strength=0.0), state, 12)
-        assert neg.scores == pytest.approx(pos.scores, abs=1e-12)
+        assert neg == pytest.approx(pos, abs=1e-12)
 
     def test_perturbed_instruction_moves_the_penalty(self, scene):
         quiet = replace(scene, noise_sigma=0.0)
@@ -266,16 +266,16 @@ class TestNegativeVariants:
             quiet, NegativeVariantSpec(PERTURBED_INSTRUCTION, strength=1.0),
             state, 0, np.random.default_rng(5),
         )
-        assert not np.array_equal(pos.scores, neg.scores)
+        assert not np.array_equal(pos, neg)
         # total penalty mass is preserved, it just lands elsewhere
-        assert neg.scores.sum() == pytest.approx(pos.scores.sum(), abs=1e-9)
+        assert neg.sum() == pytest.approx(pos.sum(), abs=1e-9)
 
     def test_perturbed_instruction_strength_zero_matches_positive(self, scene):
         state = GrammarState()
         pos = quiet_row(scene, None, state, 0)
         neg = quiet_row(scene, NegativeVariantSpec(PERTURBED_INSTRUCTION, strength=0.0), state, 0)
-        assert neg.scores == pytest.approx(pos.scores, abs=1e-12)
-        assert np.array_equal(neg.scores, pos.scores)
+        assert neg == pytest.approx(pos, abs=1e-12)
+        assert np.array_equal(neg, pos)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):
@@ -294,7 +294,7 @@ class TestProviders:
         row = provider.logits(history, 1, np.random.default_rng(0))
         assert provider.calls == 1
         expected = quiet_row(quiet, None, quiet.state_after(history), 1)
-        assert np.array_equal(row, expected.scores)
+        assert np.array_equal(row, expected)
         assert provider.eos_id == quiet.eos_id
         assert provider.vocab is quiet.vocabulary
 
@@ -305,7 +305,7 @@ class TestProviders:
         state = fold(SCENE, history)
         got = SyntheticProvider(SCENE).logits(history, t, np.random.default_rng(seed))
         want = scene_row(SCENE, None, state, t, np.random.default_rng(seed))
-        assert np.array_equal(got, want.scores)
+        assert np.array_equal(got, want)
         assert_plain_row(got, SCENE)
         for kind in NEGATIVE_KINDS:
             variant = NegativeVariantSpec(kind, strength=0.6)
@@ -315,7 +315,7 @@ class TestProviders:
             want = scene_row(
                 SCENE, variant, state, t, np.random.default_rng(seed)
             )
-            assert np.array_equal(got, want.scores)
+            assert np.array_equal(got, want)
             assert_plain_row(got, SCENE)
 
     @settings(max_examples=40, deadline=None)
@@ -340,7 +340,7 @@ class TestProviders:
             rows = scene_logit_rows(SCENE, variant, states, t, rngs())
             for row, state, rng in zip(rows, states, rngs()):
                 want = scene_row(SCENE, variant, state, t, rng)
-                assert row.tobytes() == want.scores.tobytes()
+                assert row.tobytes() == want.tobytes()
             provider = SyntheticProvider(SCENE, variant)
             got = provider.logit_rows(histories, t, rngs()[:-1])
             assert provider.calls == len(histories)
@@ -353,7 +353,7 @@ class TestProviders:
         row = provider.logits((), 0, np.random.default_rng(0))
         assert provider.calls == 1
         expected = quiet_row(quiet, NegativeVariantSpec(UNCONDITIONED), GrammarState(), 0)
-        assert np.array_equal(row, expected.scores)
+        assert np.array_equal(row, expected)
 
 
 class TestPresets:

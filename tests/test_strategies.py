@@ -19,19 +19,15 @@ from logit_anchor import (
     TraceLexicon,
     Vocabulary,
     WeightSchedule,
-    apply_mask,
-    boost,
-    candidate_set,
     decode,
-    entropy,
     parse_strategy,
     run_many,
     run_strategy,
-    softmax,
     summarize_record,
     weight_at,
 )
 from logit_anchor import strategies
+from logit_anchor.core import _sample_rows
 from logit_anchor.simulator import (
     NegativeVariantSpec,
     SyntheticProvider,
@@ -39,6 +35,8 @@ from logit_anchor.simulator import (
     scene_to_dict,
 )
 from logit_anchor.weighting import CONSTANT, DECREASING, INCREASING
+
+from oracle import apply_mask, boost, candidate_set, entropy, softmax
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +61,7 @@ def decode_flb(provider, strategy, *, seed, max_steps=60):
 
 def l0_contrib(l0, mode, vocab, noun_ids=None):
     """The boost's step-0 contribution, as the decode loop computes it."""
-    return strategies._l0_rows(l0.scores, strategies._l0_lane(mode, vocab, noun_ids))
+    return strategies._l0_rows(np.asarray(l0, dtype=float), strategies._l0_lane(mode, vocab, noun_ids))
 
 
 class Forwarder:
@@ -97,12 +95,12 @@ class SpoiledRows(SyntheticProvider):
 
 class TestL0Contribution:
     def test_full_keeps_everything(self, scene):
-        l0 = LogitVector.of([1.0, -2.0, 3.0])
+        l0 = [1.0, -2.0, 3.0]
         contrib = l0_contrib(l0, "full", Vocabulary(("x", "y", "z")))
         assert list(contrib) == [1.0, -2.0, 3.0]
 
     def test_nouns_only(self, scene):
-        l0 = LogitVector.of(np.arange(scene.vocabulary.size, dtype=float))
+        l0 = np.arange(scene.vocabulary.size, dtype=float)
         contrib = l0_contrib(l0, "nouns_only", scene.vocabulary, scene.noun_ids)
         keep = np.zeros(scene.vocabulary.size, dtype=bool)
         keep[scene.noun_ids] = True
@@ -110,19 +108,19 @@ class TestL0Contribution:
         assert np.array_equal(contrib[keep], np.arange(48.0)[keep])
 
     def test_nouns_only_requires_ids(self, scene):
-        l0 = LogitVector.of(np.zeros(48))
+        l0 = np.zeros(48)
         with pytest.raises(ConfigError):
             l0_contrib(l0, "nouns_only", scene.vocabulary, None)
 
     def test_the_only(self, scene):
-        l0 = LogitVector.of(np.ones(scene.vocabulary.size))
+        l0 = np.ones(scene.vocabulary.size)
         contrib = l0_contrib(l0, "the_only", scene.vocabulary)
         the = scene.vocabulary.id_of("The")
         assert contrib[the] == 1.0
         assert contrib.sum() == 1.0
 
     def test_the_only_requires_the_token(self):
-        l0 = LogitVector.of([1.0, 2.0])
+        l0 = [1.0, 2.0]
         with pytest.raises(ConfigError):
             l0_contrib(l0, "the_only", Vocabulary(("x", "y")))
 
@@ -133,20 +131,14 @@ class TestL0Contribution:
 
 
 class TestPureOps:
-    def test_boost_is_exact_vector_add(self, rng):
+    def test_reference_boost_is_exact_vector_add(self, rng):
+        """The oracle ``TestDecodeFlb`` compares the loop's lift against."""
         for _ in range(50):
-            l_t = LogitVector.of(rng.normal(size=32))
-            contrib = LogitVector.of(rng.normal(size=32))
+            l_t = rng.normal(size=32)
+            contrib = rng.normal(size=32)
             w = float(rng.random())
             out = boost(l_t, contrib, w)
-            assert np.allclose(
-                out.scores - l_t.scores, w * contrib.scores, atol=1e-12, rtol=0.0
-            )
-            assert np.array_equal(out.mask, l_t.mask)
-
-    def test_boost_size_mismatch_rejected(self):
-        with pytest.raises(ContractError):
-            boost(LogitVector.of([1.0]), LogitVector.of([1.0, 2.0]), 0.5)
+            assert np.allclose(out - l_t, w * contrib, atol=1e-12, rtol=0.0)
 
     def test_contrastive_adjust_formula(self):
         out = strategies._combine(np.array([1.0, 2.0]), np.array([0.0, 4.0]), 0.5)
@@ -159,30 +151,28 @@ class TestPureOps:
 
 
 class TestConstrainFast:
-    """The decode loop's fused keep-set (``_candidate_mask``) against the public composition."""
+    """The decode loop's fused keep-set (``_candidate_mask``) against the reference composition."""
 
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
-    def test_matches_public_composition(self, data):
+    def test_matches_reference_composition(self, data):
         n = data.draw(st.integers(1, 9))
         temperature = data.draw(st.sampled_from([1.0, 0.5, 0.7, 2.0]))
         beta = data.draw(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.0]))
-        # Next to the threshold the rounding of the public path decides, so
+        # Next to the threshold the rounding of the reference path decides, so
         # draw scores a few ulps either side of the gap T * log(beta).
         edge = temperature * math.log(beta) if beta > 0 else -30.0
         near = st.integers(-4, 4).map(lambda k: edge + k * math.ulp(edge))
         scores = st.one_of(st.floats(-30.0, 30.0), near, st.just(0.0))
-        raw = LogitVector.of([0.0] + data.draw(st.lists(scores, min_size=n - 1, max_size=n - 1)))
+        raw = np.array([0.0] + data.draw(st.lists(scores, min_size=n - 1, max_size=n - 1)))
         eos = data.draw(st.one_of(st.none(), st.integers(0, n - 1)))
 
-        cmask = candidate_set(softmax(raw, temperature), beta)
-        if eos is not None:
-            cmask = cmask.with_allowed(eos)
-        want = apply_mask(raw, cmask)
+        unmasked = np.zeros(n, dtype=bool)
+        want = apply_mask(unmasked, candidate_set(softmax(raw, unmasked, temperature), beta, eos))
         # The loop hands a lone row over 1-d and several rows 2-d.
-        for rows in (raw.scores, raw.scores[None]):
+        for rows in (raw, raw[None]):
             got = strategies._candidate_mask(rows, temperature, beta, eos)
-            assert np.array_equal(got.reshape(-1), want.mask)
+            assert np.array_equal(got.reshape(-1), want)
 
     @pytest.mark.parametrize(
         "beta, scores",
@@ -195,14 +185,15 @@ class TestConstrainFast:
             (0.3, [0.0, -1.2039728043259361, -1.2039728043259352, -2.061064920001675]),
         ],
     )
-    def test_threshold_rounding_follows_public_path(self, beta, scores):
-        raw = LogitVector.of(scores)
-        want = apply_mask(raw, candidate_set(softmax(raw), beta))
-        naive = np.exp(raw.scores - raw.scores.max()) < beta
-        assert not np.array_equal(want.mask, naive)
-        for rows in (raw.scores, raw.scores[None]):
+    def test_threshold_rounding_follows_reference_path(self, beta, scores):
+        raw = np.array(scores)
+        unmasked = np.zeros(raw.shape, dtype=bool)
+        want = apply_mask(unmasked, candidate_set(softmax(raw, unmasked), beta))
+        naive = np.exp(raw - raw.max()) < beta
+        assert not np.array_equal(want, naive)
+        for rows in (raw, raw[None]):
             got = strategies._candidate_mask(rows, 1.0, beta, None)
-            assert np.array_equal(got.reshape(-1), want.mask)
+            assert np.array_equal(got.reshape(-1), want)
 
 
 def _with(value):
@@ -253,7 +244,8 @@ class TestProviderContract:
     @pytest.mark.parametrize("seeds", [[0], [0, 1, 2]], ids=["one_row", "rows"])
     def test_logit_vector_from_logits_is_a_contract_error(self, scene, seeds):
         """The old contract: ``logits`` returned a LogitVector, scores and mask."""
-        provider = Forwarder(SyntheticProvider(scene), LogitVector.of)
+        provider = Forwarder(SyntheticProvider(scene),
+                             lambda row: LogitVector(row, np.zeros(row.shape, dtype=bool)))
         with pytest.raises(ContractError, match="^provider returned LogitVector from logits"):
             decode(parse_strategy("baseline"), provider, seeds, max_steps=5)
 
@@ -326,21 +318,21 @@ class TestDecodeFlb:
             diff = step.adjusted_logits.scores - step.raw_logits.scores
             assert np.allclose(diff, w * contrib, atol=1e-12, rtol=0.0)
 
-    def test_decode_path_matches_public_composition(self, quiet):
+    def test_decode_path_matches_reference_composition(self, quiet):
         cfg = Strategy(kind="flb", schedule=WeightSchedule(INCREASING, 0.4, 0.08), beta=0.1)
         rec = decode_flb(SyntheticProvider(quiet), cfg, seed=2, max_steps=30)
         step0 = rec.steps[0]
-        contrib = LogitVector.of(
-            np.where(step0.raw_logits.mask, 0.0, step0.raw_logits.scores)
-        )
+        contrib = np.where(step0.raw_logits.mask, 0.0, step0.raw_logits.scores)
         eos = quiet.eos_id
         for step in rec.steps:
             w = 0.0 if step.step_index == 0 else weight_at(cfg.schedule, step.step_index)
-            cmask = candidate_set(softmax(step.raw_logits), cfg.beta).with_allowed(eos)
-            want = apply_mask(boost(step.raw_logits, contrib, w), cmask)
-            assert np.array_equal(step.adjusted_logits.scores, want.scores)
-            assert np.array_equal(step.adjusted_logits.mask, want.mask)
-            assert np.array_equal(step.dist.probs, softmax(want).probs)
+            raw = step.raw_logits
+            allowed = candidate_set(softmax(raw.scores, raw.mask), cfg.beta, eos)
+            want_scores = boost(raw.scores, contrib, w)
+            want_mask = apply_mask(raw.mask, allowed)
+            assert np.array_equal(step.adjusted_logits.scores, want_scores)
+            assert np.array_equal(step.adjusted_logits.mask, want_mask)
+            assert np.array_equal(step.dist.probs, softmax(want_scores, want_mask))
 
     def test_one_provider_call_per_step_including_step_zero(self, scene):
         provider = SyntheticProvider(scene)
@@ -605,6 +597,47 @@ class TestRunMany:
         ]
 
 
+class TestCheckStep:
+    """The one check of a step's outcome (``_check_step``), for all rows of the step at once."""
+
+    SCORES = np.zeros((2, 3))
+
+    def check(self, probs, chosen, mask=None):
+        return strategies._check_step(4, np.array(probs), mask, chosen, self.SCORES, 1.0, "x")
+
+    def test_chosen_probabilities_returned(self):
+        assert self.check([[0.25, 0.75, 0.0], [1.0, 0.0, 0.0]], [1, 0]) == [0.75, 1.0]
+
+    def test_masked_or_zero_probability_choice_rejected(self):
+        mask = np.array([[False, False, True], [False, False, False]])
+        with pytest.raises(ContractError, match="^step 4 chose a masked or zero-probability token 2"):
+            self.check([[0.25, 0.75, 0.0], [1.0, 0.0, 0.0]], [2, 0], mask)
+        with pytest.raises(ContractError, match="token 1$"):
+            self.check([[0.25, 0.75, 0.0], [1.0, 0.0, 0.0]], [0, 1])
+
+    @pytest.mark.parametrize("probs", [[[0.5, 0.4, 0.0]] * 2, [[1.2, -0.2, 0.0]] * 2])
+    def test_probabilities_not_a_distribution_rejected(self, probs):
+        with pytest.raises(ContractError, match="^step 4: probabilities go negative or sum to"):
+            self.check(probs, [0, 0])
+
+
+class TestOneUniformPerStep:
+    """A sampled row draws exactly one uniform per step from its sampling stream."""
+
+    @pytest.mark.parametrize("text", ["baseline", "baseline:beta=0.1", "vcd", "icd", "flb"])
+    def test_recorded_choices_replay_from_the_stream(self, scene, text):
+        strategy = parse_strategy(text)
+        records = run_many(scene, [strategy], range(8), max_steps=60, record=True)
+        records.append(run_strategy(scene, strategy, seed=8, max_steps=60))
+        for record in records:
+            n_steps = len(record.steps)
+            stream = np.random.SeedSequence(record.seed).spawn(3)[0]
+            draws = np.random.default_rng(stream).random(n_steps)
+            replayed = [_sample_rows(step.dist.probs, u)[0] for step, u in zip(record.steps, draws)]
+            assert replayed == list(record.chosen)
+        assert any(len(r.steps) > 10 for r in records)
+
+
 def assert_same_record(alone, batched):
     assert (alone.prompt_id, alone.strategy, alone.seed, alone.text) == \
         (batched.prompt_id, batched.strategy, batched.seed, batched.text)
@@ -671,10 +704,11 @@ class TestLockstep:
                 scene, strategy, seed=record.seed, max_steps=max_steps, temperature=temperature
             )
             assert_same_record(alone, record)
-            # Each step also equals the public one-vector operations.
+            # Each step also equals the one-vector reference operations.
             for step in record.steps:
-                want = softmax(step.adjusted_logits, temperature)
-                assert step.dist.probs.tobytes() == want.probs.tobytes()
+                adjusted = step.adjusted_logits
+                want = softmax(adjusted.scores, adjusted.mask, temperature)
+                assert step.dist.probs.tobytes() == want.tobytes()
                 assert step.entropy_nats == entropy(want)
 
     def test_rows_retire_at_different_steps(self, scene):
@@ -722,7 +756,7 @@ def reference_summary(record, lexicon):
             chosen=s.chosen,
             token=lexicon.vocab.token(s.chosen),
             entropy=s.entropy_nats,
-            chosen_prob=s.dist.prob(s.chosen),
+            chosen_prob=float(s.dist.probs[s.chosen]),
             gt_mass=float(s.dist.probs[gt_index].sum()),
             hal_mass=float(s.dist.probs[hal_index].sum()),
             provider_calls=s.provider_calls,
