@@ -47,8 +47,8 @@ def main(args):
             runs, lexicon, scene.gt_objects, scene.cognition_objects
         )
         corpus = corpus_metrics(captions, annotations, identity)
-        tokens = sum(len(r.steps) for r in runs)
-        calls = sum(s.provider_calls for r in runs for s in r.steps)
+        tokens = sum(len(r.chosen) for r in runs)
+        calls = sum(sum(r.provider_calls) for r in runs)
         print(
             f"{strategy.label():<56} {corpus.chair_i:>8.4f} {corpus.cover:>7.4f} "
             f"{corpus.object_score:>7.4f} {hal_noun_rate(runs, lexicon):>9.4f} "

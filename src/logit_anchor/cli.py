@@ -183,8 +183,8 @@ def _trace_report(stats_by_label, lexicon, scene, bin_width):
     curves = {}
     for label, runs in stats_by_label.items():
         score = _score(runs, lexicon, scene)
-        tokens = sum(len(run.steps) for run in runs)
-        calls = sum(step.provider_calls for run in runs for step in run.steps)
+        tokens = sum(len(run.chosen) for run in runs)
+        calls = sum(sum(run.provider_calls) for run in runs)
         initial = score.initial
         strategies[label] = {
             "corpus": score.corpus.to_dict(),
@@ -427,16 +427,20 @@ def read_trace_dir(traces_dir: Path):
                 raise InputError(f"{path}: header seed {run.seed} does not match the file name")
             if run.strategy != label:
                 raise InputError(f"{path}: header strategy {run.strategy!r} is not {label!r}")
-            for step in run.steps:
-                if surface.get(step.chosen) != step.token:
-                    raise InputError(f"{path}: step {step.t}: chosen: {step.chosen}, "
-                                     f"token: {step.token!r}: not one token of the scene")
-                if step.entropy > max_entropy:
-                    raise InputError(f"{path}: step {step.t}: entropy: {step.entropy!r} "
-                                     f"exceeds ln({scene.vocabulary.size}), the uniform maximum")
-                if step.provider_calls != calls:
-                    raise InputError(f"{path}: step {step.t}: provider_calls: {step.provider_calls}, "
-                                     f"but {kind} makes {calls} per step")
+            if (tuple(map(surface.get, run.chosen)) != run.tokens
+                    or max(run.entropy, default=0.0) > max_entropy
+                    or run.provider_calls.count(calls) != len(run.provider_calls)):
+                columns = zip(run.chosen, run.tokens, run.entropy, run.provider_calls)
+                for t, (chosen, token, entropy, step_calls) in enumerate(columns):
+                    if surface.get(chosen) != token:
+                        raise InputError(f"{path}: step {t}: chosen: {chosen}, "
+                                         f"token: {token!r}: not one token of the scene")
+                    if entropy > max_entropy:
+                        raise InputError(f"{path}: step {t}: entropy: {entropy!r} exceeds "
+                                         f"ln({scene.vocabulary.size}), the uniform maximum")
+                    if step_calls != calls:
+                        raise InputError(f"{path}: step {t}: provider_calls: {step_calls}, "
+                                         f"but {kind} makes {calls} per step")
     return manifest, scene, stats_by_label
 
 

@@ -13,22 +13,24 @@ object lexicon (surface form -> canonical object, longest match wins).
 All corpus rates are micro-aggregated: integer counts are summed across
 captions and divided once, so expected values are exact rationals.
 
-Trace side: decoding runs are reduced to per-step summaries (chosen token,
-entropy, chosen-token probability, gt/hal probability mass) and analyzed
-positionally. A step is a noun slot iff the previously emitted token is an
-article, which matches the generating grammar and is derivable from the
-trace alone.
+Trace side: decoding runs are reduced to summary columns (chosen token,
+entropy, chosen-token probability, gt/hal probability mass, provider calls)
+and analyzed positionally, over all runs' columns laid end to end. A step is
+a noun slot iff the previously emitted token in its run is an article, which
+matches the generating grammar and is derivable from the trace alone.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import count, repeat
+from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -357,9 +359,8 @@ class TraceLexicon:
         return frozenset(self.vocab.token(i) for i in self.hal_ids)
 
 
-@dataclass(frozen=True)
-class StepStats:
-    """Everything the trace analytics need from one step."""
+class StepStats(NamedTuple):
+    """One step of a run, as ``RunStats.steps`` presents it."""
 
     t: int
     chosen: int
@@ -373,46 +374,76 @@ class StepStats:
 
 @dataclass(frozen=True)
 class RunStats:
-    """One run reduced to its per-step summaries."""
+    """One run reduced to its summary columns: item t of each column is step t's.
+
+    ``tokens`` holds the token strings as written or read. The metrics here
+    reduce over the columns of all runs laid end to end.
+    """
 
     prompt_id: str
     strategy: str
     seed: int
-    steps: tuple[StepStats, ...] = field(repr=False)
-
-    @property
-    def tokens(self) -> tuple[str, ...]:
-        return tuple(s.token for s in self.steps)
+    chosen: tuple[int, ...] = field(repr=False)
+    tokens: tuple[str, ...] = field(repr=False)
+    entropy: tuple[float, ...] = field(repr=False)
+    chosen_prob: tuple[float, ...] = field(repr=False)
+    gt_mass: tuple[float, ...] = field(repr=False)
+    hal_mass: tuple[float, ...] = field(repr=False)
+    provider_calls: tuple[int, ...] = field(repr=False)
 
     @property
     def text(self) -> str:
         return " ".join(self.tokens)
 
+    @cached_property
+    def steps(self) -> tuple[StepStats, ...]:
+        """The columns as one StepStats per step, built on first use."""
+        return tuple(map(StepStats, count(), self.chosen, self.tokens, self.entropy,
+                         self.chosen_prob, self.gt_mass, self.hal_mass, self.provider_calls))
+
 
 def summarize_record(record: GenerationRecord, lexicon: TraceLexicon) -> RunStats:
-    """The run's summary columns, which the decode loop computed, as one StepStats per step.
+    """The run's summary columns, which the decode loop computed, shared with ``record``.
 
     The gt and hal masses are those of the scene the run was decoded on,
     which is the scene ``lexicon`` is built from.
     """
-    tokens = lexicon.vocab.tokens
-    steps = tuple(map(
-        StepStats, range(len(record.chosen)), record.chosen, [tokens[c] for c in record.chosen],
-        record.entropy, record.chosen_prob, record.gt_mass, record.hal_mass, record.provider_calls,
-    ))
     return RunStats(
-        prompt_id=record.prompt_id,
-        strategy=record.strategy,
-        seed=record.seed,
-        steps=steps,
+        record.prompt_id, record.strategy, record.seed, record.chosen,
+        tuple(map(lexicon.vocab.tokens.__getitem__, record.chosen)),
+        record.entropy, record.chosen_prob, record.gt_mass, record.hal_mass,
+        record.provider_calls,
     )
 
 
-def _noun_slots(run: RunStats, lexicon: TraceLexicon):
-    """(prev_step, step) pairs where the previous emission was an article."""
-    for prev, step in zip(run.steps, run.steps[1:]):
-        if prev.chosen in lexicon.article_ids:
-            yield prev, step
+def _column(runs: Sequence[RunStats], name: str, dtype=np.float64) -> np.ndarray:
+    """Column ``name`` of every run, laid end to end in run order."""
+    return np.fromiter(chain.from_iterable(getattr(run, name) for run in runs), dtype)
+
+
+def _steps(runs: Sequence[RunStats]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every step's chosen id, the id chosen just before it in its own run (-1 at
+    a run's first step, so no id leaks from one run into the next), and its t."""
+    lengths = np.array([len(run.chosen) for run in runs], dtype=np.intp)
+    t = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    chosen = _column(runs, "chosen", np.int64)
+    prev = np.empty_like(chosen)
+    prev[1:] = chosen[:-1]
+    prev[t == 0] = -1
+    return chosen, prev, t
+
+
+def _among(ids: np.ndarray, id_set: frozenset[int]) -> np.ndarray:
+    """Whether each id is in ``id_set``, read from a table whose last slot is False:
+    every id outside the table, -1 included, reads that slot."""
+    table = np.zeros(max(id_set, default=0) + 2, dtype=bool)
+    table[list(id_set)] = True
+    return table[np.clip(ids, -1, len(table) - 1)]
+
+
+def _sum_in_order(values: np.ndarray) -> float:
+    """0.0 + values[0] + values[1] + ..., added in that order as a ``+=`` loop does."""
+    return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
 
 
 @dataclass(frozen=True)
@@ -431,25 +462,20 @@ def positional_curves(
     lexicon: TraceLexicon,
     bin_width: int = 20,
 ) -> tuple[CurveBin, ...]:
-    """Probability-mass curves over step bins, restricted to noun slots."""
+    """Probability-mass curves over step bins, restricted to noun slots: the
+    steps whose previous emission in the run is an article."""
     if bin_width < 1:
         raise ConfigError(f"bin_width must be >= 1, got {bin_width}")
-    sums: dict[int, list[float]] = {}
-    for run in runs:
-        for _, step in _noun_slots(run, lexicon):
-            cell = sums.setdefault(step.t // bin_width, [0.0, 0.0, 0])
-            cell[0] += step.gt_mass
-            cell[1] += step.hal_mass
-            cell[2] += 1
+    _, prev, t = _steps(runs)
+    slot = _among(prev, lexicon.article_ids)
+    # Past the last step every width gives bin 0, and it need not fit an int64.
+    bins = t[slot] // min(bin_width, len(t) + 1)
+    gt, hal = _column(runs, "gt_mass")[slot], _column(runs, "hal_mass")[slot]
+    values, counts = np.unique(bins, return_counts=True)
     return tuple(
-        CurveBin(
-            lo=b * bin_width,
-            hi=(b + 1) * bin_width,
-            gt_mass=gt / n,
-            hal_mass=hal / n,
-            slots=n,
-        )
-        for b, (gt, hal, n) in sorted(sums.items())
+        CurveBin(lo=b * bin_width, hi=(b + 1) * bin_width, gt_mass=_sum_in_order(gt[bins == b]) / n,
+                 hal_mass=_sum_in_order(hal[bins == b]) / n, slots=n)
+        for b, n in zip(values.tolist(), counts.tolist())
     )
 
 
@@ -479,36 +505,29 @@ class ArticleStats:
         }
 
 
-def _article_cell(emissions: list[tuple[bool, float]]) -> ArticleCell:
-    gt = [p for is_gt, p in emissions if is_gt]
-    hal = [p for is_gt, p in emissions if not is_gt]
-    total = len(emissions)
+def _article_cell(prob: np.ndarray, is_gt: np.ndarray, emitted: np.ndarray) -> ArticleCell:
+    gt = prob[emitted & is_gt]
+    hal = prob[emitted & ~is_gt]
+    total = len(gt) + len(hal)
     return ArticleCell(
         gt_count=len(gt),
         hal_count=len(hal),
         gt_share=len(gt) / total if total else 0.0,
         hal_share=len(hal) / total if total else 0.0,
-        gt_mean_prob=float(np.mean(gt)) if gt else 0.0,
-        hal_mean_prob=float(np.mean(hal)) if hal else 0.0,
+        gt_mean_prob=float(np.mean(gt)) if len(gt) else 0.0,
+        hal_mean_prob=float(np.mean(hal)) if len(hal) else 0.0,
     )
 
 
 def article_stats(runs: Sequence[RunStats], lexicon: TraceLexicon) -> ArticleStats:
     """How noun choice and noun confidence depend on the preceding article."""
-    after_the: list[tuple[bool, float]] = []
-    after_a: list[tuple[bool, float]] = []
-    for run in runs:
-        for prev, step in _noun_slots(run, lexicon):
-            if step.chosen not in lexicon.noun_ids:
-                continue
-            emission = (step.chosen in lexicon.gt_ids, step.chosen_prob)
-            if prev.chosen in lexicon.the_ids:
-                after_the.append(emission)
-            elif prev.chosen in lexicon.a_ids:
-                after_a.append(emission)
+    chosen, prev, _ = _steps(runs)
+    noun = _among(chosen, lexicon.noun_ids)
+    is_gt = _among(chosen, lexicon.gt_ids)
+    prob = _column(runs, "chosen_prob")
     return ArticleStats(
-        after_the=_article_cell(after_the),
-        after_a=_article_cell(after_a),
+        after_the=_article_cell(prob, is_gt, noun & _among(prev, lexicon.the_ids)),
+        after_a=_article_cell(prob, is_gt, noun & _among(prev, lexicon.a_ids)),
     )
 
 
@@ -516,17 +535,6 @@ def article_stats(runs: Sequence[RunStats], lexicon: TraceLexicon) -> ArticleSta
 class EntropyCell:
     mean_entropy: float
     count: int
-
-
-ENTROPY_GROUPS = (
-    "all_tokens",
-    "all_nouns",
-    "gt_nouns",
-    "hal_nouns",
-    "after_the",
-    "after_a",
-    "after_other",
-)
 
 
 def entropy_stats(
@@ -538,27 +546,23 @@ def entropy_stats(
     after_the + after_other partition all_nouns, and after_a is a subset of
     after_other.
     """
-    groups: dict[str, list[float]] = {name: [] for name in ENTROPY_GROUPS}
-    for run in runs:
-        prev_chosen = None
-        for step in run.steps:
-            groups["all_tokens"].append(step.entropy)
-            if step.chosen in lexicon.noun_ids:
-                groups["all_nouns"].append(step.entropy)
-                is_gt = step.chosen in lexicon.gt_ids
-                groups["gt_nouns" if is_gt else "hal_nouns"].append(step.entropy)
-                if prev_chosen is not None and prev_chosen in lexicon.the_ids:
-                    groups["after_the"].append(step.entropy)
-                else:
-                    groups["after_other"].append(step.entropy)
-                    if prev_chosen is not None and prev_chosen in lexicon.a_ids:
-                        groups["after_a"].append(step.entropy)
-            prev_chosen = step.chosen
+    chosen, prev, _ = _steps(runs)
+    entropy = _column(runs, "entropy")
+    noun = _among(chosen, lexicon.noun_ids)
+    gt = noun & _among(chosen, lexicon.gt_ids)
+    after_the = noun & _among(prev, lexicon.the_ids)
+    after_other = noun & ~after_the
+    groups = {
+        "all_tokens": entropy,
+        "all_nouns": entropy[noun],
+        "gt_nouns": entropy[gt],
+        "hal_nouns": entropy[noun & ~gt],
+        "after_the": entropy[after_the],
+        "after_a": entropy[after_other & _among(prev, lexicon.a_ids)],
+        "after_other": entropy[after_other],
+    }
     return {
-        name: EntropyCell(
-            mean_entropy=float(np.mean(values)) if values else 0.0,
-            count=len(values),
-        )
+        name: EntropyCell(float(np.mean(values)) if len(values) else 0.0, len(values))
         for name, values in groups.items()
     }
 
@@ -574,7 +578,7 @@ def sentence_initial_stats(runs: Sequence[RunStats]) -> SentenceInitialStats:
     """Fraction of runs whose first emitted token is exactly "The"."""
     if not runs:
         raise InputError("sentence_initial_stats needs at least one run")
-    the_count = sum(1 for run in runs if run.steps and run.steps[0].token == "The")
+    the_count = sum(run.tokens[:1] == ("The",) for run in runs)
     return SentenceInitialStats(
         the_fraction=the_count / len(runs),
         the_count=the_count,
@@ -584,12 +588,9 @@ def sentence_initial_stats(runs: Sequence[RunStats]) -> SentenceInitialStats:
 
 def hal_noun_rate(runs: Sequence[RunStats], lexicon: TraceLexicon) -> float:
     """Aggregate hallucinated share of emitted nouns across runs, multiplicity kept."""
-    hal = nouns = 0
-    for run in runs:
-        for step in run.steps:
-            if step.chosen in lexicon.noun_ids:
-                nouns += 1
-                hal += step.chosen in lexicon.hal_ids
+    chosen = _column(runs, "chosen", np.int64)
+    nouns = int(np.count_nonzero(_among(chosen, lexicon.noun_ids)))
+    hal = int(np.count_nonzero(_among(chosen, lexicon.hal_ids)))  # hal_ids is a subset of noun_ids
     return hal / nouns if nouns else 0.0
 
 
@@ -655,7 +656,7 @@ def write_trace(
         "prompt_id": stats.prompt_id,
         "strategy": stats.strategy,
         "seed": stats.seed,
-        "n_steps": len(stats.steps),
+        "n_steps": len(stats.chosen),
         "text": stats.text,
     }
     dists = repeat("")
@@ -675,87 +676,133 @@ def write_trace(
     return stats
 
 
-def _step_fault(step: StepStats, t: int) -> str:
-    """The field of step ``t`` that no writer could have produced, and its value."""
-    if step.t != t:
-        return f"t: {step.t!r} where step {t} belongs"
-    if step.provider_calls < 1:
-        return f"provider_calls: {step.provider_calls!r} is below 1"
-    if not 0.0 <= step.entropy < math.inf:
-        return f"entropy: {step.entropy!r} is negative or not finite"
-    if not 0.0 < step.chosen_prob <= _P_MAX:  # the loop never chooses a zero-probability token
-        return f"chosen_prob: {step.chosen_prob!r} lies outside (0, 1]"
-    for name in ("gt_mass", "hal_mass"):
-        if not 0.0 <= getattr(step, name) <= _P_MAX:
-            return f"{name}: {getattr(step, name)!r} lies outside [0, 1]"
-    return f"gt_mass + hal_mass: {step.gt_mass!r} + {step.hal_mass!r} exceeds 1"
+# A step line's fields, in the order of a RunStats' columns after t.
+_STEP_FIELDS = ("t", "chosen", "token", "entropy", "chosen_prob", "gt_mass", "hal_mass",
+                "provider_calls")
+_step_fields = itemgetter("kind", *_STEP_FIELDS)
+
+
+def _read_number(value, key: str) -> float:
+    """A JSON number, an int or a float but not a bool or a string, as a float."""
+    if type(value) in (int, float):
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond float range
+            pass
+    raise ConfigError(f"{key}: {value!r} is not a number")
+
+
+def _step_fault(row: tuple, t: int) -> str | None:
+    """The field of step ``row`` that no writer could have produced as step ``t``,
+    and its value; None if there is none."""
+    step_t, _, _, entropy, chosen_prob, gt_mass, hal_mass, calls = row
+    return next((fault for ok, fault in (
+        (step_t == t, f"t: {step_t!r} where step {t} belongs"),
+        (calls >= 1, f"provider_calls: {calls!r} is below 1"),
+        (0.0 <= entropy < math.inf, f"entropy: {entropy!r} is negative or not finite"),
+        # the loop never chooses a zero-probability token
+        (0.0 < chosen_prob <= _P_MAX, f"chosen_prob: {chosen_prob!r} lies outside (0, 1]"),
+        (0.0 <= gt_mass <= _P_MAX, f"gt_mass: {gt_mass!r} lies outside [0, 1]"),
+        (0.0 <= hal_mass <= _P_MAX, f"hal_mass: {hal_mass!r} lies outside [0, 1]"),
+        (gt_mass + hal_mass <= _P_MAX, f"gt_mass + hal_mass: {gt_mass!r} + {hal_mass!r} exceeds 1"),
+    ) if not ok), None)
 
 
 def read_trace(path) -> RunStats:
     """Read one JSONL trace back into the summary form; a malformed record (say,
-    an integer field holding a fraction, a chosen_prob of 0, gt and hal mass
-    summing above 1, a negative entropy, steps out of order, or a header text
-    that is not the steps' tokens joined by spaces) is an InputError naming
-    the file, the line and the field."""
-    steps: list[StepStats] = []
-    header: dict | None = None
+    an integer field holding a fraction, a float field holding a bool or a
+    string, a chosen_prob of 0, gt and hal mass summing above 1, a negative
+    entropy, steps out of order, or a header text that is not the steps'
+    tokens joined by spaces) is an InputError naming the file, the line and
+    the field."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                data = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
-            if not isinstance(data, dict):
-                raise InputError(f"{path}:{lineno}: a record must be a JSON object")
-            kind = data.get("kind")
-            if kind == "run":
-                if header is not None:
-                    raise InputError(f"{path}:{lineno}: duplicate run header")
-                header, header_line = data, lineno
-            elif kind == "step":
-                try:
-                    step = StepStats(
-                        t=read_int(data["t"], "t"),
-                        chosen=read_int(data["chosen"], "chosen"),
-                        token=str(data["token"]),
-                        entropy=float(data["entropy"]),
-                        chosen_prob=float(data["chosen_prob"]),
-                        gt_mass=float(data["gt_mass"]),
-                        hal_mass=float(data["hal_mass"]),
-                        provider_calls=read_int(data["provider_calls"], "provider_calls"),
-                    )
-                except (KeyError, TypeError, ValueError, ConfigError) as exc:
-                    raise InputError(f"{path}:{lineno}: bad step record ({exc})") from exc
-                if not (step.t == len(steps) and step.provider_calls >= 1  # as _step_fault
-                        and 0.0 <= step.entropy < math.inf
-                        and 0.0 < step.chosen_prob <= _P_MAX and 0.0 <= step.gt_mass
-                        and 0.0 <= step.hal_mass and step.gt_mass + step.hal_mass <= _P_MAX):
-                    fault = _step_fault(step, len(steps))
-                    raise InputError(f"{path}:{lineno}: bad step record ({fault})")
-                steps.append(step)
-            else:
-                raise InputError(f"{path}:{lineno}: unknown record kind {kind!r}")
-    if header is None:
-        raise InputError(f"{path}: missing run header")
+        lines = list(map(str.strip, fh.read().split("\n")))
+    header, header_line, columns = _read_joined(lines) or _read_lines(path, lines)
     try:
-        n_steps = read_int(header.get("n_steps", len(steps)), "n_steps")
+        n_steps = read_int(header.get("n_steps", len(columns[0])), "n_steps")
         text = header["text"]
-        stats = RunStats(
-            prompt_id=str(header["prompt_id"]),
-            strategy=str(header["strategy"]),
-            seed=read_int(header["seed"], "seed"),
-            steps=tuple(steps),
-        )
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        stats = RunStats(str(header["prompt_id"]), str(header["strategy"]),
+                         read_int(header["seed"], "seed"), *columns)
+    except (KeyError, ConfigError) as exc:
         raise InputError(
             f"{path}:{header_line}: bad run header ({type(exc).__name__}: {exc})"
         ) from exc
-    if len(steps) != n_steps:
-        raise InputError(f"{path}: header declares {n_steps} steps, found {len(steps)}")
+    if len(stats.chosen) != n_steps:
+        raise InputError(f"{path}: header declares {n_steps} steps, found {len(stats.chosen)}")
     if text != stats.text:
         raise InputError(f"{path}:{header_line}: bad run header "
                          f"(text: {text!r} is not the steps' tokens joined by spaces)")
     return stats
+
+
+def _read_joined(lines: list[str]) -> tuple[dict, int, tuple] | None:
+    """The header, its line and the step columns from ``chosen`` on, from one
+    ``json.loads`` of the stripped ``lines`` joined into an array; None unless that
+    parse provably gives the per-line records, a header and then steps that need
+    no conversion and pass every check."""
+    texts = list(filter(None, lines))
+    # Each line follows a marker no file can foresee, and each joint holds a
+    # newline, which no JSON string may: the items alternate marker and record
+    # only if every line holds exactly one JSON value.
+    marker = os.urandom(12).hex()
+    try:
+        items = json.loads(f'["{marker}",' + f',\n"{marker}",'.join(texts) + "]")
+        header, *records = items[1::2]
+        kinds, t, *columns = tuple(zip(*map(_step_fields, records))) or ((),) * 9
+    except (ValueError, TypeError, KeyError):  # bad JSON, no records, not objects, a missing field
+        return None
+    chosen, tokens, *floats, calls = columns
+    if (len(items) != 2 * len(texts) or items.count(marker) != len(texts)
+            or type(header) is not dict or header.get("kind") != "run"
+            or kinds != ("step",) * len(kinds)
+            or t != tuple(range(len(t))) or not set(map(type, chain(t, chosen, calls))) <= {int}
+            or min(calls, default=1) < 1 or not set(map(type, tokens)) <= {str}
+            or not set(map(type, chain(*floats))) <= {float}):
+        return None
+    entropy, chosen_prob, gt_mass, hal_mass = floats
+    # The bounds _step_fault checks, on whole columns; a NaN makes the sum NaN.
+    total = sum(map(sum, floats))
+    if not (total == total and min(entropy, default=0.0) >= 0.0
+            and max(entropy, default=0.0) < math.inf and min(chosen_prob, default=1.0) > 0.0
+            and max(chosen_prob, default=1.0) <= _P_MAX and min(gt_mass, default=0.0) >= 0.0
+            and min(hal_mass, default=0.0) >= 0.0
+            and max(map(float.__add__, gt_mass, hal_mass), default=0.0) <= _P_MAX):
+        return None
+    return header, lines.index(texts[0]) + 1, tuple(columns)
+
+
+def _read_lines(path, lines: list[str]) -> tuple[dict, int, tuple]:
+    """What ``_read_joined`` gives, read one line at a time; the first record at
+    fault is an InputError naming its line."""
+    rows: list[tuple] = []
+    header: dict | None = None
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
+        if not isinstance(data, dict):
+            raise InputError(f"{path}:{lineno}: a record must be a JSON object")
+        kind = data.get("kind")
+        if kind == "run":
+            if header is not None:
+                raise InputError(f"{path}:{lineno}: duplicate run header")
+            header, header_line = data, lineno
+        elif kind == "step":
+            try:
+                row = (read_int(data["t"], "t"), read_int(data["chosen"], "chosen"),
+                       str(data["token"]), *[_read_number(data[key], key) for key in _STEP_FIELDS[3:7]],
+                       read_int(data["provider_calls"], "provider_calls"))
+            except (KeyError, ConfigError) as exc:
+                raise InputError(f"{path}:{lineno}: bad step record ({exc})") from exc
+            fault = _step_fault(row, len(rows))
+            if fault is not None:
+                raise InputError(f"{path}:{lineno}: bad step record ({fault})")
+            rows.append(row)
+        else:
+            raise InputError(f"{path}:{lineno}: unknown record kind {kind!r}")
+    if header is None:
+        raise InputError(f"{path}: missing run header")
+    return header, header_line, tuple(zip(*rows))[1:] or ((),) * 7

@@ -1,13 +1,23 @@
-"""One-vector references for the decode loop's per-step operations.
+"""References the tests compare the package against bit for bit.
 
-Each works on one plain ``[vocab]`` array (and a boolean mask, True for an
-excluded token) and is written out on its own, independent of the loop's
-row kernels, which the tests compare against these bit for bit.
+The one-vector references for the decode loop's per-step operations each
+work on one plain ``[vocab]`` array (and a boolean mask, True for an
+excluded token) and are written out on their own, independent of the loop's
+row kernels. The per-step trace metrics walk each run's ``steps`` one at a
+time and add in that order, independent of the package's column reductions.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from logit_anchor.metrics import (
+    ArticleCell,
+    ArticleStats,
+    CurveBin,
+    EntropyCell,
+    SentenceInitialStats,
+)
 
 
 def softmax(scores: np.ndarray, mask: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -48,3 +58,99 @@ def candidate_set(probs: np.ndarray, beta: float, eos_id: int | None = None) -> 
 def apply_mask(mask: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     """The exclusion lane with every token outside ``allowed`` added; it never un-excludes."""
     return mask | ~allowed
+
+
+# -- per-step trace metrics -----------------------------------------------------
+
+
+def _noun_slots(run, lexicon):
+    """(prev_step, step) pairs where the previous emission was an article."""
+    for prev, step in zip(run.steps, run.steps[1:]):
+        if prev.chosen in lexicon.article_ids:
+            yield prev, step
+
+
+def positional_curves(runs, lexicon, bin_width):
+    sums: dict[int, list[float]] = {}
+    for run in runs:
+        for _, step in _noun_slots(run, lexicon):
+            cell = sums.setdefault(step.t // bin_width, [0.0, 0.0, 0])
+            cell[0] += step.gt_mass
+            cell[1] += step.hal_mass
+            cell[2] += 1
+    return tuple(
+        CurveBin(lo=b * bin_width, hi=(b + 1) * bin_width, gt_mass=gt / n, hal_mass=hal / n,
+                 slots=n)
+        for b, (gt, hal, n) in sorted(sums.items())
+    )
+
+
+def _article_cell(emissions):
+    gt = [p for is_gt, p in emissions if is_gt]
+    hal = [p for is_gt, p in emissions if not is_gt]
+    total = len(emissions)
+    return ArticleCell(
+        gt_count=len(gt),
+        hal_count=len(hal),
+        gt_share=len(gt) / total if total else 0.0,
+        hal_share=len(hal) / total if total else 0.0,
+        gt_mean_prob=float(np.mean(gt)) if gt else 0.0,
+        hal_mean_prob=float(np.mean(hal)) if hal else 0.0,
+    )
+
+
+def article_stats(runs, lexicon):
+    after_the, after_a = [], []
+    for run in runs:
+        for prev, step in _noun_slots(run, lexicon):
+            if step.chosen not in lexicon.noun_ids:
+                continue
+            emission = (step.chosen in lexicon.gt_ids, step.chosen_prob)
+            if prev.chosen in lexicon.the_ids:
+                after_the.append(emission)
+            elif prev.chosen in lexicon.a_ids:
+                after_a.append(emission)
+    return ArticleStats(after_the=_article_cell(after_the), after_a=_article_cell(after_a))
+
+
+def entropy_stats(runs, lexicon):
+    names = ("all_tokens", "all_nouns", "gt_nouns", "hal_nouns", "after_the", "after_a",
+             "after_other")
+    groups: dict[str, list[float]] = {name: [] for name in names}
+    for run in runs:
+        prev_chosen = None
+        for step in run.steps:
+            groups["all_tokens"].append(step.entropy)
+            if step.chosen in lexicon.noun_ids:
+                groups["all_nouns"].append(step.entropy)
+                is_gt = step.chosen in lexicon.gt_ids
+                groups["gt_nouns" if is_gt else "hal_nouns"].append(step.entropy)
+                if prev_chosen is not None and prev_chosen in lexicon.the_ids:
+                    groups["after_the"].append(step.entropy)
+                else:
+                    groups["after_other"].append(step.entropy)
+                    if prev_chosen is not None and prev_chosen in lexicon.a_ids:
+                        groups["after_a"].append(step.entropy)
+            prev_chosen = step.chosen
+    return {
+        name: EntropyCell(mean_entropy=float(np.mean(values)) if values else 0.0,
+                          count=len(values))
+        for name, values in groups.items()
+    }
+
+
+def sentence_initial_stats(runs):
+    the_count = sum(1 for run in runs if run.steps and run.steps[0].token == "The")
+    return SentenceInitialStats(
+        the_fraction=the_count / len(runs), the_count=the_count, n_runs=len(runs)
+    )
+
+
+def hal_noun_rate(runs, lexicon):
+    hal = nouns = 0
+    for run in runs:
+        for step in run.steps:
+            if step.chosen in lexicon.noun_ids:
+                nouns += 1
+                hal += step.chosen in lexicon.hal_ids
+    return hal / nouns if nouns else 0.0

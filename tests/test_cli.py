@@ -407,6 +407,22 @@ class TestEvaluateTraces:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}:{line + 1}: ") and f"{field}: {value!r}" in err
 
+    @pytest.mark.parametrize("field, value, number", [
+        ("entropy", True, 1), ("chosen_prob", "0.5", 1), ("gt_mass", "0", 0), ("hal_mass", False, 0),
+    ])
+    def test_float_field_not_a_json_number_exits_3_naming_it(
+        self, tmp_path, capsys, field, value, number
+    ):
+        """A bool or a numeric string in a float field used to be scored (true as 1.0)."""
+        sim_out, path = self._simulated(tmp_path)
+        _edit_line(path, 2, lambda r: {**r, field: number})  # an int is a JSON number
+        assert run_cli("evaluate", "--traces", sim_out) == 0
+        bad = _edit_line(path, 2, lambda r: {**r, field: value})
+        capsys.readouterr()
+        assert run_cli("evaluate", "--traces", sim_out) == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}:3: bad step record ({field}: {value!r} is not a number)"
+        )
 
     def _simulated(self, tmp_path):
         sim_out = tmp_path / "sim"

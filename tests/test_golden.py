@@ -79,6 +79,21 @@ def test_outputs_match_pinned_hashes(name, tmp_path, monkeypatch):
     assert run_hashes(name, tmp_path) == pinned
 
 
+@pytest.mark.parametrize("name", list(RUNS))
+def test_rescoring_the_traces_reproduces_the_reports(name, tmp_path, monkeypatch):
+    """``evaluate --traces`` on each run's output writes its reports byte for byte;
+    the --full-dist traces hold a ``dist`` field that the reader skips."""
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    run_hashes(name, tmp_path)
+    out, rescored = tmp_path / name, tmp_path / "rescored"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["evaluate", "--traces", str(out), "--out", str(rescored)]) == 0
+    written = sorted(p.name for p in out.glob("*") if p.name != "manifest.json" and p.is_file())
+    assert written == ["curves.csv", "report.csv", "report.json"]
+    for file_name in written:
+        assert (rescored / file_name).read_bytes() == (out / file_name).read_bytes(), file_name
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         hashes = {name: run_hashes(name, Path(tmp)) for name in RUNS}

@@ -7,11 +7,16 @@ float division of the same integers.
 
 from __future__ import annotations
 
+import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracle
 from logit_anchor import (
     Annotation,
     CaptionRecord,
@@ -23,6 +28,7 @@ from logit_anchor import (
     TraceLexicon,
     article_stats,
     corpus_metrics,
+    default_scene,
     entropy_stats,
     extract_objects,
     hal_noun_rate,
@@ -35,6 +41,7 @@ from logit_anchor import (
     summarize_record,
     write_trace,
 )
+from logit_anchor import metrics
 from logit_anchor.data import golden_corpus, load_captions_jsonl
 from logit_anchor.metrics import RunStats, StepStats
 
@@ -167,17 +174,10 @@ def trace_lexicon(scene) -> TraceLexicon:
 
 def mk_run(scene, spec, strategy="test", seed=0):
     """Build a RunStats from (token, entropy, chosen_prob, gt_mass, hal_mass)."""
-    lex = trace_lexicon(scene)
-    steps = []
-    for t, (token, ent, prob, gt_m, hal_m) in enumerate(spec):
-        chosen = scene.vocabulary.id_of(token)
-        steps.append(
-            StepStats(
-                t=t, chosen=chosen, token=token, entropy=ent, chosen_prob=prob,
-                gt_mass=gt_m, hal_mass=hal_m, provider_calls=1,
-            )
-        )
-    return RunStats(prompt_id="p", strategy=strategy, seed=seed, steps=tuple(steps))
+    tokens, entropy, chosen_prob, gt_mass, hal_mass = (tuple(c) for c in zip(*spec))
+    chosen = tuple(scene.vocabulary.id_of(token) for token in tokens)
+    return RunStats("p", strategy, seed, chosen, tokens, entropy, chosen_prob,
+                    gt_mass, hal_mass, (1,) * len(spec))
 
 
 SPEC = [
@@ -251,10 +251,13 @@ class TestTraceAnalytics:
         lex = trace_lexicon(scene)
         stats = summarize_record(rec, lex)
         assert stats.strategy == rec.strategy and stats.seed == 0
-        assert len(stats.steps) == len(rec.steps)
+        assert stats.chosen is rec.chosen and stats.entropy is rec.entropy  # shared columns
         assert stats.text == rec.text
-        for step, full in zip(stats.steps, rec.steps):
-            assert step.chosen == full.chosen
+        assert len(stats.steps) == len(rec.steps)
+        for t, (step, full) in enumerate(zip(stats.steps, rec.steps)):
+            assert step == StepStats(t, full.chosen, lex.vocab.token(full.chosen), rec.entropy[t],
+                                     rec.chosen_prob[t], rec.gt_mass[t], rec.hal_mass[t],
+                                     full.provider_calls)
             assert 0.0 <= step.gt_mass + step.hal_mass <= 1.0 + 1e-9
             assert step.chosen_prob > 0.0
 
@@ -320,6 +323,172 @@ class TestTraceFiles:
             read_trace(path)
 
 
+def _with_step(lines, index, **fields):
+    """The trace ``lines`` with the fields of step line ``index`` replaced."""
+    return [*lines[:index], json.dumps({**json.loads(lines[index]), **fields}, sort_keys=True),
+            *lines[index + 1:]]
+
+
+def _split(line):
+    """A step line cut after its chosen_prob, between two of its members."""
+    cut = line.index(', "entropy"')
+    return [line[:cut], line[cut + 2:]]
+
+
+# Trace texts made from the lines of a 10-step trace (a header, then steps).
+ACCEPTED = {
+    "crlf": lambda lines: "\r\n".join(lines) + "\r\n",
+    "blank_and_whitespace_lines": lambda lines: "\n\n".join(lines) + "\n \t\n\n",
+    "header_after_the_steps": lambda lines: "\n".join(lines[1:] + lines[:1]) + "\n",
+    "no_trailing_newline": lambda lines: "\n".join(lines),
+}
+# Each names line 2 with this message.
+REJECTED = {
+    "two_records_on_one_line": (
+        lambda lines: "\n".join([lines[0], lines[1] + " " + lines[2], *lines[3:]]),
+        "malformed JSON (Extra data)",
+    ),
+    "record_split_inside_a_string": (
+        lambda lines: "\n".join([lines[0], *lines[1].split("chosen_prob"), *lines[2:]]),
+        "malformed JSON (Unterminated string",
+    ),
+    "nan_entropy": (
+        lambda lines: "\n".join(_with_step(lines, 1, entropy=float("nan"))),
+        "bad step record (entropy: nan ",
+    ),
+    # Joined with commas, the split record would read as one and the shared
+    # line as two: as many items as lines.
+    "split_record_and_two_records_on_one_line": (
+        lambda lines: "\n".join([lines[0], *_split(lines[1]), lines[2] + ", " + lines[3],
+                                  *lines[4:]]),
+        "malformed JSON (Expecting ',' delimiter",
+    ),
+    # The split lets a list swallow a joint; the shared line makes up the count.
+    "split_inside_a_list_and_three_values_on_one_line": (
+        lambda lines: "\n".join([lines[0], lines[1][:-1] + ', "dist": [0.5', "0.5]}",
+                                  lines[2] + ', "x", ' + lines[3], *lines[4:]]),
+        "malformed JSON (Expecting ',' delimiter",
+    ),
+}
+
+
+class TestTraceReader:
+    """``read_trace`` parses a file in one pass where that provably gives the
+    per-line records, and reads it line by line otherwise, with the same result."""
+
+    @pytest.fixture()
+    def ten_steps(self, scene, tmp_path):
+        rec = run_strategy(scene, Strategy(kind="baseline"), seed=0, max_steps=10)
+        path = tmp_path / "run.jsonl"
+        written = write_trace(path, rec, trace_lexicon(scene))
+        assert len(written.chosen) == 10
+        return path, path.read_text().splitlines(), written
+
+    @staticmethod
+    def _lines(path):
+        with open(path, encoding="utf-8") as fh:
+            return [line.strip() for line in fh.read().split("\n")]
+
+    @pytest.mark.parametrize("name", list(ACCEPTED))
+    def test_accepted_layouts_read_as_written(self, ten_steps, name):
+        path, lines, written = ten_steps
+        path.write_bytes(ACCEPTED[name](lines).encode("utf-8"))
+        assert read_trace(path) == written
+        joined = metrics._read_joined(self._lines(path))  # a header after the steps is read line by line
+        assert joined == (None if name == "header_after_the_steps" else
+                          metrics._read_lines(path, self._lines(path)))
+
+    @pytest.mark.parametrize("name", list(REJECTED))
+    def test_rejected_layouts_name_line_2(self, ten_steps, name):
+        path, lines, _ = ten_steps
+        text, message = REJECTED[name]
+        path.write_bytes(text(lines).encode("utf-8"))
+        assert metrics._read_joined(self._lines(path)) is None
+        with pytest.raises(InputError) as info:
+            read_trace(path)
+        assert str(info.value).startswith(f"{path}:2: {message}")
+
+    def test_an_int_in_a_float_field_is_read_line_by_line(self, ten_steps):
+        path, lines, written = ten_steps
+        path.write_text("\n".join(_with_step(lines, 1, gt_mass=0, hal_mass=0)) + "\n")
+        assert metrics._read_joined(self._lines(path)) is None
+        back = read_trace(path)
+        assert back.gt_mass[0] == 0.0 and type(back.gt_mass[0]) is float
+        assert back.entropy == written.entropy
+
+
+LEXICON = TraceLexicon.from_scene(default_scene())
+VOCAB = LEXICON.vocab.tokens
+ARTICLES = sorted(LEXICON.article_ids)  # The, In, A, a
+NOUNS = sorted(LEXICON.noun_ids)
+
+
+def _run(chosen, masses=None, seed=0):
+    """A RunStats choosing ``chosen``, with every float column ``masses`` (or 0.5s)."""
+    floats = tuple(masses) if masses is not None else (0.5,) * len(chosen)
+    return RunStats("p", "s", seed, tuple(chosen), tuple(VOCAB[c] for c in chosen),
+                    floats, floats, floats, floats[::-1], (1,) * len(chosen))
+
+
+# Ten noun slots in one bin whose masses sum to 1.0 in sequence, which neither
+# np.sum (pairwise) nor math.fsum (exact) gives.
+SLOT_MASSES = (1.0, *[1e-16] * 9)
+UNEVEN_SUM = _run([ARTICLES[0], NOUNS[0]] * 10,
+                  [m for mass in SLOT_MASSES for m in (0.25, mass)])
+
+
+@st.composite
+def _runs(draw):
+    ids = st.one_of(st.sampled_from(ARTICLES), st.sampled_from(NOUNS),
+                    st.integers(0, len(VOCAB) - 1))
+    masses = st.one_of(st.sampled_from([0.0, -0.0, 1e-16, 0.1, 0.3, 1.0]),
+                       st.floats(0.0, 1.0))
+    runs = []
+    for seed in range(draw(st.integers(1, 5))):
+        chosen = draw(st.lists(ids, max_size=40))
+        runs.append(_run(chosen, draw(st.lists(masses, min_size=len(chosen),
+                                               max_size=len(chosen))), seed))
+    return runs
+
+
+class TestColumnMetricsProperty:
+    """Each metric reduces over the runs' columns to the bits of the per-step walk."""
+
+    @staticmethod
+    def test_the_uneven_example_tells_the_sums_apart():
+        slots = np.array(SLOT_MASSES)
+        assert math.fsum(SLOT_MASSES) != 1.0 and float(np.sum(slots)) != 1.0
+        assert metrics._sum_in_order(slots) == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(runs=_runs(), bin_width=st.one_of(st.integers(1, 50), st.just(10**6)))
+    @example(runs=[UNEVEN_SUM], bin_width=20)
+    @example(runs=[UNEVEN_SUM], bin_width=1)
+    @example(runs=[UNEVEN_SUM], bin_width=10**30)  # past any int64
+    @example(runs=[_run([])], bin_width=20)  # a header-only trace reads as this run
+    # A run ending on an article, then one starting on a noun: no slot between them.
+    @example(runs=[_run([NOUNS[0], ARTICLES[0]]), _run([]), _run([NOUNS[1], ARTICLES[2]]),
+                   _run([NOUNS[9], NOUNS[2]])], bin_width=1)
+    def test_metrics_equal_the_per_step_references(self, runs, bin_width):
+        for got, want in [
+            (positional_curves(runs, LEXICON, bin_width),
+             oracle.positional_curves(runs, LEXICON, bin_width)),
+            (article_stats(runs, LEXICON), oracle.article_stats(runs, LEXICON)),
+            (entropy_stats(runs, LEXICON), oracle.entropy_stats(runs, LEXICON)),
+            (hal_noun_rate(runs, LEXICON), oracle.hal_noun_rate(runs, LEXICON)),
+            (sentence_initial_stats(runs), oracle.sentence_initial_stats(runs)),
+        ]:
+            assert repr(got) == repr(want)  # repr tells every float apart, -0.0 from 0.0 too
+
+    def test_header_only_trace_reads_as_an_empty_run(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        header = {"kind": "run", "prompt_id": "p", "strategy": "s", "seed": 0, "n_steps": 0,
+                  "text": ""}
+        path.write_text(json.dumps(header) + "\n")
+        assert read_trace(path) == _run([])
+        assert metrics._read_joined(path.read_text().split("\n")) == (header, 1, ((),) * 7)
+
+
 class TestDecayStatistics:
     """Distribution-level checks that the decay knob drives late-step errors."""
 
@@ -336,9 +505,9 @@ class TestDecayStatistics:
         ]
         bins: dict[int, list[int]] = {}  # step bin -> [hal, gt] noun emissions
         for run in runs:
-            for step in run.steps:
-                if step.chosen in lex.noun_ids:
-                    bins.setdefault(step.t // 20, [0, 0])[step.chosen in lex.gt_ids] += 1
+            for t, chosen in enumerate(run.chosen):
+                if chosen in lex.noun_ids:
+                    bins.setdefault(t // 20, [0, 0])[chosen in lex.gt_ids] += 1
         return [row for _, row in sorted(bins.items()) if sum(row) >= 20]
 
     def test_no_decay_is_flat_and_decay_is_not(self, nodecay_scene, scene):
