@@ -46,10 +46,11 @@ from .config import (
     DEFAULT_TEMPERATURE,
     build_run_config,
     load_config_file,
-    load_json_file,
+    parse_json,
     parse_strategies,
     read_float,
     read_float_list,
+    read_input_text,
     read_int,
     read_names,
     read_seeds,
@@ -57,12 +58,10 @@ from .config import (
     resolve_seeds,
     setting,
 )
-from .data import load_captions_jsonl
+from .data import load_corpus
 from .errors import ConfigError, InputError, LogitAnchorError
 from .metrics import (
-    Annotation,
     MetricsReport,
-    ObjectLexicon,
     SentenceInitialStats,
     TraceLexicon,
     article_stats,
@@ -295,24 +294,6 @@ def cmd_simulate(args) -> int:
 # -- evaluate ---------------------------------------------------------------------
 
 
-def _load_input_json(path):
-    """A JSON input file; one that cannot be read or parsed is an input error."""
-    try:
-        return load_json_file(path)
-    except ConfigError as exc:
-        raise InputError(str(exc)) from exc
-
-
-def _load_annotations_file(path: str) -> list[Annotation]:
-    data = _load_input_json(path)
-    if not isinstance(data, list):
-        raise InputError(f"{path}: annotations must be a JSON array")
-    try:
-        return [Annotation.from_dict(item) for item in data]
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
 def _evaluate_corpus(args, out: Path | None) -> int:
     missing = [
         flag for flag, value in (
@@ -326,18 +307,7 @@ def _evaluate_corpus(args, out: Path | None) -> int:
             "evaluate needs --traces, or all of --captions/--annotations/--lexicon "
             f"(missing {', '.join(missing)})"
         )
-    captions_path = Path(args.captions)
-    try:
-        captions_text = captions_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {captions_path}: {exc}") from exc
-    captions = load_captions_jsonl(captions_text, source=str(captions_path))
-    annotations = _load_annotations_file(args.annotations)
-    lexicon_data = _load_input_json(args.lexicon)
-    try:
-        lexicon = ObjectLexicon.from_dict(lexicon_data)
-    except (ConfigError, InputError) as exc:
-        raise InputError(f"{args.lexicon}: {exc}") from exc
+    captions, annotations, lexicon = load_corpus(args.captions, args.annotations, args.lexicon)
 
     report_obj = corpus_metrics(captions, annotations, lexicon)
     for warning in report_obj.warnings:
@@ -380,7 +350,7 @@ def read_trace_dir(traces_dir: Path):
     manifest_path = traces_dir / "manifest.json"
     if not manifest_path.exists():
         raise InputError(f"{traces_dir}: no manifest.json; not a simulate output")
-    manifest = _load_input_json(manifest_path)
+    manifest = parse_json(read_input_text(manifest_path), manifest_path)
     try:
         if not isinstance(manifest, dict):
             raise ConfigError(f"must be a JSON object, got {type(manifest).__name__}")

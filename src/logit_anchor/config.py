@@ -8,6 +8,8 @@ comma-separated integers and ``lo:hi`` ranges, e.g. ``0:50,99``. Scene values
 may be a preset name, a path to a scene JSON file, or an inline scene object.
 Every value goes through a typed reader (``read_int``, ``read_seeds``, ...)
 that raises ConfigError naming the key and the value, never a traceback.
+Every JSON and JSONL file, settings and data alike, is read and parsed here;
+every parse failure reads ``<file>[:<line>]: malformed JSON (<reason>)``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 from .simulator import PRESET_NAMES, SceneSpec, preset, scene_from_dict
 from .strategies import Strategy, _check_run_args, parse_strategy
 
@@ -52,18 +54,69 @@ class RunConfig:
             raise ConfigError(f"bin_width must be >= 1, got {self.bin_width}")
 
 
-def load_json_file(path: str | Path):
-    path = Path(path)
+# -- JSON input -------------------------------------------------------------------
+
+
+def read_input_text(path) -> str:
+    """The file at ``path`` as UTF-8 text."""
     try:
-        text = path.read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the name
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def parse_json(text: str, where, line: int | None = None):
+    """The one JSON value ``text`` holds: the text of file ``where``, or of its line ``line``."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
+        reason = exc.msg if line else f"{exc.msg}: line {exc.lineno} column {exc.colno}"
+    except RecursionError:
+        reason = "nested too deeply"
     except ValueError as exc:  # an integer with more digits than Python converts
-        raise ConfigError(f"{path}: {exc}") from exc
+        reason = str(exc)
+    raise InputError(f"{where}{f':{line}' if line else ''}: malformed JSON ({reason})")
+
+
+def read_jsonl(text: str, where) -> list:
+    """The JSON value on each non-blank line of ``text``, in order.
+
+    Lines are split on "\n" only (str.splitlines would also split a string
+    holding a raw U+2028, which JSON allows) and parsed in one ``json.loads``,
+    joined into an array in which each follows a marker no file can foresee.
+    Each joint holds a newline, which no JSON string may, so the items alternate
+    marker and value only if every line holds one value; if not, the lines are
+    parsed one by one, so that the error names the first bad line."""
+    lines = list(map(str.strip, text.split("\n")))
+    texts = list(filter(None, lines))
+    marker = os.urandom(12).hex()
+    try:
+        items = json.loads(f'["{marker}",' + f',\n"{marker}",'.join(texts) + "]")
+        if len(items) == 2 * len(texts) and items.count(marker) == len(texts):
+            return items[1::2]
+    except (ValueError, RecursionError):
+        pass
+    return [parse_json(line, where, lineno) for lineno, line in enumerate(lines, 1) if line]
+
+
+def jsonl_line_numbers(text: str) -> list[int]:
+    """The line number of each value ``read_jsonl(text, ...)`` returns."""
+    return [lineno for lineno, line in enumerate(text.split("\n"), 1) if line.strip()]
+
+
+def read_json_list(value, key: str) -> list:
+    """A JSON array; any other value, a string too, is an InputError naming ``key``."""
+    if not isinstance(value, list):
+        raise InputError(f"{key} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
+def load_json_file(path):
+    """The JSON value in the config or scene file at ``path``."""
+    try:
+        return parse_json(read_input_text(path), path)
+    except InputError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load_config_file(path: str | Path | None, keys) -> dict:

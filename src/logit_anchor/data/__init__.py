@@ -1,39 +1,26 @@
-"""Bundled evaluation fixtures: a small hand-checked caption corpus."""
+"""Caption corpora: the caption JSONL reader, the reader of a corpus's three
+files, and the bundled 5-caption corpus, read by it."""
 
 from __future__ import annotations
 
-import json
-from importlib import resources
+from pathlib import Path
 
-from ..errors import InputError
+from ..config import (
+    jsonl_line_numbers, parse_json, read_input_text, read_json_list, read_jsonl,
+)
+from ..errors import ConfigError, InputError
 from ..metrics import Annotation, CaptionRecord, ObjectLexicon
-
-
-def _read_text(name: str) -> str:
-    return resources.files(__package__).joinpath(name).read_text(encoding="utf-8")
 
 
 def load_captions_jsonl(text: str, source: str = "<captions>") -> list[CaptionRecord]:
     """Parse caption JSONL: one {"id", "text"} (or {"id", "tokens"}) per line."""
     captions: list[CaptionRecord] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{source}:{lineno}: malformed JSON ({exc.msg})") from exc
+    for lineno, data in zip(jsonl_line_numbers(text), read_jsonl(text, source)):
         if not isinstance(data, dict) or "id" not in data:
             raise InputError(f"{source}:{lineno}: caption line needs an 'id' field")
         if "tokens" in data:
-            tokens = data["tokens"]
-            if not isinstance(tokens, list):
-                raise InputError(
-                    f"{source}:{lineno}: 'tokens' must be a list of strings, "
-                    f"got {type(tokens).__name__}"
-                )
-            captions.append(CaptionRecord(str(data["id"]), tuple(str(t) for t in tokens)))
+            tokens = read_json_list(data["tokens"], f"{source}:{lineno}: 'tokens'")
+            captions.append(CaptionRecord(str(data["id"]), tuple(map(str, tokens))))
         elif "text" in data:
             captions.append(CaptionRecord.from_text(str(data["id"]), str(data["text"])))
         else:
@@ -41,12 +28,25 @@ def load_captions_jsonl(text: str, source: str = "<captions>") -> list[CaptionRe
     return captions
 
 
+def _annotations(data) -> list[Annotation]:
+    return [Annotation.from_dict(item) for item in read_json_list(data, "annotations")]
+
+
+def load_corpus(captions, annotations, lexicon):
+    """The captions, annotations and lexicon in a captions JSONL file, an
+    annotations JSON array and an object lexicon JSON file; a bad value is an
+    InputError naming its file."""
+    corpus = [load_captions_jsonl(read_input_text(captions), str(captions))]
+    for path, build in ((annotations, _annotations), (lexicon, ObjectLexicon.from_dict)):
+        data = parse_json(read_input_text(path), path)
+        try:
+            corpus.append(build(data))
+        except (ConfigError, InputError) as exc:
+            raise InputError(f"{path}: {exc}") from exc
+    return tuple(corpus)
+
+
 def golden_corpus() -> tuple[list[CaptionRecord], list[Annotation], ObjectLexicon]:
     """The bundled 5-caption corpus with annotations and lexicon."""
-    captions = load_captions_jsonl(_read_text("golden_captions.jsonl"), "golden_captions")
-    annotations = [
-        Annotation.from_dict(item)
-        for item in json.loads(_read_text("golden_annotations.json"))
-    ]
-    lexicon = ObjectLexicon.from_dict(json.loads(_read_text("golden_lexicon.json")))
-    return captions, annotations, lexicon
+    return load_corpus(*(Path(__file__).with_name(name) for name in (
+        "golden_captions.jsonl", "golden_annotations.json", "golden_lexicon.json")))

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count, repeat
@@ -34,9 +33,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import read_int
+from .config import jsonl_line_numbers, read_input_text, read_int, read_json_list, read_jsonl
 from .core import GenerationRecord, Vocabulary
-from .errors import ConfigError, InputError
+from .errors import ConfigError, ContractError, InputError, LogitAnchorError
 
 _EDGE_PUNCT = ".,;:!?\"'()[]"
 # The decode loop accepts probabilities that sum to 1 within 1e-9, so a step's
@@ -96,13 +95,8 @@ class ObjectLexicon:
     def from_dict(cls, data: Mapping) -> "ObjectLexicon":
         if not isinstance(data, Mapping):
             raise InputError("lexicon must be an object mapping names to form lists")
-        for name, forms in data.items():
-            if not isinstance(forms, list):
-                raise InputError(
-                    f"lexicon entry {name!r} must be a list of surface forms, "
-                    f"got {type(forms).__name__}"
-                )
-        return cls({str(k): tuple(str(s) for s in v) for k, v in data.items()})
+        return cls({str(k): tuple(map(str, read_json_list(v, f"lexicon entry {k!r}")))
+                    for k, v in data.items()})
 
     def to_dict(self) -> dict:
         return {k: list(v) for k, v in sorted(self.forms.items())}
@@ -122,23 +116,13 @@ class Annotation:
         try:
             return cls(
                 image_id=str(data["id"]),
-                gt_objects=_name_set(data["gt_objects"], "gt_objects"),
-                cognition_objects=_name_set(
+                gt_objects=frozenset(map(str, read_json_list(data["gt_objects"], "gt_objects"))),
+                cognition_objects=frozenset(map(str, read_json_list(
                     data.get("cognition_objects", []), "cognition_objects"
-                ),
+                ))),
             )
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed annotation: {exc}") from exc
-
-
-def _name_set(names, key: str) -> frozenset[str]:
-    """An annotation's object list; a string would be read as its characters."""
-    if not isinstance(names, list):
-        raise InputError(
-            f"malformed annotation: {key} must be a list of object names, "
-            f"got {type(names).__name__}"
-        )
-    return frozenset(str(x) for x in names)
 
 
 @dataclass(frozen=True)
@@ -679,7 +663,7 @@ def write_trace(
 # A step line's fields, in the order of a RunStats' columns after t.
 _STEP_FIELDS = ("t", "chosen", "token", "entropy", "chosen_prob", "gt_mass", "hal_mass",
                 "provider_calls")
-_step_fields = itemgetter("kind", *_STEP_FIELDS)
+_step_fields = itemgetter(*_STEP_FIELDS)
 
 
 def _read_number(value, key: str) -> float:
@@ -692,117 +676,103 @@ def _read_number(value, key: str) -> float:
     raise ConfigError(f"{key}: {value!r} is not a number")
 
 
-def _step_fault(row: tuple, t: int) -> str | None:
-    """The field of step ``row`` that no writer could have produced as step ``t``,
-    and its value; None if there is none."""
-    step_t, _, _, entropy, chosen_prob, gt_mass, hal_mass, calls = row
-    return next((fault for ok, fault in (
-        (step_t == t, f"t: {step_t!r} where step {t} belongs"),
-        (calls >= 1, f"provider_calls: {calls!r} is below 1"),
-        (0.0 <= entropy < math.inf, f"entropy: {entropy!r} is negative or not finite"),
-        # the loop never chooses a zero-probability token
-        (0.0 < chosen_prob <= _P_MAX, f"chosen_prob: {chosen_prob!r} lies outside (0, 1]"),
-        (0.0 <= gt_mass <= _P_MAX, f"gt_mass: {gt_mass!r} lies outside [0, 1]"),
-        (0.0 <= hal_mass <= _P_MAX, f"hal_mass: {hal_mass!r} lies outside [0, 1]"),
-        (gt_mass + hal_mass <= _P_MAX, f"gt_mass + hal_mass: {gt_mass!r} + {hal_mass!r} exceeds 1"),
-    ) if not ok), None)
-
-
 def read_trace(path) -> RunStats:
     """Read one JSONL trace back into the summary form; a malformed record (say,
-    an integer field holding a fraction, a float field holding a bool or a
-    string, a chosen_prob of 0, gt and hal mass summing above 1, a negative
-    entropy, steps out of order, or a header text that is not the steps'
-    tokens joined by spaces) is an InputError naming the file, the line and
-    the field."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = list(map(str.strip, fh.read().split("\n")))
-    header, header_line, columns = _read_joined(lines) or _read_lines(path, lines)
+    a field of another JSON type than the writer's, though an integer is read as
+    a float; a chosen_prob of 0, gt and hal mass summing above 1, a negative
+    entropy, steps out of order, or a header text that is not the steps' tokens
+    joined by spaces) is an InputError naming the file, the line and the field."""
+    text = read_input_text(path)
+    records = read_jsonl(text, path)
+    accepted = _trace_columns(records)
+    if accepted is None:
+        raise _first_fault(path, zip(jsonl_line_numbers(text), records))
+    at, columns = accepted
+    header = records[at]
     try:
         n_steps = read_int(header.get("n_steps", len(columns[0])), "n_steps")
-        text = header["text"]
+        header_text = header["text"]
         stats = RunStats(str(header["prompt_id"]), str(header["strategy"]),
                          read_int(header["seed"], "seed"), *columns)
     except (KeyError, ConfigError) as exc:
-        raise InputError(
-            f"{path}:{header_line}: bad run header ({type(exc).__name__}: {exc})"
-        ) from exc
+        raise InputError(f"{path}:{jsonl_line_numbers(text)[at]}: bad run header "
+                         f"({type(exc).__name__}: {exc})") from exc
     if len(stats.chosen) != n_steps:
         raise InputError(f"{path}: header declares {n_steps} steps, found {len(stats.chosen)}")
-    if text != stats.text:
-        raise InputError(f"{path}:{header_line}: bad run header "
-                         f"(text: {text!r} is not the steps' tokens joined by spaces)")
+    if header_text != stats.text:
+        raise InputError(f"{path}:{jsonl_line_numbers(text)[at]}: bad run header "
+                         f"(text: {header_text!r} is not the steps' tokens joined by spaces)")
     return stats
 
 
-def _read_joined(lines: list[str]) -> tuple[dict, int, tuple] | None:
-    """The header, its line and the step columns from ``chosen`` on, from one
-    ``json.loads`` of the stripped ``lines`` joined into an array; None unless that
-    parse provably gives the per-line records, a header and then steps that need
-    no conversion and pass every check."""
-    texts = list(filter(None, lines))
-    # Each line follows a marker no file can foresee, and each joint holds a
-    # newline, which no JSON string may: the items alternate marker and record
-    # only if every line holds exactly one JSON value.
-    marker = os.urandom(12).hex()
+def _trace_columns(records: list) -> tuple[int, tuple] | None:
+    """The index of the run header among a trace's ``records`` and the step columns
+    from ``chosen`` on; None unless ``_first_fault``'s checks, made on whole
+    columns, find no fault."""
     try:
-        items = json.loads(f'["{marker}",' + f',\n"{marker}",'.join(texts) + "]")
-        header, *records = items[1::2]
-        kinds, t, *columns = tuple(zip(*map(_step_fields, records))) or ((),) * 9
-    except (ValueError, TypeError, KeyError):  # bad JSON, no records, not objects, a missing field
+        kinds = tuple(map(itemgetter("kind"), records))
+        at = kinds.index("run")
+        t, *columns = tuple(zip(*map(_step_fields, records[:at] + records[at + 1:]))) or ((),) * 8
+        chosen, tokens, *floats, calls = columns
+        float_types = set(map(type, chain(*floats)))
+        if int in float_types:  # an integer is a number too
+            floats = [tuple(map(float, column)) for column in floats]
+    except (ValueError, TypeError, KeyError, OverflowError):  # Overflow: an int past float range
         return None
-    chosen, tokens, *floats, calls = columns
-    if (len(items) != 2 * len(texts) or items.count(marker) != len(texts)
-            or type(header) is not dict or header.get("kind") != "run"
-            or kinds != ("step",) * len(kinds)
-            or t != tuple(range(len(t))) or not set(map(type, chain(t, chosen, calls))) <= {int}
+    if (kinds.count("step") != len(kinds) - 1 or t != tuple(range(len(t)))
+            or not set(map(type, chain(t, chosen, calls))) <= {int}
             or min(calls, default=1) < 1 or not set(map(type, tokens)) <= {str}
-            or not set(map(type, chain(*floats))) <= {float}):
+            or not float_types <= {int, float}):
         return None
     entropy, chosen_prob, gt_mass, hal_mass = floats
-    # The bounds _step_fault checks, on whole columns; a NaN makes the sum NaN.
-    total = sum(map(sum, floats))
+    total = sum(map(sum, floats))  # a NaN makes the sum NaN
     if not (total == total and min(entropy, default=0.0) >= 0.0
             and max(entropy, default=0.0) < math.inf and min(chosen_prob, default=1.0) > 0.0
             and max(chosen_prob, default=1.0) <= _P_MAX and min(gt_mass, default=0.0) >= 0.0
             and min(hal_mass, default=0.0) >= 0.0
             and max(map(float.__add__, gt_mass, hal_mass), default=0.0) <= _P_MAX):
         return None
-    return header, lines.index(texts[0]) + 1, tuple(columns)
+    return at, (chosen, tokens, *floats, calls)
 
 
-def _read_lines(path, lines: list[str]) -> tuple[dict, int, tuple]:
-    """What ``_read_joined`` gives, read one line at a time; the first record at
-    fault is an InputError naming its line."""
-    rows: list[tuple] = []
-    header: dict | None = None
-    for lineno, line in enumerate(lines, start=1):
-        if not line:
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
-        if not isinstance(data, dict):
-            raise InputError(f"{path}:{lineno}: a record must be a JSON object")
-        kind = data.get("kind")
+def _first_fault(path, numbered: Iterable[tuple[int, object]]) -> LogitAnchorError:
+    """The error naming the first record at fault among a rejected trace's (line, record) pairs."""
+    header_seen, t = False, 0
+    for lineno, record in numbered:
+        if type(record) is not dict:
+            return InputError(f"{path}:{lineno}: a record must be a JSON object")
+        kind = record.get("kind")
         if kind == "run":
-            if header is not None:
-                raise InputError(f"{path}:{lineno}: duplicate run header")
-            header, header_line = data, lineno
-        elif kind == "step":
-            try:
-                row = (read_int(data["t"], "t"), read_int(data["chosen"], "chosen"),
-                       str(data["token"]), *[_read_number(data[key], key) for key in _STEP_FIELDS[3:7]],
-                       read_int(data["provider_calls"], "provider_calls"))
-            except (KeyError, ConfigError) as exc:
-                raise InputError(f"{path}:{lineno}: bad step record ({exc})") from exc
-            fault = _step_fault(row, len(rows))
-            if fault is not None:
-                raise InputError(f"{path}:{lineno}: bad step record ({fault})")
-            rows.append(row)
-        else:
-            raise InputError(f"{path}:{lineno}: unknown record kind {kind!r}")
-    if header is None:
-        raise InputError(f"{path}: missing run header")
-    return header, header_line, tuple(zip(*rows))[1:] or ((),) * 7
+            if header_seen:
+                return InputError(f"{path}:{lineno}: duplicate run header")
+            header_seen = True
+            continue
+        if kind != "step":
+            return InputError(f"{path}:{lineno}: unknown record kind {kind!r}")
+        try:
+            step_t, chosen, token, *floats, calls = _step_fields(record)
+            for key, value, want in (("t", step_t, int), ("chosen", chosen, int),
+                                     ("token", token, str), ("provider_calls", calls, int)):
+                if type(value) is not want:  # the JSON type the writer writes
+                    raise ConfigError(f"{key}: {value!r} is not "
+                                      f"{'a string' if want is str else 'an integer'}")
+            entropy, chosen_prob, gt_mass, hal_mass = map(_read_number, floats, _STEP_FIELDS[3:7])
+        except (KeyError, ConfigError) as exc:
+            return InputError(f"{path}:{lineno}: bad step record ({exc})")
+        fault = next((fault for ok, fault in (
+            (step_t == t, f"t: {step_t!r} where step {t} belongs"),
+            (calls >= 1, f"provider_calls: {calls!r} is below 1"),
+            (0.0 <= entropy < math.inf, f"entropy: {entropy!r} is negative or not finite"),
+            # the loop never chooses a zero-probability token
+            (0.0 < chosen_prob <= _P_MAX, f"chosen_prob: {chosen_prob!r} lies outside (0, 1]"),
+            (0.0 <= gt_mass <= _P_MAX, f"gt_mass: {gt_mass!r} lies outside [0, 1]"),
+            (0.0 <= hal_mass <= _P_MAX, f"hal_mass: {hal_mass!r} lies outside [0, 1]"),
+            (gt_mass + hal_mass <= _P_MAX,
+             f"gt_mass + hal_mass: {gt_mass!r} + {hal_mass!r} exceeds 1"),
+        ) if not ok), None)
+        if fault is not None:
+            return InputError(f"{path}:{lineno}: bad step record ({fault})")
+        t += 1
+    if not header_seen:
+        return InputError(f"{path}: missing run header")
+    return ContractError(f"{path}: the columns reject a trace with no record at fault")

@@ -18,8 +18,13 @@ from hypothesis import strategies as st
 from logit_anchor import bench, cli
 from logit_anchor.cli import main, sanitize_label
 from logit_anchor.config import SEED_ENV_VAR, SIMULATE_KEYS
+from logit_anchor.data import load_captions_jsonl
+from logit_anchor.metrics import CaptionRecord
+from logit_anchor.simulator import default_scene, scene_to_dict
 
 DATA = Path(cli.__file__).parent / "data"
+# A JSON value nested far deeper than the decoder's recursion allows.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
 GOLDEN = [
     "--captions", str(DATA / "golden_captions.jsonl"),
     "--annotations", str(DATA / "golden_annotations.json"),
@@ -288,6 +293,35 @@ class TestEvaluateCorpus:
         assert run_cli("evaluate", *argv) == 3
         assert "absent.json" in capsys.readouterr().err
 
+    def test_caption_holding_a_raw_line_separator_is_one_caption(self, tmp_path, capsys):
+        """str.splitlines used to cut this valid JSON line in two at U+2028."""
+        caps = tmp_path / "caps.jsonl"
+        caps.write_text('{"id": "img1", "text": "A dog\u2028on a bench"}\n', encoding="utf-8")
+        argv = list(GOLDEN)
+        argv[1] = str(caps)
+        assert run_cli("evaluate", *argv) == 0
+        assert capsys.readouterr().out.startswith("captions=1/1 ")
+        assert load_captions_jsonl(caps.read_text(encoding="utf-8")) == [
+            CaptionRecord("img1", ("A", "dog", "on", "a", "bench"))]
+
+    @pytest.mark.parametrize("index", [1, 3, 5], ids=["captions", "annotations", "lexicon"])
+    @pytest.mark.parametrize("spoil", ["invalid_utf8", "deep_nesting"])
+    def test_undecodable_corpus_file_exits_3_naming_it(self, tmp_path, capsys, index, spoil):
+        """A 0xff byte and 100,000 nested lists each used to end in a traceback (exit 1)."""
+        source = Path(GOLDEN[index])
+        bad = tmp_path / source.name
+        if spoil == "invalid_utf8":
+            bad.write_bytes(source.read_bytes() + b"\xff\n")
+            message = f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff"
+        else:
+            bad.write_text(DEEP_JSON + "\n")
+            line = ":1" if source.suffix == ".jsonl" else ""
+            message = f"error: {bad}{line}: malformed JSON (nested too deeply)"
+        argv = list(GOLDEN)
+        argv[index] = str(bad)
+        assert run_cli("evaluate", *argv) == 3
+        assert capsys.readouterr().err.startswith(message)
+
 
 def _add_notes_file(strategy_dir):
     path = strategy_dir / "notes.jsonl"
@@ -541,6 +575,68 @@ class TestEvaluateTraces:
             f"error: {manifest}: strategy labels must be unique within one run: 'baseline' repeats"
         )
 
+    @pytest.mark.parametrize("field, value", [
+        ("token", 5), ("t", "1"), ("chosen", "3"), ("provider_calls", 1.0), ("token", None),
+    ])
+    def test_step_field_of_another_json_type_exits_3_naming_it(
+        self, tmp_path, capsys, field, value
+    ):
+        """A t of "1" and a token of 5 used to be read as 1 and '5'."""
+        sim_out, path = self._simulated(tmp_path)
+        bad = _edit_line(path, 2, lambda r: {**r, field: value})
+        capsys.readouterr()
+        assert run_cli("evaluate", "--traces", sim_out) == 3
+        what = "a string" if field == "token" else "an integer"
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}:3: bad step record ({field}: {value!r} is not {what})"
+        )
+
+    @pytest.mark.parametrize("spoil", ["invalid_utf8", "deep_nesting", "too_many_digits"])
+    def test_undecodable_trace_exits_3_naming_it(self, tmp_path, capsys, spoil):
+        """Each of these used to end in a traceback (exit 1)."""
+        sim_out = tmp_path / "sim"
+        assert run_cli(
+            "simulate", "--seeds", "0:2", "--max-steps", "10", "--strategies", "baseline",
+            "--out", sim_out,
+        ) == 0
+        bad = sim_out / "traces" / "baseline" / "1.jsonl"
+        lines = bad.read_text().splitlines()
+        if spoil == "invalid_utf8":
+            bad.write_bytes(bad.read_bytes() + b"\xff\xfe")
+            message = f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff"
+        elif spoil == "deep_nesting":
+            lines[2] = lines[2][:-1] + ', "dist": ' + DEEP_JSON + "}"
+            message = f"error: {bad}:3: malformed JSON (nested too deeply)"
+        else:
+            lines[2] = re.sub(r'"t": \d+', '"t": ' + "1" * 5001, lines[2])
+            message = f"error: {bad}:3: malformed JSON (Exceeds the limit (4300 digits)"
+        if spoil != "invalid_utf8":
+            bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("evaluate", "--traces", sim_out) == 3
+        assert capsys.readouterr().err.startswith(message)
+
+    def test_deeply_nested_manifest_exits_3_naming_it(self, tmp_path, capsys):
+        """A value nested 100,000 deep used to end in a RecursionError traceback (exit 1)."""
+        sim_out, _ = self._simulated(tmp_path)
+        manifest = sim_out / "manifest.json"
+        manifest.write_text(manifest.read_text()[:-2] + ', "notes": ' + DEEP_JSON + "}\n")
+        capsys.readouterr()
+        assert run_cli("evaluate", "--traces", sim_out) == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: {manifest}: malformed JSON (nested too deeply)"
+        )
+
+    def test_manifest_scene_token_holding_a_space_exits_3(self, tmp_path, capsys):
+        sim_out, _ = self._simulated(tmp_path)
+        manifest = sim_out / "manifest.json"
+        manifest.write_text(manifest.read_text().replace('"dog"', '"hot dog"'))
+        capsys.readouterr()
+        assert run_cli("evaluate", "--traces", sim_out) == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: {manifest}: scene token 'hot dog' is empty or holds whitespace"
+        )
+
     @pytest.mark.parametrize("label, calls", [("vcd", 1), ("vcd", 3), ("baseline", 2)])
     def test_provider_calls_against_the_call_count_law_exit_3(self, tmp_path, capsys, label, calls):
         """vcd steps rewritten to one call each used to give a wrong calls-per-token figure."""
@@ -687,6 +783,30 @@ class TestConfigFileValues:
         assert capsys.readouterr().err.startswith(f"error: {key}: ")
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("flag", ["--scene", "--config"])
+    def test_deeply_nested_file_exits_2_naming_it(self, tmp_path, capsys, flag):
+        """A scene or config file nested 100,000 deep used to end in a RecursionError
+        traceback (exit 1)."""
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_JSON)
+        out = tmp_path / "out"
+        assert run_cli("simulate", flag, path, "--out", out) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: malformed JSON (nested too deeply)"
+        )
+
+    @pytest.mark.parametrize("token", ["hot dog", "", "dog\u2028"])
+    def test_scene_token_holding_whitespace_exits_2(self, tmp_path, capsys, token):
+        """With dog renamed "hot dog", CHAIR left its 71 mentions out, as no lexicon
+        word pair matches a whole token."""
+        path = tmp_path / "scene.json"
+        text = json.dumps(scene_to_dict(default_scene())).replace('"dog"', json.dumps(token))
+        path.write_text(text)
+        assert run_cli("simulate", "--scene", path, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: scene token {token!r} is empty or holds whitespace"
+        )
 
     @pytest.mark.parametrize("command", ["simulate", "sweep", "bench", "ablate"])
     def test_empty_seed_flag_exits_2(self, tmp_path, capsys, command):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from logit_anchor import ConfigError, scene_to_dict
+from logit_anchor import ConfigError, InputError, scene_to_dict
 from logit_anchor.config import (
     DEFAULT_SEEDS,
     DEFAULT_STRATEGIES,
@@ -17,14 +17,41 @@ from logit_anchor.config import (
     RunConfig,
     build_run_config,
     env_seed_override,
+    jsonl_line_numbers,
+    parse_json,
     parse_seed_list,
     parse_strategies,
     read_float,
     read_int,
+    read_jsonl,
     read_seeds,
     resolve_scene,
 )
 from logit_anchor.simulator import preset
+
+
+class TestJsonInput:
+    def test_jsonl_values_and_their_line_numbers(self):
+        text = '{"a": 1}\r\n\n  \t\n["b\u2028c"]\n7'
+        assert read_jsonl(text, "f") == [{"a": 1}, ["b\u2028c"], 7]
+        assert jsonl_line_numbers(text) == [1, 4, 5]
+        assert read_jsonl("", "f") == [] and jsonl_line_numbers("\n \n") == []
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"a": 1}\n{"a": 2} {"a": 3}\n', "f:2: malformed JSON (Extra data)"),
+        ("1\n\n[\n2\n", "f:3: malformed JSON (Expecting value)"),
+        ("1\n" + "[" * 100_000 + "]" * 100_000, "f:2: malformed JSON (nested too deeply)"),
+        ("1\n" + "9" * 5000, "f:2: malformed JSON (Exceeds the limit (4300 digits)"),
+    ])
+    def test_jsonl_error_names_the_first_bad_line(self, text, message):
+        with pytest.raises(InputError) as info:
+            read_jsonl(text, "f")
+        assert str(info.value).startswith(message)
+
+    def test_json_error_names_the_position(self):
+        message = r"^f: malformed JSON \(Expecting value: line 2 column 1\)$"
+        with pytest.raises(InputError, match=message):
+            parse_json("[1,\n]", "f")
 
 
 class TestSeedParsing:

@@ -42,6 +42,7 @@ from logit_anchor import (
     write_trace,
 )
 from logit_anchor import metrics
+from logit_anchor.config import read_input_text, read_jsonl
 from logit_anchor.data import golden_corpus, load_captions_jsonl
 from logit_anchor.metrics import RunStats, StepStats
 
@@ -373,8 +374,9 @@ REJECTED = {
 
 
 class TestTraceReader:
-    """``read_trace`` parses a file in one pass where that provably gives the
-    per-line records, and reads it line by line otherwise, with the same result."""
+    """``read_trace`` parses a file in one pass (``read_jsonl``) and accepts its
+    records by whole columns (``_trace_columns``); only a file the columns reject
+    is walked record by record, to name the first line at fault."""
 
     @pytest.fixture()
     def ten_steps(self, scene, tmp_path):
@@ -389,32 +391,50 @@ class TestTraceReader:
         with open(path, encoding="utf-8") as fh:
             return [line.strip() for line in fh.read().split("\n")]
 
+    @staticmethod
+    def _records(path):
+        return read_jsonl(read_input_text(path), path)
+
     @pytest.mark.parametrize("name", list(ACCEPTED))
     def test_accepted_layouts_read_as_written(self, ten_steps, name):
         path, lines, written = ten_steps
         path.write_bytes(ACCEPTED[name](lines).encode("utf-8"))
         assert read_trace(path) == written
-        joined = metrics._read_joined(self._lines(path))  # a header after the steps is read line by line
-        assert joined == (None if name == "header_after_the_steps" else
-                          metrics._read_lines(path, self._lines(path)))
+        # The one pass gives the per-line records, and the columns accept them.
+        records = self._records(path)
+        assert records == [json.loads(line) for line in self._lines(path) if line]
+        assert metrics._trace_columns(records) == (
+            10 if name == "header_after_the_steps" else 0, _columns(written))
 
     @pytest.mark.parametrize("name", list(REJECTED))
     def test_rejected_layouts_name_line_2(self, ten_steps, name):
         path, lines, _ = ten_steps
         text, message = REJECTED[name]
         path.write_bytes(text(lines).encode("utf-8"))
-        assert metrics._read_joined(self._lines(path)) is None
+        try:
+            records = self._records(path)
+        except InputError as exc:  # no value per line: the parse names the line itself
+            assert str(exc).startswith(f"{path}:2: {message}")
+        else:
+            assert metrics._trace_columns(records) is None
         with pytest.raises(InputError) as info:
             read_trace(path)
         assert str(info.value).startswith(f"{path}:2: {message}")
 
-    def test_an_int_in_a_float_field_is_read_line_by_line(self, ten_steps):
+    def test_an_int_in_a_float_field_is_read_as_a_float(self, ten_steps):
         path, lines, written = ten_steps
         path.write_text("\n".join(_with_step(lines, 1, gt_mass=0, hal_mass=0)) + "\n")
-        assert metrics._read_joined(self._lines(path)) is None
+        _, columns = metrics._trace_columns(self._records(path))
+        assert columns[4][0] == 0.0 and type(columns[4][0]) is float
         back = read_trace(path)
         assert back.gt_mass[0] == 0.0 and type(back.gt_mass[0]) is float
         assert back.entropy == written.entropy
+
+
+def _columns(run: RunStats) -> tuple:
+    """A run's columns from ``chosen`` on, as ``_trace_columns`` gives them."""
+    return (run.chosen, run.tokens, run.entropy, run.chosen_prob, run.gt_mass, run.hal_mass,
+            run.provider_calls)
 
 
 LEXICON = TraceLexicon.from_scene(default_scene())
@@ -486,7 +506,8 @@ class TestColumnMetricsProperty:
                   "text": ""}
         path.write_text(json.dumps(header) + "\n")
         assert read_trace(path) == _run([])
-        assert metrics._read_joined(path.read_text().split("\n")) == (header, 1, ((),) * 7)
+        records = read_jsonl(path.read_text(), path)
+        assert records == [header] and metrics._trace_columns(records) == (0, ((),) * 7)
 
 
 class TestDecayStatistics:

@@ -7,6 +7,7 @@ was computed independently at 50-digit precision: 4 * exp(-2.5) - 2.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -386,6 +387,15 @@ class TestSerialization:
     def test_non_dict_rejected(self):
         with pytest.raises(ConfigError):
             scene_from_dict([1, 2, 3])
+
+    @pytest.mark.parametrize("token", ["hot dog", "", " dog", "dog\t"])
+    def test_token_not_one_word_rejected(self, scene, token):
+        """CHAIR matches words, so a token holding a space was emitted but never counted."""
+        data = scene_to_dict(scene)
+        data = {key: [token if item == "dog" else item for item in value]
+                if isinstance(value, list) else value for key, value in data.items()}
+        with pytest.raises(ConfigError, match=f"scene token {re.escape(repr(token))} is empty"):
+            scene_from_dict(data)
 
     def test_defaults_fill_in(self, scene):
         data = scene_to_dict(scene)
