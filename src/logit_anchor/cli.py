@@ -339,13 +339,13 @@ def read_trace_dir(traces_dir: Path):
     ``bin_width``, is an input error (exit 3) naming the file and the key.
     So is a label listed twice in ``strategies``, a label's trace files not
     being exactly ``<seed>.jsonl`` for the manifest's seeds (naming the file
-    and the seed), and a trace whose header holds another seed or label, or
-    whose steps choose a token id outside the scene's vocabulary, name
-    another token, hold more entropy than a distribution over that
-    vocabulary can have, or count other provider calls than the label's kind
-    makes per step: 2 for vcd, icd and m3id, 1 for any other. The returned
-    manifest holds those fields as read (``bin_width`` the default when
-    absent), and each label's runs are in seed order.
+    and the seed), and a trace whose header holds another seed, label or
+    scene name (``prompt_id``), or whose steps choose a token id outside the
+    scene's vocabulary, name another token, hold more entropy than a
+    distribution over that vocabulary can have, or count other provider calls
+    than the label's kind makes per step: 2 for vcd, icd and m3id, 1 for any
+    other. The returned manifest holds those fields as read (``bin_width``
+    the default when absent), and each label's runs are in seed order.
     """
     manifest_path = traces_dir / "manifest.json"
     if not manifest_path.exists():
@@ -397,6 +397,9 @@ def read_trace_dir(traces_dir: Path):
                 raise InputError(f"{path}: header seed {run.seed} does not match the file name")
             if run.strategy != label:
                 raise InputError(f"{path}: header strategy {run.strategy!r} is not {label!r}")
+            if run.prompt_id != scene_name:  # simulate writes both from the scene's name
+                raise InputError(f"{path}: header prompt_id {run.prompt_id!r} is not the "
+                                 f"manifest's scene {scene_name!r}")
             if (tuple(map(surface.get, run.chosen)) != run.tokens
                     or max(run.entropy, default=0.0) > max_entropy
                     or run.provider_calls.count(calls) != len(run.provider_calls)):

@@ -692,7 +692,10 @@ def read_trace(path) -> RunStats:
     try:
         n_steps = read_int(header.get("n_steps", len(columns[0])), "n_steps")
         header_text = header["text"]
-        stats = RunStats(str(header["prompt_id"]), str(header["strategy"]),
+        for key in ("prompt_id", "strategy"):
+            if type(header[key]) is not str:  # the JSON type the writer writes
+                raise ConfigError(f"{key}: {header[key]!r} is not a string")
+        stats = RunStats(header["prompt_id"], header["strategy"],
                          read_int(header["seed"], "seed"), *columns)
     except (KeyError, ConfigError) as exc:
         raise InputError(f"{path}:{jsonl_line_numbers(text)[at]}: bad run header "

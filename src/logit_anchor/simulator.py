@@ -35,11 +35,9 @@ import numpy as np
 from .core import TokenId, Vocabulary
 from .errors import ConfigError, ContractError
 
-START = "start"
-AFTER_ARTICLE = "after_article"
-AFTER_NOUN = "after_noun"
-AFTER_CONNECTIVE = "after_connective"
-TERMINAL = "terminal"
+# A row's grammar state is one int code. The codes from AFTER_ARTICLE on are
+# per article: AFTER_ARTICLE + k is the noun slot the k-th article opened.
+START, AFTER_NOUN, AFTER_CONNECTIVE, TERMINAL, AFTER_ARTICLE = range(5)
 
 NOISY_VISUAL = "noisy_visual"
 PERTURBED_INSTRUCTION = "perturbed_instruction"
@@ -47,21 +45,6 @@ UNCONDITIONED = "unconditioned"
 NEGATIVE_KINDS = (NOISY_VISUAL, PERTURBED_INSTRUCTION, UNCONDITIONED)
 
 PRESET_NAMES = ("default", "no-decay", "strong-decay")
-
-
-@dataclass(frozen=True)
-class GrammarState:
-    """Where the grammar is, plus which article opened the current noun slot."""
-
-    state: str = START
-    last_article: TokenId | None = None
-
-    def __post_init__(self):
-        if self.state not in (START, AFTER_ARTICLE, AFTER_NOUN, AFTER_CONNECTIVE, TERMINAL):
-            raise ContractError(f"unknown grammar state {self.state!r}")
-
-
-START_STATE = GrammarState()
 
 
 @dataclass(frozen=True)
@@ -197,91 +180,52 @@ class SceneSpec:
         return self.vocabulary.id_of(self.eos)
 
     @cached_property
-    def _class_by_id(self) -> tuple[str, ...]:
-        classes = ["filler"] * self.vocabulary.size
-        for i in self.article_ids:
-            classes[i] = "article"
-        for i in self.gt_ids:
-            classes[i] = "gt"
-        for i in self.hal_ids:
-            classes[i] = "hal"
-        for i in self.connective_ids:
-            classes[i] = "connective"
-        classes[self.eos_id] = "eos"
-        return tuple(classes)
-
-    def class_of(self, token_id: TokenId) -> str:
-        return self._class_by_id[token_id]
-
-    @cached_property
-    def _penalty(self) -> dict[str, np.ndarray]:
-        """The grammar lane per state: ``grammar_penalty`` on each inadmissible
-        token, 0.0 on the admissible ones (filler is never admissible)."""
-        lanes = {}
-        for state, ids in (
-            (START, self.article_ids),
-            (AFTER_ARTICLE, self.noun_ids),
-            (AFTER_NOUN, np.append(self.connective_ids, self.eos_id)),
-            (AFTER_CONNECTIVE, self.article_ids),
-            (TERMINAL, np.asarray([], dtype=int)),
-        ):
-            lane = np.full(self.vocabulary.size, self.grammar_penalty)
-            lane[ids] = 0.0
-            lane.setflags(write=False)
-            lanes[state] = lane
-        return lanes
-
-    @cached_property
-    def grounding_by_id(self) -> dict[int, float]:
-        return {
-            self.vocabulary.id_of(tok): float(g)
-            for tok, g in self.article_grounding.items()
-        }
-
-    # -- grammar ------------------------------------------------------------
-
-    def transition(self, state: GrammarState, token_id: TokenId) -> GrammarState:
-        """Next grammar state after emitting ``token_id``.
-
-        Defined for every token (decoding under beta = 0 can emit anything
-        anywhere): the token's class alone determines the move, and filler
-        leaves the state unchanged.
-        """
-        cls = self.class_of(token_id)
-        if cls == "article":
-            return GrammarState(AFTER_ARTICLE, last_article=token_id)
-        if cls in ("gt", "hal"):
-            return GrammarState(AFTER_NOUN)
-        if cls == "connective":
-            return GrammarState(AFTER_CONNECTIVE)
-        if cls == "eos":
-            return GrammarState(TERMINAL)
-        return state
-
-    @cached_property
-    def _state_by_id(self) -> tuple[GrammarState | None, ...]:
-        """The state each non-filler token moves to, whatever the state before it.
+    def _code_after(self) -> tuple[int | None, ...]:
+        """The state code each token moves to, whatever the state before it
+        (decoding under beta = 0 can emit anything anywhere).
 
         Filler maps to None: it keeps the state it is emitted in.
         """
-        return tuple(
-            None if cls == "filler" else self.transition(START_STATE, token_id)
-            for token_id, cls in enumerate(self._class_by_id)
-        )
+        codes: list[int | None] = [None] * self.vocabulary.size
+        for k, i in enumerate(self.article_ids):
+            codes[i] = AFTER_ARTICLE + k
+        for i in self.noun_ids:
+            codes[i] = AFTER_NOUN
+        for i in self.connective_ids:
+            codes[i] = AFTER_CONNECTIVE
+        codes[self.eos_id] = TERMINAL
+        return tuple(codes)
 
-    def state_after(self, history: Sequence[TokenId]) -> GrammarState:
-        """The fold of ``transition`` over history, from START.
+    @cached_property
+    def _penalty(self) -> np.ndarray:
+        """The grammar lane per state code, one ``[codes, vocab]`` array:
+        ``grammar_penalty`` on each inadmissible token, 0.0 on the admissible
+        ones (filler is never admissible)."""
+        lanes = np.full((AFTER_ARTICLE + len(self.articles), self.vocabulary.size),
+                        self.grammar_penalty)
+        lanes[START, self.article_ids] = 0.0
+        lanes[AFTER_NOUN, self.connective_ids] = 0.0
+        lanes[AFTER_NOUN, self.eos_id] = 0.0
+        lanes[AFTER_CONNECTIVE, self.article_ids] = 0.0
+        lanes[AFTER_ARTICLE:, self.noun_ids] = 0.0
+        lanes.setflags(write=False)
+        return lanes
+
+    # -- grammar ------------------------------------------------------------
+
+    def state_after(self, history: Sequence[TokenId]) -> int:
+        """The grammar state code after ``history``, from START.
 
         Every non-filler token moves to the same state wherever it is
         emitted, and filler keeps the state, so the last non-filler token
         alone fixes the result: START if there is none.
         """
-        table = self._state_by_id
+        table = self._code_after
         for token_id in reversed(history):
-            state = table[token_id]
-            if state is not None:
-                return state
-        return START_STATE
+            code = table[token_id]
+            if code is not None:
+                return code
+        return START
 
 
 def decay_at(scene: SceneSpec, t: int) -> float:
@@ -290,18 +234,17 @@ def decay_at(scene: SceneSpec, t: int) -> float:
 
 
 def _noiseless_row(
-    scene: SceneSpec, variant: NegativeVariantSpec | None, state: GrammarState, t: int
+    scene: SceneSpec, variant: NegativeVariantSpec | None, state: int, t: int
 ) -> np.ndarray:
     """The part of a row that depends only on (state, t): everything but the
     per-row permutation and jitter."""
     scores = scene.base.copy()
-    if state.state == AFTER_ARTICLE:
+    if state >= AFTER_ARTICLE:  # a noun slot, opened by the article the code names
         d = decay_at(scene, t)
         scores[scene.gt_ids] -= d
         scores[scene.hal_ids] += d
-        if state.last_article is not None:
-            grounding = scene.grounding_by_id.get(int(state.last_article), 0.0)
-            scores[scene.hal_ids] -= grounding
+        scores[scene.hal_ids] -= scene.article_grounding.get(
+            scene.articles[state - AFTER_ARTICLE], 0.0)
     if variant is None or variant.kind in (NOISY_VISUAL, UNCONDITIONED):
         if variant is not None:
             shrink = 0.0 if variant.kind == UNCONDITIONED else 1.0 - variant.strength
@@ -311,20 +254,21 @@ def _noiseless_row(
             scores[scene.gt_ids] += (mid + shrink * (gt_mean - mid)) - gt_mean
             scores[scene.hal_ids] += (mid + shrink * (hal_mean - mid)) - hal_mean
         # Subtracting 0.0 leaves admissible scores exactly as they are.
-        scores -= scene._penalty[state.state]
+        scores -= scene._penalty[state]
     return scores
 
 
 def scene_logit_rows(
     scene: SceneSpec,
     variant: NegativeVariantSpec | None,
-    states: Sequence[GrammarState],
+    states: Sequence[int],
     t: int,
     rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
     """Scene logits at step t for a batch of rows, as a fresh [rows, vocab] array.
 
-    Row i is in grammar state ``states[i]`` and draws from ``rngs[i]``.
+    Row i is in the grammar state coded ``states[i]`` (as
+    ``SceneSpec.state_after`` gives it) and draws from ``rngs[i]``.
     ``variant`` None gives the scene's own logits: base scores, decay,
     grounding, grammar penalty, jitter. A variant gives the degraded view
     used as a contrastive negative; the degradation happens before jitter,
@@ -337,7 +281,7 @@ def scene_logit_rows(
     """
     if t < 0:
         raise ContractError(f"step index must be >= 0, got {t}")
-    index: dict[GrammarState, int] = {}
+    index: dict[int, int] = {}
     pick = [index.setdefault(state, len(index)) for state in states]
     unique = list(index)
     scores = np.array([_noiseless_row(scene, variant, s, t) for s in unique])
@@ -346,7 +290,7 @@ def scene_logit_rows(
     size = scores.shape[1]
     if variant is not None and variant.kind == PERTURBED_INSTRUCTION:
         # Scramble where the grammar penalty lands.
-        penalty = np.array([scene._penalty[st.state] for st in states])
+        penalty = np.take(scene._penalty, states, axis=0)
         permuted = np.array([lane[rng.permutation(size)] for lane, rng in zip(penalty, rngs)])
         scores -= (1.0 - variant.strength) * penalty + variant.strength * permuted
     if scene.noise_sigma > 0:

@@ -221,31 +221,13 @@ def _softmax(scores: np.ndarray, mask: np.ndarray | None, temperature: float, en
 def _index_sums(p: np.ndarray, index: np.ndarray):
     """Each row's sum of its entries at ``index``, bit for bit ``row[index].sum()``.
 
-    An axis sum of the gathered ``[rows, n]`` block may add in another order
-    than numpy's pairwise sum of one row, so the block is added column by
-    column in that order: from 0.0, one entry after another below 8 entries;
-    up to 128, eight strided partial sums, combined as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the rest one by one;
-    above 128, the sums of the two parts split at ``n//2 - (n//2) % 8``.
+    The gathered ``[rows, n]`` block comes out column-major, and an axis sum of
+    it may add in another order than numpy's pairwise sum of one row; made
+    contiguous, its axis sum adds each row with the one-row loop.
     """
     if p.ndim == 1:
         return np.add.reduce(p[index])  # what p[index].sum() runs
-    block = p[:, index]
-    n = block.shape[1]
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _index_sums(block, slice(half)) + _index_sums(block, slice(half, n))
-    if n < 8:
-        total, rest = np.zeros(len(block)), 0
-    else:
-        r = block[:, :8] + 0.0  # as from 0.0: a -0.0 sum comes out 0.0
-        for i in range(8, n - n % 8, 8):
-            r += block[:, i:i + 8]
-        r = r[:, 0::2] + r[:, 1::2]  # r0+r1, r2+r3, r4+r5, r6+r7
-        total, rest = (r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3]), n - n % 8
-    for i in range(rest, n):
-        total += block[:, i]
-    return total
+    return np.add.reduce(np.ascontiguousarray(p[:, index]), axis=1)
 
 
 def _below_cut(probs: np.ndarray, top, beta: float) -> np.ndarray:

@@ -5,6 +5,8 @@ work on one plain ``[vocab]`` array (and a boolean mask, True for an
 excluded token) and are written out on their own, independent of the loop's
 row kernels. The per-step trace metrics walk each run's ``steps`` one at a
 time and add in that order, independent of the package's column reductions.
+The grammar fold moves token by token through a table written from the
+scene's token lists, independent of the simulator's own table.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from logit_anchor.metrics import (
     EntropyCell,
     SentenceInitialStats,
 )
+from logit_anchor.simulator import AFTER_ARTICLE, AFTER_CONNECTIVE, AFTER_NOUN, START, TERMINAL
 
 
 def softmax(scores: np.ndarray, mask: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -58,6 +61,21 @@ def candidate_set(probs: np.ndarray, beta: float, eos_id: int | None = None) -> 
 def apply_mask(mask: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     """The exclusion lane with every token outside ``allowed`` added; it never un-excludes."""
     return mask | ~allowed
+
+
+def grammar_state(scene, history) -> int:
+    """The grammar state code after ``history``, folded from START token by token:
+    an article leads to the noun slot it opens, a noun to AFTER_NOUN, a
+    connective to AFTER_CONNECTIVE, EOS to TERMINAL; filler keeps the state."""
+    vocab = scene.vocabulary
+    move = {vocab.id_of(a): AFTER_ARTICLE + k for k, a in enumerate(scene.articles)}
+    move.update({vocab.id_of(n): AFTER_NOUN for n in scene.gt_objects + scene.hal_objects})
+    move.update({vocab.id_of(c): AFTER_CONNECTIVE for c in scene.connectives})
+    move[vocab.id_of(scene.eos)] = TERMINAL
+    state = START
+    for token_id in history:
+        state = move.get(token_id, state)
+    return state
 
 
 # -- per-step trace metrics -----------------------------------------------------

@@ -546,6 +546,31 @@ class TestEvaluateTraces:
         assert run_cli("evaluate", "--traces", sim_out) == 3
         assert capsys.readouterr().err.startswith(f"error: {bad}: header strategy 'vcd'")
 
+    @pytest.mark.parametrize("field, value", [
+        ("prompt_id", [1, 2]), ("strategy", ["baseline"]), ("prompt_id", None), ("strategy", 7),
+    ])
+    def test_header_name_of_another_json_type_exits_3_naming_it(
+        self, tmp_path, capsys, field, value
+    ):
+        """A prompt_id of [1, 2] used to be read as the string '[1, 2]' and scored."""
+        sim_out, path = self._simulated(tmp_path)
+        bad = _edit_line(path, 0, lambda h: {**h, field: value})
+        capsys.readouterr()
+        assert run_cli("evaluate", "--traces", sim_out) == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}:1: bad run header (ConfigError: {field}: {value!r} is not a string)"
+        )
+
+    def test_header_prompt_id_of_another_scene_exits_3(self, tmp_path, capsys):
+        """A header naming another scene than the manifest's used to be scored as this one."""
+        sim_out, path = self._simulated(tmp_path)
+        bad = _edit_line(path, 0, lambda h: {**h, "prompt_id": "another-scene"})
+        capsys.readouterr()
+        assert run_cli("evaluate", "--traces", sim_out) == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}: header prompt_id 'another-scene' is not the manifest's scene 'default'"
+        )
+
     def test_header_text_not_the_tokens_exits_3(self, tmp_path, capsys):
         sim_out, path = self._simulated(tmp_path)
         bad = _edit_line(path, 0, lambda h: {**h, "text": "nonsense"})

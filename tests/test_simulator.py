@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from logit_anchor import ConfigError, SceneSpec, Vocabulary, default_scene, preset
 from logit_anchor.simulator import (
     AFTER_ARTICLE,
@@ -26,7 +27,6 @@ from logit_anchor.simulator import (
     START,
     TERMINAL,
     UNCONDITIONED,
-    GrammarState,
     NegativeVariantSpec,
     SyntheticProvider,
     decay_at,
@@ -55,22 +55,18 @@ def assert_plain_row(row, scene):
 
 
 def noun_slot(scene, article="A"):
-    return GrammarState(AFTER_ARTICLE, last_article=scene.vocabulary.id_of(article))
+    """The state of the noun slot ``article`` opens."""
+    return oracle.grammar_state(scene, [scene.vocabulary.id_of(article)])
 
 
-def fold(scene, history):
-    """Reference grammar state: ``transition`` applied token by token from START."""
-    state = GrammarState()
-    for token_id in history:
-        state = scene.transition(state, token_id)
-    return state
+def filler_ids(scene):
+    named = {*scene.article_ids, *scene.noun_ids, *scene.connective_ids, scene.eos_id}
+    return [i for i in range(scene.vocabulary.size) if i not in named]
 
 
 SCENE = default_scene()
 V = SCENE.vocabulary
-FILLER_IDS = [
-    i for i in range(SCENE.vocabulary.size) if SCENE.class_of(i) == "filler"
-]
+FILLER_IDS = filler_ids(SCENE)
 # Histories over the whole vocabulary, spliced with long filler runs, so the
 # last non-filler token can sit far back, or be absent, or follow EOS.
 HISTORIES = st.lists(
@@ -91,11 +87,7 @@ class TestSceneShape:
         assert len(scene.connectives) == 4
         assert scene.eos == "</s>"
         n_named = 4 + 8 + 8 + 4 + 1
-        filler = [
-            t for t in scene.vocabulary.tokens
-            if scene.class_of(scene.vocabulary.id_of(t)) == "filler"
-        ]
-        assert len(filler) == scene.vocabulary.size - n_named
+        assert len(filler_ids(scene)) == scene.vocabulary.size - n_named
 
     def test_cognition_objects_are_hal_subset(self, scene):
         assert set(scene.cognition_objects) <= set(scene.hal_objects)
@@ -130,28 +122,27 @@ class TestSceneShape:
 
 
 class TestGrammar:
-    def test_transition_chain(self, scene):
+    def test_state_chain(self, scene):
         v = scene.vocabulary
-        s = GrammarState()
-        assert s.state == START
-        s = scene.transition(s, v.id_of("The"))
-        assert s.state == AFTER_ARTICLE and s.last_article == v.id_of("The")
-        s = scene.transition(s, v.id_of("dog"))
-        assert s.state == AFTER_NOUN and s.last_article is None
-        s = scene.transition(s, v.id_of("near"))
-        assert s.state == AFTER_CONNECTIVE
-        s = scene.transition(s, v.id_of("a"))
-        assert s.state == AFTER_ARTICLE and s.last_article == v.id_of("a")
-        s = scene.transition(s, v.id_of("cat"))  # hal nouns move the same way
-        assert s.state == AFTER_NOUN
-        s = scene.transition(s, v.id_of("</s>"))
-        assert s.state == TERMINAL
+        history = []
+
+        def emit(token):
+            history.append(v.id_of(token))
+            return scene.state_after(history)
+
+        assert scene.state_after(history) == START
+        # an article's code names it: "The" is article 0, "a" article 3
+        assert emit("The") == AFTER_ARTICLE + 0 == noun_slot(scene, "The")
+        assert emit("dog") == AFTER_NOUN  # the code keeps no article past the noun
+        assert emit("near") == AFTER_CONNECTIVE
+        assert emit("a") == AFTER_ARTICLE + 3 == noun_slot(scene, "a")
+        assert emit("cat") == AFTER_NOUN  # hal nouns move the same way
+        assert emit("</s>") == TERMINAL
 
     def test_filler_keeps_state(self, scene):
         v = scene.vocabulary
-        s = GrammarState(AFTER_ARTICLE, last_article=v.id_of("The"))
-        s2 = scene.transition(s, v.id_of("very"))
-        assert s2 == s
+        after_the = [v.id_of("The")]
+        assert scene.state_after(after_the + [v.id_of("very")]) == scene.state_after(after_the)
 
     @settings(max_examples=300, deadline=None)
     @given(history=HISTORIES)
@@ -162,7 +153,7 @@ class TestGrammar:
     @example(history=[SCENE.eos_id, V.id_of("A"), V.id_of("is")])
     @example(history=[V.id_of("dog"), SCENE.eos_id, V.id_of("on")])
     def test_state_after_folds_history(self, history):
-        want = fold(SCENE, history)
+        want = oracle.grammar_state(SCENE, history)
         assert SCENE.state_after(history) == want
         assert SCENE.state_after(tuple(history)) == want
 
@@ -174,22 +165,22 @@ class TestGrammar:
         assert after_noun[v.id_of("and")] and after_noun[scene.eos_id]
         assert not after_noun[v.id_of("The")]
         assert not (scene._penalty[TERMINAL] == 0.0).any()
-
-    def test_unknown_state_rejected(self):
-        with pytest.raises(Exception):
-            GrammarState("limbo")
+        noun_slots = scene._penalty[AFTER_ARTICLE:] == 0.0
+        assert noun_slots.shape == (len(scene.articles), v.size)
+        assert noun_slots[:, v.id_of("dog")].all() and noun_slots[:, v.id_of("cat")].all()
+        assert not noun_slots[:, v.id_of("The")].any()
 
 
 class TestLogits:
     def test_pure_without_noise(self, scene):
         quiet = replace(scene, noise_sigma=0.0)
-        a = scene_row(quiet, None, GrammarState(), 0, np.random.default_rng(0))
-        b = scene_row(quiet, None, GrammarState(), 0, np.random.default_rng(99))
+        a = scene_row(quiet, None, START, 0, np.random.default_rng(0))
+        b = scene_row(quiet, None, START, 0, np.random.default_rng(99))
         assert np.array_equal(a, b)
         assert np.array_equal(a, scene.base - scene._penalty[START])
 
     def test_grammar_penalty_is_finite_offset(self, scene):
-        lv = quiet_row(scene, None, GrammarState(), 0)
+        lv = quiet_row(scene, None, START, 0)
         v = scene.vocabulary
         assert np.isfinite(lv).all()  # penalty, not exclusion
         assert lv[v.id_of("The")] == 5.0
@@ -227,15 +218,15 @@ class TestLogits:
             == pytest.approx(1.0, abs=1e-12)
 
     def test_noise_is_seed_reproducible(self, scene):
-        a = scene_row(scene, None, GrammarState(), 3, np.random.default_rng(7))
-        b = scene_row(scene, None, GrammarState(), 3, np.random.default_rng(7))
-        c = scene_row(scene, None, GrammarState(), 3, np.random.default_rng(8))
+        a = scene_row(scene, None, START, 3, np.random.default_rng(7))
+        b = scene_row(scene, None, START, 3, np.random.default_rng(7))
+        c = scene_row(scene, None, START, 3, np.random.default_rng(8))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_negative_step_rejected(self, scene):
         with pytest.raises(Exception):
-            scene_row(scene, None, GrammarState(), -1, np.random.default_rng(0))
+            scene_row(scene, None, START, -1, np.random.default_rng(0))
 
 
 class TestNegativeVariants:
@@ -261,7 +252,7 @@ class TestNegativeVariants:
 
     def test_perturbed_instruction_moves_the_penalty(self, scene):
         quiet = replace(scene, noise_sigma=0.0)
-        state = GrammarState()
+        state = START
         pos = quiet_row(quiet, None, state, 0)
         neg = scene_row(
             quiet, NegativeVariantSpec(PERTURBED_INSTRUCTION, strength=1.0),
@@ -272,7 +263,7 @@ class TestNegativeVariants:
         assert neg.sum() == pytest.approx(pos.sum(), abs=1e-9)
 
     def test_perturbed_instruction_strength_zero_matches_positive(self, scene):
-        state = GrammarState()
+        state = START
         pos = quiet_row(scene, None, state, 0)
         neg = quiet_row(scene, NegativeVariantSpec(PERTURBED_INSTRUCTION, strength=0.0), state, 0)
         assert neg == pytest.approx(pos, abs=1e-12)
@@ -294,7 +285,7 @@ class TestProviders:
         assert provider.calls == 0
         row = provider.logits(history, 1, np.random.default_rng(0))
         assert provider.calls == 1
-        expected = quiet_row(quiet, None, quiet.state_after(history), 1)
+        expected = quiet_row(quiet, None, oracle.grammar_state(quiet, history), 1)
         assert np.array_equal(row, expected)
         assert provider.eos_id == quiet.eos_id
         assert provider.vocab is quiet.vocabulary
@@ -303,7 +294,7 @@ class TestProviders:
     @given(history=HISTORIES, t=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
     def test_providers_match_folded_state_bit_for_bit(self, history, t, seed):
         history = tuple(history)
-        state = fold(SCENE, history)
+        state = oracle.grammar_state(SCENE, history)
         got = SyntheticProvider(SCENE).logits(history, t, np.random.default_rng(seed))
         want = scene_row(SCENE, None, state, t, np.random.default_rng(seed))
         assert np.array_equal(got, want)
@@ -329,9 +320,9 @@ class TestProviders:
             [a, FILLER_IDS[0]], [], [a],  # repeated states share one noiseless row
         ]
         states = [SCENE.state_after(h) for h in histories]
-        assert {s.state for s in states} == {START, AFTER_ARTICLE, AFTER_NOUN,
-                                            AFTER_CONNECTIVE, TERMINAL}
-        states.append(GrammarState(AFTER_ARTICLE))  # a state no history reaches
+        assert states == [oracle.grammar_state(SCENE, h) for h in histories]
+        assert set(states) == {START, noun_slot(SCENE, "The"), noun_slot(SCENE, "A"),
+                               AFTER_NOUN, AFTER_CONNECTIVE, TERMINAL}
         seeds = [seed + i for i in range(len(states))]
 
         def rngs():
@@ -343,7 +334,7 @@ class TestProviders:
                 want = scene_row(SCENE, variant, state, t, rng)
                 assert row.tobytes() == want.tobytes()
             provider = SyntheticProvider(SCENE, variant)
-            got = provider.logit_rows(histories, t, rngs()[:-1])
+            got = provider.logit_rows(histories, t, rngs())
             assert provider.calls == len(histories)
             for row, history, rng in zip(got, histories, rngs()):
                 assert row.tobytes() == provider.logits(history, t, rng).tobytes()
@@ -353,7 +344,7 @@ class TestProviders:
         provider = SyntheticProvider(quiet, NegativeVariantSpec(UNCONDITIONED))
         row = provider.logits((), 0, np.random.default_rng(0))
         assert provider.calls == 1
-        expected = quiet_row(quiet, NegativeVariantSpec(UNCONDITIONED), GrammarState(), 0)
+        expected = quiet_row(quiet, NegativeVariantSpec(UNCONDITIONED), START, 0)
         assert np.array_equal(row, expected)
 
 
