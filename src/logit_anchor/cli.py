@@ -344,7 +344,10 @@ def read_trace_dir(traces_dir: Path):
     scene's vocabulary, name another token, hold more entropy than a
     distribution over that vocabulary can have, or count other provider calls
     than the label's kind makes per step: 2 for vcd, icd and m3id, 1 for any
-    other. The returned manifest holds those fields as read (``bin_width``
+    other. As the decode loop retires a run only at its EOS or at
+    ``max_steps``, so is a trace with an EOS before its last step (naming the
+    step), more steps than ``max_steps``, or fewer without ending at EOS. The
+    returned manifest holds those fields as read (``bin_width``
     the default when absent), and each label's runs are in seed order.
     """
     manifest_path = traces_dir / "manifest.json"
@@ -376,6 +379,7 @@ def read_trace_dir(traces_dir: Path):
     surface = dict(enumerate(scene.vocabulary.tokens))  # None for an id outside it
     # No distribution over the scene's tokens has more entropy than the uniform one.
     max_entropy = math.log(scene.vocabulary.size) + 1e-9
+    eos_id = scene.eos_id
     stats_by_label = {}
     for label in labels:
         strategy_dir = traces_dir / "traces" / sanitize_label(label)
@@ -400,6 +404,16 @@ def read_trace_dir(traces_dir: Path):
             if run.prompt_id != scene_name:  # simulate writes both from the scene's name
                 raise InputError(f"{path}: header prompt_id {run.prompt_id!r} is not the "
                                  f"manifest's scene {scene_name!r}")
+            n_steps = len(run.chosen)
+            if eos_id in run.chosen[:-1]:
+                raise InputError(f"{path}: step {run.chosen.index(eos_id)}: chosen: {eos_id} is "
+                                 f"EOS, but the run goes on after it")
+            if n_steps > max_steps:
+                raise InputError(f"{path}: {n_steps} steps, more than the manifest's "
+                                 f"max_steps {max_steps}")
+            if n_steps < max_steps and run.chosen[-1:] != (eos_id,):
+                raise InputError(f"{path}: {n_steps} steps end without EOS before the "
+                                 f"manifest's max_steps {max_steps}")
             if (tuple(map(surface.get, run.chosen)) != run.tokens
                     or max(run.entropy, default=0.0) > max_entropy
                     or run.provider_calls.count(calls) != len(run.provider_calls)):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -58,9 +57,6 @@ class Vocabulary:
         if not 0 <= token_id < len(self.tokens):
             raise ContractError(f"token id {token_id} out of range")
         return self.tokens[token_id]
-
-    def render(self, ids: Sequence[TokenId]) -> str:
-        return " ".join(self.tokens[i] for i in ids)
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,7 +142,7 @@ class StepTrace:
 
 @dataclass(frozen=True)
 class GenerationRecord:
-    """One completed decoding run: its text and one column per step summary.
+    """One completed decoding run: one column per step summary.
 
     Item t of a column is step t's chosen token, entropy in nats, chosen-token
     probability, gt or hal noun mass, or provider calls. ``steps`` holds each
@@ -156,7 +152,6 @@ class GenerationRecord:
     prompt_id: str
     strategy: str
     seed: int
-    text: str
     chosen: tuple[TokenId, ...]
     entropy: tuple[float, ...]
     chosen_prob: tuple[float, ...]

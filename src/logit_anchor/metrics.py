@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import jsonl_line_numbers, read_input_text, read_int, read_json_list, read_jsonl
+from .config import jsonl_line_numbers, read_input_text, read_json_list, read_jsonl
 from .core import GenerationRecord, Vocabulary
 from .errors import ConfigError, ContractError, InputError, LogitAnchorError
 
@@ -82,10 +82,6 @@ class ObjectLexicon:
     def max_words(self) -> int:
         return max(len(words) for words in self.by_words)
 
-    @property
-    def objects(self) -> frozenset[str]:
-        return frozenset(self.forms)
-
     @classmethod
     def identity(cls, names: Iterable[str]) -> "ObjectLexicon":
         """Each name is its own only surface form."""
@@ -97,9 +93,6 @@ class ObjectLexicon:
             raise InputError("lexicon must be an object mapping names to form lists")
         return cls({str(k): tuple(map(str, read_json_list(v, f"lexicon entry {k!r}")))
                     for k, v in data.items()})
-
-    def to_dict(self) -> dict:
-        return {k: list(v) for k, v in sorted(self.forms.items())}
 
 
 @dataclass(frozen=True)
@@ -294,53 +287,40 @@ def corpus_metrics(
 # -- trace side -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceLexicon:
-    """Token-id classification used by all trace analytics.
+    """The token classes all trace analytics read: one read-only boolean row per
+    class, indexed by token id (``gt[i]`` is whether token ``i`` is a gt noun).
 
-    Built from a scene (duck-typed: anything exposing ``vocabulary``,
-    ``gt_objects``, ``hal_objects``, ``articles``). Article groups are
-    case-insensitive on the token string: "The"/"the" vs "A"/"a".
+    Built once per scene (duck-typed: anything exposing ``vocabulary``,
+    ``gt_objects``, ``hal_objects``, ``articles``). ``the`` and ``a`` hold the
+    articles grouped case-insensitively on the token string: "The"/"the" and
+    "A"/"a". Each row has one slot past the vocabulary, always False, which
+    every id outside the vocabulary reads (``_steps`` clips ids onto it). A
+    lexicon equals only itself: its rows are arrays, which compare by element.
     """
 
     vocab: Vocabulary
-    gt_ids: frozenset[int]
-    hal_ids: frozenset[int]
-    article_ids: frozenset[int]
+    gt: np.ndarray = field(repr=False)
+    hal: np.ndarray = field(repr=False)
+    article: np.ndarray = field(repr=False)
+    the: np.ndarray = field(repr=False)
+    a: np.ndarray = field(repr=False)
 
     @classmethod
     def from_scene(cls, scene) -> "TraceLexicon":
         vocab = scene.vocabulary
-        return cls(
-            vocab=vocab,
-            gt_ids=frozenset(int(vocab.id_of(t)) for t in scene.gt_objects),
-            hal_ids=frozenset(int(vocab.id_of(t)) for t in scene.hal_objects),
-            article_ids=frozenset(int(vocab.id_of(t)) for t in scene.articles),
-        )
 
-    @cached_property
-    def noun_ids(self) -> frozenset[int]:
-        return self.gt_ids | self.hal_ids
+        def row(tokens) -> np.ndarray:
+            flags = np.zeros(vocab.size + 1, dtype=bool)
+            flags[[vocab.id_of(t) for t in tokens]] = True
+            flags.setflags(write=False)
+            return flags
 
-    @cached_property
-    def the_ids(self) -> frozenset[int]:
-        return frozenset(
-            i for i in self.article_ids if self.vocab.token(i).lower() == "the"
-        )
-
-    @cached_property
-    def a_ids(self) -> frozenset[int]:
-        return frozenset(
-            i for i in self.article_ids if self.vocab.token(i).lower() == "a"
-        )
-
-    @cached_property
-    def gt_names(self) -> frozenset[str]:
-        return frozenset(self.vocab.token(i) for i in self.gt_ids)
-
-    @cached_property
-    def hal_names(self) -> frozenset[str]:
-        return frozenset(self.vocab.token(i) for i in self.hal_ids)
+        articles = tuple(scene.articles)
+        return cls(vocab, row(scene.gt_objects), row(scene.hal_objects), row(articles),
+                   row(a for a in articles if a.lower() == "the"),
+                   row(a for a in articles if a.lower() == "a"))
 
 
 class StepStats(NamedTuple):
@@ -405,24 +385,18 @@ def _column(runs: Sequence[RunStats], name: str, dtype=np.float64) -> np.ndarray
     return np.fromiter(chain.from_iterable(getattr(run, name) for run in runs), dtype)
 
 
-def _steps(runs: Sequence[RunStats]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _steps(runs: Sequence[RunStats], lexicon: TraceLexicon) -> tuple[np.ndarray, ...]:
     """Every step's chosen id, the id chosen just before it in its own run (-1 at
-    a run's first step, so no id leaks from one run into the next), and its t."""
+    a run's first step, so no id leaks from one run into the next), and its t.
+    An id outside the vocabulary is clipped onto -1 or the vocabulary's size:
+    either reads the lexicon rows' last slot, which is in no class."""
     lengths = np.array([len(run.chosen) for run in runs], dtype=np.intp)
     t = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    chosen = _column(runs, "chosen", np.int64)
+    chosen = np.clip(_column(runs, "chosen", np.int64), -1, lexicon.vocab.size)
     prev = np.empty_like(chosen)
     prev[1:] = chosen[:-1]
     prev[t == 0] = -1
     return chosen, prev, t
-
-
-def _among(ids: np.ndarray, id_set: frozenset[int]) -> np.ndarray:
-    """Whether each id is in ``id_set``, read from a table whose last slot is False:
-    every id outside the table, -1 included, reads that slot."""
-    table = np.zeros(max(id_set, default=0) + 2, dtype=bool)
-    table[list(id_set)] = True
-    return table[np.clip(ids, -1, len(table) - 1)]
 
 
 def _sum_in_order(values: np.ndarray) -> float:
@@ -450,8 +424,8 @@ def positional_curves(
     steps whose previous emission in the run is an article."""
     if bin_width < 1:
         raise ConfigError(f"bin_width must be >= 1, got {bin_width}")
-    _, prev, t = _steps(runs)
-    slot = _among(prev, lexicon.article_ids)
+    _, prev, t = _steps(runs, lexicon)
+    slot = lexicon.article[prev]
     # Past the last step every width gives bin 0, and it need not fit an int64.
     bins = t[slot] // min(bin_width, len(t) + 1)
     gt, hal = _column(runs, "gt_mass")[slot], _column(runs, "hal_mass")[slot]
@@ -505,13 +479,13 @@ def _article_cell(prob: np.ndarray, is_gt: np.ndarray, emitted: np.ndarray) -> A
 
 def article_stats(runs: Sequence[RunStats], lexicon: TraceLexicon) -> ArticleStats:
     """How noun choice and noun confidence depend on the preceding article."""
-    chosen, prev, _ = _steps(runs)
-    noun = _among(chosen, lexicon.noun_ids)
-    is_gt = _among(chosen, lexicon.gt_ids)
+    chosen, prev, _ = _steps(runs, lexicon)
+    is_gt = lexicon.gt[chosen]
+    noun = is_gt | lexicon.hal[chosen]
     prob = _column(runs, "chosen_prob")
     return ArticleStats(
-        after_the=_article_cell(prob, is_gt, noun & _among(prev, lexicon.the_ids)),
-        after_a=_article_cell(prob, is_gt, noun & _among(prev, lexicon.a_ids)),
+        after_the=_article_cell(prob, is_gt, noun & lexicon.the[prev]),
+        after_a=_article_cell(prob, is_gt, noun & lexicon.a[prev]),
     )
 
 
@@ -530,11 +504,11 @@ def entropy_stats(
     after_the + after_other partition all_nouns, and after_a is a subset of
     after_other.
     """
-    chosen, prev, _ = _steps(runs)
+    chosen, prev, _ = _steps(runs, lexicon)
     entropy = _column(runs, "entropy")
-    noun = _among(chosen, lexicon.noun_ids)
-    gt = noun & _among(chosen, lexicon.gt_ids)
-    after_the = noun & _among(prev, lexicon.the_ids)
+    gt = lexicon.gt[chosen]
+    noun = gt | lexicon.hal[chosen]
+    after_the = noun & lexicon.the[prev]
     after_other = noun & ~after_the
     groups = {
         "all_tokens": entropy,
@@ -542,7 +516,7 @@ def entropy_stats(
         "gt_nouns": entropy[gt],
         "hal_nouns": entropy[noun & ~gt],
         "after_the": entropy[after_the],
-        "after_a": entropy[after_other & _among(prev, lexicon.a_ids)],
+        "after_a": entropy[after_other & lexicon.a[prev]],
         "after_other": entropy[after_other],
     }
     return {
@@ -572,9 +546,9 @@ def sentence_initial_stats(runs: Sequence[RunStats]) -> SentenceInitialStats:
 
 def hal_noun_rate(runs: Sequence[RunStats], lexicon: TraceLexicon) -> float:
     """Aggregate hallucinated share of emitted nouns across runs, multiplicity kept."""
-    chosen = _column(runs, "chosen", np.int64)
-    nouns = int(np.count_nonzero(_among(chosen, lexicon.noun_ids)))
-    hal = int(np.count_nonzero(_among(chosen, lexicon.hal_ids)))  # hal_ids is a subset of noun_ids
+    chosen = _steps(runs, lexicon)[0]
+    nouns = int(np.count_nonzero(lexicon.gt[chosen] | lexicon.hal[chosen]))
+    hal = int(np.count_nonzero(lexicon.hal[chosen]))  # the hal nouns are a subset of the nouns
     return hal / nouns if nouns else 0.0
 
 
@@ -591,7 +565,7 @@ def simulated_corpus(
     designated plausible-confusion subset. Feed the result to
     :func:`corpus_metrics`.
     """
-    names = sorted(lexicon.gt_names | lexicon.hal_names)
+    names = sorted(lexicon.vocab.tokens[i] for i in np.flatnonzero(lexicon.gt | lexicon.hal))
     identity = ObjectLexicon.identity(names)
     gt = frozenset(gt_names)
     cognition = frozenset(cognition_names)
@@ -666,6 +640,12 @@ _STEP_FIELDS = ("t", "chosen", "token", "entropy", "chosen_prob", "gt_mass", "ha
 _step_fields = itemgetter(*_STEP_FIELDS)
 
 
+def _check_type(key: str, value, want: type) -> None:
+    """A ConfigError unless ``value`` has the JSON type the writer writes: str or int."""
+    if type(value) is not want:  # a bool is not an int here, nor is "1" or 1.0
+        raise ConfigError(f"{key}: {value!r} is not {'a string' if want is str else 'an integer'}")
+
+
 def _read_number(value, key: str) -> float:
     """A JSON number, an int or a float but not a bool or a string, as a float."""
     if type(value) in (int, float):
@@ -690,13 +670,12 @@ def read_trace(path) -> RunStats:
     at, columns = accepted
     header = records[at]
     try:
-        n_steps = read_int(header.get("n_steps", len(columns[0])), "n_steps")
+        n_steps = header.get("n_steps", len(columns[0]))
         header_text = header["text"]
-        for key in ("prompt_id", "strategy"):
-            if type(header[key]) is not str:  # the JSON type the writer writes
-                raise ConfigError(f"{key}: {header[key]!r} is not a string")
-        stats = RunStats(header["prompt_id"], header["strategy"],
-                         read_int(header["seed"], "seed"), *columns)
+        for key, want in (("prompt_id", str), ("strategy", str), ("seed", int)):
+            _check_type(key, header[key], want)
+        _check_type("n_steps", n_steps, int)
+        stats = RunStats(header["prompt_id"], header["strategy"], header["seed"], *columns)
     except (KeyError, ConfigError) as exc:
         raise InputError(f"{path}:{jsonl_line_numbers(text)[at]}: bad run header "
                          f"({type(exc).__name__}: {exc})") from exc
@@ -756,9 +735,7 @@ def _first_fault(path, numbered: Iterable[tuple[int, object]]) -> LogitAnchorErr
             step_t, chosen, token, *floats, calls = _step_fields(record)
             for key, value, want in (("t", step_t, int), ("chosen", chosen, int),
                                      ("token", token, str), ("provider_calls", calls, int)):
-                if type(value) is not want:  # the JSON type the writer writes
-                    raise ConfigError(f"{key}: {value!r} is not "
-                                      f"{'a string' if want is str else 'an integer'}")
+                _check_type(key, value, want)
             entropy, chosen_prob, gt_mass, hal_mass = map(_read_number, floats, _STEP_FIELDS[3:7])
         except (KeyError, ConfigError) as exc:
             return InputError(f"{path}:{lineno}: bad step record ({exc})")

@@ -477,10 +477,9 @@ def decode(
                 contrib = contrib[going] if len(live) > 1 else contrib[going.index(True)]
     return [
         GenerationRecord(
-            prompt_id, label, seed, provider.vocab.render(history),
-            *zip(*summary), steps=tuple(steps) if record else None,
+            prompt_id, label, seed, *zip(*summary), steps=tuple(steps) if record else None,
         )
-        for seed, summary, steps, history in zip(seeds, summaries, traces, histories)
+        for seed, summary, steps in zip(seeds, summaries, traces)
     ]
 
 

@@ -4,9 +4,11 @@ The one-vector references for the decode loop's per-step operations each
 work on one plain ``[vocab]`` array (and a boolean mask, True for an
 excluded token) and are written out on their own, independent of the loop's
 row kernels. The per-step trace metrics walk each run's ``steps`` one at a
-time and add in that order, independent of the package's column reductions.
-The grammar fold moves token by token through a table written from the
-scene's token lists, independent of the simulator's own table.
+time and add in that order, independent of the package's column reductions,
+and classify tokens by id sets written from the scene's token lists,
+independent of the package's ``TraceLexicon`` rows. The grammar fold moves
+token by token through a table written from the scene's token lists,
+independent of the simulator's own table.
 """
 
 from __future__ import annotations
@@ -81,17 +83,33 @@ def grammar_state(scene, history) -> int:
 # -- per-step trace metrics -----------------------------------------------------
 
 
-def _noun_slots(run, lexicon):
+class _Classes:
+    """Token-id sets of a scene: its gt and hal objects, and its articles, also
+    grouped by lower case into "the" and "a"."""
+
+    def __init__(self, scene):
+        def ids(tokens):
+            return {scene.vocabulary.id_of(t) for t in tokens}
+
+        self.gt_objects, self.hal_objects = ids(scene.gt_objects), ids(scene.hal_objects)
+        self.nouns = self.gt_objects | self.hal_objects
+        self.articles = ids(scene.articles)
+        self.the = ids(a for a in scene.articles if a.lower() == "the")
+        self.a = ids(a for a in scene.articles if a.lower() == "a")
+
+
+def _noun_slots(run, classes):
     """(prev_step, step) pairs where the previous emission was an article."""
     for prev, step in zip(run.steps, run.steps[1:]):
-        if prev.chosen in lexicon.article_ids:
+        if prev.chosen in classes.articles:
             yield prev, step
 
 
-def positional_curves(runs, lexicon, bin_width):
+def positional_curves(runs, scene, bin_width):
+    classes = _Classes(scene)
     sums: dict[int, list[float]] = {}
     for run in runs:
-        for _, step in _noun_slots(run, lexicon):
+        for _, step in _noun_slots(run, classes):
             cell = sums.setdefault(step.t // bin_width, [0.0, 0.0, 0])
             cell[0] += step.gt_mass
             cell[1] += step.hal_mass
@@ -117,21 +135,23 @@ def _article_cell(emissions):
     )
 
 
-def article_stats(runs, lexicon):
+def article_stats(runs, scene):
+    classes = _Classes(scene)
     after_the, after_a = [], []
     for run in runs:
-        for prev, step in _noun_slots(run, lexicon):
-            if step.chosen not in lexicon.noun_ids:
+        for prev, step in _noun_slots(run, classes):
+            if step.chosen not in classes.nouns:
                 continue
-            emission = (step.chosen in lexicon.gt_ids, step.chosen_prob)
-            if prev.chosen in lexicon.the_ids:
+            emission = (step.chosen in classes.gt_objects, step.chosen_prob)
+            if prev.chosen in classes.the:
                 after_the.append(emission)
-            elif prev.chosen in lexicon.a_ids:
+            elif prev.chosen in classes.a:
                 after_a.append(emission)
     return ArticleStats(after_the=_article_cell(after_the), after_a=_article_cell(after_a))
 
 
-def entropy_stats(runs, lexicon):
+def entropy_stats(runs, scene):
+    classes = _Classes(scene)
     names = ("all_tokens", "all_nouns", "gt_nouns", "hal_nouns", "after_the", "after_a",
              "after_other")
     groups: dict[str, list[float]] = {name: [] for name in names}
@@ -139,15 +159,15 @@ def entropy_stats(runs, lexicon):
         prev_chosen = None
         for step in run.steps:
             groups["all_tokens"].append(step.entropy)
-            if step.chosen in lexicon.noun_ids:
+            if step.chosen in classes.nouns:
                 groups["all_nouns"].append(step.entropy)
-                is_gt = step.chosen in lexicon.gt_ids
+                is_gt = step.chosen in classes.gt_objects
                 groups["gt_nouns" if is_gt else "hal_nouns"].append(step.entropy)
-                if prev_chosen is not None and prev_chosen in lexicon.the_ids:
+                if prev_chosen is not None and prev_chosen in classes.the:
                     groups["after_the"].append(step.entropy)
                 else:
                     groups["after_other"].append(step.entropy)
-                    if prev_chosen is not None and prev_chosen in lexicon.a_ids:
+                    if prev_chosen is not None and prev_chosen in classes.a:
                         groups["after_a"].append(step.entropy)
             prev_chosen = step.chosen
     return {
@@ -164,11 +184,12 @@ def sentence_initial_stats(runs):
     )
 
 
-def hal_noun_rate(runs, lexicon):
+def hal_noun_rate(runs, scene):
+    classes = _Classes(scene)
     hal = nouns = 0
     for run in runs:
         for step in run.steps:
-            if step.chosen in lexicon.noun_ids:
+            if step.chosen in classes.nouns:
                 nouns += 1
-                hal += step.chosen in lexicon.hal_ids
+                hal += step.chosen in classes.hal_objects
     return hal / nouns if nouns else 0.0

@@ -349,6 +349,15 @@ def _edit_line(path, index, edit):
     return path
 
 
+def _rewrite_steps(path, edit):
+    """Replace a trace's steps by ``edit`` of them, keeping t, n_steps and text consistent."""
+    header, *steps = map(json.loads, path.read_text().splitlines())
+    steps = [{**step, "t": t} for t, step in enumerate(edit(steps))]
+    header = {**header, "n_steps": len(steps), "text": " ".join(s["token"] for s in steps)}
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in [header, *steps]))
+    return path
+
+
 class TestEvaluateTraces:
     def test_rescore_matches_simulate_report(self, tmp_path):
         sim_out = tmp_path / "sim"
@@ -560,6 +569,50 @@ class TestEvaluateTraces:
         assert capsys.readouterr().err.startswith(
             f"error: {bad}:1: bad run header (ConfigError: {field}: {value!r} is not a string)"
         )
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", "1"), ("seed", 1.0), ("n_steps", "39"), ("n_steps", 39.0),
+    ])
+    def test_header_number_of_another_json_type_exits_3_naming_it(
+        self, tmp_path, capsys, field, value
+    ):
+        """A seed or n_steps of "1" or 1.0 used to be read as the integer and scored."""
+        sim_out, path = self._ends_at_eos(tmp_path)
+        bad = _edit_line(path, 0, lambda h: {**h, field: value})
+        capsys.readouterr()
+        assert run_cli("evaluate", "--traces", sim_out) == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}:1: bad run header (ConfigError: {field}: {value!r} is not an integer)"
+        )
+
+    def _ends_at_eos(self, tmp_path):
+        """A simulate output whose seed 1 run ends at EOS after 39 of at most 60 steps."""
+        sim_out = tmp_path / "sim"
+        assert run_cli(
+            "simulate", "--strategies", "baseline", "--seeds", "0:2", "--max-steps", "60",
+            "--out", sim_out,
+        ) == 0
+        path = sim_out / "traces" / "baseline" / "1.jsonl"
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header["n_steps"] == 39 and header["text"].endswith(" </s>")
+        return sim_out, path
+
+    @pytest.mark.parametrize("edit, fault", [
+        # EOS moved to step 1, with 37 steps after it
+        (lambda s: [s[0], s[-1], *s[1:-1]], "step 1: chosen: {eos} is EOS, but the run goes on"),
+        # 70 steps ending at EOS, past the 60 the decode loop stops at
+        (lambda s: [*(s[:-1] * 2)[:69], s[-1]], "70 steps, more than the manifest's max_steps 60"),
+        (lambda s: s[:3], "3 steps end without EOS before the manifest's max_steps 60"),
+        (lambda s: [], "0 steps end without EOS before the manifest's max_steps 60"),
+    ], ids=["eos_not_last", "past_max_steps", "cut_short", "no_steps"])
+    def test_run_no_decode_loop_ends_so_exits_3(self, tmp_path, capsys, edit, fault):
+        """A run the decode loop cannot retire where it ends used to be scored."""
+        sim_out, path = self._ends_at_eos(tmp_path)
+        bad = _rewrite_steps(path, edit)
+        capsys.readouterr()
+        assert run_cli("evaluate", "--traces", sim_out) == 3
+        eos = default_scene().eos_id
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {fault.format(eos=eos)}")
 
     def test_header_prompt_id_of_another_scene_exits_3(self, tmp_path, capsys):
         """A header naming another scene than the manifest's used to be scored as this one."""

@@ -55,10 +55,6 @@ class TestVocabulary:
         assert v.token(2) == "c"
         assert "a" in v and "z" not in v
 
-    def test_render_joins_with_spaces(self):
-        v = Vocabulary(("The", "dog", "</s>"))
-        assert v.render((0, 1, 2)) == "The dog </s>"
-
     def test_duplicate_tokens_rejected(self):
         with pytest.raises(ContractError):
             Vocabulary(("a", "b", "a"))
@@ -330,7 +326,7 @@ def test_generation_record_token_ids():
         chosen=1, entropy_nats=h, provider_calls=1,
     )
     rec = GenerationRecord(
-        prompt_id="p", strategy="baseline", seed=0, text="b b", chosen=(1, 1),
+        prompt_id="p", strategy="baseline", seed=0, chosen=(1, 1),
         entropy=(h, h), chosen_prob=(p[1], p[1]), gt_mass=(p[1], p[1]), hal_mass=(0.0, 0.0),
         provider_calls=(1, 1), steps=(step, step),
     )

@@ -1,11 +1,14 @@
-"""Golden outputs: every file four ``simulate`` runs write, pinned by sha256.
+"""Golden outputs: every file four ``simulate`` runs, a ``sweep`` and an ``ablate``
+write, pinned by sha256.
 
-The runs cover the default strategies plus a masked flb, a temperature
-below 1 with ``--full-dist``, gt and hal sets that are not 8 nouns long, and
-the degraded views at strengths other than their defaults (ICD's blend of
-the penalty lane with its permuted copy only shows below strength 1).
-Any change to an output byte of these runs, stdout included, fails here
-rather than only under a manual ``diff -r``. To re-pin after a deliberate
+The simulate runs cover the default strategies plus a masked flb, a
+temperature below 1 with ``--full-dist``, gt and hal sets that are not 8
+nouns long, and the degraded views at strengths other than their defaults
+(ICD's blend of the penalty lane with its permuted copy only shows below
+strength 1). The sweep and ablate runs pin reports scored from runs that
+write no trace, through ``hal_noun_rate`` and the CHAIR adapter. Any change
+to an output byte of these runs, stdout included, fails here rather than
+only under a manual ``diff -r``. To re-pin after a deliberate
 output change, run this file as a script:
 ``PYTHONPATH=src python tests/test_golden.py``. It prints whether each run's
 hashes are new, unchanged or changed, and for a changed run which files
@@ -43,7 +46,13 @@ RUNS = {
         "--strategies", "icd:strength=0.35;icd:strength=0;vcd:strength=0.2;m3id",
         "--temperature", "0.7", "--full-dist",
     ],
+    "sweep": [
+        "sweep", "--seeds", "0:8", "--max-steps", "40", "--gammas", "0.1,0.5",
+        "--lams", "0.05", "--schedules", "increasing,decreasing",
+    ],
+    "ablate": ["ablate", "--seeds", "0:20", "--max-steps", "40"],
 }
+SIMULATE_RUNS = [name for name, argv in RUNS.items() if argv is None or argv[0] == "simulate"]
 
 
 def uneven_scene() -> dict:
@@ -79,7 +88,7 @@ def test_outputs_match_pinned_hashes(name, tmp_path, monkeypatch):
     assert run_hashes(name, tmp_path) == pinned
 
 
-@pytest.mark.parametrize("name", list(RUNS))
+@pytest.mark.parametrize("name", SIMULATE_RUNS)
 def test_rescoring_the_traces_reproduces_the_reports(name, tmp_path, monkeypatch):
     """``evaluate --traces`` on each run's output writes its reports byte for byte;
     the --full-dist traces hold a ``dist`` field that the reader skips."""

@@ -85,12 +85,8 @@ class TestExtraction:
 
     def test_identity_lexicon(self):
         lex = ObjectLexicon.identity(["a", "b"])
-        assert lex.objects == {"a", "b"}
+        assert set(lex.forms) == {"a", "b"}
         assert lex.by_words == {("a",): "a", ("b",): "b"}
-
-    def test_round_trip_dict(self):
-        lex = ObjectLexicon({"dog": ("dog", "puppy")})
-        assert ObjectLexicon.from_dict(lex.to_dict()) == lex
 
 
 class TestGoldenCorpus:
@@ -253,7 +249,7 @@ class TestTraceAnalytics:
         stats = summarize_record(rec, lex)
         assert stats.strategy == rec.strategy and stats.seed == 0
         assert stats.chosen is rec.chosen and stats.entropy is rec.entropy  # shared columns
-        assert stats.text == rec.text
+        assert stats.text == " ".join(scene.vocabulary.token(s.chosen) for s in rec.steps)
         assert len(stats.steps) == len(rec.steps)
         for t, (step, full) in enumerate(zip(stats.steps, rec.steps)):
             assert step == StepStats(t, full.chosen, lex.vocab.token(full.chosen), rec.entropy[t],
@@ -271,7 +267,7 @@ class TestTraceAnalytics:
         assert captions[0].image_id == "baseline#3"
         assert annotations[0].gt_objects == frozenset(scene.gt_objects)
         assert annotations[0].cognition_objects == frozenset(scene.cognition_objects)
-        assert identity.objects == lex.gt_names | lex.hal_names
+        assert set(identity.forms) == {*scene.gt_objects, *scene.hal_objects}
         report = corpus_metrics(captions, annotations, identity)
         # the crafted run mentions man (gt) and cat (hal)
         assert report.mentions_total == 2
@@ -437,10 +433,11 @@ def _columns(run: RunStats) -> tuple:
             run.provider_calls)
 
 
-LEXICON = TraceLexicon.from_scene(default_scene())
+SCENE = default_scene()
+LEXICON = TraceLexicon.from_scene(SCENE)
 VOCAB = LEXICON.vocab.tokens
-ARTICLES = sorted(LEXICON.article_ids)  # The, In, A, a
-NOUNS = sorted(LEXICON.noun_ids)
+ARTICLES = sorted(SCENE.article_ids.tolist())  # The, In, A, a
+NOUNS = sorted(SCENE.noun_ids.tolist())
 
 
 def _run(chosen, masses=None, seed=0):
@@ -492,13 +489,33 @@ class TestColumnMetricsProperty:
     def test_metrics_equal_the_per_step_references(self, runs, bin_width):
         for got, want in [
             (positional_curves(runs, LEXICON, bin_width),
-             oracle.positional_curves(runs, LEXICON, bin_width)),
-            (article_stats(runs, LEXICON), oracle.article_stats(runs, LEXICON)),
-            (entropy_stats(runs, LEXICON), oracle.entropy_stats(runs, LEXICON)),
-            (hal_noun_rate(runs, LEXICON), oracle.hal_noun_rate(runs, LEXICON)),
+             oracle.positional_curves(runs, SCENE, bin_width)),
+            (article_stats(runs, LEXICON), oracle.article_stats(runs, SCENE)),
+            (entropy_stats(runs, LEXICON), oracle.entropy_stats(runs, SCENE)),
+            (hal_noun_rate(runs, LEXICON), oracle.hal_noun_rate(runs, SCENE)),
             (sentence_initial_stats(runs), oracle.sentence_initial_stats(runs)),
         ]:
             assert repr(got) == repr(want)  # repr tells every float apart, -0.0 from 0.0 too
+
+    def test_an_id_outside_the_vocabulary_is_in_no_class(self):
+        """A negative id does not wrap onto a token, nor does an id past the vocabulary raise."""
+        size, other = len(VOCAB), int(SCENE.connective_ids[0])  # a token in no class
+        the, _, a, _ = ARTICLES
+        outside = (-5, size, size + 7, the - size - 1)  # the last would wrap onto "The"
+        # Each outside id follows an article and precedes a noun at least once.
+        chosen = [the, NOUNS[0], -5, a, NOUNS[9], the, size, NOUNS[5], the, -5, NOUNS[1], a,
+                  size + 7, NOUNS[2], size, a, size + 7, NOUNS[12], a, the - size - 1, NOUNS[3]]
+
+        def run(ids):
+            masses = tuple(0.01 * (t + 1) for t in range(len(ids)))
+            return RunStats("p", "s", 0, tuple(ids), ("x",) * len(ids), masses, masses,
+                            masses, masses[::-1], (1,) * len(ids))
+
+        got, want = run(chosen), run([other if c in outside else c for c in chosen])
+        for metric in (article_stats, entropy_stats, hal_noun_rate,
+                       lambda runs, lex: positional_curves(runs, lex, 1)):
+            assert repr(metric([got], LEXICON)) == repr(metric([want], LEXICON))
+        assert hal_noun_rate([got], LEXICON) > 0.0 and len(positional_curves([got], LEXICON)) > 0
 
     def test_header_only_trace_reads_as_an_empty_run(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -527,8 +544,8 @@ class TestDecayStatistics:
         bins: dict[int, list[int]] = {}  # step bin -> [hal, gt] noun emissions
         for run in runs:
             for t, chosen in enumerate(run.chosen):
-                if chosen in lex.noun_ids:
-                    bins.setdefault(t // 20, [0, 0])[chosen in lex.gt_ids] += 1
+                if lex.gt[chosen] or lex.hal[chosen]:
+                    bins.setdefault(t // 20, [0, 0])[int(lex.gt[chosen])] += 1
         return [row for _, row in sorted(bins.items()) if sum(row) >= 20]
 
     def test_no_decay_is_flat_and_decay_is_not(self, nodecay_scene, scene):

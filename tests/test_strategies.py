@@ -591,7 +591,7 @@ class TestRunMany:
         rec = run_strategy(scene, Strategy(kind="baseline"), seed=0, max_steps=60)
         if len(rec.steps) < 60:
             assert rec.steps[-1].chosen == scene.eos_id
-        assert rec.text.split() == [
+        assert summarize_record(rec, TraceLexicon.from_scene(scene)).text.split() == [
             scene.vocabulary.token(s.chosen) for s in rec.steps
         ]
 
@@ -638,8 +638,8 @@ class TestOneUniformPerStep:
 
 
 def assert_same_record(alone, batched):
-    assert (alone.prompt_id, alone.strategy, alone.seed, alone.text) == \
-        (batched.prompt_id, batched.strategy, batched.seed, batched.text)
+    assert (alone.prompt_id, alone.strategy, alone.seed, alone.chosen) == \
+        (batched.prompt_id, batched.strategy, batched.seed, batched.chosen)
     assert len(alone.steps) == len(batched.steps)
     for a, b in zip(alone.steps, batched.steps):
         assert (a.step_index, a.chosen, a.provider_calls) == \
@@ -747,8 +747,8 @@ class TestIndexSums:
 
 def reference_summary(record, lexicon):
     """Each summary column reduced from the run's StepTraces alone, one step at a time."""
-    gt_index = np.asarray(sorted(lexicon.gt_ids))
-    hal_index = np.asarray(sorted(lexicon.hal_ids))
+    gt_index = np.flatnonzero(lexicon.gt)
+    hal_index = np.flatnonzero(lexicon.hal)
     return {
         "chosen": tuple(s.chosen for s in record.steps),
         "tokens": tuple(lexicon.vocab.token(s.chosen) for s in record.steps),
