@@ -165,12 +165,12 @@ def _entropies(p: np.ndarray):
     """Entropy in nats of each row of probabilities, over its positive entries."""
     support = p > 0.0
     if np.count_nonzero(support) == support.size:
-        return -np.add.reduce(p * np.log(p), axis=-1)
+        return -(p * np.log(p)).sum(axis=-1)
     groups = _groups(support)
     out = np.empty(p.shape[0]) if len(groups) > 1 else None
     for rows, keep in groups:
         q = _packed(p if rows is None else p[rows], keep)
-        ent = -np.add.reduce(q * np.log(q), axis=-1)
+        ent = -(q * np.log(q)).sum(axis=-1)
         if out is None:
             return ent
         out[rows] = ent
@@ -184,7 +184,7 @@ def _normalised(block: np.ndarray):
     is exactly 1.0, so a row's largest probability is exactly ``1 / total``.
     """
     exps = np.exp(block - _row_max(block))
-    total = np.add.reduce(exps, axis=-1)  # what exps.sum(axis=-1) runs
+    total = exps.sum(axis=-1)
     return exps / _col(total), total
 
 
@@ -200,12 +200,7 @@ def _softmax(scores: np.ndarray, mask: np.ndarray | None, temperature: float, en
         probs, totals = _normalised(scaled)
         return probs, totals, _entropies(probs) if entropy else None
     probs = np.zeros(scaled.shape)
-    keep = ~mask
-    if keep.ndim == 1:  # a lone row: its kept entries are the one group
-        p, total = _normalised(scaled[keep])
-        probs[keep] = p
-        return probs, total, _entropies(p) if entropy else None
-    groups = _groups(keep)
+    groups = _groups(~mask)
     if len(groups) > 1:
         totals, entropies = np.empty(scaled.shape[0]), np.empty(scaled.shape[0])
     for rows, keep in groups:
@@ -248,7 +243,7 @@ def _candidate_mask(raw: np.ndarray, temperature: float, beta: float, eos_id: To
     distribution reaches beta times the largest one, which is exactly
     ``1 / total``; so the largest stays.
     """
-    probs, total = _normalised(raw / temperature if temperature != 1.0 else raw)
+    probs, total, _ = _softmax(raw, None, temperature)
     dropped = _below_cut(probs, _col(1.0 / total), beta)
     if eos_id is not None:
         dropped[..., eos_id] = False
@@ -334,7 +329,7 @@ def _check_step(
     its chosen token is unmasked and has positive probability. Returns each
     row's probability of its chosen token.
     """
-    sums = _listed(np.add.reduce(probs, axis=-1))
+    sums = _listed(probs.sum(axis=-1))
     if np.count_nonzero(probs < 0.0) or not all(abs(s - 1.0) <= 1e-9 for s in sums):
         # The provider's rows are checked finite, so scores that are not
         # finite once adjusted and scaled come from the user's settings.
