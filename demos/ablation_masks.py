@@ -39,8 +39,7 @@ def main(args):
         ("full", flb("full")),
     ]
     records = run_many(
-        scene, [s for _, s in variants], range(args.runs),
-        max_steps=args.max_steps, jobs=4,
+        scene, [s for _, s in variants], range(args.runs), max_steps=args.max_steps,
     )
     by_label = {}
     for record in records:

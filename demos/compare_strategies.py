@@ -30,7 +30,7 @@ def main(args):
     lexicon = TraceLexicon.from_scene(scene)
     seeds = range(args.runs)
 
-    records = run_many(scene, strategies, seeds, max_steps=args.max_steps, jobs=4)
+    records = run_many(scene, strategies, seeds, max_steps=args.max_steps)
     by_label = {}
     for record in records:
         by_label.setdefault(record.strategy, []).append(

@@ -33,8 +33,7 @@ def main(args):
     ]
     print(f"scene={scene_name} runs={args.runs}\n")
     for name, strategy in strategies:
-        records = run_many(scene, [strategy], range(args.runs),
-                           max_steps=args.max_steps, jobs=4)
+        records = run_many(scene, [strategy], range(args.runs), max_steps=args.max_steps)
         runs = [summarize_record(r, lexicon) for r in records]
 
         cells = entropy_stats(runs, lexicon)

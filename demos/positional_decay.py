@@ -23,7 +23,7 @@ from logit_anchor.config import resolve_scene
 
 def curve_table(scene, strategy, seeds, max_steps, bin_width):
     lexicon = TraceLexicon.from_scene(scene)
-    records = run_many(scene, [strategy], seeds, max_steps=max_steps, jobs=4)
+    records = run_many(scene, [strategy], seeds, max_steps=max_steps)
     runs = [summarize_record(r, lexicon) for r in records]
     return positional_curves(runs, lexicon, bin_width=bin_width)
 

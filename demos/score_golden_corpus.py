@@ -32,10 +32,11 @@ def main(args):
         print()
 
     report = corpus_metrics(captions, annotations, lexicon)
-    print(f"chair_i      = {report.chair_i:.4f}  ({report.hallucinated_total}/{report.mentions_total} mentions hallucinated)")
-    print(f"chair_s      = {report.chair_s:.4f}  ({report.hal_captions}/{report.n_matched} captions with a hallucination)")
-    print(f"cover        = {report.cover:.4f}  ({report.covered_total}/{report.gt_total} ground-truth objects reached)")
-    print(f"cog          = {report.cog:.4f}  ({report.cognition_hits}/{report.hallucinated_total} hallucinations in the plausible set)")
+    counts = report.counts
+    print(f"chair_i      = {report.chair_i:.4f}  ({counts.hallucinated}/{counts.mentions} mentions hallucinated)")
+    print(f"chair_s      = {report.chair_s:.4f}  ({counts.hal_captions}/{counts.matched} captions with a hallucination)")
+    print(f"cover        = {report.cover:.4f}  ({counts.covered}/{counts.gt} ground-truth objects reached)")
+    print(f"cog          = {report.cog:.4f}  ({counts.cognition_hits}/{counts.hallucinated} hallucinations in the plausible set)")
     print(f"object_score = {report.object_score:.4f}")
 
 

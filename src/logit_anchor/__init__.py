@@ -32,6 +32,7 @@ from .metrics import (
     Annotation,
     ArticleStats,
     CaptionRecord,
+    CorpusCounts,
     Mention,
     MetricsReport,
     ObjectLexicon,
@@ -85,6 +86,7 @@ __all__ = [
     "CaptionRecord",
     "ConfigError",
     "ContractError",
+    "CorpusCounts",
     "CostModel",
     "DEFAULT_GAMMA",
     "DEFAULT_LAM",

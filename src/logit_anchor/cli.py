@@ -19,9 +19,12 @@ together as rows of one batch.
 
 Config input (files, flags, seeds, the seed env override) is resolved in
 ``config``. Scoring is done here, once: ``_score`` scores one strategy label's
-runs for simulate and ``evaluate --traces`` (via ``_trace_report``), sweep
-and ablate; ``_run_and_score`` is the one ``run_many`` over a strategy list
-that sweep and ablate share, so those commands only build strategies and rows.
+runs into the block ``report.json`` holds for it, for simulate and
+``evaluate --traces`` (via ``_trace_report``, the one builder of
+``report.json``), sweep and ablate; ``_flat`` lays a block out as one row for
+every command's rows. ``_run_and_score`` is the one ``run_many`` over a
+strategy list that sweep and ablate share, so those commands only build
+strategies and rows.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ import sys
 from dataclasses import asdict
 from itertools import product
 from pathlib import Path
-from typing import NamedTuple
 
 from .bench import CostModel, run_bench
 from .config import (
@@ -61,8 +63,6 @@ from .config import (
 from .data import load_corpus
 from .errors import ConfigError, InputError, LogitAnchorError
 from .metrics import (
-    MetricsReport,
-    SentenceInitialStats,
     TraceLexicon,
     article_stats,
     corpus_metrics,
@@ -85,6 +85,14 @@ REPORT_COLUMNS = (
     "hal_noun_rate", "sentence_initial_the", "provider_calls_per_token", "tokens",
 )
 CURVE_COLUMNS = ("strategy", "lo", "hi", "gt_mass", "hal_mass", "slots")
+SWEEP_COLUMNS = (
+    "rank", "best", "schedule", "gamma", "lam", "beta", "chair_i", "chair_s", "cover", "cog",
+    "object_score", "hal_noun_rate", "label",
+)
+ABLATE_COLUMNS = (
+    "variant", "chair_i", "chair_s", "cover", "cog", "object_score", "hal_noun_rate",
+    "sentence_initial_the", "label",
+)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -133,24 +141,37 @@ def sanitize_label(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9._,()=-]", "_", label)
 
 
-class _Score(NamedTuple):
-    """What every command reports for one strategy label's runs."""
-
-    corpus: MetricsReport
-    hal_noun_rate: float
-    initial: SentenceInitialStats
-
-
-def _score(runs, lexicon, scene) -> _Score:
-    """Score one label's runs as a corpus of captions of ``scene``."""
+def _score(runs, lexicon, scene) -> dict:
+    """Score one label's runs as a corpus of captions of ``scene``: the label's
+    block of ``report.json``, less the trace readouts only that report holds."""
     captions, annotations, identity = simulated_corpus(
         runs, lexicon, scene.gt_objects, scene.cognition_objects
     )
-    return _Score(
-        corpus_metrics(captions, annotations, identity),
-        hal_noun_rate(runs, lexicon),
-        sentence_initial_stats(runs),
-    )
+    initial = sentence_initial_stats(runs)
+    return {
+        "corpus": corpus_metrics(captions, annotations, identity).to_dict(),
+        "traces": {
+            "hal_noun_rate": hal_noun_rate(runs, lexicon),
+            "sentence_initial_the": {
+                "fraction": initial.the_fraction,
+                "count": initial.the_count,
+                "runs": initial.n_runs,
+            },
+        },
+    }
+
+
+def _flat(block) -> dict:
+    """A label's block as one row: its corpus and trace fields side by side, with
+    the sentence-initial "The" share as its fraction."""
+    traces = block["traces"]
+    return {**block["corpus"], **traces,
+            "sentence_initial_the": traces["sentence_initial_the"]["fraction"]}
+
+
+def _metric_row(block, header) -> dict:
+    """The metric columns of a sweep or ablate row: those of ``header`` in the block."""
+    return {key: value for key, value in _flat(block).items() if key in header}
 
 
 def _run_and_score(scene, scene_name, strategies, seeds, *, jobs, **run_kwargs):
@@ -163,59 +184,34 @@ def _run_and_score(scene, scene_name, strategies, seeds, *, jobs, **run_kwargs):
     return {label: _score(runs, lexicon, scene) for label, runs in runs_by_label.items()}
 
 
-def _metric_row(score: _Score) -> dict:
-    """The metric columns of a sweep or ablate row."""
-    corpus = score.corpus
-    return {
-        "chair_i": corpus.chair_i,
-        "chair_s": corpus.chair_s,
-        "cover": corpus.cover,
-        "cog": corpus.cog,
-        "object_score": corpus.object_score,
-        "hal_noun_rate": score.hal_noun_rate,
-    }
-
-
-def _trace_report(stats_by_label, lexicon, scene, bin_width):
-    """The per-strategy report block shared by simulate and evaluate --traces."""
+def _trace_report(settings, stats_by_label, lexicon, scene):
+    """``report.json`` of simulate and evaluate --traces: the run's ``settings``
+    and each label's block and positional curves."""
     strategies = {}
     curves = {}
     for label, runs in stats_by_label.items():
-        score = _score(runs, lexicon, scene)
+        strategies[label] = block = _score(runs, lexicon, scene)
         tokens = sum(len(run.chosen) for run in runs)
         calls = sum(sum(run.provider_calls) for run in runs)
-        initial = score.initial
-        strategies[label] = {
-            "corpus": score.corpus.to_dict(),
-            "traces": {
-                "tokens": tokens,
-                "provider_calls_per_token": calls / tokens if tokens else 0.0,
-                "hal_noun_rate": score.hal_noun_rate,
-                "sentence_initial_the": {
-                    "fraction": initial.the_fraction,
-                    "count": initial.the_count,
-                    "runs": initial.n_runs,
-                },
-                "entropy": {
-                    name: {"mean": cell.mean_entropy, "count": cell.count}
-                    for name, cell in entropy_stats(runs, lexicon).items()
-                },
-                "article": article_stats(runs, lexicon).to_dict(),
+        block["traces"].update(
+            tokens=tokens,
+            provider_calls_per_token=calls / tokens if tokens else 0.0,
+            entropy={
+                name: {"mean": cell.mean_entropy, "count": cell.count}
+                for name, cell in entropy_stats(runs, lexicon).items()
             },
-        }
-        curves[label] = [asdict(b) for b in positional_curves(runs, lexicon, bin_width)]
-    return {"strategies": strategies, "curves": curves}
+            article=article_stats(runs, lexicon).to_dict(),
+        )
+        curves[label] = [
+            asdict(b) for b in positional_curves(runs, lexicon, settings["bin_width"])
+        ]
+    return {**settings, "strategies": strategies, "curves": curves}
 
 
 def _report_rows(report):
     """One row dict per strategy, in label order, holding the REPORT_COLUMNS."""
-    rows = []
-    for label in sorted(report["strategies"]):
-        corpus = report["strategies"][label]["corpus"]
-        traces = report["strategies"][label]["traces"]
-        initial = traces["sentence_initial_the"]["fraction"]
-        rows.append({"strategy": label, **corpus, **traces, "sentence_initial_the": initial})
-    return rows
+    return [{"strategy": label, **_flat(report["strategies"][label])}
+            for label in sorted(report["strategies"])]
 
 
 def _write_trace_report(args, out: Path, report) -> None:
@@ -279,7 +275,7 @@ def cmd_simulate(args) -> int:
         "temperature": cfg.temperature,
         "bin_width": cfg.bin_width,
     }
-    report = {**shared, **_trace_report(stats_by_label, lexicon, cfg.scene, cfg.bin_width)}
+    report = _trace_report(shared, stats_by_label, lexicon, cfg.scene)
     manifest = {
         **shared, "command": "simulate", "strategies": labels,
         "full_dist": bool(args.full_dist),
@@ -322,7 +318,7 @@ def _evaluate_corpus(args, out: Path | None) -> int:
             [{**report["corpus"], **report["corpus"]["counts"]}],
         )
     print(
-        f"captions={report_obj.n_matched}/{report_obj.n_captions} "
+        f"captions={report_obj.counts.matched}/{report_obj.counts.captions} "
         f"chair_i={report_obj.chair_i:.4f} chair_s={report_obj.chair_s:.4f} "
         f"cover={report_obj.cover:.4f} cog={report_obj.cog:.4f} "
         f"object_score={report_obj.object_score:.4f}"
@@ -331,7 +327,7 @@ def _evaluate_corpus(args, out: Path | None) -> int:
 
 
 def read_trace_dir(traces_dir: Path):
-    """Load a simulate output directory: manifest, scene, grouped run stats.
+    """Load a simulate output directory: its settings, scene, grouped run stats.
 
     A manifest that cannot be read, is not a JSON object, lacks ``scene``,
     ``scene_spec``, ``strategies``, ``seeds``, ``max_steps`` or
@@ -347,8 +343,10 @@ def read_trace_dir(traces_dir: Path):
     other. As the decode loop retires a run only at its EOS or at
     ``max_steps``, so is a trace with an EOS before its last step (naming the
     step), more steps than ``max_steps``, or fewer without ending at EOS. The
-    returned manifest holds those fields as read (``bin_width``
-    the default when absent), and each label's runs are in seed order.
+    returned settings are the ``report.json`` header: ``scene``, ``scene_spec``
+    (the parsed scene's), ``seeds``, ``max_steps``, ``temperature`` and
+    ``bin_width`` (the default when absent), as read; each label's runs are in
+    seed order.
     """
     manifest_path = traces_dir / "manifest.json"
     if not manifest_path.exists():
@@ -372,8 +370,9 @@ def read_trace_dir(traces_dir: Path):
         bin_width = read_int(manifest.get("bin_width", DEFAULT_BIN_WIDTH), "bin_width")
         if bin_width < 1:
             raise ConfigError(f"bin_width must be >= 1, got {bin_width}")
-        manifest = {**manifest, "scene": scene_name, "seeds": list(seeds),
-                    "max_steps": max_steps, "temperature": temperature, "bin_width": bin_width}
+        settings = {"scene": scene_name, "scene_spec": scene_to_dict(scene),
+                    "seeds": list(seeds), "max_steps": max_steps,
+                    "temperature": temperature, "bin_width": bin_width}
     except ConfigError as exc:
         raise InputError(f"{manifest_path}: {exc}") from exc
     surface = dict(enumerate(scene.vocabulary.tokens))  # None for an id outside it
@@ -428,22 +427,12 @@ def read_trace_dir(traces_dir: Path):
                     if step_calls != calls:
                         raise InputError(f"{path}: step {t}: provider_calls: {step_calls}, "
                                          f"but {kind} makes {calls} per step")
-    return manifest, scene, stats_by_label
+    return settings, scene, stats_by_label
 
 
 def _evaluate_traces(args, out: Path | None) -> int:
-    manifest, scene, stats_by_label = read_trace_dir(Path(args.traces))
-    lexicon = TraceLexicon.from_scene(scene)
-    bin_width = manifest["bin_width"]  # every field below is read and checked by read_trace_dir
-    report = {
-        "scene": manifest["scene"],
-        "scene_spec": scene_to_dict(scene),
-        "seeds": manifest["seeds"],
-        "max_steps": manifest["max_steps"],
-        "temperature": manifest["temperature"],
-        "bin_width": bin_width,
-        **_trace_report(stats_by_label, lexicon, scene, bin_width),
-    }
+    settings, scene, stats_by_label = read_trace_dir(Path(args.traces))
+    report = _trace_report(settings, stats_by_label, TraceLexicon.from_scene(scene), scene)
     if out:
         _write_trace_report(args, out, report)
     n_runs = sum(len(v) for v in stats_by_label.values())
@@ -497,7 +486,7 @@ def cmd_sweep(args) -> int:
     )
     rows = [
         {"schedule": schedule_kind, "gamma": gamma, "lam": lam, "beta": beta,
-         "label": strategy.label(), **_metric_row(scores[strategy.label()])}
+         "label": strategy.label(), **_metric_row(scores[strategy.label()], SWEEP_COLUMNS)}
         for schedule_kind, gamma, lam, beta, strategy in cells
     ]
     rows.sort(key=lambda r: (-r["object_score"], r["chair_i"], r["label"]))
@@ -513,10 +502,7 @@ def cmd_sweep(args) -> int:
         "mask": mask,
         "rows": rows,
     }
-    header = ("rank", "best", "schedule", "gamma", "lam", "beta",
-              "chair_i", "chair_s", "cover", "cog", "object_score",
-              "hal_noun_rate", "label")
-    _write_report(args, out, "sweep", result, header, rows)
+    _write_report(args, out, "sweep", result, SWEEP_COLUMNS, rows)
     print(f"swept {len(rows)} cells over {len(seeds)} seeds -> {out}")
     for row in rows[: min(5, len(rows))]:
         marker = "*" if row["best"] else " "
@@ -573,15 +559,11 @@ def cmd_ablate(args) -> int:
         scene, scene_name, list(variants.values()), seeds,
         max_steps=args.max_steps, jobs=args.jobs,
     )
-    rows = []
-    for variant, strategy in variants.items():
-        score = scores[strategy.label()]
-        rows.append({
-            "variant": variant,
-            "label": strategy.label(),
-            **_metric_row(score),
-            "sentence_initial_the": score.initial.the_fraction,
-        })
+    rows = [
+        {"variant": variant, "label": strategy.label(),
+         **_metric_row(scores[strategy.label()], ABLATE_COLUMNS)}
+        for variant, strategy in variants.items()
+    ]
     payload = {
         "scene": scene_name,
         "seeds": list(seeds),
@@ -591,9 +573,7 @@ def cmd_ablate(args) -> int:
         "beta": args.beta,
         "rows": rows,
     }
-    header = ("variant", "chair_i", "chair_s", "cover", "cog", "object_score",
-              "hal_noun_rate", "sentence_initial_the", "label")
-    _write_report(args, out, "ablate", payload, header, rows)
+    _write_report(args, out, "ablate", payload, ABLATE_COLUMNS, rows)
     print(f"ablation over {len(seeds)} seeds -> {out}")
     for row in rows:
         print(

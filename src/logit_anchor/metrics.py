@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii
@@ -36,6 +36,7 @@ import numpy as np
 from .config import jsonl_line_numbers, read_input_text, read_json_list, read_jsonl
 from .core import GenerationRecord, Vocabulary
 from .errors import ConfigError, ContractError, InputError, LogitAnchorError
+from .weighting import object_score
 
 _EDGE_PUNCT = ".,;:!?\"'()[]"
 # The decode loop accepts probabilities that sum to 1 within 1e-9, so a step's
@@ -169,6 +170,20 @@ def extract_objects(caption: CaptionRecord, lexicon: ObjectLexicon) -> tuple[Men
 
 
 @dataclass(frozen=True)
+class CorpusCounts:
+    """The integer counts backing every corpus rate, named as ``report.json`` names them."""
+
+    captions: int
+    matched: int
+    mentions: int
+    hallucinated: int
+    gt: int
+    covered: int
+    hal_captions: int
+    cognition_hits: int
+
+
+@dataclass(frozen=True)
 class MetricsReport:
     """Corpus metrics plus the integer counts backing every rate."""
 
@@ -178,36 +193,11 @@ class MetricsReport:
     cog: float
     recall: float
     object_score: float
-    n_captions: int
-    n_matched: int
-    mentions_total: int
-    hallucinated_total: int
-    gt_total: int
-    covered_total: int
-    hal_captions: int
-    cognition_hits: int
+    counts: CorpusCounts
     warnings: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "chair_i": self.chair_i,
-            "chair_s": self.chair_s,
-            "cover": self.cover,
-            "cog": self.cog,
-            "recall": self.recall,
-            "object_score": self.object_score,
-            "counts": {
-                "captions": self.n_captions,
-                "matched": self.n_matched,
-                "mentions": self.mentions_total,
-                "hallucinated": self.hallucinated_total,
-                "gt": self.gt_total,
-                "covered": self.covered_total,
-                "hal_captions": self.hal_captions,
-                "cognition_hits": self.cognition_hits,
-            },
-            "warnings": list(self.warnings),
-        }
+        return {**asdict(self), "warnings": list(self.warnings)}
 
 
 def corpus_metrics(
@@ -263,23 +253,15 @@ def corpus_metrics(
 
     chair_i_value = hallucinated_total / mentions_total if mentions_total else 0.0
     cover_value = covered_total / gt_total
-    from .weighting import object_score as _object_score
-
     return MetricsReport(
         chair_i=chair_i_value,
         chair_s=hal_captions / matched,
         cover=cover_value,
         cog=cognition_hits / hallucinated_total if hallucinated_total else 0.0,
         recall=cover_value,
-        object_score=_object_score(chair_i_value, cover_value),
-        n_captions=len(captions),
-        n_matched=matched,
-        mentions_total=mentions_total,
-        hallucinated_total=hallucinated_total,
-        gt_total=gt_total,
-        covered_total=covered_total,
-        hal_captions=hal_captions,
-        cognition_hits=cognition_hits,
+        object_score=object_score(chair_i_value, cover_value),
+        counts=CorpusCounts(len(captions), matched, mentions_total, hallucinated_total,
+                            gt_total, covered_total, hal_captions, cognition_hits),
         warnings=tuple(warnings),
     )
 

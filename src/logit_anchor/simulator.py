@@ -123,10 +123,15 @@ class SceneSpec:
         ):
             if not (ok and math.isfinite(value)):
                 raise ConfigError(f"{name} must be finite and {rule}, got {value!r}")
+        # CHAIR reads a noun in any case, so no other token may lower-case onto one.
+        nouns = {noun.lower(): noun for noun in (*self.gt_objects, *self.hal_objects)}
         for tok, logit in zip(self.vocabulary.tokens, self.base_logits):
             # A run's text is its tokens joined by spaces, and CHAIR reads words.
             if tok.split() != [tok]:
                 raise ConfigError(f"scene token {tok!r} is empty or holds whitespace")
+            if nouns.get(tok.lower(), tok) != tok:
+                raise ConfigError(f"scene token {tok!r} is the noun "
+                                  f"{nouns[tok.lower()]!r} under lower-casing")
             if not math.isfinite(logit):
                 raise ConfigError(f"base logit of {tok!r} must be finite, got {logit!r}")
         for tok, grounding in self.article_grounding.items():

@@ -715,6 +715,19 @@ class TestEvaluateTraces:
             f"error: {manifest}: scene token 'hot dog' is empty or holds whitespace"
         )
 
+    @pytest.mark.parametrize("old, new, noun", [("woman", "Man", "man"), ("is", "Dog", "dog")])
+    def test_manifest_scene_token_lower_casing_onto_a_noun_exits_3(
+        self, tmp_path, capsys, old, new, noun
+    ):
+        sim_out, _ = self._simulated(tmp_path)
+        manifest = sim_out / "manifest.json"
+        manifest.write_text(manifest.read_text().replace(f'"{old}"', f'"{new}"'))
+        capsys.readouterr()
+        assert run_cli("evaluate", "--traces", sim_out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: scene token ") and "under lower-casing" in err
+        assert f"{new!r}" in err and f"{noun!r}" in err
+
     @pytest.mark.parametrize("label, calls", [("vcd", 1), ("vcd", 3), ("baseline", 2)])
     def test_provider_calls_against_the_call_count_law_exit_3(self, tmp_path, capsys, label, calls):
         """vcd steps rewritten to one call each used to give a wrong calls-per-token figure."""
@@ -885,6 +898,24 @@ class TestConfigFileValues:
         assert capsys.readouterr().err.startswith(
             f"error: scene token {token!r} is empty or holds whitespace"
         )
+
+    @pytest.mark.parametrize("flag", ["--scene", "--config"])
+    @pytest.mark.parametrize("old, new, noun", [("woman", "Man", "man"), ("is", "Dog", "dog")])
+    def test_scene_token_lower_casing_onto_a_noun_exits_2(
+        self, tmp_path, capsys, flag, old, new, noun
+    ):
+        """With woman renamed "Man", simulate decoded every run and wrote traces/
+        before CHAIR's lexicon refused "man" as two nouns."""
+        path = tmp_path / "scene.json"
+        text = json.dumps(scene_to_dict(default_scene())).replace(f'"{old}"', f'"{new}"')
+        path.write_text('{"scene": %s}' % text if flag == "--config" else text)
+        out = tmp_path / "out"
+        assert run_cli("simulate", flag, path, "--seeds", "0:3", "--max-steps", "20",
+                       "--strategies", "baseline", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scene token ") and "under lower-casing" in err
+        assert f"{new!r}" in err and f"{noun!r}" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "sweep", "bench", "ablate"])
     def test_empty_seed_flag_exits_2(self, tmp_path, capsys, command):

@@ -1,12 +1,16 @@
-"""Golden outputs: every file four ``simulate`` runs, a ``sweep`` and an ``ablate``
-write, pinned by sha256.
+"""Golden outputs: every file five ``simulate`` runs, a ``sweep``, an ``ablate`` and
+an ``evaluate`` of the bundled corpus write, pinned by sha256.
 
 The simulate runs cover the default strategies plus a masked flb, a
 temperature below 1 with ``--full-dist``, gt and hal sets that are not 8
 nouns long, and the degraded views at strengths other than their defaults
 (ICD's blend of the penalty lane with its permuted copy only shows below
-strength 1). The sweep and ablate runs pin reports scored from runs that
-write no trace, through ``hal_noun_rate`` and the CHAIR adapter. Any change
+strength 1). The strong-decay run decodes all six kinds, with a beta on
+baseline and greedy, at a temperature cold enough that probabilities
+underflow to zero outside the candidate mask and the kept sets differ in
+size across rows. The sweep and ablate runs pin reports scored from runs that
+write no trace, through ``hal_noun_rate`` and the CHAIR adapter; the
+evaluate run pins the corpus side, read from caption files. Any change
 to an output byte of these runs, stdout included, fails here rather than
 only under a manual ``diff -r``. To re-pin after a deliberate
 output change, run this file as a script:
@@ -27,11 +31,13 @@ from pathlib import Path
 
 import pytest
 
+from logit_anchor import cli
 from logit_anchor.cli import main
 from logit_anchor.config import SEED_ENV_VAR
 from logit_anchor.simulator import preset, scene_to_dict
 
 PINNED = Path(__file__).parent / "data" / "golden_outputs.json"
+CORPUS = Path(cli.__file__).parent / "data"
 
 BASE = [
     "simulate", "--seeds", "0:8", "--max-steps", "40",
@@ -51,6 +57,16 @@ RUNS = {
         "--lams", "0.05", "--schedules", "increasing,decreasing",
     ],
     "ablate": ["ablate", "--seeds", "0:20", "--max-steps", "40"],
+    "strong_decay": [
+        "simulate", "--scene", "strong-decay", "--seeds", "0:8", "--max-steps", "40",
+        "--strategies", "baseline;baseline:beta=0.1;greedy;greedy:beta=0.3;vcd;icd;m3id;flb",
+        "--temperature", "0.02",
+    ],
+    "corpus": [
+        "evaluate", "--captions", str(CORPUS / "golden_captions.jsonl"),
+        "--annotations", str(CORPUS / "golden_annotations.json"),
+        "--lexicon", str(CORPUS / "golden_lexicon.json"),
+    ],
 }
 SIMULATE_RUNS = [name for name, argv in RUNS.items() if argv is None or argv[0] == "simulate"]
 

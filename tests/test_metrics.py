@@ -93,17 +93,17 @@ class TestGoldenCorpus:
     def test_exact_fractions(self):
         captions, annotations, lexicon = golden_corpus()
         report = corpus_metrics(captions, annotations, lexicon)
-        assert report.n_captions == report.n_matched == 5
+        assert report.counts.captions == report.counts.matched == 5
         assert report.chair_i == float(GOLDEN_CHAIR_I)
         assert report.chair_s == float(GOLDEN_CHAIR_S)
         assert report.cover == float(GOLDEN_COVER)
         assert report.recall == report.cover
         assert report.cog == float(GOLDEN_COG)
         assert report.object_score == pytest.approx(float(GOLDEN_SCORE), abs=1e-12)
-        assert report.mentions_total == 14
-        assert report.hallucinated_total == 4
-        assert report.gt_total == 11
-        assert report.covered_total == 10
+        assert report.counts.mentions == 14
+        assert report.counts.hallucinated == 4
+        assert report.counts.gt == 11
+        assert report.counts.covered == 10
         assert not report.warnings
 
     def test_report_dict_shape(self):
@@ -138,8 +138,16 @@ class TestCorpusEdgeCases:
             Annotation("orphan", frozenset({"dog"})),
         ]
         report = corpus_metrics(caps, anns, lex)
-        assert report.n_matched == 1
+        assert report.counts.matched == 1
         assert len(report.warnings) == 2
+        assert report.to_dict() == {
+            "chair_i": 0.0, "chair_s": 0.0, "cover": 1.0, "cog": 0.0, "recall": 1.0,
+            "object_score": 1.0,
+            "counts": {"captions": 2, "matched": 1, "mentions": 1, "hallucinated": 0,
+                       "gt": 1, "covered": 1, "hal_captions": 0, "cognition_hits": 0},
+            "warnings": ["caption 'ghost' has no annotation; skipped",
+                         "annotation 'orphan' has no caption"],
+        }
 
     def test_empty_gt_rejected(self):
         lex = ObjectLexicon.identity(["dog"])
@@ -270,8 +278,8 @@ class TestTraceAnalytics:
         assert set(identity.forms) == {*scene.gt_objects, *scene.hal_objects}
         report = corpus_metrics(captions, annotations, identity)
         # the crafted run mentions man (gt) and cat (hal)
-        assert report.mentions_total == 2
-        assert report.hallucinated_total == 1
+        assert report.counts.mentions == 2
+        assert report.counts.hallucinated == 1
 
 
 class TestTraceFiles:

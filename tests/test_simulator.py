@@ -388,6 +388,18 @@ class TestSerialization:
         with pytest.raises(ConfigError, match=f"scene token {re.escape(repr(token))} is empty"):
             scene_from_dict(data)
 
+    @pytest.mark.parametrize("old, new, noun", [("woman", "Man", "man"), ("is", "Dog", "dog")])
+    def test_token_lower_casing_onto_a_noun_rejected(self, scene, old, new, noun):
+        """CHAIR reads words in any case, the token classes read exact ids: with woman
+        renamed "Man", CHAIR's lexicon mapped "man" to two nouns; with "is" renamed
+        "Dog", CHAIR counted a mention that hal_noun_rate did not."""
+        data = scene_to_dict(scene)
+        data = {key: [new if item == old else item for item in value]
+                if isinstance(value, list) else value for key, value in data.items()}
+        with pytest.raises(ConfigError, match="under lower-casing") as caught:
+            scene_from_dict(data)
+        assert repr(new) in str(caught.value) and repr(noun) in str(caught.value)
+
     def test_defaults_fill_in(self, scene):
         data = scene_to_dict(scene)
         for key in ("decay_kappa", "decay_depth", "noise_sigma",
