@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .runner import _decode
+from .runner import _check_labels, _decode
 from .simulator import SceneSpec
 from .strategies import Strategy
 
@@ -62,10 +62,11 @@ class CostModel:
 
 
 class PaddedProvider:
-    """Forwards a provider's ``logits`` arrays unchanged, busy-waiting a fixed time in each call.
+    """Forwards a provider's ``logit_rows`` arrays unchanged, busy-waiting a fixed time per row.
 
-    ``logits(history, t, rng)`` passes the row's ``Generator`` through to the
-    wrapped provider, so a padded run draws exactly what a bare one does.
+    ``logit_rows(histories, t, rngs)`` passes the rows' ``Generator``s through
+    to the wrapped provider, so a padded run draws exactly what a bare one
+    does, and a call for n rows waits n pads, as n one-row calls would.
     Busy-waiting (not sleeping) keeps sub-millisecond pads accurate.
     """
 
@@ -85,9 +86,9 @@ class PaddedProvider:
     def calls(self):
         return self.inner.calls
 
-    def logits(self, history, t, rng):
-        deadline = time.perf_counter() + self.pad_s
-        result = self.inner.logits(history, t, rng)
+    def logit_rows(self, histories, t, rngs):
+        deadline = time.perf_counter() + self.pad_s * len(histories)
+        result = self.inner.logit_rows(histories, t, rngs)
         while time.perf_counter() < deadline:
             pass
         return result
@@ -137,8 +138,10 @@ def run_bench(
     are read, so no per-step vectors are built in the timed span. Fails with
     InputError if any strategy produces fewer than ``min_tokens`` tokens
     total; pass more seeds or a larger ``max_steps``. A negative
-    ``min_tokens`` is a ConfigError, raised before anything is decoded.
+    ``min_tokens`` is a ConfigError, and so is an empty strategy list or a
+    label listed twice, each raised before anything is decoded.
     """
+    _check_labels([strategy.label() for strategy in strategies])
     if min_tokens < 0:
         raise ConfigError(f"min_tokens must be >= 0, got {min_tokens!r}")
     wrap = None

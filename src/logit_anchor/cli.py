@@ -4,7 +4,7 @@ Subcommands: simulate, evaluate, sweep, bench, ablate. All file outputs are
 deterministic for a fixed configuration: reports are JSON with sorted keys
 (plus CSV mirrors), traces are JSONL, and nothing timestamped or
 machine-specific is ever written, so repeated invocations produce identical
-bytes regardless of --jobs.
+bytes regardless of simulate's --jobs.
 
 Exit codes: 0 success, 2 configuration error, 3 input-data error,
 4 internal invariant violation, 141 (128 + SIGPIPE, as for a program the
@@ -13,8 +13,8 @@ signal ends) when stdout is closed before the summary is printed, as in
 before it prints, so the files of such a run are complete; nothing more is
 printed and no traceback is shown.
 
-``--jobs`` is accepted for compatibility and must be >= 1; it has no
-effect. Decoding runs in one process: all seeds of a strategy are decoded
+simulate's ``--jobs`` is accepted for compatibility and must be >= 1; it has
+no effect. Decoding runs in one process: all seeds of a strategy are decoded
 together as rows of one batch.
 
 Config input (files, flags, seeds, the seed env override) is resolved in
@@ -36,11 +36,11 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from itertools import product
 from pathlib import Path
 
-from .bench import CostModel, run_bench
+from .bench import BenchRow, CostModel, run_bench
 from .config import (
     DEFAULT_BIN_WIDTH,
     DEFAULT_MAX_STEPS,
@@ -63,6 +63,9 @@ from .config import (
 from .data import load_corpus
 from .errors import ConfigError, InputError, LogitAnchorError
 from .metrics import (
+    CorpusCounts,
+    CurveBin,
+    MetricsReport,
     TraceLexicon,
     article_stats,
     corpus_metrics,
@@ -84,7 +87,6 @@ REPORT_COLUMNS = (
     "strategy", "chair_i", "chair_s", "cover", "cog", "recall", "object_score",
     "hal_noun_rate", "sentence_initial_the", "provider_calls_per_token", "tokens",
 )
-CURVE_COLUMNS = ("strategy", "lo", "hi", "gt_mass", "hal_mass", "slots")
 SWEEP_COLUMNS = (
     "rank", "best", "schedule", "gamma", "lam", "beta", "chair_i", "chair_s", "cover", "cog",
     "object_score", "hal_noun_rate", "label",
@@ -93,6 +95,11 @@ ABLATE_COLUMNS = (
     "variant", "chair_i", "chair_s", "cover", "cog", "object_score", "hal_noun_rate",
     "sentence_initial_the", "label",
 )
+
+
+def _fields(record, *skip) -> tuple[str, ...]:
+    """The field names of dataclass ``record``, in order, less ``skip``."""
+    return tuple(f.name for f in fields(record) if f.name not in skip)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -174,11 +181,11 @@ def _metric_row(block, header) -> dict:
     return {key: value for key, value in _flat(block).items() if key in header}
 
 
-def _run_and_score(scene, scene_name, strategies, seeds, *, jobs, **run_kwargs):
+def _run_and_score(scene, scene_name, strategies, seeds, **run_kwargs):
     """One ``run_many`` over ``strategies``, summarized, scored per label."""
     lexicon = TraceLexicon.from_scene(scene)
     runs_by_label = {strategy.label(): [] for strategy in strategies}
-    records = run_many(scene, strategies, seeds, prompt_id=scene_name, jobs=jobs, **run_kwargs)
+    records = run_many(scene, strategies, seeds, prompt_id=scene_name, **run_kwargs)
     for record in records:
         runs_by_label[record.strategy].append(summarize_record(record, lexicon))
     return {label: _score(runs, lexicon, scene) for label, runs in runs_by_label.items()}
@@ -222,7 +229,7 @@ def _write_trace_report(args, out: Path, report) -> None:
             {"strategy": label, **b}
             for label in sorted(report["curves"]) for b in report["curves"][label]
         ]
-        _write_csv(out / "curves.csv", CURVE_COLUMNS, curves)
+        _write_csv(out / "curves.csv", ("strategy", *_fields(CurveBin)), curves)
 
 
 def _print_strategy_summary(report) -> None:
@@ -310,13 +317,9 @@ def _evaluate_corpus(args, out: Path | None) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     report = {"corpus": report_obj.to_dict()}
     if out:
-        _write_report(
-            args, out, "report", report,
-            ("chair_i", "chair_s", "cover", "cog", "recall", "object_score",
-             "captions", "matched", "mentions", "hallucinated",
-             "gt", "covered", "hal_captions", "cognition_hits"),
-            [{**report["corpus"], **report["corpus"]["counts"]}],
-        )
+        header = (*_fields(MetricsReport, "counts", "warnings"), *_fields(CorpusCounts))
+        _write_report(args, out, "report", report, header,
+                      [{**report["corpus"], **report["corpus"]["counts"]}])
     print(
         f"captions={report_obj.counts.matched}/{report_obj.counts.captions} "
         f"chair_i={report_obj.chair_i:.4f} chair_s={report_obj.chair_s:.4f} "
@@ -482,7 +485,7 @@ def cmd_sweep(args) -> int:
     # which run_many rejects.
     scores = _run_and_score(
         scene, scene_name, [cell[-1] for cell in cells], seeds,
-        max_steps=max_steps, temperature=temperature, jobs=args.jobs,
+        max_steps=max_steps, temperature=temperature,
     )
     rows = [
         {"schedule": schedule_kind, "gamma": gamma, "lam": lam, "beta": beta,
@@ -519,10 +522,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_bench(args) -> int:
     scene, scene_name = resolve_scene(args.scene)
-    strategies = parse_strategies(
-        args.strategies if args.strategies is not None
-        else "baseline;greedy;vcd;icd;m3id;flb"
-    )
+    strategies = parse_strategies(args.strategies)
     seeds = resolve_seeds(args.seeds, {}, tuple(range(40)))
     cost_model = CostModel.parse(args.cost_model)
     out = _out_dir(args.out)
@@ -531,10 +531,7 @@ def cmd_bench(args) -> int:
         max_steps=args.max_steps, min_tokens=args.min_tokens,
     )
     payload = {"scene": scene_name, "seeds": list(seeds), **report.to_dict()}
-    header = ("strategy", "runs", "tokens_measured", "provider_calls",
-              "provider_calls_per_token", "wall_ms_per_token",
-              "overhead_ms_per_token")
-    _write_report(args, out, "bench", payload, header, payload["rows"])
+    _write_report(args, out, "bench", payload, _fields(BenchRow), payload["rows"])
     print(f"bench ({cost_model.kind}, pad={cost_model.pad_us:g}us) -> {out}")
     for row in report.rows:
         print(
@@ -556,8 +553,7 @@ def cmd_ablate(args) -> int:
         variants[mask] = Strategy(kind=FLB, schedule=schedule, beta=args.beta, l0_mask=mask)
     out = _out_dir(args.out)
     scores = _run_and_score(
-        scene, scene_name, list(variants.values()), seeds,
-        max_steps=args.max_steps, jobs=args.jobs,
+        scene, scene_name, list(variants.values()), seeds, max_steps=args.max_steps
     )
     rows = [
         {"variant": variant, "label": strategy.label(),
@@ -598,14 +594,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"),
                        help="restrict report format (default: both)")
 
+    def run_flags(p, max_steps=None):
+        """The flags of every decoding command; None leaves a setting to the config file."""
+        p.add_argument("--scene", help="preset name or scene JSON path")
+        p.add_argument("--seeds", help="comma-separated seeds; ranges like 0:50 allowed")
+        p.add_argument("--max-steps", type=int, default=max_steps, dest="max_steps")
+
     p = sub.add_parser("simulate", help="run strategies on a scene, write traces and reports")
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--scene", help="preset name or scene JSON path")
+    run_flags(p)
     p.add_argument("--strategies",
                    help="semicolon-separated strategy descriptors, "
                         "e.g. 'baseline;vcd;flb:gamma=0.3,lambda=0.05'")
-    p.add_argument("--seeds", help="comma-separated seeds; ranges like 0:50 allowed")
-    p.add_argument("--max-steps", type=int, dest="max_steps")
     p.add_argument("--temperature", type=float)
     p.add_argument("--bin-width", type=int, dest="bin_width")
     p.add_argument("--jobs", type=int, default=1,
@@ -626,40 +626,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="grid-search boost schedules")
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--scene")
+    run_flags(p)
     p.add_argument("--gammas", help="comma-separated gamma values")
     p.add_argument("--lams", help="comma-separated lambda values")
     p.add_argument("--betas", help="comma-separated beta values")
     p.add_argument("--schedules", help="comma-separated schedule kinds")
     p.add_argument("--mask", choices=("full", "nouns_only", "the_only"))
-    p.add_argument("--seeds")
-    p.add_argument("--max-steps", type=int, dest="max_steps")
     p.add_argument("--temperature", type=float)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility, must be >= 1; has no effect")
     common_output(p, "sweep_out")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bench", help="account provider calls and wall time per strategy")
-    p.add_argument("--scene")
-    p.add_argument("--strategies", help="semicolon-separated strategy descriptors")
-    p.add_argument("--seeds")
+    run_flags(p, DEFAULT_MAX_STEPS)
+    p.add_argument("--strategies", default="baseline;greedy;vcd;icd;m3id;flb",
+                   help="semicolon-separated strategy descriptors")
     p.add_argument("--cost-model", default="cheap", dest="cost_model",
                    help="'cheap' or 'padded:<microseconds>'")
     p.add_argument("--min-tokens", type=int, default=1000, dest="min_tokens")
-    p.add_argument("--max-steps", type=int, default=60, dest="max_steps")
     common_output(p, "bench_out")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("ablate", help="compare first-logit contribution masks")
-    p.add_argument("--scene")
-    p.add_argument("--seeds")
+    run_flags(p, DEFAULT_MAX_STEPS)
     p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
     p.add_argument("--lam", "--lambda", type=float, default=DEFAULT_LAM, dest="lam")
     p.add_argument("--beta", type=float, default=SETTINGS[FLB]["beta"])
-    p.add_argument("--max-steps", type=int, default=60, dest="max_steps")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility, must be >= 1; has no effect")
     common_output(p, "ablate_out")
     p.set_defaults(func=cmd_ablate)
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, InputError
+from .runner import _check_labels
 from .simulator import PRESET_NAMES, SceneSpec, preset, scene_from_dict
 from .strategies import Strategy, _check_run_args, parse_strategy
 
@@ -47,8 +48,7 @@ class RunConfig:
     bin_width: int = DEFAULT_BIN_WIDTH
 
     def __post_init__(self):
-        if not self.strategies:
-            raise ConfigError("strategies: no strategies given")
+        _check_labels([s.label() for s in self.strategies])
         _check_run_args(self.max_steps, self.temperature)
         if self.bin_width < 1:
             raise ConfigError(f"bin_width must be >= 1, got {self.bin_width}")

@@ -76,7 +76,10 @@ def run_strategy(
 
 
 def _check_labels(labels: Sequence[str]) -> None:
-    """Refuse a label listed twice: a run's records and traces are keyed by label."""
+    """The one check of a strategy list, by its labels: it must hold at least one,
+    and none twice, as a run's records and traces are keyed by label."""
+    if not labels:
+        raise ConfigError("strategies: no strategies given")
     repeated = next((label for i, label in enumerate(labels) if label in labels[:i]), None)
     if repeated is not None:
         raise ConfigError(f"strategy labels must be unique within one run: {repeated!r} repeats")

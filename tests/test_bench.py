@@ -61,14 +61,27 @@ class TestPaddedProvider:
         assert padded.vocab is inner.vocab
         assert padded.eos_id == inner.eos_id
         start = time.perf_counter()
-        row = padded.logits((), 0, np.random.default_rng(3))
+        (row,) = padded.logit_rows([()], 0, [np.random.default_rng(3)])
         elapsed = time.perf_counter() - start
         assert padded.calls == inner.calls == 1
         assert elapsed >= 200e-6
         assert type(row) is np.ndarray and row.dtype == np.float64
         assert row.shape == (scene.vocabulary.size,)
         bare = SyntheticProvider(scene)
-        assert (row == bare.logits((), 0, np.random.default_rng(3))).all()
+        assert (row == bare.logit_rows([()], 0, [np.random.default_rng(3)])[0]).all()
+
+    def test_pads_once_per_row(self, scene):
+        histories = [(), (1,), (1, 2)]
+        padded = PaddedProvider(SyntheticProvider(scene), pad_us=200.0)
+        start = time.perf_counter()
+        rows = padded.logit_rows(histories, 2, [np.random.default_rng(s) for s in range(3)])
+        elapsed = time.perf_counter() - start
+        assert padded.calls == 3
+        assert elapsed >= 3 * 200e-6
+        bare = SyntheticProvider(scene).logit_rows(
+            histories, 2, [np.random.default_rng(s) for s in range(3)]
+        )
+        assert rows.shape == (3, scene.vocabulary.size) and (rows == bare).all()
 
 
 class TestRunBench:
@@ -119,6 +132,32 @@ class TestRunBench:
         monkeypatch.setattr(bench, "_decode", no_decoding)
         with pytest.raises(ConfigError, match="min_tokens must be >= 0, got -5"):
             run_bench(scene, [Strategy(kind="baseline")], seeds=range(2), min_tokens=-5)
+
+    @pytest.mark.parametrize("labels, message", [
+        ([], "strategies: no strategies given"),
+        (["flb", "flb"], "strategy labels must be unique within one run: 'flb"),
+    ], ids=["empty", "repeated"])
+    def test_bad_strategy_list_rejected_before_decoding(self, scene, monkeypatch, labels, message):
+        """An empty list used to give an empty report, and a repeated one two rows
+        under one label."""
+        def no_decoding(*args, **kwargs):
+            raise AssertionError("bench decoded a run")
+
+        monkeypatch.setattr(bench, "_decode", no_decoding)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_bench(scene, [parse_strategy(label) for label in labels], seeds=range(2))
+
+    def test_padded_run_takes_the_rows_route(self, scene, monkeypatch):
+        """Padded runs went through the per-row ``logits`` route; they take ``logit_rows``
+        as bare runs do."""
+        def no_logits(self, history, t, rng):
+            raise AssertionError("a padded run called logits")
+
+        monkeypatch.setattr(SyntheticProvider, "logits", no_logits)
+        strategies = [Strategy(kind="baseline"), parse_strategy("vcd")]
+        report = run_bench(scene, strategies, seeds=range(2), cost_model=CostModel("padded", 1.0),
+                           max_steps=5, min_tokens=1)
+        assert [row.provider_calls_per_token for row in report.rows] == [1.0, 2.0]
 
     def test_row_lookup(self, scene):
         report = run_bench(

@@ -804,6 +804,36 @@ class TestBench:
         assert (out / "bench.csv").exists()
         assert "calls/token" in capsys.readouterr().out
 
+    def test_csv_header(self, tmp_path):
+        """The header is taken from ``BenchRow``'s fields; its bytes are pinned here, as the
+        timings under it cannot be."""
+        out = tmp_path / "out"
+        assert run_cli(
+            "bench", "--strategies", "baseline", "--seeds", "0:2", "--max-steps", "5",
+            "--min-tokens", "1", "--format", "csv", "--out", out,
+        ) == 0
+        assert (out / "bench.csv").read_text().splitlines()[0] == (
+            "strategy,runs,tokens_measured,provider_calls,provider_calls_per_token,"
+            "wall_ms_per_token,overhead_ms_per_token"
+        )
+
+    @pytest.mark.parametrize("strategies, message", [
+        ("", "error: strategies: no strategies given"),
+        ("flb;flb", "error: strategy labels must be unique within one run: "
+                    "'flb(increasing,gamma=0.3,lam=0.05,beta=0.1,mask=full)' repeats"),
+    ], ids=["empty", "repeated"])
+    def test_bad_strategy_list_exits_2_as_simulate_does(
+        self, tmp_path, capsys, strategies, message
+    ):
+        """bench used to write an empty report for an empty list, and two rows under one
+        label for a repeated one."""
+        for command in ("simulate", "bench"):
+            out = tmp_path / command
+            assert run_cli(command, "--strategies", strategies, "--seeds", "0:2",
+                           "--max-steps", "5", "--out", out) == 2
+            assert capsys.readouterr().err == message + "\n"
+            assert not out.exists()
+
     def test_min_tokens_exit_3(self, tmp_path):
         assert run_cli(
             "bench", "--strategies", "baseline", "--seeds", "0",
@@ -1013,6 +1043,14 @@ class TestParser:
             main(["transmogrify"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["sweep", "ablate"])
+    def test_jobs_is_a_simulate_flag_only(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--jobs", "2", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_sanitize_label(self):
         assert sanitize_label("flb(increasing,gamma=0.3)") == "flb(increasing,gamma=0.3)"
