@@ -12,11 +12,10 @@ import argparse
 
 from logit_anchor import (
     TraceLexicon,
-    corpus_metrics,
     hal_noun_rate,
     parse_strategy,
     run_many,
-    simulated_corpus,
+    simulated_metrics,
     summarize_record,
 )
 from logit_anchor.config import resolve_scene
@@ -43,10 +42,7 @@ def main(args):
     print("-" * len(header))
     for strategy in strategies:
         runs = by_label[strategy.label()]
-        captions, annotations, identity = simulated_corpus(
-            runs, lexicon, scene.gt_objects, scene.cognition_objects
-        )
-        corpus = corpus_metrics(captions, annotations, identity)
+        corpus = simulated_metrics(runs, lexicon, scene.cognition_objects)
         tokens = sum(len(r.chosen) for r in runs)
         calls = sum(sum(r.provider_calls) for r in runs)
         print(

@@ -49,6 +49,7 @@ from .metrics import (
     read_trace,
     sentence_initial_stats,
     simulated_corpus,
+    simulated_metrics,
     summarize_record,
     write_trace,
 )
@@ -131,6 +132,7 @@ __all__ = [
     "scene_to_dict",
     "sentence_initial_stats",
     "simulated_corpus",
+    "simulated_metrics",
     "summarize_record",
     "weight_at",
     "write_trace",

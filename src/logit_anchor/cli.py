@@ -74,13 +74,13 @@ from .metrics import (
     positional_curves,
     read_trace,
     sentence_initial_stats,
-    simulated_corpus,
+    simulated_metrics,
     summarize_record,
     write_trace,
 )
 from .runner import _check_labels, run_many
 from .simulator import scene_from_dict, scene_to_dict
-from .strategies import CONTRASTIVE_KINDS, FLB, SETTINGS, Strategy, _check_run_args
+from .strategies import CONTRASTIVE_KINDS, FLB, SETTINGS, STRATEGY_KINDS, Strategy, _check_run_args
 from .weighting import DEFAULT_GAMMA, DEFAULT_LAM, WeightSchedule
 
 REPORT_COLUMNS = (
@@ -151,12 +151,10 @@ def sanitize_label(label: str) -> str:
 def _score(runs, lexicon, scene) -> dict:
     """Score one label's runs as a corpus of captions of ``scene``: the label's
     block of ``report.json``, less the trace readouts only that report holds."""
-    captions, annotations, identity = simulated_corpus(
-        runs, lexicon, scene.gt_objects, scene.cognition_objects
-    )
+    corpus = simulated_metrics(runs, lexicon, scene.cognition_objects)
     initial = sentence_initial_stats(runs)
     return {
-        "corpus": corpus_metrics(captions, annotations, identity).to_dict(),
+        "corpus": corpus.to_dict(),
         "traces": {
             "hal_noun_rate": hal_noun_rate(runs, lexicon),
             "sentence_initial_the": {
@@ -336,7 +334,8 @@ def read_trace_dir(traces_dir: Path):
     ``scene_spec``, ``strategies``, ``seeds``, ``max_steps`` or
     ``temperature``, or holds a bad value for one of them or for
     ``bin_width``, is an input error (exit 3) naming the file and the key.
-    So is a label listed twice in ``strategies``, a label's trace files not
+    So is a label listed twice in ``strategies`` or whose kind (the part before
+    any "(") is no strategy kind, a label's trace files not
     being exactly ``<seed>.jsonl`` for the manifest's seeds (naming the file
     and the seed), and a trace whose header holds another seed, label or
     scene name (``prompt_id``), or whose steps choose a token id outside the
@@ -365,6 +364,9 @@ def read_trace_dir(traces_dir: Path):
         scene = scene_from_dict(manifest["scene_spec"])
         labels = read_names(manifest["strategies"], "strategies")
         _check_labels(labels)
+        for label in labels:
+            if label.partition("(")[0] not in STRATEGY_KINDS:
+                raise ConfigError(f"strategies: {label!r} names no strategy kind")
         (scene_name,) = read_names([manifest["scene"]], "scene")
         seeds = read_seeds(manifest["seeds"])
         max_steps = read_int(manifest["max_steps"], "max_steps")

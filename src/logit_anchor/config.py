@@ -182,12 +182,26 @@ def read_float_list(value, key: str) -> tuple[float, ...]:
     return tuple(read_float(item, key) for item in _items(value, key))
 
 
+def read_string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key}: {value!r} is not a string")
+    return value
+
+
+def read_id(value, key: str) -> str:
+    """A string, or an integer (not a bool) read as its decimal string."""
+    if type(value) not in (str, int):
+        raise ConfigError(f"{key}: {value!r} is not a string or an integer")
+    return str(value)
+
+
 def read_names(value, key: str) -> tuple[str, ...]:
-    items = _items(value, key)
-    for item in items:
-        if not isinstance(item, str):
-            raise ConfigError(f"{key}: {item!r} is not a string")
-    return tuple(items)
+    return tuple(read_string(item, key) for item in _items(value, key))
+
+
+def read_string_list(value, key: str) -> tuple[str, ...]:
+    """A JSON array of strings, which may be empty."""
+    return tuple(read_string(item, key) for item in read_json_list(value, key))
 
 
 def _distinct_seeds(seeds: list[int], source: str) -> tuple[int, ...]:

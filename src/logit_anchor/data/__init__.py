@@ -6,25 +6,32 @@ from __future__ import annotations
 from pathlib import Path
 
 from ..config import (
-    jsonl_line_numbers, parse_json, read_input_text, read_json_list, read_jsonl,
+    jsonl_line_numbers, parse_json, read_id, read_input_text, read_json_list, read_jsonl,
+    read_string, read_string_list,
 )
 from ..errors import ConfigError, InputError
 from ..metrics import Annotation, CaptionRecord, ObjectLexicon
 
 
 def load_captions_jsonl(text: str, source: str = "<captions>") -> list[CaptionRecord]:
-    """Parse caption JSONL: one {"id", "text"} (or {"id", "tokens"}) per line."""
+    """Parse caption JSONL: one {"id", "text"} (or {"id", "tokens"}) per line. The
+    id is a string or an integer (read as its decimal string); the text and every
+    token are strings."""
     captions: list[CaptionRecord] = []
     for lineno, data in zip(jsonl_line_numbers(text), read_jsonl(text, source)):
         if not isinstance(data, dict) or "id" not in data:
             raise InputError(f"{source}:{lineno}: caption line needs an 'id' field")
-        if "tokens" in data:
-            tokens = read_json_list(data["tokens"], f"{source}:{lineno}: 'tokens'")
-            captions.append(CaptionRecord(str(data["id"]), tuple(map(str, tokens))))
-        elif "text" in data:
-            captions.append(CaptionRecord.from_text(str(data["id"]), str(data["text"])))
-        else:
-            raise InputError(f"{source}:{lineno}: caption line needs 'text' or 'tokens'")
+        try:
+            image_id = read_id(data["id"], "'id'")
+            if "tokens" in data:
+                caption = CaptionRecord(image_id, read_string_list(data["tokens"], "'tokens'"))
+            elif "text" in data:
+                caption = CaptionRecord.from_text(image_id, read_string(data["text"], "'text'"))
+            else:
+                raise ConfigError("caption line needs 'text' or 'tokens'")
+        except (ConfigError, InputError) as exc:
+            raise InputError(f"{source}:{lineno}: {exc}") from exc
+        captions.append(caption)
     return captions
 
 

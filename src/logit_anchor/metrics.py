@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import jsonl_line_numbers, read_input_text, read_json_list, read_jsonl
+from .config import jsonl_line_numbers, read_id, read_input_text, read_jsonl, read_string_list
 from .core import GenerationRecord, Vocabulary
 from .errors import ConfigError, ContractError, InputError, LogitAnchorError
 from .weighting import object_score
@@ -92,8 +92,7 @@ class ObjectLexicon:
     def from_dict(cls, data: Mapping) -> "ObjectLexicon":
         if not isinstance(data, Mapping):
             raise InputError("lexicon must be an object mapping names to form lists")
-        return cls({str(k): tuple(map(str, read_json_list(v, f"lexicon entry {k!r}")))
-                    for k, v in data.items()})
+        return cls({k: read_string_list(v, f"lexicon entry {k!r}") for k, v in data.items()})
 
 
 @dataclass(frozen=True)
@@ -109,13 +108,13 @@ class Annotation:
     def from_dict(cls, data: Mapping) -> "Annotation":
         try:
             return cls(
-                image_id=str(data["id"]),
-                gt_objects=frozenset(map(str, read_json_list(data["gt_objects"], "gt_objects"))),
-                cognition_objects=frozenset(map(str, read_json_list(
+                image_id=read_id(data["id"], "id"),
+                gt_objects=frozenset(read_string_list(data["gt_objects"], "gt_objects")),
+                cognition_objects=frozenset(read_string_list(
                     data.get("cognition_objects", []), "cognition_objects"
-                ))),
+                )),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ConfigError) as exc:
             raise InputError(f"malformed annotation: {exc}") from exc
 
 
@@ -196,6 +195,15 @@ class MetricsReport:
     counts: CorpusCounts
     warnings: tuple[str, ...] = ()
 
+    @classmethod
+    def from_counts(cls, counts: CorpusCounts, warnings: Iterable[str] = ()) -> "MetricsReport":
+        """The rates of ``counts``: each is one quotient of two of its integers."""
+        chair_i = counts.hallucinated / counts.mentions if counts.mentions else 0.0
+        cover = counts.covered / counts.gt
+        cog = counts.cognition_hits / counts.hallucinated if counts.hallucinated else 0.0
+        return cls(chair_i, counts.hal_captions / counts.matched, cover, cog, cover,
+                   object_score(chair_i, cover), counts, tuple(warnings))
+
     def to_dict(self) -> dict:
         return {**asdict(self), "warnings": list(self.warnings)}
 
@@ -218,10 +226,7 @@ def corpus_metrics(
         by_id[ann.image_id] = ann
 
     warnings: list[str] = []
-    matched = 0
-    mentions_total = hallucinated_total = 0
-    gt_total = covered_total = 0
-    hal_captions = cognition_hits = 0
+    rows: list[tuple[int, ...]] = []  # a matched caption's counts, as CorpusCounts orders them
     seen_ids: set[str] = set()
 
     for caption in captions:
@@ -234,35 +239,20 @@ def corpus_metrics(
             raise InputError(
                 f"annotation {ann.image_id!r} has an empty ground-truth set"
             )
-        matched += 1
         mentioned = {m.obj for m in extract_objects(caption, lexicon)}
         hallucinated = mentioned - ann.gt_objects
-        mentions_total += len(mentioned)
-        hallucinated_total += len(hallucinated)
-        gt_total += len(ann.gt_objects)
-        covered_total += len(mentioned & ann.gt_objects)
-        hal_captions += bool(hallucinated)
-        cognition_hits += len(hallucinated & ann.cognition_objects)
+        rows.append((len(mentioned), len(hallucinated), len(ann.gt_objects),
+                     len(mentioned & ann.gt_objects), int(bool(hallucinated)),
+                     len(hallucinated & ann.cognition_objects)))
 
     for image_id in by_id:
         if image_id not in seen_ids:
             warnings.append(f"annotation {image_id!r} has no caption")
 
-    if matched == 0:
+    if not rows:
         raise InputError("no caption matched an annotation; nothing to score")
-
-    chair_i_value = hallucinated_total / mentions_total if mentions_total else 0.0
-    cover_value = covered_total / gt_total
-    return MetricsReport(
-        chair_i=chair_i_value,
-        chair_s=hal_captions / matched,
-        cover=cover_value,
-        cog=cognition_hits / hallucinated_total if hallucinated_total else 0.0,
-        recall=cover_value,
-        object_score=object_score(chair_i_value, cover_value),
-        counts=CorpusCounts(len(captions), matched, mentions_total, hallucinated_total,
-                            gt_total, covered_total, hal_captions, cognition_hits),
-        warnings=tuple(warnings),
+    return MetricsReport.from_counts(
+        CorpusCounts(len(captions), len(rows), *map(sum, zip(*rows))), warnings
     )
 
 
@@ -548,18 +538,29 @@ def simulated_corpus(
     :func:`corpus_metrics`.
     """
     names = sorted(lexicon.vocab.tokens[i] for i in np.flatnonzero(lexicon.gt | lexicon.hal))
-    identity = ObjectLexicon.identity(names)
-    gt = frozenset(gt_names)
-    cognition = frozenset(cognition_names)
-    captions: list[CaptionRecord] = []
-    annotations: list[Annotation] = []
-    for run in runs:
-        run_id = f"{run.strategy}#{run.seed}"
-        captions.append(CaptionRecord(image_id=run_id, tokens=run.tokens))
-        annotations.append(
-            Annotation(image_id=run_id, gt_objects=gt, cognition_objects=cognition)
-        )
-    return captions, annotations, identity
+    ids = [f"{run.strategy}#{run.seed}" for run in runs]
+    gt, cognition = frozenset(gt_names), frozenset(cognition_names)
+    return ([CaptionRecord(run_id, run.tokens) for run_id, run in zip(ids, runs)],
+            [Annotation(run_id, gt, cognition) for run_id in ids], ObjectLexicon.identity(names))
+
+
+def simulated_metrics(runs: Sequence[RunStats], lexicon: TraceLexicon,
+                      cognition_names: Iterable[str] = ()) -> MetricsReport:
+    """``corpus_metrics(*simulated_corpus(runs, lexicon, <gt nouns>, cognition_names))``
+    from the runs' chosen ids, not their token strings: a boolean [runs, vocab + 1]
+    table of the ids each run chose (clipped as ``_steps`` clips them), ANDed with
+    the gt and hal rows and read at the cognition ids. Each run is its own caption."""
+    if not runs:
+        raise InputError("no caption matched an annotation; nothing to score")
+    seen = np.zeros((len(runs), lexicon.vocab.size + 1), dtype=bool)
+    seen[np.repeat(np.arange(len(runs)), [len(run.chosen) for run in runs]),
+         np.clip(_column(runs, "chosen", np.int64), -1, lexicon.vocab.size)] = True
+    hal = seen & lexicon.hal
+    covered, hallucinated = int(np.count_nonzero(seen & lexicon.gt)), int(np.count_nonzero(hal))
+    return MetricsReport.from_counts(CorpusCounts(
+        len(runs), len(runs), covered + hallucinated, hallucinated,
+        len(runs) * int(np.count_nonzero(lexicon.gt)), covered, int(np.count_nonzero(hal.any(1))),
+        int(np.count_nonzero(hal[:, list(set(map(lexicon.vocab.id_of, cognition_names)))]))))
 
 
 # -- trace files ------------------------------------------------------------------

@@ -8,10 +8,13 @@ time and add in that order, independent of the package's column reductions,
 and classify tokens by id sets written from the scene's token lists,
 independent of the package's ``TraceLexicon`` rows. The grammar fold moves
 token by token through a table written from the scene's token lists,
-independent of the simulator's own table.
+independent of the simulator's own table. ``capitalised_scene`` is the scene
+the CHAIR checks share beside the default one.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -22,7 +25,10 @@ from logit_anchor.metrics import (
     EntropyCell,
     SentenceInitialStats,
 )
-from logit_anchor.simulator import AFTER_ARTICLE, AFTER_CONNECTIVE, AFTER_NOUN, START, TERMINAL
+from logit_anchor.simulator import (
+    AFTER_ARTICLE, AFTER_CONNECTIVE, AFTER_NOUN, START, TERMINAL, preset, scene_from_dict,
+    scene_to_dict,
+)
 
 
 def softmax(scores: np.ndarray, mask: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -193,3 +199,12 @@ def hal_noun_rate(runs, scene):
                 nouns += 1
                 hal += step.chosen in classes.hal_objects
     return hal / nouns if nouns else 0.0
+
+
+def capitalised_scene():
+    """The default scene with the gt nouns "Man" and "Dog" and the hal nouns "Cat"
+    (a cognition object) and "Sheep" spelt with a capital: CHAIR reads any case."""
+    text = json.dumps(scene_to_dict(preset("default")))
+    for noun in ("man", "dog", "cat", "sheep"):
+        text = text.replace(f'"{noun}"', f'"{noun.capitalize()}"')
+    return scene_from_dict(json.loads(text))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logit_anchor import bench, cli
+from logit_anchor import bench, cli, metrics
 from logit_anchor.cli import main, sanitize_label
 from logit_anchor.config import SEED_ENV_VAR, SIMULATE_KEYS
 from logit_anchor.data import load_captions_jsonl
@@ -285,6 +285,50 @@ class TestEvaluateCorpus:
         assert run_cli("evaluate", *argv) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}") and key in err
+
+    @pytest.mark.parametrize("index, name, edit, message", [
+        (1, "caps.jsonl", lambda caps: [{**caps[0], "id": None}, *caps[1:]],
+         ":1: 'id': None is not a string or an integer"),
+        (1, "caps.jsonl", lambda caps: [caps[0], {**caps[1], "id": True}, *caps[2:]],
+         ":2: 'id': True is not a string or an integer"),
+        (1, "caps.jsonl", lambda caps: [*caps, {"id": "img9", "tokens": ["a", 7]}],
+         ":6: 'tokens': 7 is not a string"),
+        (1, "caps.jsonl", lambda caps: [{**caps[0], "text": 5}, *caps[1:]],
+         ":1: 'text': 5 is not a string"),
+        (3, "ann.json", lambda ann: [{**ann[0], "id": None}, *ann[1:]],
+         ": malformed annotation: id: None is not a string or an integer"),
+        (3, "ann.json", lambda ann: [{**ann[0], "gt_objects": [7]}, *ann[1:]],
+         ": malformed annotation: gt_objects: 7 is not a string"),
+        (3, "ann.json", lambda ann: [{**ann[0], "cognition_objects": [1.5]}, *ann[1:]],
+         ": malformed annotation: cognition_objects: 1.5 is not a string"),
+        (5, "lex.json", lambda lex: {**lex, "dog": ["dog", 7]},
+         ": lexicon entry 'dog': 7 is not a string"),
+    ], ids=["caption_id_null", "caption_id_bool", "caption_token_int", "caption_text_int",
+            "annotation_id_null", "gt_object_int", "cognition_object_float", "lexicon_form_int"])
+    def test_value_of_another_json_type_exits_3(self, tmp_path, capsys, index, name, edit,
+                                                message):
+        """Ids, names, forms and tokens used to be read with str(): an id null matched an
+        annotation "None", and the token 7 the object "7"."""
+        source = Path(GOLDEN[index])
+        if name.endswith(".jsonl"):
+            lines = [json.loads(line) for line in source.read_text().splitlines()]
+            text = "\n".join(json.dumps(line) for line in edit(lines)) + "\n"
+        else:
+            text = json.dumps(edit(json.loads(source.read_text())))
+        bad = tmp_path / name
+        bad.write_text(text)
+        argv = list(GOLDEN)
+        argv[index] = str(bad)
+        assert run_cli("evaluate", *argv) == 3
+        assert capsys.readouterr().err == f"error: {bad}{message}\n"
+
+    def test_integer_ids_read_as_their_decimal_strings(self, tmp_path, capsys):
+        caps, ann = tmp_path / "caps.jsonl", tmp_path / "ann.json"
+        caps.write_text('{"id": 7, "text": "a dog"}\n{"id": "8", "tokens": ["cat"]}\n')
+        ann.write_text('[{"id": "7", "gt_objects": ["dog"]}, {"id": 8, "gt_objects": ["dog"]}]')
+        assert run_cli("evaluate", "--captions", caps, "--annotations", ann,
+                       "--lexicon", GOLDEN[5]) == 0
+        assert capsys.readouterr().out.startswith("captions=2/2 chair_i=0.5000 ")
 
     @pytest.mark.parametrize("index", [3, 5], ids=["annotations", "lexicon"])
     def test_unreadable_json_input_exits_3(self, tmp_path, capsys, index):
@@ -653,6 +697,25 @@ class TestEvaluateTraces:
             f"error: {manifest}: strategy labels must be unique within one run: 'baseline' repeats"
         )
 
+    def test_manifest_label_naming_no_kind_exits_3(self, tmp_path, capsys):
+        """A label naming no strategy kind used to be scored under the one-call law."""
+        sim_out = tmp_path / "sim"
+        assert run_cli("simulate", "--seeds", "0:3", "--max-steps", "10",
+                       "--strategies", "baseline;flb", "--out", sim_out) == 0
+        manifest = sim_out / "manifest.json"
+        data = json.loads(manifest.read_text())
+        flb = data["strategies"][1]
+        manifest.write_text(json.dumps({**data, "strategies": ["baseline", "nonsense"]}))
+        traces = sim_out / "traces"
+        (traces / sanitize_label(flb)).rename(traces / "nonsense")
+        for seed in range(3):
+            _edit_line(traces / "nonsense" / f"{seed}.jsonl", 0,
+                       lambda h: {**h, "strategy": "nonsense"})
+        capsys.readouterr()
+        assert run_cli("evaluate", "--traces", sim_out) == 3
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: strategies: 'nonsense' names no strategy kind\n")
+
     @pytest.mark.parametrize("field, value", [
         ("token", 5), ("t", "1"), ("chosen", "3"), ("provider_calls", 1.0), ("token", None),
     ])
@@ -994,6 +1057,25 @@ class TestSharedScoring:
         expected = simulated(row["label"])
         assert {key: row[key] for key in SHARED_METRICS} == \
             {key: expected[key] for key in SHARED_METRICS}
+
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--strategies", "baseline;vcd;flb", "--seeds", "0:3", "--max-steps", "15"],
+        ["sweep", "--gammas", "0.1", "--lams", "0.01", "--seeds", "0:3", "--max-steps", "15"],
+        ["ablate", "--seeds", "0:3", "--max-steps", "15"],
+    ], ids=lambda argv: argv[0])
+    def test_decoded_runs_are_scored_without_the_string_scan(self, tmp_path, monkeypatch, argv):
+        """Decoded runs are scored from their chosen ids; only caption files are scanned."""
+        def never(*args, **kwargs):
+            raise AssertionError("extract_objects scanned the token strings of decoded runs")
+
+        monkeypatch.setattr(metrics, "extract_objects", never)
+        assert run_cli(*argv, "--out", tmp_path / "out") == 0
+        if argv[0] == "simulate":
+            assert run_cli("evaluate", "--traces", tmp_path / "out",
+                           "--out", tmp_path / "rescored") == 0
+        with pytest.raises(AssertionError, match="extract_objects"):
+            run_cli("evaluate", *GOLDEN)
 
 
 # A quick run of each command that takes --out.

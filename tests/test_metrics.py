@@ -21,6 +21,7 @@ from logit_anchor import (
     Annotation,
     CaptionRecord,
     ConfigError,
+    CorpusCounts,
     InputError,
     Mention,
     ObjectLexicon,
@@ -38,6 +39,7 @@ from logit_anchor import (
     run_strategy,
     sentence_initial_stats,
     simulated_corpus,
+    simulated_metrics,
     summarize_record,
     write_trace,
 )
@@ -521,7 +523,8 @@ class TestColumnMetricsProperty:
 
         got, want = run(chosen), run([other if c in outside else c for c in chosen])
         for metric in (article_stats, entropy_stats, hal_noun_rate,
-                       lambda runs, lex: positional_curves(runs, lex, 1)):
+                       lambda runs, lex: positional_curves(runs, lex, 1),
+                       lambda runs, lex: simulated_metrics(runs, lex, SCENE.cognition_objects)):
             assert repr(metric([got], LEXICON)) == repr(metric([want], LEXICON))
         assert hal_noun_rate([got], LEXICON) > 0.0 and len(positional_curves([got], LEXICON)) > 0
 
@@ -533,6 +536,67 @@ class TestColumnMetricsProperty:
         assert read_trace(path) == _run([])
         records = read_jsonl(path.read_text(), path)
         assert records == [header] and metrics._trace_columns(records) == (0, ((),) * 7)
+
+
+CAPITALISED = oracle.capitalised_scene()
+
+
+def _captions(scene, *chosen_lists):
+    """One run per id list, each of a seed of its own, with the scene's token strings."""
+    tokens = scene.vocabulary.tokens
+    return [RunStats("p", "s", seed, tuple(ids), tuple(tokens[i] for i in ids),
+                     *((0.5,) * len(ids),) * 4, (1,) * len(ids))
+            for seed, ids in enumerate(chosen_lists)]
+
+
+def _ids(scene, *tokens):
+    return [scene.vocabulary.id_of(token) for token in tokens]
+
+
+@st.composite
+def _scene_runs(draw):
+    scene = draw(st.sampled_from([SCENE, CAPITALISED]))
+    ids = st.one_of(st.sampled_from(sorted(scene.gt_ids.tolist())),
+                    st.sampled_from(sorted(scene.hal_ids.tolist())),
+                    st.integers(0, scene.vocabulary.size - 1))
+    return scene, _captions(scene, *draw(st.lists(st.lists(ids, max_size=30),
+                                                  min_size=1, max_size=6)))
+
+
+class TestSimulatedMetricsProperty:
+    """``simulated_metrics`` counts from the chosen ids what the string scan counts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(scene_runs=_scene_runs())
+    @example(scene_runs=(SCENE, _captions(SCENE, _ids(SCENE, "The", "and", "is", "</s>"), [])))
+    @example(scene_runs=(CAPITALISED, _captions(  # repeated nouns, in and out of the gt set
+        CAPITALISED, _ids(CAPITALISED, "Man", "Man", "Cat", "a", "Cat", "Dog", "Man"),
+        _ids(CAPITALISED, "Sheep", "Sheep", "woman"))))
+    @example(scene_runs=(CAPITALISED, _captions(  # hal nouns only, cognition objects among them
+        CAPITALISED, _ids(CAPITALISED, "Cat", "kite", "Sheep"), _ids(CAPITALISED, "lamp"))))
+    @example(scene_runs=(SCENE, _captions(  # one-step runs
+        SCENE, *([i] for i in _ids(SCENE, "man", "cat", "</s>", "woman", "The")))))
+    def test_equals_the_string_scan(self, scene_runs):
+        scene, runs = scene_runs
+        lexicon = TraceLexicon.from_scene(scene)
+        want = corpus_metrics(*simulated_corpus(runs, lexicon, scene.gt_objects,
+                                                scene.cognition_objects))
+        # repr tells every float apart, and shows the counts and the warnings
+        assert repr(simulated_metrics(runs, lexicon, scene.cognition_objects)) == repr(want)
+
+    def test_capitalised_nouns_are_counted(self):
+        runs = _captions(CAPITALISED, _ids(CAPITALISED, "The", "Man", "and", "a", "Cat", "Cat"))
+        report = simulated_metrics(runs, TraceLexicon.from_scene(CAPITALISED),
+                                   CAPITALISED.cognition_objects)
+        assert report.counts == CorpusCounts(captions=1, matched=1, mentions=2, hallucinated=1,
+                                             gt=8, covered=1, hal_captions=1, cognition_hits=1)
+
+    def test_zero_runs_is_the_string_scans_input_error(self):
+        message = "no caption matched an annotation; nothing to score"
+        with pytest.raises(InputError, match=message):
+            corpus_metrics(*simulated_corpus([], LEXICON, SCENE.gt_objects))
+        with pytest.raises(InputError, match=message):
+            simulated_metrics([], LEXICON, SCENE.cognition_objects)
 
 
 class TestDecayStatistics:

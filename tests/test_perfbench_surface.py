@@ -8,13 +8,19 @@ here. Nothing under ``perfbench/`` is written.
 
 from __future__ import annotations
 
+import contextlib
 import importlib
+import io
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
+import oracle
 from logit_anchor import cli
+from logit_anchor.metrics import TraceLexicon
+from logit_anchor.simulator import scene_to_dict
 from logit_anchor.strategies import CONTRASTIVE_KINDS
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -75,3 +81,39 @@ def test_replay_and_worker_see_the_cli_outputs(perfbench, tmp_path, monkeypatch)
         assert [step.provider_calls for step in record.steps] == list(record.provider_calls)
         steps[record.strategy] = steps.get(record.strategy, 0) + law * len(record.steps)
     assert spans == steps
+
+
+# The strong_decay golden run (tests/test_golden.py), and a run on a scene with
+# capitalised nouns, cognition objects among them.
+SCORED_RUNS = {
+    "strong_decay": [
+        "--scene", "strong-decay", "--seeds", "0:8", "--max-steps", "40",
+        "--strategies", "baseline;baseline:beta=0.1;greedy;greedy:beta=0.3;vcd;icd;m3id;flb",
+        "--temperature", "0.02",
+    ],
+    "capitalised": [
+        "--scene", None, "--seeds", "0:12", "--max-steps", "40",
+        "--strategies", "baseline;vcd;flb;flb:mask=nouns",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(SCORED_RUNS))
+def test_replay_scores_the_cli_report_byte_for_byte(perfbench, tmp_path, monkeypatch, name):
+    """The benchmark scores through its own frozen copy of the string-scan path and
+    counts any byte apart from the CLI's ``report.json`` as a failed invocation."""
+    replay, _ = perfbench
+    monkeypatch.delenv("LOGIT_ANCHOR_SEED", raising=False)
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps(scene_to_dict(oracle.capitalised_scene())))
+    argv = [str(scene_path) if arg is None else arg for arg in SCORED_RUNS[name]]
+    out = tmp_path / "sim"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["simulate", *argv, "--format", "json", "--out", str(out)]) == 0
+    settings, scene, stats_by_label = cli.read_trace_dir(out)
+    lexicon = TraceLexicon.from_scene(scene)
+    scored = replay.report_bytes(cli._trace_report(settings, stats_by_label, lexicon, scene))
+    replayed = replay.trace_report(replay.Tracer(), stats_by_label, lexicon, scene,
+                                   settings["bin_width"])
+    assert replay.report_bytes({**settings, **replayed}) == scored
+    assert scored == (out / "report.json").read_bytes()
