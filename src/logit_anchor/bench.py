@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError, InputError
 from .runner import _check_labels, _decode
 from .simulator import SceneSpec
-from .strategies import Strategy
+from .strategies import DEFAULT_MAX_STEPS, Strategy
 
 CHEAP = "cheap"
 PADDED = "padded"
@@ -127,7 +127,7 @@ def run_bench(
     seeds: Sequence[int],
     cost_model: CostModel = CostModel(),
     *,
-    max_steps: int = 60,
+    max_steps: int = DEFAULT_MAX_STEPS,
     min_tokens: int = 1000,
 ) -> BenchReport:
     """Run every strategy over all seeds, sequentially, and account costs.

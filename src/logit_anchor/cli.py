@@ -189,6 +189,12 @@ def _run_and_score(scene, scene_name, strategies, seeds, **run_kwargs):
     return {label: _score(runs, lexicon, scene) for label, runs in runs_by_label.items()}
 
 
+def _settings(scene_name, scene, seeds, max_steps, temperature, bin_width) -> dict:
+    """The six keys ``report.json`` and ``manifest.json`` open with."""
+    return {"scene": scene_name, "scene_spec": scene_to_dict(scene), "seeds": list(seeds),
+            "max_steps": max_steps, "temperature": temperature, "bin_width": bin_width}
+
+
 def _trace_report(settings, stats_by_label, lexicon, scene):
     """``report.json`` of simulate and evaluate --traces: the run's ``settings``
     and each label's block and positional curves."""
@@ -272,17 +278,11 @@ def cmd_simulate(args) -> int:
         )
         stats_by_label[record.strategy].append(stats)
 
-    shared = {  # the fields report.json and manifest.json have in common
-        "scene": cfg.scene_name,
-        "scene_spec": scene_to_dict(cfg.scene),
-        "seeds": list(cfg.seeds),
-        "max_steps": cfg.max_steps,
-        "temperature": cfg.temperature,
-        "bin_width": cfg.bin_width,
-    }
-    report = _trace_report(shared, stats_by_label, lexicon, cfg.scene)
+    settings = _settings(cfg.scene_name, cfg.scene, cfg.seeds, cfg.max_steps,
+                         cfg.temperature, cfg.bin_width)
+    report = _trace_report(settings, stats_by_label, lexicon, cfg.scene)
     manifest = {
-        **shared, "command": "simulate", "strategies": labels,
+        **settings, "command": "simulate", "strategies": labels,
         "full_dist": bool(args.full_dist),
     }
     _write_trace_report(args, out, report)
@@ -375,9 +375,7 @@ def read_trace_dir(traces_dir: Path):
         bin_width = read_int(manifest.get("bin_width", DEFAULT_BIN_WIDTH), "bin_width")
         if bin_width < 1:
             raise ConfigError(f"bin_width must be >= 1, got {bin_width}")
-        settings = {"scene": scene_name, "scene_spec": scene_to_dict(scene),
-                    "seeds": list(seeds), "max_steps": max_steps,
-                    "temperature": temperature, "bin_width": bin_width}
+        settings = _settings(scene_name, scene, seeds, max_steps, temperature, bin_width)
     except ConfigError as exc:
         raise InputError(f"{manifest_path}: {exc}") from exc
     surface = dict(enumerate(scene.vocabulary.tokens))  # None for an id outside it

@@ -22,14 +22,14 @@ from pathlib import Path
 from .errors import ConfigError, InputError
 from .runner import _check_labels
 from .simulator import PRESET_NAMES, SceneSpec, preset, scene_from_dict
-from .strategies import Strategy, _check_run_args, parse_strategy
+from .strategies import (
+    DEFAULT_MAX_STEPS, DEFAULT_TEMPERATURE, Strategy, _check_run_args, parse_strategy,
+)
 
 SEED_ENV_VAR = "LOGIT_ANCHOR_SEED"
 
 DEFAULT_STRATEGIES = ("baseline", "vcd", "icd", "m3id", "flb")
 DEFAULT_SEEDS = tuple(range(20))
-DEFAULT_MAX_STEPS = 60
-DEFAULT_TEMPERATURE = 1.0
 DEFAULT_BIN_WIDTH = 20
 
 SIMULATE_KEYS = ("scene", "strategies", "seeds", "max_steps", "temperature", "bin_width")

@@ -33,7 +33,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import jsonl_line_numbers, read_id, read_input_text, read_jsonl, read_string_list
+from .config import (
+    DEFAULT_BIN_WIDTH, jsonl_line_numbers, read_id, read_input_text, read_jsonl, read_string_list,
+)
 from .core import GenerationRecord, Vocabulary
 from .errors import ConfigError, ContractError, InputError, LogitAnchorError
 from .weighting import object_score
@@ -390,7 +392,7 @@ class CurveBin:
 def positional_curves(
     runs: Sequence[RunStats],
     lexicon: TraceLexicon,
-    bin_width: int = 20,
+    bin_width: int = DEFAULT_BIN_WIDTH,
 ) -> tuple[CurveBin, ...]:
     """Probability-mass curves over step bins, restricted to noun slots: the
     steps whose previous emission in the run is an article."""

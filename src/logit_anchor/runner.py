@@ -23,7 +23,9 @@ from typing import Callable, Sequence
 from .core import GenerationRecord
 from .errors import ConfigError
 from .simulator import NegativeVariantSpec, SceneSpec, SyntheticProvider
-from .strategies import CONTRASTIVE_KINDS, NEGATIVE_KIND_FOR, Strategy, decode
+from .strategies import (
+    CONTRASTIVE_KINDS, DEFAULT_MAX_STEPS, DEFAULT_TEMPERATURE, NEGATIVE_KIND_FOR, Strategy, decode,
+)
 
 ProviderWrap = Callable[[object], object]
 
@@ -57,8 +59,8 @@ def run_strategy(
     strategy: Strategy,
     *,
     seed: int,
-    max_steps: int = 60,
-    temperature: float = 1.0,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    temperature: float = DEFAULT_TEMPERATURE,
     prompt_id: str = "scene",
     wrap: ProviderWrap | None = None,
 ) -> GenerationRecord:
@@ -90,8 +92,8 @@ def run_many(
     strategies: Sequence[Strategy],
     seeds: Sequence[int],
     *,
-    max_steps: int = 60,
-    temperature: float = 1.0,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    temperature: float = DEFAULT_TEMPERATURE,
     prompt_id: str = "scene",
     jobs: int = 1,
     record: bool = False,

@@ -26,7 +26,7 @@ strategy uses as its second pass. Each row draws its noise from its own
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -71,13 +71,13 @@ class NegativeVariantSpec:
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Full description of one synthetic scene.
+    """One synthetic scene; its fields are a scene file's keys (the vocabulary as ``tokens``).
 
-    ``base_logits`` is per token, aligned with ``vocabulary``. The named
-    groups must be disjoint subsets of the vocabulary; whatever is left over
-    is filler and is never grammar-admissible. ``article_grounding`` maps an
-    article token to how strongly it suppresses hallucination-noun logits in
-    the noun slot it opens.
+    ``base_logits`` is per token, aligned with ``vocabulary``, held as floats.
+    The named groups must be disjoint subsets of the vocabulary; whatever is
+    left over is filler and is never grammar-admissible. ``article_grounding``
+    maps an article token to how strongly it suppresses hallucination-noun
+    logits in the noun slot it opens.
     """
 
     vocabulary: Vocabulary
@@ -95,6 +95,7 @@ class SceneSpec:
     cognition_objects: tuple[str, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "base_logits", tuple(map(float, self.base_logits)))
         object.__setattr__(self, "article_grounding", dict(self.article_grounding))
         if len(self.base_logits) != self.vocabulary.size:
             raise ConfigError(
@@ -111,10 +112,9 @@ class SceneSpec:
                 if tok in seen:
                     raise ConfigError(f"scene token {tok!r} appears in two groups")
                 seen.add(tok)
-        if not self.articles or not self.gt_objects or not self.hal_objects:
-            raise ConfigError("scene needs at least one article, gt object, and hal object")
-        if not self.connectives:
-            raise ConfigError("scene needs at least one connective")
+        for name in ("articles", "gt_objects", "hal_objects", "connectives"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name}: a scene needs at least one")
         for name, value, ok, rule in (
             ("decay_kappa", self.decay_kappa, self.decay_kappa > 0, "> 0"),
             ("decay_depth", self.decay_depth, self.decay_depth >= 0, ">= 0"),
@@ -146,7 +146,7 @@ class SceneSpec:
                 raise ConfigError(
                     f"cognition object {tok!r} must be one of the hal objects"
                 )
-        head = [float(self.base_logits[self.vocabulary.id_of(a)]) for a in self.articles]
+        head = [self.base_logits[self.vocabulary.id_of(a)] for a in self.articles]
         if head and max(head[1:], default=-np.inf) >= head[0]:
             raise ConfigError(
                 "the first article must carry the strictly largest base logit"
@@ -355,7 +355,6 @@ class SyntheticProvider:
 # -- default scene and presets ----------------------------------------------
 
 _ARTICLES = ("The", "In", "A", "a")
-_ARTICLE_LOGITS = (5.0, 3.3, 2.6, 2.2)
 _GT = ("man", "dog", "car", "tree", "house", "boat", "horse", "bench")
 _HAL = ("woman", "cat", "bus", "kite", "clock", "sofa", "sheep", "lamp")
 _CONNECTIVES = ("and", "with", "beside", "near")
@@ -367,36 +366,14 @@ _FILLER = (
     "two", "one", "very", "there",
 )
 
-GT_BASE = 3.0
-HAL_BASE = 1.0
-CONNECTIVE_BASE = 2.0
-EOS_BASE = 0.0
-FILLER_BASE = 0.0
-
 
 def default_scene() -> SceneSpec:
-    tokens = _ARTICLES + _GT + _HAL + _CONNECTIVES + (_EOS,) + _FILLER
-    vocab = Vocabulary(tokens)
-    base = np.zeros(vocab.size)
-    for tok, logit in zip(_ARTICLES, _ARTICLE_LOGITS):
-        base[vocab.id_of(tok)] = logit
-    for tok in _GT:
-        base[vocab.id_of(tok)] = GT_BASE
-    for tok in _HAL:
-        base[vocab.id_of(tok)] = HAL_BASE
-    for tok in _CONNECTIVES:
-        base[vocab.id_of(tok)] = CONNECTIVE_BASE
-    base[vocab.id_of(_EOS)] = EOS_BASE
-    for tok in _FILLER:
-        base[vocab.id_of(tok)] = FILLER_BASE
     return SceneSpec(
-        vocabulary=vocab,
-        base_logits=tuple(float(x) for x in base),
-        articles=_ARTICLES,
-        gt_objects=_GT,
-        hal_objects=_HAL,
-        connectives=_CONNECTIVES,
-        eos=_EOS,
+        vocabulary=Vocabulary(_ARTICLES + _GT + _HAL + _CONNECTIVES + (_EOS,) + _FILLER),
+        base_logits=((5.0, 3.3, 2.6, 2.2) + (3.0,) * len(_GT) + (1.0,) * len(_HAL)
+                     + (2.0,) * len(_CONNECTIVES) + (0.0,) * (1 + len(_FILLER))),
+        articles=_ARTICLES, gt_objects=_GT, hal_objects=_HAL,
+        connectives=_CONNECTIVES, eos=_EOS,
         article_grounding={"The": 3.0, "In": 1.0, "A": 0.0, "a": 0.0},
         cognition_objects=_HAL[: len(_HAL) // 2],
     )
@@ -415,50 +392,50 @@ def preset(name: str) -> SceneSpec:
 
 # -- serialization ------------------------------------------------------------
 
+# A scene file's keys are SceneSpec's fields, the vocabulary written as its tokens.
+_SCENE_KEYS = {"tokens" if f.name == "vocabulary" else f.name: f for f in fields(SceneSpec)}
+
+
 def scene_to_dict(scene: SceneSpec) -> dict:
-    return {
-        "tokens": list(scene.vocabulary.tokens),
-        "base_logits": [float(x) for x in scene.base_logits],
-        "articles": list(scene.articles),
-        "gt_objects": list(scene.gt_objects),
-        "hal_objects": list(scene.hal_objects),
-        "connectives": list(scene.connectives),
-        "eos": scene.eos,
-        "decay_kappa": scene.decay_kappa,
-        "decay_depth": scene.decay_depth,
-        "noise_sigma": scene.noise_sigma,
-        "grammar_penalty": scene.grammar_penalty,
-        "article_grounding": dict(scene.article_grounding),
-        "cognition_objects": list(scene.cognition_objects),
-    }
+    """Each field under its key, as JSON holds it: tuples as lists, mappings as dicts."""
+    data = {key: getattr(scene, f.name) for key, f in _SCENE_KEYS.items()}
+    data["tokens"] = data["tokens"].tokens
+    return {key: list(value) if isinstance(value, tuple)
+            else dict(value) if isinstance(value, Mapping) else value
+            for key, value in data.items()}
 
 
 def scene_from_dict(data: dict) -> SceneSpec:
-    """The scene ``scene_to_dict`` wrote; each field is read by a typed reader
-    that names it, and a field left out takes SceneSpec's default."""
-    from .config import read_float, read_float_list, read_names  # config imports this module
+    """The scene ``scene_to_dict`` wrote. A key that names no field is refused;
+    each value is read by its field type's typed reader, which names the key,
+    and a field left out takes SceneSpec's default."""
+    # config imports this module
+    from .config import read_float, read_float_list, read_names, read_string
 
+    def read_grounding(value, key):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{key}: {value!r} is not an object")
+        return {article: read_float(grounding, key) for article, grounding in value.items()}
+
+    read = {
+        "Vocabulary": lambda value, key: Vocabulary(read_names(value, key)),
+        "tuple[float, ...]": read_float_list,
+        # An empty name list is read as such; SceneSpec refuses it where a scene needs one.
+        "tuple[str, ...]": lambda value, key: () if value == [] else read_names(value, key),
+        "str": read_string,
+        "float": read_float,
+        "Mapping[str, float]": read_grounding,
+    }
     if not isinstance(data, dict):
         raise ConfigError(f"scene must be an object, got {type(data).__name__}")
-    grounding = data.get("article_grounding", {})
-    if not isinstance(grounding, dict):
-        raise ConfigError(f"article_grounding: {grounding!r} is not an object")
-    cognition = data.get("cognition_objects", [])
+    unknown = [key for key in data if key not in _SCENE_KEYS]
+    if unknown:
+        raise ConfigError(f"unknown scene keys {unknown}")
+    for key, f in _SCENE_KEYS.items():
+        if key not in data and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"scene is missing required field {key!r}")
     try:
-        return SceneSpec(
-            vocabulary=Vocabulary(read_names(data["tokens"], "tokens")),
-            base_logits=read_float_list(data["base_logits"], "base_logits"),
-            articles=read_names(data["articles"], "articles"),
-            gt_objects=read_names(data["gt_objects"], "gt_objects"),
-            hal_objects=read_names(data["hal_objects"], "hal_objects"),
-            connectives=read_names(data["connectives"], "connectives"),
-            eos=str(data["eos"]),
-            article_grounding={a: read_float(g, "article_grounding") for a, g in grounding.items()},
-            cognition_objects=read_names(cognition, "cognition_objects") if cognition != [] else (),
-            **{key: read_float(data[key], key) for key in (
-                "decay_kappa", "decay_depth", "noise_sigma", "grammar_penalty") if key in data},
-        )
-    except KeyError as exc:
-        raise ConfigError(f"scene is missing required field {exc}") from None
+        return SceneSpec(**{f.name: read[f.type](data[key], key)
+                            for key, f in _SCENE_KEYS.items() if key in data})
     except ContractError as exc:  # duplicate tokens
         raise ConfigError(f"tokens: {exc}") from exc

@@ -77,6 +77,9 @@ FLB = "flb"
 STRATEGY_KINDS = (BASELINE, GREEDY, VCD, ICD, M3ID, FLB)
 CONTRASTIVE_KINDS = (VCD, ICD, M3ID)
 
+DEFAULT_MAX_STEPS = 60
+DEFAULT_TEMPERATURE = 1.0
+
 L0_FULL = "full"
 L0_NOUNS_ONLY = "nouns_only"
 L0_THE_ONLY = "the_only"
@@ -365,8 +368,8 @@ def decode(
     gt_ids: Sequence[TokenId] = (),
     hal_ids: Sequence[TokenId] = (),
     prompt_id: str = "scene",
-    max_steps: int = 60,
-    temperature: float = 1.0,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    temperature: float = DEFAULT_TEMPERATURE,
     record: bool = False,
 ) -> list[GenerationRecord]:
     """Decode one run of ``strategy`` per seed, all in lockstep; records in seed order.

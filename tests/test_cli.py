@@ -41,6 +41,21 @@ def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
 
 
+def _misspelled_knobs(spec):
+    return {**spec, "noise_sgima": 5.0, "decay_depht": 9.0}
+
+
+def _integer_eos(spec):
+    return {**spec, "tokens": ["7" if t == "</s>" else t for t in spec["tokens"]], "eos": 7}
+
+
+# Scene edits that used to run at exit 0 on a default or a str() reading, and
+# what an error must name.
+BAD_SCENES = pytest.mark.parametrize("edit, named", [
+    (_misspelled_knobs, ["'noise_sgima'", "'decay_depht'"]), (_integer_eos, ["eos: 7 "]),
+], ids=["misspelled_knobs", "integer_eos"])
+
+
 class TestSimulate:
     def test_outputs_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -446,6 +461,22 @@ class TestEvaluateTraces:
         assert run_cli("evaluate", "--traces", sim_out, "--out", tmp_path / "eval") == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {manifest}: ") and named in err
+        assert not (tmp_path / "eval" / "report.json").exists()
+
+    @BAD_SCENES
+    def test_bad_scene_spec_key_exits_3_naming_it(self, tmp_path, capsys, edit, named):
+        sim_out = tmp_path / "sim"
+        assert run_cli(
+            "simulate", "--strategies", "baseline", "--seeds", "0", "--max-steps", "5",
+            "--out", sim_out,
+        ) == 0
+        manifest = sim_out / "manifest.json"
+        data = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**data, "scene_spec": edit(data["scene_spec"])}))
+        capsys.readouterr()
+        assert run_cli("evaluate", "--traces", sim_out, "--out", tmp_path / "eval") == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: ") and all(t in err for t in named), err
         assert not (tmp_path / "eval" / "report.json").exists()
 
     @pytest.mark.parametrize("edit", [
@@ -1010,6 +1041,21 @@ class TestConfigFileValues:
         assert f"{new!r}" in err and f"{noun!r}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--scene", "--config"])
+    @BAD_SCENES
+    def test_bad_scene_key_exits_2_naming_it(self, tmp_path, capsys, flag, edit, named):
+        """``noise_sgima`` and ``decay_depht`` used to be ignored, so the run took the
+        default noise and depth; ``"eos": 7`` was read as the token "7"."""
+        spec = edit(scene_to_dict(default_scene()))
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({"scene": spec} if flag == "--config" else spec))
+        out = tmp_path / "out"
+        assert run_cli("simulate", flag, path, "--seeds", "0:2", "--max-steps", "5",
+                       "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and all(text in err for text in named), err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "sweep", "bench", "ablate"])
     def test_empty_seed_flag_exits_2(self, tmp_path, capsys, command):
         out = tmp_path / "out"
@@ -1172,11 +1218,10 @@ _ODD_DESCRIPTOR = st.builds(
     ),
 )
 _FLAGS = ("--seeds", "--max-steps", "--temperature", "--bin-width")
-_SCENE_FIELDS = (
-    "tokens", "base_logits", "articles", "gt_objects", "hal_objects", "connectives",
-    "eos", "decay_kappa", "decay_depth", "noise_sigma", "grammar_penalty",
-    "article_grounding", "cognition_objects",
-)
+_SCENE_KEYS = list(scene_to_dict(default_scene()))
+# A key that names no scene field: a misspelled one, or any other lower-case name.
+_ODD_SCENE_KEY = st.sampled_from(["noise_sgima", "decay_depht", "vocabulary", "eos "]) | st.text(
+    "abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12).filter(lambda k: k not in _SCENE_KEYS)
 
 
 @st.composite
@@ -1194,7 +1239,7 @@ def _spoiled_input(draw):
         return site, SEED_ENV_VAR, draw(_ODD_TEXT)
     if site == "out":  # an existing file, or a path under one
         return site, "--out", draw(st.sampled_from(["taken", "taken/sub"]))
-    return site, draw(st.sampled_from(_SCENE_FIELDS)), draw(_ODD_JSON)
+    return site, draw(st.sampled_from(_SCENE_KEYS) | _ODD_SCENE_KEY), draw(_ODD_JSON)
 
 
 def _named(err: str, key: str, value) -> bool:
@@ -1224,6 +1269,8 @@ class TestWholeCliProperty:
     @example(spoiled=("scene", "decay_kappa", 10**400))
     @example(spoiled=("scene", "base_logits", [None]))
     @example(spoiled=("scene", "article_grounding", {"The": "x"}))
+    @example(spoiled=("scene", "decay_depht", 9.0))
+    @example(spoiled=("scene", "eos", 7))
     @example(spoiled=("out", "--out", "taken"))
     def test_bad_input_ends_in_a_named_error(self, scene, spoiled):
         from logit_anchor import scene_to_dict
@@ -1266,5 +1313,6 @@ class TestWholeCliProperty:
         err = err.getvalue()
         assert code in (0, 2, 3), err
         assert code == 2 or site != "out", err
+        assert code == 2 or site != "scene" or key in _SCENE_KEYS, err  # a key naming no field
         if code:
             assert "error:" in err and _named(err, key, value), err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 
 import pytest
@@ -9,9 +10,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from logit_anchor import ConfigError, InputError, scene_to_dict
+from logit_anchor.bench import run_bench
 from logit_anchor.config import (
+    DEFAULT_BIN_WIDTH,
+    DEFAULT_MAX_STEPS,
     DEFAULT_SEEDS,
     DEFAULT_STRATEGIES,
+    DEFAULT_TEMPERATURE,
     SEED_ENV_VAR,
     SIMULATE_KEYS,
     RunConfig,
@@ -27,7 +32,10 @@ from logit_anchor.config import (
     read_seeds,
     resolve_scene,
 )
+from logit_anchor.metrics import positional_curves
+from logit_anchor.runner import run_many, run_strategy
 from logit_anchor.simulator import preset
+from logit_anchor.strategies import decode
 
 
 class TestJsonInput:
@@ -124,6 +132,21 @@ class TestParseStrategies:
         strategies = parse_strategies(["greedy", "vcd"])
         assert [s.kind for s in strategies] == ["greedy", "vcd"]
         assert strategies[1].alpha is not None
+
+
+class TestRunDefaults:
+    @pytest.mark.parametrize("function, name, default", [
+        (decode, "max_steps", DEFAULT_MAX_STEPS), (decode, "temperature", DEFAULT_TEMPERATURE),
+        (run_strategy, "max_steps", DEFAULT_MAX_STEPS),
+        (run_strategy, "temperature", DEFAULT_TEMPERATURE),
+        (run_many, "max_steps", DEFAULT_MAX_STEPS), (run_many, "temperature", DEFAULT_TEMPERATURE),
+        (run_bench, "max_steps", DEFAULT_MAX_STEPS),
+        (positional_curves, "bin_width", DEFAULT_BIN_WIDTH),
+    ], ids=lambda v: getattr(v, "__name__", None))
+    def test_signature_defaults_are_configs(self, function, name, default):
+        """Each run-setting default is written once, as the command-line default is."""
+        assert inspect.signature(function).parameters[name].default == default
+        assert RunConfig.__dataclass_fields__[name].default == default
 
 
 class TestBuildRunConfig:

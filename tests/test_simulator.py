@@ -6,9 +6,10 @@ was computed independently at 50-digit precision: 4 * exp(-2.5) - 2.
 
 from __future__ import annotations
 
+import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -368,6 +369,39 @@ class TestSerialization:
         back = scene_from_dict(data)
         assert back == scene
         assert scene_to_dict(back) == data
+
+    def test_keys_are_the_fields(self, scene):
+        """A scene file's keys are SceneSpec's fields, the vocabulary under ``tokens``."""
+        names = [f.name for f in fields(SceneSpec)]
+        assert list(scene_to_dict(scene)) == ["tokens", *names[1:]] and names[0] == "vocabulary"
+
+    @pytest.mark.parametrize("extra", [{"decay_depht": 9.0, "noise_sgima": 5.0}, {"vocabulary": []}])
+    def test_unknown_key_rejected_naming_it(self, scene, extra):
+        """A misspelled knob used to be ignored, and the scene ran on its default."""
+        with pytest.raises(ConfigError, match="unknown scene keys") as caught:
+            scene_from_dict({**scene_to_dict(scene), **extra})
+        assert all(repr(key) in str(caught.value) for key in extra)
+
+    @pytest.mark.parametrize("value", [7, None, ["</s>"]])
+    def test_eos_must_be_a_string(self, scene, value):
+        """``"eos": 7`` beside a token "7" used to be read through str() and run."""
+        data = scene_to_dict(scene)
+        data["tokens"] = [str(value) if tok == "</s>" else tok for tok in data["tokens"]]
+        with pytest.raises(ConfigError, match=f"^eos: {re.escape(repr(value))} is not a string"):
+            scene_from_dict({**data, "eos": value})
+
+    def test_integer_base_logits_are_held_and_written_as_floats(self, scene):
+        logits = tuple(round(x) for x in scene.base_logits)
+        built = replace(scene, base_logits=logits)
+        assert built.base_logits == logits and {type(x) for x in built.base_logits} == {float}
+        assert json.dumps(scene_to_dict(built)["base_logits"]) == json.dumps(list(map(float, logits)))
+
+    def test_empty_group_rejected_naming_it(self, scene):
+        assert scene_from_dict({**scene_to_dict(scene), "cognition_objects": []}) == \
+            replace(scene, cognition_objects=())
+        for key in ("articles", "gt_objects", "hal_objects", "connectives"):
+            with pytest.raises(ConfigError, match=f"^{key}: a scene needs at least one"):
+                scene_from_dict({**scene_to_dict(scene), key: []})
 
     def test_missing_field_rejected(self, scene):
         data = scene_to_dict(scene)
