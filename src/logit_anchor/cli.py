@@ -46,16 +46,21 @@ from .config import (
     DEFAULT_MAX_STEPS,
     DEFAULT_SEEDS,
     DEFAULT_TEMPERATURE,
+    SIMULATE_KEYS,
     build_run_config,
     load_config_file,
+    parse_floats,
     parse_json,
+    parse_names,
     parse_strategies,
     read_float,
     read_float_list,
     read_input_text,
     read_int,
-    read_names,
+    read_scene,
     read_seeds,
+    read_string,
+    read_string_list,
     resolve_scene,
     resolve_seeds,
     setting,
@@ -249,15 +254,8 @@ def _print_strategy_summary(report) -> None:
 
 
 def cmd_simulate(args) -> int:
-    cfg = build_run_config(
-        config_path=args.config,
-        scene=args.scene,
-        strategies=args.strategies,
-        seeds=args.seeds,
-        max_steps=args.max_steps,
-        temperature=args.temperature,
-        bin_width=args.bin_width,
-    )
+    cfg = build_run_config(config_path=args.config,
+                           **{key: getattr(args, key) for key in SIMULATE_KEYS})
     out = _out_dir(args.out)
     records = run_many(
         cfg.scene, cfg.strategies, cfg.seeds,
@@ -330,10 +328,10 @@ def _evaluate_corpus(args, out: Path | None) -> int:
 def read_trace_dir(traces_dir: Path):
     """Load a simulate output directory: its settings, scene, grouped run stats.
 
-    A manifest that cannot be read, is not a JSON object, lacks ``scene``,
-    ``scene_spec``, ``strategies``, ``seeds``, ``max_steps`` or
-    ``temperature``, or holds a bad value for one of them or for
-    ``bin_width``, is an input error (exit 3) naming the file and the key.
+    A manifest that cannot be read, is not a JSON object, holds a key simulate
+    does not write, lacks ``scene``, ``scene_spec``, ``strategies``, ``seeds``,
+    ``max_steps`` or ``temperature``, or holds a bad value or JSON type for one
+    of them or for ``bin_width``, is an input error (exit 3) naming the file and the key.
     So is a label listed twice in ``strategies`` or whose kind (the part before
     any "(") is no strategy kind, a label's trace files not
     being exactly ``<seed>.jsonl`` for the manifest's seeds (naming the file
@@ -358,16 +356,22 @@ def read_trace_dir(traces_dir: Path):
         if not isinstance(manifest, dict):
             raise ConfigError(f"must be a JSON object, got {type(manifest).__name__}")
         required = {"scene", "scene_spec", "strategies", "seeds", "max_steps", "temperature"}
+        # What else simulate writes; it never reads command or full_dist back.
+        unknown = sorted(set(manifest) - required - {"bin_width", "command", "full_dist"})
+        if unknown:
+            raise ConfigError(f"unknown manifest keys {unknown}")
         missing = sorted(required - set(manifest))
         if missing:
             raise ConfigError(f"missing key {missing[0]!r}")
+        if type(manifest["scene_spec"]) is not dict:
+            raise ConfigError(f"scene_spec: {manifest['scene_spec']!r} is not an object")
         scene = scene_from_dict(manifest["scene_spec"])
-        labels = read_names(manifest["strategies"], "strategies")
+        labels = read_string_list(manifest["strategies"], "strategies")
         _check_labels(labels)
         for label in labels:
             if label.partition("(")[0] not in STRATEGY_KINDS:
                 raise ConfigError(f"strategies: {label!r} names no strategy kind")
-        (scene_name,) = read_names([manifest["scene"]], "scene")
+        scene_name = read_string(manifest["scene"], "scene")
         seeds = read_seeds(manifest["seeds"])
         max_steps = read_int(manifest["max_steps"], "max_steps")
         temperature = read_float(manifest["temperature"], "temperature")
@@ -462,12 +466,18 @@ _SWEEP_KEYS = {
 
 def cmd_sweep(args) -> int:
     file_cfg = load_config_file(args.config, _SWEEP_KEYS)
-    scene, scene_name = resolve_scene(setting(args.scene, file_cfg, "scene", None))
-    schedules = setting(args.schedules, file_cfg, "schedules", "increasing", read_names)
-    gammas = setting(args.gammas, file_cfg, "gammas", "0.1,0.3,0.5,0.7", read_float_list)
-    lams = setting(args.lams, file_cfg, "lams", "0.01,0.05,0.1", read_float_list)
-    betas = setting(args.betas, file_cfg, "betas", "0.1", read_float_list)
-    mask = setting(args.mask, file_cfg, "mask", SETTINGS[FLB]["l0_mask"])
+    scene, scene_name = resolve_scene(setting(args.scene, file_cfg, "scene", None, read_scene))
+    grid = {}
+    for key, default, read, parse in (
+        ("schedules", ("increasing",), read_string_list, parse_names),
+        ("gammas", (0.1, 0.3, 0.5, 0.7), read_float_list, parse_floats),
+        ("lams", (0.01, 0.05, 0.1), read_float_list, parse_floats),
+        ("betas", (0.1,), read_float_list, parse_floats),
+    ):
+        grid[key] = setting(getattr(args, key), file_cfg, key, default, read, parse)
+        if not grid[key]:
+            raise ConfigError(f"{key}: empty list")
+    mask = setting(args.mask, file_cfg, "mask", SETTINGS[FLB]["l0_mask"], read_string)
     seeds = resolve_seeds(args.seeds, file_cfg, DEFAULT_SEEDS)
     max_steps = setting(args.max_steps, file_cfg, "max_steps", DEFAULT_MAX_STEPS, read_int)
     temperature = setting(
@@ -478,7 +488,7 @@ def cmd_sweep(args) -> int:
         (schedule_kind, gamma, lam, beta,
          Strategy(kind=FLB, schedule=WeightSchedule(schedule_kind, gamma, lam),
                   beta=beta, l0_mask=mask))
-        for schedule_kind, gamma, lam, beta in product(schedules, gammas, lams, betas)
+        for schedule_kind, gamma, lam, beta in product(*grid.values())
     ]
     out = _out_dir(args.out)
     # One run over the whole grid: a repeated grid value repeats a label,

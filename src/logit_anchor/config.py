@@ -3,11 +3,13 @@
 One JSON file (``load_config_file``: an object holding only the command's
 keys) drives a run; command-line flags override file values (``setting``),
 and the LOGIT_ANCHOR_SEED environment variable overrides the seed list from
-either source (``resolve_seeds``). It takes the same syntax as ``--seeds``:
-comma-separated integers and ``lo:hi`` ranges, e.g. ``0:50,99``. Scene values
-may be a preset name, a path to a scene JSON file, or an inline scene object.
-Every value goes through a typed reader (``read_int``, ``read_seeds``, ...)
-that raises ConfigError naming the key and the value, never a traceback.
+either source (``resolve_seeds``). Each value is read once, by a reader chosen
+by its source: a JSON value (config, scene and corpus files, manifests, trace
+headers) by the strict JSON checks ``read_*`` (``"7"`` and ``7.0`` are not
+integers, and no string is split into a list; a config file's ``seeds`` may
+be a seed string, the one JSON form of a range), and flag or env text by the
+``parse_*`` functions: seed strings (``0:50,99``) and comma- or ';'-separated
+lists. Each raises ConfigError naming the key and the value, never a traceback.
 Every JSON and JSONL file, settings and data alike, is read and parsed here;
 every parse failure reads ``<file>[:<line>]: malformed JSON (<reason>)``.
 """
@@ -104,13 +106,6 @@ def jsonl_line_numbers(text: str) -> list[int]:
     return [lineno for lineno, line in enumerate(text.split("\n"), 1) if line.strip()]
 
 
-def read_json_list(value, key: str) -> list:
-    """A JSON array; any other value, a string too, is an InputError naming ``key``."""
-    if not isinstance(value, list):
-        raise InputError(f"{key} must be a JSON array, got {type(value).__name__}")
-    return value
-
-
 def load_json_file(path):
     """The JSON value in the config or scene file at ``path``."""
     try:
@@ -132,58 +127,28 @@ def load_config_file(path: str | Path | None, keys) -> dict:
     return data
 
 
-def setting(flag, file_cfg: dict, key: str, default, read=None):
-    """The flag if given, else the file's value, else ``default``; read by ``read(value, key)``."""
-    value = flag if flag is not None else file_cfg.get(key, default)
-    return value if read is None else read(value, key)
-
-
-# -- typed readers ----------------------------------------------------------------
+# -- JSON checks: config, scene and corpus files, manifests, trace headers ---------
 
 
 def read_int(value, key: str) -> int:
-    """An integer, a float with no fractional part, or a string that spells an integer."""
-    if type(value) is int:  # tested first, as the commonest; a bool is not an int here
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    elif isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{key}: {value!r} is not an integer")
+    """A JSON integer; a bool, a float (1.0 too) or a string is not one."""
+    if type(value) is not int:
+        raise ConfigError(f"{key}: {value!r} is not an integer")
+    return value
 
 
 def read_float(value, key: str) -> float:
-    """A number, or a string that spells one."""
-    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+    """A JSON number, an integer too, as a float; a bool or a string is not one."""
+    if type(value) in (int, float):
         try:
             return float(value)
-        except (ValueError, OverflowError):  # OverflowError: an int beyond float range
+        except OverflowError:  # an int beyond float range
             pass
     raise ConfigError(f"{key}: {value!r} is not a number")
 
 
-def _items(value, key: str) -> list:
-    """A comma-separated string's non-empty parts, or a list's items; never empty."""
-    if isinstance(value, str):
-        items = [part.strip() for part in value.split(",") if part.strip()]
-    elif isinstance(value, (list, tuple)):
-        items = list(value)
-    else:
-        raise ConfigError(f"{key}: {value!r} is not a list or a comma-separated string")
-    if not items:
-        raise ConfigError(f"{key}: empty list")
-    return items
-
-
-def read_float_list(value, key: str) -> tuple[float, ...]:
-    return tuple(read_float(item, key) for item in _items(value, key))
-
-
 def read_string(value, key: str) -> str:
-    if not isinstance(value, str):
+    if type(value) is not str:
         raise ConfigError(f"{key}: {value!r} is not a string")
     return value
 
@@ -195,16 +160,22 @@ def read_id(value, key: str) -> str:
     return str(value)
 
 
-def read_names(value, key: str) -> tuple[str, ...]:
-    return tuple(read_string(item, key) for item in _items(value, key))
+def read_array(value, key: str, read_item) -> tuple:
+    """A JSON array, which may be empty, each item read by ``read_item(item, key)``."""
+    if type(value) is not list:
+        raise ConfigError(f"{key}: {value!r} is not an array")
+    return tuple(read_item(item, key) for item in value)
 
 
 def read_string_list(value, key: str) -> tuple[str, ...]:
-    """A JSON array of strings, which may be empty."""
-    return tuple(read_string(item, key) for item in read_json_list(value, key))
+    return read_array(value, key, read_string)
 
 
-def _distinct_seeds(seeds: list[int], source: str) -> tuple[int, ...]:
+def read_float_list(value, key: str) -> tuple[float, ...]:
+    return read_array(value, key, read_float)
+
+
+def _distinct_seeds(seeds, source: str) -> tuple[int, ...]:
     if not seeds:
         raise ConfigError(f"{source}: no seeds given")
     bad = [seed for seed in seeds if not 0 <= seed < 2**64]
@@ -215,28 +186,60 @@ def _distinct_seeds(seeds: list[int], source: str) -> tuple[int, ...]:
     return tuple(seeds)
 
 
+def read_seeds(value, key: str = "seeds") -> tuple[int, ...]:
+    """A JSON array of distinct integers in [0, 2**64)."""
+    return _distinct_seeds(read_array(value, key, read_int), key)
+
+
+def read_scene(value, key: str = "scene"):
+    """A config file's scene: a string (a preset name or a scene file path) or an object."""
+    if type(value) not in (str, dict):
+        raise ConfigError(f"{key}: {value!r} is not a string or an object")
+    return value
+
+
+# -- flag text (flags, LOGIT_ANCHOR_SEED), and settings from either source ---------
+
+
+def _parse_number(text: str, key: str, kind=float):
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key}: {text!r} is not {what}") from None
+
+
+def parse_names(text: str, key: str, sep: str = ",") -> tuple[str, ...]:
+    """The non-empty parts of flag text between ``sep``s, stripped."""
+    return tuple(part.strip() for part in text.split(sep) if part.strip())
+
+
+def parse_floats(text: str, key: str) -> tuple[float, ...]:
+    return tuple(_parse_number(part, key) for part in parse_names(text, key))
+
+
+def parse_descriptors(text: str, key: str = "strategies") -> tuple[str, ...]:
+    """``--strategies`` text: ';'-separated strategy descriptors."""
+    return parse_names(text, key, ";")
+
+
+def parse_strategies(text: str) -> tuple[Strategy, ...]:
+    return tuple(map(parse_strategy, parse_descriptors(text)))
+
+
 def parse_seed_list(text: str, source: str = "seeds") -> tuple[int, ...]:
     """Comma-separated integers; "0:50" expands to range(0, 50)."""
     seeds: list[int] = []
     for part in text.split(","):
         lo, colon, hi = part.partition(":")
         if colon:
-            lo, hi = read_int(lo, source), read_int(hi, source)
+            lo, hi = _parse_number(lo, source, int), _parse_number(hi, source, int)
             if hi <= lo:
                 raise ConfigError(f"{source}: empty seed range {part.strip()!r}")
             seeds.extend(range(lo, hi))
         elif part.strip():
-            seeds.append(read_int(part, source))
+            seeds.append(_parse_number(part, source, int))
     return _distinct_seeds(seeds, source)
-
-
-def read_seeds(value, key: str = "seeds") -> tuple[int, ...]:
-    """A seed string such as ``--seeds`` takes, or a list of distinct integers."""
-    if isinstance(value, str):
-        return parse_seed_list(value, source=key)
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{key}: {value!r} is not a list of integers or a seed string")
-    return _distinct_seeds([read_int(seed, key) for seed in value], key)
 
 
 def env_seed_override() -> tuple[int, ...] | None:
@@ -246,20 +249,32 @@ def env_seed_override() -> tuple[int, ...] | None:
     return parse_seed_list(value, source=SEED_ENV_VAR)
 
 
+def setting(flag, file_cfg: dict, key: str, default, read, parse=None):
+    """The flag parsed by ``parse(flag, key)`` (None: a flag argparse has typed), else
+    the file's value checked by ``read(value, key)``, else ``default`` as it is."""
+    if flag is not None:
+        return flag if parse is None else parse(flag, key)
+    if key in file_cfg:
+        return read(file_cfg[key], key)
+    return default
+
+
 def resolve_seeds(flag: str | None, file_cfg: dict, default) -> tuple[int, ...]:
-    """``--seeds``, else the file's seeds, else ``default``; LOGIT_ANCHOR_SEED overrides all."""
-    seeds = setting(flag, file_cfg, "seeds", default, read_seeds)
+    """``--seeds``, else the file's seeds (a JSON array, or a seed string as ``--seeds``
+    takes), else ``default``; LOGIT_ANCHOR_SEED overrides all."""
+    read = parse_seed_list if type(file_cfg.get("seeds")) is str else read_seeds
+    seeds = setting(flag, file_cfg, "seeds", default, read, parse_seed_list)
     env_seeds = env_seed_override()
     return seeds if env_seeds is None else env_seeds
 
 
 def resolve_scene(value) -> tuple[SceneSpec, str]:
-    """Accept a preset name, a scene JSON path, or an inline scene dict."""
+    """The scene a string names (a preset, or a scene JSON path), an inline scene
+    object's, or the default preset's for None."""
     if value is None:
         return preset("default"), "default"
     if isinstance(value, dict):
         return scene_from_dict(value), "custom"
-    value = str(value)
     if value in PRESET_NAMES:
         return preset(value), value
     path = Path(value)
@@ -269,15 +284,6 @@ def resolve_scene(value) -> tuple[SceneSpec, str]:
         f"unknown scene {value!r}: not a preset ({', '.join(PRESET_NAMES)}) "
         "and not a scene file"
     )
-
-
-def parse_strategies(values) -> tuple[Strategy, ...]:
-    """Descriptors from a ';'-separated string or a list of descriptor strings."""
-    if isinstance(values, str):
-        values = [v for v in values.split(";") if v.strip()]
-    if not isinstance(values, (list, tuple)) or not all(isinstance(v, str) for v in values):
-        raise ConfigError(f"strategies must be descriptor strings, got {values!r}")
-    return tuple(parse_strategy(v) for v in values)
 
 
 def build_run_config(
@@ -292,17 +298,15 @@ def build_run_config(
 ) -> RunConfig:
     """Merge defaults, config file, CLI flags, and the seed env override."""
     file_cfg = load_config_file(config_path, SIMULATE_KEYS)
-    scene_spec, scene_name = resolve_scene(setting(scene, file_cfg, "scene", None))
+    scene_spec, scene_name = resolve_scene(setting(scene, file_cfg, "scene", None, read_scene))
+    descriptors = setting(strategies, file_cfg, "strategies", DEFAULT_STRATEGIES,
+                          read_string_list, parse_descriptors)
     return RunConfig(
         scene=scene_spec,
         scene_name=scene_name,
-        strategies=parse_strategies(
-            setting(strategies, file_cfg, "strategies", DEFAULT_STRATEGIES)
-        ),
+        strategies=tuple(map(parse_strategy, descriptors)),
         seeds=resolve_seeds(seeds, file_cfg, DEFAULT_SEEDS),
         max_steps=setting(max_steps, file_cfg, "max_steps", DEFAULT_MAX_STEPS, read_int),
-        temperature=setting(
-            temperature, file_cfg, "temperature", DEFAULT_TEMPERATURE, read_float
-        ),
+        temperature=setting(temperature, file_cfg, "temperature", DEFAULT_TEMPERATURE, read_float),
         bin_width=setting(bin_width, file_cfg, "bin_width", DEFAULT_BIN_WIDTH, read_int),
     )

@@ -6,7 +6,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from ..config import (
-    jsonl_line_numbers, parse_json, read_id, read_input_text, read_json_list, read_jsonl,
+    jsonl_line_numbers, parse_json, read_array, read_id, read_input_text, read_jsonl,
     read_string, read_string_list,
 )
 from ..errors import ConfigError, InputError
@@ -36,7 +36,7 @@ def load_captions_jsonl(text: str, source: str = "<captions>") -> list[CaptionRe
 
 
 def _annotations(data) -> list[Annotation]:
-    return [Annotation.from_dict(item) for item in read_json_list(data, "annotations")]
+    return list(read_array(data, "annotations", lambda item, key: Annotation.from_dict(item)))
 
 
 def load_corpus(captions, annotations, lexicon):

@@ -34,7 +34,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .config import (
-    DEFAULT_BIN_WIDTH, jsonl_line_numbers, read_id, read_input_text, read_jsonl, read_string_list,
+    DEFAULT_BIN_WIDTH, jsonl_line_numbers, read_float, read_id, read_input_text, read_int,
+    read_jsonl, read_string, read_string_list,
 )
 from .core import GenerationRecord, Vocabulary
 from .errors import ConfigError, ContractError, InputError, LogitAnchorError
@@ -619,26 +620,11 @@ def write_trace(
     return stats
 
 
-# A step line's fields, in the order of a RunStats' columns after t.
+# A step line's fields, in the order of a RunStats' columns after t, and their JSON checks.
 _STEP_FIELDS = ("t", "chosen", "token", "entropy", "chosen_prob", "gt_mass", "hal_mass",
                 "provider_calls")
 _step_fields = itemgetter(*_STEP_FIELDS)
-
-
-def _check_type(key: str, value, want: type) -> None:
-    """A ConfigError unless ``value`` has the JSON type the writer writes: str or int."""
-    if type(value) is not want:  # a bool is not an int here, nor is "1" or 1.0
-        raise ConfigError(f"{key}: {value!r} is not {'a string' if want is str else 'an integer'}")
-
-
-def _read_number(value, key: str) -> float:
-    """A JSON number, an int or a float but not a bool or a string, as a float."""
-    if type(value) in (int, float):
-        try:
-            return float(value)
-        except OverflowError:  # an int beyond float range
-            pass
-    raise ConfigError(f"{key}: {value!r} is not a number")
+_STEP_READS = (read_int, read_int, read_string, *[read_float] * 4, read_int)
 
 
 def read_trace(path) -> RunStats:
@@ -655,12 +641,11 @@ def read_trace(path) -> RunStats:
     at, columns = accepted
     header = records[at]
     try:
-        n_steps = header.get("n_steps", len(columns[0]))
         header_text = header["text"]
-        for key, want in (("prompt_id", str), ("strategy", str), ("seed", int)):
-            _check_type(key, header[key], want)
-        _check_type("n_steps", n_steps, int)
-        stats = RunStats(header["prompt_id"], header["strategy"], header["seed"], *columns)
+        stats = RunStats(read_string(header["prompt_id"], "prompt_id"),
+                         read_string(header["strategy"], "strategy"),
+                         read_int(header["seed"], "seed"), *columns)
+        n_steps = read_int(header.get("n_steps", len(columns[0])), "n_steps")
     except (KeyError, ConfigError) as exc:
         raise InputError(f"{path}:{jsonl_line_numbers(text)[at]}: bad run header "
                          f"({type(exc).__name__}: {exc})") from exc
@@ -717,11 +702,9 @@ def _first_fault(path, numbered: Iterable[tuple[int, object]]) -> LogitAnchorErr
         if kind != "step":
             return InputError(f"{path}:{lineno}: unknown record kind {kind!r}")
         try:
-            step_t, chosen, token, *floats, calls = _step_fields(record)
-            for key, value, want in (("t", step_t, int), ("chosen", chosen, int),
-                                     ("token", token, str), ("provider_calls", calls, int)):
-                _check_type(key, value, want)
-            entropy, chosen_prob, gt_mass, hal_mass = map(_read_number, floats, _STEP_FIELDS[3:7])
+            step_t, chosen, token, entropy, chosen_prob, gt_mass, hal_mass, calls = (
+                read(value, key)
+                for read, value, key in zip(_STEP_READS, _step_fields(record), _STEP_FIELDS))
         except (KeyError, ConfigError) as exc:
             return InputError(f"{path}:{lineno}: bad step record ({exc})")
         fault = next((fault for ok, fault in (

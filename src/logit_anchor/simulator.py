@@ -410,7 +410,7 @@ def scene_from_dict(data: dict) -> SceneSpec:
     each value is read by its field type's typed reader, which names the key,
     and a field left out takes SceneSpec's default."""
     # config imports this module
-    from .config import read_float, read_float_list, read_names, read_string
+    from .config import read_float, read_float_list, read_string, read_string_list
 
     def read_grounding(value, key):
         if not isinstance(value, dict):
@@ -418,10 +418,10 @@ def scene_from_dict(data: dict) -> SceneSpec:
         return {article: read_float(grounding, key) for article, grounding in value.items()}
 
     read = {
-        "Vocabulary": lambda value, key: Vocabulary(read_names(value, key)),
+        "Vocabulary": lambda value, key: Vocabulary(read_string_list(value, key)),
         "tuple[float, ...]": read_float_list,
-        # An empty name list is read as such; SceneSpec refuses it where a scene needs one.
-        "tuple[str, ...]": lambda value, key: () if value == [] else read_names(value, key),
+        # An empty array is read as such; SceneSpec refuses it where a scene needs one.
+        "tuple[str, ...]": read_string_list,
         "str": read_string,
         "float": read_float,
         "Mapping[str, float]": read_grounding,
@@ -437,5 +437,5 @@ def scene_from_dict(data: dict) -> SceneSpec:
     try:
         return SceneSpec(**{f.name: read[f.type](data[key], key)
                             for key, f in _SCENE_KEYS.items() if key in data})
-    except ContractError as exc:  # duplicate tokens
+    except ContractError as exc:  # duplicate tokens, or none
         raise ConfigError(f"tokens: {exc}") from exc

@@ -9,6 +9,7 @@ import math
 import os
 import re
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -49,11 +50,21 @@ def _integer_eos(spec):
     return {**spec, "tokens": ["7" if t == "</s>" else t for t in spec["tokens"]], "eos": 7}
 
 
-# Scene edits that used to run at exit 0 on a default or a str() reading, and
-# what an error must name.
+def _comma_string_arrays(spec):
+    return {**spec, "tokens": ",".join(spec["tokens"]), "articles": ",".join(spec["articles"])}
+
+
+def _string_number(spec):
+    return {**spec, "noise_sigma": "0.3"}
+
+
+# Scene edits that used to run at exit 0 on a default, a str() reading or a
+# reading as flag text, and what an error must name.
 BAD_SCENES = pytest.mark.parametrize("edit, named", [
     (_misspelled_knobs, ["'noise_sgima'", "'decay_depht'"]), (_integer_eos, ["eos: 7 "]),
-], ids=["misspelled_knobs", "integer_eos"])
+    (_comma_string_arrays, ["tokens: 'The,In,A,a,man,", "is not an array"]),
+    (_string_number, ["noise_sigma: '0.3' is not a number"]),
+], ids=["misspelled_knobs", "integer_eos", "comma_string_arrays", "string_number"])
 
 
 class TestSimulate:
@@ -447,8 +458,19 @@ class TestEvaluateTraces:
         (lambda m: {k: v for k, v in m.items() if k != "scene"}, "missing key 'scene'"),
         (lambda m: {**m, "max_steps": 0}, "max_steps must be >= 1, got 0"),
         (lambda m: {**m, "temperature": 0.0}, "temperature must be finite and positive, got 0.0"),
+        # Values of another JSON type than simulate writes, once read as flag text.
+        (lambda m: {**m, "max_steps": "10"}, "max_steps: '10' is not an integer"),
+        (lambda m: {**m, "seeds": ["0", 1.0, 2]}, "seeds: '0' is not an integer"),
+        (lambda m: {**m, "seeds": "0"}, "seeds: '0' is not an array"),
+        (lambda m: {**m, "scene_spec": {**m["scene_spec"], "noise_sigma": "0.3"}},
+         "noise_sigma: '0.3' is not a number"),
+        # A key simulate does not write: a misspelled bin_width was scored at 20.
+        (lambda m: {**{k: v for k, v in m.items() if k != "bin_width"},
+                    "bin_widht": m["bin_width"]}, "unknown manifest keys ['bin_widht']"),
     ], ids=["bin_width_text", "no_scene_spec", "array", "bin_width_zero", "max_steps_text",
-            "temperature_list", "seeds_text", "no_scene", "max_steps_zero", "temperature_zero"])
+            "temperature_list", "seeds_text", "no_scene", "max_steps_zero", "temperature_zero",
+            "max_steps_string", "seeds_strings_and_floats", "seeds_seed_string",
+            "scene_spec_string_number", "misspelled_bin_width"])
     def test_malformed_manifest_exits_3(self, tmp_path, capsys, edit, named):
         sim_out = tmp_path / "sim"
         assert run_cli(
@@ -462,6 +484,18 @@ class TestEvaluateTraces:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {manifest}: ") and named in err
         assert not (tmp_path / "eval" / "report.json").exists()
+
+    def test_manifest_without_bin_width_takes_the_default(self, tmp_path):
+        sim_out = tmp_path / "sim"
+        assert run_cli("simulate", "--strategies", "baseline", "--seeds", "0:2",
+                       "--max-steps", "30", "--out", sim_out) == 0
+        manifest = sim_out / "manifest.json"
+        data = json.loads(manifest.read_text())
+        assert data.pop("bin_width") == 20
+        manifest.write_text(json.dumps(data))
+        assert run_cli("evaluate", "--traces", sim_out, "--out", tmp_path / "eval") == 0
+        assert (tmp_path / "eval" / "report.json").read_bytes() == \
+            (sim_out / "report.json").read_bytes()
 
     @BAD_SCENES
     def test_bad_scene_spec_key_exits_3_naming_it(self, tmp_path, capsys, edit, named):
@@ -980,6 +1014,11 @@ BAD_CONFIG_VALUES = [
     ("seeds", 5),
     ("seeds", [True]),
     ("temperature", "hot"),
+    # Flag text and non-integers that a config file's JSON used to be read as.
+    ("max_steps", "10"),
+    ("temperature", "1.0"),
+    ("seeds", [0.0, 1]),
+    ("scene", 5),
 ]
 
 
@@ -988,7 +1027,12 @@ class TestConfigFileValues:
         *[(command, key, value)
           for command in ("simulate", "sweep") for key, value in BAD_CONFIG_VALUES],
         ("simulate", "bin_width", "x"),
+        ("simulate", "strategies", "baseline;flb"),
         ("sweep", "gammas", [0.3, "x"]),
+        ("sweep", "gammas", "0.1,0.3"),
+        ("sweep", "gammas", []),
+        ("sweep", "schedules", "increasing"),
+        ("sweep", "mask", 7),
     ])
     def test_bad_value_exits_2_naming_the_key(self, tmp_path, capsys, command, key, value):
         path = tmp_path / "cfg.json"
@@ -1316,3 +1360,125 @@ class TestWholeCliProperty:
         assert code == 2 or site != "scene" or key in _SCENE_KEYS, err  # a key naming no field
         if code:
             assert "error:" in err and _named(err, key, value), err
+
+
+# -- every JSON value of a wrong type is refused, naming its key ----------------------
+#
+# One example spoils one key of a simulate or sweep config file, a scene file or a
+# simulate output's manifest (each key it reads back) with a value of a JSON type the
+# key does not take, or an array holding an item of such a type. The command ends in
+# exit 2 (exit 3 for a manifest) with an error that opens with the key: no JSON value
+# is read as flag text.
+
+_NUMBER = {int, float}
+_STRINGS = ({list}, {str})
+# Each site's keys: (the JSON types the key takes, those its array's items take).
+_JSON_SITES = {
+    "config": {
+        "scene": ({str, dict}, ()), "strategies": _STRINGS, "seeds": ({list, str}, {int}),
+        "max_steps": ({int}, ()), "temperature": (_NUMBER, ()), "bin_width": ({int}, ()),
+    },
+    "sweep": {
+        "scene": ({str, dict}, ()), "schedules": _STRINGS, "gammas": ({list}, _NUMBER),
+        "lams": ({list}, _NUMBER), "betas": ({list}, _NUMBER), "mask": ({str}, ()),
+        "seeds": ({list, str}, {int}), "max_steps": ({int}, ()), "temperature": (_NUMBER, ()),
+    },
+    "scene": {
+        **dict.fromkeys(("tokens", "articles", "gt_objects", "hal_objects", "connectives",
+                         "cognition_objects"), _STRINGS),
+        "base_logits": ({list}, _NUMBER), "eos": ({str}, ()),
+        **dict.fromkeys(("decay_kappa", "decay_depth", "noise_sigma", "grammar_penalty"),
+                        (_NUMBER, ())),
+        "article_grounding": ({dict}, ()),
+    },
+    "manifest": {
+        "scene": ({str}, ()), "scene_spec": ({dict}, ()), "strategies": _STRINGS,
+        "seeds": ({list}, {int}), "max_steps": ({int}, ()), "temperature": (_NUMBER, ()),
+        "bin_width": ({int}, ()),
+    },
+}
+_JSON_OF_TYPE = {
+    type(None): st.none(),
+    bool: st.booleans(),
+    int: st.integers(-3, 3) | st.just(2**70),
+    float: st.floats() | st.sampled_from([7.0, 0.5]),
+    str: st.sampled_from(["", "7", "0.3", "default", "0:2", "The,In,A,a", "baseline;flb"]),
+    list: st.lists(st.integers(0, 3) | st.sampled_from(["The", "0.5"]), max_size=2),
+    dict: st.dictionaries(st.sampled_from(["The", "a"]), st.integers(0, 2), max_size=2),
+}
+
+
+def _of_types_other_than(types):
+    return st.one_of(*(values for kind, values in _JSON_OF_TYPE.items() if kind not in types))
+
+
+@st.composite
+def _wrong_json(draw):
+    """(site, key, value): a value of a JSON type that the site's key does not take."""
+    site = draw(st.sampled_from(sorted(_JSON_SITES)))
+    key = draw(st.sampled_from(sorted(_JSON_SITES[site])))
+    takes, items = _JSON_SITES[site][key]
+    wrong = _of_types_other_than(takes)
+    if list in takes:
+        wrong |= st.lists(_of_types_other_than(items), min_size=1, max_size=3)
+    return site, key, draw(wrong)
+
+
+@pytest.fixture(scope="module")
+def simulated(tmp_path_factory):
+    out = tmp_path_factory.mktemp("wrong_json") / "sim"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli("simulate", "--strategies", "baseline", "--seeds", "0",
+                       "--max-steps", "5", "--out", out) == 0
+    return out
+
+
+class TestWrongJsonTypeProperty:
+    def test_sites_list_every_key(self, simulated):
+        assert set(_JSON_SITES["config"]) == set(SIMULATE_KEYS)
+        assert set(_JSON_SITES["sweep"]) == cli._SWEEP_KEYS
+        assert set(_JSON_SITES["scene"]) == set(scene_to_dict(default_scene()))
+        # simulate writes command and full_dist for the reader; nothing reads them back.
+        assert set(_JSON_SITES["manifest"]) == set(json.loads(
+            (simulated / "manifest.json").read_text())) - {"command", "full_dist"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(spoiled=_wrong_json())
+    # The values that ran at exit 0 when JSON was read as flag text.
+    @example(spoiled=("config", "max_steps", "10"))
+    @example(spoiled=("config", "seeds", [0.0, 1]))
+    @example(spoiled=("config", "strategies", "baseline;flb"))
+    @example(spoiled=("sweep", "mask", 7))
+    @example(spoiled=("config", "scene", 5))
+    @example(spoiled=("scene", "tokens", "The,In,A,a"))
+    @example(spoiled=("manifest", "seeds", ["0", 1.0, 2]))
+    @example(spoiled=("manifest", "scene_spec", "default"))
+    def test_wrong_json_type_ends_in_an_error_naming_the_key(self, scene, simulated, spoiled):
+        site, key, value = spoiled
+        manifest = simulated / "manifest.json"
+        kept = manifest.read_text()
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            flags = {"--seeds": "0:2", "--max-steps": "4", "--out": tmp / "out"}
+            if site == "manifest":
+                manifest.write_text(json.dumps({**json.loads(kept), key: value}))
+                argv = ["evaluate", "--traces", simulated]
+            elif site == "scene":
+                (tmp / "scene.json").write_text(json.dumps({**scene_to_dict(scene), key: value}))
+                argv = ["simulate", "--scene", tmp / "scene.json", *chain(*flags.items())]
+            else:
+                (tmp / "cfg.json").write_text(json.dumps({key: value}))
+                flags.pop(f"--{key.replace('_', '-')}", None)  # a flag overrides the file
+                argv = ["simulate" if site == "config" else "sweep", "--config",
+                        tmp / "cfg.json", *chain(*flags.items())]
+            err = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = run_cli(*argv)
+            finally:
+                manifest.write_text(kept)
+        err = err.getvalue()
+        if site == "manifest":
+            assert code == 3 and err.startswith(f"error: {manifest}: {key}: "), err
+        else:
+            assert code == 2 and err.startswith(f"error: {key}: "), err

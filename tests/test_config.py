@@ -23,14 +23,21 @@ from logit_anchor.config import (
     build_run_config,
     env_seed_override,
     jsonl_line_numbers,
+    parse_descriptors,
+    parse_floats,
     parse_json,
+    parse_names,
     parse_seed_list,
     parse_strategies,
+    read_array,
     read_float,
     read_int,
     read_jsonl,
+    read_scene,
     read_seeds,
+    read_string,
     resolve_scene,
+    resolve_seeds,
 )
 from logit_anchor.metrics import positional_curves
 from logit_anchor.runner import run_many, run_strategy
@@ -128,10 +135,15 @@ class TestParseStrategies:
         assert [s.kind for s in strategies] == ["baseline", "flb"]
         assert strategies[1].schedule.gamma == 0.5
 
-    def test_list_form(self):
-        strategies = parse_strategies(["greedy", "vcd"])
+    def test_config_file_takes_an_array(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"strategies": ["greedy", "vcd"]}))
+        strategies = build_run_config(config_path=str(path)).strategies
         assert [s.kind for s in strategies] == ["greedy", "vcd"]
         assert strategies[1].alpha is not None
+        path.write_text(json.dumps({"strategies": "greedy;vcd"}))
+        with pytest.raises(ConfigError, match=r"^strategies: 'greedy;vcd' is not an array$"):
+            build_run_config(config_path=str(path))
 
 
 class TestRunDefaults:
@@ -235,29 +247,89 @@ class TestBuildRunConfig:
             build_run_config(strategies="")
 
 
-class TestTypedReaders:
-    @pytest.mark.parametrize("value, expected", [(7, 7), (7.0, 7), ("7", 7), (" 7 ", 7)])
-    def test_int_accepts(self, value, expected):
-        assert read_int(value, "k") == expected
+class TestTextParsers:
+    """Flag and LOGIT_ANCHOR_SEED text: spaces around a value are allowed."""
 
-    @pytest.mark.parametrize("value", ["abc", 1.5, True, None, [1], float("nan"), float("inf")])
+    def test_seed_text_accepts_spaces(self, monkeypatch):
+        assert parse_seed_list(" 7 ") == (7,)
+        monkeypatch.setenv(SEED_ENV_VAR, " 7 , 9:11 ")
+        assert env_seed_override() == (7, 9, 10)
+
+    @pytest.mark.parametrize("text, expected", [
+        (" 0.5 ", (0.5,)), ("0.1, 0.3,,", (0.1, 0.3)), ("7", (7.0,)), ("", ()),
+    ])
+    def test_floats_accept(self, text, expected):
+        assert parse_floats(text, "gammas") == expected
+
+    @pytest.mark.parametrize("text", ["abc", "0.1,x", "[0.1]"])
+    def test_floats_reject_naming_key_and_part(self, text):
+        with pytest.raises(ConfigError, match=r"^gammas: '.*' is not a number$"):
+            parse_floats(text, "gammas")
+
+    def test_names_and_descriptors(self):
+        assert parse_names(" inc, const ,", "schedules") == ("inc", "const")
+        assert parse_descriptors("baseline; flb:gamma=0.5,beta=0.1 ;") == (
+            "baseline", "flb:gamma=0.5,beta=0.1")
+
+    @pytest.mark.parametrize("text", ["7.0", "x", "1:x"])
+    def test_seed_text_rejects_naming_key_and_part(self, text):
+        with pytest.raises(ConfigError, match=r"^seeds: '.*' is not an integer$"):
+            parse_seed_list(text)
+
+
+class TestJsonChecks:
+    """JSON values: exactly the JSON type the key takes, never flag text."""
+
+    @pytest.mark.parametrize("value", ["7", " 7 ", 7.0, True, "abc", 1.5, None, [1],
+                                       float("nan"), float("inf")])
     def test_int_rejects_naming_key_and_value(self, value):
         with pytest.raises(ConfigError, match=r"^max_steps: .* is not an integer$"):
             read_int(value, "max_steps")
 
-    @pytest.mark.parametrize("value", ["hot", False, None, [0.5], 10**400])
+    @pytest.mark.parametrize("value, expected", [(7, 7.0), (0.5, 0.5), (-1e300, -1e300)])
+    def test_float_accepts_numbers_integers_too(self, value, expected):
+        got = read_float(value, "temperature")
+        assert got == expected and type(got) is float
+
+    @pytest.mark.parametrize("value", ["1.0", "hot", False, None, [0.5], 10**400])
     def test_float_rejects_naming_key_and_value(self, value):
         with pytest.raises(ConfigError, match=r"^temperature: .* is not a number$"):
             read_float(value, "temperature")
 
-    @pytest.mark.parametrize("value", [5, [1.5, 2], [True], [1, 1], [], "1,1", None])
+    @pytest.mark.parametrize("value", [7, None, ["a"], True])
+    def test_string_rejects_naming_key_and_value(self, value):
+        with pytest.raises(ConfigError, match=r"^eos: .* is not a string$"):
+            read_string(value, "eos")
+
+    @pytest.mark.parametrize("value", ["a,b", "", {"a": 1}, None, 3, ("a",)])
+    def test_array_rejects_all_but_a_json_array(self, value):
+        with pytest.raises(ConfigError, match=r"^tokens: .* is not an array$"):
+            read_array(value, "tokens", read_string)
+
+    def test_array_reads_each_item_naming_the_key(self):
+        assert read_array([], "gammas", read_float) == ()
+        assert read_array([1, 0.5], "gammas", read_float) == (1.0, 0.5)
+        with pytest.raises(ConfigError, match=r"^gammas: '0.3' is not a number$"):
+            read_array([0.1, "0.3"], "gammas", read_float)
+
+    @pytest.mark.parametrize("value", [5, [1.5, 2], [0.0, 1], ["0", 1], [True], [1, 1], [],
+                                       "1,1", "0:3", None])
     def test_seeds_reject(self, value):
         with pytest.raises(ConfigError, match="seeds"):
             read_seeds(value)
 
-    def test_seeds_accept_list_and_string(self):
+    def test_seeds_accept_an_array(self):
         assert read_seeds([3, 1, 2]) == (3, 1, 2)
-        assert read_seeds("0:3,9") == (0, 1, 2, 9)
+
+    def test_config_file_seeds_may_be_a_seed_string(self):
+        assert resolve_seeds(None, {"seeds": "0:3,9"}, (5,)) == (0, 1, 2, 9)
+        assert resolve_seeds(None, {"seeds": [3, 1]}, (5,)) == (3, 1)
+        assert resolve_seeds(None, {}, (5,)) == (5,)
+
+    @pytest.mark.parametrize("value", [5, None, True, ["default"]])
+    def test_config_scene_is_a_string_or_an_object(self, value):
+        with pytest.raises(ConfigError, match=r"^scene: .* is not a string or an object$"):
+            read_scene(value)
 
 
 # Arbitrary JSON: what a config file can hold (dicts aside: only "scene" takes
