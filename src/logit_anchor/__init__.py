@@ -14,6 +14,7 @@ The package has three layers:
 from __future__ import annotations
 
 from .bench import BenchReport, BenchRow, CostModel, PaddedProvider, run_bench
+from .config import parse_strategy
 from .core import (
     GenerationRecord,
     LogitVector,
@@ -67,7 +68,6 @@ from .strategies import (
     LogitProvider,
     Strategy,
     decode,
-    parse_strategy,
 )
 from .weighting import (
     DEFAULT_GAMMA,

@@ -4,7 +4,7 @@ Provider calls per token are exact (counted from traces); wall-clock numbers
 are medians over runs and are only meaningful under the padded cost model,
 which busy-waits a fixed interval inside every provider call to emulate a
 model forward pass. The cheap model measures raw overhead and makes no
-latency claims.
+latency claims. ``CostModel.parse`` reads the pad by ``config.parse_number``.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import parse_number
 from .errors import ConfigError, InputError
 from .runner import _check_labels, _decode
 from .simulator import SceneSpec
@@ -52,12 +53,7 @@ class CostModel:
                 raise ConfigError("cheap cost model takes no argument")
             return cls(CHEAP)
         if name == PADDED:
-            try:
-                return cls(PADDED, float(arg))
-            except ValueError:
-                raise ConfigError(
-                    f"padded cost model needs a microsecond value, got {arg!r}"
-                ) from None
+            return cls(PADDED, parse_number(arg, "padded cost model", float))
         raise ConfigError(f"unknown cost model {text!r}")
 
 

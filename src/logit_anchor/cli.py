@@ -49,10 +49,12 @@ from .config import (
     SIMULATE_KEYS,
     build_run_config,
     load_config_file,
+    parse_alias,
     parse_floats,
     parse_json,
     parse_names,
-    parse_strategies,
+    parse_number,
+    parse_strategy,
     read_float,
     read_float_list,
     read_input_text,
@@ -125,7 +127,9 @@ def _formats(args) -> set[str]:
 
 def _out_dir(path) -> Path:
     """The --out directory ``path``, checked before any work by making it and removing what
-    was made (the writers make it again); one that cannot be made is a ConfigError."""
+    was made (the writers make it again); one that is empty or cannot be made is a ConfigError."""
+    if not path:  # Path("") is the working directory
+        raise ConfigError("--out: '' is empty, not an output directory")
     out = Path(path)
     try:
         made = [p for p in (out, *out.parents) if not p.exists()]
@@ -449,7 +453,7 @@ def _evaluate_traces(args, out: Path | None) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    out = _out_dir(args.out) if args.out else None
+    out = None if args.out is None else _out_dir(args.out)
     if args.traces:
         return _evaluate_traces(args, out)
     return _evaluate_corpus(args, out)
@@ -477,7 +481,9 @@ def cmd_sweep(args) -> int:
         grid[key] = setting(getattr(args, key), file_cfg, key, default, read, parse)
         if not grid[key]:
             raise ConfigError(f"{key}: empty list")
+    grid["schedules"] = tuple(parse_alias(s, "schedules", "schedule") for s in grid["schedules"])
     mask = setting(args.mask, file_cfg, "mask", SETTINGS[FLB]["l0_mask"], read_string)
+    mask = parse_alias(mask, "mask", "mask")
     seeds = resolve_seeds(args.seeds, file_cfg, DEFAULT_SEEDS)
     max_steps = setting(args.max_steps, file_cfg, "max_steps", DEFAULT_MAX_STEPS, read_int)
     temperature = setting(
@@ -532,7 +538,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_bench(args) -> int:
     scene, scene_name = resolve_scene(args.scene)
-    strategies = parse_strategies(args.strategies)
+    strategies = tuple(map(parse_strategy, parse_names(args.strategies, "strategies", ";")))
     seeds = resolve_seeds(args.seeds, {}, tuple(range(40)))
     cost_model = CostModel.parse(args.cost_model)
     out = _out_dir(args.out)
@@ -608,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
         """The flags of every decoding command; None leaves a setting to the config file."""
         p.add_argument("--scene", help="preset name or scene JSON path")
         p.add_argument("--seeds", help="comma-separated seeds; ranges like 0:50 allowed")
-        p.add_argument("--max-steps", type=int, default=max_steps, dest="max_steps")
+        p.add_argument("--max-steps", default=max_steps, dest="max_steps")
 
     p = sub.add_parser("simulate", help="run strategies on a scene, write traces and reports")
     p.add_argument("--config", help="JSON config file")
@@ -616,9 +622,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategies",
                    help="semicolon-separated strategy descriptors, "
                         "e.g. 'baseline;vcd;flb:gamma=0.3,lambda=0.05'")
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--bin-width", type=int, dest="bin_width")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--temperature")
+    p.add_argument("--bin-width", dest="bin_width")
+    p.add_argument("--jobs", default=1,
                    help="accepted for compatibility, must be >= 1; has no effect")
     p.add_argument("--full-dist", action="store_true", dest="full_dist",
                    help="store full per-step distributions in traces")
@@ -641,8 +647,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lams", help="comma-separated lambda values")
     p.add_argument("--betas", help="comma-separated beta values")
     p.add_argument("--schedules", help="comma-separated schedule kinds")
-    p.add_argument("--mask", choices=("full", "nouns_only", "the_only"))
-    p.add_argument("--temperature", type=float)
+    p.add_argument("--mask", help="first-logit mask: full, nouns_only or the_only")
+    p.add_argument("--temperature")
     common_output(p, "sweep_out")
     p.set_defaults(func=cmd_sweep)
 
@@ -652,25 +658,33 @@ def build_parser() -> argparse.ArgumentParser:
                    help="semicolon-separated strategy descriptors")
     p.add_argument("--cost-model", default="cheap", dest="cost_model",
                    help="'cheap' or 'padded:<microseconds>'")
-    p.add_argument("--min-tokens", type=int, default=1000, dest="min_tokens")
+    p.add_argument("--min-tokens", default=1000, dest="min_tokens")
     common_output(p, "bench_out")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("ablate", help="compare first-logit contribution masks")
     run_flags(p, DEFAULT_MAX_STEPS)
-    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
-    p.add_argument("--lam", "--lambda", type=float, default=DEFAULT_LAM, dest="lam")
-    p.add_argument("--beta", type=float, default=SETTINGS[FLB]["beta"])
+    p.add_argument("--gamma", default=DEFAULT_GAMMA)
+    p.add_argument("--lam", "--lambda", default=DEFAULT_LAM, dest="lam")
+    p.add_argument("--beta", default=SETTINGS[FLB]["beta"])
     common_output(p, "ablate_out")
     p.set_defaults(func=cmd_ablate)
 
     return parser
 
 
+# The numeric flags, by dest, each read from its text by ``config.parse_number``.
+NUMBER_FLAGS = {"max_steps": int, "temperature": float, "bin_width": int, "jobs": int,
+                "min_tokens": int, "gamma": float, "lam": float, "beta": float}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for key, kind in NUMBER_FLAGS.items():
+            if isinstance(getattr(args, key, None), str):  # a flag given, not a default value
+                setattr(args, key, parse_number(getattr(args, key), key, kind))
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -1,4 +1,4 @@
-"""Config input for every command: config files, flags, seeds, typed values.
+"""Config input for every command: the one place user input becomes values.
 
 One JSON file (``load_config_file``: an object holding only the command's
 keys) drives a run; command-line flags override file values (``setting``),
@@ -7,11 +7,12 @@ either source (``resolve_seeds``). Each value is read once, by a reader chosen
 by its source: a JSON value (config, scene and corpus files, manifests, trace
 headers) by the strict JSON checks ``read_*`` (``"7"`` and ``7.0`` are not
 integers, and no string is split into a list; a config file's ``seeds`` may
-be a seed string, the one JSON form of a range), and flag or env text by the
-``parse_*`` functions: seed strings (``0:50,99``) and comma- or ';'-separated
-lists. Each raises ConfigError naming the key and the value, never a traceback.
-Every JSON and JSONL file, settings and data alike, is read and parsed here;
-every parse failure reads ``<file>[:<line>]: malformed JSON (<reason>)``.
+be a seed string, the one JSON form of a range), and text (flags, the env
+variable, descriptors, the cost model) by the ``parse_*`` functions, every
+number by ``parse_number`` (ASCII, no ``_``) and every schedule or mask name,
+text or JSON, by ``parse_alias``. Each raises ConfigError naming the key and
+the value, never a traceback. Every JSON and JSONL file is read and parsed
+here; every parse failure reads ``<file>[:<line>]: malformed JSON (<reason>)``.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ from .errors import ConfigError, InputError
 from .runner import _check_labels
 from .simulator import PRESET_NAMES, SceneSpec, preset, scene_from_dict
 from .strategies import (
-    DEFAULT_MAX_STEPS, DEFAULT_TEMPERATURE, Strategy, _check_run_args, parse_strategy,
+    DEFAULT_MAX_STEPS, DEFAULT_TEMPERATURE, FLB, L0_FULL, L0_NOUNS_ONLY, L0_THE_ONLY, SETTINGS,
+    STRATEGY_KINDS, Strategy, _check_run_args,
 )
+from .weighting import WeightSchedule
 
 SEED_ENV_VAR = "LOGIT_ANCHOR_SEED"
 
@@ -198,15 +201,18 @@ def read_scene(value, key: str = "scene"):
     return value
 
 
-# -- flag text (flags, LOGIT_ANCHOR_SEED), and settings from either source ---------
+# -- text (flags, LOGIT_ANCHOR_SEED, descriptors), and settings from either source ----
 
 
-def _parse_number(text: str, key: str, kind=float):
-    try:
-        return kind(text)
-    except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key}: {text!r} is not {what}") from None
+def parse_number(text: str, key: str, kind):
+    """Text as ``kind`` (int or float), spaces around it allowed: only ASCII text with no "_",
+    as ``kind`` alone reads "1_0" as 10 and "٣" as 3. "inf" and "nan" reach the range checks."""
+    if text.isascii() and "_" not in text:
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    raise ConfigError(f"{key}: {text!r} is not {'an integer' if kind is int else 'a number'}")
 
 
 def parse_names(text: str, key: str, sep: str = ",") -> tuple[str, ...]:
@@ -215,16 +221,84 @@ def parse_names(text: str, key: str, sep: str = ",") -> tuple[str, ...]:
 
 
 def parse_floats(text: str, key: str) -> tuple[float, ...]:
-    return tuple(_parse_number(part, key) for part in parse_names(text, key))
+    return tuple(parse_number(part, key, float) for part in parse_names(text, key))
 
 
-def parse_descriptors(text: str, key: str = "strategies") -> tuple[str, ...]:
-    """``--strategies`` text: ';'-separated strategy descriptors."""
-    return parse_names(text, key, ";")
+# The one name table: the names a schedule or a mask takes, in any case, in a
+# descriptor, --schedules, --mask or a sweep config file.
+_ALIASES = {
+    "schedule": {
+        "increasing": "increasing", "inc": "increasing",
+        "decreasing": "decreasing", "dec": "decreasing",
+        "constant": "constant", "const": "constant",
+    },
+    "mask": {
+        "full": L0_FULL,
+        "nouns_only": L0_NOUNS_ONLY, "nouns": L0_NOUNS_ONLY,
+        "the_only": L0_THE_ONLY, "the": L0_THE_ONLY,
+    },
+}
+# The setting each descriptor key gives, and the schedule field of a schedule key.
+_SETTING_OF = {
+    "beta": "beta", "alpha": "alpha", "strength": "strength", "mask": "l0_mask",
+    "gamma": "schedule", "lambda": "schedule", "schedule": "schedule",
+}
+_SCHEDULE_FIELD = {"gamma": "gamma", "lambda": "lam", "schedule": "kind"}
 
 
-def parse_strategies(text: str) -> tuple[Strategy, ...]:
-    return tuple(map(parse_strategy, parse_descriptors(text)))
+def parse_alias(text: str, key: str, name: str) -> str:
+    """The canonical ``name`` ("schedule" or "mask") that ``text`` gives, in any case."""
+    aliases = _ALIASES[name]
+    if text.lower() not in aliases:
+        raise ConfigError(f"{key}: unknown {name} {text.lower()!r}")
+    return aliases[text.lower()]
+
+
+def parse_strategy(text: str) -> Strategy:
+    """Parse a descriptor like ``flb:gamma=0.3,lambda=0.05,beta=0.1,mask=full``.
+
+    The part before the colon is the strategy kind; the rest is a
+    comma-separated key=value list. Recognized keys depend on the kind:
+    ``beta`` for baseline/greedy; ``alpha``, ``beta``, ``strength`` for the
+    contrastive kinds; ``gamma``, ``lambda`` (or ``lam``), ``beta``,
+    ``schedule``, ``mask`` for flb. Keys left out take the kind's defaults
+    (``strategies.SETTINGS``). A key given twice, or with an empty value, is a
+    ConfigError, never a silent default.
+    """
+    text = text.strip()
+    kind, _, rest = text.partition(":")
+    kind = kind.strip().lower()
+    if kind not in STRATEGY_KINDS:
+        raise ConfigError(f"unknown strategy {kind!r}; expected one of {STRATEGY_KINDS}")
+    params: dict[str, str] = {}
+    if rest.strip():
+        for part in rest.split(","):
+            key, eq, value = part.partition("=")
+            if not eq:
+                raise ConfigError(f"malformed strategy parameter {part!r} in {text!r}")
+            key, value = key.strip().lower(), value.strip()
+            if not value:
+                raise ConfigError(f"{kind}: {key} has an empty value in {text!r}")
+            if kind == FLB and key == "lam":
+                key = "lambda"
+            if key in params:
+                raise ConfigError(f"{kind}: {key} is given more than once in {text!r}")
+            params[key] = value
+    unknown = sorted(key for key in params if _SETTING_OF.get(key) not in SETTINGS[kind])
+    if unknown:
+        raise ConfigError(f"unknown parameter(s) {unknown} for strategy {kind!r}")
+
+    settings, schedule = {}, {}
+    for key, value in params.items():
+        value = (parse_alias(value, kind, key) if key in _ALIASES
+                 else parse_number(value, f"{kind}: {key}", float))
+        if key in _SCHEDULE_FIELD:
+            schedule[_SCHEDULE_FIELD[key]] = value
+        else:
+            settings[_SETTING_OF[key]] = value
+    if schedule:
+        settings["schedule"] = WeightSchedule(**schedule)
+    return Strategy(kind=kind, **settings)
 
 
 def parse_seed_list(text: str, source: str = "seeds") -> tuple[int, ...]:
@@ -233,12 +307,12 @@ def parse_seed_list(text: str, source: str = "seeds") -> tuple[int, ...]:
     for part in text.split(","):
         lo, colon, hi = part.partition(":")
         if colon:
-            lo, hi = _parse_number(lo, source, int), _parse_number(hi, source, int)
+            lo, hi = parse_number(lo, source, int), parse_number(hi, source, int)
             if hi <= lo:
                 raise ConfigError(f"{source}: empty seed range {part.strip()!r}")
             seeds.extend(range(lo, hi))
         elif part.strip():
-            seeds.append(_parse_number(part, source, int))
+            seeds.append(parse_number(part, source, int))
     return _distinct_seeds(seeds, source)
 
 
@@ -250,7 +324,7 @@ def env_seed_override() -> tuple[int, ...] | None:
 
 
 def setting(flag, file_cfg: dict, key: str, default, read, parse=None):
-    """The flag parsed by ``parse(flag, key)`` (None: a flag argparse has typed), else
+    """The flag parsed by ``parse(flag, key)`` (None: a flag already parsed), else
     the file's value checked by ``read(value, key)``, else ``default`` as it is."""
     if flag is not None:
         return flag if parse is None else parse(flag, key)
@@ -300,7 +374,7 @@ def build_run_config(
     file_cfg = load_config_file(config_path, SIMULATE_KEYS)
     scene_spec, scene_name = resolve_scene(setting(scene, file_cfg, "scene", None, read_scene))
     descriptors = setting(strategies, file_cfg, "strategies", DEFAULT_STRATEGIES,
-                          read_string_list, parse_descriptors)
+                          read_string_list, lambda text, key: parse_names(text, key, ";"))
     return RunConfig(
         scene=scene_spec,
         scene_name=scene_name,

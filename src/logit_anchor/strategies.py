@@ -19,9 +19,10 @@ the adjusted logits before the final softmax. The EOS token is re-allowed
 after truncation so every run can terminate. Providers mask nothing.
 
 Every setting is a field of one frozen ``Strategy``; ``SETTINGS`` lists the
-ones each kind takes and their defaults, which fill any left out. In code,
+ones each kind takes and their defaults, which fill any left out, and
+``_RANGES`` the range of each. Descriptor text is parsed in ``config``:
 ``Strategy(kind="flb", schedule=WeightSchedule(gamma=0.5), beta=0.2)`` is
-the descriptor ``flb:gamma=0.5,beta=0.2`` (``parse_strategy``).
+the descriptor ``flb:gamma=0.5,beta=0.2`` (``config.parse_strategy``).
 
 :func:`decode` is the one decode loop. It runs all seeds of one strategy in
 lockstep: each seed is a row, every per-step operation works on
@@ -486,7 +487,7 @@ def decode(
     ]
 
 
-# -- strategy descriptors --------------------------------------------------------
+# -- strategy settings -----------------------------------------------------------
 
 # The settings each kind takes, with their defaults: the one place a strategy
 # default is written (a schedule's gamma and lam default in WeightSchedule).
@@ -557,80 +558,3 @@ class Strategy:
             f"flb({self.schedule.kind},gamma={self.schedule.gamma:g},"
             f"lam={self.schedule.lam:g},beta={self.beta:g},mask={self.l0_mask})"
         )
-
-
-# The names the schedule and mask keys accept.
-_ALIASES = {
-    "schedule": {
-        "increasing": "increasing", "inc": "increasing",
-        "decreasing": "decreasing", "dec": "decreasing",
-        "constant": "constant", "const": "constant",
-    },
-    "mask": {
-        "full": L0_FULL,
-        "nouns_only": L0_NOUNS_ONLY, "nouns": L0_NOUNS_ONLY,
-        "the_only": L0_THE_ONLY, "the": L0_THE_ONLY,
-    },
-}
-# The setting each descriptor key gives, and the schedule field of a schedule key.
-_SETTING_OF = {
-    "beta": "beta", "alpha": "alpha", "strength": "strength", "mask": "l0_mask",
-    "gamma": "schedule", "lambda": "schedule", "schedule": "schedule",
-}
-_SCHEDULE_FIELD = {"gamma": "gamma", "lambda": "lam", "schedule": "kind"}
-
-
-def parse_strategy(text: str) -> Strategy:
-    """Parse a descriptor like ``flb:gamma=0.3,lambda=0.05,beta=0.1,mask=full``.
-
-    The part before the colon is the strategy kind; the rest is a
-    comma-separated key=value list. Recognized keys depend on the kind:
-    ``beta`` for baseline/greedy; ``alpha``, ``beta``, ``strength`` for the
-    contrastive kinds; ``gamma``, ``lambda`` (or ``lam``), ``beta``,
-    ``schedule``, ``mask`` for flb. Keys left out take the kind's defaults
-    (``SETTINGS``). A key given twice, or with an empty value, is a
-    ConfigError, never a silent default.
-    """
-    text = text.strip()
-    kind, _, rest = text.partition(":")
-    kind = kind.strip().lower()
-    if kind not in STRATEGY_KINDS:
-        raise ConfigError(
-            f"unknown strategy {kind!r}; expected one of {STRATEGY_KINDS}"
-        )
-    params: dict[str, str] = {}
-    if rest.strip():
-        for part in rest.split(","):
-            key, eq, value = part.partition("=")
-            if not eq:
-                raise ConfigError(f"malformed strategy parameter {part!r} in {text!r}")
-            key, value = key.strip().lower(), value.strip()
-            if not value:
-                raise ConfigError(f"{kind}: {key} has an empty value in {text!r}")
-            if kind == FLB and key == "lam":
-                key = "lambda"
-            if key in params:
-                raise ConfigError(f"{kind}: {key} is given more than once in {text!r}")
-            params[key] = value
-    unknown = sorted(key for key in params if _SETTING_OF.get(key) not in SETTINGS[kind])
-    if unknown:
-        raise ConfigError(f"unknown parameter(s) {unknown} for strategy {kind!r}")
-
-    settings, schedule = {}, {}
-    for key, value in params.items():
-        if key in _ALIASES:
-            if value.lower() not in _ALIASES[key]:
-                raise ConfigError(f"{kind}: unknown {key} {value.lower()!r}")
-            value = _ALIASES[key][value.lower()]
-        else:
-            try:
-                value = float(value)
-            except ValueError:
-                raise ConfigError(f"{kind}: {key} expects a number, got {value!r}") from None
-        if key in _SCHEDULE_FIELD:
-            schedule[_SCHEDULE_FIELD[key]] = value
-        else:
-            settings[_SETTING_OF[key]] = value
-    if schedule:
-        settings["schedule"] = WeightSchedule(**schedule)
-    return Strategy(kind=kind, **settings)

@@ -32,7 +32,7 @@ class TestCostModel:
 
     @pytest.mark.parametrize(
         "text", ["padded", "padded:", "padded:soon", "warp", "cheap:5",
-                 "padded:nan", "padded:inf"]
+                 "padded:nan", "padded:inf", "padded:1_0", "padded:٣"]
     )
     def test_parse_rejects(self, text):
         with pytest.raises(ConfigError):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -903,6 +904,41 @@ class TestSweep:
         bad.write_text(json.dumps({"gamas": [0.3]}))
         assert run_cli("sweep", "--config", bad, "--out", out) == 2
 
+    @pytest.mark.parametrize("flags, config, schedules, mask", [
+        (["--mask", "nouns"], None, ["increasing"], "nouns_only"),
+        (["--schedules", "inc"], None, ["increasing"], "full"),
+        ([], {"mask": "the", "schedules": ["dec"]}, ["decreasing"], "the_only"),
+    ], ids=["mask_flag", "schedules_flag", "config_file"])
+    def test_aliases_written_by_their_canonical_names(
+        self, tmp_path, flags, config, schedules, mask
+    ):
+        """--mask nouns used to be refused by argparse, --schedules inc to exit 2 and a
+        config file's "the" to exit 2 naming l0_mask: only descriptors took the aliases."""
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            flags = [*flags, "--config", tmp_path / "cfg.json"]
+        out = tmp_path / "out"
+        assert run_cli(*OUT_COMMANDS[2], *flags, "--format", "json", "--out", out) == 0
+        data = json.loads((out / "sweep.json").read_text())
+        assert data["mask"] == mask
+        assert [row["schedule"] for row in data["rows"]] == schedules
+        assert all(row["label"].endswith(f",mask={mask})") for row in data["rows"])
+
+    @pytest.mark.parametrize("flags, config, message", [
+        ([], {"mask": "verbs"}, "mask: unknown mask 'verbs'"),
+        (["--mask", "verbs"], None, "mask: unknown mask 'verbs'"),
+        (["--schedules", "inc,linear"], None, "schedules: unknown schedule 'linear'"),
+        ([], {"schedules": ["LINEAR"]}, "schedules: unknown schedule 'linear'"),
+    ], ids=["config_mask", "mask_flag", "schedules_flag", "config_schedules"])
+    def test_unknown_name_exits_2_naming_its_key(self, tmp_path, capsys, flags, config, message):
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            flags = [*flags, "--config", tmp_path / "cfg.json"]
+        out = tmp_path / "out"
+        assert run_cli(*OUT_COMMANDS[2], *flags, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_repeated_grid_value_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run_cli(
@@ -1179,8 +1215,23 @@ OUT_COMMANDS = [
 ]
 
 
+def _subparsers() -> dict:
+    """Each command's parser, by name."""
+    actions = cli.build_parser()._actions
+    return next(a for a in actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 class TestOutPath:
-    """An --out that names a file, or lies under one, is a configuration error."""
+    """An --out that is empty, names a file, or lies under one, is a configuration error."""
+
+    @pytest.mark.parametrize("argv", OUT_COMMANDS, ids=lambda argv: argv[0])
+    def test_empty_out_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        """--out '' used to write into the working directory (evaluate: to exit 0 writing
+        nothing), as Path('') is the working directory."""
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv, "--out", "") == 2
+        assert capsys.readouterr().err == "error: --out: '' is empty, not an output directory\n"
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", OUT_COMMANDS, ids=lambda argv: argv[0])
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
@@ -1224,9 +1275,59 @@ class TestParser:
         assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_no_flag_is_typed_by_argparse(self):
+        """Every number in flag text is read by ``config.parse_number`` (``cli.NUMBER_FLAGS``);
+        argparse's int and float would read "1_0" as 10 and "٣" as 3."""
+        dests = set()
+        for command, parser in _subparsers().items():
+            for action in parser._actions:
+                assert action.type not in (int, float), (command, action.dest)
+                dests.add(action.dest)
+        assert set(cli.NUMBER_FLAGS) <= dests
+
     def test_sanitize_label(self):
         assert sanitize_label("flb(increasing,gamma=0.3)") == "flb(increasing,gamma=0.3)"
         assert sanitize_label("a b/c") == "a_b_c"
+
+
+# -- numbers in flag text: ASCII, no "_" -------------------------------------------
+#
+# int() and float() read "1_0" as 10, "1_0.5" as 10.5 and "٣" as 3; each of these
+# ran at exit 0 when a flag, the seed variable, a descriptor or the cost model
+# read its text with them.
+
+_COMMANDS = {argv[0]: argv for argv in OUT_COMMANDS}
+# (command, flag or SEED_ENV_VAR, text, the key an error names, the part it names)
+_NUMBER_TEXT = [
+    *[(command, action.option_strings[0], text, action.dest, text)
+      for command, parser in _subparsers().items() for action in parser._actions
+      if action.dest in cli.NUMBER_FLAGS
+      for text in ("1_0", "٣", *(("1_0.5",) if cli.NUMBER_FLAGS[action.dest] is float else ()))],
+    ("simulate", "--seeds", "1_0", "seeds", "1_0"),
+    ("sweep", "--seeds", "0:٣", "seeds", "٣"),
+    ("simulate", SEED_ENV_VAR, "1_0", SEED_ENV_VAR, "1_0"),
+    ("bench", SEED_ENV_VAR, "٣", SEED_ENV_VAR, "٣"),
+    ("sweep", "--gammas", "0.1,1_0", "gammas", "1_0"),
+    ("sweep", "--lams", "٢", "lams", "٢"),
+    ("simulate", "--strategies", "flb:gamma=1_0", "gamma", "1_0"),
+    ("simulate", "--strategies", "baseline;vcd:alpha=٣", "alpha", "٣"),
+    ("bench", "--cost-model", "padded:1_0", "padded cost model", "1_0"),
+]
+
+
+@pytest.mark.parametrize("command, flag, text, key, part", _NUMBER_TEXT,
+                         ids=[f"{c}_{f}={t}" for c, f, t, _, _ in _NUMBER_TEXT])
+def test_number_text_exits_2_naming_it(tmp_path, capsys, monkeypatch, command, flag, text,
+                                       key, part):
+    argv = [*_COMMANDS[command], flag, text]
+    if flag == SEED_ENV_VAR:
+        monkeypatch.setenv(SEED_ENV_VAR, text)
+        argv = _COMMANDS[command]
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and repr(part) in err, err
+    assert not out.exists()
 
 
 # -- every bad input ends in a named error ------------------------------------------
@@ -1236,12 +1337,13 @@ class TestParser:
 # a scene-file field or an --out that is (or lies under) an existing file.
 # Whatever the value, the command ends in exit 0, 2 or 3 (never a traceback,
 # never an internal error), and an error names the value or the key that
-# holds it; a spoiled --out always ends in exit 2.
+# holds it; a spoiled --out always ends in exit 2, and so does a flag, seed
+# variable or descriptor whose text holds "_" or a non-ASCII character.
 
 _ODD_TEXT = st.sampled_from([
     "", " ", "x", "nan", "NaN", "inf", "-inf", "-1", "0", "1", "1.5", "-0.5", "2",
     "1e308", "1e-320", "0x10", "1_0", "9" * 30, "0:2", "3:1", "1,1", "0:", ":", "-3:2",
-    ",", "0;1", "baseline", "vcd:alpha=-1",
+    ",", "0;1", "baseline", "vcd:alpha=-1", "٣", "1_0.5",
 ])
 _ODD_JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | _ODD_TEXT,
@@ -1261,7 +1363,7 @@ _ODD_DESCRIPTOR = st.builds(
         max_size=3,
     ),
 )
-_FLAGS = ("--seeds", "--max-steps", "--temperature", "--bin-width")
+_FLAGS = ("--seeds", "--max-steps", "--temperature", "--bin-width", "--jobs")
 _SCENE_KEYS = list(scene_to_dict(default_scene()))
 # A key that names no scene field: a misspelled one, or any other lower-case name.
 _ODD_SCENE_KEY = st.sampled_from(["noise_sgima", "decay_depht", "vocabulary", "eos "]) | st.text(
@@ -1357,6 +1459,8 @@ class TestWholeCliProperty:
         err = err.getvalue()
         assert code in (0, 2, 3), err
         assert code == 2 or site != "out", err
+        if site in ("flag", "strategies", "env") and ("_" in value or not value.isascii()):
+            assert code == 2, err  # text int() or float() alone would read as a number
         assert code == 2 or site != "scene" or key in _SCENE_KEYS, err  # a key naming no field
         if code:
             assert "error:" in err and _named(err, key, value), err

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,12 +25,12 @@ from logit_anchor.config import (
     build_run_config,
     env_seed_override,
     jsonl_line_numbers,
-    parse_descriptors,
     parse_floats,
     parse_json,
     parse_names,
+    parse_number,
     parse_seed_list,
-    parse_strategies,
+    parse_strategy,
     read_array,
     read_float,
     read_int,
@@ -131,7 +133,8 @@ class TestResolveScene:
 
 class TestParseStrategies:
     def test_string_form(self):
-        strategies = parse_strategies("baseline; flb:gamma=0.5")
+        strategies = [parse_strategy(text)
+                      for text in parse_names("baseline; flb:gamma=0.5", "strategies", ";")]
         assert [s.kind for s in strategies] == ["baseline", "flb"]
         assert strategies[1].schedule.gamma == 0.5
 
@@ -255,6 +258,25 @@ class TestTextParsers:
         monkeypatch.setenv(SEED_ENV_VAR, " 7 , 9:11 ")
         assert env_seed_override() == (7, 9, 10)
 
+    @pytest.mark.parametrize("text, kind, expected", [
+        (" 7 ", int, 7), ("-3", int, -3), (" 0.5 ", float, 0.5), ("1e3", float, 1000.0),
+        ("inf", float, math.inf),
+    ])
+    def test_number_accepts(self, text, kind, expected):
+        """Spaces around a number are allowed; inf is left to each setting's range check."""
+        got = parse_number(text, "key", kind)
+        assert got == expected and type(got) is kind
+
+    @pytest.mark.parametrize("text, kind", [
+        ("1_0", int), ("٣", int), ("1_0.5", float), ("٢", float), ("1.5", int), ("", float),
+        ("\u00a07", int),
+    ])
+    def test_number_rejects_naming_key_and_text(self, text, kind):
+        """int() and float() alone read "1_0" as 10 and "٣" as 3."""
+        what = "an integer" if kind is int else "a number"
+        with pytest.raises(ConfigError, match=f"^key: {re.escape(repr(text))} is not {what}$"):
+            parse_number(text, "key", kind)
+
     @pytest.mark.parametrize("text, expected", [
         (" 0.5 ", (0.5,)), ("0.1, 0.3,,", (0.1, 0.3)), ("7", (7.0,)), ("", ()),
     ])
@@ -268,7 +290,7 @@ class TestTextParsers:
 
     def test_names_and_descriptors(self):
         assert parse_names(" inc, const ,", "schedules") == ("inc", "const")
-        assert parse_descriptors("baseline; flb:gamma=0.5,beta=0.1 ;") == (
+        assert parse_names("baseline; flb:gamma=0.5,beta=0.1 ;", "strategies", ";") == (
             "baseline", "flb:gamma=0.5,beta=0.1")
 
     @pytest.mark.parametrize("text", ["7.0", "x", "1:x"])

@@ -525,7 +525,7 @@ _DESCRIPTOR_KEYS = st.sampled_from([
 _DESCRIPTOR_VALUES = st.one_of(
     st.sampled_from([
         "0", "0.1", "1", "2.5", "1e308", "-1e308", "1e-320", "-0.5",
-        "nan", "NaN", "inf", "-inf", "x", "", "0x10", "1_0",
+        "nan", "NaN", "inf", "-inf", "x", "", "0x10", "1_0", "1_0.5", "٣",
         "inc", "dec", "const", "decreasing", "linear", "nouns", "the", "full", "verbs",
     ]),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
@@ -553,11 +553,19 @@ class TestDescriptorProperty:
     @example(text="vcd:alpha=1e308")
     @example(text="icd:alpha=1e308,beta=0")
     @example(text="flb:gamma=1e200")
+    @example(text="flb:gamma=1_0")
+    @example(text="vcd:alpha=٣")
     def test_parses_and_decodes_or_raises_config_error(self, scene, text):
-        """Any descriptor decodes on the default scene or is a ConfigError.
+        """Any descriptor decodes on the default scene or is a ConfigError; one
+        holding "_" or a non-ASCII character is always a ConfigError (``int()``
+        and ``float()`` would read "1_0" as 10 and "٣" as 3).
 
         Twelve steps reach the step at which each 1e308 example overflows.
         """
+        if "_" in text or not text.isascii():
+            with pytest.raises(ConfigError):
+                parse_strategy(text)
+            return
         try:
             record = run_strategy(scene, parse_strategy(text), seed=0, max_steps=12)
         except ConfigError:
