@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import parse_number
+from .config import parse_number, trim
 from .errors import ConfigError, InputError
 from .runner import _check_labels, _decode
 from .simulator import SceneSpec
@@ -46,8 +46,8 @@ class CostModel:
     @classmethod
     def parse(cls, text: str) -> "CostModel":
         """"cheap" or "padded:<microseconds>"."""
-        name, _, arg = text.strip().partition(":")
-        name = name.strip().lower()
+        name, _, arg = trim(text).partition(":")
+        name = trim(name).lower()
         if name == CHEAP:
             if arg:
                 raise ConfigError("cheap cost model takes no argument")

@@ -204,6 +204,12 @@ def read_scene(value, key: str = "scene"):
 # -- text (flags, LOGIT_ANCHOR_SEED, descriptors), and settings from either source ----
 
 
+def trim(text: str) -> str:
+    """``text`` without the ASCII whitespace at its ends. ``str.strip()`` would also drop
+    U+00A0 and U+3000, which stay here for ``parse_number`` or a name table to refuse."""
+    return text.strip(" \t\n\r\v\f")
+
+
 def parse_number(text: str, key: str, kind):
     """Text as ``kind`` (int or float), spaces around it allowed: only ASCII text with no "_",
     as ``kind`` alone reads "1_0" as 10 and "٣" as 3. "inf" and "nan" reach the range checks."""
@@ -216,8 +222,8 @@ def parse_number(text: str, key: str, kind):
 
 
 def parse_names(text: str, key: str, sep: str = ",") -> tuple[str, ...]:
-    """The non-empty parts of flag text between ``sep``s, stripped."""
-    return tuple(part.strip() for part in text.split(sep) if part.strip())
+    """The non-empty parts of flag text between ``sep``s, trimmed."""
+    return tuple(filter(None, map(trim, text.split(sep))))
 
 
 def parse_floats(text: str, key: str) -> tuple[float, ...]:
@@ -265,18 +271,18 @@ def parse_strategy(text: str) -> Strategy:
     (``strategies.SETTINGS``). A key given twice, or with an empty value, is a
     ConfigError, never a silent default.
     """
-    text = text.strip()
+    text = trim(text)
     kind, _, rest = text.partition(":")
-    kind = kind.strip().lower()
+    kind = trim(kind).lower()
     if kind not in STRATEGY_KINDS:
         raise ConfigError(f"unknown strategy {kind!r}; expected one of {STRATEGY_KINDS}")
     params: dict[str, str] = {}
-    if rest.strip():
+    if trim(rest):
         for part in rest.split(","):
             key, eq, value = part.partition("=")
             if not eq:
                 raise ConfigError(f"malformed strategy parameter {part!r} in {text!r}")
-            key, value = key.strip().lower(), value.strip()
+            key, value = trim(key).lower(), trim(value)
             if not value:
                 raise ConfigError(f"{kind}: {key} has an empty value in {text!r}")
             if kind == FLB and key == "lam":
@@ -309,16 +315,16 @@ def parse_seed_list(text: str, source: str = "seeds") -> tuple[int, ...]:
         if colon:
             lo, hi = parse_number(lo, source, int), parse_number(hi, source, int)
             if hi <= lo:
-                raise ConfigError(f"{source}: empty seed range {part.strip()!r}")
+                raise ConfigError(f"{source}: empty seed range {trim(part)!r}")
             seeds.extend(range(lo, hi))
-        elif part.strip():
+        elif trim(part):
             seeds.append(parse_number(part, source, int))
     return _distinct_seeds(seeds, source)
 
 
 def env_seed_override() -> tuple[int, ...] | None:
     value = os.environ.get(SEED_ENV_VAR)
-    if value is None or not value.strip():
+    if value is None or not trim(value):
         return None
     return parse_seed_list(value, source=SEED_ENV_VAR)
 

@@ -1,10 +1,9 @@
-"""Numeric core: the vocabulary, the decode loop's choice kernels, and run records.
+"""Numeric core: the vocabulary and the run records.
 
-The sampling and greedy kernels (``_sample_rows``, ``_greedy_rows``) are the
-only code that chooses a token; ``strategies.decode`` runs them on all its
-rows at once. A run's record (``GenerationRecord``) holds its summary
-columns and, when recorded, one plain ``StepTrace`` per step. All vectors are
-float64 numpy arrays indexed by token id.
+A run's record (``GenerationRecord``) holds its summary columns and, when
+recorded, one plain ``StepTrace`` per step, whose vectors (``LogitVector``,
+``ProbDist``) are float64 numpy arrays indexed by token id. The row kernels
+that compute them and choose each token are in ``strategies``.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ class Vocabulary:
 
     Token ids are positions in ``tokens``. The mapping is fixed for the
     lifetime of the object; everything else in the package refers to tokens
-    by id and renders through :meth:`token`.
+    by id.
     """
 
     tokens: tuple[str, ...]
@@ -53,11 +52,6 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self._index
 
-    def token(self, token_id: TokenId) -> str:
-        if not 0 <= token_id < len(self.tokens):
-            raise ContractError(f"token id {token_id} out of range")
-        return self.tokens[token_id]
-
 
 @dataclass(frozen=True, slots=True)
 class LogitVector:
@@ -76,47 +70,6 @@ class ProbDist:
     """A recorded step's categorical distribution over token ids (read-only)."""
 
     probs: np.ndarray
-
-
-# -- row kernels ----------------------------------------------------------------
-# The decode loop (``strategies.decode``) runs these on all its rows at once,
-# or on a lone row as a 1-d array.
-
-
-def _col(values):
-    """Per-row values shaped to broadcast against the rows (a scalar for one row)."""
-    return values if values.ndim == 0 else values[:, None]
-
-
-def _listed(values: np.ndarray) -> list:
-    """Per-row values as a list, one item per row."""
-    items = values.tolist()
-    return items if isinstance(items, list) else [items]
-
-
-def _sample_rows(probs: np.ndarray, draws) -> list[TokenId]:
-    """Inverse-CDF choice per row, from one uniform each (a scalar for one row).
-
-    The choice is the first token whose running sum over the row's positive
-    support exceeds ``u * total``. Zero entries add exactly 0, so the full
-    row's running sums are the support's, and a zero entry never exceeds first.
-    """
-    cum = probs.cumsum(axis=-1)
-    last = cum[..., -1]
-    u = draws * last
-    chosen = (cum > _col(u)).argmax(axis=-1).tolist()
-    if probs.ndim == 1:
-        probs, chosen, u, last = probs[None], [chosen], [u], [last]
-    for j, (uj, lj) in enumerate(zip(u, last)):
-        if uj >= lj:  # u reached the total: take the last supported token
-            chosen[j] = int(np.flatnonzero(probs[j])[-1])
-    return chosen
-
-
-def _greedy_rows(scores: np.ndarray, mask: np.ndarray | None) -> list[TokenId]:
-    """Each row's highest-scoring unmasked token, ties toward the lowest id."""
-    best = scores if mask is None else np.where(mask, -np.inf, scores)
-    return _listed(best.argmax(axis=-1))
 
 
 @dataclass(frozen=True, slots=True)

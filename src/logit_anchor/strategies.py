@@ -28,12 +28,12 @@ the descriptor ``flb:gamma=0.5,beta=0.2`` (``config.parse_strategy``).
 lockstep: each seed is a row, every per-step operation works on
 ``[rows, vocab]`` arrays, and a row retires when it emits EOS. A single run
 is the one-row case. Every per-step operation has one implementation, a
-row kernel here or in ``core``: the contrastive combination (``_combine``),
-the step-0 contribution (``_l0_lane``, ``_l0_rows``) and its lift, the
-candidate constraint (``_candidate_mask``), the softmax (``_softmax``), the
-entropy (``_entropies``) and the choice (``core._sample_rows``,
-``core._greedy_rows``). The tests compare them against independent
-one-vector references of their own.
+row kernel in this module: the contrastive combination (``_combine``), the
+step-0 contribution (``_l0_lane``, ``_l0_rows``) and its lift, the candidate
+constraint (``_candidate_mask``), the softmax (``_softmax``, which divides by
+the temperature and normalises through ``_normalised``), the entropy
+(``_entropies``) and the choice (``_sample_rows``, ``_greedy_rows``). The
+tests compare them against independent one-vector references of their own.
 
 Each row owns its randomness: its seed is split into three independent
 streams (sampling, positive-provider jitter, negative-provider jitter), and
@@ -53,18 +53,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .core import (
-    GenerationRecord,
-    LogitVector,
-    ProbDist,
-    StepTrace,
-    TokenId,
-    Vocabulary,
-    _col,
-    _greedy_rows,
-    _listed,
-    _sample_rows,
-)
+from .core import GenerationRecord, LogitVector, ProbDist, StepTrace, TokenId, Vocabulary
 from .errors import ConfigError, ContractError
 from .simulator import NOISY_VISUAL, PERTURBED_INSTRUCTION, UNCONDITIONED
 from .weighting import WeightSchedule, weight_at
@@ -115,14 +104,6 @@ class LogitProvider(Protocol):
     ) -> np.ndarray: ...
 
 
-# -- pure per-step operations --------------------------------------------------
-
-
-def _combine(pos: np.ndarray, neg: np.ndarray, alpha: float) -> np.ndarray:
-    """The contrastive combination of positive and negative scores."""
-    return (1.0 + alpha) * pos - alpha * neg
-
-
 # -- row kernels ----------------------------------------------------------------
 #
 # Each kernel takes one row as a 1-d [vocab] array or several as a
@@ -136,11 +117,15 @@ def _combine(pos: np.ndarray, neg: np.ndarray, alpha: float) -> np.ndarray:
 # groups a zero-padded row differently.
 
 
-def _row_max(x: np.ndarray):
-    """Each row's largest entry, shaped to broadcast against the rows."""
-    if x.ndim == 1:
-        return x[x.argmax()]
-    return x.max(axis=1, keepdims=True)
+def _col(values):
+    """Per-row values shaped to broadcast against the rows (a scalar for one row)."""
+    return values if values.ndim == 0 else values[:, None]
+
+
+def _listed(values: np.ndarray) -> list:
+    """Per-row values as a list, one item per row."""
+    items = values.tolist()
+    return items if isinstance(items, list) else [items]
 
 
 def _groups(keep: np.ndarray) -> list[tuple[np.ndarray | None, np.ndarray]]:
@@ -181,45 +166,41 @@ def _entropies(p: np.ndarray):
     return out
 
 
-def _normalised(block: np.ndarray):
+def _normalised(block: np.ndarray, temperature: float):
     """Softmax of each row of a block with nothing masked, and the rows' totals.
 
-    The totals are the sums of the max-shifted exponentials, whose largest
-    is exactly 1.0, so a row's largest probability is exactly ``1 / total``.
+    The one place a row is divided by ``temperature`` and shifted by its
+    largest entry before exponentiation. The totals are the sums of the
+    shifted exponentials, whose largest is exactly 1.0, so a row's largest
+    probability is exactly ``1 / total``.
     """
-    exps = np.exp(block - _row_max(block))
+    scaled = block / temperature if temperature != 1.0 else block
+    top = scaled[scaled.argmax()] if scaled.ndim == 1 else scaled.max(axis=1, keepdims=True)
+    exps = np.exp(scaled - top)
     total = exps.sum(axis=-1)
     return exps / _col(total), total
 
 
-def _softmax(scores: np.ndarray, mask: np.ndarray | None, temperature: float, entropy: bool = False):
-    """Each row's softmax over its unmasked entries: (probabilities, totals, entropies).
-
-    Scores are divided by ``temperature``, then shifted by the row's largest
-    before exponentiation; masked entries get exactly 0. With ``entropy``,
-    each row's ``_entropies``; None without it.
-    """
-    scaled = scores / temperature if temperature != 1.0 else scores
+def _softmax(scores: np.ndarray, mask: np.ndarray | None, temperature: float):
+    """Each row's softmax over its unmasked entries (``_normalised``), masked entries
+    exactly 0, and each row's entropy (``_entropies``): (probabilities, entropies)."""
     if mask is None:
-        probs, totals = _normalised(scaled)
-        return probs, totals, _entropies(probs) if entropy else None
-    probs = np.zeros(scaled.shape)
+        probs, _ = _normalised(scores, temperature)
+        return probs, _entropies(probs)
+    probs = np.zeros(scores.shape)
     groups = _groups(~mask)
     if len(groups) > 1:
-        totals, entropies = np.empty(scaled.shape[0]), np.empty(scaled.shape[0])
+        entropies = np.empty(scores.shape[0])
     for rows, keep in groups:
-        p, total = _normalised(_packed(scaled if rows is None else scaled[rows], keep))
-        ent = _entropies(p) if entropy else None
+        p, _ = _normalised(_packed(scores if rows is None else scores[rows], keep), temperature)
         if rows is None:
             probs[keep] = p.ravel()
-            return probs, total, ent
-        spread = np.zeros((rows.size, scaled.shape[1]))
+            return probs, _entropies(p)
+        spread = np.zeros((rows.size, scores.shape[1]))
         spread[keep] = p.ravel()
         probs[rows] = spread
-        totals[rows] = total
-        if entropy:
-            entropies[rows] = ent
-    return probs, totals, entropies if entropy else None
+        entropies[rows] = _entropies(p)
+    return probs, entropies
 
 
 def _index_sums(p: np.ndarray, index: np.ndarray):
@@ -247,11 +228,16 @@ def _candidate_mask(raw: np.ndarray, temperature: float, beta: float, eos_id: To
     distribution reaches beta times the largest one, which is exactly
     ``1 / total``; so the largest stays.
     """
-    probs, total, _ = _softmax(raw, None, temperature)
+    probs, total = _normalised(raw, temperature)
     dropped = _below_cut(probs, _col(1.0 / total), beta)
     if eos_id is not None:
         dropped[..., eos_id] = False
     return dropped
+
+
+def _combine(pos: np.ndarray, neg: np.ndarray, alpha: float) -> np.ndarray:
+    """The contrastive combination of positive and negative scores."""
+    return (1.0 + alpha) * pos - alpha * neg
 
 
 def _l0_lane(mode: str, vocab: Vocabulary, noun_ids: Sequence[TokenId] | None) -> np.ndarray | None:
@@ -276,6 +262,31 @@ def _l0_lane(mode: str, vocab: Vocabulary, noun_ids: Sequence[TokenId] | None) -
 def _l0_rows(raw: np.ndarray, lane: np.ndarray | None) -> np.ndarray:
     """Each row's additive step-0 contribution: 0 outside the lane."""
     return raw if lane is None else np.where(lane, raw, 0.0)
+
+
+def _sample_rows(probs: np.ndarray, draws) -> list[TokenId]:
+    """Inverse-CDF choice per row, from one uniform each (a scalar for one row).
+
+    The choice is the first token whose running sum over the row's positive
+    support exceeds ``u * total``. Zero entries add exactly 0, so the full
+    row's running sums are the support's, and a zero entry never exceeds first.
+    """
+    cum = probs.cumsum(axis=-1)
+    last = cum[..., -1]
+    u = draws * last
+    chosen = (cum > _col(u)).argmax(axis=-1).tolist()
+    if probs.ndim == 1:
+        probs, chosen, u, last = probs[None], [chosen], [u], [last]
+    for j, (uj, lj) in enumerate(zip(u, last)):
+        if uj >= lj:  # u reached the total: take the last supported token
+            chosen[j] = int(np.flatnonzero(probs[j])[-1])
+    return chosen
+
+
+def _greedy_rows(scores: np.ndarray, mask: np.ndarray | None) -> list[TokenId]:
+    """Each row's highest-scoring unmasked token, ties toward the lowest id."""
+    best = scores if mask is None else np.where(mask, -np.inf, scores)
+    return _listed(best.argmax(axis=-1))
 
 
 # -- the decode loop --------------------------------------------------------------
@@ -441,7 +452,7 @@ def decode(
         mask = None
         if beta is not None:
             mask = _candidate_mask(raw, temperature, beta, eos_id)
-        probs, _, entropies = _softmax(scores, mask, temperature, entropy=True)
+        probs, entropies = _softmax(scores, mask, temperature)
         if greedy:
             chosen = _greedy_rows(scores, mask)
         else:

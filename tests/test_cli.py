@@ -1290,7 +1290,7 @@ class TestParser:
         assert sanitize_label("a b/c") == "a_b_c"
 
 
-# -- numbers in flag text: ASCII, no "_" -------------------------------------------
+# -- flag text: numbers in ASCII with no "_", and only ASCII space trimmed ------------
 #
 # int() and float() read "1_0" as 10, "1_0.5" as 10.5 and "٣" as 3; each of these
 # ran at exit 0 when a flag, the seed variable, a descriptor or the cost model
@@ -1313,10 +1313,19 @@ _NUMBER_TEXT = [
     ("simulate", "--strategies", "baseline;vcd:alpha=٣", "alpha", "٣"),
     ("bench", "--cost-model", "padded:1_0", "padded cost model", "1_0"),
 ]
+# str.strip() also drops U+00A0 and U+3000: each of these ran at exit 0 when the
+# text readers trimmed with it, reading the text without the character.
+_SPACE_TEXT = [
+    ("simulate", "--seeds", "0:2,\u00a0", "seeds", "\u00a0"),
+    ("simulate", "--strategies", "flb:gamma=0.5\u3000", "gamma", "0.5\u3000"),
+    ("simulate", "--strategies", "baseline;\u3000", "strategy", "\u3000"),
+    ("simulate", SEED_ENV_VAR, "\u00a0", SEED_ENV_VAR, "\u00a0"),
+    ("bench", "--cost-model", "padded:5\u3000", "padded cost model", "5\u3000"),
+]
 
 
-@pytest.mark.parametrize("command, flag, text, key, part", _NUMBER_TEXT,
-                         ids=[f"{c}_{f}={t}" for c, f, t, _, _ in _NUMBER_TEXT])
+@pytest.mark.parametrize("command, flag, text, key, part", _NUMBER_TEXT + _SPACE_TEXT,
+                         ids=[f"{c}_{f}={t}" for c, f, t, _, _ in _NUMBER_TEXT + _SPACE_TEXT])
 def test_number_text_exits_2_naming_it(tmp_path, capsys, monkeypatch, command, flag, text,
                                        key, part):
     argv = [*_COMMANDS[command], flag, text]
@@ -1344,6 +1353,7 @@ _ODD_TEXT = st.sampled_from([
     "", " ", "x", "nan", "NaN", "inf", "-inf", "-1", "0", "1", "1.5", "-0.5", "2",
     "1e308", "1e-320", "0x10", "1_0", "9" * 30, "0:2", "3:1", "1,1", "0:", ":", "-3:2",
     ",", "0;1", "baseline", "vcd:alpha=-1", "٣", "1_0.5",
+    "\u00a0", "\u3000", "0:2,\u00a0", "0.5\u3000",
 ])
 _ODD_JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | _ODD_TEXT,

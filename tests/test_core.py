@@ -26,8 +26,9 @@ from logit_anchor import (
     run_many,
     run_strategy,
 )
-from logit_anchor.core import _greedy_rows, _sample_rows
-from logit_anchor.strategies import CONTRASTIVE_KINDS, GREEDY, _entropies, _softmax
+from logit_anchor.strategies import (
+    CONTRASTIVE_KINDS, GREEDY, _entropies, _greedy_rows, _normalised, _sample_rows, _softmax,
+)
 
 # 50-digit reference: softmax([1, 2, 3])
 SOFTMAX_123 = (0.09003057317038046, 0.24472847105479767, 0.6652409557748219)
@@ -52,7 +53,7 @@ class TestVocabulary:
         v = Vocabulary(("a", "b", "c"))
         assert v.size == 3
         assert v.id_of("b") == 1
-        assert v.token(2) == "c"
+        assert v.tokens[2] == "c"
         assert "a" in v and "z" not in v
 
     def test_duplicate_tokens_rejected(self):
@@ -63,8 +64,6 @@ class TestVocabulary:
         v = Vocabulary(("a",))
         with pytest.raises(ContractError):
             v.id_of("b")
-        with pytest.raises(ContractError):
-            v.token(5)
 
 
 class TestLogitVector:
@@ -178,13 +177,27 @@ class TestSoftmax:
         for row in mask:  # each row keeps one entry at least
             row[data.draw(st.integers(0, vocab - 1))] = False
         temperature = data.draw(st.sampled_from([1.0, 0.5, 2.0]))
-        probs, totals, entropies = _softmax(scores, mask, temperature, entropy=True)
+        probs, entropies = _softmax(scores, mask, temperature)
         for i in range(rows):
-            p, total, ent = _softmax(scores[i], mask[i], temperature, entropy=True)
+            p, ent = _softmax(scores[i], mask[i], temperature)
             want = oracle.softmax(scores[i], mask[i], temperature)
             assert p.tobytes() == probs[i].tobytes() == want.tobytes()
-            assert float(total).hex() == float(totals[i]).hex()
             assert float(ent) == float(entropies[i]) == oracle.entropy(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_largest_probability_is_one_over_total(self, data):
+        """``_normalised``'s identity, bit for bit, for a batch and each lone row: the
+        cut compares against ``1 / total``, and C2 and the plausibility tests pass
+        ``probs.max()`` for it."""
+        rows, vocab = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 40))
+        scores = data.draw(arrays(np.float64, (rows, vocab), elements=st.floats(-40.0, 40.0)))
+        temperature = data.draw(st.sampled_from([1.0, 0.5, 0.7, 2.0]))
+        probs, totals = _normalised(scores, temperature)
+        assert probs.max(axis=1).tobytes() == (1.0 / totals).tobytes()
+        for row in scores:
+            p, total = _normalised(row, temperature)
+            assert float(p.max()).hex() == float(1.0 / total).hex()
 
 
 class TestEntropy:

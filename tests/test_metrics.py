@@ -259,10 +259,10 @@ class TestTraceAnalytics:
         stats = summarize_record(rec, lex)
         assert stats.strategy == rec.strategy and stats.seed == 0
         assert stats.chosen is rec.chosen and stats.entropy is rec.entropy  # shared columns
-        assert stats.text == " ".join(scene.vocabulary.token(s.chosen) for s in rec.steps)
+        assert stats.text == " ".join(scene.vocabulary.tokens[s.chosen] for s in rec.steps)
         assert len(stats.steps) == len(rec.steps)
         for t, (step, full) in enumerate(zip(stats.steps, rec.steps)):
-            assert step == StepStats(t, full.chosen, lex.vocab.token(full.chosen), rec.entropy[t],
+            assert step == StepStats(t, full.chosen, lex.vocab.tokens[full.chosen], rec.entropy[t],
                                      rec.chosen_prob[t], rec.gt_mass[t], rec.hal_mass[t],
                                      full.provider_calls)
             assert 0.0 <= step.gt_mass + step.hal_mass <= 1.0 + 1e-9

@@ -26,7 +26,7 @@ from logit_anchor import (
     weight_at,
 )
 from logit_anchor import strategies
-from logit_anchor.core import _sample_rows
+from logit_anchor.strategies import _sample_rows
 from logit_anchor.simulator import (
     NegativeVariantSpec,
     SyntheticProvider,
@@ -600,7 +600,7 @@ class TestRunMany:
         if len(rec.steps) < 60:
             assert rec.steps[-1].chosen == scene.eos_id
         assert summarize_record(rec, TraceLexicon.from_scene(scene)).text.split() == [
-            scene.vocabulary.token(s.chosen) for s in rec.steps
+            scene.vocabulary.tokens[s.chosen] for s in rec.steps
         ]
 
 
@@ -759,7 +759,7 @@ def reference_summary(record, lexicon):
     hal_index = np.flatnonzero(lexicon.hal)
     return {
         "chosen": tuple(s.chosen for s in record.steps),
-        "tokens": tuple(lexicon.vocab.token(s.chosen) for s in record.steps),
+        "tokens": tuple(lexicon.vocab.tokens[s.chosen] for s in record.steps),
         "entropy": tuple(s.entropy_nats for s in record.steps),
         "chosen_prob": tuple(float(s.dist.probs[s.chosen]) for s in record.steps),
         "gt_mass": tuple(float(s.dist.probs[gt_index].sum()) for s in record.steps),
