@@ -2,9 +2,9 @@
 
 The package has three layers:
 
-* decoding: weight schedules, the decoding strategies (baseline, contrastive
-  pairs, first-logit boosting) and the one lockstep decode loop, whose
-  records keep plain per-step vectors on request;
+* decoding: the decoding strategies (baseline, contrastive pairs,
+  first-logit boosting with its weight schedules) and the one lockstep
+  decode loop, whose records keep plain per-step vectors on request;
 * a synthetic caption provider whose hallucination rate grows with
   generation depth, used as a controllable test bed;
 * evaluation: corpus object-hallucination metrics, trace analytics,
@@ -46,6 +46,7 @@ from .metrics import (
     entropy_stats,
     extract_objects,
     hal_noun_rate,
+    object_score,
     positional_curves,
     read_trace,
     sentence_initial_stats,
@@ -65,15 +66,12 @@ from .simulator import (
     scene_to_dict,
 )
 from .strategies import (
-    LogitProvider,
-    Strategy,
-    decode,
-)
-from .weighting import (
     DEFAULT_GAMMA,
     DEFAULT_LAM,
+    LogitProvider,
+    Strategy,
     WeightSchedule,
-    object_score,
+    decode,
     weight_at,
 )
 

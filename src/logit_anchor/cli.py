@@ -87,8 +87,10 @@ from .metrics import (
 )
 from .runner import _check_labels, run_many
 from .simulator import scene_from_dict, scene_to_dict
-from .strategies import CONTRASTIVE_KINDS, FLB, SETTINGS, STRATEGY_KINDS, Strategy, _check_run_args
-from .weighting import DEFAULT_GAMMA, DEFAULT_LAM, WeightSchedule
+from .strategies import (
+    CONTRASTIVE_KINDS, DEFAULT_GAMMA, DEFAULT_LAM, FLB, SETTINGS, STRATEGY_KINDS, Strategy,
+    WeightSchedule, _check_run_args,
+)
 
 REPORT_COLUMNS = (
     "strategy", "chair_i", "chair_s", "cover", "cog", "recall", "object_score",

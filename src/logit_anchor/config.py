@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from itertools import compress, count, repeat
 from pathlib import Path
 
 from .errors import ConfigError, InputError
@@ -27,9 +28,8 @@ from .runner import _check_labels
 from .simulator import PRESET_NAMES, SceneSpec, preset, scene_from_dict
 from .strategies import (
     DEFAULT_MAX_STEPS, DEFAULT_TEMPERATURE, FLB, L0_FULL, L0_NOUNS_ONLY, L0_THE_ONLY, SETTINGS,
-    STRATEGY_KINDS, Strategy, _check_run_args,
+    STRATEGY_KINDS, Strategy, WeightSchedule, _check_run_args,
 )
-from .weighting import WeightSchedule
 
 SEED_ENV_VAR = "LOGIT_ANCHOR_SEED"
 
@@ -83,6 +83,12 @@ def parse_json(text: str, where, line: int | None = None):
     raise InputError(f"{where}{f':{line}' if line else ''}: malformed JSON ({reason})")
 
 
+def _filled(lines: list[str]):
+    """Whether each JSONL line holds more than JSON whitespace (space, tab, CR), the one
+    blank-line rule: ``str.strip()`` would also drop U+00A0, U+3000, "\\f" and "\\v"."""
+    return map(str.strip, lines, repeat(" \t\r"))
+
+
 def read_jsonl(text: str, where) -> list:
     """The JSON value on each non-blank line of ``text``, in order.
 
@@ -92,8 +98,8 @@ def read_jsonl(text: str, where) -> list:
     Each joint holds a newline, which no JSON string may, so the items alternate
     marker and value only if every line holds one value; if not, the lines are
     parsed one by one, so that the error names the first bad line."""
-    lines = list(map(str.strip, text.split("\n")))
-    texts = list(filter(None, lines))
+    lines = text.split("\n")
+    texts = list(compress(lines, _filled(lines)))
     marker = os.urandom(12).hex()
     try:
         items = json.loads(f'["{marker}",' + f',\n"{marker}",'.join(texts) + "]")
@@ -101,12 +107,13 @@ def read_jsonl(text: str, where) -> list:
             return items[1::2]
     except (ValueError, RecursionError):
         pass
-    return [parse_json(line, where, lineno) for lineno, line in enumerate(lines, 1) if line]
+    return [parse_json(line, where, lineno)
+            for lineno, line in compress(enumerate(lines, 1), _filled(lines))]
 
 
 def jsonl_line_numbers(text: str) -> list[int]:
     """The line number of each value ``read_jsonl(text, ...)`` returns."""
-    return [lineno for lineno, line in enumerate(text.split("\n"), 1) if line.strip()]
+    return list(compress(count(1), _filled(text.split("\n"))))
 
 
 def load_json_file(path):

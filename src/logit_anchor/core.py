@@ -17,6 +17,9 @@ from .errors import ContractError
 
 TokenId = int
 
+# How far from 1 the decode loop (``strategies._check_step``) lets a row's probabilities sum.
+PROB_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class Vocabulary:

@@ -16,7 +16,8 @@ from ..metrics import Annotation, CaptionRecord, ObjectLexicon
 def load_captions_jsonl(text: str, source: str = "<captions>") -> list[CaptionRecord]:
     """Parse caption JSONL: one {"id", "text"} (or {"id", "tokens"}) per line. The
     id is a string or an integer (read as its decimal string); the text and every
-    token are strings."""
+    token are strings. The tokens are read as their text, joined by spaces, so both
+    forms are split and stripped of edge punctuation alike."""
     captions: list[CaptionRecord] = []
     for lineno, data in zip(jsonl_line_numbers(text), read_jsonl(text, source)):
         if not isinstance(data, dict) or "id" not in data:
@@ -24,14 +25,14 @@ def load_captions_jsonl(text: str, source: str = "<captions>") -> list[CaptionRe
         try:
             image_id = read_id(data["id"], "'id'")
             if "tokens" in data:
-                caption = CaptionRecord(image_id, read_string_list(data["tokens"], "'tokens'"))
+                text = " ".join(read_string_list(data["tokens"], "'tokens'"))
             elif "text" in data:
-                caption = CaptionRecord.from_text(image_id, read_string(data["text"], "'text'"))
+                text = read_string(data["text"], "'text'")
             else:
                 raise ConfigError("caption line needs 'text' or 'tokens'")
         except (ConfigError, InputError) as exc:
             raise InputError(f"{source}:{lineno}: {exc}") from exc
-        captions.append(caption)
+        captions.append(CaptionRecord.from_text(image_id, text))
     return captions
 
 

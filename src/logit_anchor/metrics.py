@@ -29,7 +29,7 @@ from functools import cached_property
 from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,14 +37,11 @@ from .config import (
     DEFAULT_BIN_WIDTH, jsonl_line_numbers, read_float, read_id, read_input_text, read_int,
     read_jsonl, read_string, read_string_list,
 )
-from .core import GenerationRecord, Vocabulary
+from .core import PROB_SLACK, GenerationRecord, Vocabulary
 from .errors import ConfigError, ContractError, InputError, LogitAnchorError
-from .weighting import object_score
 
 _EDGE_PUNCT = ".,;:!?\"'()[]"
-# The decode loop accepts probabilities that sum to 1 within 1e-9, so a step's
-# gt and hal mass together, a sum of some of them, may exceed 1 by as much.
-_P_MAX = 1.0 + 1e-9
+_P_MAX = 1.0 + PROB_SLACK  # the most a sum of a step's probabilities (gt + hal mass) may read
 
 
 # -- corpus side ----------------------------------------------------------------
@@ -185,6 +182,18 @@ class CorpusCounts:
     cognition_hits: int
 
 
+def object_score(chair: float, cover: float, *, percent: bool = False) -> float:
+    """A hallucination rate and a coverage rate combined into one score,
+    ``0.5 * ((scale_max - chair) + cover)``: higher is better, and low hallucination
+    and high coverage count equally. Both are fractions in [0, 1], or percentages in
+    [0, 100] (``scale_max``) with ``percent=True``."""
+    scale_max = 100.0 if percent else 1.0
+    for name, value in (("chair", chair), ("cover", cover)):
+        if not (0.0 <= value <= scale_max):
+            raise ConfigError(f"{name} must lie in [0, {scale_max:g}], got {value!r}")
+    return 0.5 * ((scale_max - chair) + cover)
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     """Corpus metrics plus the integer counts backing every rate."""
@@ -199,8 +208,21 @@ class MetricsReport:
     warnings: tuple[str, ...] = ()
 
     @classmethod
-    def from_counts(cls, counts: CorpusCounts, warnings: Iterable[str] = ()) -> "MetricsReport":
-        """The rates of ``counts``: each is one quotient of two of its integers."""
+    def from_objects(cls, captions: int, matched: Sequence[tuple[AbstractSet, ...]],
+                     warnings: Iterable[str] = ()) -> "MetricsReport":
+        """The report of ``captions`` captions, of which ``matched`` holds the ones
+        matched to an annotation as (mentioned, gt, cognition) object sets: each
+        count is summed over them, and each rate is one quotient of two counts."""
+        if not matched:
+            raise InputError("no caption matched an annotation; nothing to score")
+        hal = [mentioned - gt for mentioned, gt, _ in matched]
+        counts = CorpusCounts(
+            captions=captions, matched=len(matched),
+            mentions=sum(len(mentioned) for mentioned, _, _ in matched),
+            hallucinated=sum(map(len, hal)), gt=sum(len(gt) for _, gt, _ in matched),
+            covered=sum(len(mentioned & gt) for mentioned, gt, _ in matched),
+            hal_captions=sum(map(bool, hal)),
+            cognition_hits=sum(len(h & cognition) for h, (_, _, cognition) in zip(hal, matched)))
         chair_i = counts.hallucinated / counts.mentions if counts.mentions else 0.0
         cover = counts.covered / counts.gt
         cog = counts.cognition_hits / counts.hallucinated if counts.hallucinated else 0.0
@@ -229,34 +251,21 @@ def corpus_metrics(
         by_id[ann.image_id] = ann
 
     warnings: list[str] = []
-    rows: list[tuple[int, ...]] = []  # a matched caption's counts, as CorpusCounts orders them
-    seen_ids: set[str] = set()
-
+    matched: list[tuple[AbstractSet[str], ...]] = []  # (mentioned, gt, cognition) objects
     for caption in captions:
-        seen_ids.add(caption.image_id)
         ann = by_id.get(caption.image_id)
         if ann is None:
             warnings.append(f"caption {caption.image_id!r} has no annotation; skipped")
             continue
         if not ann.gt_objects:
-            raise InputError(
-                f"annotation {ann.image_id!r} has an empty ground-truth set"
-            )
-        mentioned = {m.obj for m in extract_objects(caption, lexicon)}
-        hallucinated = mentioned - ann.gt_objects
-        rows.append((len(mentioned), len(hallucinated), len(ann.gt_objects),
-                     len(mentioned & ann.gt_objects), int(bool(hallucinated)),
-                     len(hallucinated & ann.cognition_objects)))
+            raise InputError(f"annotation {ann.image_id!r} has an empty ground-truth set")
+        matched.append(({m.obj for m in extract_objects(caption, lexicon)},
+                        ann.gt_objects, ann.cognition_objects))
 
-    for image_id in by_id:
-        if image_id not in seen_ids:
-            warnings.append(f"annotation {image_id!r} has no caption")
-
-    if not rows:
-        raise InputError("no caption matched an annotation; nothing to score")
-    return MetricsReport.from_counts(
-        CorpusCounts(len(captions), len(rows), *map(sum, zip(*rows))), warnings
-    )
+    seen_ids = {caption.image_id for caption in captions}
+    warnings += [f"annotation {image_id!r} has no caption"
+                 for image_id in by_id if image_id not in seen_ids]
+    return MetricsReport.from_objects(len(captions), matched, warnings)
 
 
 # -- trace side -------------------------------------------------------------------
@@ -550,20 +559,13 @@ def simulated_corpus(
 def simulated_metrics(runs: Sequence[RunStats], lexicon: TraceLexicon,
                       cognition_names: Iterable[str] = ()) -> MetricsReport:
     """``corpus_metrics(*simulated_corpus(runs, lexicon, <gt nouns>, cognition_names))``
-    from the runs' chosen ids, not their token strings: a boolean [runs, vocab + 1]
-    table of the ids each run chose (clipped as ``_steps`` clips them), ANDed with
-    the gt and hal rows and read at the cognition ids. Each run is its own caption."""
-    if not runs:
-        raise InputError("no caption matched an annotation; nothing to score")
-    seen = np.zeros((len(runs), lexicon.vocab.size + 1), dtype=bool)
-    seen[np.repeat(np.arange(len(runs)), [len(run.chosen) for run in runs]),
-         np.clip(_column(runs, "chosen", np.int64), -1, lexicon.vocab.size)] = True
-    hal = seen & lexicon.hal
-    covered, hallucinated = int(np.count_nonzero(seen & lexicon.gt)), int(np.count_nonzero(hal))
-    return MetricsReport.from_counts(CorpusCounts(
-        len(runs), len(runs), covered + hallucinated, hallucinated,
-        len(runs) * int(np.count_nonzero(lexicon.gt)), covered, int(np.count_nonzero(hal.any(1))),
-        int(np.count_nonzero(hal[:, list(set(map(lexicon.vocab.id_of, cognition_names)))]))))
+    from the runs' chosen ids, not their token strings: each run is its own caption,
+    which mentions the noun ids it chose (an id outside the vocabulary is no noun)."""
+    nouns = set(np.flatnonzero(lexicon.gt | lexicon.hal).tolist())
+    gt = set(np.flatnonzero(lexicon.gt).tolist())
+    cognition = set(map(lexicon.vocab.id_of, cognition_names))
+    return MetricsReport.from_objects(
+        len(runs), [(nouns.intersection(run.chosen), gt, cognition) for run in runs])
 
 
 # -- trace files ------------------------------------------------------------------

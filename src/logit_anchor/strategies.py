@@ -13,6 +13,16 @@ many rows in one call. Three decoding families are implemented on top of it:
   into every later step scaled by a weight schedule (one provider call per
   step, plus vector math).
 
+A schedule (``WeightSchedule``) maps the step t (the first generated token is
+t = 0) to the boost's nonnegative weight (``weight_at``), in one of three shapes:
+
+    increasing   w_t = gamma * (1 - exp(-lam * t))
+    decreasing   w_t = gamma * exp(-lam * t)
+    constant     w_t = gamma
+
+The increasing shape starts at exactly 0 and saturates at gamma; for
+practical purposes it has converged (within 1e-6) by t = ceil(14 / lam).
+
 All three apply the candidate constraint the same way: the keep-set is
 computed from the *original* (unadjusted) distribution and intersected into
 the adjusted logits before the final softmax. The EOS token is re-allowed
@@ -53,10 +63,11 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .core import GenerationRecord, LogitVector, ProbDist, StepTrace, TokenId, Vocabulary
+from .core import (
+    PROB_SLACK, GenerationRecord, LogitVector, ProbDist, StepTrace, TokenId, Vocabulary,
+)
 from .errors import ConfigError, ContractError
 from .simulator import NOISY_VISUAL, PERTURBED_INSTRUCTION, UNCONDITIONED
-from .weighting import WeightSchedule, weight_at
 
 BASELINE = "baseline"
 GREEDY = "greedy"
@@ -340,12 +351,12 @@ def _check_step(
 ) -> list[float]:
     """The one check of a step's outcome, for all rows at once.
 
-    Each row's probabilities are nonnegative and sum to 1 within 1e-9, and
+    Each row's probabilities are nonnegative and sum to 1 within PROB_SLACK, and
     its chosen token is unmasked and has positive probability. Returns each
     row's probability of its chosen token.
     """
     sums = _listed(probs.sum(axis=-1))
-    if np.count_nonzero(probs < 0.0) or not all(abs(s - 1.0) <= 1e-9 for s in sums):
+    if np.count_nonzero(probs < 0.0) or not all(abs(s - 1.0) <= PROB_SLACK for s in sums):
         # The provider's rows are checked finite, so scores that are not
         # finite once adjusted and scaled come from the user's settings.
         scaled = scores / temperature
@@ -499,6 +510,52 @@ def decode(
 
 
 # -- strategy settings -----------------------------------------------------------
+
+INCREASING = "increasing"
+DECREASING = "decreasing"
+CONSTANT = "constant"
+SCHEDULE_KINDS = (INCREASING, DECREASING, CONSTANT)
+DEFAULT_GAMMA = 0.3
+DEFAULT_LAM = 0.05
+
+
+@dataclass(frozen=True)
+class WeightSchedule:
+    """A named schedule shape with its two scalars.
+
+    gamma is the asymptotic (or initial, for the decreasing shape) weight and
+    must be >= 0; lam is the rate and must be > 0 for the two exponential
+    shapes. lam is ignored by the constant shape but still validated.
+    """
+
+    kind: str = INCREASING
+    gamma: float = DEFAULT_GAMMA
+    lam: float = DEFAULT_LAM
+
+    def __post_init__(self):
+        if self.kind not in SCHEDULE_KINDS:
+            raise ConfigError(
+                f"unknown schedule kind {self.kind!r}; expected one of {SCHEDULE_KINDS}")
+        if not (self.gamma >= 0 and math.isfinite(self.gamma)):
+            raise ConfigError(f"gamma must be finite and >= 0, got {self.gamma!r}")
+        if not (self.lam > 0 and math.isfinite(self.lam)):
+            raise ConfigError(f"lam must be finite and > 0, got {self.lam!r}")
+
+    def converged_step(self) -> int:
+        """First step at which |w_t - gamma| < 1e-6 is guaranteed (increasing)."""
+        return math.ceil(14.0 / self.lam)
+
+
+def weight_at(schedule: WeightSchedule, t: int) -> float:
+    """Evaluate the schedule at step t >= 0."""
+    if t < 0:
+        raise ConfigError(f"step index must be >= 0, got {t}")
+    if schedule.kind == INCREASING:
+        return schedule.gamma * (1.0 - math.exp(-schedule.lam * t))
+    if schedule.kind == DECREASING:
+        return schedule.gamma * math.exp(-schedule.lam * t)
+    return schedule.gamma
+
 
 # The settings each kind takes, with their defaults: the one place a strategy
 # default is written (a schedule's gamma and lam default in WeightSchedule).

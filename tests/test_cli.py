@@ -375,6 +375,17 @@ class TestEvaluateCorpus:
         assert load_captions_jsonl(caps.read_text(encoding="utf-8")) == [
             CaptionRecord("img1", ("A", "dog", "on", "a", "bench"))]
 
+    def test_captions_line_holding_only_a_no_break_space_exits_3(self, tmp_path, capsys):
+        """JSON whitespace is space, tab, CR and LF: the line used to be read as blank."""
+        caps = tmp_path / "caps.jsonl"
+        lines = Path(GOLDEN[1]).read_text().splitlines()
+        caps.write_text("\n".join([*lines, "\u00a0"]) + "\n", encoding="utf-8")
+        argv = list(GOLDEN)
+        argv[1] = str(caps)
+        assert run_cli("evaluate", *argv) == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: {caps}:{len(lines) + 1}: malformed JSON (Expecting value)")
+
     @pytest.mark.parametrize("index", [1, 3, 5], ids=["captions", "annotations", "lexicon"])
     @pytest.mark.parametrize("spoil", ["invalid_utf8", "deep_nesting"])
     def test_undecodable_corpus_file_exits_3_naming_it(self, tmp_path, capsys, index, spoil):
@@ -822,6 +833,38 @@ class TestEvaluateTraces:
         capsys.readouterr()
         assert run_cli("evaluate", "--traces", sim_out) == 3
         assert capsys.readouterr().err.startswith(message)
+
+    @pytest.mark.parametrize("spoil, message", [
+        ("step_line_ends_in_u3000", "Extra data"), ("line_holding_only_u00a0", "Expecting value"),
+    ])
+    def test_non_json_whitespace_exits_3_naming_the_line(self, tmp_path, capsys, spoil, message):
+        """str.strip() used to take these, so the trace re-scored with exit 0."""
+        sim_out = tmp_path / "sim"
+        assert run_cli(
+            "simulate", "--seeds", "0:2", "--max-steps", "10", "--strategies", "baseline",
+            "--out", sim_out,
+        ) == 0
+        bad = sim_out / "traces" / "baseline" / "1.jsonl"
+        lines = bad.read_text().splitlines()
+        if spoil == "step_line_ends_in_u3000":
+            lines[2] += "\u3000"
+        else:
+            lines.insert(2, "\u00a0")
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("evaluate", "--traces", sim_out) == 3
+        assert capsys.readouterr().err.startswith(f"error: {bad}:3: malformed JSON ({message})")
+
+    def test_crlf_traces_rescore_to_the_same_report(self, tmp_path):
+        sim_out, eval_out = tmp_path / "sim", tmp_path / "eval"
+        assert run_cli(
+            "simulate", "--seeds", "0:3", "--max-steps", "20", "--strategies", "baseline;flb",
+            "--out", sim_out,
+        ) == 0
+        for path in (sim_out / "traces").glob("*/*.jsonl"):
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert run_cli("evaluate", "--traces", sim_out, "--out", eval_out) == 0
+        assert (eval_out / "report.json").read_bytes() == (sim_out / "report.json").read_bytes()
 
     def test_deeply_nested_manifest_exits_3_naming_it(self, tmp_path, capsys):
         """A value nested 100,000 deep used to end in a RecursionError traceback (exit 1)."""

@@ -47,6 +47,10 @@ from logit_anchor.simulator import preset
 from logit_anchor.strategies import decode
 
 
+JSON_SPACE = " \t\r"  # with "\n", the whitespace JSON allows between tokens
+OTHER_SPACE = "\u00a0\u3000\f\v\x85\u2028"  # str.strip() takes these too
+
+
 class TestJsonInput:
     def test_jsonl_values_and_their_line_numbers(self):
         text = '{"a": 1}\r\n\n  \t\n["b\u2028c"]\n7'
@@ -59,11 +63,39 @@ class TestJsonInput:
         ("1\n\n[\n2\n", "f:3: malformed JSON (Expecting value)"),
         ("1\n" + "[" * 100_000 + "]" * 100_000, "f:2: malformed JSON (nested too deeply)"),
         ("1\n" + "9" * 5000, "f:2: malformed JSON (Exceeds the limit (4300 digits)"),
+        # JSON whitespace is space, tab, CR and LF only; str.strip() used to take these too
+        ('{"a": 1}\u3000\n', "f:1: malformed JSON (Extra data)"),
+        ('1\n{"a": 1}\f\n', "f:2: malformed JSON (Extra data)"),
+        ("1\n\n\u00a0\n2\n", "f:3: malformed JSON (Expecting value)"),
     ])
     def test_jsonl_error_names_the_first_bad_line(self, text, message):
         with pytest.raises(InputError) as info:
             read_jsonl(text, "f")
         assert str(info.value).startswith(message)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.text(JSON_SPACE + OTHER_SPACE, max_size=3),
+        st.none() | st.integers() | st.text(max_size=3) | st.lists(st.booleans(), max_size=2),
+        st.text(JSON_SPACE + OTHER_SPACE, max_size=3),
+    ), max_size=8))
+    def test_jsonl_readers_agree_on_blank_lines(self, lines):
+        """A line is blank iff it holds only JSON whitespace; any other line is read as
+        one value, or names itself in the error, at the number ``jsonl_line_numbers`` gives."""
+        texts = [left + ("" if value is None else json.dumps(value)) + right
+                 for left, value, right in lines]
+        text = "\n".join(texts)
+        numbers = jsonl_line_numbers(text)
+        assert numbers == [n for n, line in enumerate(texts, 1) if set(line) - set(JSON_SPACE)]
+        bad = [n for n, line in enumerate(texts, 1) if set(line) & set(OTHER_SPACE)]
+        if bad:
+            with pytest.raises(InputError, match=rf"^f:{bad[0]}: malformed JSON"):
+                read_jsonl(text, "f")
+            assert bad[0] in numbers
+        else:
+            values = read_jsonl(text, "f")
+            assert values == [value for _, value, _ in lines if value is not None]
+            assert len(values) == len(numbers)
 
     def test_json_error_names_the_position(self):
         message = r"^f: malformed JSON \(Expecting value: line 2 column 1\)$"

@@ -174,6 +174,24 @@ class TestCorpusEdgeCases:
         with pytest.raises(InputError):
             load_captions_jsonl('["no", "dict"]')
 
+    @pytest.mark.parametrize("text, tokens", [
+        ("A traffic light.", ["A", "traffic light", "."]),
+        ("A dog. (The cat)", ["A", "dog.", "(The", "cat)"]),
+        ("The cat, a dog and a traffic light!",
+         ["The cat,", "a", "dog and", "a traffic", "light!"]),
+    ])
+    def test_tokens_form_counts_as_its_text_form(self, text, tokens):
+        """Tokens used to be kept as given, so "dog." and "traffic light" matched nothing."""
+        lexicon = ObjectLexicon({"traffic_light": ("traffic light",), "dog": ("dog",),
+                                 "cat": ("cat",)})
+        annotations = [Annotation("x", frozenset({"dog", "bench"}), frozenset({"cat"}))]
+        by_text, by_tokens = (load_captions_jsonl(json.dumps({"id": "x", key: value}))
+                              for key, value in (("text", text), ("tokens", tokens)))
+        assert by_tokens == by_text
+        assert corpus_metrics(by_tokens, annotations, lexicon) == \
+            corpus_metrics(by_text, annotations, lexicon)
+        assert corpus_metrics(by_tokens, annotations, lexicon).counts.mentions > 0
+
 
 def trace_lexicon(scene) -> TraceLexicon:
     return TraceLexicon.from_scene(scene)
@@ -590,6 +608,27 @@ class TestSimulatedMetricsProperty:
                                    CAPITALISED.cognition_objects)
         assert report.counts == CorpusCounts(captions=1, matched=1, mentions=2, hallucinated=1,
                                              gt=8, covered=1, hal_captions=1, cognition_hits=1)
+
+    def test_an_id_outside_the_vocabulary_is_no_noun(self):
+        """-1, the vocabulary's size and an id that would wrap onto a noun mention
+        nothing: the report equals that of the same runs with a filler id there."""
+        size, filler = len(VOCAB), SCENE.vocabulary.id_of("is")
+        man, cat, kite, lamp = _ids(SCENE, "man", "cat", "kite", "lamp")
+        outside = (-1, size, cat - size - 1)
+
+        def runs(ids_lists):
+            return [RunStats("p", "s", seed, tuple(ids), ("x",) * len(ids),
+                             *((0.5,) * len(ids),) * 4, (1,) * len(ids))
+                    for seed, ids in enumerate(ids_lists)]
+
+        chosen = [[-1, man, size, kite], [size, cat - size - 1, -1], [lamp, cat, -1, man]]
+        got = simulated_metrics(runs(chosen), LEXICON, SCENE.cognition_objects)
+        want = simulated_metrics(
+            runs([[filler if c in outside else c for c in ids] for ids in chosen]),
+            LEXICON, SCENE.cognition_objects)
+        assert repr(got) == repr(want)
+        assert got.counts == CorpusCounts(captions=3, matched=3, mentions=5, hallucinated=3,
+                                          gt=24, covered=2, hal_captions=2, cognition_hits=2)
 
     def test_zero_runs_is_the_string_scans_input_error(self):
         message = "no caption matched an annotation; nothing to score"

@@ -33,7 +33,7 @@ from logit_anchor.simulator import (
     scene_from_dict,
     scene_to_dict,
 )
-from logit_anchor.weighting import CONSTANT, DECREASING, INCREASING
+from logit_anchor.strategies import CONSTANT, DECREASING, INCREASING
 
 from oracle import apply_mask, boost, candidate_set, entropy, softmax
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logit_anchor import ConfigError, WeightSchedule, object_score, weight_at
-from logit_anchor.weighting import CONSTANT, DECREASING, INCREASING
+from logit_anchor.strategies import CONSTANT, DECREASING, INCREASING
 
 W20_INCREASING_DEFAULT = 0.1896361676485673
 
