@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import parse_number, trim
 from .errors import ConfigError, InputError
-from .runner import _check_labels, _decode
+from .runner import _check_labels, _check_seeds, _decode
 from .simulator import SceneSpec
 from .strategies import DEFAULT_MAX_STEPS, Strategy
 
@@ -134,10 +134,11 @@ def run_bench(
     are read, so no per-step vectors are built in the timed span. Fails with
     InputError if any strategy produces fewer than ``min_tokens`` tokens
     total; pass more seeds or a larger ``max_steps``. A negative
-    ``min_tokens`` is a ConfigError, and so is an empty strategy list or a
-    label listed twice, each raised before anything is decoded.
+    ``min_tokens`` is a ConfigError, and so is a strategy or seed list that
+    ``run_many`` refuses (empty, say), each raised before anything is decoded.
     """
     _check_labels([strategy.label() for strategy in strategies])
+    seeds = _check_seeds(seeds)
     if min_tokens < 0:
         raise ConfigError(f"min_tokens must be >= 0, got {min_tokens!r}")
     wrap = None
@@ -149,7 +150,7 @@ def run_bench(
     for seed in seeds:
         for strategy_runs, strategy in zip(runs, strategies):
             start = time.perf_counter()
-            (record,) = _decode(scene, strategy, (seed,), wrap, max_steps=max_steps)
+            (record,) = _decode(scene, [strategy], (seed,), wrap, max_steps=max_steps)
             elapsed_ms = (time.perf_counter() - start) * 1000.0
             tokens = len(record.chosen)
             calls = sum(record.provider_calls)

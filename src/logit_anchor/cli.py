@@ -14,8 +14,8 @@ before it prints, so the files of such a run are complete; nothing more is
 printed and no traceback is shown.
 
 simulate's ``--jobs`` is accepted for compatibility and must be >= 1; it has
-no effect. Decoding runs in one process: all seeds of a strategy are decoded
-together as rows of one batch.
+no effect. Decoding runs in one process: every (strategy, seed) run of a
+command's ``run_many`` is a row of one batch.
 
 Config input (files, flags, seeds, the seed env override) is resolved in
 ``config``. Scoring is done here, once: ``_score`` scores one strategy label's

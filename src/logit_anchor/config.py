@@ -24,7 +24,7 @@ from itertools import compress, count, repeat
 from pathlib import Path
 
 from .errors import ConfigError, InputError
-from .runner import _check_labels
+from .runner import _check_labels, _check_seeds
 from .simulator import PRESET_NAMES, SceneSpec, preset, scene_from_dict
 from .strategies import (
     DEFAULT_MAX_STEPS, DEFAULT_TEMPERATURE, FLB, L0_FULL, L0_NOUNS_ONLY, L0_THE_ONLY, SETTINGS,
@@ -185,20 +185,9 @@ def read_float_list(value, key: str) -> tuple[float, ...]:
     return read_array(value, key, read_float)
 
 
-def _distinct_seeds(seeds, source: str) -> tuple[int, ...]:
-    if not seeds:
-        raise ConfigError(f"{source}: no seeds given")
-    bad = [seed for seed in seeds if not 0 <= seed < 2**64]
-    if bad:
-        raise ConfigError(f"{source}: seed {bad[0]} is outside [0, 2**64)")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"{source}: duplicate seeds")
-    return tuple(seeds)
-
-
 def read_seeds(value, key: str = "seeds") -> tuple[int, ...]:
     """A JSON array of distinct integers in [0, 2**64)."""
-    return _distinct_seeds(read_array(value, key, read_int), key)
+    return _check_seeds(read_array(value, key, read_int), key)
 
 
 def read_scene(value, key: str = "scene"):
@@ -326,7 +315,7 @@ def parse_seed_list(text: str, source: str = "seeds") -> tuple[int, ...]:
             seeds.extend(range(lo, hi))
         elif trim(part):
             seeds.append(parse_number(part, source, int))
-    return _distinct_seeds(seeds, source)
+    return _check_seeds(seeds, source)
 
 
 def env_seed_override() -> tuple[int, ...] | None:

@@ -4,13 +4,13 @@
 runs one and records it, optionally through a provider wrapper. ``_decode``
 is the one path under both; the bench calls it directly, one seed at a time
 through its padded cost model, without recording. Each call decodes its runs
-in one process and one thread: all seeds of one
-strategy go through ``strategies.decode`` together, as the rows of one
-lockstep batch, with fresh provider instances per strategy (so call counters
-never leak between strategies): one ``SyntheticProvider`` for the scene, and
-for a contrastive strategy a second one on its degraded view. Each row has
-its own seed-derived random streams, so a run's record is the same whichever
-seeds share its batch, and a single run is the one-row batch. Records keep
+in one process and one thread: every (strategy, seed) pair goes through one
+``strategies.decode`` call, as a row of one lockstep batch, through fresh
+providers: one ``SyntheticProvider`` for the scene, whose one pass per step
+serves every row, and for each contrastive strategy a second one on its
+degraded view, which serves that strategy's rows. Each row has its own
+seed-derived random streams, so a run's record is the same whichever runs
+share its batch, and a single run is the one-row batch. Records keep
 each step's ``StepTrace`` (plain records of the raw and adjusted logits,
 the candidate mask and the distribution) from ``run_strategy``, and from
 ``run_many`` only with ``record=True``; their summary columns are always there.
@@ -18,6 +18,7 @@ the candidate mask and the distribution) from ``run_strategy``, and from
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Callable, Sequence
 
 from .core import GenerationRecord
@@ -32,24 +33,20 @@ ProviderWrap = Callable[[object], object]
 
 def _decode(
     scene: SceneSpec,
-    strategy: Strategy,
+    strategies: Sequence[Strategy],
     seeds: Sequence[int],
     wrap: ProviderWrap | None = None,
     **kwargs,
 ) -> list[GenerationRecord]:
-    """Decode ``seeds`` through fresh providers, each mapped by ``wrap`` if given."""
-    provider = SyntheticProvider(scene)
-    negative = None
-    if strategy.kind in CONTRASTIVE_KINDS:
-        negative = SyntheticProvider(
-            scene, NegativeVariantSpec(NEGATIVE_KIND_FOR[strategy.kind], strategy.strength)
-        )
-    if wrap is not None:
-        provider = wrap(provider)
-        if negative is not None:
-            negative = wrap(negative)
+    """Decode every (strategy, seed) run through fresh providers, each mapped by ``wrap``."""
+    wrap = wrap or (lambda provider: provider)
+    negatives = [
+        wrap(SyntheticProvider(scene, NegativeVariantSpec(NEGATIVE_KIND_FOR[s.kind], s.strength)))
+        if s.kind in CONTRASTIVE_KINDS else None
+        for s in strategies
+    ]
     return decode(
-        strategy, provider, seeds, negative=negative,
+        strategies, wrap(SyntheticProvider(scene)), seeds, negatives=negatives,
         gt_ids=scene.gt_ids, hal_ids=scene.hal_ids, **kwargs,
     )
 
@@ -71,7 +68,7 @@ def run_strategy(
     provider pass; either way it keeps the ``strategies.LogitProvider`` contract.
     """
     (record,) = _decode(
-        scene, strategy, (seed,), wrap,
+        scene, [strategy], _check_seeds((seed,)), wrap,
         max_steps=max_steps, temperature=temperature, prompt_id=prompt_id, record=True,
     )
     return record
@@ -87,6 +84,18 @@ def _check_labels(labels: Sequence[str]) -> None:
         raise ConfigError(f"strategy labels must be unique within one run: {repeated!r} repeats")
 
 
+def _check_seeds(seeds, source: str = "seeds") -> tuple[int, ...]:
+    """The one check of a seed list from any source: distinct integers in [0, 2**64)."""
+    if not seeds:
+        raise ConfigError(f"{source}: no seeds given")
+    bad = [seed for seed in seeds if not (isinstance(seed, Integral) and 0 <= seed < 2**64)]
+    if bad:
+        raise ConfigError(f"{source}: seed {bad[0]!r} is not an integer in [0, 2**64)")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"{source}: duplicate seeds")
+    return tuple(int(seed) for seed in seeds)
+
+
 def run_many(
     scene: SceneSpec,
     strategies: Sequence[Strategy],
@@ -100,18 +109,14 @@ def run_many(
 ) -> list[GenerationRecord]:
     """All (strategy, seed) runs, ordered by strategy position then seed.
 
-    Each strategy decodes all its seeds as one lockstep batch. Only with
-    ``record`` do the records keep each step's ``StepTrace``. ``jobs`` is
-    accepted for compatibility and must be >= 1; it has no effect.
+    Every run is a row of one lockstep batch. Only with ``record`` do the
+    records keep each step's ``StepTrace``. ``jobs`` is accepted for
+    compatibility and must be >= 1; it has no effect.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     _check_labels([s.label() for s in strategies])
-    ordered = sorted(seeds)
-    records = []
-    for strategy in strategies:
-        records += _decode(
-            scene, strategy, ordered,
-            max_steps=max_steps, temperature=temperature, prompt_id=prompt_id, record=record,
-        )
-    return records
+    return _decode(
+        scene, strategies, sorted(_check_seeds(seeds)),
+        max_steps=max_steps, temperature=temperature, prompt_id=prompt_id, record=record,
+    )

@@ -34,14 +34,15 @@ ones each kind takes and their defaults, which fill any left out, and
 ``Strategy(kind="flb", schedule=WeightSchedule(gamma=0.5), beta=0.2)`` is
 the descriptor ``flb:gamma=0.5,beta=0.2`` (``config.parse_strategy``).
 
-:func:`decode` is the one decode loop. It runs all seeds of one strategy in
-lockstep: each seed is a row, every per-step operation works on
-``[rows, vocab]`` arrays, and a row retires when it emits EOS. A single run
-is the one-row case. Every per-step operation has one implementation, a
-row kernel in this module: the contrastive combination (``_combine``), the
-step-0 contribution (``_l0_lane``, ``_l0_rows``) and its lift, the candidate
-constraint (``_candidate_mask``), the softmax (``_softmax``, which divides by
-the temperature and normalises through ``_normalised``), the entropy
+:func:`decode` is the one decode loop. It runs every (strategy, seed) run in
+lockstep: each run is a row, a strategy's rows one contiguous lane, every
+per-step operation works on ``[rows, vocab]`` arrays (a lane's adjustment on
+its slice), and a row retires when it emits EOS. A single run is the one-row
+case. Every per-step operation has one implementation, a row kernel in this
+module: the contrastive combination (``_combine``), the step-0 contribution
+(``_l0_lane``, ``_l0_rows``) and its lift, the candidate constraint
+(``_candidate_mask``), the softmax (``_softmax``, which divides by the
+temperature and normalises through ``_normalised``), the entropy
 (``_entropies``) and the choice (``_sample_rows``, ``_greedy_rows``). The
 tests compare them against independent one-vector references of their own.
 
@@ -59,6 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, compress, islice
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -236,8 +238,8 @@ def _candidate_mask(raw: np.ndarray, temperature: float, beta: float, eos_id: To
     """The tokens outside each row's candidate set, with EOS re-allowed.
 
     A token stays iff its probability under the raw (unadjusted)
-    distribution reaches beta times the largest one, which is exactly
-    ``1 / total``; so the largest stays.
+    distribution reaches beta (one for all rows, or a column of one per row)
+    times the largest one, which is exactly ``1 / total``; so the largest stays.
     """
     probs, total = _normalised(raw, temperature)
     dropped = _below_cut(probs, _col(1.0 / total), beta)
@@ -347,9 +349,9 @@ def _provider_rows(
 
 def _check_step(
     t: int, probs: np.ndarray, mask: np.ndarray | None, chosen: list[TokenId],
-    scores: np.ndarray, temperature: float, label: str,
+    scores: np.ndarray, temperature: float, labels: Sequence[str],
 ) -> list[float]:
-    """The one check of a step's outcome, for all rows at once.
+    """The one check of a step's outcome, for all rows at once (``labels``: each row's strategy).
 
     Each row's probabilities are nonnegative and sum to 1 within PROB_SLACK, and
     its chosen token is unmasked and has positive probability. Returns each
@@ -359,11 +361,11 @@ def _check_step(
     if np.count_nonzero(probs < 0.0) or not all(abs(s - 1.0) <= PROB_SLACK for s in sums):
         # The provider's rows are checked finite, so scores that are not
         # finite once adjusted and scaled come from the user's settings.
-        scaled = scores / temperature
-        if not np.isfinite(scaled if mask is None else scaled[~mask]).all():
-            raise ConfigError(
-                f"{label}: the adjusted scores overflow at step {t}, temperature {temperature!r}"
-            )
+        finite = np.isfinite(scores / temperature) | (False if mask is None else mask)
+        overflow = np.flatnonzero(~finite.reshape(len(chosen), -1).all(axis=1))
+        if overflow.size:
+            raise ConfigError(f"{labels[overflow[0]]}: the adjusted scores overflow at step {t}, "
+                              f"temperature {temperature!r}")
         raise ContractError(f"step {t}: probabilities go negative or sum to {sums!r}, not 1")
     rows = probs.reshape(len(chosen), -1)
     masks = None if mask is None else mask.reshape(len(chosen), -1)
@@ -376,6 +378,36 @@ def _check_step(
     return picked
 
 
+def _share(calls: int, rows: int, t: int) -> int:
+    """Each row's part of one pass's provider ``calls``; an uneven split is a ContractError."""
+    if calls % rows:
+        raise ContractError(f"step {t}: {calls} provider calls do not split over {rows} rows")
+    return calls // rows
+
+
+@dataclass(eq=False)
+class _Lane:
+    """One strategy's ``size`` live rows, at ``span`` in the batch, and their state."""
+
+    strategy: "Strategy"
+    negative: LogitProvider | None
+    keep: np.ndarray | None
+    size: int
+    span: slice | None = None
+    contrib: np.ndarray | None = None
+    calls: int = 0
+
+
+def _placed(lanes: list[_Lane]):
+    """Lay the lanes out in order; the rows' beta: one for all (None: no cut), or a column."""
+    for lane, stop in zip(lanes, accumulate(lane.size for lane in lanes)):
+        lane.span = slice(None) if len(lanes) == 1 else slice(stop - lane.size, stop)
+    betas = [lane.strategy.beta for lane in lanes]
+    if len(set(betas)) > 1:
+        return np.repeat([beta or 0.0 for beta in betas], [lane.size for lane in lanes])[:, None]
+    return betas[0] if betas else None
+
+
 # Settings that overflow make inf, then nan in the softmax's max shift;
 # _check_step reports them as a ConfigError, so numpy's warnings would only
 # repeat it on stderr. Entered once per call, this exempts all of decode from
@@ -383,11 +415,11 @@ def _check_step(
 # checks still catch what it silences (entropy reads only positive entries).
 @np.errstate(over="ignore", invalid="ignore")
 def decode(
-    strategy: "Strategy",
+    strategies: Sequence["Strategy"],
     provider: LogitProvider,
     seeds: Sequence[int],
     *,
-    negative: LogitProvider | None = None,
+    negatives: Sequence[LogitProvider | None] = (),
     gt_ids: Sequence[TokenId] = (),
     hal_ids: Sequence[TokenId] = (),
     prompt_id: str = "scene",
@@ -395,90 +427,88 @@ def decode(
     temperature: float = DEFAULT_TEMPERATURE,
     record: bool = False,
 ) -> list[GenerationRecord]:
-    """Decode one run of ``strategy`` per seed, all in lockstep; records in seed order.
+    """Decode one run per (strategy, seed), all in lockstep; records by strategy, then seed.
 
-    Each seed is one row. At step t every unfinished row makes its provider
-    calls (``negative`` too, for the contrastive kinds), and the strategy's
-    adjustment, the candidate constraint, the softmax, the choice and the
-    summary columns of ``GenerationRecord`` are computed for all rows at
-    once; the gt and hal mass columns sum the probabilities of ``gt_ids``
-    and ``hal_ids``, the nouns of flb's ``nouns_only`` mask. A row retires
-    when it emits EOS or reaches ``max_steps``. Each row's record is what
-    decoding its seed alone gives, bit for bit: rows share no random stream
-    and every reduction is taken row by row. Only with ``record`` does a
-    record also keep each step's ``StepTrace``: plain records that share
-    the loop's arrays, made read-only (raw and adjusted logits, mask, probabilities).
+    Each run is a row, a strategy's rows one contiguous lane. At step t one
+    ``provider`` pass serves every unfinished row, a contrastive lane makes a
+    pass of its ``negatives`` provider (one per strategy, None for others) and
+    each lane adjusts its slice and chooses its rows; the candidate cut (each
+    row at its strategy's beta), the softmax and the ``GenerationRecord``
+    summary columns (gt and hal mass: the probability of ``gt_ids``, of
+    ``hal_ids``, the nouns of flb's ``nouns_only`` mask) run over all rows.
+    A row retires at EOS or ``max_steps``. Each record is what decoding its run
+    alone gives, bit for bit: rows share no random stream, and reductions go row
+    by row. Only with ``record`` does a record keep each step's ``StepTrace``:
+    plain read-only records sharing the loop's arrays (logits, mask, probabilities).
     """
     _check_run_args(max_steps, temperature)
-    if not seeds:
-        return []
-    kind = strategy.kind
-    contrastive = kind in CONTRASTIVE_KINDS
-    if contrastive and negative is None:
-        raise ConfigError(f"{kind} needs a negative provider")
-    label = strategy.label()
-    greedy = kind == GREEDY
     eos_id = provider.eos_id
-    beta, alpha, schedule = strategy.beta, strategy.alpha, strategy.schedule
     gt_index, hal_index = (np.array(sorted(set(ids)), dtype=np.intp) for ids in (gt_ids, hal_ids))
-    if kind == FLB:
-        lane = _l0_lane(strategy.l0_mask, provider.vocab, [*gt_index, *hal_index])
+    nouns = np.concatenate((gt_index, hal_index))
 
     # Three streams per seed (sampling, positive jitter, negative jitter);
-    # a Generator is built only for the streams this strategy draws from.
+    # a row builds a Generator only for the streams its strategy draws from.
     streams = [np.random.SeedSequence(seed).spawn(3) for seed in seeds]
-    sample_rngs = [None if greedy else np.random.default_rng(s[0]) for s in streams]
-    pos_rngs = [np.random.default_rng(s[1]) for s in streams]
-    neg_rngs = [np.random.default_rng(s[2]) for s in streams] if contrastive else None
+    lanes, labels, sample_rngs, pos_rngs, neg_rngs = [], [], [], [], []
+    for strategy, negative in zip(strategies, negatives or [None] * len(strategies), strict=True):
+        kind, contrastive = strategy.kind, strategy.kind in CONTRASTIVE_KINDS
+        if contrastive and negative is None:
+            raise ConfigError(f"{kind} needs a negative provider")
+        keep = _l0_lane(strategy.l0_mask, provider.vocab, nouns) if kind == FLB else None
+        lanes.append(_Lane(strategy, negative if contrastive else None, keep, len(seeds)))
+        labels += [strategy.label()] * len(seeds)
+        sample_rngs += [None if kind == GREEDY else np.random.default_rng(s[0]) for s in streams]
+        pos_rngs += [np.random.default_rng(s[1]) for s in streams]
+        neg_rngs += [np.random.default_rng(s[2]) if contrastive else None for s in streams]
+    beta = _placed(lanes)
 
     no_mask = np.zeros(provider.vocab.size, dtype=bool)
     no_mask.setflags(write=False)
-    histories: list[list[TokenId]] = [[] for _ in seeds]
-    summaries: list[list[tuple]] = [[] for _ in seeds]
-    traces: list[list[StepTrace]] = [[] for _ in seeds]
-    live = list(range(len(seeds)))
-    contrib = None
+    histories: list[list[TokenId]] = [[] for _ in labels]
+    summaries: list[list[tuple]] = [[] for _ in labels]
+    traces: list[list[StepTrace]] = [[] for _ in labels]
+    # The live rows, in batch order: their record index, history, label and streams.
+    live, rows_history, row_labels = list(range(len(labels))), list(histories), labels
     for t in range(max_steps):
-        n = len(live)
-        if kind == FLB and t > 0:
-            # The weighted contribution does not depend on this step's logits.
-            lift = weight_at(schedule, t) * contrib
-        calls = provider.calls + (negative.calls if contrastive else 0)
-        rows_history = [histories[i] for i in live]
-        raw = _provider_rows(provider, rows_history, t, [pos_rngs[i] for i in live])
-        scores = raw
-        if contrastive:
-            neg = _provider_rows(negative, rows_history, t, [neg_rngs[i] for i in live])
-            scores = _combine(raw, neg, alpha)
-        elif kind == FLB:
-            if t == 0:
-                contrib = _l0_rows(raw, lane)
-            else:
-                scores = raw + lift
-        calls = provider.calls + (negative.calls if contrastive else 0) - calls
-        per_row, extra = divmod(calls, n)
-        if extra:
-            raise ContractError(f"step {t}: {calls} provider calls do not split over {n} rows")
-
-        mask = None
-        if beta is not None:
-            mask = _candidate_mask(raw, temperature, beta, eos_id)
+        if not live:
+            break
+        n, whole, calls = len(live), len(lanes) == 1, provider.calls
+        raw = _provider_rows(provider, rows_history, t, pos_rngs)
+        share, parts = _share(provider.calls - calls, n, t), []
+        for lane in lanes:
+            lane.calls, part, strategy = share, raw if whole else raw[lane.span], lane.strategy
+            if lane.negative is not None:
+                calls = lane.negative.calls
+                neg = _provider_rows(lane.negative, rows_history[lane.span], t, neg_rngs[lane.span])
+                lane.calls += _share(lane.negative.calls - calls, lane.size, t)
+                part = _combine(part, neg, strategy.alpha)
+            elif strategy.kind == FLB and t:
+                part = part + weight_at(strategy.schedule, t) * lane.contrib
+            elif strategy.kind == FLB:
+                lane.contrib = _l0_rows(part, lane.keep)
+            parts.append(part)
+        scores = parts[0] if whole else np.concatenate(parts)
+        mask = None if beta is None else _candidate_mask(raw, temperature, beta, eos_id)
         probs, entropies = _softmax(scores, mask, temperature)
-        if greedy:
-            chosen = _greedy_rows(scores, mask)
-        else:
-            draws = [sample_rngs[i].random() for i in live]
-            chosen = _sample_rows(probs, draws[0] if n == 1 else np.array(draws))
-        chosen_probs = _check_step(t, probs, mask, chosen, scores, temperature, label)
+        chosen = []
+        for lane in lanes:
+            if lane.strategy.kind == GREEDY:
+                chosen += _greedy_rows(scores[lane.span], None if mask is None else mask[lane.span])
+            else:
+                draws = [rng.random() for rng in (sample_rngs if whole else sample_rngs[lane.span])]
+                part = probs if whole else probs[lane.span]
+                chosen += _sample_rows(part, draws[0] if n == 1 else np.array(draws))
+        chosen_probs = _check_step(t, probs, mask, chosen, scores, temperature, row_labels)
         entropies = _listed(entropies)
 
         columns = zip(
             live, chosen, entropies, chosen_probs,
             _listed(_index_sums(probs, gt_index)), _listed(_index_sums(probs, hal_index)),
         )
-        for i, c, ent, p, gt, hal in columns:
-            summaries[i].append((c, ent, p, gt, hal, per_row))
-            histories[i].append(c)
+        for lane in lanes:
+            for i, c, ent, p, gt, hal in columns if whole else islice(columns, lane.size):
+                summaries[i].append((c, ent, p, gt, hal, lane.calls))
+                histories[i].append(c)
         if record:
             # Read-only rows: a record can share them with no writable alias.
             rows = []
@@ -491,21 +521,26 @@ def decode(
             ):
                 traces[i].append(StepTrace(
                     t, LogitVector(raw_row, no_mask), LogitVector(scores_row, mask_row),
-                    ProbDist(probs_row), c, ent, per_row,
+                    ProbDist(probs_row), c, ent, summaries[i][-1][-1],
                 ))
 
         if eos_id in chosen:
             going = [c != eos_id for c in chosen]
-            live = [i for i, g in zip(live, going) if g]
-            if not live:
-                break
-            if contrib is not None:
-                contrib = contrib[going] if len(live) > 1 else contrib[going.index(True)]
+            live, rows_history, row_labels, sample_rngs, pos_rngs, neg_rngs = (
+                list(compress(col, going))
+                for col in (live, rows_history, row_labels, sample_rngs, pos_rngs, neg_rngs)
+            )
+            for lane in lanes:
+                kept = going[lane.span]
+                lane.size = sum(kept)
+                if lane.contrib is not None and lane.size:
+                    lane.contrib = lane.contrib[kept if len(live) > 1 else kept.index(True)]
+            lanes = [lane for lane in lanes if lane.size]
+            beta = _placed(lanes)
     return [
-        GenerationRecord(
-            prompt_id, label, seed, *zip(*summary), steps=tuple(steps) if record else None,
-        )
-        for seed, summary, steps in zip(seeds, summaries, traces)
+        GenerationRecord(prompt_id, label, seed, *zip(*steps),
+                         steps=tuple(trace) if record else None)
+        for label, seed, steps, trace in zip(labels, [*seeds] * len(strategies), summaries, traces)
     ]
 
 

@@ -107,10 +107,10 @@ class TestRunBench:
         order = []
         inner = bench._decode
 
-        def logging_decode(scene, strategy, seeds, wrap=None, **kwargs):
-            (seed,) = seeds  # one run at a time
+        def logging_decode(scene, strategies, seeds, wrap=None, **kwargs):
+            (strategy,), (seed,) = strategies, seeds  # one run at a time
             order.append((seed, strategy.label()))
-            records = inner(scene, strategy, seeds, wrap, **kwargs)
+            records = inner(scene, strategies, seeds, wrap, **kwargs)
             assert records[0].steps is None  # the bench reads no per-step vectors
             return records
 
@@ -146,6 +146,20 @@ class TestRunBench:
         monkeypatch.setattr(bench, "_decode", no_decoding)
         with pytest.raises(ConfigError, match=re.escape(message)):
             run_bench(scene, [parse_strategy(label) for label in labels], seeds=range(2))
+
+    @pytest.mark.parametrize("seeds, message", [
+        ((), "seeds: no seeds given"),
+        ((-1,), "seeds: seed -1 is not an integer in [0, 2**64)"),
+        ((0, 0), "seeds: duplicate seeds"),
+    ], ids=["empty", "negative", "repeated"])
+    def test_bad_seed_list_rejected_before_decoding(self, scene, monkeypatch, seeds, message):
+        """No seeds used to decode nothing, then divide by zero tokens."""
+        def no_decoding(*args, **kwargs):
+            raise AssertionError("bench decoded a run")
+
+        monkeypatch.setattr(bench, "_decode", no_decoding)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_bench(scene, [Strategy(kind="baseline")], seeds=seeds, min_tokens=0)
 
     def test_padded_run_takes_the_rows_route(self, scene, monkeypatch):
         """Padded runs went through the per-row ``logits`` route; they take ``logit_rows``

@@ -185,6 +185,8 @@ class TestSimulate:
         (("--strategies", "flb:gamma=1e308"), "flb(increasing,gamma=1e+308,"),
         (("--strategies", "vcd:alpha=1e308"), "vcd(alpha=1e+308,"),
         (("--strategies", "baseline", "--temperature", "1e-320"), "baseline: "),
+        # One batch: the lane whose rows overflow is named, not the first lane.
+        (("--strategies", "baseline;flb:gamma=1e308"), "flb(increasing,gamma=1e+308,"),
     ])
     def test_overflowing_setting_exits_2(self, tmp_path, capsys, flags, label):
         assert run_cli("simulate", *flags, "--seeds", "0:3", "--out", tmp_path / "o") == 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -45,6 +46,14 @@ def quiet(scene=None):
     return replace(default_scene(), noise_sigma=0.0)
 
 
+@pytest.fixture(scope="module")
+def early_eos(scene):
+    """The default scene with EOS likely enough that even near-greedy rows retire early."""
+    spec = scene_to_dict(scene)
+    spec["base_logits"][spec["tokens"].index(spec["eos"])] = 2.0
+    return scene_from_dict(spec)
+
+
 def tokens_of(record):
     return [s.chosen for s in record.steps]
 
@@ -52,7 +61,7 @@ def tokens_of(record):
 def decode_flb(provider, strategy, *, seed, max_steps=60):
     """One run of an flb ``strategy`` through the decode loop, on the given provider."""
     (record,) = decode(
-        strategy, provider, [seed], gt_ids=provider.scene.gt_ids,
+        [strategy], provider, [seed], gt_ids=provider.scene.gt_ids,
         hal_ids=provider.scene.hal_ids, max_steps=max_steps, record=True,
     )
     return record
@@ -90,6 +99,15 @@ class SpoiledRows(SyntheticProvider):
 
     def logit_rows(self, histories, t, rngs):
         return self.spoil(super().logit_rows(histories, t, rngs))
+
+
+class Undercount(SyntheticProvider):
+    """A scene provider whose counter records one call fewer than the rows it serves."""
+
+    def logit_rows(self, histories, t, rngs):
+        rows = super().logit_rows(histories, t, rngs)
+        self.calls -= 1
+        return rows
 
 
 class TestL0Contribution:
@@ -238,7 +256,7 @@ class TestProviderContract:
         else:
             provider = spoiled
         with pytest.raises(ContractError, match="^provider returned "):
-            decode(parse_strategy("vcd"), provider, seeds, negative=negative, max_steps=5)
+            decode([parse_strategy("vcd")], provider, seeds, negatives=[negative], max_steps=5)
 
     @pytest.mark.parametrize("seeds", [[0], [0, 1, 2]], ids=["one_row", "rows"])
     def test_logit_vector_from_logits_is_a_contract_error(self, scene, seeds):
@@ -246,7 +264,20 @@ class TestProviderContract:
         provider = Forwarder(SyntheticProvider(scene),
                              lambda row: LogitVector(row, np.zeros(row.shape, dtype=bool)))
         with pytest.raises(ContractError, match="^provider returned LogitVector from logits"):
-            decode(parse_strategy("baseline"), provider, seeds, max_steps=5)
+            decode([parse_strategy("baseline")], provider, seeds, max_steps=5)
+
+    @pytest.mark.parametrize("side, message", [
+        ("positive", "step 0: 5 provider calls do not split over 6 rows"),
+        ("negative", "step 0: 2 provider calls do not split over 3 rows"),
+    ])
+    def test_calls_that_do_not_split_are_a_contract_error(self, scene, side, message):
+        """The positive pass's calls split over every row, the negative's over its lane's."""
+        variant = NegativeVariantSpec("noisy_visual", 0.7)
+        provider = (Undercount if side == "positive" else SyntheticProvider)(scene)
+        negative = (Undercount if side == "negative" else SyntheticProvider)(scene, variant)
+        strategies = [parse_strategy("baseline"), parse_strategy("vcd")]
+        with pytest.raises(ContractError, match=f"^{message}$"):
+            decode(strategies, provider, [0, 1, 2], negatives=[None, negative], max_steps=5)
 
 
 ROUTE_DESCRIPTORS = [
@@ -292,8 +323,8 @@ class TestWrappedRoute:
                                           strategy.strength)
             negative = Forwarder(SyntheticProvider(scene, variant))
         kwargs = {"max_steps": 40, "temperature": 0.7, "record": True}
-        wrapped = decode(strategy, Forwarder(SyntheticProvider(scene)), seeds, negative=negative,
-                         gt_ids=scene.gt_ids, hal_ids=scene.hal_ids, **kwargs)
+        wrapped = decode([strategy], Forwarder(SyntheticProvider(scene)), seeds,
+                         negatives=[negative], gt_ids=scene.gt_ids, hal_ids=scene.hal_ids, **kwargs)
         plain = run_many(scene, [strategy], seeds, **kwargs)
         for a, b in zip(plain, wrapped):
             assert_same_record(a, b)
@@ -586,6 +617,22 @@ class TestRunMany:
         with pytest.raises(ConfigError):
             run_many(scene, [Strategy(kind="baseline"), Strategy(kind="baseline")], (0,))
 
+    @pytest.mark.parametrize("seeds, message", [
+        ([-1], "seeds: seed -1 is not an integer in [0, 2**64)"),
+        ([2**64], "seeds: seed 18446744073709551616 is not an integer in [0, 2**64)"),
+        ([1.5], "seeds: seed 1.5 is not an integer in [0, 2**64)"),
+        ([0, 0], "seeds: duplicate seeds"),
+        ([], "seeds: no seeds given"),
+    ], ids=["negative", "too_large", "float", "repeated", "empty"])
+    def test_bad_seeds_are_a_config_error(self, scene, seeds, message):
+        """numpy refused -1 with a ValueError and 1.5 with a TypeError, and [0, 0]
+        decoded one run twice."""
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_many(scene, [Strategy(kind="baseline")], seeds)
+        if len(seeds) == 1:
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                run_strategy(scene, Strategy(kind="baseline"), seed=seeds[0])
+
     def test_greedy_is_reproducible(self, scene):
         a = run_strategy(scene, Strategy(kind="greedy"), seed=5, max_steps=20)
         b = run_strategy(scene, Strategy(kind="greedy"), seed=5, max_steps=20)
@@ -723,6 +770,66 @@ class TestLockstep:
         assert len({len(r.steps) for r in records}) >= 3
 
 
+COLUMNS = ("prompt_id", "strategy", "seed", "chosen", "entropy", "chosen_prob", "gt_mass",
+           "hal_mass", "provider_calls")
+
+
+def assert_lanes_exact(scene, texts, seeds, **kwargs):
+    """``run_many`` over all of ``texts`` equals each strategy decoded alone: every record
+    column by repr (which tells every float apart, -0.0 from 0.0 too) and, recorded,
+    every StepTrace array bit for bit. Returns the recorded records."""
+    strategies = [parse_strategy(text) for text in texts]
+    mixed = run_many(scene, strategies, seeds, record=True, **kwargs)
+    plain = run_many(scene, strategies, seeds, **kwargs)
+    alone = [r for s in strategies for r in run_many(scene, [s], seeds, record=True, **kwargs)]
+    assert [(r.strategy, r.seed) for r in mixed] == \
+        [(s.label(), seed) for s in strategies for seed in sorted(seeds)]
+    for a, m, p in zip(alone, mixed, plain, strict=True):
+        assert p.steps is None
+        for name in COLUMNS:
+            assert repr(getattr(m, name)) == repr(getattr(p, name)) == repr(getattr(a, name))
+        assert_same_record(a, m)
+    return mixed
+
+
+class TestLanes:
+    """Several strategies in one lockstep batch, one lane each: a lane's records are
+    its strategy's decoded alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        texts=st.lists(DESCRIPTORS, min_size=1, max_size=6,
+                       unique_by=lambda text: parse_strategy(text).label()),
+        early=st.booleans(),
+        temperature=st.sampled_from([1.0, 0.5, 1.7, 0.02]),
+        max_steps=st.integers(1, 40),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4, unique=True),
+    )
+    def test_each_lane_equals_its_strategy_alone(
+        self, scene, early_eos, texts, early, temperature, max_steps, seeds
+    ):
+        assert_lanes_exact(early_eos if early else scene, texts, seeds,
+                           max_steps=max_steps, temperature=temperature)
+
+    @pytest.mark.parametrize("texts, seeds, last", [
+        (["baseline", "greedy:beta=0.1", "icd", "flb:mask=nouns", "m3id:alpha=2.5,beta=0"],
+         [3, 4, 5], "greedy"),
+        (["baseline", "flb", "vcd"], [123, 124, 125], "flb"),
+        (["baseline", "flb", "vcd"], [12, 13, 14], "vcd"),
+    ], ids=["greedy", "flb", "vcd"])
+    def test_lanes_empty_at_different_steps_down_to_one_row(self, early_eos, texts, seeds, last):
+        """Lanes empty at different steps, and the batch ends as one lone (1-d) row of a
+        ``last`` lane, whose other rows retired earlier."""
+        records = assert_lanes_exact(early_eos, texts, seeds, max_steps=40)
+        ends = {}
+        for record in records:
+            ends[record.strategy] = max(ends.get(record.strategy, 0), len(record.chosen))
+        assert len(set(ends.values())) > 1
+        *_, runner_up, longest = sorted(records, key=lambda r: len(r.chosen))
+        assert len(runner_up.chosen) < len(longest.chosen) < 40
+        assert longest.strategy.startswith(last)
+
+
 class TestIndexSums:
     """The loop's gt/hal mass reduction adds a row's entries as ``row[index].sum()`` does."""
 
@@ -770,13 +877,6 @@ def reference_summary(record, lexicon):
 
 class TestSummaryColumns:
     """The loop's summary columns equal the per-step reduction of the recorded run."""
-
-    @pytest.fixture(scope="class")
-    def early_eos(self, scene):
-        """The default scene with EOS likely enough that even near-greedy rows retire early."""
-        spec = scene_to_dict(scene)
-        spec["base_logits"][spec["tokens"].index(spec["eos"])] = 2.0
-        return scene_from_dict(spec)
 
     @pytest.mark.parametrize("temperature", [1.0, 0.02, 9.0])
     @pytest.mark.parametrize("text", [
