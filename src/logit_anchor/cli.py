@@ -48,6 +48,7 @@ from .config import (
     DEFAULT_TEMPERATURE,
     SIMULATE_KEYS,
     build_run_config,
+    check_run_settings,
     load_config_file,
     parse_alias,
     parse_floats,
@@ -56,10 +57,9 @@ from .config import (
     parse_number,
     parse_strategy,
     read_float,
-    read_float_list,
     read_input_text,
     read_int,
-    read_scene,
+    read_keys,
     read_seeds,
     read_string,
     read_string_list,
@@ -85,11 +85,11 @@ from .metrics import (
     summarize_record,
     write_trace,
 )
-from .runner import _check_labels, run_many
+from .runner import run_many
 from .simulator import scene_from_dict, scene_to_dict
 from .strategies import (
     CONTRASTIVE_KINDS, DEFAULT_GAMMA, DEFAULT_LAM, FLB, SETTINGS, STRATEGY_KINDS, Strategy,
-    WeightSchedule, _check_run_args,
+    WeightSchedule,
 )
 
 REPORT_COLUMNS = (
@@ -263,6 +263,9 @@ def cmd_simulate(args) -> int:
     cfg = build_run_config(config_path=args.config,
                            **{key: getattr(args, key) for key in SIMULATE_KEYS})
     out = _out_dir(args.out)
+    held = [name for name in ("manifest.json", "traces") if (out / name).exists()]
+    if held:  # evaluate --traces would read that run's traces as this run's
+        raise ConfigError(f"--out {args.out}: holds {' and '.join(held)} of an earlier run")
     records = run_many(
         cfg.scene, cfg.strategies, cfg.seeds,
         max_steps=cfg.max_steps, temperature=cfg.temperature,
@@ -300,18 +303,6 @@ def cmd_simulate(args) -> int:
 
 
 def _evaluate_corpus(args, out: Path | None) -> int:
-    missing = [
-        flag for flag, value in (
-            ("--captions", args.captions),
-            ("--annotations", args.annotations),
-            ("--lexicon", args.lexicon),
-        ) if value is None
-    ]
-    if missing:
-        raise ConfigError(
-            "evaluate needs --traces, or all of --captions/--annotations/--lexicon "
-            f"(missing {', '.join(missing)})"
-        )
     captions, annotations, lexicon = load_corpus(args.captions, args.annotations, args.lexicon)
 
     report_obj = corpus_metrics(captions, annotations, lexicon)
@@ -336,12 +327,13 @@ def read_trace_dir(traces_dir: Path):
 
     A manifest that cannot be read, is not a JSON object, holds a key simulate
     does not write, lacks ``scene``, ``scene_spec``, ``strategies``, ``seeds``,
-    ``max_steps`` or ``temperature``, or holds a bad value or JSON type for one
-    of them or for ``bin_width``, is an input error (exit 3) naming the file and the key.
-    So is a label listed twice in ``strategies`` or whose kind (the part before
-    any "(") is no strategy kind, a label's trace files not
-    being exactly ``<seed>.jsonl`` for the manifest's seeds (naming the file
-    and the seed), and a trace whose header holds another seed, label or
+    ``max_steps`` or ``temperature``, or holds a bad value or JSON type for one of
+    them or for ``bin_width``, is an input error (exit 3) naming the file and the
+    key: ``config.read_keys`` and ``config.check_run_settings`` check it as they
+    check a config file. So is a label whose kind (the part before any "(") is
+    no strategy kind, a missing ``traces/<label>/`` directory, a label's trace
+    files not being exactly ``<seed>.jsonl`` for the manifest's seeds (naming
+    the file and the seed), and a trace whose header holds another seed, label or
     scene name (``prompt_id``), or whose steps choose a token id outside the
     scene's vocabulary, name another token, hold more entropy than a
     distribution over that vocabulary can have, or count other provider calls
@@ -359,32 +351,23 @@ def read_trace_dir(traces_dir: Path):
         raise InputError(f"{traces_dir}: no manifest.json; not a simulate output")
     manifest = parse_json(read_input_text(manifest_path), manifest_path)
     try:
-        if not isinstance(manifest, dict):
-            raise ConfigError(f"must be a JSON object, got {type(manifest).__name__}")
-        required = {"scene", "scene_spec", "strategies", "seeds", "max_steps", "temperature"}
-        # What else simulate writes; it never reads command or full_dist back.
-        unknown = sorted(set(manifest) - required - {"bin_width", "command", "full_dist"})
-        if unknown:
-            raise ConfigError(f"unknown manifest keys {unknown}")
-        missing = sorted(required - set(manifest))
-        if missing:
-            raise ConfigError(f"missing key {missing[0]!r}")
+        # simulate also writes command and full_dist, for the reader; neither is read back.
+        read_keys(manifest, (*SIMULATE_KEYS, "scene_spec", "command", "full_dist"), "manifest",
+                  required=("scene", "scene_spec", "strategies", "seeds", "max_steps",
+                            "temperature"))
         if type(manifest["scene_spec"]) is not dict:
             raise ConfigError(f"scene_spec: {manifest['scene_spec']!r} is not an object")
         scene = scene_from_dict(manifest["scene_spec"])
         labels = read_string_list(manifest["strategies"], "strategies")
-        _check_labels(labels)
-        for label in labels:
-            if label.partition("(")[0] not in STRATEGY_KINDS:
-                raise ConfigError(f"strategies: {label!r} names no strategy kind")
         scene_name = read_string(manifest["scene"], "scene")
         seeds = read_seeds(manifest["seeds"])
         max_steps = read_int(manifest["max_steps"], "max_steps")
         temperature = read_float(manifest["temperature"], "temperature")
-        _check_run_args(max_steps, temperature)
         bin_width = read_int(manifest.get("bin_width", DEFAULT_BIN_WIDTH), "bin_width")
-        if bin_width < 1:
-            raise ConfigError(f"bin_width must be >= 1, got {bin_width}")
+        check_run_settings(labels, max_steps, temperature, bin_width)
+        for label in labels:
+            if label.partition("(")[0] not in STRATEGY_KINDS:
+                raise ConfigError(f"strategies: {label!r} names no strategy kind")
         settings = _settings(scene_name, scene, seeds, max_steps, temperature, bin_width)
     except ConfigError as exc:
         raise InputError(f"{manifest_path}: {exc}") from exc
@@ -455,10 +438,20 @@ def _evaluate_traces(args, out: Path | None) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    corpus = {f"--{key}": getattr(args, key) for key in ("captions", "annotations", "lexicon")}
+    given = [flag for flag, value in corpus.items() if value is not None]
+    if args.traces == "":  # Path("") is the working directory
+        raise ConfigError("--traces: '' is empty, not a simulate output directory")
+    if args.traces and given:
+        raise ConfigError(f"--traces re-scores a simulate output; {', '.join(given)} "
+                          "cannot be given with it")
+    if not args.traces and len(given) < len(corpus):
+        raise ConfigError(
+            "evaluate needs --traces, or all of --captions/--annotations/--lexicon "
+            f"(missing {', '.join(flag for flag in corpus if flag not in given)})"
+        )
     out = None if args.out is None else _out_dir(args.out)
-    if args.traces:
-        return _evaluate_traces(args, out)
-    return _evaluate_corpus(args, out)
+    return (_evaluate_traces if args.traces else _evaluate_corpus)(args, out)
 
 
 # -- sweep ------------------------------------------------------------------------
@@ -472,25 +465,23 @@ _SWEEP_KEYS = {
 
 def cmd_sweep(args) -> int:
     file_cfg = load_config_file(args.config, _SWEEP_KEYS)
-    scene, scene_name = resolve_scene(setting(args.scene, file_cfg, "scene", None, read_scene))
+    scene, scene_name = resolve_scene(setting(args.scene, file_cfg, "scene", None))
     grid = {}
-    for key, default, read, parse in (
-        ("schedules", ("increasing",), read_string_list, parse_names),
-        ("gammas", (0.1, 0.3, 0.5, 0.7), read_float_list, parse_floats),
-        ("lams", (0.01, 0.05, 0.1), read_float_list, parse_floats),
-        ("betas", (0.1,), read_float_list, parse_floats),
+    for key, default, parse in (
+        ("schedules", ("increasing",), parse_names),
+        ("gammas", (0.1, 0.3, 0.5, 0.7), parse_floats),
+        ("lams", (0.01, 0.05, 0.1), parse_floats),
+        ("betas", (0.1,), parse_floats),
     ):
-        grid[key] = setting(getattr(args, key), file_cfg, key, default, read, parse)
+        grid[key] = setting(getattr(args, key), file_cfg, key, default, parse)
         if not grid[key]:
             raise ConfigError(f"{key}: empty list")
     grid["schedules"] = tuple(parse_alias(s, "schedules", "schedule") for s in grid["schedules"])
-    mask = setting(args.mask, file_cfg, "mask", SETTINGS[FLB]["l0_mask"], read_string)
+    mask = setting(args.mask, file_cfg, "mask", SETTINGS[FLB]["l0_mask"])
     mask = parse_alias(mask, "mask", "mask")
     seeds = resolve_seeds(args.seeds, file_cfg, DEFAULT_SEEDS)
-    max_steps = setting(args.max_steps, file_cfg, "max_steps", DEFAULT_MAX_STEPS, read_int)
-    temperature = setting(
-        args.temperature, file_cfg, "temperature", DEFAULT_TEMPERATURE, read_float
-    )
+    max_steps = setting(args.max_steps, file_cfg, "max_steps", DEFAULT_MAX_STEPS)
+    temperature = setting(args.temperature, file_cfg, "temperature", DEFAULT_TEMPERATURE)
 
     cells = [
         (schedule_kind, gamma, lam, beta,

@@ -1,9 +1,10 @@
 """Config input for every command: the one place user input becomes values.
 
 One JSON file (``load_config_file``: an object holding only the command's
-keys) drives a run; command-line flags override file values (``setting``),
-and the LOGIT_ANCHOR_SEED environment variable overrides the seed list from
-either source (``resolve_seeds``). Each value is read once, by a reader chosen
+keys, each read even if a flag overrides it) drives a run; command-line flags
+override file values (``setting``), and the LOGIT_ANCHOR_SEED environment
+variable overrides the seed list from either source (``resolve_seeds``).
+Each value is read once, by a reader chosen
 by its source: a JSON value (config, scene and corpus files, manifests, trace
 headers) by the strict JSON checks ``read_*`` (``"7"`` and ``7.0`` are not
 integers, and no string is split into a list; a config file's ``seeds`` may
@@ -53,10 +54,16 @@ class RunConfig:
     bin_width: int = DEFAULT_BIN_WIDTH
 
     def __post_init__(self):
-        _check_labels([s.label() for s in self.strategies])
-        _check_run_args(self.max_steps, self.temperature)
-        if self.bin_width < 1:
-            raise ConfigError(f"bin_width must be >= 1, got {self.bin_width}")
+        check_run_settings([s.label() for s in self.strategies], self.max_steps,
+                           self.temperature, self.bin_width)
+
+
+def check_run_settings(labels, max_steps: int, temperature: float, bin_width: int) -> None:
+    """The one check of a run's settings, whether a config file, flags or a manifest gave them."""
+    _check_labels(labels)
+    _check_run_args(max_steps, temperature)
+    if bin_width < 1:
+        raise ConfigError(f"bin_width must be >= 1, got {bin_width}")
 
 
 # -- JSON input -------------------------------------------------------------------
@@ -125,19 +132,33 @@ def load_json_file(path):
 
 
 def load_config_file(path: str | Path | None, keys) -> dict:
-    """The object in a JSON config file, whose keys must all be in ``keys``; {} for no file."""
+    """The values in a JSON config file, whose keys must all be in ``keys``, each read by
+    its key's JSON reader, as an error names the file; {} for no file."""
     if path is None:
         return {}
     data = load_json_file(path)
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: top-level config must be an object")
-    unknown = set(data) - set(keys)
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-    return data
+    try:
+        return {key: _CONFIG_READERS[key](value, key)
+                for key, value in read_keys(data, keys, "config").items()}
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 # -- JSON checks: config, scene and corpus files, manifests, trace headers ---------
+
+
+def read_keys(value, keys, what: str, required=()) -> dict:
+    """``value`` if it is a JSON object that holds no key outside ``keys`` and every key
+    of ``required``: the one key rule of config files, scenes and manifests (``what``)."""
+    if type(value) is not dict:
+        raise ConfigError(f"{what} must be a JSON object, got {type(value).__name__}")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys {unknown}")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise ConfigError(f"{what} is missing key {missing[0]!r}")
+    return value
 
 
 def read_int(value, key: str) -> int:
@@ -195,6 +216,20 @@ def read_scene(value, key: str = "scene"):
     if type(value) not in (str, dict):
         raise ConfigError(f"{key}: {value!r} is not a string or an object")
     return value
+
+
+def read_config_seeds(value, key: str = "seeds") -> tuple[int, ...]:
+    """A config file's seeds: a JSON array, or a seed string as ``--seeds`` takes."""
+    return parse_seed_list(value, key) if type(value) is str else read_seeds(value, key)
+
+
+# The JSON reader of each key a config file of any command may hold.
+_CONFIG_READERS = {
+    "scene": read_scene, "strategies": read_string_list, "seeds": read_config_seeds,
+    "max_steps": read_int, "temperature": read_float, "bin_width": read_int,
+    "gammas": read_float_list, "lams": read_float_list, "betas": read_float_list,
+    "schedules": read_string_list, "mask": read_string,
+}
 
 
 # -- text (flags, LOGIT_ANCHOR_SEED, descriptors), and settings from either source ----
@@ -325,21 +360,17 @@ def env_seed_override() -> tuple[int, ...] | None:
     return parse_seed_list(value, source=SEED_ENV_VAR)
 
 
-def setting(flag, file_cfg: dict, key: str, default, read, parse=None):
+def setting(flag, file_cfg: dict, key: str, default, parse=None):
     """The flag parsed by ``parse(flag, key)`` (None: a flag already parsed), else
-    the file's value checked by ``read(value, key)``, else ``default`` as it is."""
+    the value ``load_config_file`` read, else ``default`` as it is."""
     if flag is not None:
         return flag if parse is None else parse(flag, key)
-    if key in file_cfg:
-        return read(file_cfg[key], key)
-    return default
+    return file_cfg.get(key, default)
 
 
 def resolve_seeds(flag: str | None, file_cfg: dict, default) -> tuple[int, ...]:
-    """``--seeds``, else the file's seeds (a JSON array, or a seed string as ``--seeds``
-    takes), else ``default``; LOGIT_ANCHOR_SEED overrides all."""
-    read = parse_seed_list if type(file_cfg.get("seeds")) is str else read_seeds
-    seeds = setting(flag, file_cfg, "seeds", default, read, parse_seed_list)
+    """``--seeds``, else the file's seeds, else ``default``; LOGIT_ANCHOR_SEED overrides all."""
+    seeds = setting(flag, file_cfg, "seeds", default, parse_seed_list)
     env_seeds = env_seed_override()
     return seeds if env_seeds is None else env_seeds
 
@@ -374,15 +405,15 @@ def build_run_config(
 ) -> RunConfig:
     """Merge defaults, config file, CLI flags, and the seed env override."""
     file_cfg = load_config_file(config_path, SIMULATE_KEYS)
-    scene_spec, scene_name = resolve_scene(setting(scene, file_cfg, "scene", None, read_scene))
+    scene_spec, scene_name = resolve_scene(setting(scene, file_cfg, "scene", None))
     descriptors = setting(strategies, file_cfg, "strategies", DEFAULT_STRATEGIES,
-                          read_string_list, lambda text, key: parse_names(text, key, ";"))
+                          lambda text, key: parse_names(text, key, ";"))
     return RunConfig(
         scene=scene_spec,
         scene_name=scene_name,
         strategies=tuple(map(parse_strategy, descriptors)),
         seeds=resolve_seeds(seeds, file_cfg, DEFAULT_SEEDS),
-        max_steps=setting(max_steps, file_cfg, "max_steps", DEFAULT_MAX_STEPS, read_int),
-        temperature=setting(temperature, file_cfg, "temperature", DEFAULT_TEMPERATURE, read_float),
-        bin_width=setting(bin_width, file_cfg, "bin_width", DEFAULT_BIN_WIDTH, read_int),
+        max_steps=setting(max_steps, file_cfg, "max_steps", DEFAULT_MAX_STEPS),
+        temperature=setting(temperature, file_cfg, "temperature", DEFAULT_TEMPERATURE),
+        bin_width=setting(bin_width, file_cfg, "bin_width", DEFAULT_BIN_WIDTH),
     )

@@ -410,7 +410,7 @@ def scene_from_dict(data: dict) -> SceneSpec:
     each value is read by its field type's typed reader, which names the key,
     and a field left out takes SceneSpec's default."""
     # config imports this module
-    from .config import read_float, read_float_list, read_string, read_string_list
+    from .config import read_float, read_float_list, read_keys, read_string, read_string_list
 
     def read_grounding(value, key):
         if not isinstance(value, dict):
@@ -426,14 +426,10 @@ def scene_from_dict(data: dict) -> SceneSpec:
         "float": read_float,
         "Mapping[str, float]": read_grounding,
     }
-    if not isinstance(data, dict):
-        raise ConfigError(f"scene must be an object, got {type(data).__name__}")
-    unknown = [key for key in data if key not in _SCENE_KEYS]
-    if unknown:
-        raise ConfigError(f"unknown scene keys {unknown}")
-    for key, f in _SCENE_KEYS.items():
-        if key not in data and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"scene is missing required field {key!r}")
+    read_keys(data, _SCENE_KEYS, "scene", required=[
+        key for key, f in _SCENE_KEYS.items()
+        if f.default is MISSING and f.default_factory is MISSING
+    ])
     try:
         return SceneSpec(**{f.name: read[f.type](data[key], key)
                             for key, f in _SCENE_KEYS.items() if key in data})

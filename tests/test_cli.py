@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import shutil
 import tempfile
 from itertools import chain
 from pathlib import Path
@@ -69,6 +70,28 @@ BAD_SCENES = pytest.mark.parametrize("edit, named", [
 
 
 class TestSimulate:
+    def test_out_holding_an_earlier_run_exits_2(self, tmp_path, capsys):
+        """A second run into one --out left the first run's traces/baseline/3..5.jsonl
+        beside its own, so evaluate --traces then refused the directory."""
+        out = tmp_path / "out"
+        argv = ["simulate", "--strategies", "baseline", "--max-steps", "10", "--out", out]
+        assert run_cli(*argv, "--seeds", "0:6") == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert run_cli(*argv, "--seeds", "0:3") == 2
+        assert capsys.readouterr().err == \
+            f"error: --out {out}: holds manifest.json and traces of an earlier run\n"
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        assert run_cli("evaluate", "--traces", out, "--out", tmp_path / "eval") == 0
+        assert (tmp_path / "eval" / "report.json").read_bytes() == before[out / "report.json"]
+
+    def test_out_holding_only_traces_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "traces").mkdir(parents=True)
+        assert run_cli("simulate", "--seeds", "0", "--out", out) == 2
+        assert capsys.readouterr().err == f"error: --out {out}: holds traces of an earlier run\n"
+        assert list(out.iterdir()) == [out / "traces"]
+
     def test_outputs_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = run_cli(
@@ -267,6 +290,29 @@ class TestEvaluateCorpus:
         assert run_cli("evaluate", *GOLDEN) == 0
         assert "object_score=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--captions", "/nonexistent.jsonl"], "--captions"),
+        (GOLDEN, "--captions, --annotations, --lexicon"),
+    ], ids=["captions", "all"])
+    def test_corpus_flags_with_traces_exit_2(self, tmp_path, capsys, flags, named):
+        """--traces used to win, and --captions went unread."""
+        assert run_cli("evaluate", "--traces", tmp_path, *flags) == 2
+        assert capsys.readouterr().err == (f"error: --traces re-scores a simulate output; "
+                                           f"{named} cannot be given with it\n")
+
+    def test_empty_traces_exits_2(self, capsys):
+        """``--traces ''`` fell into corpus mode, whose error asked for --traces."""
+        assert run_cli("evaluate", "--traces", "") == 2
+        assert capsys.readouterr().err == \
+            "error: --traces: '' is empty, not a simulate output directory\n"
+
+    def test_lexicon_not_an_object_exits_3_naming_it(self, tmp_path, capsys):
+        bad = tmp_path / "lexicon.json"
+        bad.write_text('["dog"]\n')
+        assert run_cli("evaluate", *GOLDEN[:4], "--lexicon", bad) == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}: lexicon must be an object mapping names to form lists")
+
     def test_missing_flags_exit_2(self, capsys):
         assert run_cli("evaluate", "--captions", GOLDEN[1]) == 2
         assert "--annotations" in capsys.readouterr().err
@@ -455,6 +501,17 @@ class TestEvaluateTraces:
             (sim_out / "report.json").read_bytes()
         assert (eval_out / "report.csv").read_bytes() == \
             (sim_out / "report.csv").read_bytes()
+
+    def test_missing_strategy_directory_exits_3_naming_it(self, tmp_path, capsys):
+        sim_out = tmp_path / "sim"
+        assert run_cli("simulate", "--strategies", "baseline;flb", "--seeds", "0",
+                       "--max-steps", "5", "--out", sim_out) == 0
+        label = json.loads((sim_out / "manifest.json").read_text())["strategies"][1]
+        shutil.rmtree(sim_out / "traces" / sanitize_label(label))
+        capsys.readouterr()
+        assert run_cli("evaluate", "--traces", sim_out) == 3
+        assert capsys.readouterr().err == \
+            f"error: {sim_out}: missing trace directory for {label!r}\n"
 
     def test_not_a_trace_dir_exits_3(self, tmp_path, capsys):
         assert run_cli("evaluate", "--traces", tmp_path) == 3
@@ -1120,7 +1177,9 @@ class TestConfigFileValues:
         path.write_text(json.dumps({"seeds": [0], "max_steps": 3, key: value}))
         out = tmp_path / "out"
         assert run_cli(command, "--config", path, "--out", out) == 2
-        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+        # A value of the wrong JSON type names the file; an empty grid, like a flag's, does not.
+        where = "" if value == [] else f"{path}: "
+        assert capsys.readouterr().err.startswith(f"error: {where}{key}: ")
         assert not out.exists()
 
 
@@ -1180,6 +1239,28 @@ class TestConfigFileValues:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and all(text in err for text in named), err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, value, flag, error", [
+        ("simulate", "max_steps", "abc", ["--max-steps", "5"], "'abc' is not an integer"),
+        ("simulate", "seeds", [1.5], ["--seeds", "0:2"], "1.5 is not an integer"),
+        ("sweep", "gammas", "0.1,0.3", ["--gammas", "0.3"], "'0.1,0.3' is not an array"),
+    ])
+    def test_bad_value_a_flag_overrides_exits_2(self, tmp_path, capsys, command, key, value,
+                                                flag, error):
+        """A file value a flag overrode went unread, so the file ran at exit 0."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", path, *flag, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {path}: {key}: {error}\n"
+        assert not out.exists()
+
+    def test_bad_seeds_the_env_overrides_exit_2(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seeds": [0, 0]}))
+        monkeypatch.setenv(SEED_ENV_VAR, "0:2")
+        assert run_cli("simulate", "--config", path, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"error: {path}: seeds: duplicate seeds\n"
 
     @pytest.mark.parametrize("command", ["simulate", "sweep", "bench", "ablate"])
     def test_empty_seed_flag_exits_2(self, tmp_path, capsys, command):
@@ -1639,5 +1720,7 @@ class TestWrongJsonTypeProperty:
         err = err.getvalue()
         if site == "manifest":
             assert code == 3 and err.startswith(f"error: {manifest}: {key}: "), err
-        else:
+        elif site == "scene":
             assert code == 2 and err.startswith(f"error: {key}: "), err
+        else:  # a config file's error names the file too
+            assert code == 2 and err.startswith(f"error: {tmp / 'cfg.json'}: {key}: "), err

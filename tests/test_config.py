@@ -32,6 +32,7 @@ from logit_anchor.config import (
     parse_seed_list,
     parse_strategy,
     read_array,
+    read_config_seeds,
     read_float,
     read_int,
     read_jsonl,
@@ -177,7 +178,7 @@ class TestParseStrategies:
         assert [s.kind for s in strategies] == ["greedy", "vcd"]
         assert strategies[1].alpha is not None
         path.write_text(json.dumps({"strategies": "greedy;vcd"}))
-        with pytest.raises(ConfigError, match=r"^strategies: 'greedy;vcd' is not an array$"):
+        with pytest.raises(ConfigError, match=r"cfg.json: strategies: 'greedy;vcd' is not an array$"):
             build_run_config(config_path=str(path))
 
 
@@ -255,7 +256,7 @@ class TestBuildRunConfig:
     def test_non_object_config_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(["baseline"]))
-        with pytest.raises(ConfigError, match="must be an object"):
+        with pytest.raises(ConfigError, match="cfg.json: config must be a JSON object, got list"):
             build_run_config(config_path=str(path))
 
     def test_bad_json_reports_line(self, tmp_path):
@@ -376,8 +377,8 @@ class TestJsonChecks:
         assert read_seeds([3, 1, 2]) == (3, 1, 2)
 
     def test_config_file_seeds_may_be_a_seed_string(self):
-        assert resolve_seeds(None, {"seeds": "0:3,9"}, (5,)) == (0, 1, 2, 9)
-        assert resolve_seeds(None, {"seeds": [3, 1]}, (5,)) == (3, 1)
+        assert read_config_seeds("0:3,9") == (0, 1, 2, 9)
+        assert read_config_seeds([3, 1]) == (3, 1)
         assert resolve_seeds(None, {}, (5,)) == (5,)
 
     @pytest.mark.parametrize("value", [5, None, True, ["default"]])

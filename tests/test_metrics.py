@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +37,7 @@ from logit_anchor import (
     parse_strategy,
     positional_curves,
     read_trace,
+    run_many,
     run_strategy,
     sentence_initial_stats,
     simulated_corpus,
@@ -337,6 +339,26 @@ class TestTraceFiles:
         p.write_text('{"kind": "step", "t": 0, "chosen": 0, "token": "x", "entropy": 0.0, "chosen_prob": 1.0, "gt_mass": 0.0, "hal_mass": 0.0, "provider_calls": 1}\n')
         with pytest.raises(InputError, match="missing run header"):
             read_trace(p)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: [lines[0], *lines], ":2: duplicate run header"),
+        (lambda lines: [lines[0], lines[1].replace('"kind": "step"', '"kind": "stepp"'),
+                        *lines[2:]], ":2: unknown record kind 'stepp'"),
+    ], ids=["two_headers", "unknown_kind"])
+    def test_read_names_the_line_of_a_bad_record_kind(self, scene, tmp_path, edit, message):
+        rec = run_strategy(scene, Strategy(kind="baseline"), seed=2, max_steps=5)
+        path = tmp_path / "r.jsonl"
+        write_trace(path, rec, trace_lexicon(scene))
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(InputError, match=f"^{re.escape(str(path) + message)}$"):
+            read_trace(path)
+
+    def test_full_dist_needs_a_recorded_run(self, scene, tmp_path):
+        (rec,) = run_many(scene, [Strategy(kind="baseline")], [1], max_steps=5)
+        path = tmp_path / "r.jsonl"
+        with pytest.raises(ConfigError, match="^full_dist needs a record decoded with record=True$"):
+            write_trace(path, rec, trace_lexicon(scene), full_dist=True)
+        assert not path.exists()
 
     def test_read_checks_step_count(self, scene, tmp_path):
         rec = run_strategy(scene, Strategy(kind="baseline"), seed=2, max_steps=5)

@@ -121,6 +121,17 @@ class TestSceneShape:
         with pytest.raises(ConfigError):
             replace(scene, cognition_objects=("man",))
 
+    def test_base_logits_not_one_per_token_rejected(self, scene):
+        data = scene_to_dict(scene)
+        with pytest.raises(ConfigError, match="^base_logits has 47 entries for 48 tokens$"):
+            scene_from_dict({**data, "base_logits": data["base_logits"][:-1]})
+
+    def test_infinite_grounding_rejected_naming_the_article(self, scene):
+        """JSON reads 1e999 as inf, which no typed reader refuses."""
+        text = json.dumps(scene_to_dict(scene)).replace('"A": 0.0', '"A": 1e999')
+        with pytest.raises(ConfigError, match="^article_grounding of 'A' must be finite, got inf$"):
+            scene_from_dict(json.loads(text))
+
 
 class TestGrammar:
     def test_state_chain(self, scene):

@@ -266,6 +266,11 @@ class TestProviderContract:
         with pytest.raises(ContractError, match="^provider returned LogitVector from logits"):
             decode([parse_strategy("baseline")], provider, seeds, max_steps=5)
 
+    def test_contrastive_lane_without_negative_provider_rejected(self, scene):
+        strategies = [parse_strategy("baseline"), parse_strategy("icd")]
+        with pytest.raises(ConfigError, match="^icd needs a negative provider$"):
+            decode(strategies, SyntheticProvider(scene), [0], negatives=[None, None], max_steps=5)
+
     @pytest.mark.parametrize("side, message", [
         ("positive", "step 0: 5 provider calls do not split over 6 rows"),
         ("negative", "step 0: 2 provider calls do not split over 3 rows"),
