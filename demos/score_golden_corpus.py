@@ -11,7 +11,7 @@ worked example for the metric definitions.
 import argparse
 
 from logit_anchor import corpus_metrics, extract_objects
-from logit_anchor.data import golden_corpus
+from logit_anchor.metrics import golden_corpus
 
 
 def main(args):

@@ -13,8 +13,7 @@ The package has three layers:
 
 from __future__ import annotations
 
-from .bench import BenchReport, BenchRow, CostModel, PaddedProvider, run_bench
-from .config import parse_strategy
+from .config import parse_cost_model, parse_strategy
 from .core import (
     GenerationRecord,
     LogitVector,
@@ -55,7 +54,9 @@ from .metrics import (
     summarize_record,
     write_trace,
 )
-from .runner import run_many, run_strategy
+from .runner import (
+    BenchReport, BenchRow, CostModel, PaddedProvider, run_bench, run_many, run_strategy,
+)
 from .simulator import (
     NegativeVariantSpec,
     SceneSpec,
@@ -119,6 +120,7 @@ __all__ = [
     "extract_objects",
     "hal_noun_rate",
     "object_score",
+    "parse_cost_model",
     "parse_strategy",
     "positional_curves",
     "preset",

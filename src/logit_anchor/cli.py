@@ -40,7 +40,6 @@ from dataclasses import asdict, fields
 from itertools import product
 from pathlib import Path
 
-from .bench import BenchRow, CostModel, run_bench
 from .config import (
     DEFAULT_BIN_WIDTH,
     DEFAULT_MAX_STEPS,
@@ -49,8 +48,11 @@ from .config import (
     SIMULATE_KEYS,
     build_run_config,
     check_run_settings,
+    config_scene,
     load_config_file,
+    naming,
     parse_alias,
+    parse_cost_model,
     parse_floats,
     parse_json,
     parse_names,
@@ -67,7 +69,6 @@ from .config import (
     resolve_seeds,
     setting,
 )
-from .data import load_corpus
 from .errors import ConfigError, InputError, LogitAnchorError
 from .metrics import (
     CorpusCounts,
@@ -78,6 +79,7 @@ from .metrics import (
     corpus_metrics,
     entropy_stats,
     hal_noun_rate,
+    load_corpus,
     positional_curves,
     read_trace,
     sentence_initial_stats,
@@ -85,7 +87,7 @@ from .metrics import (
     summarize_record,
     write_trace,
 )
-from .runner import run_many
+from .runner import BenchRow, check_labels, run_bench, run_many
 from .simulator import scene_from_dict, scene_to_dict
 from .strategies import (
     CONTRASTIVE_KINDS, DEFAULT_GAMMA, DEFAULT_LAM, FLB, SETTINGS, STRATEGY_KINDS, Strategy,
@@ -350,7 +352,7 @@ def read_trace_dir(traces_dir: Path):
     if not manifest_path.exists():
         raise InputError(f"{traces_dir}: no manifest.json; not a simulate output")
     manifest = parse_json(read_input_text(manifest_path), manifest_path)
-    try:
+    with naming(manifest_path, InputError):
         # simulate also writes command and full_dist, for the reader; neither is read back.
         read_keys(manifest, (*SIMULATE_KEYS, "scene_spec", "command", "full_dist"), "manifest",
                   required=("scene", "scene_spec", "strategies", "seeds", "max_steps",
@@ -364,13 +366,12 @@ def read_trace_dir(traces_dir: Path):
         max_steps = read_int(manifest["max_steps"], "max_steps")
         temperature = read_float(manifest["temperature"], "temperature")
         bin_width = read_int(manifest.get("bin_width", DEFAULT_BIN_WIDTH), "bin_width")
-        check_run_settings(labels, max_steps, temperature, bin_width)
+        check_labels(labels)
+        check_run_settings(max_steps, temperature, bin_width)
         for label in labels:
             if label.partition("(")[0] not in STRATEGY_KINDS:
                 raise ConfigError(f"strategies: {label!r} names no strategy kind")
         settings = _settings(scene_name, scene, seeds, max_steps, temperature, bin_width)
-    except ConfigError as exc:
-        raise InputError(f"{manifest_path}: {exc}") from exc
     surface = dict(enumerate(scene.vocabulary.tokens))  # None for an id outside it
     # No distribution over the scene's tokens has more entropy than the uniform one.
     max_entropy = math.log(scene.vocabulary.size) + 1e-9
@@ -465,7 +466,7 @@ _SWEEP_KEYS = {
 
 def cmd_sweep(args) -> int:
     file_cfg = load_config_file(args.config, _SWEEP_KEYS)
-    scene, scene_name = resolve_scene(setting(args.scene, file_cfg, "scene", None))
+    scene, scene_name = config_scene(args.scene, file_cfg, args.config)
     grid = {}
     for key, default, parse in (
         ("schedules", ("increasing",), parse_names),
@@ -475,7 +476,8 @@ def cmd_sweep(args) -> int:
     ):
         grid[key] = setting(getattr(args, key), file_cfg, key, default, parse)
         if not grid[key]:
-            raise ConfigError(f"{key}: empty list")
+            where = "" if getattr(args, key) is not None else f"{args.config}: "
+            raise ConfigError(f"{where}{key}: empty list")
     grid["schedules"] = tuple(parse_alias(s, "schedules", "schedule") for s in grid["schedules"])
     mask = setting(args.mask, file_cfg, "mask", SETTINGS[FLB]["l0_mask"])
     mask = parse_alias(mask, "mask", "mask")
@@ -533,7 +535,7 @@ def cmd_bench(args) -> int:
     scene, scene_name = resolve_scene(args.scene)
     strategies = tuple(map(parse_strategy, parse_names(args.strategies, "strategies", ";")))
     seeds = resolve_seeds(args.seeds, {}, tuple(range(40)))
-    cost_model = CostModel.parse(args.cost_model)
+    cost_model = parse_cost_model(args.cost_model)
     out = _out_dir(args.out)
     report = run_bench(
         scene, strategies, seeds, cost_model,

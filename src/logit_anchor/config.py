@@ -1,18 +1,18 @@
 """Config input for every command: the one place user input becomes values.
 
-One JSON file (``load_config_file``: an object holding only the command's
-keys, each read even if a flag overrides it) drives a run; command-line flags
+One JSON file (``load_config_file``: an object holding only the command's keys,
+each read even if a flag overrides it) drives a run; command-line flags
 override file values (``setting``), and the LOGIT_ANCHOR_SEED environment
-variable overrides the seed list from either source (``resolve_seeds``).
-Each value is read once, by a reader chosen
-by its source: a JSON value (config, scene and corpus files, manifests, trace
-headers) by the strict JSON checks ``read_*`` (``"7"`` and ``7.0`` are not
-integers, and no string is split into a list; a config file's ``seeds`` may
-be a seed string, the one JSON form of a range), and text (flags, the env
-variable, descriptors, the cost model) by the ``parse_*`` functions, every
-number by ``parse_number`` (ASCII, no ``_``) and every schedule or mask name,
-text or JSON, by ``parse_alias``. Each raises ConfigError naming the key and
-the value, never a traceback. Every JSON and JSONL file is read and parsed
+variable overrides the seed list from either source (``resolve_seeds``). Each
+value is read once, by a reader chosen by its source: a JSON value (config,
+scene and corpus files, manifests, trace headers) by the strict JSON checks
+``read_*`` (``"7"`` and ``7.0`` are not integers, and no string is split into a
+list; a config file's ``seeds`` may be a seed string, the one JSON form of a
+range), and text (flags, the env variable, descriptors, the cost model) by the
+``parse_*`` functions, every number by ``parse_number`` (ASCII, no ``_``) and
+every schedule or mask name, text or JSON, by ``parse_alias``. Each raises
+ConfigError naming the key and the value, and a file's value its file too
+(``naming``), never a traceback. Every JSON and JSONL file is read and parsed
 here; every parse failure reads ``<file>[:<line>]: malformed JSON (<reason>)``.
 """
 
@@ -20,16 +20,17 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from itertools import compress, count, repeat
 from pathlib import Path
 
 from .errors import ConfigError, InputError
-from .runner import _check_labels, _check_seeds
+from .runner import CHEAP, PADDED, CostModel, check_labels, check_seeds
 from .simulator import PRESET_NAMES, SceneSpec, preset, scene_from_dict
 from .strategies import (
     DEFAULT_MAX_STEPS, DEFAULT_TEMPERATURE, FLB, L0_FULL, L0_NOUNS_ONLY, L0_THE_ONLY, SETTINGS,
-    STRATEGY_KINDS, Strategy, WeightSchedule, _check_run_args,
+    STRATEGY_KINDS, Strategy, WeightSchedule, check_run_args,
 )
 
 SEED_ENV_VAR = "LOGIT_ANCHOR_SEED"
@@ -54,14 +55,13 @@ class RunConfig:
     bin_width: int = DEFAULT_BIN_WIDTH
 
     def __post_init__(self):
-        check_run_settings([s.label() for s in self.strategies], self.max_steps,
-                           self.temperature, self.bin_width)
+        check_labels([s.label() for s in self.strategies])
+        check_run_settings(self.max_steps, self.temperature, self.bin_width)
 
 
-def check_run_settings(labels, max_steps: int, temperature: float, bin_width: int) -> None:
+def check_run_settings(max_steps: int, temperature: float, bin_width: int) -> None:
     """The one check of a run's settings, whether a config file, flags or a manifest gave them."""
-    _check_labels(labels)
-    _check_run_args(max_steps, temperature)
+    check_run_args(max_steps, temperature)
     if bin_width < 1:
         raise ConfigError(f"bin_width must be >= 1, got {bin_width}")
 
@@ -131,17 +131,26 @@ def load_json_file(path):
         raise ConfigError(str(exc)) from exc
 
 
+@contextmanager
+def naming(where, error=ConfigError):
+    """A ConfigError or InputError from inside, as ``error`` led by ``where``: its file."""
+    try:
+        yield
+    except (ConfigError, InputError) as exc:
+        raise error(f"{where}: {exc}") from exc
+
+
 def load_config_file(path: str | Path | None, keys) -> dict:
-    """The values in a JSON config file, whose keys must all be in ``keys``, each read by
-    its key's JSON reader, as an error names the file; {} for no file."""
+    """A JSON config file's values, its keys all in ``keys``, each read by its key's reader and
+    the run settings it holds range-checked, an error naming the file; {} for no file."""
     if path is None:
         return {}
     data = load_json_file(path)
-    try:
-        return {key: _CONFIG_READERS[key](value, key)
-                for key, value in read_keys(data, keys, "config").items()}
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    with naming(path):
+        cfg = {key: _CONFIG_READERS[key](value, key)
+               for key, value in read_keys(data, keys, "config").items()}
+        check_run_settings(*(cfg.get(key, 1) for key in ("max_steps", "temperature", "bin_width")))
+    return cfg
 
 
 # -- JSON checks: config, scene and corpus files, manifests, trace headers ---------
@@ -208,7 +217,7 @@ def read_float_list(value, key: str) -> tuple[float, ...]:
 
 def read_seeds(value, key: str = "seeds") -> tuple[int, ...]:
     """A JSON array of distinct integers in [0, 2**64)."""
-    return _check_seeds(read_array(value, key, read_int), key)
+    return check_seeds(read_array(value, key, read_int), key)
 
 
 def read_scene(value, key: str = "scene"):
@@ -338,6 +347,19 @@ def parse_strategy(text: str) -> Strategy:
     return Strategy(kind=kind, **settings)
 
 
+def parse_cost_model(text: str) -> CostModel:
+    """"cheap" or "padded:<microseconds>"."""
+    name, _, arg = trim(text).partition(":")
+    name = trim(name).lower()
+    if name == CHEAP:
+        if arg:
+            raise ConfigError("cheap cost model takes no argument")
+        return CostModel(CHEAP)
+    if name == PADDED:
+        return CostModel(PADDED, parse_number(arg, "padded cost model", float))
+    raise ConfigError(f"unknown cost model {text!r}")
+
+
 def parse_seed_list(text: str, source: str = "seeds") -> tuple[int, ...]:
     """Comma-separated integers; "0:50" expands to range(0, 50)."""
     seeds: list[int] = []
@@ -350,7 +372,7 @@ def parse_seed_list(text: str, source: str = "seeds") -> tuple[int, ...]:
             seeds.extend(range(lo, hi))
         elif trim(part):
             seeds.append(parse_number(part, source, int))
-    return _check_seeds(seeds, source)
+    return check_seeds(seeds, source)
 
 
 def env_seed_override() -> tuple[int, ...] | None:
@@ -386,11 +408,20 @@ def resolve_scene(value) -> tuple[SceneSpec, str]:
         return preset(value), value
     path = Path(value)
     if path.suffix == ".json" or os.path.exists(value):  # False for "" and names no file can have
-        return scene_from_dict(load_json_file(path)), path.stem
+        data = load_json_file(path)
+        with naming(path):
+            return scene_from_dict(data), path.stem
     raise ConfigError(
         f"unknown scene {value!r}: not a preset ({', '.join(PRESET_NAMES)}) "
         "and not a scene file"
     )
+
+
+def config_scene(flag, file_cfg: dict, path) -> tuple[SceneSpec, str]:
+    """``resolve_scene`` of --scene, else of the file's scene: one written in it names ``path``."""
+    value = setting(flag, file_cfg, "scene", None)
+    with naming(path) if type(value) is dict else nullcontext():
+        return resolve_scene(value)
 
 
 def build_run_config(
@@ -405,7 +436,7 @@ def build_run_config(
 ) -> RunConfig:
     """Merge defaults, config file, CLI flags, and the seed env override."""
     file_cfg = load_config_file(config_path, SIMULATE_KEYS)
-    scene_spec, scene_name = resolve_scene(setting(scene, file_cfg, "scene", None))
+    scene_spec, scene_name = config_scene(scene, file_cfg, config_path)
     descriptors = setting(strategies, file_cfg, "strategies", DEFAULT_STRATEGIES,
                           lambda text, key: parse_names(text, key, ";"))
     return RunConfig(

@@ -12,6 +12,7 @@ object lexicon (surface form -> canonical object, longest match wins).
 
 All corpus rates are micro-aggregated: integer counts are summed across
 captions and divided once, so expected values are exact rationals.
+``load_corpus`` reads a corpus's files, ``golden_corpus`` the bundled one in ``data/``.
 
 Trace side: decoding runs are reduced to summary columns (chosen token,
 entropy, chosen-token probability, gt/hal probability mass, provider calls)
@@ -29,13 +30,14 @@ from functools import cached_property
 from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
+from pathlib import Path
 from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .config import (
-    DEFAULT_BIN_WIDTH, jsonl_line_numbers, read_float, read_id, read_input_text, read_int,
-    read_jsonl, read_string, read_string_list,
+    DEFAULT_BIN_WIDTH, jsonl_line_numbers, naming, parse_json, read_array, read_float, read_id,
+    read_input_text, read_int, read_jsonl, read_string, read_string_list,
 )
 from .core import PROB_SLACK, GenerationRecord, Vocabulary
 from .errors import ConfigError, ContractError, InputError, LogitAnchorError
@@ -133,6 +135,49 @@ class CaptionRecord:
             if (stripped := raw.strip(_EDGE_PUNCT))
         )
         return cls(image_id=image_id, tokens=tokens)
+
+
+def load_captions_jsonl(text: str, source: str = "<captions>") -> list[CaptionRecord]:
+    """Parse caption JSONL: one {"id", "text"} (or {"id", "tokens"}) per line. The
+    id is a string or an integer (read as its decimal string); the text and every
+    token are strings. The tokens are read as their text, joined by spaces, so both
+    forms are split and stripped of edge punctuation alike."""
+    captions: list[CaptionRecord] = []
+    for lineno, data in zip(jsonl_line_numbers(text), read_jsonl(text, source)):
+        with naming(f"{source}:{lineno}", InputError):
+            if not isinstance(data, dict) or "id" not in data:
+                raise InputError("caption line needs an 'id' field")
+            image_id = read_id(data["id"], "'id'")
+            if "tokens" in data:
+                text = " ".join(read_string_list(data["tokens"], "'tokens'"))
+            elif "text" in data:
+                text = read_string(data["text"], "'text'")
+            else:
+                raise ConfigError("caption line needs 'text' or 'tokens'")
+        captions.append(CaptionRecord.from_text(image_id, text))
+    return captions
+
+
+def _annotations(data) -> list[Annotation]:
+    return list(read_array(data, "annotations", lambda item, key: Annotation.from_dict(item)))
+
+
+def load_corpus(captions, annotations, lexicon):
+    """The captions, annotations and lexicon in a captions JSONL file, an
+    annotations JSON array and an object lexicon JSON file; a bad value is an
+    InputError naming its file."""
+    corpus = [load_captions_jsonl(read_input_text(captions), str(captions))]
+    for path, build in ((annotations, _annotations), (lexicon, ObjectLexicon.from_dict)):
+        data = parse_json(read_input_text(path), path)
+        with naming(path, InputError):
+            corpus.append(build(data))
+    return tuple(corpus)
+
+
+def golden_corpus() -> tuple[list[CaptionRecord], list[Annotation], ObjectLexicon]:
+    """The bundled 5-caption corpus with annotations and lexicon."""
+    return load_corpus(*(Path(__file__).with_name("data") / name for name in (
+        "golden_captions.jsonl", "golden_annotations.json", "golden_lexicon.json")))
 
 
 @dataclass(frozen=True)

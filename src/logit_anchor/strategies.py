@@ -305,7 +305,7 @@ def _greedy_rows(scores: np.ndarray, mask: np.ndarray | None) -> list[TokenId]:
 # -- the decode loop --------------------------------------------------------------
 
 
-def _check_run_args(max_steps: int, temperature: float):
+def check_run_args(max_steps: int, temperature: float):
     """The one check of the run arguments; ``config.RunConfig`` makes it too."""
     if max_steps < 1:
         raise ConfigError(f"max_steps must be >= 1, got {max_steps}")
@@ -441,7 +441,7 @@ def decode(
     by row. Only with ``record`` does a record keep each step's ``StepTrace``:
     plain read-only records sharing the loop's arrays (logits, mask, probabilities).
     """
-    _check_run_args(max_steps, temperature)
+    check_run_args(max_steps, temperature)
     eos_id = provider.eos_id
     gt_index, hal_index = (np.array(sorted(set(ids)), dtype=np.intp) for ids in (gt_ids, hal_ids))
     nouns = np.concatenate((gt_index, hal_index))

@@ -38,8 +38,7 @@ from logit_anchor import (
     summarize_record,
     weight_at,
 )
-from logit_anchor.data import golden_corpus
-from logit_anchor.metrics import corpus_metrics
+from logit_anchor.metrics import corpus_metrics, golden_corpus
 from logit_anchor.simulator import AFTER_CONNECTIVE, START, default_scene
 from logit_anchor.strategies import _below_cut, _entropies
 

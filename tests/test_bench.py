@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from logit_anchor import bench
+from logit_anchor import runner
 from logit_anchor import (
     ConfigError,
     CostModel,
@@ -16,6 +16,7 @@ from logit_anchor import (
     PaddedProvider,
     Strategy,
     SyntheticProvider,
+    parse_cost_model,
     parse_strategy,
     run_bench,
 )
@@ -23,12 +24,12 @@ from logit_anchor import (
 
 class TestCostModel:
     def test_parse_cheap(self):
-        assert CostModel.parse("cheap") == CostModel("cheap", 0.0)
-        assert CostModel.parse("  CHEAP ") == CostModel("cheap", 0.0)
+        assert parse_cost_model("cheap") == CostModel("cheap", 0.0)
+        assert parse_cost_model("  CHEAP ") == CostModel("cheap", 0.0)
 
     def test_parse_padded(self):
-        assert CostModel.parse("padded:500") == CostModel("padded", 500.0)
-        assert CostModel.parse("padded:2.5") == CostModel("padded", 2.5)
+        assert parse_cost_model("padded:500") == CostModel("padded", 500.0)
+        assert parse_cost_model("padded:2.5") == CostModel("padded", 2.5)
 
     @pytest.mark.parametrize(
         "text", ["padded", "padded:", "padded:soon", "warp", "cheap:5",
@@ -36,14 +37,14 @@ class TestCostModel:
     )
     def test_parse_rejects(self, text):
         with pytest.raises(ConfigError):
-            CostModel.parse(text)
+            parse_cost_model(text)
 
     def test_pad_longer_than_a_second_rejected(self):
         """A 1e308 us pad passed the finite-and-positive check, and every call then hung."""
-        assert CostModel.parse("padded:1e6").pad_us == 1e6
+        assert parse_cost_model("padded:1e6").pad_us == 1e6
         for text, named in (("padded:1e308", "1e+308"), ("padded:1000000.5", "1000000.5")):
             with pytest.raises(ConfigError, match=re.escape(named)):
-                CostModel.parse(text)
+                parse_cost_model(text)
 
     def test_constructor_validation(self):
         with pytest.raises(ConfigError):
@@ -105,7 +106,7 @@ class TestRunBench:
 
     def test_strategies_interleave_seed_by_seed(self, scene, monkeypatch):
         order = []
-        inner = bench._decode
+        inner = runner._decode
 
         def logging_decode(scene, strategies, seeds, wrap=None, **kwargs):
             (strategy,), (seed,) = strategies, seeds  # one run at a time
@@ -114,7 +115,7 @@ class TestRunBench:
             assert records[0].steps is None  # the bench reads no per-step vectors
             return records
 
-        monkeypatch.setattr(bench, "_decode", logging_decode)
+        monkeypatch.setattr(runner, "_decode", logging_decode)
         strategies = [Strategy(kind="baseline"), parse_strategy("vcd")]
         report = run_bench(scene, strategies, seeds=range(3), max_steps=5, min_tokens=1)
         labels = [s.label() for s in strategies]
@@ -129,7 +130,7 @@ class TestRunBench:
         def no_decoding(*args, **kwargs):
             raise AssertionError("bench decoded a run")
 
-        monkeypatch.setattr(bench, "_decode", no_decoding)
+        monkeypatch.setattr(runner, "_decode", no_decoding)
         with pytest.raises(ConfigError, match="min_tokens must be >= 0, got -5"):
             run_bench(scene, [Strategy(kind="baseline")], seeds=range(2), min_tokens=-5)
 
@@ -143,7 +144,7 @@ class TestRunBench:
         def no_decoding(*args, **kwargs):
             raise AssertionError("bench decoded a run")
 
-        monkeypatch.setattr(bench, "_decode", no_decoding)
+        monkeypatch.setattr(runner, "_decode", no_decoding)
         with pytest.raises(ConfigError, match=re.escape(message)):
             run_bench(scene, [parse_strategy(label) for label in labels], seeds=range(2))
 
@@ -157,7 +158,7 @@ class TestRunBench:
         def no_decoding(*args, **kwargs):
             raise AssertionError("bench decoded a run")
 
-        monkeypatch.setattr(bench, "_decode", no_decoding)
+        monkeypatch.setattr(runner, "_decode", no_decoding)
         with pytest.raises(ConfigError, match=re.escape(message)):
             run_bench(scene, [Strategy(kind="baseline")], seeds=seeds, min_tokens=0)
 
@@ -183,7 +184,7 @@ class TestRunBench:
             report.row("nope")
 
     def test_padded_overhead_accounting(self, scene):
-        cost = CostModel.parse("padded:300")
+        cost = parse_cost_model("padded:300")
         report = run_bench(
             scene, [Strategy(kind="baseline")], seeds=range(3),
             cost_model=cost, max_steps=20, min_tokens=1,

@@ -18,11 +18,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logit_anchor import bench, cli, metrics
+from logit_anchor import cli, metrics, runner
 from logit_anchor.cli import main, sanitize_label
 from logit_anchor.config import SEED_ENV_VAR, SIMULATE_KEYS
-from logit_anchor.data import load_captions_jsonl
-from logit_anchor.metrics import CaptionRecord
+from logit_anchor.metrics import CaptionRecord, load_captions_jsonl
 from logit_anchor.simulator import default_scene, scene_to_dict
 
 DATA = Path(cli.__file__).parent / "data"
@@ -1116,7 +1115,7 @@ class TestBench:
         def no_decoding(*args, **kwargs):
             raise AssertionError("bench decoded a run")
 
-        monkeypatch.setattr(bench, "_decode", no_decoding)
+        monkeypatch.setattr(runner, "_decode", no_decoding)
         assert run_cli(
             "bench", "--strategies", "baseline", "--seeds", "0", flag, value,
             "--out", tmp_path / "o",
@@ -1177,11 +1176,46 @@ class TestConfigFileValues:
         path.write_text(json.dumps({"seeds": [0], "max_steps": 3, key: value}))
         out = tmp_path / "out"
         assert run_cli(command, "--config", path, "--out", out) == 2
-        # A value of the wrong JSON type names the file; an empty grid, like a flag's, does not.
-        where = "" if value == [] else f"{path}: "
-        assert capsys.readouterr().err.startswith(f"error: {where}{key}: ")
+        # A value of the wrong JSON type, or an empty grid, names the file.
+        assert capsys.readouterr().err.startswith(f"error: {path}: {key}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, key, value, error", [
+        *[(command, key, value, error) for command in ("simulate", "sweep")
+          for key, value, error in [("max_steps", 0, "max_steps must be >= 1, got 0"),
+                                    ("temperature", 0.0, "temperature must be finite and "
+                                                          "positive, got 0.0")]],
+        ("simulate", "bin_width", 0, "bin_width must be >= 1, got 0"),
+    ])
+    def test_value_out_of_range_exits_2_naming_the_file(self, tmp_path, capsys, command, key,
+                                                        value, error):
+        """A file's range errors did not name it, while its type errors did."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seeds": [0], key: value}))
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", path, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {path}: {error}\n"
+        assert not out.exists()
+
+    def test_value_out_of_range_a_flag_overrides_exits_2(self, tmp_path, capsys):
+        """Every value the file holds is checked, its range too."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"max_steps": 0}))
+        assert run_cli("simulate", "--config", path, "--max-steps", "5",
+                       "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"error: {path}: max_steps must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("command, flag, error", [
+        ("simulate", ["--max-steps", "0"], "max_steps must be >= 1, got 0"),
+        ("sweep", ["--temperature", "0"], "temperature must be finite and positive, got 0.0"),
+        ("simulate", ["--bin-width", "0"], "bin_width must be >= 1, got 0"),
+        ("sweep", ["--gammas", ","], "gammas: empty list"),
+    ])
+    def test_flag_out_of_range_names_no_file(self, tmp_path, capsys, command, flag, error):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seeds": [0], "max_steps": 3}))
+        assert run_cli(command, "--config", path, *flag, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     @pytest.mark.parametrize("flag", ["--scene", "--config"])
     def test_deeply_nested_file_exits_2_naming_it(self, tmp_path, capsys, flag):
@@ -1198,14 +1232,26 @@ class TestConfigFileValues:
     @pytest.mark.parametrize("token", ["hot dog", "", "dog\u2028"])
     def test_scene_token_holding_whitespace_exits_2(self, tmp_path, capsys, token):
         """With dog renamed "hot dog", CHAIR left its 71 mentions out, as no lexicon
-        word pair matches a whole token."""
+        word pair matches a whole token. The error names the scene file."""
         path = tmp_path / "scene.json"
         text = json.dumps(scene_to_dict(default_scene())).replace('"dog"', json.dumps(token))
         path.write_text(text)
         assert run_cli("simulate", "--scene", path, "--out", tmp_path / "out") == 2
         assert capsys.readouterr().err.startswith(
-            f"error: scene token {token!r} is empty or holds whitespace"
+            f"error: {path}: scene token {token!r} is empty or holds whitespace"
         )
+
+    def test_inline_scene_error_names_the_config_file(self, tmp_path, capsys):
+        """An error in a scene written in a config file named no file."""
+        path = tmp_path / "cfg.json"
+        scene = json.dumps(scene_to_dict(default_scene())).replace('"dog"', '"hot dog"')
+        path.write_text('{"scene": %s}' % scene)
+        assert run_cli("simulate", "--config", path, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: scene token 'hot dog' is empty or holds whitespace\n")
+        # A flag's scene replaces the file's, which is then never resolved.
+        assert run_cli("simulate", "--config", path, "--scene", "default", "--seeds", "0",
+                       "--max-steps", "3", "--out", tmp_path / "out") == 0
 
     @pytest.mark.parametrize("flag", ["--scene", "--config"])
     @pytest.mark.parametrize("old, new, noun", [("woman", "Man", "man"), ("is", "Dog", "dog")])
@@ -1221,7 +1267,7 @@ class TestConfigFileValues:
         assert run_cli("simulate", flag, path, "--seeds", "0:3", "--max-steps", "20",
                        "--strategies", "baseline", "--out", out) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: scene token ") and "under lower-casing" in err
+        assert err.startswith(f"error: {path}: scene token ") and "under lower-casing" in err
         assert f"{new!r}" in err and f"{noun!r}" in err
         assert not out.exists()
 
@@ -1720,7 +1766,6 @@ class TestWrongJsonTypeProperty:
         err = err.getvalue()
         if site == "manifest":
             assert code == 3 and err.startswith(f"error: {manifest}: {key}: "), err
-        elif site == "scene":
-            assert code == 2 and err.startswith(f"error: {key}: "), err
-        else:  # a config file's error names the file too
-            assert code == 2 and err.startswith(f"error: {tmp / 'cfg.json'}: {key}: "), err
+        else:  # a config or scene file's error names the file too
+            held = tmp / ("scene.json" if site == "scene" else "cfg.json")
+            assert code == 2 and err.startswith(f"error: {held}: {key}: "), err

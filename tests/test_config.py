@@ -12,7 +12,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from logit_anchor import ConfigError, InputError, scene_to_dict
-from logit_anchor.bench import run_bench
 from logit_anchor.config import (
     DEFAULT_BIN_WIDTH,
     DEFAULT_MAX_STEPS,
@@ -43,7 +42,7 @@ from logit_anchor.config import (
     resolve_seeds,
 )
 from logit_anchor.metrics import positional_curves
-from logit_anchor.runner import run_many, run_strategy
+from logit_anchor.runner import run_bench, run_many, run_strategy
 from logit_anchor.simulator import preset
 from logit_anchor.strategies import decode
 

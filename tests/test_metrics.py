@@ -47,8 +47,7 @@ from logit_anchor import (
 )
 from logit_anchor import metrics
 from logit_anchor.config import read_input_text, read_jsonl
-from logit_anchor.data import golden_corpus, load_captions_jsonl
-from logit_anchor.metrics import RunStats, StepStats
+from logit_anchor.metrics import RunStats, StepStats, golden_corpus, load_captions_jsonl
 
 # hand-derived exact values for the bundled corpus
 GOLDEN_CHAIR_I = Fraction(4, 14)
