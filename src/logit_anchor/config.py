@@ -133,11 +133,12 @@ def load_json_file(path):
 
 @contextmanager
 def naming(where, error=ConfigError):
-    """A ConfigError or InputError from inside, as ``error`` led by ``where``: its file."""
+    """A ConfigError or InputError from inside, as ``error`` led by ``where``: its file, or a
+    function giving it, called only then."""
     try:
         yield
     except (ConfigError, InputError) as exc:
-        raise error(f"{where}: {exc}") from exc
+        raise error(f"{where() if callable(where) else where}: {exc}") from exc
 
 
 def load_config_file(path: str | Path | None, keys) -> dict:
@@ -158,7 +159,8 @@ def load_config_file(path: str | Path | None, keys) -> dict:
 
 def read_keys(value, keys, what: str, required=()) -> dict:
     """``value`` if it is a JSON object that holds no key outside ``keys`` and every key
-    of ``required``: the one key rule of config files, scenes and manifests (``what``)."""
+    of ``required``: the one key rule of config files, scenes, manifests, annotations,
+    caption lines and trace run headers (``what``)."""
     if type(value) is not dict:
         raise ConfigError(f"{what} must be a JSON object, got {type(value).__name__}")
     unknown = sorted(set(value) - set(keys))

@@ -37,7 +37,7 @@ import numpy as np
 
 from .config import (
     DEFAULT_BIN_WIDTH, jsonl_line_numbers, naming, parse_json, read_array, read_float, read_id,
-    read_input_text, read_int, read_jsonl, read_string, read_string_list,
+    read_input_text, read_int, read_jsonl, read_keys, read_string, read_string_list,
 )
 from .core import PROB_SLACK, GenerationRecord, Vocabulary
 from .errors import ConfigError, ContractError, InputError, LogitAnchorError
@@ -107,17 +107,13 @@ class Annotation:
     cognition_objects: frozenset[str] = frozenset()
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "Annotation":
-        try:
-            return cls(
-                image_id=read_id(data["id"], "id"),
-                gt_objects=frozenset(read_string_list(data["gt_objects"], "gt_objects")),
-                cognition_objects=frozenset(read_string_list(
-                    data.get("cognition_objects", []), "cognition_objects"
-                )),
-            )
-        except (KeyError, TypeError, ConfigError) as exc:
-            raise InputError(f"malformed annotation: {exc}") from exc
+    def from_dict(cls, data) -> "Annotation":
+        data = read_keys(data, ("id", "gt_objects", "cognition_objects"), "annotation",
+                         required=("id", "gt_objects"))
+        return cls(read_id(data["id"], "id"),
+                   frozenset(read_string_list(data["gt_objects"], "gt_objects")),
+                   frozenset(read_string_list(data.get("cognition_objects", []),
+                                              "cognition_objects")))
 
 
 @dataclass(frozen=True)
@@ -138,23 +134,19 @@ class CaptionRecord:
 
 
 def load_captions_jsonl(text: str, source: str = "<captions>") -> list[CaptionRecord]:
-    """Parse caption JSONL: one {"id", "text"} (or {"id", "tokens"}) per line. The
-    id is a string or an integer (read as its decimal string); the text and every
-    token are strings. The tokens are read as their text, joined by spaces, so both
-    forms are split and stripped of edge punctuation alike."""
+    """Parse caption JSONL: one {"id", "text"} or {"id", "tokens"} object per line,
+    an error naming the line. The id is a string or an integer (read as its decimal
+    string); the text and every token are strings. The tokens are read as their
+    text, joined by spaces, so both forms are split and stripped of edge punctuation alike."""
     captions: list[CaptionRecord] = []
     for lineno, data in zip(jsonl_line_numbers(text), read_jsonl(text, source)):
         with naming(f"{source}:{lineno}", InputError):
-            if not isinstance(data, dict) or "id" not in data:
-                raise InputError("caption line needs an 'id' field")
-            image_id = read_id(data["id"], "'id'")
-            if "tokens" in data:
-                text = " ".join(read_string_list(data["tokens"], "'tokens'"))
-            elif "text" in data:
-                text = read_string(data["text"], "'text'")
-            else:
-                raise ConfigError("caption line needs 'text' or 'tokens'")
-        captions.append(CaptionRecord.from_text(image_id, text))
+            data = read_keys(data, ("id", "text", "tokens"), "caption", required=("id",))
+            if ("text" in data) == ("tokens" in data):
+                raise ConfigError("a caption holds exactly one of 'text' and 'tokens'")
+            text = (read_string(data["text"], "'text'") if "text" in data
+                    else " ".join(read_string_list(data["tokens"], "'tokens'")))
+            captions.append(CaptionRecord.from_text(read_id(data["id"], "'id'"), text))
     return captions
 
 
@@ -616,6 +608,8 @@ def simulated_metrics(runs: Sequence[RunStats], lexicon: TraceLexicon,
 # -- trace files ------------------------------------------------------------------
 
 
+# The run header's keys, every one written and required.
+_HEADER_KEYS = ("kind", "prompt_id", "strategy", "seed", "n_steps", "text")
 # A step line as ``json.dumps(line, sort_keys=True)`` writes it, with the dist
 # field (and its ", ") or nothing at %s. The decode loop checks every value
 # finite, and a finite float's repr is its JSON form.
@@ -642,14 +636,8 @@ def write_trace(
     keeps. Returns the summary that was written.
     """
     stats = summarize_record(record, lexicon)
-    header = {
-        "kind": "run",
-        "prompt_id": stats.prompt_id,
-        "strategy": stats.strategy,
-        "seed": stats.seed,
-        "n_steps": len(stats.chosen),
-        "text": stats.text,
-    }
+    header = dict(zip(_HEADER_KEYS, ("run", stats.prompt_id, stats.strategy, stats.seed,
+                                     len(stats.chosen), stats.text)))
     dists = repeat("")
     if full_dist:
         if record.steps is None:
@@ -678,7 +666,8 @@ def read_trace(path) -> RunStats:
     """Read one JSONL trace back into the summary form; a malformed record (say,
     a field of another JSON type than the writer's, though an integer is read as
     a float; a chosen_prob of 0, gt and hal mass summing above 1, a negative
-    entropy, steps out of order, or a header text that is not the steps' tokens
+    entropy, steps out of order, or a run header that holds a key other than the
+    six ``write_trace`` writes, lacks one, or whose text is not the steps' tokens
     joined by spaces) is an InputError naming the file, the line and the field."""
     text = read_input_text(path)
     records = read_jsonl(text, path)
@@ -686,21 +675,16 @@ def read_trace(path) -> RunStats:
     if accepted is None:
         raise _first_fault(path, zip(jsonl_line_numbers(text), records))
     at, columns = accepted
-    header = records[at]
-    try:
-        header_text = header["text"]
+    with naming(lambda: f"{path}:{jsonl_line_numbers(text)[at]}", InputError):
+        header = read_keys(records[at], _HEADER_KEYS, "run header", required=_HEADER_KEYS)
         stats = RunStats(read_string(header["prompt_id"], "prompt_id"),
                          read_string(header["strategy"], "strategy"),
                          read_int(header["seed"], "seed"), *columns)
-        n_steps = read_int(header.get("n_steps", len(columns[0])), "n_steps")
-    except (KeyError, ConfigError) as exc:
-        raise InputError(f"{path}:{jsonl_line_numbers(text)[at]}: bad run header "
-                         f"({type(exc).__name__}: {exc})") from exc
-    if len(stats.chosen) != n_steps:
-        raise InputError(f"{path}: header declares {n_steps} steps, found {len(stats.chosen)}")
-    if header_text != stats.text:
-        raise InputError(f"{path}:{jsonl_line_numbers(text)[at]}: bad run header "
-                         f"(text: {header_text!r} is not the steps' tokens joined by spaces)")
+        n_steps = read_int(header["n_steps"], "n_steps")
+        if n_steps != len(stats.chosen):
+            raise ConfigError(f"header declares {n_steps} steps, found {len(stats.chosen)}")
+        if header["text"] != stats.text:
+            raise ConfigError(f"text: {header['text']!r} is not the steps' tokens joined by spaces")
     return stats
 
 

@@ -46,6 +46,16 @@ NEGATIVE_KINDS = (NOISY_VISUAL, PERTURBED_INSTRUCTION, UNCONDITIONED)
 
 PRESET_NAMES = ("default", "no-decay", "strong-decay")
 
+# The largest magnitude of a scene's logit-scale values: each base logit and
+# article_grounding, decay_depth, grammar_penalty and noise_sigma. With B this bound, a
+# noiseless row entry (base, decay, grounding) lies within 3B. A contrastive variant moves a
+# noun group toward the mean of the gt and hal means (each a sum of such entries, finite for
+# any vocabulary) by at most half their gap, 3B, and the grammar penalty, plain or permuted,
+# takes at most B: 7B. numpy's normal sampler (a ziggurat whose tail draw is r - log1p(-u)/r,
+# r = 3.654, u < 1 - 2**-53) never returns beyond 13.8 standard deviations, so jitter adds at
+# most 14B. Every row a provider serves lies within 21B, about 1e101, far inside float range.
+SCENE_BOUND = 1e100
+
 
 @dataclass(frozen=True)
 class NegativeVariantSpec:
@@ -115,11 +125,13 @@ class SceneSpec:
         for name in ("articles", "gt_objects", "hal_objects", "connectives"):
             if not getattr(self, name):
                 raise ConfigError(f"{name}: a scene needs at least one")
+        bound = SCENE_BOUND
         for name, value, ok, rule in (
             ("decay_kappa", self.decay_kappa, self.decay_kappa > 0, "> 0"),
-            ("decay_depth", self.decay_depth, self.decay_depth >= 0, ">= 0"),
-            ("noise_sigma", self.noise_sigma, self.noise_sigma >= 0, ">= 0"),
-            ("grammar_penalty", self.grammar_penalty, self.grammar_penalty > 0, "> 0"),
+            ("decay_depth", self.decay_depth, 0 <= self.decay_depth <= bound, f"in [0, {bound:g}]"),
+            ("noise_sigma", self.noise_sigma, 0 <= self.noise_sigma <= bound, f"in [0, {bound:g}]"),
+            ("grammar_penalty", self.grammar_penalty, 0 < self.grammar_penalty <= bound,
+             f"in (0, {bound:g}]"),
         ):
             if not (ok and math.isfinite(value)):
                 raise ConfigError(f"{name} must be finite and {rule}, got {value!r}")
@@ -132,15 +144,15 @@ class SceneSpec:
             if nouns.get(tok.lower(), tok) != tok:
                 raise ConfigError(f"scene token {tok!r} is the noun "
                                   f"{nouns[tok.lower()]!r} under lower-casing")
-            if not math.isfinite(logit):
-                raise ConfigError(f"base logit of {tok!r} must be finite, got {logit!r}")
+            if not abs(logit) <= bound:
+                raise ConfigError(f"base logit of {tok!r} must be finite and in "
+                                  f"[-{bound:g}, {bound:g}], got {logit!r}")
         for tok, grounding in self.article_grounding.items():
             if tok not in self.articles:
                 raise ConfigError(f"article_grounding key {tok!r} is not an article")
-            if not math.isfinite(grounding):
-                raise ConfigError(
-                    f"article_grounding of {tok!r} must be finite, got {grounding!r}"
-                )
+            if not abs(grounding) <= bound:
+                raise ConfigError(f"article_grounding of {tok!r} must be finite and in "
+                                  f"[-{bound:g}, {bound:g}], got {grounding!r}")
         for tok in self.cognition_objects:
             if tok not in self.hal_objects:
                 raise ConfigError(

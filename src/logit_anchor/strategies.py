@@ -648,16 +648,15 @@ class Strategy:
                 raise ConfigError(f"{name} {must}, got {value!r}")
 
     def label(self) -> str:
-        if self.kind in (BASELINE, GREEDY):
-            if self.beta is None:
-                return self.kind
-            return f"{self.kind}(beta={self.beta:g})"
-        if self.kind in CONTRASTIVE_KINDS:
-            return (
-                f"{self.kind}(alpha={self.alpha:g},beta={self.beta:g},"
-                f"strength={self.strength:g})"
-            )
-        return (
-            f"flb({self.schedule.kind},gamma={self.schedule.gamma:g},"
-            f"lam={self.schedule.lam:g},beta={self.beta:g},mask={self.l0_mask})"
-        )
+        """The kind and its settings in ``SETTINGS`` order, each number printed with ``:g``
+        unless that text reads back to another float, then with ``repr``."""
+        def shown(name, value):
+            return f"{name}={value:g}" if float(f"{value:g}") == value else f"{name}={value!r}"
+        parts = []
+        for name in SETTINGS[self.kind]:
+            value = getattr(self, name)
+            if name == "schedule":
+                parts += [value.kind, shown("gamma", value.gamma), shown("lam", value.lam)]
+            elif value is not None:  # a beta-less baseline or greedy shows no settings
+                parts.append(f"mask={value}" if name == "l0_mask" else shown(name, value))
+        return f"{self.kind}({','.join(parts)})" if parts else self.kind

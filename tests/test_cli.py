@@ -91,6 +91,16 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: --out {out}: holds traces of an earlier run\n"
         assert list(out.iterdir()) == [out / "traces"]
 
+    def test_strategies_apart_only_past_g_precision_run_side_by_side(self, tmp_path):
+        """:g printed gamma 0.3000001 as 0.3, so these two strategies shared one label
+        and the run exited 2."""
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--strategies", "flb:gamma=0.3;flb:gamma=0.3000001",
+                       "--seeds", "0:2", "--max-steps", "5", "--out", out) == 0
+        labels = json.loads((out / "manifest.json").read_text())["strategies"]
+        assert [label.split(",")[1] for label in labels] == ["gamma=0.3", "gamma=0.3000001"]
+        assert run_cli("evaluate", "--traces", out) == 0
+
     def test_outputs_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = run_cli(
@@ -342,7 +352,20 @@ class TestEvaluateCorpus:
         (3, "ann.json", lambda ann: [{**ann[0], "gt_objects": "dog"}, *ann[1:]], "gt_objects"),
         (3, "ann.json", lambda ann: [{**ann[0], "cognition_objects": "cat"}, *ann[1:]],
          "cognition_objects"),
-    ], ids=["lexicon_forms", "caption_tokens", "gt_objects", "cognition_objects"])
+        # A misspelled optional key used to be skipped, and cog read 0.0000 for 0.7500.
+        (3, "ann.json", lambda ann: [
+            {("cognition_objets" if k == "cognition_objects" else k): v for k, v in a.items()}
+            for a in ann], ": unknown annotation keys ['cognition_objets']"),
+        # Both forms used to be read as the tokens alone.
+        (1, "caps.jsonl", lambda caps: [*caps, {"id": "img9", "text": "a dog", "tokens": ["cat"]}],
+         ":6: a caption holds exactly one of 'text' and 'tokens'"),
+        (1, "caps.jsonl", lambda caps: [{**caps[0], "txt": "a cat"}, *caps[1:]],
+         ":1: unknown caption keys ['txt']"),
+        (1, "caps.jsonl", lambda caps: [{"id": "img1"}, *caps[1:]],
+         ":1: a caption holds exactly one of 'text' and 'tokens'"),
+    ], ids=["lexicon_forms", "caption_tokens", "gt_objects", "cognition_objects",
+            "cognition_objects_misspelled", "caption_text_and_tokens", "caption_unknown_key",
+            "caption_without_text"])
     def test_malformed_value_exits_3_naming_file_and_key(
         self, tmp_path, capsys, index, name, edit, key
     ):
@@ -370,11 +393,11 @@ class TestEvaluateCorpus:
         (1, "caps.jsonl", lambda caps: [{**caps[0], "text": 5}, *caps[1:]],
          ":1: 'text': 5 is not a string"),
         (3, "ann.json", lambda ann: [{**ann[0], "id": None}, *ann[1:]],
-         ": malformed annotation: id: None is not a string or an integer"),
+         ": id: None is not a string or an integer"),
         (3, "ann.json", lambda ann: [{**ann[0], "gt_objects": [7]}, *ann[1:]],
-         ": malformed annotation: gt_objects: 7 is not a string"),
+         ": gt_objects: 7 is not a string"),
         (3, "ann.json", lambda ann: [{**ann[0], "cognition_objects": [1.5]}, *ann[1:]],
-         ": malformed annotation: cognition_objects: 1.5 is not a string"),
+         ": cognition_objects: 1.5 is not a string"),
         (5, "lex.json", lambda lex: {**lex, "dog": ["dog", 7]},
          ": lexicon entry 'dog': 7 is not a string"),
     ], ids=["caption_id_null", "caption_id_bool", "caption_token_int", "caption_text_int",
@@ -746,7 +769,7 @@ class TestEvaluateTraces:
         capsys.readouterr()
         assert run_cli("evaluate", "--traces", sim_out) == 3
         assert capsys.readouterr().err.startswith(
-            f"error: {bad}:1: bad run header (ConfigError: {field}: {value!r} is not a string)"
+            f"error: {bad}:1: {field}: {value!r} is not a string\n"
         )
 
     @pytest.mark.parametrize("field, value", [
@@ -761,7 +784,7 @@ class TestEvaluateTraces:
         capsys.readouterr()
         assert run_cli("evaluate", "--traces", sim_out) == 3
         assert capsys.readouterr().err.startswith(
-            f"error: {bad}:1: bad run header (ConfigError: {field}: {value!r} is not an integer)"
+            f"error: {bad}:1: {field}: {value!r} is not an integer\n"
         )
 
     def _ends_at_eos(self, tmp_path):
@@ -803,13 +826,27 @@ class TestEvaluateTraces:
             f"error: {bad}: header prompt_id 'another-scene' is not the manifest's scene 'default'"
         )
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: {**{k: v for k, v in h.items() if k != "n_steps"}, "n_step": 10, "note": ""},
+         "unknown run header keys ['n_step', 'note']"),
+        (lambda h: {k: v for k, v in h.items() if k != "n_steps"},
+         "run header is missing key 'n_steps'"),
+    ], ids=["misspelled_and_unknown", "missing"])
+    def test_header_key_not_written_exits_3_naming_it(self, tmp_path, capsys, edit, message):
+        """A header with n_step for n_steps used to be scored, its step count unchecked."""
+        sim_out, path = self._simulated(tmp_path)
+        bad = _edit_line(path, 0, edit)
+        capsys.readouterr()
+        assert run_cli("evaluate", "--traces", sim_out) == 3
+        assert capsys.readouterr().err == f"error: {bad}:1: {message}\n"
+
     def test_header_text_not_the_tokens_exits_3(self, tmp_path, capsys):
         sim_out, path = self._simulated(tmp_path)
         bad = _edit_line(path, 0, lambda h: {**h, "text": "nonsense"})
         capsys.readouterr()
         assert run_cli("evaluate", "--traces", sim_out) == 3
         assert capsys.readouterr().err.startswith(
-            f"error: {bad}:1: bad run header (text: 'nonsense' is not the steps' tokens"
+            f"error: {bad}:1: text: 'nonsense' is not the steps' tokens"
         )
 
     def _two_labels(self, tmp_path):
@@ -1270,6 +1307,34 @@ class TestConfigFileValues:
         assert err.startswith(f"error: {path}: scene token ") and "under lower-casing" in err
         assert f"{new!r}" in err and f"{noun!r}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["--scene", "--config", "manifest"])
+    @pytest.mark.parametrize("edit, named", [
+        (lambda spec: {**spec, "noise_sigma": 1e308},
+         "noise_sigma must be finite and in [0, 1e+100], got 1e+308"),
+        (lambda spec: {**spec, "article_grounding": {**spec["article_grounding"], "The": 1e308}},
+         "article_grounding of 'The' must be finite and in [-1e+100, 1e+100], got 1e+308"),
+    ], ids=["noise_sigma", "article_grounding"])
+    def test_scene_value_past_the_bound_is_refused_naming_it(
+        self, tmp_path, capsys, source, edit, named
+    ):
+        """Both scenes used to exit 4: the provider's rows overflowed at step 0 (the jitter)
+        and at step 1 (the degraded views' noun mean)."""
+        spec = edit(scene_to_dict(default_scene()))
+        out, argv = tmp_path / "out", ["--seeds", "0:2", "--max-steps", "5"]
+        if source == "manifest":
+            assert run_cli("simulate", *argv, "--strategies", "baseline", "--out", out) == 0
+            path = out / "manifest.json"
+            path.write_text(json.dumps({**json.loads(path.read_text()), "scene_spec": spec}))
+            capsys.readouterr()
+            assert run_cli("evaluate", "--traces", out) == 3
+        else:
+            path = tmp_path / "scene.json"
+            path.write_text(json.dumps({"scene": spec} if source == "--config" else spec))
+            assert run_cli("simulate", source, path, *argv, "--strategies",
+                           "baseline;vcd;icd;flb", "--out", out) == 2
+            assert not out.exists()
+        assert capsys.readouterr().err == f"error: {path}: {named}\n"
 
     @pytest.mark.parametrize("flag", ["--scene", "--config"])
     @BAD_SCENES

@@ -129,7 +129,8 @@ class TestSceneShape:
     def test_infinite_grounding_rejected_naming_the_article(self, scene):
         """JSON reads 1e999 as inf, which no typed reader refuses."""
         text = json.dumps(scene_to_dict(scene)).replace('"A": 0.0', '"A": 1e999')
-        with pytest.raises(ConfigError, match="^article_grounding of 'A' must be finite, got inf$"):
+        with pytest.raises(ConfigError, match=r"^article_grounding of 'A' must be finite and "
+                                              r"in \[-1e\+100, 1e\+100\], got inf$"):
             scene_from_dict(json.loads(text))
 
 

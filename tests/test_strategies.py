@@ -469,6 +469,18 @@ class TestStrategyDescriptor:
         assert Strategy(kind="flb").label() == \
             "flb(increasing,gamma=0.3,lam=0.05,beta=0.1,mask=full)"
 
+    @pytest.mark.parametrize("descriptor", [
+        "flb:gamma=0.3", "flb:gamma=0.3000001", "flb:gamma=0.1234567,lambda=1e-7,beta=0",
+        "vcd:alpha=2.5e-300,beta=0.1000000000000001", "baseline:beta=0.30000000000000004",
+    ])
+    def test_label_values_read_back_to_their_settings(self, descriptor):
+        """:g printed 0.3000001 as 0.3 and 0.1234567 as 0.123457."""
+        strategy = parse_strategy(descriptor)
+        settings = {**vars(strategy), **vars(strategy.schedule or WeightSchedule())}
+        shown = re.findall(r"(\w+)=([^,)]+)", strategy.label())
+        assert shown and all(float(text) == settings[name]
+                             for name, text in shown if name != "mask")
+
     def test_cross_payload_rejected(self):
         with pytest.raises(ConfigError):
             Strategy(kind="vcd", schedule=WeightSchedule())
