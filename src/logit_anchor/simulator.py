@@ -20,7 +20,7 @@ candidate constraint.
 ``SyntheticProvider(scene)`` serves the scene's logits, and
 ``SyntheticProvider(scene, variant)`` the degraded view a contrastive
 strategy uses as its second pass. Each row draws its noise from its own
-``numpy.random.Generator``.
+``numpy.random.Generator``, its jitter ``TAPE_STEPS`` steps at a time.
 """
 
 from __future__ import annotations
@@ -55,6 +55,10 @@ PRESET_NAMES = ("default", "no-decay", "strong-decay")
 # r = 3.654, u < 1 - 2**-53) never returns beyond 13.8 standard deviations, so jitter adds at
 # most 14B. Every row a provider serves lies within 21B, about 1e101, far inside float range.
 SCENE_BOUND = 1e100
+
+# The steps of jitter a provider draws at once from a row's Generator: one
+# [TAPE_STEPS, vocab] normal block, the same values as TAPE_STEPS draws of one row.
+TAPE_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -275,12 +279,32 @@ def _noiseless_row(
     return scores
 
 
+def _tape_rows(tapes: dict, rngs: Sequence[np.random.Generator], sigma: float, size: int):
+    """Each row's next jitter vector, read from its tape in ``tapes``. A row whose
+    tape is spent (or that has none) draws its next ``TAPE_STEPS`` vectors.
+
+    ``tapes`` maps ``id(rng)`` to (rng, the rest of its tape): holding the
+    Generator keeps its id from passing to another Generator.
+    """
+    rows = []
+    for rng in rngs:
+        entry = tapes.get(id(rng))
+        row = next(entry[1], None) if entry else None
+        if row is None:
+            tape = iter(rng.normal(0.0, sigma, (TAPE_STEPS, size)))
+            tapes[id(rng)] = (rng, tape)
+            row = next(tape)
+        rows.append(row)
+    return np.array(rows)
+
+
 def scene_logit_rows(
     scene: SceneSpec,
     variant: NegativeVariantSpec | None,
     states: Sequence[int],
     t: int,
     rngs: Sequence[np.random.Generator],
+    tapes: dict | None = None,
 ) -> np.ndarray:
     """Scene logits at step t for a batch of rows, as a fresh [rows, vocab] array.
 
@@ -294,7 +318,10 @@ def scene_logit_rows(
     The noiseless row is built once per distinct state; then each row gets
     its own draws, in this order: one permutation of its state's penalty
     lane (``perturbed_instruction`` only) and one normal vector. With
-    ``noise_sigma == 0`` no normal vector is drawn.
+    ``noise_sigma == 0`` no normal vector is drawn. Given ``tapes`` (a
+    provider's, see ``_tape_rows``), the normal vector is read from the row's
+    tape, except under ``perturbed_instruction``, whose permutations come
+    between the normals.
     """
     if t < 0:
         raise ContractError(f"step index must be >= 0, got {t}")
@@ -305,12 +332,15 @@ def scene_logit_rows(
     if len(unique) < len(pick):
         scores = scores[pick]
     size = scores.shape[1]
-    if variant is not None and variant.kind == PERTURBED_INSTRUCTION:
+    permute = variant is not None and variant.kind == PERTURBED_INSTRUCTION
+    if permute:
         # Scramble where the grammar penalty lands.
         penalty = np.take(scene._penalty, states, axis=0)
         permuted = np.array([lane[rng.permutation(size)] for lane, rng in zip(penalty, rngs)])
         scores -= (1.0 - variant.strength) * penalty + variant.strength * permuted
-    if scene.noise_sigma > 0:
+    if scene.noise_sigma > 0 and tapes is not None and not permute:
+        scores += _tape_rows(tapes, rngs, scene.noise_sigma, size)
+    elif scene.noise_sigma > 0:
         for row, rng in zip(scores, rngs):
             row += rng.normal(0.0, scene.noise_sigma, size)
     return scores
@@ -329,12 +359,20 @@ class SyntheticProvider:
     its jitter (and permutation) from its own ``Generator``. Each instance counts
     the rows it was asked for (one per row per call): the per-step
     ``provider_calls`` telemetry and the bench call-count law are measured from it.
+
+    The instance keeps each row's jitter tape, keyed by the row's Generator:
+    it draws ``TAPE_STEPS`` steps ahead from a Generator passed to it, so
+    nothing else may draw from that Generator. A tape lives as long as the
+    instance, so its tapes hold at most ``rows x TAPE_STEPS x vocab x 8``
+    bytes, ``rows`` the Generators it has served (``perturbed_instruction``
+    keeps none).
     """
 
     def __init__(self, scene: SceneSpec, variant: NegativeVariantSpec | None = None):
         self.scene = scene
         self.variant = variant
         self.calls = 0
+        self._tapes: dict = {}
 
     @property
     def vocab(self) -> Vocabulary:
@@ -353,7 +391,7 @@ class SyntheticProvider:
         """Scores [len(histories), vocab] for each history at step t, rng by rng."""
         self.calls += len(histories)
         states = [self.scene.state_after(history) for history in histories]
-        return scene_logit_rows(self.scene, self.variant, states, t, rngs)
+        return scene_logit_rows(self.scene, self.variant, states, t, rngs, self._tapes)
 
     def logits(
         self,

@@ -6,6 +6,7 @@ was computed independently at 50-digit precision: 4 * exp(-2.5) - 2.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import re
@@ -26,6 +27,7 @@ from logit_anchor.simulator import (
     NOISY_VISUAL,
     PERTURBED_INSTRUCTION,
     START,
+    TAPE_STEPS,
     TERMINAL,
     UNCONDITIONED,
     NegativeVariantSpec,
@@ -351,6 +353,35 @@ class TestProviders:
             assert provider.calls == len(histories)
             for row, history, rng in zip(got, histories, rngs()):
                 assert row.tobytes() == provider.logits(history, t, rng).tobytes()
+
+    @pytest.mark.parametrize("kind", [None, *NEGATIVE_KINDS])
+    def test_tapes_equal_per_step_draws(self, kind):
+        """Each row's jitter, read from its tapes, equals one draw per step, across tape
+        boundaries; a row that retires in the middle of a tape leaves the others as they
+        were. Under perturbed_instruction the rows draw per step, permutation and all."""
+        variant = kind and NegativeVariantSpec(kind, strength=0.6)
+        provider = SyntheticProvider(SCENE, variant)
+        histories = [[], [V.id_of("The")], [V.id_of("A"), V.id_of("dog")]]
+        rngs = [np.random.default_rng(s) for s in (5, 6, 7)]
+        refs = [np.random.default_rng(s) for s in (5, 6, 7)]
+        retire = TAPE_STEPS + TAPE_STEPS // 2  # row 1 leaves mid-tape
+        for t in range(3 * TAPE_STEPS + 1):
+            if t == retire:
+                del histories[1], rngs[1], refs[1]
+            got = provider.logit_rows(histories, t, rngs)
+            for row, history, ref in zip(got, histories, refs, strict=True):
+                want = scene_row(SCENE, variant, SCENE.state_after(history), t, ref)
+                assert row.tobytes() == want.tobytes()
+
+    def test_a_new_generator_never_reads_an_old_tape(self):
+        """Fresh Generators in successive calls, each collected before the next is made
+        (so one may take a collected one's id), get what a fresh provider gives them."""
+        provider = SyntheticProvider(SCENE)
+        for seed in range(20):
+            got = provider.logits([], 1, np.random.default_rng(seed))
+            gc.collect()
+            want = SyntheticProvider(SCENE).logits([], 1, np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes()
 
     def test_negative_provider(self, scene):
         quiet = replace(scene, noise_sigma=0.0)
