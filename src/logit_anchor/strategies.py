@@ -82,6 +82,8 @@ CONTRASTIVE_KINDS = (VCD, ICD, M3ID)
 
 DEFAULT_MAX_STEPS = 60
 DEFAULT_TEMPERATURE = 1.0
+# The uniforms a sampled row draws at once from its sampling stream.
+UNIFORM_BLOCK = 16
 
 L0_FULL = "full"
 L0_NOUNS_ONLY = "nouns_only"
@@ -490,12 +492,14 @@ def decode(
         scores = parts[0] if whole else np.concatenate(parts)
         mask = None if beta is None else _candidate_mask(raw, temperature, beta, eos_id)
         probs, entropies = _softmax(scores, mask, temperature)
+        if t % UNIFORM_BLOCK == 0:  # rows in lockstep: step t takes column t % UNIFORM_BLOCK
+            uniforms = [rng and rng.random(UNIFORM_BLOCK) for rng in sample_rngs]
         chosen = []
         for lane in lanes:
             if lane.strategy.kind == GREEDY:
                 chosen += _greedy_rows(scores[lane.span], None if mask is None else mask[lane.span])
             else:
-                draws = [rng.random() for rng in (sample_rngs if whole else sample_rngs[lane.span])]
+                draws = [u[t % UNIFORM_BLOCK] for u in (uniforms if whole else uniforms[lane.span])]
                 part = probs if whole else probs[lane.span]
                 chosen += _sample_rows(part, draws[0] if n == 1 else np.array(draws))
         chosen_probs = _check_step(t, probs, mask, chosen, scores, temperature, row_labels)
@@ -526,9 +530,9 @@ def decode(
 
         if eos_id in chosen:
             going = [c != eos_id for c in chosen]
-            live, rows_history, row_labels, sample_rngs, pos_rngs, neg_rngs = (
-                list(compress(col, going))
-                for col in (live, rows_history, row_labels, sample_rngs, pos_rngs, neg_rngs)
+            live, rows_history, row_labels, sample_rngs, uniforms, pos_rngs, neg_rngs = (
+                list(compress(col, going)) for col in
+                (live, rows_history, row_labels, sample_rngs, uniforms, pos_rngs, neg_rngs)
             )
             for lane in lanes:
                 kept = going[lane.span]
