@@ -492,16 +492,20 @@ def decode(
         scores = parts[0] if whole else np.concatenate(parts)
         mask = None if beta is None else _candidate_mask(raw, temperature, beta, eos_id)
         probs, entropies = _softmax(scores, mask, temperature)
+        sampled = [rng is not None for rng in sample_rngs]
         if t % UNIFORM_BLOCK == 0:  # rows in lockstep: step t takes column t % UNIFORM_BLOCK
-            uniforms = [rng and rng.random(UNIFORM_BLOCK) for rng in sample_rngs]
+            uniforms = np.array([rng.random(UNIFORM_BLOCK) for rng in compress(sample_rngs, sampled)])
+        picks = iter(())
+        if len(uniforms):  # every sampled row in one call
+            draws = uniforms[:, t % UNIFORM_BLOCK]
+            part = probs if len(draws) == n else probs[sampled]
+            picks = iter(_sample_rows(part, draws[0] if n == 1 else draws))
         chosen = []
         for lane in lanes:
             if lane.strategy.kind == GREEDY:
                 chosen += _greedy_rows(scores[lane.span], None if mask is None else mask[lane.span])
             else:
-                draws = [u[t % UNIFORM_BLOCK] for u in (uniforms if whole else uniforms[lane.span])]
-                part = probs if whole else probs[lane.span]
-                chosen += _sample_rows(part, draws[0] if n == 1 else np.array(draws))
+                chosen += islice(picks, lane.size)
         chosen_probs = _check_step(t, probs, mask, chosen, scores, temperature, row_labels)
         entropies = _listed(entropies)
 
@@ -530,9 +534,10 @@ def decode(
 
         if eos_id in chosen:
             going = [c != eos_id for c in chosen]
-            live, rows_history, row_labels, sample_rngs, uniforms, pos_rngs, neg_rngs = (
-                list(compress(col, going)) for col in
-                (live, rows_history, row_labels, sample_rngs, uniforms, pos_rngs, neg_rngs)
+            uniforms = uniforms[list(compress(going, sampled))]
+            live, rows_history, row_labels, sample_rngs, pos_rngs, neg_rngs = (
+                list(compress(col, going))
+                for col in (live, rows_history, row_labels, sample_rngs, pos_rngs, neg_rngs)
             )
             for lane in lanes:
                 kept = going[lane.span]
