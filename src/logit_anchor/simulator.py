@@ -269,8 +269,9 @@ def _noiseless_row(
     if variant is None or variant.kind in (NOISY_VISUAL, UNCONDITIONED):
         if variant is not None:
             shrink = 0.0 if variant.kind == UNCONDITIONED else 1.0 - variant.strength
-            gt_mean = scores[scene.gt_ids].mean()
-            hal_mean = scores[scene.hal_ids].mean()
+            gt, hal = scores[scene.gt_ids], scores[scene.hal_ids]
+            gt_mean = np.add.reduce(gt) / gt.size  # gt.mean(), bit for bit, without its dispatch
+            hal_mean = np.add.reduce(hal) / hal.size
             mid = 0.5 * (gt_mean + hal_mean)
             scores[scene.gt_ids] += (mid + shrink * (gt_mean - mid)) - gt_mean
             scores[scene.hal_ids] += (mid + shrink * (hal_mean - mid)) - hal_mean
