@@ -61,6 +61,8 @@ class ObjectLexicon:
     by_words: dict[tuple[str, ...], str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.forms:
+            raise ConfigError("a lexicon needs at least one object")
         normalized: dict[str, tuple[str, ...]] = {}
         for obj, surfaces in self.forms.items():
             if not surfaces:
@@ -151,7 +153,13 @@ def load_captions_jsonl(text: str, source: str = "<captions>") -> list[CaptionRe
 
 
 def _annotations(data) -> list[Annotation]:
-    return list(read_array(data, "annotations", lambda item, key: Annotation.from_dict(item)))
+    """Each annotation of a JSON array; an error names its index, and its id if it has one."""
+    def read(i, item):
+        named = type(item) is dict and type(item.get("id")) in (str, int)
+        with naming(lambda: f"annotations[{i}]" + (f" (id {str(item['id'])!r})" if named else "")):
+            return Annotation.from_dict(item)
+    items = read_array(data, "annotations", lambda item, key: item)
+    return [read(i, item) for i, item in enumerate(items)]
 
 
 def load_corpus(captions, annotations, lexicon):

@@ -393,15 +393,21 @@ class TestEvaluateCorpus:
         (1, "caps.jsonl", lambda caps: [{**caps[0], "text": 5}, *caps[1:]],
          ":1: 'text': 5 is not a string"),
         (3, "ann.json", lambda ann: [{**ann[0], "id": None}, *ann[1:]],
-         ": id: None is not a string or an integer"),
+         ": annotations[0]: id: None is not a string or an integer"),
         (3, "ann.json", lambda ann: [{**ann[0], "gt_objects": [7]}, *ann[1:]],
-         ": gt_objects: 7 is not a string"),
+         ": annotations[0] (id 'img1'): gt_objects: 7 is not a string"),
         (3, "ann.json", lambda ann: [{**ann[0], "cognition_objects": [1.5]}, *ann[1:]],
-         ": cognition_objects: 1.5 is not a string"),
+         ": annotations[0] (id 'img1'): cognition_objects: 1.5 is not a string"),
+        # The message used to be the same whichever annotation held the value.
+        (3, "ann.json", lambda ann: [ann[0], {"id": 2, "gt_objects": 5}, *ann[2:]],
+         ": annotations[1] (id '2'): gt_objects: 5 is not an array"),
         (5, "lex.json", lambda lex: {**lex, "dog": ["dog", 7]},
          ": lexicon entry 'dog': 7 is not a string"),
+        # An empty lexicon used to end in a traceback from max() of no words.
+        (5, "lex.json", lambda lex: {}, ": a lexicon needs at least one object"),
     ], ids=["caption_id_null", "caption_id_bool", "caption_token_int", "caption_text_int",
-            "annotation_id_null", "gt_object_int", "cognition_object_float", "lexicon_form_int"])
+            "annotation_id_null", "gt_object_int", "cognition_object_float",
+            "second_annotation_gt_objects", "lexicon_form_int", "lexicon_empty"])
     def test_value_of_another_json_type_exits_3(self, tmp_path, capsys, index, name, edit,
                                                 message):
         """Ids, names, forms and tokens used to be read with str(): an id null matched an
