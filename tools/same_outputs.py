@@ -9,6 +9,10 @@ between the trees. The commands:
 
 - W1: ``simulate --seeds 0:200 --format json``;
 - ``evaluate --traces`` on W1's output;
+- a long run of all six kinds: ``simulate --scene strong-decay`` with greedy and
+  icd beside the sampled lanes, 40 seeds up to 280 steps, ``--temperature 0.7``
+  and ``--full-dist``, whose rows retire in the middle of the provider's jitter
+  tapes and the decode loop's uniform blocks;
 - the default ``sweep`` and the default ``ablate``;
 - ``evaluate`` on the golden corpus (each tree's own ``data/`` files).
 
@@ -34,6 +38,9 @@ ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = (
     ("w1", ["simulate", "--seeds", "0:200", "--format", "json", "--out", "w1"]),
     ("w1_evaluate", ["evaluate", "--traces", "w1", "--out", "w1_evaluate"]),
+    ("long", ["simulate", "--scene", "strong-decay",
+              "--strategies", "baseline:beta=0.1;greedy;vcd;icd;m3id;flb", "--seeds", "0:40",
+              "--max-steps", "280", "--temperature", "0.7", "--full-dist", "--out", "long"]),
     ("sweep", ["sweep", "--out", "sweep"]),
     ("ablate", ["ablate", "--out", "ablate"]),
     ("golden", ["evaluate", "--captions", "{data}/golden_captions.jsonl",
