@@ -27,11 +27,13 @@ from logit_anchor import (
     weight_at,
 )
 from logit_anchor import strategies
-from logit_anchor.strategies import _sample_rows
+from logit_anchor.strategies import UNIFORM_BLOCK, _sample_rows
 from logit_anchor.simulator import (
+    TAPE_STEPS,
     NegativeVariantSpec,
     SyntheticProvider,
     scene_from_dict,
+    scene_logit_rows,
     scene_to_dict,
 )
 from logit_anchor.strategies import CONSTANT, DECREASING, INCREASING
@@ -707,6 +709,25 @@ class TestOneUniformPerStep:
             replayed = [_sample_rows(step.dist.probs, u)[0] for step, u in zip(record.steps, draws)]
             assert replayed == list(record.chosen)
         assert any(len(r.steps) > 10 for r in records)
+
+
+class TestBlockDraws:
+    """Rows draw their jitter in tapes and their uniforms in blocks, and record what one
+    draw per step gives, rows that retire inside a tape or a block included."""
+
+    def test_each_step_replays_from_one_draw_per_step(self, scene):
+        records = run_many(scene, [parse_strategy("baseline:beta=0.1")], range(8), record=True)
+        ends = [len(r.steps) for r in records]
+        assert any(n > UNIFORM_BLOCK and n % UNIFORM_BLOCK and n % TAPE_STEPS for n in ends)
+        assert len(set(ends)) > 3
+        for record in records:
+            streams = np.random.SeedSequence(record.seed).spawn(3)
+            sample, jitter = (np.random.default_rng(stream) for stream in streams[:2])
+            for t, step in enumerate(record.steps):
+                state = scene.state_after(record.chosen[:t])
+                raw = scene_logit_rows(scene, None, [state], t, [jitter])[0]
+                assert raw.tobytes() == step.raw_logits.scores.tobytes()
+                assert _sample_rows(step.dist.probs, sample.random())[0] == step.chosen
 
 
 def assert_same_record(alone, batched):
