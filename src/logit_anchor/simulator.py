@@ -284,16 +284,16 @@ def _tape_rows(tapes: dict, rngs: Sequence[np.random.Generator], sigma: float, s
     """Each row's next jitter vector, read from its tape in ``tapes``. A row whose
     tape is spent (or that has none) draws its next ``TAPE_STEPS`` vectors.
 
-    ``tapes`` maps ``id(rng)`` to (rng, the rest of its tape): holding the
-    Generator keeps its id from passing to another Generator.
+    ``tapes`` maps each Generator itself (Generators hash by identity and take
+    no weak reference) to the rest of its tape. Holding the Generator keeps
+    its id, and so its entry, from passing to a new Generator.
     """
     rows = []
     for rng in rngs:
-        entry = tapes.get(id(rng))
-        row = next(entry[1], None) if entry else None
+        tape = tapes.get(rng)
+        row = None if tape is None else next(tape, None)
         if row is None:
-            tape = iter(rng.normal(0.0, sigma, (TAPE_STEPS, size)))
-            tapes[id(rng)] = (rng, tape)
+            tape = tapes[rng] = iter(rng.normal(0.0, sigma, (TAPE_STEPS, size)))
             row = next(tape)
         rows.append(row)
     return np.array(rows)
