@@ -278,12 +278,11 @@ def cmd_simulate(args) -> int:
 
     labels = [s.label() for s in cfg.strategies]
     stats_by_label = {label: [] for label in labels}
-    strategy_dirs = {label: trace_root / sanitize_label(label) for label in labels}
-    for strategy_dir in strategy_dirs.values():
-        strategy_dir.mkdir(parents=True, exist_ok=True)
+    for label in labels:
+        (trace_root / sanitize_label(label)).mkdir(parents=True, exist_ok=True)
     for record in records:
         stats = write_trace(
-            strategy_dirs[record.strategy] / f"{record.seed}.jsonl",
+            trace_root / sanitize_label(record.strategy) / f"{record.seed}.jsonl",
             record, lexicon, full_dist=args.full_dist,
         )
         stats_by_label[record.strategy].append(stats)

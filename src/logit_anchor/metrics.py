@@ -153,13 +153,11 @@ def load_captions_jsonl(text: str, source: str = "<captions>") -> list[CaptionRe
 
 
 def _annotations(data) -> list[Annotation]:
-    """Each annotation of a JSON array; an error names its index, and its id if it has one."""
-    def read(i, item):
+    def read(i, item):  # an error names the annotation's index, and its id if it has one
         named = type(item) is dict and type(item.get("id")) in (str, int)
         with naming(lambda: f"annotations[{i}]" + (f" (id {str(item['id'])!r})" if named else "")):
             return Annotation.from_dict(item)
-    items = read_array(data, "annotations", lambda item, key: item)
-    return [read(i, item) for i, item in enumerate(items)]
+    return list(map(read, count(), read_array(data, "annotations", lambda item, key: item)))
 
 
 def load_corpus(captions, annotations, lexicon):

@@ -56,9 +56,7 @@ PRESET_NAMES = ("default", "no-decay", "strong-decay")
 # most 14B. Every row a provider serves lies within 21B, about 1e101, far inside float range.
 SCENE_BOUND = 1e100
 
-# The steps of jitter a provider draws at once from a row's Generator: one
-# [TAPE_STEPS, vocab] normal block, the same values as TAPE_STEPS draws of one row.
-TAPE_STEPS = 4
+TAPE_STEPS = 4  # jitter steps a row draws as one block, which holds what 4 one-step draws give
 
 
 @dataclass(frozen=True)
@@ -269,34 +267,14 @@ def _noiseless_row(
     if variant is None or variant.kind in (NOISY_VISUAL, UNCONDITIONED):
         if variant is not None:
             shrink = 0.0 if variant.kind == UNCONDITIONED else 1.0 - variant.strength
-            gt, hal = scores[scene.gt_ids], scores[scene.hal_ids]
-            gt_mean = np.add.reduce(gt) / gt.size  # gt.mean(), bit for bit, without its dispatch
-            hal_mean = np.add.reduce(hal) / hal.size
+            gt, hal = scores[scene.gt_ids], scores[scene.hal_ids]  # the means .mean() gives
+            gt_mean, hal_mean = np.add.reduce(gt) / gt.size, np.add.reduce(hal) / hal.size
             mid = 0.5 * (gt_mean + hal_mean)
             scores[scene.gt_ids] += (mid + shrink * (gt_mean - mid)) - gt_mean
             scores[scene.hal_ids] += (mid + shrink * (hal_mean - mid)) - hal_mean
         # Subtracting 0.0 leaves admissible scores exactly as they are.
         scores -= scene._penalty[state]
     return scores
-
-
-def _tape_rows(tapes: dict, rngs: Sequence[np.random.Generator], sigma: float, size: int):
-    """Each row's next jitter vector, read from its tape in ``tapes``. A row whose
-    tape is spent (or that has none) draws its next ``TAPE_STEPS`` vectors.
-
-    ``tapes`` maps each Generator itself (Generators hash by identity and take
-    no weak reference) to the rest of its tape. Holding the Generator keeps
-    its id, and so its entry, from passing to a new Generator.
-    """
-    rows = []
-    for rng in rngs:
-        tape = tapes.get(rng)
-        row = None if tape is None else next(tape, None)
-        if row is None:
-            tape = tapes[rng] = iter(rng.normal(0.0, sigma, (TAPE_STEPS, size)))
-            row = next(tape)
-        rows.append(row)
-    return np.array(rows)
 
 
 def scene_logit_rows(
@@ -318,11 +296,8 @@ def scene_logit_rows(
 
     The noiseless row is built once per distinct state; then each row gets
     its own draws, in this order: one permutation of its state's penalty
-    lane (``perturbed_instruction`` only) and one normal vector. With
-    ``noise_sigma == 0`` no normal vector is drawn. Given ``tapes`` (a
-    provider's, see ``_tape_rows``), the normal vector is read from the row's
-    tape, except under ``perturbed_instruction``, whose permutations come
-    between the normals.
+    lane (``perturbed_instruction`` only) and one normal vector, from the row's tape in
+    ``tapes`` if given (not under ``perturbed_instruction``); none if ``noise_sigma == 0``.
     """
     if t < 0:
         raise ContractError(f"step index must be >= 0, got {t}")
@@ -333,17 +308,24 @@ def scene_logit_rows(
     if len(unique) < len(pick):
         scores = scores[pick]
     size = scores.shape[1]
-    permute = variant is not None and variant.kind == PERTURBED_INSTRUCTION
-    if permute:
+    if variant is not None and variant.kind == PERTURBED_INSTRUCTION:
         # Scramble where the grammar penalty lands.
         penalty = np.take(scene._penalty, states, axis=0)
         permuted = np.array([lane[rng.permutation(size)] for lane, rng in zip(penalty, rngs)])
         scores -= (1.0 - variant.strength) * penalty + variant.strength * permuted
-    if scene.noise_sigma > 0 and tapes is not None and not permute:
-        scores += _tape_rows(tapes, rngs, scene.noise_sigma, size)
-    elif scene.noise_sigma > 0:
+        tapes = None  # each step draws a permutation between the normals
+    if scene.noise_sigma > 0 and tapes is None:
         for row, rng in zip(scores, rngs):
             row += rng.normal(0.0, scene.noise_sigma, size)
+    elif scene.noise_sigma > 0:
+        rows = []
+        for rng in rngs:  # the row's next vector, from its tape or a new one
+            row = next(tapes[rng], None) if rng in tapes else None
+            if row is None:
+                tapes[rng] = iter(rng.normal(0.0, scene.noise_sigma, (TAPE_STEPS, size)))
+                row = next(tapes[rng])
+            rows.append(row)
+        scores += np.array(rows)
     return scores
 
 
@@ -360,13 +342,8 @@ class SyntheticProvider:
     its jitter (and permutation) from its own ``Generator``. Each instance counts
     the rows it was asked for (one per row per call): the per-step
     ``provider_calls`` telemetry and the bench call-count law are measured from it.
-
-    The instance keeps each row's jitter tape, keyed by the row's Generator:
-    it draws ``TAPE_STEPS`` steps ahead from a Generator passed to it, so
-    nothing else may draw from that Generator. A tape lives as long as the
-    instance, so its tapes hold at most ``rows x TAPE_STEPS x vocab x 8``
-    bytes, ``rows`` the Generators it has served (``perturbed_instruction``
-    keeps none).
+    Its jitter tapes (README "Providers"), keyed by each row's Generator, live as long
+    as it: at most ``rows x TAPE_STEPS x vocab x 8`` bytes for the ``rows`` it has served.
     """
 
     def __init__(self, scene: SceneSpec, variant: NegativeVariantSpec | None = None):

@@ -49,8 +49,8 @@ tests compare them against independent one-vector references of their own.
 Each row owns its randomness: its seed is split into three independent
 streams (sampling, positive-provider jitter, negative-provider jitter), and
 no stream is shared between rows. A row draws in a fixed order: one jitter
-vector per provider call (after one permutation, for the
-perturbed-instruction negative) and one uniform per sampled step. So a
+vector per provider call (after one permutation, for the perturbed-instruction
+negative), and sampled step t takes the t-th uniform of its sampling stream. So a
 seed's record does not depend on which other seeds share its batch, and two
 strategies given the same seed see identical positive-provider noise
 regardless of how many extra calls either of them makes.
@@ -82,8 +82,7 @@ CONTRASTIVE_KINDS = (VCD, ICD, M3ID)
 
 DEFAULT_MAX_STEPS = 60
 DEFAULT_TEMPERATURE = 1.0
-# The uniforms a sampled row draws at once from its sampling stream.
-UNIFORM_BLOCK = 16
+UNIFORM_BLOCK = 16  # the uniforms a sampled row draws at once from its sampling stream
 
 L0_FULL = "full"
 L0_NOUNS_ONLY = "nouns_only"
@@ -104,7 +103,8 @@ class LogitProvider(Protocol):
     ``logits`` returns a fresh float64 ``[vocab]`` array of finite scores, nothing
     masked; the optional ``logit_rows(histories, t, rngs)`` returns a fresh
     ``[rows, vocab]`` one, to serve all rows of a step in one call. ``rng`` is
-    always the row's own ``Generator`` (``rngs`` one per row), never None.
+    always the row's own ``Generator`` (``rngs`` one per row), never None, held by the
+    decode loop for the run: a provider may draw ahead from it and keep the draws.
     """
 
     vocab: Vocabulary
@@ -433,11 +433,11 @@ def decode(
 
     Each run is a row, a strategy's rows one contiguous lane. At step t one
     ``provider`` pass serves every unfinished row, a contrastive lane makes a
-    pass of its ``negatives`` provider (one per strategy, None for others) and
-    each lane adjusts its slice and chooses its rows; the candidate cut (each
-    row at its strategy's beta), the softmax and the ``GenerationRecord``
-    summary columns (gt and hal mass: the probability of ``gt_ids``, of
-    ``hal_ids``, the nouns of flb's ``nouns_only`` mask) run over all rows.
+    pass of its ``negatives`` provider (one per strategy, None for others),
+    each lane adjusts its slice and a greedy lane chooses its rows; the cut
+    (each row at its strategy's beta), the softmax, the sampled choice and the
+    ``GenerationRecord`` summary columns (gt and hal mass: the probability of
+    ``gt_ids``, of ``hal_ids``, the nouns of flb's ``nouns_only`` mask) run over all rows.
     A row retires at EOS or ``max_steps``. Each record is what decoding its run
     alone gives, bit for bit: rows share no random stream, and reductions go row
     by row. Only with ``record`` does a record keep each step's ``StepTrace``:
@@ -492,14 +492,13 @@ def decode(
         scores = parts[0] if whole else np.concatenate(parts)
         mask = None if beta is None else _candidate_mask(raw, temperature, beta, eos_id)
         probs, entropies = _softmax(scores, mask, temperature)
-        sampled = [rng is not None for rng in sample_rngs]
+        sampled, picks = [rng is not None for rng in sample_rngs], iter(())
         if t % UNIFORM_BLOCK == 0:  # rows in lockstep: step t takes column t % UNIFORM_BLOCK
-            uniforms = np.array([rng.random(UNIFORM_BLOCK) for rng in compress(sample_rngs, sampled)])
-        picks = iter(())
+            uniforms = np.array([g.random(UNIFORM_BLOCK) for g in compress(sample_rngs, sampled)])
         if len(uniforms):  # every sampled row in one call
             draws = uniforms[:, t % UNIFORM_BLOCK]
-            part = probs if len(draws) == n else probs[sampled]
-            picks = iter(_sample_rows(part, draws[0] if n == 1 else draws))
+            picks = iter(_sample_rows(probs if len(draws) == n else probs[sampled],
+                                      draws[0] if n == 1 else draws))
         chosen = []
         for lane in lanes:
             if lane.strategy.kind == GREEDY:
