@@ -267,7 +267,7 @@ def _noiseless_row(
     if variant is None or variant.kind in (NOISY_VISUAL, UNCONDITIONED):
         if variant is not None:
             shrink = 0.0 if variant.kind == UNCONDITIONED else 1.0 - variant.strength
-            gt, hal = scores[scene.gt_ids], scores[scene.hal_ids]  # the means .mean() gives
+            gt, hal = scores[scene.gt_ids], scores[scene.hal_ids]  # bit for bit what .mean() gives
             gt_mean, hal_mean = np.add.reduce(gt) / gt.size, np.add.reduce(hal) / hal.size
             mid = 0.5 * (gt_mean + hal_mean)
             scores[scene.gt_ids] += (mid + shrink * (gt_mean - mid)) - gt_mean
