@@ -499,6 +499,19 @@ def _copy_trace(source, path):
     return f"{path}: not the trace of a manifest seed"
 
 
+def _make_directory(path):
+    path.mkdir()
+    return f"{path}: not the trace of a manifest seed"
+
+
+def _replace_trace(strategy_dir, make):
+    """Put ``make(path)`` (a directory, a symlink) where seed 1's trace was."""
+    path = strategy_dir / "1.jsonl"
+    path.unlink()
+    make(path)
+    return f"{path}: missing; the manifest lists seed 1"
+
+
 def _edit_line(path, index, edit):
     """Replace line ``index`` of a JSONL file by ``edit`` of its record."""
     lines = path.read_text().splitlines()
@@ -624,9 +637,16 @@ class TestEvaluateTraces:
         _delete_trace,
         lambda d: _copy_trace(d / "1.jsonl", d / "2.jsonl"),
         lambda d: _copy_trace(d / "1.jsonl", d / "01.jsonl"),
+        # Every *.jsonl entry counts, as pathlib's glob lists it: a dot file and a
+        # directory too. A seed's trace that is no file, or a dangling symlink, is missing.
+        lambda d: _copy_trace(d / "1.jsonl", d / ".1.jsonl"),
+        lambda d: _make_directory(d / "x.jsonl"),
+        lambda d: _replace_trace(d, Path.mkdir),
+        lambda d: _replace_trace(d, lambda path: path.symlink_to(d / "gone")),
     ], ids=["other_jsonl_file", "header_without_seed", "n_steps_text", "step_array",
             "header_seed_not_file_name", "deleted_seed", "seed_not_in_manifest",
-            "seed_name_not_canonical"])
+            "seed_name_not_canonical", "dot_file", "directory_named_jsonl",
+            "directory_at_seed", "dangling_symlink_at_seed"])
     def test_malformed_trace_exits_3_naming_the_file(self, tmp_path, capsys, edit):
         sim_out = tmp_path / "sim"
         assert run_cli(
@@ -637,6 +657,21 @@ class TestEvaluateTraces:
         capsys.readouterr()
         assert run_cli("evaluate", "--traces", sim_out) == 3
         assert capsys.readouterr().err.startswith(f"error: {bad}")
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: (d / "notes.txt").write_text("not a trace\n"),
+        lambda d: (d / "1.jsonl").symlink_to((d / "1.jsonl").rename(d.parent / "1.jsonl")),
+    ], ids=["other_file_suffix", "symlink_to_a_trace"])
+    def test_trace_directory_extras_leave_the_report_unchanged(self, tmp_path, edit):
+        sim_out = tmp_path / "sim"
+        assert run_cli(
+            "simulate", "--strategies", "baseline", "--seeds", "0:2", "--max-steps", "5",
+            "--out", sim_out,
+        ) == 0
+        edit(sim_out / "traces" / "baseline")
+        assert run_cli("evaluate", "--traces", sim_out, "--out", tmp_path / "eval") == 0
+        assert (tmp_path / "eval" / "report.json").read_bytes() == \
+            (sim_out / "report.json").read_bytes()
 
     @pytest.mark.parametrize("line, field, value", [
         (0, "seed", 3.5), (0, "n_steps", 5.0001), (1, "t", 2.9), (1, "chosen", 1.5),
