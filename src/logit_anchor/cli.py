@@ -84,6 +84,7 @@ from .metrics import (
     read_trace,
     sentence_initial_stats,
     simulated_metrics,
+    step_table,
     summarize_record,
     write_trace,
 )
@@ -161,7 +162,7 @@ def sanitize_label(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9._,()=-]", "_", label)
 
 
-def _score(runs, lexicon, scene) -> dict:
+def _score(runs, lexicon, scene, steps=None) -> dict:
     """Score one label's runs as a corpus of captions of ``scene``: the label's
     block of ``report.json``, less the trace readouts only that report holds."""
     corpus = simulated_metrics(runs, lexicon, scene.cognition_objects)
@@ -169,7 +170,7 @@ def _score(runs, lexicon, scene) -> dict:
     return {
         "corpus": corpus.to_dict(),
         "traces": {
-            "hal_noun_rate": hal_noun_rate(runs, lexicon),
+            "hal_noun_rate": hal_noun_rate(runs, lexicon, steps=steps),
             "sentence_initial_the": {
                 "fraction": initial.the_fraction,
                 "count": initial.the_count,
@@ -214,7 +215,8 @@ def _trace_report(settings, stats_by_label, lexicon, scene):
     strategies = {}
     curves = {}
     for label, runs in stats_by_label.items():
-        strategies[label] = block = _score(runs, lexicon, scene)
+        steps = step_table(runs, lexicon)  # one table for the four step readouts
+        strategies[label] = block = _score(runs, lexicon, scene, steps)
         tokens = sum(len(run.chosen) for run in runs)
         calls = sum(sum(run.provider_calls) for run in runs)
         block["traces"].update(
@@ -222,12 +224,12 @@ def _trace_report(settings, stats_by_label, lexicon, scene):
             provider_calls_per_token=calls / tokens if tokens else 0.0,
             entropy={
                 name: {"mean": cell.mean_entropy, "count": cell.count}
-                for name, cell in entropy_stats(runs, lexicon).items()
+                for name, cell in entropy_stats(runs, lexicon, steps=steps).items()
             },
-            article=article_stats(runs, lexicon).to_dict(),
+            article=article_stats(runs, lexicon, steps=steps).to_dict(),
         )
         curves[label] = [
-            asdict(b) for b in positional_curves(runs, lexicon, settings["bin_width"])
+            asdict(b) for b in positional_curves(runs, lexicon, settings["bin_width"], steps=steps)
         ]
     return {**settings, "strategies": strategies, "curves": curves}
 
@@ -383,13 +385,15 @@ def read_trace_dir(traces_dir: Path):
             raise InputError(f"{traces_dir}: missing trace directory for {label!r}")
         kind = label.partition("(")[0]
         calls = 2 if kind in CONTRASTIVE_KINDS else 1  # the call-count law
-        files = {seed: strategy_dir / f"{seed}.jsonl" for seed in sorted(seeds)}
-        extra = sorted(set(strategy_dir.glob("*.jsonl")) - set(files.values()))
+        with os.scandir(strategy_dir) as entries:  # every *.jsonl: dot files, directories too
+            listed = {entry.path: entry for entry in entries if entry.name.endswith(".jsonl")}
+        files = {seed: f"{strategy_dir}/{seed}.jsonl" for seed in sorted(seeds)}
+        extra = sorted(listed.keys() - files.values())
         if extra:
             raise InputError(f"{extra[0]}: not the trace of a manifest seed")
         stats_by_label[label] = runs = []
         for seed, path in files.items():
-            if not path.is_file():
+            if path not in listed or not listed[path].is_file():  # is_file follows a symlink
                 raise InputError(f"{path}: missing; the manifest lists seed {seed}")
             run = read_trace(path)
             runs.append(run)

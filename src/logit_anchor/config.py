@@ -72,7 +72,8 @@ def check_run_settings(max_steps: int, temperature: float, bin_width: int) -> No
 def read_input_text(path) -> str:
     """The file at ``path`` as UTF-8 text."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the name
         raise InputError(f"cannot read {path}: {exc}") from exc
 

@@ -13,6 +13,8 @@ between the trees. The commands:
   icd beside the sampled lanes, 40 seeds up to 280 steps, ``--temperature 0.7``
   and ``--full-dist``, whose rows retire in the middle of the provider's jitter
   tapes and the decode loop's uniform blocks;
+- ``evaluate --traces`` on that long run, so the trace reader reads 280-step
+  traces that hold ``dist`` fields, with greedy and icd lanes among them;
 - the default ``sweep`` and the default ``ablate``;
 - ``evaluate`` on the golden corpus (each tree's own ``data/`` files).
 
@@ -41,6 +43,7 @@ COMMANDS = (
     ("long", ["simulate", "--scene", "strong-decay",
               "--strategies", "baseline:beta=0.1;greedy;vcd;icd;m3id;flb", "--seeds", "0:40",
               "--max-steps", "280", "--temperature", "0.7", "--full-dist", "--out", "long"]),
+    ("long_evaluate", ["evaluate", "--traces", "long", "--out", "long_evaluate"]),
     ("sweep", ["sweep", "--out", "sweep"]),
     ("ablate", ["ablate", "--out", "ablate"]),
     ("golden", ["evaluate", "--captions", "{data}/golden_captions.jsonl",
