@@ -386,14 +386,16 @@ def read_trace_dir(traces_dir: Path):
         kind = label.partition("(")[0]
         calls = 2 if kind in CONTRASTIVE_KINDS else 1  # the call-count law
         with os.scandir(strategy_dir) as entries:  # every *.jsonl: dot files, directories too
-            listed = {entry.path: entry for entry in entries if entry.name.endswith(".jsonl")}
-        files = {seed: f"{strategy_dir}/{seed}.jsonl" for seed in sorted(seeds)}
-        extra = sorted(listed.keys() - files.values())
+            is_file = {entry.name: entry.is_file(follow_symlinks=False) or os.path.isfile(entry)
+                       for entry in entries if entry.name.endswith(".jsonl")}  # symlinks followed
+        files = {seed: f"{seed}.jsonl" for seed in sorted(seeds)}
+        extra = sorted(is_file.keys() - files.values())
         if extra:
-            raise InputError(f"{extra[0]}: not the trace of a manifest seed")
+            raise InputError(f"{strategy_dir / extra[0]}: not the trace of a manifest seed")
         stats_by_label[label] = runs = []
-        for seed, path in files.items():
-            if path not in listed or not listed[path].is_file():  # is_file follows a symlink
+        for seed, name in files.items():
+            path = f"{strategy_dir}/{name}"
+            if not is_file.get(name):
                 raise InputError(f"{path}: missing; the manifest lists seed {seed}")
             run = read_trace(path)
             runs.append(run)

@@ -447,8 +447,7 @@ def positional_curves(
     runs: Sequence[RunStats],
     lexicon: TraceLexicon,
     bin_width: int = DEFAULT_BIN_WIDTH,
-    *,
-    steps=None,
+    *, steps=None,
 ) -> tuple[CurveBin, ...]:
     """Probability-mass curves over step bins, restricted to noun slots: the
     steps whose previous emission in the run is an article."""

@@ -643,10 +643,11 @@ class TestEvaluateTraces:
         lambda d: _make_directory(d / "x.jsonl"),
         lambda d: _replace_trace(d, Path.mkdir),
         lambda d: _replace_trace(d, lambda path: path.symlink_to(d / "gone")),
+        lambda d: _replace_trace(d, lambda path: path.symlink_to(path)),
     ], ids=["other_jsonl_file", "header_without_seed", "n_steps_text", "step_array",
             "header_seed_not_file_name", "deleted_seed", "seed_not_in_manifest",
             "seed_name_not_canonical", "dot_file", "directory_named_jsonl",
-            "directory_at_seed", "dangling_symlink_at_seed"])
+            "directory_at_seed", "dangling_symlink_at_seed", "symlink_loop_at_seed"])
     def test_malformed_trace_exits_3_naming_the_file(self, tmp_path, capsys, edit):
         sim_out = tmp_path / "sim"
         assert run_cli(
