@@ -480,6 +480,15 @@ class TestEvaluateCorpus:
         assert run_cli("evaluate", *argv) == 3
         assert capsys.readouterr().err.startswith(message)
 
+    def test_file_path_ending_in_a_slash_exits_3(self, capsys):
+        """A path is opened as given, and "<file>/" names no file: Path() used to drop the
+        slash, so the captions file was read."""
+        argv = list(GOLDEN)
+        argv[1] += "/"
+        assert run_cli("evaluate", *argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {argv[1]}: ") and "Not a directory" in err
+
 
 def _add_notes_file(strategy_dir):
     path = strategy_dir / "notes.jsonl"
