@@ -84,7 +84,6 @@ from .metrics import (
     read_trace,
     sentence_initial_stats,
     simulated_metrics,
-    step_table,
     summarize_record,
     write_trace,
 )
@@ -162,7 +161,7 @@ def sanitize_label(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9._,()=-]", "_", label)
 
 
-def _score(runs, lexicon, scene, steps=None) -> dict:
+def _score(runs, lexicon, scene) -> dict:
     """Score one label's runs as a corpus of captions of ``scene``: the label's
     block of ``report.json``, less the trace readouts only that report holds."""
     corpus = simulated_metrics(runs, lexicon, scene.cognition_objects)
@@ -170,7 +169,7 @@ def _score(runs, lexicon, scene, steps=None) -> dict:
     return {
         "corpus": corpus.to_dict(),
         "traces": {
-            "hal_noun_rate": hal_noun_rate(runs, lexicon, steps=steps),
+            "hal_noun_rate": hal_noun_rate(runs, lexicon),
             "sentence_initial_the": {
                 "fraction": initial.the_fraction,
                 "count": initial.the_count,
@@ -215,8 +214,7 @@ def _trace_report(settings, stats_by_label, lexicon, scene):
     strategies = {}
     curves = {}
     for label, runs in stats_by_label.items():
-        steps = step_table(runs, lexicon)  # one table for the four step readouts
-        strategies[label] = block = _score(runs, lexicon, scene, steps)
+        strategies[label] = block = _score(runs, lexicon, scene)
         tokens = sum(len(run.chosen) for run in runs)
         calls = sum(sum(run.provider_calls) for run in runs)
         block["traces"].update(
@@ -224,12 +222,12 @@ def _trace_report(settings, stats_by_label, lexicon, scene):
             provider_calls_per_token=calls / tokens if tokens else 0.0,
             entropy={
                 name: {"mean": cell.mean_entropy, "count": cell.count}
-                for name, cell in entropy_stats(runs, lexicon, steps=steps).items()
+                for name, cell in entropy_stats(runs, lexicon).items()
             },
-            article=article_stats(runs, lexicon, steps=steps).to_dict(),
+            article=article_stats(runs, lexicon).to_dict(),
         )
         curves[label] = [
-            asdict(b) for b in positional_curves(runs, lexicon, settings["bin_width"], steps=steps)
+            asdict(b) for b in positional_curves(runs, lexicon, settings["bin_width"])
         ]
     return {**settings, "strategies": strategies, "curves": curves}
 
@@ -385,9 +383,12 @@ def read_trace_dir(traces_dir: Path):
             raise InputError(f"{traces_dir}: missing trace directory for {label!r}")
         kind = label.partition("(")[0]
         calls = 2 if kind in CONTRASTIVE_KINDS else 1  # the call-count law
-        with os.scandir(strategy_dir) as entries:  # every *.jsonl: dot files, directories too
-            is_file = {entry.name: entry.is_file(follow_symlinks=False) or os.path.isfile(entry)
-                       for entry in entries if entry.name.endswith(".jsonl")}  # symlinks followed
+        try:  # every *.jsonl entry: dot files and directories too
+            with os.scandir(strategy_dir) as entries:
+                is_file = {entry.name: entry.is_file(follow_symlinks=False) or os.path.isfile(entry)
+                           for entry in entries if entry.name.endswith(".jsonl")}  # via symlinks
+        except OSError as exc:  # say, a directory that can be searched but not listed
+            raise InputError(f"cannot read {strategy_dir}: {exc}") from exc
         files = {seed: f"{seed}.jsonl" for seed in sorted(seeds)}
         extra = sorted(is_file.keys() - files.values())
         if extra:
@@ -397,7 +398,7 @@ def read_trace_dir(traces_dir: Path):
             path = f"{strategy_dir}/{name}"
             if not is_file.get(name):
                 raise InputError(f"{path}: missing; the manifest lists seed {seed}")
-            run = read_trace(path)
+            run = read_trace(path, as_given=True)  # built in Path's form
             runs.append(run)
             if run.seed != seed:
                 raise InputError(f"{path}: header seed {run.seed} does not match the file name")

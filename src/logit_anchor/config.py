@@ -69,10 +69,11 @@ def check_run_settings(max_steps: int, temperature: float, bin_width: int) -> No
 # -- JSON input -------------------------------------------------------------------
 
 
-def read_input_text(path) -> str:
-    """The file at ``path`` as UTF-8 text."""
+def read_input_text(path, *, as_given=False) -> str:
+    """The file at ``path`` as UTF-8 text. ``Path`` reads ``path`` first ("c.jsonl/"
+    names c.jsonl), unless ``as_given``: a path already in that form skips the parse."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path if as_given else Path(path), encoding="utf-8") as fh:
             return fh.read()
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the name
         raise InputError(f"cannot read {path}: {exc}") from exc

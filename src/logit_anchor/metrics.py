@@ -323,7 +323,7 @@ class TraceLexicon:
     ``gt_objects``, ``hal_objects``, ``articles``). ``the`` and ``a`` hold the
     articles grouped case-insensitively on the token string: "The"/"the" and
     "A"/"a". Each row has one slot past the vocabulary, always False, which
-    every id outside the vocabulary reads (``step_table`` clips ids onto it). A
+    every id outside the vocabulary reads (``_steps`` clips ids onto it). A
     lexicon equals only itself: its rows are arrays, which compare by element.
     """
 
@@ -412,12 +412,11 @@ def _column(runs: Sequence[RunStats], name: str, dtype=np.float64) -> np.ndarray
     return np.fromiter(chain.from_iterable(getattr(run, name) for run in runs), dtype)
 
 
-def step_table(runs: Sequence[RunStats], lexicon: TraceLexicon) -> tuple[np.ndarray, ...]:
+def _steps(runs: Sequence[RunStats], lexicon: TraceLexicon) -> tuple[np.ndarray, ...]:
     """Every step's chosen id, the id chosen just before it in its own run (-1 at
     a run's first step, so no id leaks from one run into the next), and its t.
     An id outside the vocabulary is clipped onto -1 or the vocabulary's size:
-    either reads the lexicon rows' last slot, which is in no class. The four
-    readouts below take it as ``steps``, so that one table serves all four."""
+    either reads the lexicon rows' last slot, which is in no class."""
     lengths = np.array([len(run.chosen) for run in runs], dtype=np.intp)
     t = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     chosen = np.clip(_column(runs, "chosen", np.int64), -1, lexicon.vocab.size)
@@ -447,13 +446,12 @@ def positional_curves(
     runs: Sequence[RunStats],
     lexicon: TraceLexicon,
     bin_width: int = DEFAULT_BIN_WIDTH,
-    *, steps=None,
 ) -> tuple[CurveBin, ...]:
     """Probability-mass curves over step bins, restricted to noun slots: the
     steps whose previous emission in the run is an article."""
     if bin_width < 1:
         raise ConfigError(f"bin_width must be >= 1, got {bin_width}")
-    _, prev, t = steps or step_table(runs, lexicon)
+    _, prev, t = _steps(runs, lexicon)
     slot = lexicon.article[prev]
     # Past the last step every width gives bin 0, and it need not fit an int64.
     bins = t[slot] // min(bin_width, len(t) + 1)
@@ -506,9 +504,9 @@ def _article_cell(prob: np.ndarray, is_gt: np.ndarray, emitted: np.ndarray) -> A
     )
 
 
-def article_stats(runs: Sequence[RunStats], lexicon: TraceLexicon, *, steps=None) -> ArticleStats:
+def article_stats(runs: Sequence[RunStats], lexicon: TraceLexicon) -> ArticleStats:
     """How noun choice and noun confidence depend on the preceding article."""
-    chosen, prev, _ = steps or step_table(runs, lexicon)
+    chosen, prev, _ = _steps(runs, lexicon)
     is_gt = lexicon.gt[chosen]
     noun = is_gt | lexicon.hal[chosen]
     prob = _column(runs, "chosen_prob")
@@ -525,7 +523,7 @@ class EntropyCell:
 
 
 def entropy_stats(
-    runs: Sequence[RunStats], lexicon: TraceLexicon, *, steps=None
+    runs: Sequence[RunStats], lexicon: TraceLexicon
 ) -> dict[str, EntropyCell]:
     """Mean step entropy by emission group.
 
@@ -533,7 +531,7 @@ def entropy_stats(
     after_the + after_other partition all_nouns, and after_a is a subset of
     after_other.
     """
-    chosen, prev, _ = steps or step_table(runs, lexicon)
+    chosen, prev, _ = _steps(runs, lexicon)
     entropy = _column(runs, "entropy")
     gt = lexicon.gt[chosen]
     noun = gt | lexicon.hal[chosen]
@@ -573,9 +571,9 @@ def sentence_initial_stats(runs: Sequence[RunStats]) -> SentenceInitialStats:
     )
 
 
-def hal_noun_rate(runs: Sequence[RunStats], lexicon: TraceLexicon, *, steps=None) -> float:
+def hal_noun_rate(runs: Sequence[RunStats], lexicon: TraceLexicon) -> float:
     """Aggregate hallucinated share of emitted nouns across runs, multiplicity kept."""
-    chosen = (steps or step_table(runs, lexicon))[0]
+    chosen = _steps(runs, lexicon)[0]
     nouns = int(np.count_nonzero(lexicon.gt[chosen] | lexicon.hal[chosen]))
     hal = int(np.count_nonzero(lexicon.hal[chosen]))  # the hal nouns are a subset of the nouns
     return hal / nouns if nouns else 0.0
@@ -670,14 +668,15 @@ _step_fields = itemgetter(*_STEP_FIELDS)
 _STEP_READS = (read_int, read_int, read_string, *[read_float] * 4, read_int)
 
 
-def read_trace(path) -> RunStats:
+def read_trace(path, *, as_given=False) -> RunStats:
     """Read one JSONL trace back into the summary form; a malformed record (say,
     a field of another JSON type than the writer's, though an integer is read as
     a float; a chosen_prob of 0, gt and hal mass summing above 1, a negative
     entropy, steps out of order, or a run header that holds a key other than the
     six ``write_trace`` writes, lacks one, or whose text is not the steps' tokens
-    joined by spaces) is an InputError naming the file, the line and the field."""
-    text = read_input_text(path)
+    joined by spaces) is an InputError naming the file, the line and the field.
+    ``as_given`` opens ``path`` as it stands (``read_input_text``)."""
+    text = read_input_text(path, as_given=as_given)
     records = read_jsonl(text, path)
     accepted = _trace_columns(records)
     if accepted is None:
@@ -703,8 +702,7 @@ def _trace_columns(records: list) -> tuple[int, tuple] | None:
     try:
         kinds = tuple(map(itemgetter("kind"), records))
         at = kinds.index("run")
-        steps = records[:at] + records[at + 1:] if at else records[1:]  # the writer's header first
-        t, *columns = tuple(zip(*map(_step_fields, steps))) or ((),) * 8
+        t, *columns = tuple(zip(*map(_step_fields, records[:at] + records[at + 1:]))) or ((),) * 8
         chosen, tokens, *floats, calls = columns
         float_types = set(map(type, chain(*floats)))
         if int in float_types:  # an integer is a number too

@@ -480,14 +480,15 @@ class TestEvaluateCorpus:
         assert run_cli("evaluate", *argv) == 3
         assert capsys.readouterr().err.startswith(message)
 
-    def test_file_path_ending_in_a_slash_exits_3(self, capsys):
-        """A path is opened as given, and "<file>/" names no file: Path() used to drop the
-        slash, so the captions file was read."""
+    @pytest.mark.parametrize("index", [1, 3, 5], ids=["captions", "annotations", "lexicon"])
+    def test_file_path_ending_in_a_slash_names_the_file(self, capsys, index):
+        """A path given on the command line is read as Path reads it: "<file>/" is <file>."""
+        assert run_cli("evaluate", *GOLDEN) == 0
+        want = capsys.readouterr().out
         argv = list(GOLDEN)
-        argv[1] += "/"
-        assert run_cli("evaluate", *argv) == 3
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot read {argv[1]}: ") and "Not a directory" in err
+        argv[index] += "/"
+        assert run_cli("evaluate", *argv) == 0
+        assert capsys.readouterr().out == want
 
 
 def _add_notes_file(strategy_dir):
@@ -667,6 +668,24 @@ class TestEvaluateTraces:
         capsys.readouterr()
         assert run_cli("evaluate", "--traces", sim_out) == 3
         assert capsys.readouterr().err.startswith(f"error: {bad}")
+
+    def test_unlistable_trace_directory_exits_3_naming_it(self, tmp_path, capsys, monkeypatch):
+        """A directory that can be searched but not listed (mode -wx, for a user other than
+        root) cannot be checked for extra entries, so it is an input error naming it."""
+        sim_out = tmp_path / "sim"
+        assert run_cli(
+            "simulate", "--strategies", "baseline", "--seeds", "0:2", "--max-steps", "5",
+            "--out", sim_out,
+        ) == 0
+
+        def refuse(path):
+            raise PermissionError(13, "Permission denied", os.fspath(path))
+
+        monkeypatch.setattr(os, "scandir", refuse)
+        assert run_cli("evaluate", "--traces", sim_out) == 3
+        strategy_dir = sim_out / "traces" / "baseline"
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read {strategy_dir}: [Errno 13] Permission denied: '{strategy_dir}'")
 
     @pytest.mark.parametrize("edit", [
         lambda d: (d / "notes.txt").write_text("not a trace\n"),

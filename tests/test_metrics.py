@@ -536,17 +536,15 @@ class TestColumnMetricsProperty:
     @example(runs=[_run([NOUNS[0], ARTICLES[0]]), _run([]), _run([NOUNS[1], ARTICLES[2]]),
                    _run([NOUNS[9], NOUNS[2]])], bin_width=1)
     def test_metrics_equal_the_per_step_references(self, runs, bin_width):
-        # Each step readout builds its own step table, or reads one built for all four.
-        for shared in ({}, {"steps": metrics.step_table(runs, LEXICON)}):
-            for got, want in [
-                (positional_curves(runs, LEXICON, bin_width, **shared),
-                 oracle.positional_curves(runs, SCENE, bin_width)),
-                (article_stats(runs, LEXICON, **shared), oracle.article_stats(runs, SCENE)),
-                (entropy_stats(runs, LEXICON, **shared), oracle.entropy_stats(runs, SCENE)),
-                (hal_noun_rate(runs, LEXICON, **shared), oracle.hal_noun_rate(runs, SCENE)),
-                (sentence_initial_stats(runs), oracle.sentence_initial_stats(runs)),
-            ]:
-                assert repr(got) == repr(want)  # repr tells every float apart, -0.0 from 0.0
+        for got, want in [
+            (positional_curves(runs, LEXICON, bin_width),
+             oracle.positional_curves(runs, SCENE, bin_width)),
+            (article_stats(runs, LEXICON), oracle.article_stats(runs, SCENE)),
+            (entropy_stats(runs, LEXICON), oracle.entropy_stats(runs, SCENE)),
+            (hal_noun_rate(runs, LEXICON), oracle.hal_noun_rate(runs, SCENE)),
+            (sentence_initial_stats(runs), oracle.sentence_initial_stats(runs)),
+        ]:
+            assert repr(got) == repr(want)  # repr tells every float apart, -0.0 from 0.0 too
 
     def test_an_id_outside_the_vocabulary_is_in_no_class(self):
         """A negative id does not wrap onto a token, nor does an id past the vocabulary raise."""
