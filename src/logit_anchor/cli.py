@@ -131,9 +131,7 @@ def _formats(args) -> set[str]:
 
 def _out_dir(path) -> Path:
     """The --out directory ``path``, checked before any work by making it and removing what
-    was made (the writers make it again); one that is empty or cannot be made is a ConfigError."""
-    if not path:  # Path("") is the working directory
-        raise ConfigError("--out: '' is empty, not an output directory")
+    was made (the writers make it again); one that cannot be made is a ConfigError."""
     out = Path(path)
     try:
         made = [p for p in (out, *out.parents) if not p.exists()]
@@ -398,7 +396,7 @@ def read_trace_dir(traces_dir: Path):
             path = f"{strategy_dir}/{name}"
             if not is_file.get(name):
                 raise InputError(f"{path}: missing; the manifest lists seed {seed}")
-            run = read_trace(path, as_given=True)  # built in Path's form
+            run = read_trace(path)  # a string in Path's form: opened with no Path parse
             runs.append(run)
             if run.seed != seed:
                 raise InputError(f"{path}: header seed {run.seed} does not match the file name")
@@ -448,8 +446,6 @@ def _evaluate_traces(args, out: Path | None) -> int:
 def cmd_evaluate(args) -> int:
     corpus = {f"--{key}": getattr(args, key) for key in ("captions", "annotations", "lexicon")}
     given = [flag for flag, value in corpus.items() if value is not None]
-    if args.traces == "":  # Path("") is the working directory
-        raise ConfigError("--traces: '' is empty, not a simulate output directory")
     if args.traces and given:
         raise ConfigError(f"--traces re-scores a simulate output; {', '.join(given)} "
                           "cannot be given with it")
@@ -678,6 +674,8 @@ def build_parser() -> argparse.ArgumentParser:
 # The numeric flags, by dest, each read from its text by ``config.parse_number``.
 NUMBER_FLAGS = {"max_steps": int, "temperature": float, "bin_width": int, "jobs": int,
                 "min_tokens": int, "gamma": float, "lam": float, "beta": float}
+# The path flags, by dest: '' names no path (Path("") is the working directory).
+PATH_FLAGS = ("config", "captions", "annotations", "lexicon", "traces", "out")
 
 
 def main(argv=None) -> int:
@@ -687,6 +685,9 @@ def main(argv=None) -> int:
         for key, kind in NUMBER_FLAGS.items():
             if isinstance(getattr(args, key, None), str):  # a flag given, not a default value
                 setattr(args, key, parse_number(getattr(args, key), key, kind))
+        for key in PATH_FLAGS:
+            if getattr(args, key, None) == "":
+                raise ConfigError(f"--{key}: '' is empty, not a path")
         code = args.func(args)
         sys.stdout.flush()
         return code
@@ -706,7 +707,3 @@ def main(argv=None) -> int:
     except LogitAnchorError as exc:  # ContractError or any future subclass
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -69,11 +69,10 @@ def check_run_settings(max_steps: int, temperature: float, bin_width: int) -> No
 # -- JSON input -------------------------------------------------------------------
 
 
-def read_input_text(path, *, as_given=False) -> str:
-    """The file at ``path`` as UTF-8 text. ``Path`` reads ``path`` first ("c.jsonl/"
-    names c.jsonl), unless ``as_given``: a path already in that form skips the parse."""
+def read_input_text(path) -> str:
+    """The file at ``path``, opened as it stands, as UTF-8 text."""
     try:
-        with open(path if as_given else Path(path), encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the name
         raise InputError(f"cannot read {path}: {exc}") from exc
@@ -126,9 +125,9 @@ def jsonl_line_numbers(text: str) -> list[int]:
 
 
 def load_json_file(path):
-    """The JSON value in the config or scene file at ``path``."""
+    """The JSON value in the config or scene file at ``path``, read as ``Path`` reads it."""
     try:
-        return parse_json(read_input_text(path), path)
+        return parse_json(read_input_text(Path(path)), path)
     except InputError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -161,12 +161,12 @@ def _annotations(data) -> list[Annotation]:
 
 
 def load_corpus(captions, annotations, lexicon):
-    """The captions, annotations and lexicon in a captions JSONL file, an
-    annotations JSON array and an object lexicon JSON file; a bad value is an
-    InputError naming its file."""
-    corpus = [load_captions_jsonl(read_input_text(captions), str(captions))]
+    """The captions, annotations and lexicon in a captions JSONL file, an annotations JSON
+    array and an object lexicon JSON file, each path read as ``Path`` reads it ("c.jsonl/"
+    names c.jsonl); a bad value is an InputError naming its file."""
+    corpus = [load_captions_jsonl(read_input_text(Path(captions)), str(captions))]
     for path, build in ((annotations, _annotations), (lexicon, ObjectLexicon.from_dict)):
-        data = parse_json(read_input_text(path), path)
+        data = parse_json(read_input_text(Path(path)), path)
         with naming(path, InputError):
             corpus.append(build(data))
     return tuple(corpus)
@@ -668,15 +668,15 @@ _step_fields = itemgetter(*_STEP_FIELDS)
 _STEP_READS = (read_int, read_int, read_string, *[read_float] * 4, read_int)
 
 
-def read_trace(path, *, as_given=False) -> RunStats:
+def read_trace(path) -> RunStats:
     """Read one JSONL trace back into the summary form; a malformed record (say,
     a field of another JSON type than the writer's, though an integer is read as
     a float; a chosen_prob of 0, gt and hal mass summing above 1, a negative
     entropy, steps out of order, or a run header that holds a key other than the
     six ``write_trace`` writes, lacks one, or whose text is not the steps' tokens
     joined by spaces) is an InputError naming the file, the line and the field.
-    ``as_given`` opens ``path`` as it stands (``read_input_text``)."""
-    text = read_input_text(path, as_given=as_given)
+    ``path`` is opened as it stands (``read_input_text``)."""
+    text = read_input_text(path)
     records = read_jsonl(text, path)
     accepted = _trace_columns(records)
     if accepted is None:

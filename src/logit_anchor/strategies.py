@@ -1,9 +1,10 @@
 """Decoding strategies over an abstract logit provider.
 
-A provider (``LogitProvider``) is anything with ``vocab``, ``eos_id``, a
-``calls`` counter, and ``logits(history, t, rng) -> [vocab] array``; it may
-also offer ``logit_rows(histories, t, rngs) -> [rows, vocab] array`` to serve
-many rows in one call. Three decoding families are implemented on top of it:
+A provider (``LogitProvider``) has ``vocab``, ``eos_id``, a ``calls`` counter and
+``logit_rows(histories, t, rngs) -> [rows, vocab] array``, which serves a step's rows in
+one call, the route of every provider the package builds; ``logits(history, t, rng) ->
+[vocab] array`` is the per-row fallback kept for outside wrappers such as the benchmark
+replay's timing wrapper. Three decoding families are implemented on top of it:
 
 * plain ancestral sampling / greedy, optionally with the adaptive candidate
   constraint (one provider call per step);
@@ -100,11 +101,12 @@ NEGATIVE_KIND_FOR = {
 class LogitProvider(Protocol):
     """Structural interface the decode loop consumes.
 
-    ``logits`` returns a fresh float64 ``[vocab]`` array of finite scores, nothing
-    masked; the optional ``logit_rows(histories, t, rngs)`` returns a fresh
-    ``[rows, vocab]`` one, to serve all rows of a step in one call. ``rng`` is
-    always the row's own ``Generator`` (``rngs`` one per row), never None, held by the
-    decode loop for the run: a provider may draw ahead from it and keep the draws.
+    ``logit_rows(histories, t, rngs)``, the route of every provider the package builds,
+    returns a fresh float64 ``[rows, vocab]`` array of finite scores, nothing masked, for a
+    step's rows; ``logits``, declared here, returns one ``[vocab]`` row, the per-row fallback
+    kept for outside wrappers such as the benchmark replay's. ``rng`` is always the row's
+    own ``Generator`` (``rngs`` one per row), never None, held by the decode loop for the
+    run: a provider may draw ahead from it and keep the draws.
     """
 
     vocab: Vocabulary

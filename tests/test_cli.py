@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from logit_anchor import cli, metrics, runner
 from logit_anchor.cli import main, sanitize_label
 from logit_anchor.config import SEED_ENV_VAR, SIMULATE_KEYS
+from logit_anchor.errors import ContractError
 from logit_anchor.metrics import CaptionRecord, load_captions_jsonl
 from logit_anchor.simulator import default_scene, scene_to_dict
 
@@ -256,6 +257,17 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "error:" in err and message in err
 
+    def test_broken_invariant_exits_4(self, tmp_path, capsys, monkeypatch):
+        """A ContractError, which no user input should reach, is exit 4 and one line."""
+        def broken(*args, **kwargs):
+            raise ContractError("step 3: 5 provider calls do not split over 2 rows")
+
+        monkeypatch.setattr(cli, "run_many", broken)
+        assert run_cli("simulate", "--seeds", "0", "--out", tmp_path / "o") == 4
+        # one line, and no traceback
+        assert capsys.readouterr().err == \
+            "internal error: step 3: 5 provider calls do not split over 2 rows\n"
+
     def test_closed_stdout_exits_cleanly(self, tmp_path):
         import os
         import subprocess
@@ -265,7 +277,7 @@ class TestSimulate:
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         env.pop(SEED_ENV_VAR, None)
         proc = subprocess.Popen(
-            [sys.executable, "-m", "logit_anchor.cli", "simulate", "--seeds", "0:5",
+            [sys.executable, "-m", "logit_anchor", "simulate", "--seeds", "0:5",
              "--max-steps", "10", "--format", "json", "--out", str(out)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         )
@@ -312,8 +324,7 @@ class TestEvaluateCorpus:
     def test_empty_traces_exits_2(self, capsys):
         """``--traces ''`` fell into corpus mode, whose error asked for --traces."""
         assert run_cli("evaluate", "--traces", "") == 2
-        assert capsys.readouterr().err == \
-            "error: --traces: '' is empty, not a simulate output directory\n"
+        assert capsys.readouterr().err == "error: --traces: '' is empty, not a path\n"
 
     def test_lexicon_not_an_object_exits_3_naming_it(self, tmp_path, capsys):
         bad = tmp_path / "lexicon.json"
@@ -480,15 +491,27 @@ class TestEvaluateCorpus:
         assert run_cli("evaluate", *argv) == 3
         assert capsys.readouterr().err.startswith(message)
 
-    @pytest.mark.parametrize("index", [1, 3, 5], ids=["captions", "annotations", "lexicon"])
-    def test_file_path_ending_in_a_slash_names_the_file(self, capsys, index):
+    @pytest.mark.parametrize("flag", ["--captions", "--annotations", "--lexicon", "--config",
+                                      "--scene"], ids=lambda flag: flag[2:])
+    def test_file_path_ending_in_a_slash_names_the_file(self, tmp_path, flag):
         """A path given on the command line is read as Path reads it: "<file>/" is <file>."""
-        assert run_cli("evaluate", *GOLDEN) == 0
-        want = capsys.readouterr().out
-        argv = list(GOLDEN)
-        argv[index] += "/"
-        assert run_cli("evaluate", *argv) == 0
-        assert capsys.readouterr().out == want
+        if flag in GOLDEN:
+            argv = ["evaluate", *GOLDEN]
+        else:
+            path = tmp_path / "s.json"
+            if flag == "--config":
+                path.write_text(json.dumps({"strategies": ["baseline"], "seeds": [0, 1],
+                                            "max_steps": 8}))
+                argv = ["simulate", "--config", str(path)]
+            else:
+                path.write_text(json.dumps(scene_to_dict(default_scene())))
+                argv = ["simulate", "--scene", str(path), "--strategies", "baseline",
+                        "--seeds", "0:2", "--max-steps", "8"]
+        assert run_cli(*argv, "--out", tmp_path / "plain") == 0
+        argv[argv.index(flag) + 1] += "/"
+        assert run_cli(*argv, "--out", tmp_path / "slash") == 0
+        assert ((tmp_path / "plain" / "report.json").read_bytes()
+                == (tmp_path / "slash" / "report.json").read_bytes())
 
 
 def _add_notes_file(strategy_dir):
@@ -1528,6 +1551,25 @@ def _subparsers() -> dict:
     return next(a for a in actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
+class TestEmptyPath:
+    """A file flag given '' names no path: Path('') is the working directory, which --config,
+    --captions, --annotations and --lexicon tried to read as a file, naming neither the flag
+    nor a path given ("cannot read : [Errno 21] Is a directory: '.'"). The same rule covers
+    --traces and --out (``test_empty_traces_exits_2``, ``TestOutPath``)."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["simulate", "--config", ""], "config"),
+        (["sweep", "--config", ""], "config"),
+        *[(["evaluate", *GOLDEN[:index], "", *GOLDEN[index + 1:]], GOLDEN[index - 1][2:])
+          for index in (1, 3, 5)],
+    ], ids=["simulate_config", "sweep_config", "captions", "annotations", "lexicon"])
+    def test_empty_path_exits_2_naming_the_flag(self, tmp_path, capsys, monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"error: --{flag}: '' is empty, not a path\n"
+        assert not list(tmp_path.iterdir())
+
+
 class TestOutPath:
     """An --out that is empty, names a file, or lies under one, is a configuration error."""
 
@@ -1537,7 +1579,7 @@ class TestOutPath:
         nothing), as Path('') is the working directory."""
         monkeypatch.chdir(tmp_path)
         assert run_cli(*argv, "--out", "") == 2
-        assert capsys.readouterr().err == "error: --out: '' is empty, not an output directory\n"
+        assert capsys.readouterr().err == "error: --out: '' is empty, not a path\n"
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", OUT_COMMANDS, ids=lambda argv: argv[0])
@@ -1904,3 +1946,65 @@ class TestWrongJsonTypeProperty:
         else:  # a config or scene file's error names the file too
             held = tmp / ("scene.json" if site == "scene" else "cfg.json")
             assert code == 2 and err.startswith(f"error: {held}: {key}: "), err
+
+
+def _extreme_numbers():
+    """Numbers of either sign and any magnitude up to 1e308: a sign, a mantissa and a power
+    of ten drawn apart, Hypothesis's own edge floats (0.0, -0.0, subnormals), and integers."""
+    return st.one_of(
+        st.builds(lambda sign, mantissa, exponent: sign * mantissa * 10.0 ** exponent,
+                  st.sampled_from((1, -1)), st.floats(1, 9.99), st.integers(-308, 307)),
+        st.floats(-1e308, 1e308),
+        st.integers(-10**308, 10**308),
+    )
+
+
+# The numeric values of a scene file: its scalars, and each entry of its array and object.
+_SCENE_SCALARS = ("decay_kappa", "decay_depth", "noise_sigma", "grammar_penalty")
+
+
+@st.composite
+def _extreme_scene(draw):
+    """The default scene with one to six of its numeric values drawn by ``_extreme_numbers``."""
+    spec = scene_to_dict(default_scene())
+    for _ in range(draw(st.integers(1, 6))):
+        key = draw(st.sampled_from((*_SCENE_SCALARS, "base_logits", "article_grounding")))
+        if key in _SCENE_SCALARS:
+            spec[key] = draw(_extreme_numbers())
+        else:
+            spec[key][draw(st.sampled_from(list(range(len(spec[key]))) if type(spec[key]) is list
+                                           else list(spec[key])))] = draw(_extreme_numbers())
+    return spec
+
+
+def _quiet(*argv) -> tuple[int, str]:
+    """``run_cli``'s exit code and stderr, with stdout dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run_cli(*argv)
+    return code, err.getvalue()
+
+
+class TestExtremeSceneProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(spec=_extreme_scene())
+    # The two probes that exited 4 before scene values were bounded.
+    @example(spec={**scene_to_dict(default_scene()), "noise_sigma": 1e308})
+    @example(spec={**scene_to_dict(default_scene()),
+                   "article_grounding": {"The": 1e308, "In": 1e308, "A": 1e308, "a": 1e308}})
+    def test_extreme_scene_value_runs_or_ends_in_a_named_error(self, spec):
+        """A scene value at any sign and magnitude decodes to a report that evaluate --traces
+        reproduces, or is exit 2 naming the scene file and a key; never exit 4."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path, sim, again = Path(tmp) / "scene.json", Path(tmp) / "sim", Path(tmp) / "again"
+            path.write_text(json.dumps(spec))
+            code, err = _quiet("simulate", "--scene", path, "--seeds", "0:2", "--max-steps", "8",
+                               "--out", sim)
+            if code == 0:
+                assert _quiet("evaluate", "--traces", sim, "--out", again) == (0, "")
+                assert (again / "report.json").read_bytes() == (sim / "report.json").read_bytes()
+                return
+        assert code == 2 and err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+        # base_logits' errors call an entry a "base logit"
+        named = err[len(f"error: {path}: "):]
+        assert any(key in named for key in (*_SCENE_SCALARS, "base logit", "article_grounding"))

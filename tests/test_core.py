@@ -60,6 +60,10 @@ class TestVocabulary:
         with pytest.raises(ContractError):
             Vocabulary(("a", "b", "a"))
 
+    def test_empty_rejected(self):
+        with pytest.raises(ContractError, match="^vocabulary is empty$"):
+            Vocabulary(())
+
     def test_unknown_lookups_rejected(self):
         v = Vocabulary(("a",))
         with pytest.raises(ContractError):

@@ -312,6 +312,14 @@ class TestTraceFiles:
         back = read_trace(path)
         assert back == written
 
+    def test_path_is_opened_as_it_stands(self, scene, tmp_path):
+        """``read_trace`` does not read its path as ``Path`` would: "<file>/" names no file."""
+        path = tmp_path / "run.jsonl"
+        write_trace(path, run_strategy(scene, Strategy(kind="baseline"), seed=1, max_steps=5),
+                    trace_lexicon(scene))
+        with pytest.raises(InputError, match=f"^cannot read {re.escape(f'{path}/')}: "):
+            read_trace(f"{path}/")
+
     def test_full_dist_stored_only_on_request(self, scene, tmp_path):
         rec = run_strategy(scene, Strategy(kind="baseline"), seed=1, max_steps=5)
         lex = trace_lexicon(scene)

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from logit_anchor import ConfigError, SceneSpec, Vocabulary, default_scene, preset
+from logit_anchor import ConfigError, ContractError, SceneSpec, Vocabulary, default_scene, preset
 from logit_anchor.simulator import (
     AFTER_ARTICLE,
     AFTER_CONNECTIVE,
@@ -240,7 +240,7 @@ class TestLogits:
         assert not np.array_equal(a, c)
 
     def test_negative_step_rejected(self, scene):
-        with pytest.raises(Exception):
+        with pytest.raises(ContractError, match="^step index must be >= 0, got -1$"):
             scene_row(scene, None, START, -1, np.random.default_rng(0))
 
 

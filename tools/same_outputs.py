@@ -16,7 +16,9 @@ between the trees. The commands:
 - ``evaluate --traces`` on that long run, so the trace reader reads 280-step
   traces that hold ``dist`` fields, with greedy and icd lanes among them;
 - the default ``sweep`` and the default ``ablate``;
-- ``evaluate`` on the golden corpus (each tree's own ``data/`` files).
+- ``evaluate`` on the golden corpus (each tree's own ``data/`` files);
+- ``golden_slash``: that ``evaluate`` again with a trailing ``/`` on each of its
+  three corpus paths, which ``Path`` reads as the files themselves.
 
 Prints each file that differs (or exists on one side only) and exits 1 if any
 does, else 0. Run from the repository root:
@@ -49,6 +51,9 @@ COMMANDS = (
     ("golden", ["evaluate", "--captions", "{data}/golden_captions.jsonl",
                 "--annotations", "{data}/golden_annotations.json",
                 "--lexicon", "{data}/golden_lexicon.json", "--out", "golden"]),
+    ("golden_slash", ["evaluate", "--captions", "{data}/golden_captions.jsonl/",
+                      "--annotations", "{data}/golden_annotations.json/",
+                      "--lexicon", "{data}/golden_lexicon.json/", "--out", "golden_slash"]),
 )
 
 
